@@ -622,10 +622,8 @@ func BenchmarkSamplingAblation(b *testing.B) {
 			name = fmt.Sprintf("sample=%d", cap)
 		}
 		b.Run(name, func(b *testing.B) {
-			cfg := core.DefaultConfig()
-			cfg.SampleRows = cap
-			engine := mustEngine(b, cfg)
-			opts := core.Options{SkipReportCache: true}
+			engine := mustEngine(b, core.DefaultConfig())
+			opts := core.Options{SkipReportCache: true, ApproxRows: cap}
 			if _, err := engine.CharacterizeOpts(pd.Frame, pd.Selection, opts); err != nil {
 				b.Fatal(err)
 			}

@@ -95,7 +95,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	session, err := ziggy.NewSession(cfg)
+	session, err := ziggy.New(cfg)
 	if err != nil {
 		return err
 	}

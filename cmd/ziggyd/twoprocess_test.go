@@ -188,7 +188,7 @@ func TestTwoProcessAppendShipsChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer front.Close()
-	local, err := ziggy.NewSession(cfg)
+	local, err := ziggy.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

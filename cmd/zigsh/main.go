@@ -49,7 +49,7 @@ type shell struct {
 
 func newShell(dataset, csvPath string, seed uint64) (*shell, error) {
 	cfg := ziggy.DefaultConfig()
-	session, err := ziggy.NewSession(cfg)
+	session, err := ziggy.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +213,7 @@ func (s *shell) execute(line string, out io.Writer) error {
 // rebuild recreates the session engine after a config change, keeping the
 // registered tables.
 func (s *shell) rebuild() error {
-	fresh, err := ziggy.NewSession(s.cfg)
+	fresh, err := ziggy.New(s.cfg)
 	if err != nil {
 		return err
 	}

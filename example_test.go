@@ -10,7 +10,7 @@ import (
 // ExampleSession_Characterize shows the core loop: register a table, run a
 // selection, read the characteristic views.
 func ExampleSession_Characterize() {
-	session, err := ziggy.NewSession(ziggy.DefaultConfig())
+	session, err := ziggy.New(ziggy.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func ExampleSession_Characterize() {
 func ExampleSession_Characterize_robust() {
 	cfg := ziggy.DefaultConfig()
 	cfg.Robust = true
-	session, err := ziggy.NewSession(cfg)
+	session, err := ziggy.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func ExamplePredicateColumns() {
 // ExampleSession_Query runs plain SQL (including aggregates) without
 // characterization.
 func ExampleSession_Query() {
-	session, err := ziggy.NewSession(ziggy.DefaultConfig())
+	session, err := ziggy.New(ziggy.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

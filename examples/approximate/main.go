@@ -1,5 +1,5 @@
 // Approximate demonstrates the two extension knobs beyond the demo paper's
-// defaults: BlinkDB-style row sampling (Config.SampleRows) for interactive
+// defaults: BlinkDB-style row sampling (Options.ApproxRows) for interactive
 // latency on large tables, and the extended Zig-Component families from the
 // companion research paper (Config.Extended).
 //
@@ -17,8 +17,8 @@ import (
 	ziggy "repro"
 )
 
-func run(title string, cfg ziggy.Config, table *ziggy.Frame, sql string, exclude []string) {
-	session, err := ziggy.NewSession(cfg)
+func run(title string, cfg ziggy.Config, opts ziggy.Options, table *ziggy.Frame, sql string) {
+	session, err := ziggy.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -27,11 +27,13 @@ func run(title string, cfg ziggy.Config, table *ziggy.Frame, sql string, exclude
 	}
 	// Warm the dependency cache so the timing below is the per-query cost
 	// an interactive user feels.
-	if _, err := session.CharacterizeOpts(sql, ziggy.Options{ExcludeColumns: exclude}); err != nil {
+	// The report memo is bypassed so the second run pays the pipeline again.
+	opts.SkipReportCache = true
+	if _, err := session.CharacterizeOpts(sql, opts); err != nil {
 		log.Fatal(err)
 	}
 	start := time.Now()
-	report, err := session.CharacterizeOpts(sql, ziggy.Options{ExcludeColumns: exclude})
+	report, err := session.CharacterizeOpts(sql, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,8 +41,9 @@ func run(title string, cfg ziggy.Config, table *ziggy.Frame, sql string, exclude
 
 	fmt.Printf("--- %s ---\n", title)
 	sampled := ""
-	if report.SampledRows > 0 {
-		sampled = fmt.Sprintf(" (statistics from %d sampled rows)", report.SampledRows)
+	if a := report.Approximate; a != nil {
+		sampled = fmt.Sprintf(" (statistics from %d sampled rows: %d inside, %d outside; standard errors ×%.2f)",
+			a.SampleRows, a.InsideRows, a.OutsideRows, a.SEInflation)
 	}
 	fmt.Printf("warm query: %v%s\n", elapsed.Round(time.Millisecond), sampled)
 	for i, view := range report.Views {
@@ -60,21 +63,21 @@ func main() {
 		log.Fatal(err)
 	}
 	sql := fmt.Sprintf("SELECT * FROM uscrime WHERE crime_violent_rate >= %.1f", p90)
-	exclude := []string{"crime_violent_rate"}
+	exact := ziggy.Options{ExcludeColumns: []string{"crime_violent_rate"}}
 
 	// 1. Exact mode: every row feeds the statistics.
-	run("exact statistics", ziggy.DefaultConfig(), table, sql, exclude)
+	run("exact statistics", ziggy.DefaultConfig(), exact, table, sql)
 
 	// 2. Approximate mode: cap the per-query statistics at 500 rows. The
-	//    views keep their shape; the latency drops.
-	approx := ziggy.DefaultConfig()
-	approx.SampleRows = 500
-	run("sampled statistics (500 rows)", approx, table, sql, exclude)
+	//    views keep their shape; the latency drops; the report says so.
+	approx := exact
+	approx.ApproxRows = 500
+	run("sampled statistics (500 rows)", ziggy.DefaultConfig(), approx, table, sql)
 
 	// 3. Extended components: quantile shifts, tail-weight changes,
 	//    entropy changes and categorical↔numeric separation changes join
 	//    the score and the explanations.
 	extended := ziggy.DefaultConfig()
 	extended.Extended = true
-	run("extended Zig-Components", extended, table, sql, exclude)
+	run("extended Zig-Components", extended, exact, table, sql)
 }

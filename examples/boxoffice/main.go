@@ -17,7 +17,7 @@ import (
 )
 
 func characterize(title string, cfg ziggy.Config, sql string, exclude []string) {
-	session, err := ziggy.NewSession(cfg)
+	session, err := ziggy.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	session, err := ziggy.NewSession(ziggy.DefaultConfig())
+	session, err := ziggy.New(ziggy.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 
 func main() {
 	// 1. Create a session with the default engine configuration.
-	session, err := ziggy.NewSession(ziggy.DefaultConfig())
+	session, err := ziggy.New(ziggy.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestFullWorkflowIntegration(t *testing.T) {
 	if err := ziggy.WriteCSV(path, original); err != nil {
 		t.Fatal(err)
 	}
-	session, err := ziggy.NewSession(ziggy.DefaultConfig())
+	session, err := ziggy.New(ziggy.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,11 +91,6 @@ type Config struct {
 	// categorical entropy changes, and mixed categorical-numeric
 	// separation changes. Weights for them default to 1 when absent.
 	Extended bool
-	// SampleRows, when positive, caps the number of rows used by the
-	// preparation stage: both sides of the split are subsampled
-	// proportionally (BlinkDB-style approximation; experiment X7 measures
-	// the accuracy cost). Zero disables sampling.
-	SampleRows int
 	// Parallelism is the worker count for the engine's parallel stages
 	// (column splitting, the pairwise dependency matrix, candidate
 	// scoring). Zero means all CPUs (runtime.GOMAXPROCS); 1 runs the

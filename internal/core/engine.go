@@ -280,21 +280,19 @@ func (e *Engine) characterize(f *frame.Frame, sel *frame.Bitmap, opts Options, n
 	rep.CacheHit = hit
 	// BlinkDB-style approximation: cap the rows feeding the per-query
 	// statistics. The dependency structure stays exact (it is computed
-	// once per table and cached).
+	// once per table and cached). This is the engine's only sampling path.
 	var consider *frame.Bitmap
-	switch {
-	case opts.ApproxRows > 0:
-		// Approximate serving. The sampling stream mixes both content
-		// fingerprints with the caller's seed, so distinct (table,
-		// selection) pairs never share a sample, yet the same request is
-		// byte-identical wherever it is computed. The provenance block is
-		// set even when the cap covers every row (the sample is then the
-		// whole table): approximate requested ⇒ Approximate non-nil, which
-		// keeps the flag trustworthy for clients.
+	if opts.ApproxRows > 0 {
+		// The sampling stream mixes both content fingerprints with the
+		// caller's seed, so distinct (table, selection) pairs never share a
+		// sample, yet the same request is byte-identical wherever it is
+		// computed. The provenance block is set even when the cap covers
+		// every row (the sample is then the whole table): approximate
+		// requested ⇒ Approximate non-nil, which keeps the flag trustworthy
+		// for clients.
 		seed := approxSampleSeed(f.Fingerprint(), sel.Fingerprint(), opts.ApproxSeed, opts.ApproxRows)
 		consider = sample.Stratified(sel, opts.ApproxRows, e.cfg.MinRows, seed)
 		sampled := consider.Count()
-		rep.SampledRows = sampled
 		inside := countInside(sel, consider)
 		inflation := 1.0
 		if sampled > 0 && sampled < f.NumRows() {
@@ -308,9 +306,6 @@ func (e *Engine) characterize(f *frame.Frame, sel *frame.Bitmap, opts Options, n
 			OutsideRows: sampled - inside,
 			SEInflation: inflation,
 		}
-	case e.cfg.SampleRows > 0 && f.NumRows() > e.cfg.SampleRows:
-		consider = sample.Stratified(sel, e.cfg.SampleRows, e.cfg.MinRows, sampleSeed)
-		rep.SampledRows = consider.Count()
 	}
 	cols := e.splitColumns(f, sel, consider, rep)
 	for _, name := range opts.ExcludeColumns {
@@ -363,10 +358,6 @@ func (e *Engine) prepare(f *frame.Frame) (*prepared, bool, error) {
 	})
 	return p, outcome != memo.Miss, err
 }
-
-// sampleSeed fixes the subsampling stream so repeated characterizations of
-// the same query are identical.
-const sampleSeed = 0x5a1ad0c5
 
 // approxSampleSeed derives the stratified-sampling seed of an approximate
 // run from the request's full identity. Each input passes through the

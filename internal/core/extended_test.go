@@ -115,21 +115,23 @@ func TestSamplingCapsRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.SampleRows = 2000
-	e, err := New(cfg)
+	e, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.Characterize(pd.Frame, pd.Selection)
+	rep, err := e.CharacterizeOpts(pd.Frame, pd.Selection, Options{ApproxRows: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.SampledRows == 0 {
-		t.Fatal("sampling did not engage")
+	a := rep.Approximate
+	if a == nil {
+		t.Fatal("sampled report carries no Approximate provenance")
 	}
-	if rep.SampledRows > 2200 {
-		t.Fatalf("sampled %d rows, cap was 2000", rep.SampledRows)
+	if a.SampleRows == 0 || a.SampleRows > 2200 {
+		t.Fatalf("sampled %d rows, cap was 2000", a.SampleRows)
+	}
+	if a.SEInflation <= 1 {
+		t.Errorf("SE inflation %v on a 10%% sample, want > 1", a.SEInflation)
 	}
 	// The planted view must still be recovered from the sample.
 	if len(rep.Views) == 0 {
@@ -140,17 +142,37 @@ func TestSamplingCapsRows(t *testing.T) {
 	}
 }
 
+// TestSamplingDisabledBelowCap pins a cap at or above the table's row
+// count: the sample is the whole table, so the provenance block reports
+// every row with no standard-error inflation, and the views are
+// byte-identical to the exact report's.
 func TestSamplingDisabledBelowCap(t *testing.T) {
 	pd := plantedFixture(t, 33) // 3000 rows
-	cfg := DefaultConfig()
-	cfg.SampleRows = 50000
-	e, _ := New(cfg)
-	rep, err := e.Characterize(pd.Frame, pd.Selection)
+	e, _ := New(DefaultConfig())
+	exact, err := e.Characterize(pd.Frame, pd.Selection)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.SampledRows != 0 {
-		t.Fatalf("sampling engaged below the cap: %d", rep.SampledRows)
+	for _, cap := range []int{pd.Frame.NumRows(), 50000} {
+		rep, err := e.CharacterizeOpts(pd.Frame, pd.Selection, Options{ApproxRows: cap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Approximate{
+			SampleRows:  rep.TotalRows,
+			CapRows:     cap,
+			InsideRows:  rep.SelectedRows,
+			OutsideRows: rep.TotalRows - rep.SelectedRows,
+			SEInflation: 1,
+		}
+		if rep.Approximate == nil || *rep.Approximate != want {
+			t.Fatalf("cap %d: Approximate = %+v, want %+v", cap, rep.Approximate, want)
+		}
+		stripped := *rep
+		stripped.Approximate = nil
+		if got, want := fingerprint(&stripped), fingerprint(exact); got != want {
+			t.Errorf("cap %d: whole-table sample differs from the exact report\nwant:\n%s\ngot:\n%s", cap, want, got)
+		}
 	}
 }
 
@@ -163,23 +185,20 @@ func TestSamplingDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.SampleRows = 1500
-	e, _ := New(cfg)
-	rep1, err := e.Characterize(pd.Frame, pd.Selection)
+	e, _ := New(DefaultConfig())
+	opts := Options{ApproxRows: 1500, SkipReportCache: true}
+	rep1, err := e.CharacterizeOpts(pd.Frame, pd.Selection, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep2, err := e.Characterize(pd.Frame, pd.Selection)
+	rep2, err := e.CharacterizeOpts(pd.Frame, pd.Selection, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep1.Views) != len(rep2.Views) {
-		t.Fatal("sampled runs disagree on view count")
+	if rep1.Approximate == nil {
+		t.Fatal("sampled report carries no Approximate provenance")
 	}
-	for i := range rep1.Views {
-		if rep1.Views[i].Score != rep2.Views[i].Score {
-			t.Fatal("sampled runs disagree on scores")
-		}
+	if fingerprint(rep1) != fingerprint(rep2) {
+		t.Fatal("sampled runs disagree")
 	}
 }

@@ -67,7 +67,6 @@ func hashConfig(c Config) uint64 {
 	h.Int(c.MinRows)
 	h.Int(c.MaxCliques)
 	h.Bool(c.Extended)
-	h.Int(c.SampleRows)
 	return h.Sum()
 }
 
@@ -130,7 +129,7 @@ func reportSize(r *Report) int64 {
 // from object identity or from which engine computes the value — one
 // ReportCache is safe to share across engines: the shard router
 // (internal/shard) runs one ReportCache behind all of its shards, and
-// sessions sharing one (ziggy.NewSessionShared) serve each other's repeat
+// sessions sharing one (ziggy.WithSharedCache) serve each other's repeat
 // queries. The wrapper keeps the key type private so callers cannot insert
 // entries that bypass the engine's hashing discipline.
 type ReportCache struct {

@@ -20,8 +20,11 @@ func fbits(x float64) string { return strconv.FormatUint(math.Float64bits(x), 16
 // wall-clock timings and the cache-hit flag.
 func fingerprint(rep *Report) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "sel=%d total=%d sampled=%d warnings=%q\n",
-		rep.SelectedRows, rep.TotalRows, rep.SampledRows, rep.Warnings)
+	fmt.Fprintf(&b, "sel=%d total=%d warnings=%q\n", rep.SelectedRows, rep.TotalRows, rep.Warnings)
+	if a := rep.Approximate; a != nil {
+		fmt.Fprintf(&b, "approx sample=%d cap=%d seed=%d in=%d out=%d se=%s\n",
+			a.SampleRows, a.CapRows, a.Seed, a.InsideRows, a.OutsideRows, fbits(a.SEInflation))
+	}
 	for _, v := range rep.Views {
 		fmt.Fprintf(&b, "view %v score=%s tight=%s p=%s sig=%t expl=%q\n",
 			v.Columns, fbits(v.Score), fbits(v.Tightness), fbits(v.PValue), v.Significant, v.Explanation)
@@ -68,25 +71,21 @@ func TestParallelDeterminism(t *testing.T) {
 		cfg  func() Config
 		data func(t *testing.T) (*frame.Frame, *frame.Bitmap, Options)
 	}
-	planted := func(seed uint64) func(t *testing.T) (*frame.Frame, *frame.Bitmap, Options) {
+	planted := func(seed uint64, opts Options) func(t *testing.T) (*frame.Frame, *frame.Bitmap, Options) {
 		return func(t *testing.T) (*frame.Frame, *frame.Bitmap, Options) {
 			pd := plantedFixture(t, seed)
-			return pd.Frame, pd.Selection, Options{}
+			return pd.Frame, pd.Selection, opts
 		}
 	}
 	fixtures := []fixture{
-		{name: "planted-default", cfg: DefaultConfig, data: planted(90)},
+		{name: "planted-default", cfg: DefaultConfig, data: planted(90, Options{})},
 		{name: "planted-robust-extended", cfg: func() Config {
 			cfg := DefaultConfig()
 			cfg.Robust = true
 			cfg.Extended = true
 			return cfg
-		}, data: planted(91)},
-		{name: "planted-sampled", cfg: func() Config {
-			cfg := DefaultConfig()
-			cfg.SampleRows = 500
-			return cfg
-		}, data: planted(92)},
+		}, data: planted(91, Options{})},
+		{name: "planted-sampled", cfg: DefaultConfig, data: planted(92, Options{ApproxRows: 500})},
 		{name: "uscrime", cfg: DefaultConfig, data: crimeFixture},
 	}
 

@@ -85,13 +85,11 @@ type Report struct {
 	Views []View
 	// SelectedRows and TotalRows describe the split sizes.
 	SelectedRows, TotalRows int
-	// SampledRows is the number of rows the per-query statistics actually
-	// consumed when Config.SampleRows capped them; 0 means no sampling.
-	SampledRows int
 	// Approximate is non-nil exactly when the report was computed on a
 	// deterministic sample (Options.ApproxRows > 0) — the flag an
 	// explorer checks before trusting effect magnitudes, and the block
-	// the serving layer sets when it degrades instead of shedding.
+	// the serving layer sets when it degrades instead of shedding. Its
+	// SampleRows is the number of rows the per-query statistics consumed.
 	Approximate *Approximate
 	// Timings carries the stage breakdown.
 	Timings Timings

@@ -17,9 +17,9 @@ import (
 // by a remote worker is byte-identical (re-encoded) to one computed in
 // process. TestRemoteDeterminism and the ziggyd golden suite lean on this.
 //
-// Layout (version 1), after the 4-byte magic "ZGR\x01":
+// Exact reports use version 3. After the 4-byte magic "ZGR\x03":
 //
-//	report  := selectedRows totalRows sampledRows timings warnings views flags
+//	report  := selectedRows totalRows timings warnings views flags
 //	timings := prepNanos searchNanos postNanos          (3 × u64)
 //	warnings:= count {string}*
 //	views   := count {view}*
@@ -27,48 +27,40 @@ import (
 //	comps   := count {comp}*
 //	comp    := kind columns raw norm inside outside stat df df2 p detail
 //
-// Version 2 is the partial-report frame for sample-based approximate
-// answers: after the magic "ZGR\x02" comes an approx provenance block, then
-// the version-1 body unchanged:
+// Version 4 is the partial-report frame for sample-based approximate
+// answers: after the magic "ZGR\x04" comes an approx provenance block, then
+// the version-3 body unchanged:
 //
 //	approx  := sampleRows capRows seed insideRows outsideRows seInflation
 //
-// Exact reports still encode as version 1 — their bytes are identical to
-// every previously recorded golden and baseline — and only reports carrying
-// an Approximate block use version 2, so the frame version doubles as the
-// on-the-wire approximate flag. Decoders built at version 2 read both; a
-// version-1 decoder rejects a version-2 frame loudly (unsupported version),
-// never as a silently misparsed exact report.
+// Only reports carrying an Approximate block use version 4, so the frame
+// version doubles as the on-the-wire approximate flag. Versions 1 and 2
+// carried a sampled-rows slot that duplicated the provenance block; they
+// are not read back (report bytes are never stored), so a worker from an
+// older build fails loudly with "unsupported wire version".
 //
 // Decoding is strict: bad magic, an unknown version, truncation, oversized
 // counts and trailing bytes are all errors, never a partially decoded
 // report.
 
-// reportWireVersion is the newest layout this build writes and reads; it is
-// bumped whenever the layout changes. Version 1 payloads remain readable.
-const reportWireVersion = 2
-
-// reportMagic prefixes every exact encoded report: three fixed bytes plus
-// version 1.
-var reportMagic = [4]byte{'Z', 'G', 'R', 1}
-
-// reportMagicApprox prefixes every approximate (partial) report frame.
-var reportMagicApprox = [4]byte{'Z', 'G', 'R', reportWireVersion}
+// Frame versions of exact and approximate reports. Both are bumped
+// together whenever the body layout changes.
+const (
+	reportVersionExact  = 3
+	reportVersionApprox = 4
+)
 
 const decodingReport = "core: decoding report"
 
 // EncodeReport serializes a report in the versioned wire format. The
 // encoding is canonical: equal reports encode to equal bytes, so encoded
 // reports can be byte-compared (the determinism suites do). Exact reports
-// encode as version 1; reports with an Approximate block encode as the
-// version-2 partial-report frame.
+// encode as version 3; reports with an Approximate block encode as the
+// version-4 partial-report frame.
 func EncodeReport(rep *Report) []byte {
-	var w wire.Buf
-	if rep.Approximate == nil {
-		w.B = append(w.B, reportMagic[:]...)
-	} else {
-		w.B = append(w.B, reportMagicApprox[:]...)
-		a := rep.Approximate
+	w := wire.Buf{B: []byte{'Z', 'G', 'R', reportVersionExact}}
+	if a := rep.Approximate; a != nil {
+		w.B[3] = reportVersionApprox
 		w.I64(int64(a.SampleRows))
 		w.I64(int64(a.CapRows))
 		w.U64(a.Seed)
@@ -78,7 +70,6 @@ func EncodeReport(rep *Report) []byte {
 	}
 	w.I64(int64(rep.SelectedRows))
 	w.I64(int64(rep.TotalRows))
-	w.I64(int64(rep.SampledRows))
 	w.I64(int64(rep.Timings.Preparation))
 	w.I64(int64(rep.Timings.Search))
 	w.I64(int64(rep.Timings.Post))
@@ -112,10 +103,10 @@ func EncodeReport(rep *Report) []byte {
 	return w.B
 }
 
-// DecodeReport parses a wire-format report, accepting both the version-1
-// exact layout and the version-2 partial-report frame. It rejects bad
-// magic, unknown versions, truncated or oversized payloads, and trailing
-// garbage.
+// DecodeReport parses a wire-format report, accepting exactly the
+// version-3 exact layout and the version-4 partial-report frame. It
+// rejects bad magic, any other version, truncated or oversized payloads,
+// and trailing garbage.
 func DecodeReport(data []byte) (*Report, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("%s: %d bytes is shorter than the header", decodingReport, len(data))
@@ -124,13 +115,13 @@ func DecodeReport(data []byte) (*Report, error) {
 		return nil, fmt.Errorf("%s: bad magic %q", decodingReport, data[:3])
 	}
 	version := data[3]
-	if version != 1 && version != reportWireVersion {
-		return nil, fmt.Errorf("%s: unsupported wire version %d (this build speaks 1 and %d)",
-			decodingReport, version, reportWireVersion)
+	if version != reportVersionExact && version != reportVersionApprox {
+		return nil, fmt.Errorf("%s: unsupported wire version %d (this build speaks %d and %d)",
+			decodingReport, version, reportVersionExact, reportVersionApprox)
 	}
-	r := &wire.Reader{What: decodingReport, B: data, Off: len(reportMagic)}
+	r := &wire.Reader{What: decodingReport, B: data, Off: 4}
 	rep := &Report{}
-	if version == reportWireVersion {
+	if version == reportVersionApprox {
 		rep.Approximate = &Approximate{
 			SampleRows:  int(r.I64()),
 			CapRows:     int(r.I64()),
@@ -142,7 +133,6 @@ func DecodeReport(data []byte) (*Report, error) {
 	}
 	rep.SelectedRows = int(r.I64())
 	rep.TotalRows = int(r.I64())
-	rep.SampledRows = int(r.I64())
 	rep.Timings = Timings{
 		Preparation: time.Duration(r.I64()),
 		Search:      time.Duration(r.I64()),

@@ -24,12 +24,12 @@ func FuzzReportCodec(f *testing.F) {
 	f.Add(full[:len(full)-1])
 	truncated := append([]byte(nil), full[:40]...)
 	f.Add(truncated)
-	// Version-2 seeds: a truncation inside the approx block and a header
-	// swapped onto the version-1 body steer the fuzzer at the frame switch.
+	// Version-4 seeds: a truncation inside the approx block and a header
+	// swapped onto the version-3 body steer the fuzzer at the frame switch.
 	approx := EncodeReport(approxWireFixture())
 	f.Add(approx[:len(approx)-1])
 	f.Add(append([]byte(nil), approx[:20]...))
-	f.Add(append([]byte("ZGR\x02"), full[4:]...))
+	f.Add(append([]byte("ZGR\x04"), full[4:]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rep, err := DecodeReport(data)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -50,7 +51,6 @@ func wireFixture() *Report {
 	return &Report{
 		SelectedRows: 42,
 		TotalRows:    1994,
-		SampledRows:  100,
 		Timings:      Timings{Preparation: 3 * time.Millisecond, Search: 5 * time.Millisecond, Post: time.Microsecond},
 		Warnings:     []string{"column \"naïve\" skipped", ""},
 		CacheHit:     true,
@@ -82,7 +82,7 @@ func wireFixture() *Report {
 }
 
 // approxWireFixture is wireFixture with approximate provenance attached —
-// the payload that must travel as a version-2 partial-report frame.
+// the payload that must travel as a version-4 partial-report frame.
 func approxWireFixture() *Report {
 	rep := wireFixture()
 	rep.Approximate = &Approximate{
@@ -153,23 +153,23 @@ func TestReportCodecEngineOutput(t *testing.T) {
 	}
 }
 
-// TestPartialReportFrame pins the version-2 framing contract: exact reports
-// keep their version-1 bytes untouched (goldens and baselines depend on
-// byte identity), approximate reports are framed as version 2 with the
-// provenance block intact, and the version byte is the on-wire flag.
+// TestPartialReportFrame pins the framing contract: exact reports are
+// framed as version 3, approximate reports as version 4 with the
+// provenance block intact ahead of the same body, and the version byte is
+// the on-wire approximate flag.
 func TestPartialReportFrame(t *testing.T) {
 	exact := EncodeReport(wireFixture())
-	if !bytes.Equal(exact[:4], []byte("ZGR\x01")) {
-		t.Fatalf("exact report framed as %q, want version 1", exact[:4])
+	if !bytes.Equal(exact[:4], []byte("ZGR\x03")) {
+		t.Fatalf("exact report framed as %q, want version 3", exact[:4])
 	}
 
 	approx := EncodeReport(approxWireFixture())
-	if !bytes.Equal(approx[:4], []byte("ZGR\x02")) {
-		t.Fatalf("approximate report framed as %q, want version 2", approx[:4])
+	if !bytes.Equal(approx[:4], []byte("ZGR\x04")) {
+		t.Fatalf("approximate report framed as %q, want version 4", approx[:4])
 	}
-	// Past the approx block, the body is the version-1 body unchanged.
+	// Past the approx block, the body is the version-3 body unchanged.
 	if !bytes.Equal(approx[4+6*8:], exact[4:]) {
-		t.Error("version-2 body diverged from the version-1 layout")
+		t.Error("version-4 body diverged from the version-3 layout")
 	}
 
 	dec, err := DecodeReport(approx)
@@ -180,13 +180,30 @@ func TestPartialReportFrame(t *testing.T) {
 	if dec.Approximate == nil || *dec.Approximate != *want {
 		t.Errorf("approximate block = %+v, want %+v", dec.Approximate, want)
 	}
-	// A version-1 payload decodes with no approximate block.
+	// A version-3 payload decodes with no approximate block.
 	decExact, err := DecodeReport(exact)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if decExact.Approximate != nil {
-		t.Error("version-1 payload decoded with an approximate block")
+		t.Error("version-3 payload decoded with an approximate block")
+	}
+}
+
+// TestReportCodecRejectsOldVersions pins that the retired frames — version
+// 1 (exact) and version 2 (approximate), which carried a sampled-rows slot —
+// fail loudly as unsupported rather than misparsing.
+func TestReportCodecRejectsOldVersions(t *testing.T) {
+	enc := EncodeReport(wireFixture())
+	encApprox := EncodeReport(approxWireFixture())
+	for name, data := range map[string][]byte{
+		"v1": append([]byte("ZGR\x01"), enc[4:]...),
+		"v2": append([]byte("ZGR\x02"), encApprox[4:]...),
+	} {
+		_, err := DecodeReport(data)
+		if err == nil || !strings.Contains(err.Error(), "unsupported wire version") {
+			t.Errorf("%s frame: err = %v, want unsupported wire version", name, err)
+		}
 	}
 }
 
@@ -198,22 +215,22 @@ func TestReportCodecRejectsCorruption(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":           {},
 		"short header":    enc[:3],
-		"bad magic":       append([]byte("XXX\x01"), enc[4:]...),
+		"bad magic":       append([]byte("XXX\x03"), enc[4:]...),
 		"future version":  append([]byte("ZGR\x63"), enc[4:]...),
-		"version 3":       append([]byte("ZGR\x03"), encApprox[4:]...),
+		"version 5":       append([]byte("ZGR\x05"), encApprox[4:]...),
 		"truncated":       enc[:len(enc)/2],
 		"trailing bytes":  append(append([]byte(nil), enc...), 0),
 		"oversized count": append(append([]byte(nil), enc[:4]...), bytes.Repeat([]byte{0xff}, 64)...),
-		// Version-2 frames get the same strictness: a truncation inside the
+		// Version-4 frames get the same strictness: a truncation inside the
 		// approx block, mid-body truncation, and trailing garbage all fail.
-		"v2 short approx block": encApprox[:4+3*8],
-		"v2 truncated":          encApprox[:len(encApprox)/2],
-		"v2 trailing bytes":     append(append([]byte(nil), encApprox...), 0),
+		"v4 short approx block": encApprox[:4+3*8],
+		"v4 truncated":          encApprox[:len(encApprox)/2],
+		"v4 trailing bytes":     append(append([]byte(nil), encApprox...), 0),
 		// Cross-version confusion is a decode error, not a misparse: a
-		// version-1 body under a version-2 header reads 48 bytes of approx
+		// version-3 body under a version-4 header reads 48 bytes of approx
 		// block that are not there, and vice versa leaves 48 bytes trailing.
-		"v1 body under v2 header": append([]byte("ZGR\x02"), enc[4:]...),
-		"v2 body under v1 header": append([]byte("ZGR\x01"), encApprox[4:]...),
+		"v3 body under v4 header": append([]byte("ZGR\x04"), enc[4:]...),
+		"v4 body under v3 header": append([]byte("ZGR\x03"), encApprox[4:]...),
 	}
 	for name, data := range cases {
 		if _, err := DecodeReport(data); err == nil {
@@ -221,7 +238,7 @@ func TestReportCodecRejectsCorruption(t *testing.T) {
 		}
 	}
 	// A corrupted bool byte (anything but 0/1) is rejected, not coerced.
-	for name, enc := range map[string][]byte{"v1": enc, "v2": encApprox} {
+	for name, enc := range map[string][]byte{"v3": enc, "v4": encApprox} {
 		bad := append([]byte(nil), enc...)
 		bad[len(bad)-1] = 7
 		if _, err := DecodeReport(bad); err == nil {

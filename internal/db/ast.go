@@ -155,6 +155,48 @@ func (s *SelectStmt) String() string {
 	return b.String()
 }
 
+// PredicateColumns returns the columns the WHERE clause references, each
+// once, in first-seen order of a left-to-right walk; nil when there is no
+// WHERE clause (or no statement).
+func (s *SelectStmt) PredicateColumns() []string {
+	if s == nil {
+		return nil
+	}
+	seen := map[string]bool{}
+	var out []string
+	var walk func(e Expr)
+	walk = func(e Expr) {
+		var col string
+		switch x := e.(type) {
+		case *BinaryLogic:
+			walk(x.L)
+			walk(x.R)
+			return
+		case *NotExpr:
+			walk(x.Inner)
+			return
+		case *Comparison:
+			col = x.Column
+		case *InExpr:
+			col = x.Column
+		case *BetweenExpr:
+			col = x.Column
+		case *LikeExpr:
+			col = x.Column
+		case *IsNullExpr:
+			col = x.Column
+		default:
+			return
+		}
+		if !seen[col] {
+			seen[col] = true
+			out = append(out, col)
+		}
+	}
+	walk(s.Where)
+	return out
+}
+
 // Expr is a Boolean predicate node.
 type Expr interface {
 	// String renders the expression as SQL.

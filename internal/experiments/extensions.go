@@ -314,8 +314,9 @@ func LinkageAblation(seed uint64, trials int) (*Table, error) {
 }
 
 // SamplingAblation runs experiment X7: characterization accuracy and warm
-// per-query latency as Config.SampleRows shrinks the rows the statistics
-// consume (the BlinkDB-style approximation).
+// per-query latency as Options.ApproxRows shrinks the rows the statistics
+// consume (the BlinkDB-style approximation). Cap 0 is the exact run; every
+// capped run must come back flagged with its Approximate provenance.
 func SamplingAblation(seed uint64, trials int) (*Table, error) {
 	if trials < 1 {
 		trials = 1
@@ -334,7 +335,6 @@ func SamplingAblation(seed uint64, trials int) (*Table, error) {
 				return nil, err
 			}
 			cfg := engineConfig()
-			cfg.SampleRows = cap
 			cfg.MaxViews = len(pd.TrueViews)
 			engine, err := core.New(cfg)
 			if err != nil {
@@ -347,11 +347,14 @@ func SamplingAblation(seed uint64, trials int) (*Table, error) {
 			}
 			start := time.Now()
 			rep, err := engine.CharacterizeOpts(pd.Frame, pd.Selection,
-				core.Options{SkipReportCache: true})
+				core.Options{SkipReportCache: true, ApproxRows: cap})
 			if err != nil {
 				return nil, err
 			}
 			elapsed += time.Since(start)
+			if (rep.Approximate != nil) != (cap > 0) {
+				return nil, fmt.Errorf("experiments: cap %d served with approximate provenance %+v", cap, rep.Approximate)
+			}
 			var views [][]string
 			for _, v := range rep.Views {
 				views = append(views, v.Columns)

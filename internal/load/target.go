@@ -65,7 +65,7 @@ type Target interface {
 
 // RouterTarget drives in-process shard routers: one per engine mode the
 // spec uses (robust/extended change engine construction), all sharing one
-// report cache — the NewSessionShared topology, with explicit admission
+// report cache — the ziggy.WithSharedCache topology, with explicit admission
 // Params so tests can provoke saturation.
 type RouterTarget struct {
 	catalog *db.Catalog

@@ -2,8 +2,9 @@
 // characterization. The paper's introduction names BlinkDB — exploration
 // through sampling — as one of the systems Ziggy complements; this package
 // lets the engine cap the rows its per-query statistics consume
-// (Config.SampleRows), trading a bounded accuracy loss for latency.
-// Experiment X7 quantifies that trade-off.
+// (Options.ApproxRows, flagged on the result as Report.Approximate),
+// trading a bounded accuracy loss for latency. Experiment X7 quantifies
+// that trade-off.
 //
 // Two primitives are exposed:
 //
@@ -15,6 +16,7 @@
 //     neither side collapses below testability.
 //
 // Both are driven by an explicit randx.Source seeded by the caller; the
-// engine fixes the seed per characterization, so sampled runs are exactly
-// repeatable and remain bit-for-bit identical across worker counts.
+// engine derives the seed from the table and selection fingerprints plus
+// the request's cap and seed, so sampled runs are exactly repeatable and
+// remain bit-for-bit identical across worker counts and topologies.
 package sample

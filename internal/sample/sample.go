@@ -1,6 +1,8 @@
 package sample
 
 import (
+	"sort"
+
 	"repro/internal/frame"
 	"repro/internal/randx"
 )
@@ -31,20 +33,8 @@ func Reservoir(r *randx.Source, n, k int) []int {
 	}
 	// Ascending order keeps downstream scans cache-friendly and
 	// deterministic.
-	insertionSort(res)
+	sort.Ints(res)
 	return res
-}
-
-func insertionSort(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		v := xs[i]
-		j := i - 1
-		for j >= 0 && xs[j] > v {
-			xs[j+1] = xs[j]
-			j--
-		}
-		xs[j+1] = v
-	}
 }
 
 // Subset returns a bitmap over n rows marking k rows sampled uniformly

@@ -241,7 +241,7 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 	}
 	opts := core.Options{ExcludeColumns: req.ExcludeColumns, SkipReportCache: req.SkipReportCache}
 	if req.ExcludePredicate {
-		opts.ExcludeColumns = append(opts.ExcludeColumns, predicateColumns(res.Stmt)...)
+		opts.ExcludeColumns = append(opts.ExcludeColumns, res.Stmt.PredicateColumns()...)
 	}
 	if req.Approximate || req.ApproxRows > 0 {
 		opts.ApproxRows = req.ApproxRows
@@ -319,43 +319,6 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 		resp.Views = append(resp.Views, vj)
 	}
 	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// predicateColumns extracts the WHERE-referenced columns of a statement.
-func predicateColumns(stmt *db.SelectStmt) []string {
-	if stmt == nil || stmt.Where == nil {
-		return nil
-	}
-	seen := map[string]bool{}
-	var out []string
-	add := func(c string) {
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	var walk func(e db.Expr)
-	walk = func(e db.Expr) {
-		switch x := e.(type) {
-		case *db.BinaryLogic:
-			walk(x.L)
-			walk(x.R)
-		case *db.NotExpr:
-			walk(x.Inner)
-		case *db.Comparison:
-			add(x.Column)
-		case *db.InExpr:
-			add(x.Column)
-		case *db.BetweenExpr:
-			add(x.Column)
-		case *db.LikeExpr:
-			add(x.Column)
-		case *db.IsNullExpr:
-			add(x.Column)
-		}
-	}
-	walk(stmt.Where)
-	return out
 }
 
 // statsResponse is the wire form of /api/stats. Prepared aggregates the

@@ -48,10 +48,9 @@ type Backend interface {
 	InvalidateCaches()
 	// InvalidateFrame drops the cache entries of the single frame with the
 	// given content fingerprint — the scoped invalidation behind the table
-	// lifecycle (unregister, append). Like InvalidateCaches, a remote
-	// backend leaves its worker's caches alone: the stale fingerprint is
-	// unreachable through the router once the table is gone, and the
-	// worker's LRU ages the entries out.
+	// lifecycle (unregister, append). Unlike InvalidateCaches, a remote
+	// backend forwards this to its worker, which drops the fingerprint's
+	// derived cache entries (best-effort; an unreachable worker is skipped).
 	InvalidateFrame(fp uint64)
 	// Close releases transport resources; in-process backends no-op.
 	Close() error

@@ -30,7 +30,7 @@
 // core.ReportCache keyed by (frame fp, selection fp, config hash, options
 // hash), so a repeat query hits in ~µs no matter which shard, engine
 // instance, or reloaded copy of the table serves it, and the same cache can
-// be shared across routers (ziggy.NewSessionShared). Remote backends extend
+// be shared across routers (ziggy.WithSharedCache). Remote backends extend
 // the same probe across the process boundary: the front asks the owning
 // worker by fingerprint before shipping anything, so repeat queries hit the
 // worker's cache without the table crossing the wire again.
@@ -99,14 +99,9 @@ func New(cfg core.Config) (*Router, error) {
 	return NewWithParams(cfg, nil, Params{})
 }
 
-// NewWithCache is New with an externally owned shared report cache, so
-// several routers (e.g. sessions) can serve each other's repeat queries;
-// nil builds a private cache.
-func NewWithCache(cfg core.Config, reports *core.ReportCache) (*Router, error) {
-	return NewWithParams(cfg, reports, Params{})
-}
-
-// NewWithParams is NewWithCache with explicit admission-queue tuning.
+// NewWithParams is New with an externally owned shared report cache, so
+// several routers (e.g. sessions) can serve each other's repeat queries
+// (nil builds a private cache), and explicit admission-queue tuning.
 func NewWithParams(cfg core.Config, reports *core.ReportCache, p Params) (*Router, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -324,9 +319,10 @@ func (r *Router) InvalidateCaches() {
 // given content fingerprint: its reports in the shared cache and its
 // prepared structures on every local backend. The table lifecycle calls
 // this on unregister and append so one table's turnover never costs other
-// tables their warm entries. Remote workers keep their caches, as with
-// InvalidateCaches — the fingerprint is unreachable once the table is
-// dropped, and their LRUs age the entries out.
+// tables their warm entries. Remote backends forward the call to their
+// worker (remote.Client posts it to /api/worker/invalidate), which drops
+// the fingerprint's derived reports and prepared structures but keeps the
+// stored table as the delta base for the successor version.
 func (r *Router) InvalidateFrame(fp uint64) {
 	for _, b := range r.backends {
 		b.InvalidateFrame(fp)

@@ -193,11 +193,11 @@ func TestReloadLandsOnSameShard(t *testing.T) {
 // exactly once.
 func TestSharedCacheAcrossRouters(t *testing.T) {
 	rc := core.NewReportCache(0, 0)
-	ra, err := NewWithCache(testConfig(2), rc)
+	ra, err := NewWithParams(testConfig(2), rc, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := NewWithCache(testConfig(4), rc) // different shard count on purpose
+	rb, err := NewWithParams(testConfig(4), rc, Params{}) // different shard count on purpose
 	if err != nil {
 		t.Fatal(err)
 	}

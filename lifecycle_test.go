@@ -368,8 +368,9 @@ func TestUnregisterDropsTableAndReports(t *testing.T) {
 	}
 }
 
-// TestNewOptionTopologies covers ziggy.New's functional options against the
-// behavior the four legacy constructors pin elsewhere in the suite.
+// TestNewOptionTopologies covers ziggy.New's functional options: the
+// default in-process topology, a shared report cache, explicit backends, and
+// an empty peer list.
 func TestNewOptionTopologies(t *testing.T) {
 	cfg := ziggy.DefaultConfig()
 	cfg.Shards = 2
@@ -423,9 +424,13 @@ func TestNewOptionTopologies(t *testing.T) {
 	}
 
 	// WithPeers with no addresses contributes no backends, so New falls back
-	// to in-process shards (the legacy constructor rejects the empty list).
-	if _, err := ziggy.NewSessionPeers(ziggy.DefaultConfig()); err == nil {
-		t.Error("NewSessionPeers() accepted an empty peer list")
+	// to in-process shards.
+	sp, err := ziggy.New(cfg, ziggy.WithPeers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.Shards() != 2 || sp.Engine() == nil {
+		t.Errorf("WithPeers(): %d shards, want 2 in-process shards", sp.Shards())
 	}
 }
 

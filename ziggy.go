@@ -114,7 +114,7 @@ var ErrBackendUnavailable = shard.ErrBackendUnavailable
 
 // NewReportCache builds a report cache bounded to entries LRU entries and
 // approximately bytes resident bytes (0 = the engine defaults) for use with
-// NewSessionShared.
+// WithSharedCache.
 func NewReportCache(entries int, bytes int64) *ReportCache {
 	return core.NewReportCache(entries, bytes)
 }
@@ -314,7 +314,7 @@ func New(cfg Config, opts ...Option) (*Session, error) {
 	if len(sc.backends) > 0 {
 		r, err = shard.NewWithBackends(cfg, sc.reports, sc.backends)
 	} else {
-		r, err = shard.NewWithCache(cfg, sc.reports)
+		r, err = shard.NewWithParams(cfg, sc.reports, shard.Params{})
 	}
 	if err != nil {
 		return nil, err
@@ -322,45 +322,12 @@ func New(cfg Config, opts ...Option) (*Session, error) {
 	return &Session{catalog: db.NewCatalog(), router: r}, nil
 }
 
-// NewSession creates a session with in-process shards and a private report
-// cache.
-//
-// Deprecated: use New(cfg).
-func NewSession(cfg Config) (*Session, error) {
-	return New(cfg)
-}
-
-// NewSessionShared is NewSession with an externally owned report cache.
-//
-// Deprecated: use New(cfg, WithSharedCache(reports)).
-func NewSessionShared(cfg Config, reports *ReportCache) (*Session, error) {
-	return New(cfg, WithSharedCache(reports))
-}
-
-// NewSessionPeers creates a session whose characterizations run on remote
-// worker processes.
-//
-// Deprecated: use New(cfg, WithPeers(peers...)).
-func NewSessionPeers(cfg Config, peers ...string) (*Session, error) {
-	if len(peers) == 0 {
-		return nil, fmt.Errorf("ziggy: no worker peers")
-	}
-	return New(cfg, WithPeers(peers...))
-}
-
-// NewSessionBackends creates a session over an explicit backend topology.
-//
-// Deprecated: use New(cfg, WithSharedCache(reports), WithBackends(backends...)).
-func NewSessionBackends(cfg Config, reports *ReportCache, backends []Backend) (*Session, error) {
-	return New(cfg, WithSharedCache(reports), WithBackends(backends...))
-}
-
 // NewWorkerBackend returns a Backend that fronts the worker process at addr
-// ("host:port" or an http:// URL), for NewSessionBackends topologies.
+// ("host:port" or an http:// URL), for WithBackends topologies.
 func NewWorkerBackend(addr string) Backend { return remote.NewClient(addr) }
 
 // NewEngineBackend returns an in-process Backend sharing the given report
-// cache (nil = private), for NewSessionBackends topologies mixing local and
+// cache (nil = private), for WithBackends topologies mixing local and
 // remote shards.
 func NewEngineBackend(cfg Config, reports *ReportCache) (Backend, error) {
 	return shard.NewEngineBackend(cfg, reports, shard.Params{})
@@ -433,12 +400,12 @@ func (s *Session) Tables() []string { return s.catalog.TableNames() }
 func (s *Session) Table(name string) (*Frame, bool) { return s.catalog.Table(name) }
 
 // Engine exposes the first shard's engine, or nil when shard 0 is a remote
-// worker (NewSessionPeers) — remote engines are not reachable as objects.
+// worker (WithPeers) — remote engines are not reachable as objects.
 // With multiple shards it is NOT the whole serving layer: its Config
 // reports the per-shard slice of the cache budget (use Router().Config()
 // for the configured values), and its InvalidateCache purges the shared
 // report cache (shared by every shard and every session attached via
-// NewSessionShared) but only shard 0's prepared tier — use
+// WithSharedCache) but only shard 0's prepared tier — use
 // InvalidateCaches for whole-session cache control.
 func (s *Session) Engine() *Engine { return s.router.Engine(0) }
 
@@ -517,46 +484,5 @@ func PredicateColumns(sql string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	if stmt.Where == nil {
-		return nil, nil
-	}
-	seen := make(map[string]bool)
-	var out []string
-	var walk func(e db.Expr)
-	walk = func(e db.Expr) {
-		switch x := e.(type) {
-		case *db.BinaryLogic:
-			walk(x.L)
-			walk(x.R)
-		case *db.NotExpr:
-			walk(x.Inner)
-		case *db.Comparison:
-			if !seen[x.Column] {
-				seen[x.Column] = true
-				out = append(out, x.Column)
-			}
-		case *db.InExpr:
-			if !seen[x.Column] {
-				seen[x.Column] = true
-				out = append(out, x.Column)
-			}
-		case *db.BetweenExpr:
-			if !seen[x.Column] {
-				seen[x.Column] = true
-				out = append(out, x.Column)
-			}
-		case *db.LikeExpr:
-			if !seen[x.Column] {
-				seen[x.Column] = true
-				out = append(out, x.Column)
-			}
-		case *db.IsNullExpr:
-			if !seen[x.Column] {
-				seen[x.Column] = true
-				out = append(out, x.Column)
-			}
-		}
-	}
-	walk(stmt.Where)
-	return out, nil
+	return stmt.PredicateColumns(), nil
 }

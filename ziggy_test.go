@@ -22,7 +22,7 @@ import (
 
 func newSession(t *testing.T) *ziggy.Session {
 	t.Helper()
-	s, err := ziggy.NewSession(ziggy.DefaultConfig())
+	s, err := ziggy.New(ziggy.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestRegisterCSVMissingFile(t *testing.T) {
 func TestNewSessionValidatesConfig(t *testing.T) {
 	cfg := ziggy.DefaultConfig()
 	cfg.MaxDim = 0
-	if _, err := ziggy.NewSession(cfg); err == nil {
+	if _, err := ziggy.New(cfg); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
@@ -218,7 +218,7 @@ func TestNewSessionValidatesConfig(t *testing.T) {
 func TestSessionCacheStats(t *testing.T) {
 	cfg := ziggy.DefaultConfig()
 	cfg.CacheEntries = 4
-	session, err := ziggy.NewSession(cfg)
+	session, err := ziggy.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,8 +272,7 @@ func TestSessionCacheStats(t *testing.T) {
 func reportFingerprint(rep *ziggy.Report) string {
 	bits := func(x float64) string { return strconv.FormatUint(math.Float64bits(x), 16) }
 	var b strings.Builder
-	fmt.Fprintf(&b, "sel=%d total=%d sampled=%d warnings=%q\n",
-		rep.SelectedRows, rep.TotalRows, rep.SampledRows, rep.Warnings)
+	fmt.Fprintf(&b, "sel=%d total=%d warnings=%q\n", rep.SelectedRows, rep.TotalRows, rep.Warnings)
 	if a := rep.Approximate; a != nil {
 		fmt.Fprintf(&b, "approx sample=%d cap=%d seed=%x in=%d out=%d se=%s\n",
 			a.SampleRows, a.CapRows, a.Seed, a.InsideRows, a.OutsideRows, bits(a.SEInflation))
@@ -321,7 +320,7 @@ func TestShardedDeterminism(t *testing.T) {
 	for _, shards := range shardCounts {
 		cfg := ziggy.DefaultConfig()
 		cfg.Shards = shards
-		session, err := ziggy.NewSession(cfg)
+		session, err := ziggy.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,7 +357,7 @@ func TestShardedDeterminism(t *testing.T) {
 	newShared := func(shards int) *ziggy.Session {
 		cfg := ziggy.DefaultConfig()
 		cfg.Shards = shards
-		s, err := ziggy.NewSessionShared(cfg, rc)
+		s, err := ziggy.New(cfg, ziggy.WithSharedCache(rc))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -465,7 +464,7 @@ func TestApproximateDeterminism(t *testing.T) {
 			cfg := ziggy.DefaultConfig()
 			cfg.Parallelism = parallelism
 			cfg.Shards = shards
-			session, err := ziggy.NewSession(cfg)
+			session, err := ziggy.New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -579,7 +578,7 @@ func TestApproximateTracksExact(t *testing.T) {
 }
 
 // TestSessionOverRemoteWorkers pins the public multi-process surface:
-// a session built with NewSessionPeers routes characterizations to worker
+// a session built with WithPeers routes characterizations to worker
 // processes, produces reports byte-identical to an in-process session,
 // serves repeats from the workers' report caches, and reports the workers
 // in its shard stats.
@@ -594,7 +593,7 @@ func TestSessionOverRemoteWorkers(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	local := newSession(t)
-	rs, err := ziggy.NewSessionPeers(ziggy.DefaultConfig(), ts.URL)
+	rs, err := ziggy.New(ziggy.DefaultConfig(), ziggy.WithPeers(ts.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -635,10 +634,5 @@ func TestSessionOverRemoteWorkers(t *testing.T) {
 	}
 	if tot := stats.Totals(); tot.Reports.Hits != 1 || tot.Reports.Misses != 1 {
 		t.Errorf("totals reports tier = %+v, want 1 hit / 1 miss", tot.Reports)
-	}
-
-	// NewSessionPeers validates its inputs.
-	if _, err := ziggy.NewSessionPeers(ziggy.DefaultConfig()); err == nil {
-		t.Error("NewSessionPeers with no peers accepted")
 	}
 }
