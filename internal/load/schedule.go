@@ -3,22 +3,27 @@ package load
 import (
 	"fmt"
 	"hash/fnv"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/frame"
 	"repro/internal/randx"
 	"repro/internal/stats"
 	"repro/internal/synth"
 )
 
-// Threshold queries draw their quantile in [qMin, qMax], keeping both the
-// selection and the complement comfortably above the engine's minimum
-// split size even on the smallest allowed micro table.
+// Threshold queries draw their quantile in [qMin, qMax]. On a column with
+// heavy ties a quantile can still land on the minimum (selecting every row)
+// or leave too few rows on one side, so drawSQL redraws the quantile, at
+// most maxRedraws times, until both the selection and its complement hold
+// the engine's minimum split size.
 const (
-	qMin = 0.10
-	qMax = 0.90
+	qMin       = 0.10
+	qMax       = 0.90
+	maxRedraws = 16
 )
 
 // Request is one scheduled characterization: everything a target needs to
@@ -213,12 +218,25 @@ func materializeTable(t TableSpec) (ScheduleTable, error) {
 }
 
 // drawSQL generates one threshold query: a uniformly drawn eligible column
-// at a uniformly drawn quantile. The threshold is printed with 'g'/-1
+// at a uniformly drawn quantile, redrawn from the same stream while the
+// threshold leaves fewer than core.DefaultConfig().MinRows rows on either
+// side (a column that fails every redraw keeps its last draw, and the engine
+// refuses that query loudly). The threshold is printed with 'g'/-1
 // formatting, which the SQL lexer round-trips exactly.
 func (t *ScheduleTable) drawSQL(r *randx.Source) string {
 	col := t.eligible[r.Intn(len(t.eligible))]
-	q := qMin + r.Float64()*(qMax-qMin)
-	thr := stats.Quantile(t.sorted[col], q)
+	sorted := t.sorted[col]
+	minRows := core.DefaultConfig().MinRows
+	var thr float64
+	for try := 0; try <= maxRedraws; try++ {
+		thr = stats.Quantile(sorted, qMin+r.Float64()*(qMax-qMin))
+		// The query selects the non-NULL values ≥ thr; NULL rows fall
+		// outside the selection.
+		in := len(sorted) - sort.SearchFloat64s(sorted, thr)
+		if in >= minRows && t.Frame.NumRows()-in >= minRows {
+			break
+		}
+	}
 	return fmt.Sprintf("SELECT * FROM %s WHERE %s >= %s",
 		t.Frame.Name(), col, strconv.FormatFloat(thr, 'g', -1, 64))
 }

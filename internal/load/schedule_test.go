@@ -3,6 +3,9 @@ package load
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/db"
 )
 
 // quickSpec is small enough to expand instantly but exercises mixed
@@ -151,5 +154,42 @@ phase p kind=churn requests=25 think=none
 	// should be rare.
 	if len(distinct) < total*9/10 {
 		t.Errorf("churn drew %d distinct of %d queries, want ≥ 90%%", len(distinct), total)
+	}
+}
+
+// TestScheduleQueriesSplitBothSides pins that every generated query leaves
+// the engine's minimum rows on both sides of its split, counted by running
+// the SQL. Boxoffice's year column has heavy ties at its minimum, which used
+// to yield queries like "year >= 2007" that select all 900 rows.
+func TestScheduleQueriesSplitBothSides(t *testing.T) {
+	sched := mustSchedule(t, `zigload v1
+name churn
+sessions 1
+table boxoffice seed=1
+table uscrime seed=1
+phase sweep kind=churn requests=8000 think=none
+`, 1)
+	cat := db.NewCatalog()
+	for _, tbl := range sched.Tables {
+		if err := cat.Register(tbl.Frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	minRows := core.DefaultConfig().MinRows
+	bad := 0
+	for _, req := range sched.Sessions[0] {
+		res, err := cat.Query(req.SQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := res.Mask.Count()
+		if out := res.Base.NumRows() - in; in < minRows || out < minRows {
+			if bad++; bad <= 3 {
+				t.Errorf("%q selects %d rows and leaves %d; the engine needs %d on each side", req.SQL, in, out, minRows)
+			}
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%d of %d queries leave fewer than %d rows on a side", bad, len(sched.Sessions[0]), minRows)
 	}
 }
