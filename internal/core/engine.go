@@ -32,6 +32,10 @@ type Engine struct {
 	cfgHash uint64
 
 	prep *memo.Cache[prepKey, *prepared]
+	// prefixes holds the dependency fold state at each prepared table's
+	// last full-chunk boundary, so the table an append grows out of it
+	// resumes the fold instead of rebuilding its matrix from row 0.
+	prefixes *memo.Cache[prefixKey, *depend.FoldState]
 	// reports may be private to this engine (New) or shared with other
 	// engines (NewShared) — the shard router runs one report cache behind
 	// all of its shard engines.
@@ -74,10 +78,11 @@ func NewShared(cfg Config, reports *ReportCache) (*Engine, error) {
 		reports = NewReportCache(entries, bytes)
 	}
 	return &Engine{
-		cfg:     cfg,
-		cfgHash: hashConfig(cfg),
-		prep:    memo.New[prepKey, *prepared](entries, bytes),
-		reports: reports,
+		cfg:      cfg,
+		cfgHash:  hashConfig(cfg),
+		prep:     memo.New[prepKey, *prepared](entries, bytes),
+		prefixes: memo.New[prefixKey, *depend.FoldState](entries, bytes),
+		reports:  reports,
 	}, nil
 }
 
@@ -88,17 +93,19 @@ func (e *Engine) Config() Config { return e.cfg }
 // built with New, the shared one when built with NewShared.
 func (e *Engine) ReportCache() *ReportCache { return e.reports }
 
-// InvalidateCache drops both cache tiers (prepared structures and memoized
-// reports). Content fingerprints make stale entries unreachable on their
-// own when a table is reloaded with different data — its key changes and
-// the old entries age out of the LRU — so this remains mainly for
-// benchmarks that need a cold engine. It is NOT sufficient on its own for
-// a frame mutated in place against the immutability convention: the
-// frame's cached fingerprint would key fresh results under the stale hash.
-// Such callers must also call Frame.InvalidateFingerprint (or, better,
-// build a new Frame instead of mutating one).
+// InvalidateCache drops every cache tier: prepared structures, the
+// dependency fold's prefix states and memoized reports. Content
+// fingerprints make stale entries unreachable on their own when a table is
+// reloaded with different data — its key changes and the old entries age
+// out of the LRU — so this remains mainly for benchmarks that need a cold
+// engine. It is NOT sufficient on its own for a frame mutated in place
+// against the immutability convention: the frame's cached fingerprint
+// would key fresh results under the stale hash. Such callers must also
+// call Frame.InvalidateFingerprint (or, better, build a new Frame instead
+// of mutating one).
 func (e *Engine) InvalidateCache() {
 	e.prep.Purge()
+	e.prefixes.Purge()
 	e.reports.Purge()
 }
 
@@ -109,6 +116,10 @@ func (e *Engine) InvalidateCache() {
 // scoped companion to InvalidateCache that the table lifecycle
 // (Session.Unregister, Session.Append) uses so dropping or growing one
 // table never evicts another table's warm entries.
+//
+// The dependency fold's prefix states stay: they are keyed by row content,
+// not by table, and an append drops the base's fingerprint right before the
+// grown table prepares — exactly when the base's prefix state is needed.
 func (e *Engine) InvalidateFrame(fp uint64) {
 	e.prep.RemoveIf(func(k prepKey) bool { return k.frame == fp })
 	e.reports.InvalidateFrame(fp)
@@ -346,7 +357,7 @@ func (e *Engine) characterize(f *frame.Frame, sel *frame.Bitmap, opts Options, n
 func (e *Engine) prepare(f *frame.Frame) (*prepared, bool, error) {
 	key := prepKey{frame: f.Fingerprint(), measure: e.cfg.Measure, linkage: e.cfg.Linkage}
 	p, outcome, err := e.prep.Do(key, preparedSize, func() (*prepared, error) {
-		dep := depend.NewMatrixParallel(f, e.cfg.Measure, e.workers())
+		dep := e.dependencies(f)
 		var dendro *cluster.Dendrogram
 		if f.NumCols() >= 1 {
 			d, err := cluster.Agglomerate(dep.Distances(), f.NumCols(), e.cfg.Linkage)
@@ -357,6 +368,31 @@ func (e *Engine) prepare(f *frame.Frame) (*prepared, bool, error) {
 		return &prepared{dep: dep, dendro: dendro}, nil
 	})
 	return p, outcome != memo.Miss, err
+}
+
+// dependencies builds f's dependency matrix. Under AbsPearson the matrix is
+// a left fold over 64-row blocks (depend.FoldMatrix): it resumes from the
+// fold state of f's longest chunk prefix found in the prefix tier, probing
+// from the last full chunk down, and leaves f's own state at its last full
+// chunk boundary for the table f grows into next. An append of r rows thus
+// folds at most ChunkRows−1+r rows per pair instead of the whole table, and
+// because the fold is layout-free the matrix is bit-identical to a cold
+// build. Other measures rebuild in full: Spearman's ranks are global.
+func (e *Engine) dependencies(f *frame.Frame) *depend.Matrix {
+	if e.cfg.Measure != depend.AbsPearson {
+		return depend.NewMatrixParallel(f, e.cfg.Measure, e.workers())
+	}
+	commits := prefixCommitments(f)
+	var from *depend.FoldState
+	for j := len(commits) - 1; j >= 0 && from == nil; j-- {
+		from, _ = e.prefixes.Get(prefixKey{commit: commits[j], measure: e.cfg.Measure})
+	}
+	dep, kept := depend.FoldMatrix(f, e.workers(), from, len(commits)*f.ChunkRows())
+	if kept != nil && kept != from {
+		key := prefixKey{commit: commits[len(commits)-1], measure: e.cfg.Measure}
+		e.prefixes.Do(key, (*depend.FoldState).Size, func() (*depend.FoldState, error) { return kept, nil })
+	}
+	return dep
 }
 
 // approxSampleSeed derives the stratified-sampling seed of an approximate

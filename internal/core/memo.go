@@ -6,6 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/depend"
 	"repro/internal/effect"
+	"repro/internal/frame"
 	"repro/internal/memo"
 )
 
@@ -20,7 +21,11 @@ import (
 //     repeated identical query is a lookup and concurrent identical queries
 //     compute once (singleflight).
 //
-// Both tiers are LRU-bounded by Config.CacheEntries / CacheBytes.
+// Both tiers are LRU-bounded by Config.CacheEntries / CacheBytes. Beside the
+// prepared tier sits a third, internal one: the dependency fold's state at
+// each prepared table's last full-chunk boundary, keyed by a prefix
+// commitment, from which a grown table's matrix resumes (see
+// Engine.dependencies).
 
 // prepKey addresses one table's preparation products. The measure and
 // linkage are part of the key rather than assumed constant so a future
@@ -29,6 +34,42 @@ type prepKey struct {
 	frame   uint64
 	measure depend.Measure
 	linkage cluster.Linkage
+}
+
+// prefixKey addresses one dependency fold state: the commitment to the
+// table rows it covers (prefixCommitments) and the measure.
+type prefixKey struct {
+	commit  uint64
+	measure depend.Measure
+}
+
+// prefixCommitments returns one commitment per full chunk of f: commitment
+// j hashes the column count, the rows through chunk j, and every column's
+// index, name and chunk-j fingerprint — a hash-chain snapshot committing to
+// each cell through that chunk. Equal commitments therefore mean equal
+// cells through the same row, whatever either frame's chunk capacity.
+func prefixCommitments(f *frame.Frame) []uint64 {
+	full, cols := f.FullChunks(), f.NumCols()
+	if full == 0 {
+		return nil
+	}
+	fps := make([][]uint64, cols)
+	for i := range fps {
+		fps[i] = f.ChunkFingerprints(i)
+	}
+	out := make([]uint64, full)
+	for j := range out {
+		h := memo.NewHasher()
+		h.Int(cols)
+		h.Int((j + 1) * f.ChunkRows())
+		for i, c := range f.Columns() {
+			h.Int(i)
+			h.String(c.Name())
+			h.Uint64(fps[i][j])
+		}
+		out[j] = h.Sum()
+	}
+	return out
 }
 
 // reportKey addresses one full characterization.

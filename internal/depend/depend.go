@@ -40,6 +40,10 @@ func (m Measure) String() string {
 // which must have the same length. NULL rows (in either column) are dropped
 // pairwise. Degenerate cases (constant columns, too few rows) return 0: an
 // uninformative column cannot anchor a tight view.
+//
+// For numeric pairs under AbsPearson it is the two-pass reference
+// (stats.Pearson over the gathered complete cases) that the tests hold the
+// matrix's block fold against; the matrix itself never calls it for them.
 func Pairwise(a, b *frame.Column, m Measure) float64 {
 	switch {
 	case a.Kind() == frame.Numeric && b.Kind() == frame.Numeric:
@@ -153,38 +157,66 @@ func correlationRatio(cat, num *frame.Column) float64 {
 	if card < 2 {
 		return 0
 	}
-	groupSum := make([]float64, card)
-	groupN := make([]float64, card)
-	var total stats.Moments
-	length := cat.Len()
-	if num.Len() < length {
-		length = num.Len()
+	n := minInt(cat.Len(), num.Len())
+	r := newRatioFold(nil, card)
+	r.add(cat.Codes()[:n], num.Floats()[:n])
+	return r.eta()
+}
+
+// ratioFold is correlationRatio's running state: per-code sums and counts
+// of the numeric values and their Welford moments, accumulated over the
+// complete cases in row order. The scan is a left fold, so a state kept at
+// a block boundary and resumed gives the same bits as one scan.
+type ratioFold struct {
+	sum, cnt []float64
+	total    stats.Moments
+}
+
+// newRatioFold returns a state for a dictionary of card codes, copied from
+// from when non-nil (whose dictionary may be a shorter prefix).
+func newRatioFold(from *ratioFold, card int) *ratioFold {
+	buf := make([]float64, 2*card)
+	r := &ratioFold{sum: buf[:card:card], cnt: buf[card:]}
+	if from != nil {
+		copy(r.sum, from.sum)
+		copy(r.cnt, from.cnt)
+		r.total = from.total
 	}
-	for i := 0; i < length; i++ {
-		if cat.IsNull(i) || num.IsNull(i) {
+	return r
+}
+
+// add folds aligned rows of codes (-1 = NULL) and values (NaN = NULL).
+func (r *ratioFold) add(codes []int32, xs []float64) {
+	xs = xs[:len(codes)]
+	for i, code := range codes {
+		v := xs[i]
+		if code < 0 || math.IsNaN(v) {
 			continue
 		}
-		v := num.Float(i)
-		g := int(cat.Code(i))
-		groupSum[g] += v
-		groupN[g]++
-		total.Add(v)
+		r.sum[code] += v
+		r.cnt[code]++
+		r.total.Add(v)
 	}
-	if total.N() < 3 {
+}
+
+// eta returns η from the state: 0 for fewer than two codes, fewer than
+// three complete cases or a constant numeric side.
+func (r *ratioFold) eta() float64 {
+	if len(r.sum) < 2 || r.total.N() < 3 {
 		return 0
 	}
-	grand := total.Mean()
-	ssTotal := total.Variance() * float64(total.N()-1)
+	grand := r.total.Mean()
+	ssTotal := r.total.Variance() * float64(r.total.N()-1)
 	if ssTotal <= 0 {
 		return 0
 	}
 	ssBetween := 0.0
-	for g := 0; g < card; g++ {
-		if groupN[g] == 0 {
+	for g, n := range r.cnt {
+		if n == 0 {
 			continue
 		}
-		d := groupSum[g]/groupN[g] - grand
-		ssBetween += groupN[g] * d * d
+		d := r.sum[g]/n - grand
+		ssBetween += n * d * d
 	}
 	eta := math.Sqrt(ssBetween / ssTotal)
 	if eta > 1 {
@@ -220,29 +252,34 @@ func NewMatrix(f *frame.Frame, m Measure) *Matrix {
 // every worker count. workers < 1 means all CPUs; an effective count of 1
 // computes inline with no goroutines and no pair-list allocation.
 //
-// A per-column precomputation phase runs first (one task per column, not
-// per pair): validity bitmaps for NULL-bearing numeric columns, centering
-// moments (mean and Σdx²) for NULL-free ones, and — under the Spearman
-// measure — the rank-once vectors with their own moments. The O(cols²)
-// pair loop then reduces to a single fused Σdxdy pass per NULL-free
-// numeric pair with zero per-pair allocations; pairs with NULLs gather
-// their complete cases into per-worker scratch by walking the AND of the
-// validity bitmap words. Both shapes reproduce Pairwise bit-for-bit:
-// Pearson accumulates sxy/sxx/syy as independent sums in row order, so
-// hoisting mean and sxx out of the pair loop changes no float operation,
-// and the word-walk gathers exactly the rows the per-row scan gathered, in
-// the same order.
+// Under AbsPearson the numeric pairs are the block fold of FoldMatrix, built
+// cold. Under AbsSpearman and NormalizedMI a per-column precomputation phase
+// runs first (one task per column, not per pair): validity bitmaps for
+// NULL-bearing numeric columns and, under Spearman, the rank-once vectors
+// with their centering moments. NULL-free Spearman pairs then reduce to one
+// fused Σdxdy pass over the ranks; pairs with NULLs gather their complete
+// cases into per-worker scratch by walking the AND of the validity bitmap
+// words. Both shapes reproduce Pairwise bit-for-bit.
 func NewMatrixParallel(f *frame.Frame, m Measure, workers int) *Matrix {
 	workers = par.Workers(workers)
+	if m == AbsPearson {
+		mat, _ := FoldMatrix(f, workers, nil, -1)
+		return mat
+	}
+	info := precomputeColumns(f, m, workers)
+	scratches := make([]pairScratch, workers)
+	return fillMatrix(f, workers, func(w, i, j int) float64 {
+		return pairCell(f, m, info, &scratches[w], i, j)
+	})
+}
+
+// fillMatrix builds f's matrix with a unit diagonal and each off-diagonal
+// pair from cell(worker, i, j), one task per unordered pair.
+func fillMatrix(f *frame.Frame, workers int, cell func(w, i, j int) float64) *Matrix {
 	n := f.NumCols()
 	mat := &Matrix{names: f.ColumnNames(), vals: make([]float64, n*n), n: n}
 	for i := 0; i < n; i++ {
 		mat.vals[i*n+i] = 1
-	}
-	info := precomputeColumns(f, m, workers)
-	scratches := make([]pairScratch, workers)
-	cell := func(w, i, j int) float64 {
-		return pairCell(f, m, info, &scratches[w], i, j)
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
@@ -270,18 +307,15 @@ func NewMatrixParallel(f *frame.Frame, m Measure, workers int) *Matrix {
 	return mat
 }
 
-// colStats is the per-column precomputation shared by every pair task.
+// colStats is the per-column precomputation shared by every pair task of
+// the Spearman and mutual-information matrices.
 type colStats struct {
 	numeric bool
 	floats  []float64
 	// valid holds the non-NULL bitmap words of a NULL-bearing numeric
 	// column (bit i&63 of word i>>6 set when row i is non-NULL); nil when
-	// the column has no NULLs and the fused moment path applies.
+	// the column has no NULLs.
 	valid []uint64
-	// mean and sxx are Pearson's centering moments over the full column,
-	// valid only for NULL-free numeric columns with ≥ 2 rows (hasMoments).
-	mean, sxx  float64
-	hasMoments bool
 	// ranks is the rank-once vector under AbsSpearman (NULL-free numeric
 	// columns with ≥ 3 rows only — exactly the columns whose pairwise
 	// complete cases equal the full column, so correlating precomputed
@@ -304,15 +338,9 @@ func centeringMoments(xs []float64) (mean, sxx float64) {
 	return mean, sxx
 }
 
-// precomputeColumns builds the per-column state, one task per column. The
-// per-column facts that chunk seals already hold — NULL counts, validity
-// bitmaps, and the running mean — are read off the frame's merged sketches
-// (frame.ColumnSketch) instead of rescanning cells: the sketch moments are
-// prefix accumulators chained across chunks, bit-identical to the flat
-// sequential scan this function used to do, so the matrix is unchanged to
-// the last bit while an appended frame only pays for its new chunks. The
-// centered second moment stays a full scan: it needs the final mean, which
-// an append shifts.
+// precomputeColumns builds the per-column state, one task per column. NULL
+// counts and validity bitmaps are read off the frame's chunk seals
+// (frame.ColumnSketch, frame.ColumnValidWords) instead of rescanning cells.
 func precomputeColumns(f *frame.Frame, m Measure, workers int) []colStats {
 	n := f.NumCols()
 	info := make([]colStats, n)
@@ -326,18 +354,9 @@ func precomputeColumns(f *frame.Frame, m Measure, workers int) []colStats {
 		cs := &info[i]
 		cs.numeric = true
 		cs.floats = c.Floats()
-		sk := f.ColumnSketch(i)
-		if sk.Nulls > 0 {
+		if f.ColumnSketch(i).Nulls > 0 {
 			cs.valid = f.ColumnValidWords(i)
 			return
-		}
-		if len(cs.floats) >= 2 {
-			cs.mean = sk.Mean()
-			for _, x := range cs.floats {
-				d := x - cs.mean
-				cs.sxx += d * d
-			}
-			cs.hasMoments = true
 		}
 		if m == AbsSpearman && len(cs.floats) >= 3 {
 			nRows := len(cs.floats)
@@ -356,8 +375,8 @@ type pairScratch struct {
 	xs, ys []float64
 }
 
-// pairCell computes one dependency cell using whichever precomputed shape
-// applies: fused moments, rank-once vectors, bitmap-gathered complete
+// pairCell computes one Spearman or mutual-information cell using whichever
+// precomputed shape applies: rank-once vectors, bitmap-gathered complete
 // cases, or the general Pairwise fallback for categorical/mixed pairs.
 func pairCell(f *frame.Frame, m Measure, info []colStats, s *pairScratch, i, j int) float64 {
 	a, b := &info[i], &info[j]
@@ -366,12 +385,6 @@ func pairCell(f *frame.Frame, m Measure, info []colStats, s *pairScratch, i, j i
 	}
 	if a.numeric && b.numeric {
 		if a.valid == nil && b.valid == nil {
-			if m == AbsPearson {
-				if len(a.floats) < 3 {
-					return 0
-				}
-				return absClamp(pearsonFused(a.floats, b.floats, a.mean, b.mean, a.sxx, b.sxx))
-			}
 			return numericDependency(a.floats, b.floats, m)
 		}
 		xs, ys := s.gatherAligned(a, b)

@@ -20,11 +20,23 @@
 // one unordered pair per task, each writing only its two mirror cells, so
 // the matrix is bit-for-bit identical for every worker count.
 //
+// Under the Pearson measure the matrix is a left fold over fixed 64-row
+// blocks (FoldMatrix): each numeric column keeps a running (n, mean, M2),
+// each numeric pair a running co-moment merged block by block with Chan et
+// al.'s update, and each categorical × numeric pair the correlation
+// ratio's own accumulators. The block size does not depend on the frame's
+// chunk capacity, so the fold's state at any chunk boundary (FoldState) is
+// a pure function of the rows before it: a table grown by an append
+// resumes from its base's state and folds only the new rows, bit-identical
+// to a cold build. RowsFolded meters that work. Pairwise remains the
+// two-pass reference the tests hold the fold against.
+//
 // Under the Spearman measure the matrix additionally runs a rank-once
 // phase: ranking is sharded per column (each NULL-free numeric column is
 // ranked exactly once via stats.Ranks) and the pair loop correlates the
 // precomputed rank vectors with stats.SpearmanRanked, collapsing
 // 2·cols·(cols−1) ranking sorts into cols. Columns with NULLs keep the
 // per-pair fallback, because their pairwise complete-case sets — and hence
-// their ranks — differ per partner column.
+// their ranks — differ per partner column. Ranks are global, so Spearman
+// (like normalized MI) rebuilds in full after an append.
 package depend

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/depend"
 	"repro/internal/frame"
 	"repro/internal/randx"
 	"repro/internal/shard"
@@ -200,9 +201,17 @@ func TestAppendShipDeterminism(t *testing.T) {
 			if _, err := router.Characterize(base, baseSel); err != nil {
 				t.Fatalf("shards=%d %s base: %v", shards, name, err)
 			}
+			folded := depend.RowsFolded()
 			rep, err := router.Characterize(grown, sel)
 			if err != nil {
 				t.Fatalf("shards=%d %s: %v", shards, name, err)
+			}
+			// On one worker shard the grown table lands beside its base, so the
+			// worker resumes the dependency fold from the base's last full
+			// chunk instead of refolding every row.
+			if folded = depend.RowsFolded() - folded; name == "remote" && shards == 1 &&
+				folded > int64(grown.NumRows()-base.FullChunks()*base.ChunkRows()) {
+				t.Errorf("shards=1 remote: the worker folded %d rows per pair for a %d-row append", folded, grown.NumRows()-base.NumRows())
 			}
 			if !bytes.Equal(canonical(rep), reference) {
 				t.Errorf("shards=%d %s: delta-shipped report diverged from the in-process reference", shards, name)
