@@ -35,7 +35,7 @@ type Engine struct {
 	// prefixes holds the dependency fold state at each prepared table's
 	// last full-chunk boundary, so the table an append grows out of it
 	// resumes the fold instead of rebuilding its matrix from row 0.
-	prefixes *memo.Cache[prefixKey, *depend.FoldState]
+	prefixes *memo.Cache[uint64, *depend.FoldState]
 	// reports may be private to this engine (New) or shared with other
 	// engines (NewShared) — the shard router runs one report cache behind
 	// all of its shard engines.
@@ -81,7 +81,7 @@ func NewShared(cfg Config, reports *ReportCache) (*Engine, error) {
 		cfg:      cfg,
 		cfgHash:  hashConfig(cfg),
 		prep:     memo.New[prepKey, *prepared](entries, bytes),
-		prefixes: memo.New[prefixKey, *depend.FoldState](entries, bytes),
+		prefixes: memo.New[uint64, *depend.FoldState](entries, bytes),
 		reports:  reports,
 	}, nil
 }
@@ -385,12 +385,11 @@ func (e *Engine) dependencies(f *frame.Frame) *depend.Matrix {
 	commits := prefixCommitments(f)
 	var from *depend.FoldState
 	for j := len(commits) - 1; j >= 0 && from == nil; j-- {
-		from, _ = e.prefixes.Get(prefixKey{commit: commits[j], measure: e.cfg.Measure})
+		from, _ = e.prefixes.Get(commits[j])
 	}
 	dep, kept := depend.FoldMatrix(f, e.workers(), from, len(commits)*f.ChunkRows())
 	if kept != nil && kept != from {
-		key := prefixKey{commit: commits[len(commits)-1], measure: e.cfg.Measure}
-		e.prefixes.Do(key, (*depend.FoldState).Size, func() (*depend.FoldState, error) { return kept, nil })
+		e.prefixes.Do(commits[len(commits)-1], (*depend.FoldState).Size, func() (*depend.FoldState, error) { return kept, nil })
 	}
 	return dep
 }

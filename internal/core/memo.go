@@ -24,7 +24,8 @@ import (
 // Both tiers are LRU-bounded by Config.CacheEntries / CacheBytes. Beside the
 // prepared tier sits a third, internal one: the dependency fold's state at
 // each prepared table's last full-chunk boundary, keyed by a prefix
-// commitment, from which a grown table's matrix resumes (see
+// commitment alone (only the Pearson matrix resumes), from which a grown
+// table's matrix resumes (see
 // Engine.dependencies).
 
 // prepKey addresses one table's preparation products. The measure and
@@ -34,13 +35,6 @@ type prepKey struct {
 	frame   uint64
 	measure depend.Measure
 	linkage cluster.Linkage
-}
-
-// prefixKey addresses one dependency fold state: the commitment to the
-// table rows it covers (prefixCommitments) and the measure.
-type prefixKey struct {
-	commit  uint64
-	measure depend.Measure
 }
 
 // prefixCommitments returns one commitment per full chunk of f: commitment

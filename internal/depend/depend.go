@@ -158,65 +158,34 @@ func correlationRatio(cat, num *frame.Column) float64 {
 		return 0
 	}
 	n := minInt(cat.Len(), num.Len())
-	r := newRatioFold(nil, card)
-	r.add(cat.Codes()[:n], num.Floats()[:n])
-	return r.eta()
-}
-
-// ratioFold is correlationRatio's running state: per-code sums and counts
-// of the numeric values and their Welford moments, accumulated over the
-// complete cases in row order. The scan is a left fold, so a state kept at
-// a block boundary and resumed gives the same bits as one scan.
-type ratioFold struct {
-	sum, cnt []float64
-	total    stats.Moments
-}
-
-// newRatioFold returns a state for a dictionary of card codes, copied from
-// from when non-nil (whose dictionary may be a shorter prefix).
-func newRatioFold(from *ratioFold, card int) *ratioFold {
-	buf := make([]float64, 2*card)
-	r := &ratioFold{sum: buf[:card:card], cnt: buf[card:]}
-	if from != nil {
-		copy(r.sum, from.sum)
-		copy(r.cnt, from.cnt)
-		r.total = from.total
-	}
-	return r
-}
-
-// add folds aligned rows of codes (-1 = NULL) and values (NaN = NULL).
-func (r *ratioFold) add(codes []int32, xs []float64) {
-	xs = xs[:len(codes)]
-	for i, code := range codes {
+	codes, xs := cat.Codes()[:n], num.Floats()[:n]
+	groupSum := make([]float64, card)
+	groupN := make([]float64, card)
+	var total stats.Moments
+	for i, g := range codes {
 		v := xs[i]
-		if code < 0 || math.IsNaN(v) {
+		if g < 0 || math.IsNaN(v) { // a NULL on either side
 			continue
 		}
-		r.sum[code] += v
-		r.cnt[code]++
-		r.total.Add(v)
+		groupSum[g] += v
+		groupN[g]++
+		total.Add(v)
 	}
-}
-
-// eta returns η from the state: 0 for fewer than two codes, fewer than
-// three complete cases or a constant numeric side.
-func (r *ratioFold) eta() float64 {
-	if len(r.sum) < 2 || r.total.N() < 3 {
+	if total.N() < 3 {
 		return 0
 	}
-	grand := r.total.Mean()
-	ssTotal := r.total.Variance() * float64(r.total.N()-1)
+	grand := total.Mean()
+	ssTotal := total.Variance() * float64(total.N()-1)
 	if ssTotal <= 0 {
 		return 0
 	}
 	ssBetween := 0.0
-	for g, n := range r.cnt {
-		if n == 0 {
+	for g, gn := range groupN {
+		if gn == 0 {
 			continue
 		}
-		d := r.sum[g]/n - grand
-		ssBetween += n * d * d
+		d := groupSum[g]/gn - grand
+		ssBetween += gn * d * d
 	}
 	eta := math.Sqrt(ssBetween / ssTotal)
 	if eta > 1 {

@@ -21,15 +21,15 @@
 // the matrix is bit-for-bit identical for every worker count.
 //
 // Under the Pearson measure the matrix is a left fold over fixed 64-row
-// blocks (FoldMatrix): each numeric column keeps a running (n, mean, M2),
-// each numeric pair a running co-moment merged block by block with Chan et
-// al.'s update, and each categorical × numeric pair the correlation
-// ratio's own accumulators. The block size does not depend on the frame's
+// blocks (FoldMatrix): each numeric column keeps a running (n, mean, M2)
+// and each numeric pair a running co-moment, merged block by block with
+// Chan et al.'s update. The block size does not depend on the frame's
 // chunk capacity, so the fold's state at any chunk boundary (FoldState) is
 // a pure function of the rows before it: a table grown by an append
 // resumes from its base's state and folds only the new rows, bit-identical
-// to a cold build. RowsFolded meters that work. Pairwise remains the
-// two-pass reference the tests hold the fold against.
+// to a cold build. RowsFolded meters that work. Pairs with a categorical
+// column do not fold; they are Pairwise's scan on every build. Pairwise
+// remains the two-pass reference the tests hold the fold against.
 //
 // Under the Spearman measure the matrix additionally runs a rank-once
 // phase: ranking is sharded per column (each NULL-free numeric column is

@@ -172,36 +172,20 @@ func maskedPair(xs, ys []float64, w uint64) pairMoments {
 }
 
 // FoldState is the dependency fold's state at a block boundary: the running
-// moments of every numeric column and numeric pair, and the correlation
-// ratio accumulators of every categorical × numeric pair, over the rows
-// before it. It is immutable once returned, so one state may seed any
-// number of builds.
+// moments of every numeric column and numeric pair over the rows before it.
+// It is immutable once returned, so one state may seed any number of
+// builds.
 type FoldState struct {
-	rows   int           // leading rows folded, a multiple of 64
-	num    []int         // frame indices of the numeric columns
-	cat    []int         // frame indices of the categorical columns
-	cols   []moments     // parallel to num, over each column's non-NULL rows
-	pairs  []pairMoments // numeric pairs (a < b in num order), row-major
-	ratios []*ratioFold  // categorical × numeric, cat-major; nil = not kept
+	rows  int           // leading rows folded, a multiple of 64
+	num   []int         // frame indices of the numeric columns
+	cols  []moments     // parallel to num, over each column's non-NULL rows
+	pairs []pairMoments // numeric pairs (a < b in num order), row-major
 }
 
 // Size returns the state's approximate resident bytes, for cache charging.
 func (s *FoldState) Size() int64 {
-	size := 96 + int64(len(s.num)+len(s.cat))*8 + int64(len(s.cols))*32 +
-		int64(len(s.pairs))*72 + int64(len(s.ratios))*8
-	for _, r := range s.ratios {
-		if r != nil {
-			size += 80 + int64(len(r.sum))*16
-		}
-	}
-	return size
+	return 80 + int64(len(s.num))*8 + int64(len(s.cols))*32 + int64(len(s.pairs))*72
 }
-
-// maxRatioCard caps the dictionary size up to which a categorical ×
-// numeric pair keeps its accumulators in a FoldState (two floats per code);
-// wider pairs rescan from row 0 on every build. The cap trades memory for
-// time only: both paths give the same bits.
-const maxRatioCard = 256
 
 // pairIndex returns the slot of numeric pair (a, b), a < b, among k columns.
 func pairIndex(a, b, k int) int { return a*k - a*(a+1)/2 + b - a - 1 }
@@ -229,38 +213,37 @@ type colBlock struct {
 // 64-row blocks, resuming from the state from (nil folds from row 0), and
 // returns alongside the matrix the state at row keepAt — nil when keepAt is
 // not a block boundary between the rows from covers and f.NumRows(), or f
-// has no pair involving a numeric column. A state that does not fit f (other column
-// kinds or positions, or more rows than f) is ignored and the build is
-// cold; the caller is responsible for from describing f's own leading rows,
-// which a prefix commitment over frame.ChunkFingerprints establishes.
+// has fewer than two numeric columns. A state that does not fit f (other
+// numeric column positions, or more rows than f) is ignored and the build
+// is cold; the caller is responsible for from describing f's own leading
+// rows, which a prefix commitment over frame.ChunkFingerprints establishes.
 //
-// Numeric pairs fold Chan et al.'s moments; categorical × numeric pairs
-// resume correlationRatio's own accumulators, so their bits are those of
-// Pairwise; categorical pairs are full scans. The matrix and the state are
-// bit-for-bit identical for every worker count, every chunk layout and
-// every resume point.
+// Only numeric pairs fold: a pair with a categorical column is Pairwise's
+// full scan on every build. The matrix and the state are bit-for-bit
+// identical for every worker count, every chunk layout and every resume
+// point.
 func FoldMatrix(f *frame.Frame, workers int, from *FoldState, keepAt int) (*Matrix, *FoldState) {
 	workers = par.Workers(workers)
 	n := f.NumRows()
-	var num, cat []int
-	pos := make([]int, f.NumCols()) // position in num or cat
+	var num []int
+	pos := make([]int, f.NumCols()) // position in num
 	for i, c := range f.Columns() {
 		if c.Kind() == frame.Numeric {
 			pos[i] = len(num)
 			num = append(num, i)
-		} else {
-			pos[i] = len(cat)
-			cat = append(cat, i)
 		}
 	}
-	if from != nil && !from.fits(num, cat, n) {
+	folds := len(num) > 1
+	if !folds {
+		num = nil
+	}
+	if from != nil && !from.fits(num, n) {
 		from = nil
 	}
 	start := 0
 	if from != nil {
 		start = from.rows
 	}
-	folds := len(num) > 0 && f.NumCols() > 1
 	if folds {
 		rowsFolded.Add(int64(n - start))
 	}
@@ -311,62 +294,27 @@ func FoldMatrix(f *frame.Frame, workers int, from *FoldState, keepAt int) (*Matr
 	// Phase 2, one task per pair.
 	var kept *FoldState
 	if keepAt >= 0 {
-		kept = &FoldState{rows: keepAt, num: num, cat: cat,
-			cols:   make([]moments, len(num)),
-			pairs:  make([]pairMoments, len(num)*(len(num)-1)/2),
-			ratios: make([]*ratioFold, len(cat)*len(num))}
+		kept = &FoldState{rows: keepAt, num: num,
+			cols:  make([]moments, len(num)),
+			pairs: make([]pairMoments, len(num)*(len(num)-1)/2)}
 		for a := range cols {
 			kept.cols[a] = cols[a].kept
 		}
 	}
-	numeric := func(a, b int) float64 {
-		p := pairIndex(a, b, len(num))
+	mat := fillMatrix(f, workers, func(_, i, j int) float64 {
+		if f.Col(i).Kind() != frame.Numeric || f.Col(j).Kind() != frame.Numeric {
+			return Pairwise(f.Col(i), f.Col(j), AbsPearson)
+		}
+		p := pairIndex(pos[i], pos[j], len(num))
 		var st pairMoments
 		if from != nil {
 			st = from.pairs[p]
 		}
-		end, at := foldPair(&cols[a], &cols[b], st, k0, nBlocks, n, keepAt)
+		end, at := foldPair(&cols[pos[i]], &cols[pos[j]], st, k0, nBlocks, n, keepAt)
 		if kept != nil {
 			kept.pairs[p] = at
 		}
 		return end.dependency()
-	}
-	mixed := func(c, a int) float64 {
-		cc := f.Col(cat[c])
-		card := cc.Cardinality()
-		if card > maxRatioCard || (kept == nil && card < 2) {
-			return correlationRatio(cc, f.Col(num[a]))
-		}
-		p := c*len(num) + a
-		lo := 0
-		var prev *ratioFold
-		if from != nil && from.ratios[p] != nil {
-			lo, prev = start, from.ratios[p]
-		}
-		r := newRatioFold(prev, card)
-		codes, xs := cc.Codes(), cols[a].xs
-		if kept != nil {
-			r.add(codes[lo:keepAt], xs[lo:keepAt])
-			kept.ratios[p] = newRatioFold(r, card)
-			lo = keepAt
-		}
-		r.add(codes[lo:n], xs[lo:n])
-		if card < 2 {
-			return 0
-		}
-		return r.eta()
-	}
-	mat := fillMatrix(f, workers, func(_, i, j int) float64 {
-		ki, kj := f.Col(i).Kind(), f.Col(j).Kind()
-		switch {
-		case ki == frame.Numeric && kj == frame.Numeric:
-			return numeric(pos[i], pos[j])
-		case ki == frame.Categorical && kj == frame.Numeric:
-			return mixed(pos[i], pos[j])
-		case ki == frame.Numeric && kj == frame.Categorical:
-			return mixed(pos[j], pos[i])
-		}
-		return cramersV(f.Col(i), f.Col(j))
 	})
 	if reuse {
 		return mat, from
@@ -374,19 +322,24 @@ func FoldMatrix(f *frame.Frame, workers int, from *FoldState, keepAt int) (*Matr
 	return mat, kept
 }
 
-// fits reports whether the state can seed a fold of an n-row frame with
-// numeric columns num and categorical columns cat.
-func (s *FoldState) fits(num, cat []int, n int) bool {
-	return s.rows <= n && s.rows%foldBlock == 0 && slices.Equal(s.num, num) && slices.Equal(s.cat, cat)
+// fits reports whether the state can seed a fold of an n-row frame whose
+// numeric columns are num.
+func (s *FoldState) fits(num []int, n int) bool {
+	return s.rows <= n && s.rows%foldBlock == 0 && slices.Equal(s.num, num)
 }
 
 // foldPair folds numeric pair (a, b) from state st over blocks [k0, nBlocks)
 // and returns its state at the end and at keepAt. A pair of NULL-free
-// columns carries only its co-moment and reads both axes off the column
-// folds; any other pair folds the full tuple over its complete cases, and
-// its blocks with no NULL in either column take the same block moments, so
-// the two shapes agree bit for bit wherever both apply — which is what lets
-// a column gain its first NULL in an append after the state was kept.
+// columns carries only its co-moment and reads both axes and every merge's
+// mean shifts off the column folds; any other pair folds the full tuple
+// over its complete cases, merging both axes itself. Its blocks with no
+// NULL in either column take the same block moments, so the two shapes
+// agree bit for bit wherever both apply — which is what lets a column gain
+// its first NULL in an append after the state was kept. The NULL-free path
+// exists for speed: folding the full tuple for every pair made a cold
+// 4,000×128 characterize (BenchmarkCharacterizeParallel, parallelism 1 and
+// 2) about 25% slower, merging two axes per pair and block where this path
+// merges none.
 func foldPair(a, b *colFold, st pairMoments, k0, nBlocks, n, keepAt int) (end, kept pairMoments) {
 	if a.valid == nil && b.valid == nil {
 		c := st.c

@@ -142,6 +142,18 @@ func checkResume(tb testing.TB, seed uint64, rows, split1, split2, cr int) {
 		tb.Fatal(err)
 	}
 	what := fmt.Sprintf("seed %d rows %d splits %d/%d chunk %d", seed, rows, split1, split2, cr)
+	// Pairs with a categorical column do not fold: they are Pairwise's scan.
+	for i := 0; i < grown.NumCols(); i++ {
+		for j := i + 1; j < grown.NumCols(); j++ {
+			a, b := grown.Col(i), grown.Col(j)
+			if a.Kind() == frame.Numeric && b.Kind() == frame.Numeric {
+				continue
+			}
+			if math.Float64bits(want.At(i, j)) != math.Float64bits(Pairwise(a, b, AbsPearson)) {
+				tb.Fatalf("%s: cell (%s,%s) = %v, want Pairwise's", what, a.Name(), b.Name(), want.At(i, j))
+			}
+		}
+	}
 	for _, w := range []int{1, 2, runtime.NumCPU()} {
 		got, kept := FoldMatrix(grown, w, st, keepAt(grown))
 		sameMatrix(tb, fmt.Sprintf("%s workers %d resumed", what, w), got, want)
@@ -172,21 +184,6 @@ func stateBits(s *FoldState) []uint64 {
 	}
 	for _, p := range s.pairs {
 		add(p.x.n, p.x.hi, p.x.lo, p.x.m2, p.y.n, p.y.hi, p.y.lo, p.y.m2, p.c)
-	}
-	for _, r := range s.ratios {
-		if r == nil {
-			out = append(out, 0)
-			continue
-		}
-		// Codes the prefix never saw are zero either way; a build that knows
-		// a longer dictionary merely carries them explicitly.
-		k := len(r.cnt)
-		for k > 0 && r.cnt[k-1] == 0 {
-			k--
-		}
-		add(r.sum[:k]...)
-		add(r.cnt[:k]...)
-		add(r.total.Mean(), r.total.Variance(), float64(r.total.N()))
 	}
 	return out
 }
@@ -331,31 +328,4 @@ func TestFoldStateMismatchIsCold(t *testing.T) {
 	other := synth.Micro("m", 1, 500, 4)
 	got, _ := FoldMatrix(other, 1, st, -1)
 	sameMatrix(t, "mismatched state", got, NewMatrix(other, AbsPearson))
-}
-
-// TestFoldWideDictionaryRescans checks the memory cap on kept correlation
-// ratio accumulators: a categorical column wider than maxRatioCard keeps
-// none, rescans on a resumed build, and still gives Pairwise's bits.
-func TestFoldWideDictionaryRescans(t *testing.T) {
-	r := randx.New(9)
-	b := frame.NewBuilder("wide")
-	b.SetChunkRows(64)
-	x, c := b.AddNumeric("x"), b.AddCategorical("c")
-	for i := 0; i < 1000; i++ {
-		k := r.Intn(maxRatioCard + 50)
-		b.AppendFloat(x, float64(k%7)+r.NormFloat64())
-		b.AppendStr(c, fmt.Sprint("v", k))
-	}
-	f := b.MustBuild()
-	if f.Col(1).Cardinality() <= maxRatioCard {
-		t.Fatalf("dictionary has %d codes, want more than %d", f.Col(1).Cardinality(), maxRatioCard)
-	}
-	_, st := FoldMatrix(f, 1, nil, 512)
-	if st.ratios[0] != nil {
-		t.Error("kept accumulators for a dictionary wider than the cap")
-	}
-	got, _ := FoldMatrix(f, 1, st, -1)
-	if want := Pairwise(f.Col(1), f.Col(0), AbsPearson); math.Float64bits(got.At(0, 1)) != math.Float64bits(want) {
-		t.Errorf("wide-dictionary cell = %v, want Pairwise %v", got.At(0, 1), want)
-	}
 }
