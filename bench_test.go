@@ -663,7 +663,7 @@ func thresholdMask(b *testing.B, f *frame.Frame, col string, threshold float64) 
 // (InvalidateFrame), each iteration appends a fresh tail onto the sealed
 // base, and afterwards drops only the grown table's entries. Its full chunks
 // carry over, so only the rows past the base's last chunk boundary rescan
-// for fingerprints and sketches, and the dependency matrix resumes its fold
+// for fingerprints and validity words, and the dependency matrix resumes its fold
 // from the base's prefix state. "cold" characterizes the same grown content
 // built from scratch on purged caches, paying the whole-table seal and the
 // full fold. Both arms copy the column storage once per iteration.

@@ -36,9 +36,8 @@ type Options struct {
 	// ForceCategorical lists column names that must be categorical even if
 	// all their values parse as numbers (e.g. zip codes).
 	ForceCategorical []string
-	// ChunkRows sets the built frame's chunk capacity (rounded up to a
-	// multiple of 64). For Read, 0 keeps the flat default; ReadStream always
-	// builds a chunked frame and treats 0 as frame.DefaultChunkRows.
+	// ChunkRows sets the built frame's chunk capacity, rounded up to a
+	// multiple of 64; 0 means frame.DefaultChunkRows.
 	ChunkRows int
 }
 
@@ -46,66 +45,28 @@ type Options struct {
 // Options.MaxInferRows is zero.
 const DefaultInferRows = 4096
 
-// Read parses CSV data with a header row into a Frame named name.
+// Read parses CSV data with a header row into a Frame named name. With
+// MaxInferRows zero, type inference examines every row, so the whole input
+// is buffered first.
 func Read(r io.Reader, name string, opts Options) (*frame.Frame, error) {
-	cr := csv.NewReader(r)
-	if opts.Comma != 0 {
-		cr.Comma = opts.Comma
-	}
-	cr.ReuseRecord = false
-	cr.TrimLeadingSpace = true
-
-	header, err := cr.Read()
-	if err == io.EOF {
-		return nil, fmt.Errorf("csvio: empty input")
-	}
-	if err != nil {
-		return nil, fmt.Errorf("csvio: reading header: %w", err)
-	}
-	if len(header) == 0 {
-		return nil, fmt.Errorf("csvio: header has no columns")
-	}
-
-	var rows [][]string
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("csvio: reading row %d: %w", len(rows)+2, err)
-		}
-		rows = append(rows, rec)
-	}
-
-	forced := make(map[string]bool, len(opts.ForceCategorical))
-	for _, n := range opts.ForceCategorical {
-		forced[n] = true
-	}
-
-	kinds := inferKinds(header, rows, opts.MaxInferRows, forced)
-
-	b, colIdx := newFrameBuilder(name, header, kinds)
-	if opts.ChunkRows > 0 {
-		b.SetChunkRows(opts.ChunkRows)
-	}
-	for ri, rec := range rows {
-		if err := appendRecord(b, colIdx, kinds, header, rec, ri+2); err != nil {
-			return nil, err
-		}
-	}
-	return b.Build()
+	return read(r, name, opts, math.MaxInt)
 }
 
-// ReadStream parses CSV data into a chunked Frame without materializing the
-// whole file: it buffers only the type-inference window (MaxInferRows rows,
-// DefaultInferRows when zero), decides every column's kind from it, then
-// appends the remaining records one at a time while the builder seals chunks
-// as they fill — so the peak footprint is the window plus the frame being
-// built, and the finished frame already carries its chunk fingerprints and
-// sketches. A cell past the window that does not parse under the inferred
-// kind is an error; widen MaxInferRows or force the column categorical.
+// ReadStream is Read with a bounded inference window (MaxInferRows rows,
+// DefaultInferRows when zero): only the window is buffered, every later
+// record is appended as it is parsed, so the peak footprint is the window
+// plus the frame being built. A cell past the window that does not parse
+// under the inferred kind is an error; widen MaxInferRows or force the
+// column categorical.
 func ReadStream(r io.Reader, name string, opts Options) (*frame.Frame, error) {
+	return read(r, name, opts, DefaultInferRows)
+}
+
+// read is the one record loop behind Read and ReadStream: it buffers the
+// inference window (opts.MaxInferRows rows, defaultWindow when zero),
+// decides every column's kind from it, then appends the window and the
+// remaining records one at a time.
+func read(r io.Reader, name string, opts Options, defaultWindow int) (*frame.Frame, error) {
 	cr := csv.NewReader(r)
 	if opts.Comma != 0 {
 		cr.Comma = opts.Comma
@@ -129,7 +90,7 @@ func ReadStream(r io.Reader, name string, opts Options) (*frame.Frame, error) {
 
 	window := opts.MaxInferRows
 	if window <= 0 {
-		window = DefaultInferRows
+		window = defaultWindow
 	}
 	var buf [][]string
 	for len(buf) < window {
@@ -147,7 +108,7 @@ func ReadStream(r io.Reader, name string, opts Options) (*frame.Frame, error) {
 	for _, n := range opts.ForceCategorical {
 		forced[n] = true
 	}
-	kinds := inferKinds(header, buf, 0, forced)
+	kinds := inferKinds(header, buf, forced)
 
 	b, colIdx := newFrameBuilder(name, header, kinds)
 	b.SetChunkRows(opts.ChunkRows)
@@ -213,8 +174,8 @@ func appendRecord(b *frame.Builder, colIdx []int, kinds []frame.Kind, header []s
 	return nil
 }
 
-// inferKinds decides each column's kind by scanning up to maxRows rows.
-func inferKinds(header []string, rows [][]string, maxRows int, forced map[string]bool) []frame.Kind {
+// inferKinds decides each column's kind by scanning rows.
+func inferKinds(header []string, rows [][]string, forced map[string]bool) []frame.Kind {
 	kinds := make([]frame.Kind, len(header))
 	for ci, h := range header {
 		if forced[h] {
@@ -223,10 +184,7 @@ func inferKinds(header []string, rows [][]string, maxRows int, forced map[string
 		}
 		numeric := true
 		seen := false
-		for ri, rec := range rows {
-			if maxRows > 0 && ri >= maxRows {
-				break
-			}
+		for _, rec := range rows {
 			if ci >= len(rec) {
 				continue
 			}
@@ -251,26 +209,26 @@ func inferKinds(header []string, rows [][]string, maxRows int, forced map[string
 	return kinds
 }
 
-// ReadFile opens and parses a CSV file. The frame is named after the path's
-// base name without extension.
+// ReadFile opens and parses a CSV file via Read. The frame is named after
+// the path's base name without extension.
 func ReadFile(path string, opts Options) (*frame.Frame, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("csvio: %w", err)
-	}
-	defer f.Close()
-	return Read(f, tableName(path), opts)
+	return readFile(path, opts, math.MaxInt)
 }
 
-// ReadFileStream is ReadFile via the streaming reader: the file is parsed
-// record by record into a chunked frame instead of being buffered whole.
+// ReadFileStream is ReadFile via ReadStream: only the inference window is
+// buffered.
 func ReadFileStream(path string, opts Options) (*frame.Frame, error) {
+	return readFile(path, opts, DefaultInferRows)
+}
+
+// readFile opens path and runs the record loop over it.
+func readFile(path string, opts Options, defaultWindow int) (*frame.Frame, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("csvio: %w", err)
 	}
 	defer f.Close()
-	return ReadStream(f, tableName(path), opts)
+	return read(f, tableName(path), opts, defaultWindow)
 }
 
 // tableName derives a frame name from a path: the base name without its

@@ -240,28 +240,6 @@ func TestReadStreamMatchesRead(t *testing.T) {
 	}
 }
 
-// TestReadStreamSealsEagerly pins the streaming property itself: chunks
-// seal while records arrive, and the first fingerprint afterwards only
-// finalizes the trailing partial chunk.
-func TestReadStreamSealsEagerly(t *testing.T) {
-	in := streamFixture(200)
-	before := frame.ChunkScans()
-	f, err := ReadStream(strings.NewReader(in), "t", Options{ChunkRows: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3 full chunks × 3 columns seal during the read.
-	if got := frame.ChunkScans() - before; got != 9 {
-		t.Errorf("streaming load sealed %d chunks, want 9", got)
-	}
-	before = frame.ChunkScans()
-	f.Fingerprint()
-	// Only the trailing 8-row partial chunk per column remains.
-	if got := frame.ChunkScans() - before; got != 3 {
-		t.Errorf("first fingerprint sealed %d chunks, want 3", got)
-	}
-}
-
 // TestReadStreamBoundedInference pins the documented trade-off of the
 // bounded window: a kind decided from the window is enforced loudly past
 // it, with ForceCategorical as the escape hatch.

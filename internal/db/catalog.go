@@ -3,12 +3,15 @@ package db
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/frame"
 )
 
-// Catalog is the database: a set of named tables.
+// Catalog is the database: a set of named tables. It is safe for
+// concurrent use.
 type Catalog struct {
+	mu     sync.RWMutex
 	tables map[string]*frame.Frame
 }
 
@@ -25,12 +28,16 @@ func (c *Catalog) Register(f *frame.Frame) error {
 	if f.Name() == "" {
 		return fmt.Errorf("db: cannot register unnamed frame")
 	}
+	c.mu.Lock()
 	c.tables[f.Name()] = f
+	c.mu.Unlock()
 	return nil
 }
 
 // Unregister removes the named table, reporting whether it was registered.
 func (c *Catalog) Unregister(name string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if _, ok := c.tables[name]; !ok {
 		return false
 	}
@@ -40,12 +47,16 @@ func (c *Catalog) Unregister(name string) bool {
 
 // Table returns the named table.
 func (c *Catalog) Table(name string) (*frame.Frame, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	f, ok := c.tables[name]
 	return f, ok
 }
 
 // TableNames lists registered tables in sorted order.
 func (c *Catalog) TableNames() []string {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	names := make([]string, 0, len(c.tables))
 	for n := range c.tables {
 		names = append(names, n)
@@ -78,7 +89,7 @@ func (c *Catalog) Query(sql string) (*Result, error) {
 
 // Execute runs a parsed statement.
 func (c *Catalog) Execute(stmt *SelectStmt) (*Result, error) {
-	base, ok := c.tables[stmt.Table]
+	base, ok := c.Table(stmt.Table)
 	if !ok {
 		return nil, evalErrorf("unknown table %q", stmt.Table)
 	}

@@ -309,7 +309,7 @@ func centeringMoments(xs []float64) (mean, sxx float64) {
 
 // precomputeColumns builds the per-column state, one task per column. NULL
 // counts and validity bitmaps are read off the frame's chunk seals
-// (frame.ColumnSketch, frame.ColumnValidWords) instead of rescanning cells.
+// (Column.NullCount, frame.ColumnValidWords) instead of rescanning cells.
 func precomputeColumns(f *frame.Frame, m Measure, workers int) []colStats {
 	n := f.NumCols()
 	info := make([]colStats, n)
@@ -323,7 +323,7 @@ func precomputeColumns(f *frame.Frame, m Measure, workers int) []colStats {
 		cs := &info[i]
 		cs.numeric = true
 		cs.floats = c.Floats()
-		if f.ColumnSketch(i).Nulls > 0 {
+		if c.NullCount() > 0 {
 			cs.valid = f.ColumnValidWords(i)
 			return
 		}

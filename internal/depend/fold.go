@@ -263,7 +263,7 @@ func FoldMatrix(f *frame.Frame, workers int, from *FoldState, keepAt int) (*Matr
 		cf := &cols[a]
 		cf.xs = f.Col(num[a]).Floats()
 		cf.blocks = blockBuf[a*(nBlocks-k0) : (a+1)*(nBlocks-k0)]
-		if f.ColumnSketch(num[a]).Nulls > 0 {
+		if f.Col(num[a]).NullCount() > 0 {
 			cf.valid = f.ColumnValidWords(num[a])
 		}
 		var st moments

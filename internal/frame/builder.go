@@ -3,21 +3,12 @@ package frame
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/memo"
-	"repro/internal/stats"
 )
 
 // Builder assembles a Frame row by row or column by column. It is the
 // write-side companion of the read-only Frame and is used by the CSV reader
-// and the synthetic data generators.
-//
-// With SetChunkRows, the builder seals chunks as their rows arrive: every
-// time a column fills a chunk, its fingerprint chain, stats sketch, and
-// validity words are computed immediately and carried into the built frame,
-// so a streaming loader emits sealed chunks as it goes and Build hands the
-// frame its chunk metadata instead of deferring a whole-table scan to the
-// first fingerprint.
+// and the synthetic data generators. The built frame seals its chunks
+// lazily, on first use, like every other frame.
 type Builder struct {
 	name      string
 	cols      []*colBuilder
@@ -34,12 +25,6 @@ type colBuilder struct {
 	codes []int32
 	dict  []string
 	index map[string]int32
-
-	// sealed holds the chunks sealed so far in streaming mode; chunkRows
-	// rows each, metadata identical to what a lazy whole-column seal would
-	// compute (chains and sketches are prefix-resumable, so order of
-	// sealing cannot change them).
-	sealed []chunkMeta
 }
 
 // NewBuilder creates a Builder for a table with the given name.
@@ -48,17 +33,8 @@ func NewBuilder(name string) *Builder {
 }
 
 // SetChunkRows sets the chunk capacity of the built frame (rounded up to a
-// multiple of 64; non-positive selects DefaultChunkRows) and switches the
-// builder to streaming mode: chunks seal as their last row arrives. It must
-// be called before the first row is appended.
-func (b *Builder) SetChunkRows(n int) {
-	for _, cb := range b.cols {
-		if cb.len() > 0 {
-			panic("frame: SetChunkRows after rows were appended")
-		}
-	}
-	b.chunkRows = normalizeChunkRows(n)
-}
+// multiple of 64; non-positive selects DefaultChunkRows).
+func (b *Builder) SetChunkRows(n int) { b.chunkRows = n }
 
 // AddNumeric declares a numeric column and returns its index.
 func (b *Builder) AddNumeric(name string) int {
@@ -99,7 +75,6 @@ func (b *Builder) AppendFloat(col int, v float64) {
 		panic(fmt.Sprintf("frame: AppendFloat on %s column %q", cb.kind, cb.name))
 	}
 	cb.floats = append(cb.floats, v)
-	b.maybeSeal(cb)
 }
 
 // AppendStr appends a value to the categorical column at index col.
@@ -109,7 +84,6 @@ func (b *Builder) AppendStr(col int, v string) {
 		panic(fmt.Sprintf("frame: AppendStr on %s column %q", cb.kind, cb.name))
 	}
 	cb.codes = append(cb.codes, cb.intern(v))
-	b.maybeSeal(cb)
 }
 
 // AppendNull appends a NULL to the column at index col.
@@ -121,7 +95,6 @@ func (b *Builder) AppendNull(col int) {
 	case Categorical:
 		cb.codes = append(cb.codes, -1)
 	}
-	b.maybeSeal(cb)
 }
 
 func (cb *colBuilder) intern(v string) int32 {
@@ -199,31 +172,8 @@ func (b *Builder) AppendRows(rows [][]any) error {
 	return nil
 }
 
-// maybeSeal seals cb's just-filled chunk in streaming mode.
-func (b *Builder) maybeSeal(cb *colBuilder) {
-	if b.chunkRows == 0 {
-		return
-	}
-	n := cb.len()
-	if n == 0 || n%b.chunkRows != 0 {
-		return
-	}
-	chain := uint64(memo.NewHasher())
-	var prev stats.ChunkSketch
-	if len(cb.sealed) > 0 {
-		last := cb.sealed[len(cb.sealed)-1]
-		chain, prev = last.chain, last.sketch
-	}
-	// A transient Column view over the builder's storage; the metadata is
-	// value-based, so it survives Build's copy into exact-capacity arrays.
-	view := &Column{name: cb.name, kind: cb.kind, floats: cb.floats, codes: cb.codes, dict: cb.dict}
-	cb.sealed = append(cb.sealed, view.sealOneChunk(n-b.chunkRows, n, chain, prev))
-	chunkScans.Add(1)
-}
-
-// Build validates column lengths and returns the finished Frame. In
-// streaming mode the frame carries the builder's chunk capacity and every
-// chunk sealed so far; only the trailing partial chunk remains to scan.
+// Build validates column lengths and returns the finished Frame, chunked at
+// the capacity SetChunkRows chose.
 func (b *Builder) Build() (*Frame, error) {
 	cols := make([]*Column, 0, len(b.cols))
 	for _, cb := range b.cols {
@@ -242,15 +192,9 @@ func (b *Builder) Build() (*Frame, error) {
 				c.index[v] = int32(code)
 			}
 		}
-		if len(cb.sealed) > 0 {
-			c.seal.Store(&colSeal{chunkRows: b.chunkRows, chunks: cb.sealed[:len(cb.sealed):len(cb.sealed)]})
-		}
 		cols = append(cols, c)
 	}
-	if b.chunkRows > 0 {
-		return NewChunked(b.name, cols, b.chunkRows)
-	}
-	return New(b.name, cols)
+	return NewChunked(b.name, cols, b.chunkRows)
 }
 
 // MustBuild is Build but panics on error.

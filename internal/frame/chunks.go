@@ -3,25 +3,22 @@ package frame
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/memo"
-	"repro/internal/stats"
 )
 
 // Chunked columns. A column's rows are carved into fixed-capacity chunks;
 // each sealed chunk carries a fingerprint (the column's FNV-1a payload hash
-// chain snapshotted at the chunk's end), a mergeable stats sketch
-// (stats.ChunkSketch, with prefix-chained moments), and the chunk's slice of
-// the validity bitmap. Because every per-chunk quantity is either a prefix
-// of a flat left-to-right scan (hash chain, moments) or chunk-local with an
-// exact merge (counts, extrema, validity words aligned to 64-row
-// boundaries), the seal of a column is a pure function of its cells — the
-// same for every chunk layout — and Append can transplant the full-chunk
-// prefix of a base column and scan only the rows past the last full chunk
-// boundary. Storage stays contiguous: chunks are metadata over the one
-// backing array, so kernels, splits, and codecs read columns exactly as
-// before.
+// chain snapshotted at the chunk's end) and the chunk's slice of the
+// validity bitmap. The chain is a prefix of a flat left-to-right scan and
+// the validity words are chunk-local and aligned to 64-row boundaries, so
+// the seal of a column is a pure function of its cells — the same for every
+// chunk layout — and Append can transplant the full-chunk prefix of a base
+// column and scan only the rows past the last full chunk boundary. Storage
+// stays contiguous: chunks are metadata over the one backing array, so
+// kernels, splits, and codecs read columns exactly as before.
 //
 // Seals are cached on the Column (not the Frame) so frames that share
 // columns — Select views, appended descendants — share the work.
@@ -65,8 +62,6 @@ type chunkMeta struct {
 	// after folding every cell through end — resumable by the next chunk,
 	// and layout-independent at any given row index.
 	chain uint64
-	// sketch carries the chunk's mergeable statistics (prefix moments).
-	sketch stats.ChunkSketch
 	// valid is the chunk's slice of the non-NULL bitmap, one bit per row in
 	// chunk order. Full chunks hold exactly chunkRows/64 words.
 	valid []uint64
@@ -76,18 +71,17 @@ type chunkMeta struct {
 type colSeal struct {
 	chunkRows int
 	chunks    []chunkMeta
-	// finalized reports that chunks cover every row AND the merged view
-	// below was computed. Seals seeded by Append or a streaming Builder are
-	// stored unfinalized (a chunk prefix only) and complete on first use —
-	// coverage alone cannot distinguish a boundary-aligned prefix from a
+	// finalized reports that chunks cover every row AND the whole-column
+	// fields below were computed. Seals seeded by Append or AdoptChunkPrefix
+	// are stored unfinalized (a chunk prefix only) and complete on first use
+	// — coverage alone cannot distinguish a boundary-aligned prefix from a
 	// finished seal.
 	finalized bool
-	// merged is the fold of all chunk sketches: exact totals, extrema, and
-	// the flat-scan-identical running moments.
-	merged stats.ColumnSketch
-	// valid is the whole-column non-NULL bitmap, the concatenation of the
-	// per-chunk words — bit-identical to a flat scan because chunk
-	// capacities are multiples of 64.
+	// nulls is the column's NULL count: rows minus the set bits of valid.
+	nulls int
+	// valid is the whole-column non-NULL bitmap; each chunk's words are a
+	// window of it, bit-identical to a flat scan because chunk capacities
+	// are multiples of 64.
 	valid []uint64
 }
 
@@ -135,69 +129,60 @@ func (c *Column) sealChunks(chunkRows int) *colSeal {
 
 // buildSeal seals the column's chunks from the end of prefix (which must be
 // boundary-aligned sealed chunks of this column's cells under the same
-// capacity) through the last row, then merges.
+// capacity) through the last row and counts the NULLs. Every chunk's
+// validity words are a window of the one whole-column bitmap.
 func (c *Column) buildSeal(chunkRows int, prefix []chunkMeta) *colSeal {
 	n := c.Len()
-	s := &colSeal{chunkRows: chunkRows}
-	s.chunks = append([]chunkMeta(nil), prefix...)
+	s := &colSeal{
+		chunkRows: chunkRows,
+		chunks:    make([]chunkMeta, 0, (n+chunkRows-1)/chunkRows),
+		valid:     make([]uint64, (n+63)/64),
+	}
 	start := 0
 	chain := uint64(memo.NewHasher())
-	var prev stats.ChunkSketch
-	if len(prefix) > 0 {
-		last := prefix[len(prefix)-1]
-		start, chain, prev = last.end, last.chain, last.sketch
+	for _, cm := range prefix {
+		lo, hi := start/64, start/64+len(cm.valid)
+		copy(s.valid[lo:hi], cm.valid)
+		s.chunks = append(s.chunks, chunkMeta{end: cm.end, chain: cm.chain, valid: s.valid[lo:hi:hi]})
+		start, chain = cm.end, cm.chain
 	}
 	for start < n {
-		end := start + chunkRows
-		if end > n {
-			end = n
-		}
-		cm := c.sealOneChunk(start, end, chain, prev)
+		end := min(start+chunkRows, n)
+		cm := c.sealOneChunk(start, end, chain, s.valid[start/64:(end+63)/64:(end+63)/64])
 		s.chunks = append(s.chunks, cm)
-		chain, prev = cm.chain, cm.sketch
+		chain = cm.chain
 		start = end
 		chunkScans.Add(1)
 	}
-	sketches := make([]stats.ChunkSketch, len(s.chunks))
-	words := 0
-	for i, cm := range s.chunks {
-		sketches[i] = cm.sketch
-		words += len(cm.valid)
+	set := 0
+	for _, w := range s.valid {
+		set += bits.OnesCount64(w)
 	}
-	s.merged = stats.MergeSketches(sketches, c.kind == Categorical)
-	s.valid = make([]uint64, 0, words)
-	for _, cm := range s.chunks {
-		s.valid = append(s.valid, cm.valid...)
-	}
+	s.nulls = n - set
 	s.finalized = true
 	return s
 }
 
-// sealOneChunk scans rows [start, end): it extends the payload hash chain,
-// seals the chunk sketch from the previous chunk's prefix state, and builds
-// the chunk's validity words.
-func (c *Column) sealOneChunk(start, end int, chain uint64, prev stats.ChunkSketch) chunkMeta {
-	cm := chunkMeta{end: end, valid: make([]uint64, (end-start+63)/64)}
+// sealOneChunk scans rows [start, end): it extends the payload hash chain
+// and sets the chunk's validity bits in valid, which must be zeroed.
+func (c *Column) sealOneChunk(start, end int, chain uint64, valid []uint64) chunkMeta {
+	cm := chunkMeta{end: end, valid: valid}
 	h := memo.Hasher(chain)
 	switch c.kind {
 	case Numeric:
-		vals := c.floats[start:end]
-		for i, v := range vals {
+		for i, v := range c.floats[start:end] {
 			h.Uint64(math.Float64bits(v))
 			if !math.IsNaN(v) {
 				cm.valid[i>>6] |= 1 << (uint(i) & 63)
 			}
 		}
-		cm.sketch = stats.SketchNumericChunk(prev, vals)
 	case Categorical:
-		codes := c.codes[start:end]
-		for i, code := range codes {
+		for i, code := range c.codes[start:end] {
 			h.Uint32(uint32(code))
 			if code >= 0 {
 				cm.valid[i>>6] |= 1 << (uint(i) & 63)
 			}
 		}
-		cm.sketch = stats.SketchCategoricalChunk(prev, codes, len(c.dict))
 	}
 	cm.chain = uint64(h)
 	return cm
@@ -212,14 +197,6 @@ func (f *Frame) ChunkRows() int { return normalizeChunkRows(f.chunkRows) }
 func (f *Frame) NumChunks() int {
 	cr := f.ChunkRows()
 	return (f.numRows + cr - 1) / cr
-}
-
-// ColumnSketch returns the merged statistics sketch of column i, sealing
-// its chunks if needed: exact row/NULL counts and extrema, plus running
-// moments bit-identical to a flat scan — the preparation stage reads means
-// and NULL counts here instead of rescanning cells.
-func (f *Frame) ColumnSketch(i int) stats.ColumnSketch {
-	return f.cols[i].sealChunks(f.chunkRows).merged
 }
 
 // ColumnValidWords returns the non-NULL bitmap words of column i (bit r set
@@ -260,7 +237,7 @@ func (f *Frame) FullChunks() int { return f.numRows / f.ChunkRows() }
 // base's cells over those chunks are identical to f's (verify with
 // ChunkFingerprints — chunk j's fingerprint commits to every cell through
 // j). Adopting a mismatched prefix yields a frame whose fingerprint and
-// sketches describe the base's cells, not f's.
+// validity words describe the base's cells, not f's.
 func (f *Frame) AdoptChunkPrefix(base *Frame, fullChunks int) error {
 	if fullChunks <= 0 {
 		return nil
@@ -382,10 +359,10 @@ func (f *Frame) Append(rows *Frame) (*Frame, error) {
 }
 
 // adoptSealPrefix seeds c's seal with base's sealed full chunks (sealing
-// base first if needed — its cells are a prefix of c's, so the chain,
-// sketch, and validity metadata carry over verbatim). A trailing partial
-// chunk of base is dropped: its sketch histogram and validity words are
-// chunk-local and would change once the chunk fills, so its rows rescan.
+// base first if needed — its cells are a prefix of c's, so the chain and
+// validity metadata carry over verbatim). A trailing partial chunk of base
+// is dropped: its validity words are chunk-local and would change once the
+// chunk fills, so its rows rescan.
 func (c *Column) adoptSealPrefix(base *Column, chunkRows int) {
 	s := base.sealChunks(chunkRows)
 	full := len(s.chunks)

@@ -5,29 +5,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
-
-	"repro/internal/stats"
 )
-
-// sketchesMatch compares merged sketches on the fields with exact-merge
-// semantics: counts, extrema (NaN-aware), and the bit-exact prefix moments.
-// The numeric value histogram is deliberately excluded — its merge re-bins
-// per-chunk buckets, which is approximate and layout-dependent by design —
-// but categorical histograms (exact per-code sums) must match when
-// exactHist is set.
-func sketchesMatch(a, b stats.ColumnSketch, exactHist bool) bool {
-	feq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-	if a.Rows != b.Rows || a.Nulls != b.Nulls || a.Count != b.Count {
-		return false
-	}
-	if !feq(a.Min, b.Min) || !feq(a.Max, b.Max) || !feq(a.Sum, b.Sum) || !feq(a.SumSq, b.SumSq) {
-		return false
-	}
-	if exactHist && !reflect.DeepEqual(a.Hist, b.Hist) {
-		return false
-	}
-	return true
-}
 
 // buildChunked builds a two-column (numeric + categorical) frame over n rows
 // with the given chunk capacity; NULLs every 7th numeric row and every 11th
@@ -66,9 +44,8 @@ func TestSealLayoutInvariance(t *testing.T) {
 			t.Errorf("chunkRows=%d: fingerprint %x, want %x", cr, got, want)
 		}
 		for i := 0; i < f.NumCols(); i++ {
-			a, b := f.ColumnSketch(i), base.ColumnSketch(i)
-			if !sketchesMatch(a, b, f.Col(i).Kind() == Categorical) {
-				t.Errorf("chunkRows=%d col %d: merged sketch %+v, want %+v", cr, i, a, b)
+			if a, b := f.Col(i).NullCount(), base.Col(i).NullCount(); a != b {
+				t.Errorf("chunkRows=%d col %d: NullCount %d, want %d", cr, i, a, b)
 			}
 			if !reflect.DeepEqual(f.ColumnValidWords(i), base.ColumnValidWords(i)) {
 				t.Errorf("chunkRows=%d col %d: valid words differ from flat layout", cr, i)
@@ -145,8 +122,8 @@ func TestAppendEquivalentToWholeBuild(t *testing.T) {
 		t.Errorf("appended fingerprint %x, want %x", got.Fingerprint(), whole.Fingerprint())
 	}
 	for i := 0; i < whole.NumCols(); i++ {
-		if !sketchesMatch(got.ColumnSketch(i), whole.ColumnSketch(i), whole.Col(i).Kind() == Categorical) {
-			t.Errorf("col %d: appended sketch %+v, want %+v", i, got.ColumnSketch(i), whole.ColumnSketch(i))
+		if a, b := got.Col(i).NullCount(), whole.Col(i).NullCount(); a != b {
+			t.Errorf("col %d: appended NullCount %d, want %d", i, a, b)
 		}
 		if !reflect.DeepEqual(got.ColumnValidWords(i), whole.ColumnValidWords(i)) {
 			t.Errorf("col %d: appended valid words differ", i)
@@ -261,41 +238,6 @@ func TestAppendGrowsDictionary(t *testing.T) {
 	}
 }
 
-func TestStreamingBuilderSealsChunksEagerly(t *testing.T) {
-	mk := func(chunkRows int) (*Frame, int64) {
-		b := NewBuilder("t")
-		if chunkRows > 0 {
-			b.SetChunkRows(chunkRows)
-		}
-		xc := b.AddNumeric("x")
-		cc := b.AddCategorical("c")
-		before := ChunkScans()
-		for i := 0; i < 200; i++ {
-			b.AppendFloat(xc, float64(i))
-			b.AppendStr(cc, fmt.Sprintf("s%d", i%5))
-		}
-		streamed := ChunkScans() - before
-		return b.MustBuild(), streamed
-	}
-	chunked, streamed := mk(64)
-	if streamed != 6 {
-		t.Errorf("streaming build sealed %d chunks during append, want 6 (3 full per column)", streamed)
-	}
-	before := ChunkScans()
-	chunked.Fingerprint()
-	if delta := ChunkScans() - before; delta != 2 {
-		t.Errorf("finalize scanned %d chunks, want 2 (trailing partial per column)", delta)
-	}
-	flat, streamed := mk(0)
-	if streamed != 0 {
-		t.Errorf("non-streaming build sealed %d chunks during append, want 0", streamed)
-	}
-	// Layouts agree on content.
-	if chunked.Fingerprint() != flat.Fingerprint() {
-		t.Errorf("streamed fingerprint %x != flat %x", chunked.Fingerprint(), flat.Fingerprint())
-	}
-}
-
 func TestBuilderAppendRows(t *testing.T) {
 	b := NewBuilder("t")
 	b.AddNumeric("x")
@@ -337,31 +279,114 @@ func TestBuilderAppendRows(t *testing.T) {
 	}
 }
 
+// nullFixture builds rows [lo, hi) of a four-column frame — numeric and
+// categorical columns with scattered NULLs, an all-NULL column, and a
+// NULL-free one — under the given chunk capacity. Rows depend only on their
+// index, so fixtures over adjacent ranges append into the whole.
+func nullFixture(t *testing.T, lo, hi, chunkRows int) *Frame {
+	t.Helper()
+	n := hi - lo
+	num := make([]float64, n)
+	strs := make([]string, n)
+	none := make([]int32, n)
+	free := make([]float64, n)
+	for k := range num {
+		i := lo + k
+		num[k] = float64(i % 89)
+		if i%7 == 3 {
+			num[k] = math.NaN()
+		}
+		strs[k] = fmt.Sprintf("s%d", i%17)
+		none[k] = -1
+		free[k] = float64(i) * 0.25
+	}
+	cat := NewCategoricalColumn("categorical", strs)
+	for k := range cat.codes {
+		if (lo+k)%11 == 5 {
+			cat.codes[k] = -1
+		}
+	}
+	allNull, err := NewCategoricalColumnFromCodes("all-NULL", none, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewChunked("t", []*Column{
+		NewNumericColumn("numeric", num), cat, allNull, NewNumericColumn("NULL-free", free),
+	}, chunkRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// scanNulls counts a column's NULLs cell by cell.
+func scanNulls(c *Column) int {
+	n := 0
+	for i := 0; i < c.Len(); i++ {
+		if c.IsNull(i) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestNullCountReadsSeal pins NullCount to a cell scan for every way a
+// column gets sealed — cold, grown by Append over a sealed base, and
+// assembled from an adopted chunk prefix — across chunk capacities below,
+// straddling, and above the 64-row validity word.
 func TestNullCountReadsSeal(t *testing.T) {
-	f := buildChunked(t, 300, 64)
-	wantX, wantC := f.Col(0).NullCount(), f.Col(1).NullCount() // pre-seal scan
-	f.Fingerprint()
-	if got := f.Col(0).NullCount(); got != wantX {
-		t.Errorf("sealed numeric NullCount = %d, want %d", got, wantX)
-	}
-	if got := f.Col(1).NullCount(); got != wantC {
-		t.Errorf("sealed categorical NullCount = %d, want %d", got, wantC)
-	}
-	if wantX == 0 || wantC == 0 {
-		t.Fatal("fixture should contain NULLs")
+	const rows, split = 4400, 2900
+	for _, cr := range []int{64, 192, DefaultChunkRows} {
+		for _, mode := range []string{"cold", "appended", "adopted prefix"} {
+			var f *Frame
+			switch mode {
+			case "cold":
+				f = nullFixture(t, 0, rows, cr)
+			case "appended":
+				base := nullFixture(t, 0, split, cr)
+				base.Fingerprint()
+				var err error
+				if f, err = base.Append(nullFixture(t, split, rows, cr)); err != nil {
+					t.Fatal(err)
+				}
+			case "adopted prefix":
+				base := nullFixture(t, 0, split, cr)
+				f = nullFixture(t, 0, rows, cr)
+				if err := f.AdoptChunkPrefix(base, base.FullChunks()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f.Fingerprint()
+			for i, c := range f.Columns() {
+				t.Run(fmt.Sprintf("cap%d/%s/%s", cr, mode, c.Name()), func(t *testing.T) {
+					s := c.seal.Load()
+					if s == nil || !s.finalized || s.covered() != rows {
+						t.Fatal("column not sealed after Fingerprint")
+					}
+					want := scanNulls(c)
+					if s.nulls != want || c.NullCount() != want {
+						t.Errorf("seal records %d NULLs, NullCount %d, cell scan %d", s.nulls, c.NullCount(), want)
+					}
+					if got := len(f.ColumnValidWords(i)); got != (rows+63)/64 {
+						t.Errorf("%d validity words, want %d", got, (rows+63)/64)
+					}
+				})
+			}
+		}
 	}
 }
 
 func TestInvalidateFingerprintDropsSeals(t *testing.T) {
 	f := buildChunked(t, 128, 64)
 	fp := f.Fingerprint()
-	f.Col(0).floats[0] = 12345.678 // in-place mutation, against convention
+	nulls := f.Col(0).NullCount()
+	f.Col(0).floats[0] = math.NaN() // in-place mutation, against convention
 	f.InvalidateFingerprint()
 	if got := f.Fingerprint(); got == fp {
 		t.Error("fingerprint unchanged after invalidate + mutation")
 	}
-	if f.ColumnSketch(0).Max < 12345 {
-		t.Error("sketch not resealed after invalidate")
+	if f.Col(0).NullCount() != nulls+1 || f.ColumnValidWords(0)[0]&1 != 0 {
+		t.Error("seal not rebuilt after invalidate")
 	}
 }
 

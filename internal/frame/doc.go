@@ -25,7 +25,10 @@
 //     packages stats, effect and hypo can assume NaN-free input on their
 //     hot paths — with the robust entry points additionally hardened to
 //     report NaN-bearing input as untestable rather than panicking.
-//   - NullCount is O(1) bookkeeping recorded at build time, which lets
-//     rank-once optimizations (the Spearman dependency matrix) detect the
-//     NULL-free columns whose per-column ranks are reusable across pairs.
+//   - NullCount is O(1) once the column is sealed — its chunk seal records
+//     the count — and one scan before that. Any Fingerprint call seals
+//     every column, so by the time the engine prepares a table the count
+//     is free; rank-once optimizations (the Spearman dependency matrix) use
+//     it to find the NULL-free columns whose per-column ranks are reusable
+//     across pairs.
 package frame

@@ -46,7 +46,7 @@ type Column struct {
 	index map[string]int32 // dict value -> code
 
 	// seal caches the column's chunked metadata (per-chunk fingerprints,
-	// sketches, validity words — see chunks.go), built lazily under sealMu
+	// validity words, NULL count — see chunks.go), built lazily under sealMu
 	// and shared by every frame holding this column.
 	sealMu sync.Mutex
 	seal   atomic.Pointer[colSeal]
@@ -200,12 +200,12 @@ func (c *Column) CodeOf(v string) int32 {
 	return -1
 }
 
-// NullCount returns the number of NULL rows. When the column's chunks are
-// already sealed the count is read off the merged sketch; otherwise it
-// scans.
+// NullCount returns the number of NULL rows. Once the column is sealed
+// (by Fingerprint, ChunkFingerprints or ColumnValidWords on any frame
+// holding it) the count is read off the seal; otherwise it scans.
 func (c *Column) NullCount() int {
 	if s := c.seal.Load(); s != nil && s.finalized && s.covered() == c.Len() {
-		return s.merged.Nulls
+		return s.nulls
 	}
 	n := 0
 	for i := 0; i < c.Len(); i++ {

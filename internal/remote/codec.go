@@ -21,11 +21,12 @@
 //     prefix version of the table, everything when it is cold — and the
 //     front streams only those chunks. An append to a registered table
 //     ships O(delta) bytes, not O(table);
-//   - each streamed chunk is a self-delimiting frame of cells, validity
-//     words, and the chunk's chain fingerprint; the worker transplants the
-//     adopted prefix (frame.AdoptChunkPrefix) and reseals only the streamed
-//     rows, so the chain resumes across the splice and the reassembled
-//     frame's Fingerprint() provably equals the sender's;
+//   - each streamed chunk is its index plus its cells, nothing else: the
+//     worker transplants the adopted prefix (frame.AdoptChunkPrefix) and
+//     reseals only the streamed rows, so the chain resumes across the
+//     splice; every resealed chunk must reproduce the manifest's chain
+//     commitment and the reassembled frame's Fingerprint() the sender's, so
+//     a corrupted cell is named by column and chunk and never stored;
 //   - characterize and cache-probe requests carry only the table
 //     fingerprint, the selection bitmap words, and the options, so a repeat
 //     query is answered from the worker's report cache without the table
@@ -37,7 +38,6 @@ package remote
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/frame"
@@ -49,9 +49,11 @@ import (
 // options to the request layout; version 3 added the frame's chunk capacity
 // so a shipped table keeps its chunk layout on the worker; version 4
 // replaced the monolithic frame payload with the manifest/chunk-stream
-// negotiation, making table transport content-addressed per chunk. A
-// version-skewed peer rejects loudly rather than misparsing.
-const codecVersion = 4
+// negotiation, making table transport content-addressed per chunk; version
+// 5 dropped the per-chunk chain fingerprint and validity words from the
+// chunk stream, which the worker recomputes from the cells when it reseals.
+// A version-skewed peer rejects loudly rather than misparsing.
+const codecVersion = 5
 
 var (
 	manifestMagic   = [4]byte{'Z', 'G', 'M', codecVersion}
@@ -263,21 +265,12 @@ type ManifestResponse struct {
 	Missing []ChunkRange `json:"missing,omitempty"`
 }
 
-// ChunkColumn is one column's slice of one streamed chunk.
+// ChunkColumn is one column's slice of one streamed chunk. Floats holds
+// numeric cells; Codes categorical dictionary codes. Exactly one is
+// non-nil, matching the manifest's column kind.
 type ChunkColumn struct {
-	// Chain is the column's sealed chunk fingerprint at this chunk — the
-	// same value the manifest committed to, re-verified against the resumed
-	// chain once the splice reseals.
-	Chain uint64
-	// Floats holds numeric cells; Codes categorical dictionary codes.
-	// Exactly one is non-nil, matching the manifest's column kind.
 	Floats []float64
 	Codes  []int32
-	// Valid is the chunk's slice of the validity bitmap, one bit per row.
-	// Redundant with the cells (NaN / negative code = NULL) and checked
-	// against them, so a corrupted payload cannot smuggle a mismatched
-	// bitmap past the chain check.
-	Valid []uint64
 }
 
 // ChunkPayload is one self-delimiting streamed chunk: its index plus every
@@ -294,30 +287,18 @@ func ExtractChunks(f *frame.Frame, ranges []ChunkRange) ([]ChunkPayload, error) 
 	if err != nil {
 		return nil, err
 	}
-	chains := make([][]uint64, f.NumCols())
-	valid := make([][]uint64, f.NumCols())
-	for i := range chains {
-		chains[i] = f.ChunkFingerprints(i)
-		valid[i] = f.ColumnValidWords(i)
-	}
 	out := make([]ChunkPayload, 0, total)
 	for _, rg := range ranges {
 		for j := rg.Start; j < rg.End; j++ {
 			start, end := f.ChunkBounds(j)
-			words := (end - start + 63) / 64
 			p := ChunkPayload{Index: j, Cols: make([]ChunkColumn, f.NumCols())}
 			for i, c := range f.Columns() {
-				cc := ChunkColumn{
-					Chain: chains[i][j],
-					Valid: valid[i][start/64 : start/64+words],
-				}
 				switch c.Kind() {
 				case frame.Numeric:
-					cc.Floats = c.Floats()[start:end]
+					p.Cols[i].Floats = c.Floats()[start:end]
 				case frame.Categorical:
-					cc.Codes = c.Codes()[start:end]
+					p.Cols[i].Codes = c.Codes()[start:end]
 				}
-				p.Cols[i] = cc
 			}
 			out = append(out, p)
 		}
@@ -344,7 +325,6 @@ func EncodeChunkPayloads(fp uint64, chunks []ChunkPayload) []byte {
 	for _, p := range chunks {
 		w.U64(uint64(p.Index))
 		for _, cc := range p.Cols {
-			w.U64(cc.Chain)
 			if cc.Floats != nil {
 				w.F64s(cc.Floats)
 			} else {
@@ -352,18 +332,17 @@ func EncodeChunkPayloads(fp uint64, chunks []ChunkPayload) []byte {
 					w.U32(uint32(code))
 				}
 			}
-			w.U64s(cc.Valid)
 		}
 	}
 	return w.B
 }
 
 // DecodeChunks parses a chunk stream against its manifest, which fixes the
-// geometry: how many cells and validity words each chunk of each column
-// carries. It rejects — loudly, not by coercion — out-of-order or duplicate
-// chunk indices (the overlap case), chain fingerprints that differ from the
-// manifest's commitments, validity bits inconsistent with the cells, and
-// truncated or trailing payloads.
+// geometry: how many cells each chunk of each column carries. It rejects —
+// loudly, not by coercion — out-of-order or duplicate chunk indices (the
+// overlap case), out-of-dictionary codes, and truncated or trailing
+// payloads. Whether the cells are the ones the manifest committed to is
+// AssembleFrame's check: it reseals them against the manifest's chains.
 func DecodeChunks(data []byte, m Manifest) ([]ChunkPayload, error) {
 	if err := wire.CheckMagic(data, chunksMagic, decodingChunks); err != nil {
 		return nil, err
@@ -390,14 +369,8 @@ func DecodeChunks(data []byte, m Manifest) ([]ChunkPayload, error) {
 		prev = p.Index
 		start, end := m.ChunkBounds(p.Index)
 		rows := end - start
-		words := (rows + 63) / 64
 		for i, mc := range m.Cols {
-			cc := ChunkColumn{Chain: r.U64()}
-			if r.Err == nil && cc.Chain != mc.Chains[p.Index] {
-				r.Failf("column %q chunk %d: chain fingerprint %#x does not match the manifest's %#x",
-					mc.Name, p.Index, cc.Chain, mc.Chains[p.Index])
-				break
-			}
+			var cc ChunkColumn
 			switch mc.Kind {
 			case frame.Numeric:
 				cc.Floats = r.F64s(rows)
@@ -419,15 +392,6 @@ func DecodeChunks(data []byte, m Manifest) ([]ChunkPayload, error) {
 					}
 				}
 			}
-			cc.Valid = r.U64s(words)
-			if cc.Valid == nil {
-				cc.Valid = []uint64{}
-			}
-			if r.Err == nil {
-				if err := checkValidity(mc, cc, rows); err != nil {
-					r.Failf("column %q chunk %d: %v", mc.Name, p.Index, err)
-				}
-			}
 			p.Cols[i] = cc
 		}
 		out = append(out, p)
@@ -436,33 +400,6 @@ func DecodeChunks(data []byte, m Manifest) ([]ChunkPayload, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// checkValidity confirms the shipped validity words are exactly the ones
-// the cells imply: bit r set ⇔ cell r non-NULL, stray bits past the row
-// count clear.
-func checkValidity(mc ManifestColumn, cc ChunkColumn, rows int) error {
-	want := make([]uint64, (rows+63)/64)
-	switch mc.Kind {
-	case frame.Numeric:
-		for i, v := range cc.Floats {
-			if !math.IsNaN(v) {
-				want[i>>6] |= 1 << (uint(i) & 63)
-			}
-		}
-	case frame.Categorical:
-		for i, code := range cc.Codes {
-			if code >= 0 {
-				want[i>>6] |= 1 << (uint(i) & 63)
-			}
-		}
-	}
-	for i := range want {
-		if cc.Valid[i] != want[i] {
-			return fmt.Errorf("validity word %d is %#x, cells imply %#x", i, cc.Valid[i], want[i])
-		}
-	}
-	return nil
 }
 
 // EncodeInvalidate serializes an invalidate-by-fingerprint request.

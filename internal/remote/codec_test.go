@@ -3,6 +3,8 @@ package remote
 import (
 	"bytes"
 	"math"
+	"net/http"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -97,8 +99,8 @@ func TestManifestCodecRejectsCorruption(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":          {},
 		"bad magic":      append([]byte("XXX\x04"), enc[4:]...),
-		"past version":   append([]byte("ZGM\x03"), enc[4:]...),
-		"future version": append([]byte("ZGM\x05"), enc[4:]...),
+		"past version":   append([]byte("ZGM\x04"), enc[4:]...),
+		"future version": append([]byte("ZGM\x06"), enc[4:]...),
 		"truncated":      enc[:len(enc)-3],
 		"trailing":       append(append([]byte(nil), enc...), 1),
 	}
@@ -124,8 +126,8 @@ func TestManifestCodecRejectsCorruption(t *testing.T) {
 }
 
 // TestChunkCodecRoundTrip pins the chunk stream: extracting any subset of
-// chunks, encoding, and decoding against the manifest reproduces the cells,
-// validity words, and chain commitments — and re-encodes canonically.
+// chunks, encoding, and decoding against the manifest reproduces the cells
+// bit for bit — and re-encodes canonically.
 func TestChunkCodecRoundTrip(t *testing.T) {
 	f := chunkedFrame(t)
 	m := BuildManifest(f)
@@ -146,7 +148,7 @@ func TestChunkCodecRoundTrip(t *testing.T) {
 		if p.Index != wantIdx[k] {
 			t.Fatalf("chunk %d has index %d, want %d", k, p.Index, wantIdx[k])
 		}
-		start, end := f.ChunkBounds(p.Index)
+		start, _ := f.ChunkBounds(p.Index)
 		for i, c := range f.Columns() {
 			cc := p.Cols[i]
 			switch c.Kind() {
@@ -157,16 +159,12 @@ func TestChunkCodecRoundTrip(t *testing.T) {
 						t.Fatalf("chunk %d col %d cell %d: %v, want %v", p.Index, i, j, v, orig)
 					}
 				}
-				_ = end
 			case frame.Categorical:
 				for j, code := range cc.Codes {
 					if code != c.Codes()[start+j] {
 						t.Fatalf("chunk %d col %d code %d diverged", p.Index, i, j)
 					}
 				}
-			}
-			if cc.Chain != f.ChunkFingerprints(i)[p.Index] {
-				t.Errorf("chunk %d col %d chain diverged", p.Index, i)
 			}
 		}
 	}
@@ -175,11 +173,11 @@ func TestChunkCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestChunkCodecRejectsCorruption covers the chunk-stream decode error
-// paths the satellite names: truncated chunks, chain-fingerprint
-// mismatches, overlapping/out-of-order ranges — plus validity-bit lies,
-// wrong-table streams, and out-of-dictionary codes. Every rejection is
-// loud; nothing is coerced or deduped.
+// TestChunkCodecRejectsCorruption covers the chunk-stream error paths:
+// truncated chunks, version skew, overlapping/out-of-order ranges,
+// wrong-table streams, out-of-dictionary codes, and a flipped cell, which
+// decodes but fails AssembleFrame's reseal and the worker's chunks
+// endpoint. Every rejection is loud; nothing is coerced or deduped.
 func TestChunkCodecRejectsCorruption(t *testing.T) {
 	f := chunkedFrame(t)
 	m := BuildManifest(f)
@@ -202,25 +200,16 @@ func TestChunkCodecRejectsCorruption(t *testing.T) {
 		}
 	})
 	t.Run("version skew", func(t *testing.T) {
-		if _, err := DecodeChunks(append([]byte("ZGC\x03"), enc[4:]...), m); err == nil {
-			t.Error("past version accepted")
+		for _, v := range []byte{3, 4, 6} {
+			if _, err := DecodeChunks(append([]byte{'Z', 'G', 'C', v}, enc[4:]...), m); err == nil {
+				t.Errorf("version %d stream accepted", v)
+			}
 		}
 	})
 	t.Run("wrong table", func(t *testing.T) {
 		other := BuildManifest(codecFrame(t))
 		if _, err := DecodeChunks(enc, other); err == nil {
 			t.Error("stream for another fingerprint accepted")
-		}
-	})
-	t.Run("chain fingerprint mismatch", func(t *testing.T) {
-		chunks, err := ExtractChunks(f, allRanges(f))
-		if err != nil {
-			t.Fatal(err)
-		}
-		chunks[2].Cols[0].Chain ^= 0x1
-		bad := EncodeChunkPayloads(f.Fingerprint(), chunks)
-		if _, err := DecodeChunks(bad, m); err == nil {
-			t.Error("mismatched chain fingerprint accepted")
 		}
 	})
 	t.Run("overlapping ranges rejected at encode", func(t *testing.T) {
@@ -254,17 +243,44 @@ func TestChunkCodecRejectsCorruption(t *testing.T) {
 			t.Error("out-of-order chunks accepted")
 		}
 	})
-	t.Run("validity words lie", func(t *testing.T) {
+	t.Run("cell flipped in stream", func(t *testing.T) {
 		chunks, err := ExtractChunks(f, allRanges(f))
 		if err != nil {
 			t.Fatal(err)
 		}
-		valid := append([]uint64(nil), chunks[0].Cols[0].Valid...)
-		valid[0] ^= 0x2 // row 1 flips validity without its cell changing
-		chunks[0].Cols[0].Valid = valid
+		vals := append([]float64(nil), chunks[2].Cols[0].Floats...)
+		vals[5] += 1
+		chunks[2].Cols[0].Floats = vals
 		bad := EncodeChunkPayloads(f.Fingerprint(), chunks)
-		if _, err := DecodeChunks(bad, m); err == nil {
-			t.Error("validity/cell mismatch accepted")
+		decoded, err := DecodeChunks(bad, m)
+		if err != nil {
+			t.Fatalf("well-formed stream rejected at decode: %v", err)
+		}
+		_, err = AssembleFrame(m, nil, 0, decoded)
+		if err == nil || !strings.Contains(err.Error(), `column "n" chunk 2`) {
+			t.Errorf("assemble error = %v, want one naming column \"n\" chunk 2", err)
+		}
+
+		// Over the wire: the worker negotiates, then refuses the stream with
+		// 400 and stores nothing.
+		w, ts := newWorker(t, 1)
+		post := func(path string, body []byte) int {
+			t.Helper()
+			resp, err := http.Post(ts.URL+path, "application/octet-stream", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			return resp.StatusCode
+		}
+		if code := post(PathManifest, EncodeManifest(m)); code != http.StatusOK {
+			t.Fatalf("manifest status %d", code)
+		}
+		if code := post(PathChunks, bad); code != http.StatusBadRequest {
+			t.Errorf("flipped-cell chunk stream status %d, want 400", code)
+		}
+		if _, ok := w.table(m.Fingerprint); ok {
+			t.Error("corrupted table reached the worker's table store")
 		}
 	})
 	t.Run("code out of dictionary", func(t *testing.T) {
@@ -342,7 +358,6 @@ func TestAssembleFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	badTail[0].Cols[0].Chain = m.Cols[0].Chains[4] // forge the commitment
 	if _, err := AssembleFrame(m, cold, 4, badTail); err == nil {
 		t.Error("spliced foreign tail reassembled without a chain error")
 	}

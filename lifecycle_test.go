@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	ziggy "repro"
@@ -243,6 +244,51 @@ func TestAppendInvalidatesScopedReports(t *testing.T) {
 	}
 	if repA.TotalRows != 288 {
 		t.Errorf("grown table reports %d rows, want 288", repA.TotalRows)
+	}
+}
+
+// TestConcurrentAppendKeepsEveryRow pins Session.Append's read-grow-
+// register as atomic: appenders racing each other and concurrent
+// characterizations must neither lose a batch nor race on the catalog (run
+// under -race).
+func TestConcurrentAppendKeepsEveryRow(t *testing.T) {
+	const appenders, appendsEach, readers = 4, 2, 4
+	batch := ziggy.BoxOfficeData(1)
+	s := newSession(t)
+	if err := s.Register(batch); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, appenders*appendsEach+readers*appendsEach)
+	for g := 0; g < appenders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < appendsEach; k++ {
+				errs <- s.Append("boxoffice", batch)
+			}
+		}()
+	}
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < appendsEach; k++ {
+				_, err := s.Characterize("SELECT * FROM boxoffice WHERE gross_musd >= 100")
+				errs <- err
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, _ := s.Table("boxoffice")
+	if want := batch.NumRows() * (1 + appenders*appendsEach); f.NumRows() != want {
+		t.Errorf("table ended with %d rows, want %d", f.NumRows(), want)
 	}
 }
 

@@ -26,6 +26,7 @@ package ziggy
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/csvio"
@@ -183,8 +184,7 @@ type CSVOptions struct {
 	// all their values parse as numbers (e.g. zip codes).
 	ForceCategorical []string
 	// ChunkRows is the chunk capacity of the loaded frame, rounded up to a
-	// multiple of 64. For LoadCSVOpts, 0 keeps the flat default; OpenCSV
-	// always builds a chunked frame and treats 0 as the default capacity.
+	// multiple of 64; 0 means the default capacity (4096 rows).
 	ChunkRows int
 }
 
@@ -210,11 +210,10 @@ func LoadCSVOpts(path string, opts CSVOptions) (*Frame, error) {
 	return csvio.ReadFile(path, opts.internal())
 }
 
-// OpenCSV streams a CSV file into a chunked Frame: only the type-inference
-// window (opts.MaxInferRows rows) is buffered, the rest of the file is
-// parsed record by record while chunks seal as they fill, and the loaded
-// frame arrives with its chunk fingerprints and stats sketches already
-// computed — ready for incremental Session.Append growth.
+// OpenCSV streams a CSV file into a Frame: only the type-inference window
+// (opts.MaxInferRows rows) is buffered, and the rest of the file is parsed
+// record by record. The frame seals its chunks on first use, like any
+// other, and grows incrementally under Session.Append.
 func OpenCSV(path string, opts CSVOptions) (*Frame, error) {
 	return csvio.ReadFileStream(path, opts.internal())
 }
@@ -254,6 +253,9 @@ func PlotView(f *Frame, sel *Bitmap, columns []string, width, height int) (strin
 // paper's conclusion announces, scaled out to Config.Shards engine shards
 // behind a consistent-hash router with one shared report cache.
 type Session struct {
+	// mu serializes the catalog's writers, so Append's read-grow-register
+	// cannot interleave with another Append or Unregister of the same table.
+	mu      sync.Mutex
 	catalog *db.Catalog
 	router  *shard.Router
 }
@@ -334,7 +336,11 @@ func NewEngineBackend(cfg Config, reports *ReportCache) (Backend, error) {
 }
 
 // Register adds a table to the session under the frame's name.
-func (s *Session) Register(f *Frame) error { return s.catalog.Register(f) }
+func (s *Session) Register(f *Frame) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.catalog.Register(f)
+}
 
 // RegisterCSV loads a CSV file and registers it; the table is named after
 // the file's base name.
@@ -357,6 +363,8 @@ func (s *Session) RegisterCSV(path string) (*Frame, error) {
 // representation reuses the old table's sealed chunks — the next
 // characterization rescans only the rows past the last full chunk boundary.
 func (s *Session) Append(table string, rows *Frame) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	base, ok := s.catalog.Table(table)
 	if !ok {
 		return fmt.Errorf("ziggy: append to unknown table %q", table)
@@ -379,6 +387,8 @@ func (s *Session) Append(table string, rows *Frame) error {
 // reports for its content (entries for other tables are untouched). It
 // reports whether the table was registered.
 func (s *Session) Unregister(name string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	f, ok := s.catalog.Table(name)
 	if !ok {
 		return false
