@@ -28,9 +28,8 @@
 // so a partial run (the CI bench job only runs the four gated benchmarks)
 // never silently drops the rest of the baseline. Each change is reported.
 //
-// The serving subcommand (see serving.go) gates the session-replay record
-// zigload emits — latency percentiles, shed rate, cache hit rate and the
-// replay's byte-identity invariant — against BENCH_serving_baseline.json.
+// benchdiff gates micro-benchmarks only. End-to-end serving is measured
+// by the separate benchmark/ module, which BENCHMARK.json declares.
 //
 // Parsing keeps the minimum ns/op across repeated runs of one benchmark
 // (the least-noisy estimate of its true cost) and strips the -N GOMAXPROCS
@@ -391,7 +390,7 @@ func runUpdate(args []string) {
 
 func main() {
 	if len(os.Args) < 2 {
-		fatalf("usage: benchdiff parse|compare|update|serving [flags]")
+		fatalf("usage: benchdiff parse|compare|update [flags]")
 	}
 	switch os.Args[1] {
 	case "parse":
@@ -400,9 +399,7 @@ func main() {
 		runCompare(os.Args[2:])
 	case "update":
 		runUpdate(os.Args[2:])
-	case "serving":
-		runServing(os.Args[2:])
 	default:
-		fatalf("unknown subcommand %q (want parse, compare, update or serving)", os.Args[1])
+		fatalf("unknown subcommand %q (want parse, compare or update)", os.Args[1])
 	}
 }

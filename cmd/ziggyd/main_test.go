@@ -468,8 +468,7 @@ func TestGoldenApproximateCharacterize(t *testing.T) {
 func TestPressureDegradeOverHTTP(t *testing.T) {
 	// uscrime characterizations are slow enough (several ms of CPU) that
 	// concurrent requests overlap in the one-slot queue; boxoffice answers
-	// retire too fast to ever build pressure (TestHTTPSaturationBackoff in
-	// cmd/zigload makes the same choice for the same reason).
+	// retire too fast to ever build pressure.
 	srv, err := buildServer(options{
 		datasets:      "uscrime",
 		seed:          3,

@@ -139,7 +139,7 @@ const DefaultApproxRows = 512
 // EffectiveApproxRows resolves the zero-means-default approximate sample
 // cap, mirroring EffectiveCacheBounds: the single place that maps 0 to
 // DefaultApproxRows for every serving edge (HTTP handler, degraded
-// admission, load targets).
+// admission).
 func (c Config) EffectiveApproxRows() int {
 	if c.ApproxRows == 0 {
 		return DefaultApproxRows

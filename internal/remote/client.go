@@ -288,8 +288,9 @@ func (c *Client) CachedReport(fp uint64, sel *frame.Bitmap, opts core.Options) (
 // Snapshot folds the worker's sharded stats into one backend entry:
 // traffic counters and queues summed across the worker's shards, the
 // prepared tiers summed, the worker's shared report tier carried through,
-// and the worst per-shard Retry-After hint. An unreachable worker reports
-// Healthy false with the client-side counters only.
+// and the worst per-shard Retry-After hint. An unreachable worker, or one
+// answering with a non-200 status, reports Healthy false with the
+// client-side counters only.
 func (c *Client) Snapshot() shard.ShardSnapshot {
 	snap := shard.ShardSnapshot{
 		Kind:          shard.KindRemote,
@@ -310,8 +311,12 @@ func (c *Client) Snapshot() shard.ShardSnapshot {
 		return snap
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		c.healthy.Store(false)
+		return snap
+	}
 	var stats StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(&stats); err != nil {
 		c.healthy.Store(false)
 		return snap
 	}

@@ -624,3 +624,18 @@ func TestClientAgainstDeadWorker(t *testing.T) {
 		t.Errorf("dead worker snapshot = %+v", snap)
 	}
 }
+
+// TestSnapshotFailingWorkerUnhealthy pins the stats status check: a worker
+// that answers /api/worker/stats with a 500 and a JSON error body is
+// reported unhealthy, not as a healthy worker with zero counters.
+func TestSnapshotFailingWorkerUnhealthy(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusInternalServerError)
+		_, _ = w.Write([]byte(`{"error":"boom"}`))
+	}))
+	t.Cleanup(ts.Close)
+	if snap := NewClient(ts.URL).Snapshot(); snap.Healthy {
+		t.Errorf("worker answering 500 reported healthy: %+v", snap)
+	}
+}

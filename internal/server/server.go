@@ -48,6 +48,10 @@ import (
 	"repro/internal/shard"
 )
 
+// maxRequestBytes bounds a characterize request body. A query request is a
+// few hundred bytes; larger bodies are answered 413.
+const maxRequestBytes = 1 << 20
+
 // Server is the demo web server.
 type Server struct {
 	catalog *db.Catalog
@@ -141,8 +145,8 @@ type characterizeRequest struct {
 	// IncludePlots attaches an ASCII chart to every view.
 	IncludePlots bool `json:"includePlots"`
 	// SkipReportCache bypasses the report-level memo for this request,
-	// forcing the full pipeline — the cache-hostile switch load harnesses
-	// (cmd/zigload) use to measure uncached serving latency.
+	// forcing the full pipeline — the cache-hostile switch a load generator
+	// uses to measure uncached serving latency.
 	SkipReportCache bool `json:"skipReportCache"`
 	// Approximate requests a sample-based answer: the pipeline runs on a
 	// deterministic stratified sample capped at the server's configured
@@ -226,8 +230,13 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req characterizeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("invalid JSON body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		s.writeError(w, status, fmt.Errorf("invalid JSON body: %w", err))
 		return
 	}
 	if req.SQL == "" {

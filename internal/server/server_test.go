@@ -146,6 +146,20 @@ func TestCharacterizeValidation(t *testing.T) {
 	}
 }
 
+// TestCharacterizeBodyLimit pins the request-body bound: a body past
+// maxRequestBytes is answered 413, and an ordinary query still succeeds.
+func TestCharacterizeBodyLimit(t *testing.T) {
+	s := testServer(t)
+	huge := `{"sql": "` + strings.Repeat("x", 2<<20) + `"}`
+	if rec, _ := characterize(t, s, huge); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("2 MiB body: status %d, want 413 (%.200s)", rec.Code, rec.Body.String())
+	}
+	rec, _ := characterize(t, s, `{"sql": "SELECT * FROM boxoffice WHERE gross_musd >= 100"}`)
+	if rec.Code != http.StatusOK {
+		t.Errorf("normal query: status %d (%s)", rec.Code, rec.Body.String())
+	}
+}
+
 func TestCharacterizeExplicitExclusions(t *testing.T) {
 	s := testServer(t)
 	rec, resp := characterize(t, s,

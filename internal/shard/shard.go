@@ -374,8 +374,8 @@ type ShardSnapshot struct {
 	RetryAfterMillis int64 `json:"retryAfterMillis"`
 	// Completed counts executed (non-cached) characterizations, and
 	// MeanServiceMillis their observed mean wall time — the service-rate
-	// estimate behind RetryAfterMillis, surfaced so load harnesses can
-	// assert on what the shard actually executed versus served from memo.
+	// estimate behind RetryAfterMillis, surfaced so callers can tell what
+	// the shard actually executed from what it served from memo.
 	Completed         int64   `json:"completed"`
 	MeanServiceMillis float64 `json:"meanServiceMillis,omitempty"`
 	// TablesShipped counts table payloads actually sent to a remote worker

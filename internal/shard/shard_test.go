@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -294,6 +295,44 @@ func TestSaturationShedsLoad(t *testing.T) {
 	if _, err := r.CharacterizeOpts(f, sel, uncached); err != nil {
 		t.Fatalf("shard did not recover after saturation: %v", err)
 	}
+
+	// Degrade arm: with ApproxUnderPressure the same full shard answers the
+	// uncached request from a sample instead of shedding, byte-identical
+	// (cache flags and timings aside) to an explicit approximate request
+	// at the default cap and seed 0 on an unsaturated router.
+	cfg.ApproxUnderPressure = true
+	dr, err := NewWithParams(cfg, nil, Params{Concurrency: 1, QueueDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner = dr.ShardFor(f.Fingerprint())
+	release = dr.fillShard(owner)
+	defer release()
+	degraded, err := dr.CharacterizeOpts(f, sel, uncached)
+	if err != nil || degraded.Approximate == nil {
+		t.Fatalf("degraded request: err=%v, approximate=%v", err, degraded != nil && degraded.Approximate != nil)
+	}
+	explicit := uncached
+	explicit.ApproxRows, explicit.ApproxSeed = cfg.EffectiveApproxRows(), 0
+	want, err := mustRouter(t, testConfig(4)).CharacterizeOpts(f, sel, explicit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(canonicalReport(degraded), canonicalReport(want)) {
+		t.Error("degraded report differs from the explicit approximate request")
+	}
+	if st := dr.Stats().Shards[owner]; st.Rejected != 0 || st.ApproxServed != 1 {
+		t.Errorf("degrade stats: rejected=%d approxServed=%d, want 0 and 1", st.Rejected, st.ApproxServed)
+	}
+}
+
+// canonicalReport encodes a report with its timings and cache flags
+// zeroed, so reports served along different paths can be byte-compared.
+func canonicalReport(rep *core.Report) []byte {
+	c := *rep
+	c.Timings = core.Timings{}
+	c.CacheHit, c.ReportCacheHit = false, false
+	return core.EncodeReport(&c)
 }
 
 // TestPreparedBudgetPartitioned pins the memory contract: the configured
@@ -490,8 +529,8 @@ func TestRouterValidation(t *testing.T) {
 	}
 }
 
-// TestServiceCountersExposed pins the counters the load harness asserts
-// on: executed (non-cached) characterizations and their observed mean
+// TestServiceCountersExposed pins the counters /api/stats reports:
+// executed (non-cached) characterizations and their observed mean
 // service time surface through Stats, and cache hits do not inflate them.
 func TestServiceCountersExposed(t *testing.T) {
 	r := mustRouter(t, testConfig(1))
