@@ -383,6 +383,41 @@ func BenchmarkRobustCharacterize(b *testing.B) {
 	b.Run("cold", func(b *testing.B) { run(b, false) })
 }
 
+// BenchmarkExtendedCharacterize measures a warm extended-mode
+// characterization of the crime scenario in both modes at parallelism 1,
+// with the report memo bypassed so the pipeline is paid every iteration.
+// Both arms rank each usable numeric column once — the quantile and tail
+// components read their order statistics off that ranking — and report the
+// budget as rankops/op. No serving workload enables extended mode, so this
+// is the gate that covers its path.
+func BenchmarkExtendedCharacterize(b *testing.B) {
+	sc := mustCrime(b)
+	opts := core.Options{ExcludeColumns: sc.Exclude, SkipReportCache: true}
+	for _, mode := range []struct {
+		name   string
+		robust bool
+	}{{"parametric", false}, {"robust", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			cfg := core.DefaultConfig()
+			cfg.Extended = true
+			cfg.Robust = mode.robust
+			cfg.Parallelism = 1
+			engine := mustEngine(b, cfg)
+			if _, err := engine.CharacterizeOpts(sc.Frame, sc.Mask, opts); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			before := stats.RankOps()
+			for i := 0; i < b.N; i++ {
+				if _, err := engine.CharacterizeOpts(sc.Frame, sc.Mask, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(stats.RankOps()-before)/float64(b.N), "rankops/op")
+		})
+	}
+}
+
 // BenchmarkRobustColumn isolates one robust column's statistics battery:
 // "rank-twice" replays the five sorts of the pre-refactor shape (Cliff's
 // ranking, two separate median sorts, Mann-Whitney's internal re-ranking,
@@ -409,7 +444,7 @@ func BenchmarkRobustColumn(b *testing.B) {
 	})
 	b.Run("rank-once", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = effect.CliffDelta("population", in, out)
+			_ = effect.CliffDelta(nil, "population", in, out)
 		}
 	})
 }

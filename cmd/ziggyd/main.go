@@ -215,7 +215,7 @@ func main() {
 	cacheBytes := flag.Int64("cache-bytes", 0,
 		"approximate byte bound per cache tier, covering all shards together (0 = engine default)")
 	concurrency := flag.Int("concurrency", 0,
-		"concurrent characterizations per shard before requests queue (0 = default); load tests shrink it to provoke shedding")
+		"characterizations one shard runs at once; further requests queue (0 = default)")
 	queueDepth := flag.Int("queue-depth", 0,
 		"admitted-but-waiting requests per shard before load is shed with 503 (0 = default)")
 	approxCap := flag.Int("approx-cap", 0,

@@ -514,28 +514,23 @@ func (e *Engine) splitColumn(c *frame.Column, idx int, sel, consider *frame.Bitm
 			break
 		}
 		cd.usable = true
-		// Rank-once hot path: in robust mode one scratch-backed ranking of
-		// the in+out concatenation serves Cliff's delta, its Mann-Whitney
-		// bound, both medians, and (extended) the quantile-shift test.
+		// Rank-once: in robust or extended mode one scratch-backed ranking
+		// of the in+out concatenation serves Cliff's delta, its
+		// Mann-Whitney bound and both medians (robust), and the quantile
+		// and tail order statistics (extended). No group copy is sorted.
 		var r stats.Ranking
-		if e.cfg.Robust {
+		if e.cfg.Robust || e.cfg.Extended {
 			r = effect.RankWith(s, in, out)
+		}
+		if e.cfg.Robust {
 			cd.comps = append(cd.comps, effect.CliffDeltaRanked(c.Name(), r))
 		} else {
 			cd.comps = append(cd.comps, effect.Means(c.Name(), in, out))
 		}
 		cd.comps = append(cd.comps, effect.StdDevs(c.Name(), in, out))
 		if e.cfg.Extended {
-			if e.cfg.Robust {
-				// Both extended numeric components read their order
-				// statistics off the column's single Ranking: no
-				// per-group copy is ever sorted on the robust path.
-				cd.comps = append(cd.comps, effect.QuantilesRanked(c.Name(), in, out, r))
-				cd.comps = append(cd.comps, effect.TailsRanked(c.Name(), in, out, r))
-			} else {
-				cd.comps = append(cd.comps, effect.Quantiles(c.Name(), in, out))
-				cd.comps = append(cd.comps, effect.Tails(c.Name(), in, out))
-			}
+			cd.comps = append(cd.comps, effect.Quantiles(c.Name(), in, out, r))
+			cd.comps = append(cd.comps, effect.Tails(c.Name(), in, out, r))
 		}
 	case frame.Categorical:
 		in, out := splitCatCol(c, sel, consider)
@@ -545,9 +540,9 @@ func (e *Engine) splitColumn(c *frame.Column, idx int, sel, consider *frame.Bitm
 			break
 		}
 		cd.usable = true
-		cd.comps = append(cd.comps, effect.FrequenciesWith(s, c.Name(), in, out, cd.dict))
+		cd.comps = append(cd.comps, effect.Frequencies(s, c.Name(), in, out, cd.dict))
 		if e.cfg.Extended {
-			cd.comps = append(cd.comps, effect.EntropyWith(s, c.Name(), in, out, cd.dict))
+			cd.comps = append(cd.comps, effect.Entropy(s, c.Name(), in, out, cd.dict))
 		}
 	}
 	cd.score = effect.Score(cd.comps, e.cfg.Weights)

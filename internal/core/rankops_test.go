@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -10,8 +11,8 @@ import (
 )
 
 // countNumeric returns how many numeric columns of f clear the MinRows
-// usability bar on both sides of sel — the columns the robust path must
-// rank exactly once each.
+// usability bar on both sides of sel — the columns the robust and
+// extended paths must rank exactly once each.
 func countNumeric(t *testing.T, f *frame.Frame, sel *frame.Bitmap, minRows int) int {
 	t.Helper()
 	n := 0
@@ -72,76 +73,52 @@ func TestRobustRankBudget(t *testing.T) {
 	}
 }
 
-// TestRobustExtendedRankBudget asserts the budget survives extended mode,
-// where the quantile-shift and tail components share the column's Ranking —
-// its Mann-Whitney bound AND its sort permutation: one ranking pass per
-// usable numeric column and zero per-group copy sorts, for every worker
-// count, with byte-identical output. (The non-robust extended path still
-// pays two copy sorts per column; TestExtendedSortBudgetNonRobust pins
-// that contrast.)
+// TestRobustExtendedRankBudget asserts the budget in extended mode, for
+// both Robust values: the quantile-shift and tail components read their
+// order statistics off the column's Ranking, so each usable numeric column
+// costs exactly one ranking pass — the same pass Cliff's delta uses in
+// robust mode — for every worker count, with byte-identical output.
 func TestRobustExtendedRankBudget(t *testing.T) {
 	pd := plantedFixture(t, 78)
-	cfg := DefaultConfig()
-	cfg.Robust = true
-	cfg.Extended = true
+	for _, robust := range []bool{false, true} {
+		t.Run(fmt.Sprintf("robust=%v", robust), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Robust = robust
+			cfg.Extended = true
 
-	wantRanks := int64(countNumeric(t, pd.Frame, pd.Selection, cfg.MinRows))
-	var wantFP string
-	for _, workers := range []int{1, 2, 4, runtime.NumCPU()} {
-		cfg.Parallelism = workers
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		beforeRank, beforeSort := stats.RankOps(), stats.SortOps()
-		rep, err := e.Characterize(pd.Frame, pd.Selection)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := stats.RankOps() - beforeRank; got != wantRanks {
-			t.Errorf("parallelism=%d: %d ranking passes for %d usable numeric columns, want exactly one each",
-				workers, got, wantRanks)
-		}
-		if got := stats.SortOps() - beforeSort; got != 0 {
-			t.Errorf("parallelism=%d: %d per-group copy sorts, want 0 (order statistics must come from the ranking permutation)",
-				workers, got)
-		}
-		fp := fingerprint(rep)
-		if workers == 1 {
-			wantFP = fp
-			if len(rep.Views) == 0 {
-				t.Fatal("reference run found no views")
+			wantRanks := int64(countNumeric(t, pd.Frame, pd.Selection, cfg.MinRows))
+			if wantRanks == 0 {
+				t.Fatal("fixture has no usable numeric columns")
 			}
-			continue
-		}
-		if fp != wantFP {
-			t.Errorf("parallelism=%d: extended robust output differs from sequential", workers)
-		}
-	}
-}
-
-// TestExtendedSortBudgetNonRobust pins the contrast: without a Ranking to
-// share, the extended quantile and tail components sort one copy each per
-// usable numeric column.
-func TestExtendedSortBudgetNonRobust(t *testing.T) {
-	pd := plantedFixture(t, 78)
-	cfg := DefaultConfig()
-	cfg.Extended = true
-	cfg.Parallelism = 1
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	usable := int64(countNumeric(t, pd.Frame, pd.Selection, cfg.MinRows))
-	before := stats.SortOps()
-	if _, err := e.Characterize(pd.Frame, pd.Selection); err != nil {
-		t.Fatal(err)
-	}
-	// Two sorted copies per component family call: 2 (quantiles) + 2
-	// (tails) per usable numeric column.
-	if got := stats.SortOps() - before; got != 4*usable {
-		t.Errorf("non-robust extended: %d copy sorts for %d usable numeric columns, want %d",
-			got, usable, 4*usable)
+			var wantFP string
+			for _, workers := range []int{1, 2, 4, runtime.NumCPU()} {
+				cfg.Parallelism = workers
+				e, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := stats.RankOps()
+				rep, err := e.Characterize(pd.Frame, pd.Selection)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := stats.RankOps() - before; got != wantRanks {
+					t.Errorf("parallelism=%d: %d ranking passes for %d usable numeric columns, want exactly one each",
+						workers, got, wantRanks)
+				}
+				fp := fingerprint(rep)
+				if workers == 1 {
+					wantFP = fp
+					if len(rep.Views) == 0 {
+						t.Fatal("reference run found no views")
+					}
+					continue
+				}
+				if fp != wantFP {
+					t.Errorf("parallelism=%d: extended output differs from sequential", workers)
+				}
+			}
+		})
 	}
 }
 

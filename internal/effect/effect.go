@@ -185,22 +185,6 @@ func Correlations(colA, colB string, inA, inB, outA, outB []float64) Component {
 	}
 }
 
-// Frequencies computes the DiffFrequencies component for a categorical
-// column given dictionary codes of both sides and the dictionary itself.
-// Raw and Norm are the total variation distance between the two frequency
-// vectors; Detail names the category with the largest absolute shift.
-func Frequencies(col string, in, out []int32, dict []string) Component {
-	return FrequenciesWith(nil, col, in, out, dict)
-}
-
-// CliffDelta computes the rank-based DiffLocationsRobust component:
-// delta = P(x > y) - P(x < y) for x drawn from the selection and y from the
-// complement, in [-1, 1]. One O((n+m)·log(n+m)) ranking pass produces the
-// delta, both group medians, and the Mann-Whitney significance bound.
-func CliffDelta(col string, in, out []float64) Component {
-	return CliffDeltaWith(nil, col, in, out)
-}
-
 // CliffDeltaRanked derives the DiffLocationsRobust component from a
 // precomputed two-group Ranking: the rank sum gives the delta (U = #(in >
 // out) + ties/2; delta = 2U/(n·m) − 1), the ranking's group medians give

@@ -176,7 +176,7 @@ func TestFrequencies(t *testing.T) {
 	for i := range out {
 		out[i] = int32(i % 3)
 	}
-	c := Frequencies("color", in, out, dict)
+	c := Frequencies(nil, "color", in, out, dict)
 	if !c.Valid() {
 		t.Fatal("component invalid")
 	}
@@ -199,10 +199,10 @@ func TestFrequencies(t *testing.T) {
 }
 
 func TestFrequenciesDegenerate(t *testing.T) {
-	if Frequencies("c", []int32{0}, []int32{0, 1}, []string{"a", "b"}).Valid() {
+	if Frequencies(nil, "c", []int32{0}, []int32{0, 1}, []string{"a", "b"}).Valid() {
 		t.Error("n<2 should be invalid")
 	}
-	if Frequencies("c", []int32{0, 1}, []int32{0, 1}, nil).Valid() {
+	if Frequencies(nil, "c", []int32{0, 1}, []int32{0, 1}, nil).Valid() {
 		t.Error("empty dict should be invalid")
 	}
 }
@@ -211,21 +211,21 @@ func TestCliffDelta(t *testing.T) {
 	// Complete separation: delta = +1.
 	in := []float64{10, 11, 12}
 	out := []float64{1, 2, 3}
-	c := CliffDelta("x", in, out)
+	c := CliffDelta(nil, "x", in, out)
 	if math.Abs(c.Raw-1) > 1e-9 {
 		t.Errorf("separated delta = %v, want 1", c.Raw)
 	}
 	// Reversed: delta = -1.
-	c = CliffDelta("x", out, in)
+	c = CliffDelta(nil, "x", out, in)
 	if math.Abs(c.Raw+1) > 1e-9 {
 		t.Errorf("reversed delta = %v, want -1", c.Raw)
 	}
 	// Identical: delta = 0.
-	c = CliffDelta("x", []float64{1, 2, 3}, []float64{1, 2, 3})
+	c = CliffDelta(nil, "x", []float64{1, 2, 3}, []float64{1, 2, 3})
 	if math.Abs(c.Raw) > 1e-9 {
 		t.Errorf("identical delta = %v, want 0", c.Raw)
 	}
-	if CliffDelta("x", []float64{1}, []float64{1, 2}).Valid() {
+	if CliffDelta(nil, "x", []float64{1}, []float64{1, 2}).Valid() {
 		t.Error("n<2 should be invalid")
 	}
 }
@@ -255,7 +255,7 @@ func TestCliffDeltaMatchesBruteForce(t *testing.T) {
 			}
 		}
 		want /= float64(n * m)
-		got := CliffDelta("x", in, out).Raw
+		got := CliffDelta(nil, "x", in, out).Raw
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("trial %d: delta = %v, brute force %v", trial, got, want)
 		}

@@ -46,113 +46,52 @@ func extendedName(k Kind) (string, bool) {
 	}
 }
 
-// ExtendedWeights returns DefaultWeights plus unit weights for the
-// extended component families.
-func ExtendedWeights() Weights {
-	w := DefaultWeights()
-	w[DiffQuantiles] = 1
-	w[DiffTails] = 1
-	w[DiffEntropy] = 1
-	w[DiffSeparation] = 1
-	return w
+// usableRanking reports whether r ranks exactly the in/out pair with a
+// retained sort permutation — the precondition for reading order
+// statistics off it.
+func usableRanking(r stats.Ranking, in, out []float64) bool {
+	return r.Perm != nil && r.NA == len(in) && r.NB == len(out)
 }
 
 // Quantiles computes the DiffQuantiles component: the median shift scaled
-// by the pooled interquartile range, tested with Mann-Whitney U.
-func Quantiles(col string, in, out []float64) Component {
-	return quantilesTested(col, in, out, func() hypo.Result {
-		return hypo.MannWhitneyU(in, out)
-	})
-}
-
-// QuantilesRanked is Quantiles reusing a precomputed two-group Ranking
-// end to end: the quartiles of both groups are read off the ranking's sort
-// permutation — no per-group copy is sorted — and the Mann-Whitney bound
-// reuses the same ranking, so a robust extended characterization pays
-// exactly one ranking pass and zero extra sorts per column. r must rank
-// the same in/out pair; degenerate rankings fall back to the sorting path.
-func QuantilesRanked(col string, in, out []float64, r stats.Ranking) Component {
-	if r.Perm == nil || r.NA != len(in) || r.NB != len(out) {
-		return quantilesTested(col, in, out, func() hypo.Result {
-			return hypo.MannWhitneyURanked(r)
-		})
-	}
-	if len(in) < 4 || len(out) < 4 {
+// by the pooled interquartile range, tested with Mann-Whitney U. The
+// quartiles of both groups and the Mann-Whitney bound are read off the
+// column's two-group Ranking r, which must rank the same in/out pair, so
+// the component sorts nothing; an unusable ranking (NaN-bearing, or built
+// over other data) yields the invalid component.
+func Quantiles(col string, in, out []float64, r stats.Ranking) Component {
+	if len(in) < 4 || len(out) < 4 || !usableRanking(r, in, out) {
 		return invalid(DiffQuantiles, col)
 	}
 	qs := [3]float64{0.25, 0.5, 0.75}
 	var qi, qo [3]float64
 	r.QuantilesA(qs[:], qi[:])
 	r.QuantilesB(qs[:], qo[:])
-	return quantilesComponent(col, qi[1], qo[1], qi[2]-qi[0], qo[2]-qo[0], func() hypo.Result {
-		return hypo.MannWhitneyURanked(r)
-	})
-}
-
-// quantilesTested implements Quantiles on sorted group copies with a
-// pluggable significance bound.
-func quantilesTested(col string, in, out []float64, test func() hypo.Result) Component {
-	if len(in) < 4 || len(out) < 4 {
-		return invalid(DiffQuantiles, col)
-	}
-	si := stats.SortedCopy(in)
-	so := stats.SortedCopy(out)
-	medIn := stats.Quantile(si, 0.5)
-	medOut := stats.Quantile(so, 0.5)
-	iqrIn := stats.Quantile(si, 0.75) - stats.Quantile(si, 0.25)
-	iqrOut := stats.Quantile(so, 0.75) - stats.Quantile(so, 0.25)
-	return quantilesComponent(col, medIn, medOut, iqrIn, iqrOut, test)
-}
-
-// quantilesComponent assembles the DiffQuantiles component from the two
-// medians and IQRs, however they were obtained; test is only invoked once
-// the component is known to be computable.
-func quantilesComponent(col string, medIn, medOut, iqrIn, iqrOut float64, test func() hypo.Result) Component {
-	pooled := (iqrIn + iqrOut) / 2
+	pooled := ((qi[2] - qi[0]) + (qo[2] - qo[0])) / 2
 	if pooled <= 0 {
 		return invalid(DiffQuantiles, col)
 	}
-	raw := (medIn - medOut) / pooled
+	raw := (qi[1] - qo[1]) / pooled
 	return Component{
 		Kind:    DiffQuantiles,
 		Columns: []string{col},
 		Raw:     raw,
 		Norm:    normalize(raw),
-		Inside:  medIn,
-		Outside: medOut,
-		Test:    test(),
+		Inside:  qi[1],
+		Outside: qo[1],
+		Test:    hypo.MannWhitneyURanked(r),
 	}
 }
 
 // Tails computes the DiffTails component: the log ratio of the tail-weight
 // statistic (P95-P5)/(P75-P25) between the two sides. Heavy-tailed
-// selections score high. The F variance test provides an (approximate)
-// significance bound; spread changes and tail changes travel together for
-// the distributions explorers meet.
-func Tails(col string, in, out []float64) Component {
-	if len(in) < 10 || len(out) < 10 {
-		return invalid(DiffTails, col)
-	}
-	si := stats.SortedCopy(in)
-	so := stats.SortedCopy(out)
-	tw := func(s []float64) float64 {
-		iqr := stats.Quantile(s, 0.75) - stats.Quantile(s, 0.25)
-		if iqr <= 0 {
-			return math.NaN()
-		}
-		return (stats.Quantile(s, 0.95) - stats.Quantile(s, 0.05)) / iqr
-	}
-	return tailsComponent(col, tw(si), tw(so), in, out)
-}
-
-// TailsRanked is Tails reading all four order statistics per group off a
-// precomputed Ranking's sort permutation, sorting nothing. r must rank the
-// same in/out pair; degenerate rankings fall back to the sorting path.
-func TailsRanked(col string, in, out []float64, r stats.Ranking) Component {
-	if r.Perm == nil || r.NA != len(in) || r.NB != len(out) {
-		return Tails(col, in, out)
-	}
-	if len(in) < 10 || len(out) < 10 {
+// selections score high. All four order statistics per group are read off
+// the column's Ranking r under the same contract as Quantiles. The F
+// variance test provides an (approximate) significance bound; spread
+// changes and tail changes travel together for the distributions explorers
+// meet.
+func Tails(col string, in, out []float64, r stats.Ranking) Component {
+	if len(in) < 10 || len(out) < 10 || !usableRanking(r, in, out) {
 		return invalid(DiffTails, col)
 	}
 	qs := [4]float64{0.05, 0.25, 0.75, 0.95}
@@ -166,12 +105,7 @@ func TailsRanked(col string, in, out []float64, r stats.Ranking) Component {
 		}
 		return (v[3] - v[0]) / iqr
 	}
-	return tailsComponent(col, tw(a), tw(b), in, out)
-}
-
-// tailsComponent assembles the DiffTails component from the two tail-weight
-// statistics, however they were obtained.
-func tailsComponent(col string, ti, to float64, in, out []float64) Component {
+	ti, to := tw(a), tw(b)
 	if math.IsNaN(ti) || math.IsNaN(to) || ti <= 0 || to <= 0 {
 		return invalid(DiffTails, col)
 	}
@@ -185,13 +119,6 @@ func tailsComponent(col string, ti, to float64, in, out []float64) Component {
 		Outside: to,
 		Test:    hypo.VarianceF(in, out),
 	}
-}
-
-// Entropy computes the DiffEntropy component for a categorical column: the
-// difference of normalized Shannon entropies (in [0,1] each). A selection
-// concentrated on few categories scores negative raw values.
-func Entropy(col string, in, out []int32, dict []string) Component {
-	return EntropyWith(nil, col, in, out, dict)
 }
 
 // normalizedEntropy returns H(p)/log(k') where k' is the number of

@@ -3,8 +3,10 @@ package effect
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 
+	"repro/internal/hypo"
 	"repro/internal/randx"
 	"repro/internal/stats"
 )
@@ -12,7 +14,7 @@ import (
 func TestQuantilesDetectsMedianShift(t *testing.T) {
 	in := normals(1, 500, 3, 1)
 	out := normals(2, 500, 0, 1)
-	c := Quantiles("x", in, out)
+	c := quantiles(in, out)
 	if !c.Valid() {
 		t.Fatal("component invalid")
 	}
@@ -30,7 +32,7 @@ func TestQuantilesDetectsMedianShift(t *testing.T) {
 		t.Error("3σ shift should be significant")
 	}
 	// Negative direction.
-	c = Quantiles("x", out, in)
+	c = quantiles(out, in)
 	if c.Raw >= 0 {
 		t.Errorf("reversed shift should be negative, got %v", c.Raw)
 	}
@@ -41,18 +43,18 @@ func TestQuantilesRobustToOutliers(t *testing.T) {
 	// it would wreck the mean component.
 	base := normals(3, 200, 0, 1)
 	spiked := append(append([]float64{}, base...), 1e9)
-	c := Quantiles("x", spiked, base)
+	c := quantiles(spiked, base)
 	if math.Abs(c.Raw) > 0.2 {
 		t.Errorf("outlier moved quantile component to %v", c.Raw)
 	}
 }
 
 func TestQuantilesDegenerate(t *testing.T) {
-	if Quantiles("x", []float64{1, 2, 3}, []float64{1, 2, 3, 4}).Valid() {
+	if quantiles([]float64{1, 2, 3}, []float64{1, 2, 3, 4}).Valid() {
 		t.Error("n<4 should be invalid")
 	}
 	flat := []float64{5, 5, 5, 5, 5}
-	if Quantiles("x", flat, flat).Valid() {
+	if quantiles(flat, flat).Valid() {
 		t.Error("zero pooled IQR should be invalid")
 	}
 }
@@ -68,14 +70,14 @@ func TestTailsDetectsHeavyTails(t *testing.T) {
 		denom := math.Abs(r.NormFloat64())*0.8 + 0.2
 		heavy[i] = r.NormFloat64() / denom
 	}
-	c := Tails("x", heavy, light)
+	c := tails(heavy, light)
 	if !c.Valid() {
 		t.Fatal("component invalid")
 	}
 	if c.Raw <= 0.1 {
 		t.Errorf("heavy-tailed selection raw = %v, want > 0.1", c.Raw)
 	}
-	c2 := Tails("x", light, heavy)
+	c2 := tails(light, heavy)
 	if c2.Raw >= -0.1 {
 		t.Errorf("light-tailed selection raw = %v, want < -0.1", c2.Raw)
 	}
@@ -84,14 +86,14 @@ func TestTailsDetectsHeavyTails(t *testing.T) {
 func TestTailsDegenerate(t *testing.T) {
 	short := []float64{1, 2, 3, 4, 5}
 	long := normals(6, 50, 0, 1)
-	if Tails("x", short, long).Valid() {
+	if tails(short, long).Valid() {
 		t.Error("n<10 should be invalid")
 	}
 	flat := make([]float64, 50)
 	for i := range flat {
 		flat[i] = 7
 	}
-	if Tails("x", flat, long).Valid() {
+	if tails(flat, long).Valid() {
 		t.Error("zero IQR should be invalid")
 	}
 }
@@ -108,7 +110,7 @@ func TestEntropyConcentration(t *testing.T) {
 	for i := range out {
 		out[i] = int32(i % 4)
 	}
-	c := Entropy("cat", in, out, dict)
+	c := Entropy(nil, "cat", in, out, dict)
 	if !c.Valid() {
 		t.Fatal("component invalid")
 	}
@@ -128,10 +130,10 @@ func TestEntropyConcentration(t *testing.T) {
 
 func TestEntropyDegenerate(t *testing.T) {
 	dict := []string{"a", "b"}
-	if Entropy("c", []int32{0}, []int32{0, 1}, dict).Valid() {
+	if Entropy(nil, "c", []int32{0}, []int32{0, 1}, dict).Valid() {
 		t.Error("n<2 should be invalid")
 	}
-	if Entropy("c", []int32{0, 1}, []int32{0, 1}, []string{"only"}).Valid() {
+	if Entropy(nil, "c", []int32{0, 1}, []int32{0, 1}, []string{"only"}).Valid() {
 		t.Error("single-category dict should be invalid")
 	}
 }
@@ -209,18 +211,6 @@ func TestExtendedKindStrings(t *testing.T) {
 	}
 }
 
-func TestExtendedWeights(t *testing.T) {
-	w := ExtendedWeights()
-	if err := w.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []Kind{DiffQuantiles, DiffTails, DiffEntropy, DiffSeparation, DiffMeans} {
-		if w.Get(k) != 1 {
-			t.Errorf("weight for %v = %v, want 1", k, w.Get(k))
-		}
-	}
-}
-
 // componentBits serializes a component's numeric payload exactly, except
 // that -0 collapses to +0: when a group contains both signed zeros the two
 // sort orders may surface either representative as an order statistic, and
@@ -233,26 +223,129 @@ func componentBits(c Component) string {
 		bits(c.Test.Stat), bits(c.Test.DF), bits(c.Test.P))
 }
 
-// TestQuantilesRankedMatchesSortingPath asserts the permutation-backed
-// quantile component is bit-identical to the per-group sorting path,
-// including its Mann-Whitney bound.
-func TestQuantilesRankedMatchesSortingPath(t *testing.T) {
+// quantiles and tails rank the pair afresh, as the engine does once per
+// numeric column, and compute the component off that ranking.
+func quantiles(in, out []float64) Component {
+	return Quantiles("x", in, out, stats.NewRanking(in, out))
+}
+
+func tails(in, out []float64) Component {
+	return Tails("x", in, out, stats.NewRanking(in, out))
+}
+
+// sortedRef returns an ascending copy of xs: the naive order-statistics
+// path the ranked components replace, kept here as their reference.
+func sortedRef(xs []float64) []float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return s
+}
+
+// refQuantiles is the sorted-copy reference for Quantiles: each group
+// sorted on its own, quartiles read with stats.Quantile, and a Mann-Whitney
+// test that ranks the pair itself.
+func refQuantiles(in, out []float64) Component {
+	if len(in) < 4 || len(out) < 4 {
+		return invalid(DiffQuantiles, "x")
+	}
+	si, so := sortedRef(in), sortedRef(out)
+	medIn, medOut := stats.Quantile(si, 0.5), stats.Quantile(so, 0.5)
+	iqrIn := stats.Quantile(si, 0.75) - stats.Quantile(si, 0.25)
+	iqrOut := stats.Quantile(so, 0.75) - stats.Quantile(so, 0.25)
+	pooled := (iqrIn + iqrOut) / 2
+	if pooled <= 0 {
+		return invalid(DiffQuantiles, "x")
+	}
+	raw := (medIn - medOut) / pooled
+	return Component{Kind: DiffQuantiles, Columns: []string{"x"}, Raw: raw, Norm: normalize(raw),
+		Inside: medIn, Outside: medOut, Test: hypo.MannWhitneyU(in, out)}
+}
+
+// refTails is the sorted-copy reference for Tails.
+func refTails(in, out []float64) Component {
+	if len(in) < 10 || len(out) < 10 {
+		return invalid(DiffTails, "x")
+	}
+	tw := func(xs []float64) float64 {
+		s := sortedRef(xs)
+		iqr := stats.Quantile(s, 0.75) - stats.Quantile(s, 0.25)
+		if iqr <= 0 {
+			return math.NaN()
+		}
+		return (stats.Quantile(s, 0.95) - stats.Quantile(s, 0.05)) / iqr
+	}
+	ti, to := tw(in), tw(out)
+	if math.IsNaN(ti) || math.IsNaN(to) || ti <= 0 || to <= 0 {
+		return invalid(DiffTails, "x")
+	}
+	raw := math.Log(ti / to)
+	return Component{Kind: DiffTails, Columns: []string{"x"}, Raw: raw, Norm: normalize(raw),
+		Inside: ti, Outside: to, Test: hypo.VarianceF(in, out)}
+}
+
+// adversarialPairs builds the differential corpus: every pairing of the
+// group sizes 3, 4, 9 and 10 (one below and at each component's validity
+// threshold) plus two larger sizes, each filled by generators that stress
+// the order statistics — heavy ties within and across groups, ±Inf, −0
+// beside +0, and rounded normals.
+func adversarialPairs() [][2][]float64 {
 	r := randx.New(11)
-	for trial := 0; trial < 25; trial++ {
-		n, m := 4+r.Intn(40), 4+r.Intn(40)
-		in := make([]float64, n)
-		out := make([]float64, m)
-		for i := range in {
-			in[i] = math.Round(r.Normal(0.5, 1) * 4)
+	negZero := math.Copysign(0, -1)
+	gens := []func(i int) float64{
+		func(int) float64 { return float64(r.Intn(3)) },                  // heavy ties
+		func(int) float64 { return 7 },                                   // one value
+		func(int) float64 { return math.Round(r.Normal(0, 1) * 4) },      // rounded normals
+		func(int) float64 { return []float64{negZero, 0, 1}[r.Intn(3)] }, // signed zeros
+		func(i int) float64 { // ±Inf among ties
+			switch i % 5 {
+			case 0:
+				return math.Inf(1)
+			case 3:
+				return math.Inf(-1)
+			}
+			return float64(r.Intn(4))
+		},
+		func(i int) float64 { // one +Inf tail over ties
+			if i == 0 {
+				return math.Inf(1)
+			}
+			return float64(r.Intn(5))
+		},
+	}
+	sizes := []int{3, 4, 9, 10, 17, 40}
+	var pairs [][2][]float64
+	for gi, gIn := range gens {
+		gOut := gens[(gi+1)%len(gens)]
+		for _, n := range sizes {
+			for _, m := range sizes {
+				in, out := make([]float64, n), make([]float64, m)
+				for i := range in {
+					in[i] = gIn(i)
+				}
+				for i := range out {
+					out[i] = gOut(i)
+				}
+				pairs = append(pairs, [2][]float64{in, out})
+			}
 		}
-		for i := range out {
-			out[i] = math.Round(r.Normal(0, 1) * 4)
+	}
+	return pairs
+}
+
+// TestQuantilesRankedMatchesSortingPath asserts the Ranking-backed
+// quantile component is bit-identical to the sorted-copy reference,
+// including its Mann-Whitney bound, whether the ranking is freshly
+// allocated or built in a reused scratch as the engine builds it.
+func TestQuantilesRankedMatchesSortingPath(t *testing.T) {
+	var s Scratch
+	for i, p := range adversarialPairs() {
+		in, out := p[0], p[1]
+		want := componentBits(refQuantiles(in, out))
+		if got := componentBits(quantiles(in, out)); got != want {
+			t.Fatalf("pair %d (%v | %v): ranked %s, reference %s", i, in, out, got, want)
 		}
-		ranked := QuantilesRanked("c", in, out, stats.NewRanking(in, out))
-		plain := Quantiles("c", in, out)
-		if componentBits(ranked) != componentBits(plain) {
-			t.Fatalf("trial %d: ranked quantiles diverged from sorting path\nranked: %+v\nplain:  %+v",
-				trial, ranked, plain)
+		if got := componentBits(Quantiles("x", in, out, RankWith(&s, in, out))); got != want {
+			t.Fatalf("pair %d (%v | %v): scratch-ranked %s, reference %s", i, in, out, got, want)
 		}
 	}
 }
@@ -260,42 +353,34 @@ func TestQuantilesRankedMatchesSortingPath(t *testing.T) {
 // TestTailsRankedMatchesSortingPath is the same assertion for the
 // tail-weight component.
 func TestTailsRankedMatchesSortingPath(t *testing.T) {
-	r := randx.New(12)
-	for trial := 0; trial < 25; trial++ {
-		n, m := 10+r.Intn(60), 10+r.Intn(60)
-		in := make([]float64, n)
-		out := make([]float64, m)
-		for i := range in {
-			in[i] = math.Round(r.Normal(0, 2) * 8)
+	var s Scratch
+	for i, p := range adversarialPairs() {
+		in, out := p[0], p[1]
+		want := componentBits(refTails(in, out))
+		if got := componentBits(tails(in, out)); got != want {
+			t.Fatalf("pair %d (%v | %v): ranked %s, reference %s", i, in, out, got, want)
 		}
-		for i := range out {
-			out[i] = math.Round(r.Normal(0, 1) * 8)
-		}
-		ranked := TailsRanked("c", in, out, stats.NewRanking(in, out))
-		plain := Tails("c", in, out)
-		if componentBits(ranked) != componentBits(plain) {
-			t.Fatalf("trial %d: ranked tails diverged from sorting path\nranked: %+v\nplain:  %+v",
-				trial, ranked, plain)
+		if got := componentBits(Tails("x", in, out, RankWith(&s, in, out))); got != want {
+			t.Fatalf("pair %d (%v | %v): scratch-ranked %s, reference %s", i, in, out, got, want)
 		}
 	}
 }
 
-// TestRankedComponentsFallBackOnDegenerateRanking asserts mismatched or
-// NaN-bearing rankings degrade to the sorting path instead of misreading
-// the permutation.
-func TestRankedComponentsFallBackOnDegenerateRanking(t *testing.T) {
+// TestRankedComponentsInvalidOnDegenerateRanking asserts that a ranking
+// without a sort permutation (NaN-bearing input) or one built over other
+// data gives the invalid component instead of misreading the permutation.
+func TestRankedComponentsInvalidOnDegenerateRanking(t *testing.T) {
 	in := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	out := []float64{2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
-	nan := stats.NewRanking([]float64{math.NaN()}, []float64{1})
-	if c := TailsRanked("c", in, out, nan); componentBits(c) != componentBits(Tails("c", in, out)) {
-		t.Error("TailsRanked with NaN ranking did not fall back to the sorting path")
-	}
-	q := QuantilesRanked("c", in, out, nan)
-	if q.Valid() {
-		// The fallback keeps the degenerate ranking's Mann-Whitney bound,
-		// which is untestable — but the effect size itself must survive.
-		if q.Raw == 0 {
-			t.Error("fallback lost the quantile shift")
+	for name, r := range map[string]stats.Ranking{
+		"nan":      stats.NewRanking([]float64{math.NaN()}, []float64{1}),
+		"mismatch": stats.NewRanking(in[:5], out),
+	} {
+		if c := Quantiles("x", in, out, r); c.Valid() || c.Kind != DiffQuantiles {
+			t.Errorf("%s ranking: Quantiles = %+v, want invalid", name, c)
+		}
+		if c := Tails("x", in, out, r); c.Valid() || c.Kind != DiffTails {
+			t.Errorf("%s ranking: Tails = %+v, want invalid", name, c)
 		}
 	}
 }

@@ -18,8 +18,8 @@ func TestCliffDeltaDegenerate(t *testing.T) {
 		name string
 		comp func(in, out []float64) Component
 	}{
-		{"alloc", func(in, out []float64) Component { return CliffDelta("x", in, out) }},
-		{"scratch", func(in, out []float64) Component { return CliffDeltaWith(&s, "x", in, out) }},
+		{"alloc", func(in, out []float64) Component { return CliffDelta(nil, "x", in, out) }},
+		{"scratch", func(in, out []float64) Component { return CliffDelta(&s, "x", in, out) }},
 		{"ranked", func(in, out []float64) Component {
 			return CliffDeltaRanked("x", stats.NewRanking(in, out))
 		}},
@@ -66,16 +66,16 @@ func TestCliffDeltaRankOnce(t *testing.T) {
 	out := normals(22, 400, 0.5, 1)
 
 	before := stats.RankOps()
-	alloc := CliffDelta("x", in, out)
+	alloc := CliffDelta(nil, "x", in, out)
 	if got := stats.RankOps() - before; got != 1 {
-		t.Errorf("CliffDelta cost %d ranking passes, want 1", got)
+		t.Errorf("allocation-backed CliffDelta cost %d ranking passes, want 1", got)
 	}
 
 	var s Scratch
 	before = stats.RankOps()
-	scratched := CliffDeltaWith(&s, "x", in, out)
+	scratched := CliffDelta(&s, "x", in, out)
 	if got := stats.RankOps() - before; got != 1 {
-		t.Errorf("CliffDeltaWith cost %d ranking passes, want 1", got)
+		t.Errorf("scratch-backed CliffDelta cost %d ranking passes, want 1", got)
 	}
 
 	// Scratch-backed and allocation-backed components are bit-identical.
@@ -92,21 +92,23 @@ func TestCliffDeltaRankOnce(t *testing.T) {
 }
 
 // TestQuantilesRankedSharesRanking asserts the extended quantile-shift
-// component reuses the column's Ranking instead of re-ranking, and matches
-// the self-ranking entry point bit-for-bit.
+// and tail components reuse the column's Ranking instead of re-ranking, and
+// match the sorted-copy reference bit-for-bit.
 func TestQuantilesRankedSharesRanking(t *testing.T) {
 	in := normals(23, 120, 0, 1)
 	out := normals(24, 150, 0.8, 1.2)
 	r := stats.NewRanking(in, out)
 
 	before := stats.RankOps()
-	ranked := QuantilesRanked("x", in, out, r)
+	q := Quantiles("x", in, out, r)
+	tw := Tails("x", in, out, r)
 	if got := stats.RankOps() - before; got != 0 {
-		t.Errorf("QuantilesRanked cost %d ranking passes, want 0", got)
+		t.Errorf("Quantiles and Tails cost %d ranking passes, want 0", got)
 	}
-	plain := Quantiles("x", in, out)
-	if math.Float64bits(ranked.Raw) != math.Float64bits(plain.Raw) ||
-		math.Float64bits(ranked.Test.P) != math.Float64bits(plain.Test.P) {
-		t.Errorf("QuantilesRanked %+v differs from Quantiles %+v", ranked, plain)
+	if componentBits(q) != componentBits(refQuantiles(in, out)) {
+		t.Errorf("Quantiles %+v differs from the sorted-copy reference %+v", q, refQuantiles(in, out))
+	}
+	if componentBits(tw) != componentBits(refTails(in, out)) {
+		t.Errorf("Tails %+v differs from the sorted-copy reference %+v", tw, refTails(in, out))
 	}
 }

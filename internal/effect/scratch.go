@@ -69,10 +69,11 @@ func zeroedFloats(buf *[]float64, n int) []float64 {
 
 // RankWith builds the two-group Ranking for the in/out split of one column,
 // reusing s's concatenation, rank and index buffers; s may be nil. The
-// returned Ranking's Ranks slice aliases the scratch and is valid only
-// until the scratch's next ranking — the scalar fields (rank sum, tie
-// correction, medians) remain valid indefinitely, which is all the robust
-// consumers read.
+// returned Ranking's Ranks, Values and Perm slices alias the scratch and
+// are valid only until the scratch's next ranking, so the quantile and
+// tail components read them before the worker ranks its next column; the
+// scalar fields (rank sum, tie correction, medians) remain valid
+// indefinitely.
 func RankWith(s *Scratch, in, out []float64) stats.Ranking {
 	if s == nil {
 		return stats.NewRanking(in, out)
@@ -84,22 +85,22 @@ func RankWith(s *Scratch, in, out []float64) stats.Ranking {
 	return stats.RankingIntoWith(&s.rank, sizedFloats(&s.ranks, n+m), sizedInts(&s.idx, n+m), combined, n)
 }
 
-// CliffDeltaWith is CliffDelta reusing s's buffers; s may be nil. It ranks
-// the concatenation once and hands the Ranking to CliffDeltaRanked.
-func CliffDeltaWith(s *Scratch, col string, in, out []float64) Component {
+// CliffDelta computes the rank-based DiffLocationsRobust component:
+// delta = P(x > y) - P(x < y) for x drawn from the selection and y from the
+// complement, in [-1, 1]. One O((n+m)·log(n+m)) ranking pass over s's
+// buffers (s may be nil) produces the delta, both group medians, and the
+// Mann-Whitney significance bound via CliffDeltaRanked.
+func CliffDelta(s *Scratch, col string, in, out []float64) Component {
 	if len(in) < 2 || len(out) < 2 {
 		return invalid(DiffLocationsRobust, col)
 	}
 	return CliffDeltaRanked(col, RankWith(s, in, out))
 }
 
-// FrequenciesWith is Frequencies reusing s's count buffers; s may be nil.
-func FrequenciesWith(s *Scratch, col string, in, out []int32, dict []string) Component {
-	if len(in) < 2 || len(out) < 2 || len(dict) == 0 {
-		return invalid(DiffFrequencies, col)
-	}
-	k := len(dict)
-	var countsIn, countsOut []float64
+// categoryCounts tallies the in and out codes over a k-entry dictionary
+// into s's count buffers (fresh slices when s is nil), ignoring codes
+// outside [0, k).
+func categoryCounts(s *Scratch, in, out []int32, k int) (countsIn, countsOut []float64) {
 	if s != nil {
 		countsIn = zeroedFloats(&s.countsIn, k)
 		countsOut = zeroedFloats(&s.countsOut, k)
@@ -117,6 +118,20 @@ func FrequenciesWith(s *Scratch, col string, in, out []int32, dict []string) Com
 			countsOut[c]++
 		}
 	}
+	return countsIn, countsOut
+}
+
+// Frequencies computes the DiffFrequencies component for a categorical
+// column given dictionary codes of both sides and the dictionary itself,
+// counting into s's buffers (s may be nil). Raw and Norm are the total
+// variation distance between the two frequency vectors; Detail names the
+// category with the largest absolute shift.
+func Frequencies(s *Scratch, col string, in, out []int32, dict []string) Component {
+	if len(in) < 2 || len(out) < 2 || len(dict) == 0 {
+		return invalid(DiffFrequencies, col)
+	}
+	k := len(dict)
+	countsIn, countsOut := categoryCounts(s, in, out, k)
 	ni, no := float64(len(in)), float64(len(out))
 	tvd := 0.0
 	bestShift := -1.0
@@ -146,30 +161,16 @@ func FrequenciesWith(s *Scratch, col string, in, out []int32, dict []string) Com
 	}
 }
 
-// EntropyWith is Entropy reusing s's count buffers; s may be nil.
-func EntropyWith(s *Scratch, col string, in, out []int32, dict []string) Component {
+// Entropy computes the DiffEntropy component for a categorical column,
+// counting into s's buffers (s may be nil): the difference of normalized
+// Shannon entropies (in [0,1] each). A selection concentrated on few
+// categories scores negative raw values.
+func Entropy(s *Scratch, col string, in, out []int32, dict []string) Component {
 	if len(in) < 2 || len(out) < 2 || len(dict) < 2 {
 		return invalid(DiffEntropy, col)
 	}
 	k := len(dict)
-	var countsIn, countsOut []float64
-	if s != nil {
-		countsIn = zeroedFloats(&s.countsIn, k)
-		countsOut = zeroedFloats(&s.countsOut, k)
-	} else {
-		countsIn = make([]float64, k)
-		countsOut = make([]float64, k)
-	}
-	for _, c := range in {
-		if c >= 0 && int(c) < k {
-			countsIn[c]++
-		}
-	}
-	for _, c := range out {
-		if c >= 0 && int(c) < k {
-			countsOut[c]++
-		}
-	}
+	countsIn, countsOut := categoryCounts(s, in, out, k)
 	hi := normalizedEntropy(countsIn)
 	ho := normalizedEntropy(countsOut)
 	raw := hi - ho

@@ -87,24 +87,3 @@ func Score(components []Component, w Weights) float64 {
 	}
 	return sum
 }
-
-// MeanScore is Score divided by the total weight of valid components; an
-// ablation alternative that removes the size bias of the plain sum.
-func MeanScore(components []Component, w Weights) float64 {
-	if w == nil {
-		w = DefaultWeights()
-	}
-	sum, totW := 0.0, 0.0
-	for _, c := range components {
-		if !c.Valid() {
-			continue
-		}
-		wk := w.Get(c.Kind)
-		sum += wk * c.Norm
-		totW += wk
-	}
-	if totW == 0 {
-		return 0
-	}
-	return sum / totW
-}

@@ -49,24 +49,6 @@ func TestScoreGrowsWithComponents(t *testing.T) {
 	}
 }
 
-func TestMeanScore(t *testing.T) {
-	comps := []Component{
-		mkComp(DiffMeans, 0.8),
-		mkComp(DiffStdDevs, 0.2),
-	}
-	if got := MeanScore(comps, DefaultWeights()); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("MeanScore = %v, want 0.5", got)
-	}
-	if got := MeanScore(nil, nil); got != 0 {
-		t.Fatalf("MeanScore of nothing = %v, want 0", got)
-	}
-	// Unlisted kind has zero weight.
-	only := []Component{mkComp(DiffMeans, 0.8)}
-	if got := MeanScore(only, Weights{DiffStdDevs: 1}); got != 0 {
-		t.Fatalf("MeanScore with zero-weight kind = %v, want 0", got)
-	}
-}
-
 func TestWeightsValidate(t *testing.T) {
 	if err := DefaultWeights().Validate(); err != nil {
 		t.Fatalf("default weights invalid: %v", err)

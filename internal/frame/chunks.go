@@ -321,7 +321,6 @@ func (f *Frame) Append(rows *Frame) (*Frame, error) {
 	if rows.numRows == 0 {
 		return f, nil
 	}
-	chunkRows := f.ChunkRows()
 	cols := make([]*Column, len(f.cols))
 	for i, base := range f.cols {
 		add := rows.cols[i]
@@ -348,29 +347,18 @@ func (f *Frame) Append(rows *Frame) (*Frame, error) {
 			}
 			cols[i] = nc
 		}
-		cols[i].adoptSealPrefix(base, chunkRows)
 	}
 	nf, err := New(f.name, cols)
 	if err != nil {
 		return nil, err
 	}
 	nf.chunkRows = f.chunkRows
+	// f's cells are a prefix of nf's, so f's sealed full chunks carry over
+	// verbatim. A trailing partial chunk of f is dropped: its validity words
+	// are chunk-local and would change once the chunk fills, so its rows
+	// rescan.
+	if err := nf.AdoptChunkPrefix(f, f.FullChunks()); err != nil {
+		return nil, err
+	}
 	return nf, nil
-}
-
-// adoptSealPrefix seeds c's seal with base's sealed full chunks (sealing
-// base first if needed — its cells are a prefix of c's, so the chain and
-// validity metadata carry over verbatim). A trailing partial chunk of base
-// is dropped: its validity words are chunk-local and would change once the
-// chunk fills, so its rows rescan.
-func (c *Column) adoptSealPrefix(base *Column, chunkRows int) {
-	s := base.sealChunks(chunkRows)
-	full := len(s.chunks)
-	if full > 0 && s.chunks[full-1].end%s.chunkRows != 0 {
-		full--
-	}
-	if full == 0 {
-		return
-	}
-	c.seal.Store(&colSeal{chunkRows: s.chunkRows, chunks: s.chunks[:full:full]})
 }

@@ -145,26 +145,6 @@ func ChiSquareHomogeneity(countsA, countsB []float64) Result {
 	return Result{Stat: chi2, DF: df, P: stats.ChiSquaredSF(chi2, df)}
 }
 
-// TwoProportionZ tests H₀: p₁ = p₂ given successes and trials for two
-// samples, with the pooled standard error.
-func TwoProportionZ(succ1, n1, succ2, n2 float64) Result {
-	if n1 <= 0 || n2 <= 0 || succ1 < 0 || succ2 < 0 || succ1 > n1 || succ2 > n2 {
-		return Result{P: math.NaN()}
-	}
-	p1 := succ1 / n1
-	p2 := succ2 / n2
-	pooled := (succ1 + succ2) / (n1 + n2)
-	se := math.Sqrt(pooled * (1 - pooled) * (1/n1 + 1/n2))
-	if se == 0 {
-		if p1 == p2 {
-			return Result{Stat: 0, P: 1}
-		}
-		return Result{Stat: math.Inf(1), P: 0}
-	}
-	z := (p1 - p2) / se
-	return Result{Stat: z, P: 2 * stats.NormalSF(math.Abs(z))}
-}
-
 // MannWhitneyU tests H₀: the two samples come from the same distribution,
 // using the rank-sum statistic with normal approximation and tie
 // correction. It is the distribution-free alternative to WelchT and is used

@@ -185,28 +185,6 @@ func TestChiSquareDegenerate(t *testing.T) {
 	}
 }
 
-func TestTwoProportionZ(t *testing.T) {
-	res := TwoProportionZ(50, 100, 50, 100)
-	approx(t, "equal proportions p", res.P, 1, 1e-9)
-	res = TwoProportionZ(90, 100, 10, 100)
-	if res.P > 1e-10 {
-		t.Errorf("0.9 vs 0.1 p = %v, want tiny", res.P)
-	}
-	if TwoProportionZ(5, 0, 1, 10).Valid() {
-		t.Error("zero trials should be invalid")
-	}
-	if TwoProportionZ(11, 10, 1, 10).Valid() {
-		t.Error("successes > trials should be invalid")
-	}
-	res = TwoProportionZ(0, 10, 0, 20)
-	approx(t, "all-failure p", res.P, 1, 0)
-	// 10/10 vs 0/10 pools to p̂=0.5, so the z statistic is finite but large.
-	res = TwoProportionZ(10, 10, 0, 10)
-	if res.P > 1e-4 {
-		t.Errorf("10/10 vs 0/10 p = %v, want < 1e-4", res.P)
-	}
-}
-
 func TestMannWhitneyU(t *testing.T) {
 	a := normals(8, 200, 0, 1)
 	b := normals(9, 200, 2, 1)

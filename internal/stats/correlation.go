@@ -2,20 +2,6 @@ package stats
 
 import "math"
 
-// Covariance returns the unbiased sample covariance of two equal-length
-// series, or NaN for fewer than two pairs or mismatched lengths.
-func Covariance(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return math.NaN()
-	}
-	mx, my := Mean(xs), Mean(ys)
-	sum := 0.0
-	for i := range xs {
-		sum += (xs[i] - mx) * (ys[i] - my)
-	}
-	return sum / float64(len(xs)-1)
-}
-
 // Pearson returns the Pearson product-moment correlation coefficient of two
 // equal-length series. It returns NaN for fewer than two pairs, mismatched
 // lengths, or when either series is constant.
@@ -68,9 +54,6 @@ func FisherZ(r float64) float64 {
 	}
 	return math.Atanh(r)
 }
-
-// FisherZInv is the inverse Fisher transform (tanh).
-func FisherZInv(z float64) float64 { return math.Tanh(z) }
 
 // CorrelationMatrix returns the M×M Pearson correlation matrix (row-major)
 // of the given column series. Cells involving a constant column are NaN off

@@ -93,46 +93,15 @@ func Quantile(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// QuantileUnsorted sorts a copy of xs and returns the q-th quantile.
-func QuantileUnsorted(xs []float64, q float64) float64 {
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	return Quantile(s, q)
-}
-
-// Median returns the sample median.
+// Median returns the sample median, sorting a copy of xs.
 func Median(xs []float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
-	return QuantileUnsorted(xs, 0.5)
-}
-
-// Summary bundles the descriptive statistics Ziggy's preparation stage
-// computes for one side (inside or outside the selection) of one column.
-type Summary struct {
-	N        int
-	Mean     float64
-	Variance float64
-	Std      float64
-	Min      float64
-	Max      float64
-}
-
-// Describe computes a Summary in a single pass over xs.
-func Describe(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if len(xs) == 0 {
-		s.Mean, s.Variance, s.Std = math.NaN(), math.NaN(), math.NaN()
-		s.Min, s.Max = math.NaN(), math.NaN()
-		return s
-	}
-	s.Mean = Mean(xs)
-	s.Variance = Variance(xs)
-	s.Std = math.Sqrt(s.Variance)
-	s.Min, s.Max = MinMax(xs)
-	return s
+	s := make([]float64, len(xs))
+	copy(s, xs)
+	sort.Float64s(s)
+	return Quantile(s, 0.5)
 }
 
 // Moments accumulates streaming mean/variance via Welford's algorithm. It
@@ -171,68 +140,19 @@ func (m *Moments) Variance() float64 {
 	return m.m2 / float64(m.n-1)
 }
 
-// Std returns the running sample standard deviation.
-func (m *Moments) Std() float64 { return math.Sqrt(m.Variance()) }
-
-// Merge combines another accumulator into m (parallel Welford merge).
-func (m *Moments) Merge(o Moments) {
-	if o.n == 0 {
-		return
-	}
-	if m.n == 0 {
-		*m = o
-		return
-	}
-	nA, nB := float64(m.n), float64(o.n)
-	delta := o.mean - m.mean
-	total := nA + nB
-	m.mean += delta * nB / total
-	m.m2 += o.m2 + delta*delta*nA*nB/total
-	m.n += o.n
-}
-
 // Ranks returns the fractional ranks of xs (average ranks for ties),
 // 1-based, as used by Spearman correlation and the Mann-Whitney test.
 func Ranks(xs []float64) []float64 {
-	return RanksInto(make([]float64, len(xs)), xs)
+	return RanksIdxWith(nil, make([]float64, len(xs)), make([]int, len(xs)), xs)
 }
 
-// RanksInto is Ranks writing into caller-provided storage; dst must have
-// length len(xs) and is returned for convenience.
-func RanksInto(dst, xs []float64) []float64 {
-	return RanksIdx(dst, make([]int, len(xs)), xs)
-}
-
-// RanksIdx is RanksInto with caller-provided index scratch, for callers
-// that rank in a loop; idx must have length len(xs) and is overwritten.
-// The ranking pass itself lives in ranksCore (ranking.go), shared with the
-// two-group Ranking constructor so every rank computation in the system is
-// metered by RankOps.
-func RanksIdx(dst []float64, idx []int, xs []float64) []float64 {
-	ranksCore(dst, idx, xs)
-	return dst
-}
-
-// RanksIdxWith is RanksIdx with an explicit kernel scratch (see
-// RankingIntoWith), for callers ranking many columns in a loop — the
-// Spearman dependency matrix's rank-once phase reuses one scratch per
-// worker instead of allocating radix buffers per column.
+// RanksIdxWith writes the ranks of xs into dst using idx as index scratch
+// and s as kernel scratch (nil allocates); dst and idx must have length
+// len(xs), and dst is returned for convenience. Callers ranking many
+// columns in a loop — the Spearman dependency matrix's rank-once phase —
+// reuse one scratch per worker instead of allocating radix buffers per
+// column. The ranking pass is metered by RankOps like every other.
 func RanksIdxWith(s *RankScratch, dst []float64, idx []int, xs []float64) []float64 {
 	ranksCoreWith(s, dst, idx, xs)
 	return dst
-}
-
-// ZScores returns (x - mean)/std for each value; all zeros if std is zero
-// or not finite.
-func ZScores(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	m := Mean(xs)
-	s := StdDev(xs)
-	if s == 0 || math.IsNaN(s) || math.IsInf(s, 0) {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = (x - m) / s
-	}
-	return out
 }

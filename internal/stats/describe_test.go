@@ -72,22 +72,6 @@ func TestQuantilePanics(t *testing.T) {
 	}
 }
 
-func TestDescribe(t *testing.T) {
-	s := Describe([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 {
-		t.Fatalf("N = %d", s.N)
-	}
-	approx(t, "mean", s.Mean, 3, 1e-12)
-	approx(t, "var", s.Variance, 2.5, 1e-12)
-	approx(t, "min", s.Min, 1, 0)
-	approx(t, "max", s.Max, 5, 0)
-
-	e := Describe(nil)
-	if e.N != 0 || !math.IsNaN(e.Mean) || !math.IsNaN(e.Std) {
-		t.Error("Describe(nil) should be all-NaN with N=0")
-	}
-}
-
 func TestMomentsMatchesBatch(t *testing.T) {
 	r := randx.New(5)
 	xs := make([]float64, 500)
@@ -98,7 +82,6 @@ func TestMomentsMatchesBatch(t *testing.T) {
 	}
 	approx(t, "streaming mean", m.Mean(), Mean(xs), 1e-9)
 	approx(t, "streaming var", m.Variance(), Variance(xs), 1e-9)
-	approx(t, "streaming std", m.Std(), StdDev(xs), 1e-9)
 	if m.N() != 500 {
 		t.Fatalf("N = %d", m.N())
 	}
@@ -111,29 +94,6 @@ func TestMomentsEmpty(t *testing.T) {
 	}
 }
 
-func TestMomentsMerge(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	var a, b, whole Moments
-	for i, x := range xs {
-		if i < 4 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-		whole.Add(x)
-	}
-	a.Merge(b)
-	approx(t, "merged mean", a.Mean(), whole.Mean(), 1e-12)
-	approx(t, "merged var", a.Variance(), whole.Variance(), 1e-12)
-
-	var empty Moments
-	empty.Merge(whole)
-	approx(t, "merge into empty", empty.Mean(), whole.Mean(), 1e-12)
-	pre := whole.Mean()
-	whole.Merge(Moments{})
-	approx(t, "merge empty into", whole.Mean(), pre, 0)
-}
-
 func TestRanks(t *testing.T) {
 	got := Ranks([]float64{10, 20, 20, 30})
 	want := []float64{1, 2.5, 2.5, 4}
@@ -144,18 +104,6 @@ func TestRanks(t *testing.T) {
 	}
 	if len(Ranks(nil)) != 0 {
 		t.Error("Ranks(nil) should be empty")
-	}
-}
-
-func TestZScores(t *testing.T) {
-	z := ZScores([]float64{1, 2, 3})
-	approx(t, "z mean", Mean(z), 0, 1e-12)
-	approx(t, "z std", StdDev(z), 1, 1e-12)
-	flat := ZScores([]float64{5, 5, 5})
-	for _, v := range flat {
-		if v != 0 {
-			t.Fatal("ZScores of constant series should be zero")
-		}
 	}
 }
 

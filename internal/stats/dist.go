@@ -61,26 +61,6 @@ func NormalQuantile(p float64) float64 {
 	return x
 }
 
-// StudentTCDF returns P(T <= t) for Student's t distribution with df degrees
-// of freedom. It returns NaN for df <= 0.
-func StudentTCDF(t, df float64) float64 {
-	if df <= 0 || math.IsNaN(t) {
-		return math.NaN()
-	}
-	if math.IsInf(t, 1) {
-		return 1
-	}
-	if math.IsInf(t, -1) {
-		return 0
-	}
-	x := df / (df + t*t)
-	p := 0.5 * RegIncBeta(df/2, 0.5, x)
-	if t > 0 {
-		return 1 - p
-	}
-	return p
-}
-
 // StudentTTwoTail returns P(|T| >= |t|), the two-sided p-value.
 func StudentTTwoTail(t, df float64) float64 {
 	if df <= 0 || math.IsNaN(t) {
@@ -93,18 +73,6 @@ func StudentTTwoTail(t, df float64) float64 {
 	return RegIncBeta(df/2, 0.5, x)
 }
 
-// ChiSquaredCDF returns P(X <= x) for the chi-squared distribution with df
-// degrees of freedom.
-func ChiSquaredCDF(x, df float64) float64 {
-	if df <= 0 || math.IsNaN(x) {
-		return math.NaN()
-	}
-	if x <= 0 {
-		return 0
-	}
-	return RegIncGammaP(df/2, x/2)
-}
-
 // ChiSquaredSF returns the upper tail P(X > x).
 func ChiSquaredSF(x, df float64) float64 {
 	if df <= 0 || math.IsNaN(x) {
@@ -114,18 +82,6 @@ func ChiSquaredSF(x, df float64) float64 {
 		return 1
 	}
 	return RegIncGammaQ(df/2, x/2)
-}
-
-// FCDF returns P(X <= x) for Fisher's F distribution with (d1, d2) degrees
-// of freedom.
-func FCDF(x, d1, d2 float64) float64 {
-	if d1 <= 0 || d2 <= 0 || math.IsNaN(x) {
-		return math.NaN()
-	}
-	if x <= 0 {
-		return 0
-	}
-	return RegIncBeta(d1/2, d2/2, d1*x/(d1*x+d2))
 }
 
 // FSF returns the upper tail P(X > x) of the F distribution.

@@ -68,20 +68,19 @@ func TestRegIncGamma(t *testing.T) {
 }
 
 func TestStudentT(t *testing.T) {
-	approx(t, "T(0)", StudentTCDF(0, 10), 0.5, 1e-12)
-	// Known value: P(T <= 2.228) = 0.975 for df=10 (t-table).
-	approx(t, "T(2.228, 10)", StudentTCDF(2.2281388519649385, 10), 0.975, 1e-6)
+	approx(t, "two-tail T(0)", StudentTTwoTail(0, 10), 1, 1e-12)
+	// Known value: P(|T| >= 2.228) = 0.05 for df=10 (t-table).
+	approx(t, "two-tail T(2.228, 10)", StudentTTwoTail(2.2281388519649385, 10), 0.05, 1e-6)
 	// Two-tailed p for t=2, df=10 is 0.0734 (R: 2*pt(-2,10) = 0.07338803).
 	approx(t, "two-tail", StudentTTwoTail(2, 10), 0.07338803, 1e-6)
 	approx(t, "two-tail symmetric", StudentTTwoTail(-2, 10), StudentTTwoTail(2, 10), 1e-12)
 	// Large df converges to normal.
-	approx(t, "T→Φ", StudentTCDF(1.96, 1e6), NormalCDF(1.96), 1e-4)
-	if !math.IsNaN(StudentTCDF(1, 0)) {
+	approx(t, "T→Φ", StudentTTwoTail(1.96, 1e6), 2*NormalSF(1.96), 1e-4)
+	if !math.IsNaN(StudentTTwoTail(1, 0)) {
 		t.Error("df=0 should be NaN")
 	}
-	approx(t, "T(+Inf)", StudentTCDF(math.Inf(1), 5), 1, 0)
-	approx(t, "T(-Inf)", StudentTCDF(math.Inf(-1), 5), 0, 0)
 	approx(t, "two-tail Inf", StudentTTwoTail(math.Inf(1), 5), 0, 0)
+	approx(t, "two-tail -Inf", StudentTTwoTail(math.Inf(-1), 5), 0, 0)
 }
 
 func TestChiSquared(t *testing.T) {
@@ -89,10 +88,10 @@ func TestChiSquared(t *testing.T) {
 	approx(t, "χ² df1", ChiSquaredSF(3.841458820694124, 1), 0.05, 1e-8)
 	// P(X > 18.307) = 0.05 for df=10.
 	approx(t, "χ² df10", ChiSquaredSF(18.307038053275146, 10), 0.05, 1e-8)
-	approx(t, "CDF+SF", ChiSquaredCDF(7, 4)+ChiSquaredSF(7, 4), 1, 1e-10)
-	approx(t, "CDF(0)", ChiSquaredCDF(0, 3), 0, 0)
+	// df=2 is the exponential with mean 2: P(X > x) = exp(-x/2).
+	approx(t, "χ² df2", ChiSquaredSF(7, 2), math.Exp(-3.5), 1e-10)
 	approx(t, "SF(0)", ChiSquaredSF(-1, 3), 1, 0)
-	if !math.IsNaN(ChiSquaredCDF(1, -1)) {
+	if !math.IsNaN(ChiSquaredSF(1, -1)) {
 		t.Error("negative df should be NaN")
 	}
 }
@@ -100,15 +99,13 @@ func TestChiSquared(t *testing.T) {
 func TestFDist(t *testing.T) {
 	// For d1 == d2 the F distribution has median 1.
 	for _, d := range []float64{2, 5, 10, 30} {
-		approx(t, "F median", FCDF(1, d, d), 0.5, 1e-10)
+		approx(t, "F median", FSF(1, d, d), 0.5, 1e-10)
 	}
 	// Known critical value: P(F > 4.964) ≈ 0.05 for (1, 10) df? Actually
 	// qf(0.95, 1, 10) = 4.9646. Use SF.
 	approx(t, "F crit", FSF(4.964602743730711, 1, 10), 0.05, 1e-6)
-	approx(t, "F CDF+SF", FCDF(2.5, 3, 7)+FSF(2.5, 3, 7), 1, 1e-10)
-	approx(t, "F CDF(0)", FCDF(0, 3, 7), 0, 0)
 	approx(t, "F SF(0)", FSF(-1, 3, 7), 1, 0)
-	if !math.IsNaN(FCDF(1, 0, 5)) || !math.IsNaN(FSF(1, 5, 0)) {
+	if !math.IsNaN(FSF(1, 0, 5)) || !math.IsNaN(FSF(1, 5, 0)) {
 		t.Error("invalid df should be NaN")
 	}
 	// Relation to t: if T ~ t(df) then T² ~ F(1, df).

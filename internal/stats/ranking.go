@@ -2,14 +2,14 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"sync/atomic"
 )
 
 // rankOps counts ranking passes (one kernel sort of the column's index
 // permutation, whatever strategy the selector picked) executed since
-// process start. The robust hot path is specified to rank each column's
-// in+out concatenation exactly once per characterization; tests and
+// process start. The robust and extended paths are specified to rank each
+// usable numeric column's in+out concatenation exactly once per
+// characterization; tests and
 // benchmarks read this counter to assert that budget instead of guessing
 // from allocation counts. One atomic add per ranking pass is noise next to
 // the sort it meters.
@@ -20,42 +20,17 @@ var rankOps atomic.Int64
 // it never resets.
 func RankOps() int64 { return rankOps.Load() }
 
-// sortOps counts per-group copy sorts (SortedCopy calls). The robust
-// extended pipeline is specified to perform none — its quantile and
-// tail components read order statistics off the column's Ranking sort
-// permutation — so budget tests assert a zero delta around it, while the
-// non-robust extended path still pays two per numeric column.
-var sortOps atomic.Int64
-
-// SortOps returns the number of metered copy sorts performed so far; like
-// RankOps it never resets and is read as a delta.
-func SortOps() int64 { return sortOps.Load() }
-
-// SortedCopy returns an ascending copy of xs, metering the sort so budget
-// tests can hold the hot path to its sort budget.
-func SortedCopy(xs []float64) []float64 {
-	sortOps.Add(1)
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	return s
-}
-
-// ranksCore writes the fractional 1-based ranks of xs into dst using idx as
-// index scratch, and returns the tie-correction term Σ(t³−t) summed over
-// tie groups in ascending value order — the quantity the Mann-Whitney
+// ranksCoreWith writes the fractional 1-based ranks of xs into dst using
+// idx as index scratch, and returns the tie-correction term Σ(t³−t) summed
+// over tie groups in ascending value order — the quantity the Mann-Whitney
 // variance needs, computed for free while the tie groups are being walked
-// for rank averaging. dst and idx must have length len(xs).
-func ranksCore(dst []float64, idx []int, xs []float64) float64 {
-	return ranksCoreWith(nil, dst, idx, xs)
-}
-
-// ranksCoreWith is ranksCore with a kernel scratch: the sort strategy is
-// chosen per column (sortkernels.go) and its buffers come from s, so a
-// warmed scratch ranks without allocating. Tie groups are detected by value
-// equality after the sort, which makes the rank vector, tie correction and
-// rank sums identical for every kernel — including across the kernels'
-// differing (and unobservable) orderings within a tie group.
+// for rank averaging. dst and idx must have length len(xs). The sort
+// strategy is chosen per column (sortkernels.go) and its buffers come from
+// s (nil allocates), so a warmed scratch ranks without allocating. Tie
+// groups are detected by value equality after the sort, which makes the
+// rank vector, tie correction and rank sums identical for every kernel —
+// including across the kernels' differing (and unobservable) orderings
+// within a tie group.
 func ranksCoreWith(s *RankScratch, dst []float64, idx []int, xs []float64) float64 {
 	rankOps.Add(1)
 	n := len(xs)
@@ -84,16 +59,15 @@ func ranksCoreWith(s *RankScratch, dst []float64, idx []int, xs []float64) float
 }
 
 // Ranking is the rank-once product for a two-group sample: everything the
-// robust pipeline's downstream consumers need from the single ranking pass
-// over the concatenation of group A (the selection) and group B (its
-// complement). Computing it once per column and threading the value through
-// Cliff's delta, the Mann-Whitney test and the group medians replaces the
-// five sorts the pre-refactor robust path paid per column (Cliff's ranks,
-// Mann-Whitney's re-rank, its tie-correction sort, and one per group
-// median).
+// robust and extended components need from the single ranking pass over
+// the concatenation of group A (the selection) and group B (its
+// complement). It is the engine's only source of ranks, medians, quantiles
+// and tail weights: Cliff's delta, the Mann-Whitney test, the group medians
+// and the extended quantile and tail components all read the same value,
+// so no group copy is ever sorted.
 type Ranking struct {
 	// Ranks are the fractional 1-based ranks of the combined sample, group
-	// A's values first. When built via RankingInto the slice aliases the
+	// A's values first. When built via RankingIntoWith the slice aliases the
 	// caller's scratch and is only valid until the scratch is reused; the
 	// scalar fields below are always safe to retain.
 	Ranks []float64
@@ -128,20 +102,15 @@ func NewRanking(a, b []float64) Ranking {
 	combined := make([]float64, 0, n)
 	combined = append(combined, a...)
 	combined = append(combined, b...)
-	return RankingInto(make([]float64, n), make([]int, n), combined, len(a))
+	return RankingIntoWith(nil, make([]float64, n), make([]int, n), combined, len(a))
 }
 
-// RankingInto ranks combined — group A's na values followed by group B's —
-// writing ranks into dst and using idx as index scratch; both must have
-// length len(combined). Inputs containing NaN yield a Ranking with HasNaN
-// set and no ranking pass performed (NaNs break comparison sorting, so any
-// rank-derived statistic would be garbage).
-func RankingInto(dst []float64, idx []int, combined []float64, na int) Ranking {
-	return RankingIntoWith(nil, dst, idx, combined, na)
-}
-
-// RankingIntoWith is RankingInto with an explicit kernel scratch so the
-// radix/counting sort buffers are reused across columns; s may be nil.
+// RankingIntoWith ranks combined — group A's na values followed by group
+// B's — writing ranks into dst and using idx as index scratch; both must
+// have length len(combined). Inputs containing NaN yield a Ranking with
+// HasNaN set and no ranking pass performed (NaNs break comparison sorting,
+// so any rank-derived statistic would be garbage). The kernel scratch s
+// (nil allocates) keeps the radix/counting sort buffers across columns:
 // effect.Scratch threads its per-worker RankScratch through here, making a
 // warmed worker's ranking passes allocation-free.
 func RankingIntoWith(s *RankScratch, dst []float64, idx []int, combined []float64, na int) Ranking {
@@ -212,8 +181,8 @@ func (r Ranking) QuantilesB(qs, dst []float64) { r.groupQuantiles(r.NB, true, qs
 // groupQuantiles walks the sort permutation once, capturing the order
 // statistics every requested quantile needs and interpolating with the
 // same expression as Quantile. The extended components call it four times
-// per numeric column on the robust hot path, so the bookkeeping for the
-// common ≤8-quantile case lives on the stack.
+// per numeric column, so the bookkeeping for the common ≤8-quantile case
+// lives on the stack.
 func (r Ranking) groupQuantiles(n int, groupB bool, qs, dst []float64) {
 	if r.Perm == nil || n == 0 {
 		for i := range dst {

@@ -117,7 +117,7 @@ const (
 // small n; counting when every value is integral in a range narrow both
 // absolutely and relative to n; radix otherwise. Columns containing -0 are
 // excluded from counting (its buckets would conflate -0 with +0 while the
-// key-ordered kernels separate them). xs must be NaN-free — RankingInto
+// key-ordered kernels separate them). xs must be NaN-free — RankingIntoWith
 // screens NaN before any kernel runs.
 func chooseKernel(xs []float64) (k kernelKind, lo int64, span int) {
 	if len(xs) <= fallbackMaxN {
