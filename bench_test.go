@@ -349,12 +349,10 @@ func BenchmarkShardedThroughput(b *testing.B) {
 
 // BenchmarkRobustCharacterize measures the robust hot path (Cliff's delta
 // + Mann-Whitney per numeric column) through the full pipeline, warm and
-// cold, and reports the ranking-pass budget as rankops/op: exactly one
-// ranking per usable numeric column per characterization — the rank-once
-// pipeline — where the pre-refactor path paid five sorts per column (one
-// for Cliff's ranks, one inside Mann-Whitney, one for its tie correction,
-// and one per group median). TestRobustRankBudget pins the same invariant
-// as a hard assertion.
+// cold, and reports the ranking-pass budget as rankops/op: cold runs sort
+// each numeric column once while preparing the table, warm runs sort
+// nothing — each query walks the prepared column orders.
+// TestRobustRankBudget pins the same invariant as a hard assertion.
 func BenchmarkRobustCharacterize(b *testing.B) {
 	sc := mustCrime(b)
 	cfg := core.DefaultConfig()
@@ -386,9 +384,9 @@ func BenchmarkRobustCharacterize(b *testing.B) {
 // BenchmarkExtendedCharacterize measures a warm extended-mode
 // characterization of the crime scenario in both modes at parallelism 1,
 // with the report memo bypassed so the pipeline is paid every iteration.
-// Both arms rank each usable numeric column once — the quantile and tail
-// components read their order statistics off that ranking — and report the
-// budget as rankops/op. No serving workload enables extended mode, so this
+// Both arms walk the column orders the warm-up prepared — the quantile and
+// tail components read their order statistics off that walk — so they
+// report 0 rankops/op. No serving workload enables extended mode, so this
 // is the gate that covers its path.
 func BenchmarkExtendedCharacterize(b *testing.B) {
 	sc := mustCrime(b)
@@ -419,11 +417,12 @@ func BenchmarkExtendedCharacterize(b *testing.B) {
 }
 
 // BenchmarkRobustColumn isolates one robust column's statistics battery:
-// "rank-twice" replays the five sorts of the pre-refactor shape (Cliff's
+// "rank-twice" replays the five sorts of the pre-rank-once shape (Cliff's
 // ranking, two separate median sorts, Mann-Whitney's internal re-ranking,
 // and the tie-correction sort the old Mann-Whitney ran on the sorted
-// concatenation), "rank-once" is the shared-Ranking pipeline the engine
-// now runs. The gap is the per-column saving of the rank-once refactor.
+// concatenation), "rank-once" sorts the in+out concatenation once
+// (effect.CliffDelta), and "walk" is what the engine runs per query: one
+// walk of the column's order, sorted once per table outside the loop.
 func BenchmarkRobustColumn(b *testing.B) {
 	sc := mustCrime(b)
 	in, out, err := sc.Frame.SplitNumeric("population", sc.Mask)
@@ -444,14 +443,25 @@ func BenchmarkRobustColumn(b *testing.B) {
 	})
 	b.Run("rank-once", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = effect.CliffDelta(nil, "population", in, out)
+			_ = effect.CliffDelta("population", in, out)
+		}
+	})
+	b.Run("walk", func(b *testing.B) {
+		xs := sc.Frame.Col(sc.Frame.ColIndex("population")).Floats()
+		order := stats.Order(nil, nil, xs)
+		sel := sc.Mask.Words()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r := stats.OrderRanking(xs, order, sel, nil, len(in), len(out))
+			_ = effect.CliffDeltaRanked("population", r)
 		}
 	})
 }
 
-// BenchmarkRankingKernels measures one full ranking pass (kernel sort,
-// rank assignment, tie correction, group medians) per sort strategy on a
-// warmed scratch. The CI bench job runs it with -benchmem and gates the
+// BenchmarkRankingKernels measures one column's ranking per sort strategy
+// on a warmed scratch: the kernel sort of its order (stats.Order) and one
+// walk of that order for a half/half split (rank sum, tie correction,
+// group medians). The CI bench job runs it with -benchmem and gates the
 // radix and counting kernels to exactly 0 allocs/op via benchdiff
 // -zero-allocs; the fallback kernel is exempt (sort.Slice allocates its
 // closure by design, and at n≤64 it is off the hot path).
@@ -481,14 +491,19 @@ func BenchmarkRankingKernels(b *testing.B) {
 				b.Fatalf("fixture selects kernel %q, want %q", got, c.kernel)
 			}
 			var scratch stats.RankScratch
-			dst := make([]float64, len(c.xs))
-			idx := make([]int, len(c.xs))
+			dst := make([]int32, len(c.xs))
 			na := len(c.xs) / 2
-			stats.RankingIntoWith(&scratch, dst, idx, c.xs, na) // warm the scratch
+			sel := frame.NewBitmap(len(c.xs))
+			for i := 0; i < na; i++ {
+				sel.Set(i)
+			}
+			words := sel.Words()
+			stats.Order(&scratch, dst, c.xs) // warm the scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = stats.RankingIntoWith(&scratch, dst, idx, c.xs, na)
+				order := stats.Order(&scratch, dst, c.xs)
+				_ = stats.OrderRanking(c.xs, order, words, nil, na, len(c.xs)-na)
 			}
 		})
 	}

@@ -46,6 +46,11 @@ type Engine struct {
 type prepared struct {
 	dep    *depend.Matrix
 	dendro *cluster.Dendrogram
+	// orders holds each numeric column's sort order (stats.Order), built
+	// only when the engine ranks (Robust or Extended); nil otherwise and
+	// for categorical columns. The orders share one int32 slab, so a
+	// table's orders cost 4 bytes per non-NULL numeric cell.
+	orders [][]int32
 }
 
 // New validates cfg and builds an engine with a private report cache.
@@ -134,12 +139,6 @@ type colData struct {
 	// warning is the skip reason when the column is unusable; collected
 	// into Report.Warnings in column order after the parallel fan-out.
 	warning string
-
-	// Numeric split.
-	in, out []float64
-	// Categorical split.
-	inCodes, outCodes []int32
-	dict              []string
 
 	// One-dimensional Zig-Components of this column.
 	comps []effect.Component
@@ -318,7 +317,7 @@ func (e *Engine) characterize(f *frame.Frame, sel *frame.Bitmap, opts Options, n
 			SEInflation: inflation,
 		}
 	}
-	cols := e.splitColumns(f, sel, consider, rep)
+	cols := e.splitColumns(f, prep, sel, consider, rep)
 	for _, name := range opts.ExcludeColumns {
 		if idx := f.ColIndex(name); idx >= 0 {
 			cols[idx].usable = false
@@ -349,13 +348,19 @@ func (e *Engine) characterize(f *frame.Frame, sel *frame.Bitmap, opts Options, n
 	return rep, nil
 }
 
-// prepare returns the cached dependency matrix and dendrogram for f,
-// computing them on first use. Concurrent first queries on the same table
-// deduplicate: one computes, the rest wait and share the result. The error
-// is non-nil only when a deduplicated wait ended because the computing
-// leader panicked (memo.ErrComputePanicked).
+// ranked reports whether the engine's per-column components read a
+// stats.Ranking (robust or extended mode), and so whether its preparation
+// orders the numeric columns.
+func (e *Engine) ranked() bool { return e.cfg.Robust || e.cfg.Extended }
+
+// prepare returns the cached dependency matrix, dendrogram and (when the
+// engine ranks) column orders for f, computing them on first use.
+// Concurrent first queries on the same table deduplicate: one computes,
+// the rest wait and share the result. The error is non-nil only when a
+// deduplicated wait ended because the computing leader panicked
+// (memo.ErrComputePanicked).
 func (e *Engine) prepare(f *frame.Frame) (*prepared, bool, error) {
-	key := prepKey{frame: f.Fingerprint(), measure: e.cfg.Measure, linkage: e.cfg.Linkage}
+	key := prepKey{frame: f.Fingerprint(), measure: e.cfg.Measure, linkage: e.cfg.Linkage, ranked: e.ranked()}
 	p, outcome, err := e.prep.Do(key, preparedSize, func() (*prepared, error) {
 		dep := e.dependencies(f)
 		var dendro *cluster.Dendrogram
@@ -365,9 +370,38 @@ func (e *Engine) prepare(f *frame.Frame) (*prepared, bool, error) {
 				dendro = d
 			}
 		}
-		return &prepared{dep: dep, dendro: dendro}, nil
+		p := &prepared{dep: dep, dendro: dendro}
+		if e.ranked() {
+			p.orders = e.columnOrders(f)
+		}
+		return p, nil
 	})
 	return p, outcome != memo.Miss, err
+}
+
+// columnOrders sorts every numeric column of f once — the table's only
+// ranking passes — into one int32 slab, one column per task with a
+// per-worker kernel scratch. Each query's two-group Ranking is then a walk
+// of these orders (stats.OrderRanking) instead of a sort of the query's
+// in+out concatenation.
+func (e *Engine) columnOrders(f *frame.Frame) [][]int32 {
+	orders := make([][]int32, f.NumCols())
+	offs := make([]int, f.NumCols()+1)
+	for i, c := range f.Columns() {
+		offs[i+1] = offs[i]
+		if c.Kind() == frame.Numeric {
+			offs[i+1] += c.Len() - c.NullCount()
+		}
+	}
+	slab := make([]int32, offs[len(offs)-1])
+	workers := e.workers()
+	scratch := make([]stats.RankScratch, workers)
+	par.For(workers, f.NumCols(), func(w, i int) {
+		if c := f.Col(i); c.Kind() == frame.Numeric {
+			orders[i] = stats.Order(&scratch[w], slab[offs[i]:offs[i]:offs[i+1]], c.Floats())
+		}
+	})
+	return orders
 }
 
 // dependencies builds f's dependency matrix. Under AbsPearson the matrix is
@@ -445,54 +479,35 @@ func splitWords(n int, sel, consider *frame.Bitmap, emit func(base int, inW, out
 	}
 }
 
-// splitNumericCol extracts the non-NULL values of a numeric column split
-// by sel, restricted to the consider bitmap when non-nil.
-func splitNumericCol(c *frame.Column, sel, consider *frame.Bitmap) (in, out []float64) {
-	floats := c.Floats()
-	splitWords(len(floats), sel, consider, func(base int, inW, outW uint64) {
-		for ; inW != 0; inW &= inW - 1 {
-			if v := floats[base+bits.TrailingZeros64(inW)]; !math.IsNaN(v) {
-				in = append(in, v)
-			}
-		}
-		for ; outW != 0; outW &= outW - 1 {
-			if v := floats[base+bits.TrailingZeros64(outW)]; !math.IsNaN(v) {
-				out = append(out, v)
-			}
-		}
-	})
-	return in, out
-}
-
-// splitCatCol extracts the non-NULL dictionary codes of a categorical
-// column split by sel, restricted to consider when non-nil.
-func splitCatCol(c *frame.Column, sel, consider *frame.Bitmap) (in, out []int32) {
-	codes := c.Codes()
-	splitWords(len(codes), sel, consider, func(base int, inW, outW uint64) {
-		for ; inW != 0; inW &= inW - 1 {
-			if code := codes[base+bits.TrailingZeros64(inW)]; code >= 0 {
-				in = append(in, code)
-			}
-		}
-		for ; outW != 0; outW &= outW - 1 {
-			if code := codes[base+bits.TrailingZeros64(outW)]; code >= 0 {
-				out = append(out, code)
-			}
-		}
-	})
-	return in, out
+// rowSplit is one query's partition of a table's rows: the selection and
+// the optional sample restricting it, plus their words as the column-order
+// walks read them.
+type rowSplit struct {
+	sel, consider           *frame.Bitmap
+	selWords, considerWords []uint64
 }
 
 // splitColumns computes the Cᴵ/Cᴼ split and the 1D components per column,
 // fanning the columns out across the engine's workers. Each task writes
 // only cols[i], so the result is identical for every worker count; skip
 // warnings are collected in column order afterwards.
-func (e *Engine) splitColumns(f *frame.Frame, sel, consider *frame.Bitmap, rep *Report) []colData {
+func (e *Engine) splitColumns(f *frame.Frame, prep *prepared, sel, consider *frame.Bitmap, rep *Report) []colData {
+	rs := rowSplit{sel: sel, consider: consider}
+	if e.ranked() {
+		rs.selWords = sel.Words()
+		if consider != nil {
+			rs.considerWords = consider.Words()
+		}
+	}
 	cols := make([]colData, f.NumCols())
 	workers := e.workers()
 	scratches := newScratchPool(workers)
 	par.For(workers, f.NumCols(), func(w, i int) {
-		cols[i] = e.splitColumn(f.Col(i), i, sel, consider, &scratches.get(w).eff)
+		var order []int32
+		if prep.orders != nil {
+			order = prep.orders[i]
+		}
+		cols[i] = e.splitColumn(f.Col(i), i, rs, order, scratches.get(w))
 	})
 	for i := range cols {
 		if cols[i].warning != "" {
@@ -502,25 +517,26 @@ func (e *Engine) splitColumns(f *frame.Frame, sel, consider *frame.Bitmap, rep *
 	return cols
 }
 
-// splitColumn computes one column's Cᴵ/Cᴼ split and 1D components.
-func (e *Engine) splitColumn(c *frame.Column, idx int, sel, consider *frame.Bitmap, s *effect.Scratch) colData {
+// splitColumn computes one column's Cᴵ/Cᴼ split, into the worker's
+// scratch, and its 1D components. order is the column's prepared sort
+// order when the engine ranks.
+func (e *Engine) splitColumn(c *frame.Column, idx int, rs rowSplit, order []int32, s *scoreScratch) colData {
 	cd := colData{idx: idx, name: c.Name(), kind: c.Kind()}
 	switch c.Kind() {
 	case frame.Numeric:
-		in, out := splitNumericCol(c, sel, consider)
-		cd.in, cd.out = in, out
+		in, out := s.numericSplit(c, rs.sel, rs.consider)
 		if len(in) < e.cfg.MinRows || len(out) < e.cfg.MinRows {
 			cd.warning = fmt.Sprintf("column %q skipped: only %d/%d usable rows inside/outside", c.Name(), len(in), len(out))
 			break
 		}
 		cd.usable = true
-		// Rank-once: in robust or extended mode one scratch-backed ranking
-		// of the in+out concatenation serves Cliff's delta, its
+		// Sort once per table, walk per query: in robust or extended mode
+		// one walk of the column's prepared order serves Cliff's delta, its
 		// Mann-Whitney bound and both medians (robust), and the quantile
-		// and tail order statistics (extended). No group copy is sorted.
+		// and tail order statistics (extended). Nothing is sorted here.
 		var r stats.Ranking
-		if e.cfg.Robust || e.cfg.Extended {
-			r = effect.RankWith(s, in, out)
+		if e.ranked() {
+			r = stats.OrderRanking(c.Floats(), order, rs.selWords, rs.considerWords, len(in), len(out))
 		}
 		if e.cfg.Robust {
 			cd.comps = append(cd.comps, effect.CliffDeltaRanked(c.Name(), r))
@@ -533,16 +549,15 @@ func (e *Engine) splitColumn(c *frame.Column, idx int, sel, consider *frame.Bitm
 			cd.comps = append(cd.comps, effect.Tails(c.Name(), in, out, r))
 		}
 	case frame.Categorical:
-		in, out := splitCatCol(c, sel, consider)
-		cd.inCodes, cd.outCodes, cd.dict = in, out, c.Dict()
+		in, out := s.categoricalSplit(c, rs.sel, rs.consider)
 		if len(in) < e.cfg.MinRows || len(out) < e.cfg.MinRows {
 			cd.warning = fmt.Sprintf("column %q skipped: only %d/%d usable rows inside/outside", c.Name(), len(in), len(out))
 			break
 		}
 		cd.usable = true
-		cd.comps = append(cd.comps, effect.Frequencies(s, c.Name(), in, out, cd.dict))
+		cd.comps = append(cd.comps, effect.Frequencies(&s.eff, c.Name(), in, out, c.Dict()))
 		if e.cfg.Extended {
-			cd.comps = append(cd.comps, effect.Entropy(s, c.Name(), in, out, cd.dict))
+			cd.comps = append(cd.comps, effect.Entropy(&s.eff, c.Name(), in, out, c.Dict()))
 		}
 	}
 	cd.score = effect.Score(cd.comps, e.cfg.Weights)

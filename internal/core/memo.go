@@ -14,8 +14,9 @@ import (
 // (internal/memo). Two tiers serve the hot path:
 //
 //   - the prepared-cache keys the query-independent preparation products
-//     (dependency matrix + dendrogram) by (frame fingerprint, measure,
-//     linkage), replacing the old unbounded pointer-keyed map;
+//     (dependency matrix + dendrogram, plus the numeric columns' sort
+//     orders on robust or extended engines) by (frame fingerprint, measure,
+//     linkage, ranked), replacing the old unbounded pointer-keyed map;
 //   - the report-cache memoizes entire characterization reports by (frame
 //     fingerprint, selection fingerprint, config hash, options hash), so a
 //     repeated identical query is a lookup and concurrent identical queries
@@ -30,11 +31,14 @@ import (
 
 // prepKey addresses one table's preparation products. The measure and
 // linkage are part of the key rather than assumed constant so a future
-// shared (cross-engine) cache cannot mix configurations.
+// shared (cross-engine) cache cannot mix configurations, and ranked
+// separates a preparation that ordered the numeric columns (robust or
+// extended engines) from one that did not.
 type prepKey struct {
 	frame   uint64
 	measure depend.Measure
 	linkage cluster.Linkage
+	ranked  bool
 }
 
 // prefixCommitments returns one commitment per full chunk of f: commitment
@@ -125,14 +129,18 @@ func hashOptions(o Options) uint64 {
 }
 
 // preparedSize estimates the resident bytes of one prepared entry: the n×n
-// dependency matrix dominates, plus the distance copy and dendrogram nodes
-// (O(n) each).
+// dependency matrix, the distance copy and dendrogram nodes (O(n) each),
+// and the column orders' slab at 4 bytes per non-NULL numeric cell.
 func preparedSize(p *prepared) int64 {
 	if p == nil || p.dep == nil {
 		return 128
 	}
 	n := int64(p.dep.Len())
-	return 128 + n*n*8 + n*96
+	size := 128 + n*n*8 + n*96
+	for _, o := range p.orders {
+		size += 4 * int64(len(o))
+	}
+	return size
 }
 
 // reportSize estimates the resident bytes of one cached report by walking

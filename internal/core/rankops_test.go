@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -10,115 +11,152 @@ import (
 	"repro/internal/stats"
 )
 
-// countNumeric returns how many numeric columns of f clear the MinRows
-// usability bar on both sides of sel — the columns the robust and
-// extended paths must rank exactly once each.
-func countNumeric(t *testing.T, f *frame.Frame, sel *frame.Bitmap, minRows int) int {
+// rankBudget runs the ranking-pass budget for cfg on the planted fixture
+// at every worker count and returns the report fingerprint, which must not
+// depend on the worker count. A ranking engine (Robust or Extended) makes
+// exactly one ranking pass per numeric column on a cold characterization,
+// all of them in preparation (the column orders), and none for a second,
+// fresh selection on the warm table: each query walks the orders instead of
+// sorting its in+out concatenations. A default-mode engine makes none at
+// all.
+func rankBudget(t *testing.T, cfg Config, seed uint64) {
 	t.Helper()
-	n := 0
-	for _, idx := range f.NumericColumns() {
-		in, out := splitNumericCol(f.Col(idx), sel, nil)
-		if len(in) >= minRows && len(out) >= minRows {
-			n++
+	pd := plantedFixture(t, seed)
+	f, sel := pd.Frame, pd.Selection
+	fresh := sel.Not()
+	want := int64(0)
+	if cfg.Robust || cfg.Extended {
+		want = int64(len(f.NumericColumns()))
+	}
+	if len(f.NumericColumns()) == 0 {
+		t.Fatal("fixture has no numeric columns")
+	}
+	passes := func(run func()) int64 {
+		before := stats.RankOps()
+		run()
+		return stats.RankOps() - before
+	}
+	characterize := func(e *Engine, s *frame.Bitmap) *Report {
+		rep, err := e.Characterize(f, s)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return rep
 	}
-	return n
-}
-
-// TestRobustRankBudget asserts the tentpole invariant end to end: a robust
-// characterization performs exactly one ranking pass per usable numeric
-// column — the single pass shared by Cliff's delta, its medians and the
-// Mann-Whitney bound — and the budget holds for every worker count while
-// the output stays byte-identical to the sequential run. Candidate views
-// reuse the per-column components, so the cost is per column, not per
-// column per view (strictly better than the acceptance bound).
-func TestRobustRankBudget(t *testing.T) {
-	pd := plantedFixture(t, 77)
-	cfg := DefaultConfig()
-	cfg.Robust = true
-
-	wantRanks := int64(countNumeric(t, pd.Frame, pd.Selection, cfg.MinRows))
-	if wantRanks == 0 {
-		t.Fatal("fixture has no usable numeric columns")
-	}
-
-	var wantFP string
+	var wantFP, wantFreshFP string
 	for _, workers := range []int{1, 2, 4, runtime.NumCPU()} {
 		cfg.Parallelism = workers
 		e, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := stats.RankOps()
-		rep, err := e.Characterize(pd.Frame, pd.Selection)
+		var rep *Report
+		if got := passes(func() { rep = characterize(e, sel) }); got != want {
+			t.Errorf("parallelism=%d: cold characterization made %d ranking passes, want %d (one per numeric column)",
+				workers, got, want)
+		}
+		var freshRep *Report
+		if got := passes(func() { freshRep = characterize(e, fresh) }); got != 0 {
+			t.Errorf("parallelism=%d: fresh selection on the warm table made %d ranking passes, want 0", workers, got)
+		}
+		// The cold passes all belong to preparation: preparing the table
+		// on a new engine makes them, and the query then makes none.
+		e2, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := stats.RankOps() - before
-		if got != wantRanks {
-			t.Errorf("parallelism=%d: %d ranking passes for %d usable numeric columns, want exactly one each",
-				workers, got, wantRanks)
+		if got := passes(func() {
+			if _, _, err := e2.prepare(f); err != nil {
+				t.Fatal(err)
+			}
+		}); got != want {
+			t.Errorf("parallelism=%d: preparation made %d ranking passes, want %d", workers, got, want)
 		}
-		fp := fingerprint(rep)
+		if got := passes(func() { characterize(e2, sel) }); got != 0 {
+			t.Errorf("parallelism=%d: characterization after preparation made %d ranking passes, want 0", workers, got)
+		}
+		fp, freshFP := fingerprint(rep), fingerprint(freshRep)
 		if workers == 1 {
-			wantFP = fp
-			if len(rep.Views) == 0 {
+			wantFP, wantFreshFP = fp, freshFP
+			if len(rep.Views) == 0 || len(freshRep.Views) == 0 {
 				t.Fatal("reference run found no views")
 			}
 			continue
 		}
-		if fp != wantFP {
-			t.Errorf("parallelism=%d: robust output differs from sequential", workers)
+		if fp != wantFP || freshFP != wantFreshFP {
+			t.Errorf("parallelism=%d: output differs from sequential", workers)
 		}
 	}
 }
 
-// TestRobustExtendedRankBudget asserts the budget in extended mode, for
-// both Robust values: the quantile-shift and tail components read their
-// order statistics off the column's Ranking, so each usable numeric column
-// costs exactly one ranking pass — the same pass Cliff's delta uses in
-// robust mode — for every worker count, with byte-identical output.
+// TestRobustRankBudget asserts the sort-once, walk-per-query budget in
+// default and robust mode: robust engines sort each numeric column once
+// per table, in preparation, and default-mode engines never rank.
+func TestRobustRankBudget(t *testing.T) {
+	for _, robust := range []bool{false, true} {
+		t.Run(fmt.Sprintf("robust=%v", robust), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Robust = robust
+			rankBudget(t, cfg, 77)
+		})
+	}
+}
+
+// TestRobustExtendedRankBudget asserts the same budget in extended mode,
+// for both Robust values: the quantile-shift and tail components walk the
+// same prepared orders, so extended mode ranks each numeric column once
+// per table whether or not it is robust.
 func TestRobustExtendedRankBudget(t *testing.T) {
-	pd := plantedFixture(t, 78)
 	for _, robust := range []bool{false, true} {
 		t.Run(fmt.Sprintf("robust=%v", robust), func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Robust = robust
 			cfg.Extended = true
-
-			wantRanks := int64(countNumeric(t, pd.Frame, pd.Selection, cfg.MinRows))
-			if wantRanks == 0 {
-				t.Fatal("fixture has no usable numeric columns")
-			}
-			var wantFP string
-			for _, workers := range []int{1, 2, 4, runtime.NumCPU()} {
-				cfg.Parallelism = workers
-				e, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				before := stats.RankOps()
-				rep, err := e.Characterize(pd.Frame, pd.Selection)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := stats.RankOps() - before; got != wantRanks {
-					t.Errorf("parallelism=%d: %d ranking passes for %d usable numeric columns, want exactly one each",
-						workers, got, wantRanks)
-				}
-				fp := fingerprint(rep)
-				if workers == 1 {
-					wantFP = fp
-					if len(rep.Views) == 0 {
-						t.Fatal("reference run found no views")
-					}
-					continue
-				}
-				if fp != wantFP {
-					t.Errorf("parallelism=%d: extended output differs from sequential", workers)
-				}
-			}
+			rankBudget(t, cfg, 78)
 		})
+	}
+}
+
+// TestPreparedSizeCountsOrders pins the prepared tier's accounting: a
+// ranking engine's prepared entry is larger than a default-mode entry of
+// the same table by exactly 4 bytes per non-NULL numeric cell — the column
+// orders' slab — so the cache budget sees what the orders cost.
+func TestPreparedSizeCountsOrders(t *testing.T) {
+	nan := math.NaN()
+	f, err := frame.New("t", []*frame.Column{
+		frame.NewNumericColumn("a", []float64{1, nan, 3, 4, nan, 6, 7, 8}),
+		frame.NewCategoricalColumn("c", []string{"x", "y", "x", "", "y", "x", "y", "x"}),
+		frame.NewNumericColumn("b", []float64{nan, 2, 2, 5, 1, nan, nan, 0}),
+		frame.NewNumericColumn("z", []float64{nan, nan, nan, nan, nan, nan, nan, nan}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonNull := 0
+	for _, i := range f.NumericColumns() {
+		nonNull += f.Col(i).Len() - f.Col(i).NullCount()
+	}
+	if nonNull != 11 {
+		t.Fatalf("fixture has %d non-NULL numeric cells, want 11", nonNull)
+	}
+	size := func(cfg Config) int64 {
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, _, err := e.prepare(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return preparedSize(p)
+	}
+	plain := size(DefaultConfig())
+	for _, mode := range []struct{ robust, extended bool }{{true, false}, {false, true}, {true, true}} {
+		cfg := DefaultConfig()
+		cfg.Robust, cfg.Extended = mode.robust, mode.extended
+		if got := size(cfg) - plain; got != int64(4*nonNull) {
+			t.Errorf("robust=%v extended=%v: prepared entry grows by %d bytes, want %d", mode.robust, mode.extended, got, 4*nonNull)
+		}
 	}
 }
 

@@ -314,7 +314,7 @@ func precomputeColumns(f *frame.Frame, m Measure, workers int) []colStats {
 	n := f.NumCols()
 	info := make([]colStats, n)
 	rankScratch := make([]stats.RankScratch, workers)
-	idxScratch := make([][]int, workers)
+	idxScratch := make([][]int32, workers)
 	par.For(workers, n, func(w, i int) {
 		c := f.Col(i)
 		if c.Kind() != frame.Numeric {
@@ -330,7 +330,7 @@ func precomputeColumns(f *frame.Frame, m Measure, workers int) []colStats {
 		if m == AbsSpearman && len(cs.floats) >= 3 {
 			nRows := len(cs.floats)
 			if cap(idxScratch[w]) < nRows {
-				idxScratch[w] = make([]int, nRows)
+				idxScratch[w] = make([]int32, nRows)
 			}
 			cs.ranks = stats.RanksIdxWith(&rankScratch[w], make([]float64, nRows), idxScratch[w][:nRows], cs.floats)
 			cs.rankMean, cs.rankSxx = centeringMoments(cs.ranks)

@@ -211,21 +211,21 @@ func TestCliffDelta(t *testing.T) {
 	// Complete separation: delta = +1.
 	in := []float64{10, 11, 12}
 	out := []float64{1, 2, 3}
-	c := CliffDelta(nil, "x", in, out)
+	c := CliffDelta("x", in, out)
 	if math.Abs(c.Raw-1) > 1e-9 {
 		t.Errorf("separated delta = %v, want 1", c.Raw)
 	}
 	// Reversed: delta = -1.
-	c = CliffDelta(nil, "x", out, in)
+	c = CliffDelta("x", out, in)
 	if math.Abs(c.Raw+1) > 1e-9 {
 		t.Errorf("reversed delta = %v, want -1", c.Raw)
 	}
 	// Identical: delta = 0.
-	c = CliffDelta(nil, "x", []float64{1, 2, 3}, []float64{1, 2, 3})
+	c = CliffDelta("x", []float64{1, 2, 3}, []float64{1, 2, 3})
 	if math.Abs(c.Raw) > 1e-9 {
 		t.Errorf("identical delta = %v, want 0", c.Raw)
 	}
-	if CliffDelta(nil, "x", []float64{1}, []float64{1, 2}).Valid() {
+	if CliffDelta("x", []float64{1}, []float64{1, 2}).Valid() {
 		t.Error("n<2 should be invalid")
 	}
 }
@@ -255,7 +255,7 @@ func TestCliffDeltaMatchesBruteForce(t *testing.T) {
 			}
 		}
 		want /= float64(n * m)
-		got := CliffDelta(nil, "x", in, out).Raw
+		got := CliffDelta("x", in, out).Raw
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("trial %d: delta = %v, brute force %v", trial, got, want)
 		}

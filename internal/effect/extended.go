@@ -46,11 +46,11 @@ func extendedName(k Kind) (string, bool) {
 	}
 }
 
-// usableRanking reports whether r ranks exactly the in/out pair with a
-// retained sort permutation — the precondition for reading order
-// statistics off it.
+// usableRanking reports whether r is a NaN-free ranking of groups the size
+// of the in/out pair — the precondition for reading order statistics off
+// it.
 func usableRanking(r stats.Ranking, in, out []float64) bool {
-	return r.Perm != nil && r.NA == len(in) && r.NB == len(out)
+	return !r.HasNaN && r.NA == len(in) && r.NB == len(out)
 }
 
 // Quantiles computes the DiffQuantiles component: the median shift scaled

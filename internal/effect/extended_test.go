@@ -332,20 +332,50 @@ func adversarialPairs() [][2][]float64 {
 	return pairs
 }
 
+// columnRanking ranks the in/out pair the way the engine does: in and
+// out are interleaved into one column with a NULL row between every two
+// values, the column is ordered once, and the walk over that order splits
+// it by a selection bitmap.
+func columnRanking(in, out []float64) stats.Ranking {
+	var xs []float64
+	var sel []uint64
+	push := func(v float64, inside bool) {
+		if inside {
+			for len(sel) <= len(xs)>>6 {
+				sel = append(sel, 0)
+			}
+			sel[len(xs)>>6] |= 1 << (uint(len(xs)) & 63)
+		}
+		xs = append(xs, v, math.NaN())
+	}
+	for i := 0; i < len(in) || i < len(out); i++ {
+		if i < len(in) {
+			push(in[i], true)
+		}
+		if i < len(out) {
+			push(out[i], false)
+		}
+	}
+	for len(sel) < (len(xs)+63)/64 {
+		sel = append(sel, 0)
+	}
+	order := stats.Order(nil, make([]int32, 0, len(xs)), xs)
+	return stats.OrderRanking(xs, order, sel, nil, len(in), len(out))
+}
+
 // TestQuantilesRankedMatchesSortingPath asserts the Ranking-backed
 // quantile component is bit-identical to the sorted-copy reference,
-// including its Mann-Whitney bound, whether the ranking is freshly
-// allocated or built in a reused scratch as the engine builds it.
+// including its Mann-Whitney bound, whether the ranking comes from
+// NewRanking or from a walk of a column order as the engine builds it.
 func TestQuantilesRankedMatchesSortingPath(t *testing.T) {
-	var s Scratch
 	for i, p := range adversarialPairs() {
 		in, out := p[0], p[1]
 		want := componentBits(refQuantiles(in, out))
 		if got := componentBits(quantiles(in, out)); got != want {
 			t.Fatalf("pair %d (%v | %v): ranked %s, reference %s", i, in, out, got, want)
 		}
-		if got := componentBits(Quantiles("x", in, out, RankWith(&s, in, out))); got != want {
-			t.Fatalf("pair %d (%v | %v): scratch-ranked %s, reference %s", i, in, out, got, want)
+		if got := componentBits(Quantiles("x", in, out, columnRanking(in, out))); got != want {
+			t.Fatalf("pair %d (%v | %v): column-ranked %s, reference %s", i, in, out, got, want)
 		}
 	}
 }
@@ -353,22 +383,21 @@ func TestQuantilesRankedMatchesSortingPath(t *testing.T) {
 // TestTailsRankedMatchesSortingPath is the same assertion for the
 // tail-weight component.
 func TestTailsRankedMatchesSortingPath(t *testing.T) {
-	var s Scratch
 	for i, p := range adversarialPairs() {
 		in, out := p[0], p[1]
 		want := componentBits(refTails(in, out))
 		if got := componentBits(tails(in, out)); got != want {
 			t.Fatalf("pair %d (%v | %v): ranked %s, reference %s", i, in, out, got, want)
 		}
-		if got := componentBits(Tails("x", in, out, RankWith(&s, in, out))); got != want {
-			t.Fatalf("pair %d (%v | %v): scratch-ranked %s, reference %s", i, in, out, got, want)
+		if got := componentBits(Tails("x", in, out, columnRanking(in, out))); got != want {
+			t.Fatalf("pair %d (%v | %v): column-ranked %s, reference %s", i, in, out, got, want)
 		}
 	}
 }
 
 // TestRankedComponentsInvalidOnDegenerateRanking asserts that a ranking
-// without a sort permutation (NaN-bearing input) or one built over other
-// data gives the invalid component instead of misreading the permutation.
+// without an order (NaN-bearing input) or one built over other data gives
+// the invalid component instead of misreading the order.
 func TestRankedComponentsInvalidOnDegenerateRanking(t *testing.T) {
 	in := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	out := []float64{2, 3, 4, 5, 6, 7, 8, 9, 10, 11}

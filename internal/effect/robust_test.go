@@ -8,18 +8,16 @@ import (
 )
 
 // TestCliffDeltaDegenerate pins the untestable-input contract of the robust
-// component across all three entry points (allocation-backed, scratch-
-// backed, precomputed-rank): all-ties columns keep a defined delta but an
+// component across both entry points (from the raw groups, from a
+// precomputed ranking): all-ties columns keep a defined delta but an
 // untestable P = NaN, while single-element groups and NaN-bearing columns
 // yield the invalid component — never a panic.
 func TestCliffDeltaDegenerate(t *testing.T) {
-	var s Scratch
 	entries := []struct {
 		name string
 		comp func(in, out []float64) Component
 	}{
-		{"alloc", func(in, out []float64) Component { return CliffDelta(nil, "x", in, out) }},
-		{"scratch", func(in, out []float64) Component { return CliffDelta(&s, "x", in, out) }},
+		{"alloc", func(in, out []float64) Component { return CliffDelta("x", in, out) }},
 		{"ranked", func(in, out []float64) Component {
 			return CliffDeltaRanked("x", stats.NewRanking(in, out))
 		}},
@@ -58,36 +56,21 @@ func TestCliffDeltaDegenerate(t *testing.T) {
 	}
 }
 
-// TestCliffDeltaRankOnce asserts the tentpole budget at the component
-// level: one robust component — delta, medians, Mann-Whitney bound — costs
-// exactly one ranking pass, with and without scratch.
+// TestCliffDeltaRankOnce asserts the budget at the component level: one
+// robust component — delta, medians, Mann-Whitney bound — costs exactly
+// one ranking pass, and matches the walk of a column order bit for bit.
 func TestCliffDeltaRankOnce(t *testing.T) {
 	in := normals(21, 300, 0, 1)
 	out := normals(22, 400, 0.5, 1)
 
 	before := stats.RankOps()
-	alloc := CliffDelta(nil, "x", in, out)
+	alloc := CliffDelta("x", in, out)
 	if got := stats.RankOps() - before; got != 1 {
-		t.Errorf("allocation-backed CliffDelta cost %d ranking passes, want 1", got)
+		t.Errorf("CliffDelta cost %d ranking passes, want 1", got)
 	}
-
-	var s Scratch
-	before = stats.RankOps()
-	scratched := CliffDelta(&s, "x", in, out)
-	if got := stats.RankOps() - before; got != 1 {
-		t.Errorf("scratch-backed CliffDelta cost %d ranking passes, want 1", got)
-	}
-
-	// Scratch-backed and allocation-backed components are bit-identical.
-	for name, pair := range map[string][2]float64{
-		"raw":    {alloc.Raw, scratched.Raw},
-		"inside": {alloc.Inside, scratched.Inside},
-		"stat":   {alloc.Test.Stat, scratched.Test.Stat},
-		"p":      {alloc.Test.P, scratched.Test.P},
-	} {
-		if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
-			t.Errorf("%s differs between entry points: %v vs %v", name, pair[0], pair[1])
-		}
+	walked := CliffDeltaRanked("x", columnRanking(in, out))
+	if componentBits(alloc) != componentBits(walked) {
+		t.Errorf("CliffDelta %+v differs from the column walk %+v", alloc, walked)
 	}
 }
 

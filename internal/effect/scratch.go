@@ -7,51 +7,17 @@ import (
 	"repro/internal/stats"
 )
 
-// Scratch holds reusable buffers for repeated component computations. The
-// engine keeps one per worker goroutine so the dominant per-column and
-// per-candidate buffers (rank vectors, category counts) are reused across
-// tasks and never shared across workers. The backing hypothesis tests
-// still allocate internally — see ROADMAP — so the steady state is
-// low-allocation, not zero-allocation. A nil *Scratch is valid everywhere
-// and falls back to fresh allocations, and a scratch-backed computation
-// returns exactly the same bytes as an allocation-backed one: the buffers
-// only ever carry values written by the current call.
+// Scratch holds the category-count buffers the categorical components
+// reuse. The engine keeps one per worker goroutine so they are reused
+// across columns and never shared across workers. The numeric components
+// need no scratch: their order statistics come from the column's
+// stats.Ranking, a walk of an order sorted once per table. A nil *Scratch
+// is valid everywhere and falls back to fresh allocations, and a
+// scratch-backed computation returns exactly the same bytes as an
+// allocation-backed one: the buffers only ever carry values written by the
+// current call.
 type Scratch struct {
-	combined, ranks     []float64
-	idx                 []int
 	countsIn, countsOut []float64
-	// rank holds the sort-kernel buffers (radix keys, permutation
-	// ping-pong, counting buckets) so the per-column ranking pass is
-	// allocation-free once the scratch has warmed to the table's width.
-	rank stats.RankScratch
-}
-
-// grownFloats returns a zero-length slice with capacity ≥ n backed by
-// *buf, growing the backing array when needed.
-func grownFloats(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, 0, n)
-	}
-	return (*buf)[:0]
-}
-
-// sizedFloats returns a length-n slice backed by *buf without zeroing; for
-// outputs whose every element is overwritten.
-func sizedFloats(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-		return *buf
-	}
-	return (*buf)[:n]
-}
-
-// sizedInts is sizedFloats for index scratch.
-func sizedInts(buf *[]int, n int) []int {
-	if cap(*buf) < n {
-		*buf = make([]int, n)
-		return *buf
-	}
-	return (*buf)[:n]
 }
 
 // zeroedFloats returns a length-n zeroed slice backed by *buf.
@@ -67,34 +33,17 @@ func zeroedFloats(buf *[]float64, n int) []float64 {
 	return s
 }
 
-// RankWith builds the two-group Ranking for the in/out split of one column,
-// reusing s's concatenation, rank and index buffers; s may be nil. The
-// returned Ranking's Ranks, Values and Perm slices alias the scratch and
-// are valid only until the scratch's next ranking, so the quantile and
-// tail components read them before the worker ranks its next column; the
-// scalar fields (rank sum, tie correction, medians) remain valid
-// indefinitely.
-func RankWith(s *Scratch, in, out []float64) stats.Ranking {
-	if s == nil {
-		return stats.NewRanking(in, out)
-	}
-	n, m := len(in), len(out)
-	combined := grownFloats(&s.combined, n+m)
-	combined = append(combined, in...)
-	combined = append(combined, out...)
-	return stats.RankingIntoWith(&s.rank, sizedFloats(&s.ranks, n+m), sizedInts(&s.idx, n+m), combined, n)
-}
-
 // CliffDelta computes the rank-based DiffLocationsRobust component:
 // delta = P(x > y) - P(x < y) for x drawn from the selection and y from the
-// complement, in [-1, 1]. One O((n+m)·log(n+m)) ranking pass over s's
-// buffers (s may be nil) produces the delta, both group medians, and the
-// Mann-Whitney significance bound via CliffDeltaRanked.
-func CliffDelta(s *Scratch, col string, in, out []float64) Component {
+// complement, in [-1, 1]. One ranking of the concatenation (NewRanking)
+// produces the delta, both group medians, and the Mann-Whitney
+// significance bound via CliffDeltaRanked. The engine never calls it: it
+// walks the column order it prepared once per table instead.
+func CliffDelta(col string, in, out []float64) Component {
 	if len(in) < 2 || len(out) < 2 {
 		return invalid(DiffLocationsRobust, col)
 	}
-	return CliffDeltaRanked(col, RankWith(s, in, out))
+	return CliffDeltaRanked(col, stats.NewRanking(in, out))
 }
 
 // categoryCounts tallies the in and out codes over a k-entry dictionary

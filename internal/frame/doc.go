@@ -21,7 +21,8 @@
 //
 //   - Column accessors (Float, Code, Str) never copy; Floats and Codes
 //     expose the backing slices read-only. Callers that need NULL-free
-//     views strip NULLs while splitting (see core.splitNumericCol), so
+//     views strip NULLs while splitting (see core.scoreScratch.numericSplit;
+//     stats.Order skips NULL rows the same way), so
 //     packages stats, effect and hypo can assume NaN-free input on their
 //     hot paths — with the robust entry points additionally hardened to
 //     report NaN-bearing input as untestable rather than panicking.

@@ -143,7 +143,7 @@ func (m *Moments) Variance() float64 {
 // Ranks returns the fractional ranks of xs (average ranks for ties),
 // 1-based, as used by Spearman correlation and the Mann-Whitney test.
 func Ranks(xs []float64) []float64 {
-	return RanksIdxWith(nil, make([]float64, len(xs)), make([]int, len(xs)), xs)
+	return RanksIdxWith(nil, make([]float64, len(xs)), make([]int32, len(xs)), xs)
 }
 
 // RanksIdxWith writes the ranks of xs into dst using idx as index scratch
@@ -151,8 +151,27 @@ func Ranks(xs []float64) []float64 {
 // len(xs), and dst is returned for convenience. Callers ranking many
 // columns in a loop — the Spearman dependency matrix's rank-once phase —
 // reuse one scratch per worker instead of allocating radix buffers per
-// column. The ranking pass is metered by RankOps like every other.
-func RanksIdxWith(s *RankScratch, dst []float64, idx []int, xs []float64) []float64 {
-	ranksCoreWith(s, dst, idx, xs)
+// column, so a warmed scratch ranks without allocating. Tie groups are
+// found by value equality after the sort, which makes the ranks identical
+// for every kernel. The ranking pass is metered by RankOps like every
+// other.
+func RanksIdxWith(s *RankScratch, dst []float64, idx []int32, xs []float64) []float64 {
+	rankOps.Add(1)
+	n := len(xs)
+	identity(idx)
+	k, lo, span := chooseKernel(xs, idx)
+	sortPermKernel(s, idx, xs, k, lo, span)
+	for i := 0; i < n; {
+		j := i
+		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
+			j++
+		}
+		// Average rank for the tie group [i, j].
+		avg := float64(i+j)/2 + 1
+		for k := i; k <= j; k++ {
+			dst[idx[k]] = avg
+		}
+		i = j + 1
+	}
 	return dst
 }

@@ -10,7 +10,7 @@ import (
 
 // referenceRanks is the pre-kernel comparison implementation: a stable
 // sort.Slice on the values themselves followed by the same tie-walk as
-// ranksCoreWith. Every kernel must reproduce its ranks, rank sum and tie
+// RanksIdxWith. Every kernel must reproduce its ranks, rank sum and tie
 // correction bit-for-bit.
 func referenceRanks(xs []float64) (ranks []float64, tieSum float64) {
 	n := len(xs)
@@ -120,19 +120,17 @@ func TestKernelsDifferential(t *testing.T) {
 		n := len(c.xs)
 
 		kernels := []kernelKind{kernelFallback, kernelRadix}
-		selK, lo, span := chooseKernel(c.xs)
+		selK, lo, span := chooseKernel(c.xs, identity(make([]int32, n)))
 		if selK == kernelCounting {
 			kernels = append(kernels, kernelCounting)
 		}
 		for _, k := range kernels {
 			for _, s := range []*RankScratch{nil, {}, shared} {
 				dst := make([]float64, n)
-				idx := make([]int, n)
-				for i := range idx {
-					idx[i] = i
-				}
+				idx := identity(make([]int32, n))
 				sortPermKernel(s, idx, c.xs, k, lo, span)
-				// Re-walk ties exactly as ranksCoreWith does.
+				// Re-walk ties exactly as RanksIdxWith does, plus the
+				// tie correction.
 				tie := 0.0
 				for i := 0; i < n; {
 					j := i
@@ -168,65 +166,9 @@ func TestKernelsDifferential(t *testing.T) {
 	}
 }
 
-// TestRankingIntoWithMatchesNewRanking pins the scratch-backed entry point
-// to the allocating one over the corpus, across group splits and
-// repetitions through one warmed scratch: every field of the Ranking —
-// ranks, permutation-derived medians, quantiles, rank sum, tie correction —
-// must agree bit-for-bit.
-func TestRankingIntoWithMatchesNewRanking(t *testing.T) {
-	shared := &RankScratch{}
-	qs := []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 1}
-	for _, c := range kernelColumns() {
-		n := len(c.xs)
-		for _, na := range []int{1, n / 3, n / 2, n - 1} {
-			a, b := c.xs[:na], c.xs[na:]
-			want := NewRanking(a, b)
-
-			combined := append(append([]float64{}, a...), b...)
-			dst := make([]float64, n)
-			idx := make([]int, n)
-			got := RankingIntoWith(shared, dst, idx, combined, na)
-
-			if got.NA != want.NA || got.NB != want.NB || got.HasNaN != want.HasNaN {
-				t.Fatalf("%s na=%d: shape mismatch", c.name, na)
-			}
-			if math.Float64bits(got.RankSumA) != math.Float64bits(want.RankSumA) {
-				t.Errorf("%s na=%d: RankSumA = %v, want %v", c.name, na, got.RankSumA, want.RankSumA)
-			}
-			if math.Float64bits(got.TieSum) != math.Float64bits(want.TieSum) {
-				t.Errorf("%s na=%d: TieSum = %v, want %v", c.name, na, got.TieSum, want.TieSum)
-			}
-			if math.Float64bits(got.MedianA) != math.Float64bits(want.MedianA) ||
-				math.Float64bits(got.MedianB) != math.Float64bits(want.MedianB) {
-				t.Errorf("%s na=%d: medians (%v,%v), want (%v,%v)",
-					c.name, na, got.MedianA, got.MedianB, want.MedianA, want.MedianB)
-			}
-			for i := range got.Ranks {
-				if math.Float64bits(got.Ranks[i]) != math.Float64bits(want.Ranks[i]) {
-					t.Fatalf("%s na=%d: rank[%d] = %v, want %v", c.name, na, i, got.Ranks[i], want.Ranks[i])
-				}
-			}
-			gq, wq := make([]float64, len(qs)), make([]float64, len(qs))
-			got.QuantilesA(qs, gq)
-			want.QuantilesA(qs, wq)
-			for i := range qs {
-				if math.Float64bits(gq[i]) != math.Float64bits(wq[i]) {
-					t.Errorf("%s na=%d: quantileA[%v] = %v, want %v", c.name, na, qs[i], gq[i], wq[i])
-				}
-			}
-			got.QuantilesB(qs, gq)
-			want.QuantilesB(qs, wq)
-			for i := range qs {
-				if math.Float64bits(gq[i]) != math.Float64bits(wq[i]) {
-					t.Errorf("%s na=%d: quantileB[%v] = %v, want %v", c.name, na, qs[i], gq[i], wq[i])
-				}
-			}
-		}
-	}
-}
-
-// TestRankingKernelsZeroAlloc asserts a warmed scratch ranks without
-// allocating for the radix and counting kernels — the property the CI
+// TestRankingKernelsZeroAlloc asserts a warmed scratch orders and ranks
+// without allocating for the radix and counting kernels, and that the
+// per-query walk of an order never allocates — the properties the CI
 // zero-allocs benchmark gate enforces end to end.
 func TestRankingKernelsZeroAlloc(t *testing.T) {
 	r := randx.New(99)
@@ -245,13 +187,28 @@ func TestRankingKernelsZeroAlloc(t *testing.T) {
 		}
 		s := &RankScratch{}
 		dst := make([]float64, len(c.xs))
-		idx := make([]int, len(c.xs))
-		ranksCoreWith(s, dst, idx, c.xs) // warm the scratch
-		allocs := testing.AllocsPerRun(10, func() {
-			ranksCoreWith(s, dst, idx, c.xs)
-		})
-		if allocs != 0 {
-			t.Errorf("%s kernel: %v allocs/op with warmed scratch, want 0", c.name, allocs)
+		idx := make([]int32, len(c.xs))
+		RanksIdxWith(s, dst, idx, c.xs) // warm the scratch
+		if allocs := testing.AllocsPerRun(10, func() {
+			RanksIdxWith(s, dst, idx, c.xs)
+		}); allocs != 0 {
+			t.Errorf("%s kernel: ranks cost %v allocs/op with warmed scratch, want 0", c.name, allocs)
+		}
+		order := Order(s, idx, c.xs)
+		if allocs := testing.AllocsPerRun(10, func() {
+			order = Order(s, idx, c.xs)
+		}); allocs != 0 {
+			t.Errorf("%s kernel: Order cost %v allocs/op with warmed scratch, want 0", c.name, allocs)
+		}
+		sel := make([]uint64, (len(c.xs)+63)/64)
+		for i := range sel {
+			sel[i] = 0x5555555555555555
+		}
+		na := (len(c.xs) + 1) / 2
+		if allocs := testing.AllocsPerRun(10, func() {
+			OrderRanking(c.xs, order, sel, nil, na, len(c.xs)-na)
+		}); allocs != 0 {
+			t.Errorf("%s kernel: OrderRanking cost %v allocs/op, want 0", c.name, allocs)
 		}
 	}
 }

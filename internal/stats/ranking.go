@@ -5,14 +5,14 @@ import (
 	"sync/atomic"
 )
 
-// rankOps counts ranking passes (one kernel sort of the column's index
-// permutation, whatever strategy the selector picked) executed since
-// process start. The robust and extended paths are specified to rank each
-// usable numeric column's in+out concatenation exactly once per
-// characterization; tests and
-// benchmarks read this counter to assert that budget instead of guessing
-// from allocation counts. One atomic add per ranking pass is noise next to
-// the sort it meters.
+// rankOps counts ranking passes — kernel sorts of an index permutation by
+// value, whatever strategy the selector picked — executed since process
+// start. The robust and extended paths are specified to sort each numeric
+// column once per table (Order, during preparation) and never per query:
+// a query's two-group Ranking is a walk over that order, which costs no
+// pass. Tests and benchmarks read this counter to assert that budget
+// instead of guessing from allocation counts. One atomic add per ranking
+// pass is noise next to the sort it meters.
 var rankOps atomic.Int64
 
 // RankOps returns the number of ranking passes performed so far. Intended
@@ -20,171 +20,205 @@ var rankOps atomic.Int64
 // it never resets.
 func RankOps() int64 { return rankOps.Load() }
 
-// ranksCoreWith writes the fractional 1-based ranks of xs into dst using
-// idx as index scratch, and returns the tie-correction term Σ(t³−t) summed
-// over tie groups in ascending value order — the quantity the Mann-Whitney
-// variance needs, computed for free while the tie groups are being walked
-// for rank averaging. dst and idx must have length len(xs). The sort
-// strategy is chosen per column (sortkernels.go) and its buffers come from
-// s (nil allocates), so a warmed scratch ranks without allocating. Tie
-// groups are detected by value equality after the sort, which makes the
-// rank vector, tie correction and rank sums identical for every kernel —
-// including across the kernels' differing (and unobservable) orderings
-// within a tie group.
-func ranksCoreWith(s *RankScratch, dst []float64, idx []int, xs []float64) float64 {
+// Order writes the sort order of xs into dst and returns it: the rows of
+// xs's non-NaN values (NaN is the frame's NULL), ascending in floatKey
+// order. dst needs capacity for every non-NaN value (it grows otherwise);
+// s holds the kernel buffers (nil allocates). This is the one ranking pass
+// a numeric column costs: the engine orders each column once per table in
+// its preparation stage, and every query's two-group Ranking is then a
+// linear walk of the order (OrderRanking). Rows are int32, so a column
+// holds fewer than 2³¹ rows.
+func Order(s *RankScratch, dst []int32, xs []float64) []int32 {
 	rankOps.Add(1)
-	n := len(xs)
-	for i := range idx {
-		idx[i] = i
+	order := dst[:0]
+	for i, v := range xs {
+		if !math.IsNaN(v) {
+			order = append(order, int32(i))
+		}
 	}
-	k, lo, span := chooseKernel(xs)
-	sortPermKernel(s, idx, xs, k, lo, span)
-	tieSum := 0.0
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		// Average rank for the tie group [i, j].
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			dst[idx[k]] = avg
-		}
-		if tlen := float64(j - i + 1); tlen > 1 {
-			tieSum += tlen*tlen*tlen - tlen
-		}
-		i = j + 1
-	}
-	return tieSum
+	k, lo, span := chooseKernel(xs, order)
+	sortPermKernel(s, order, xs, k, lo, span)
+	return order
 }
 
-// Ranking is the rank-once product for a two-group sample: everything the
-// robust and extended components need from the single ranking pass over
-// the concatenation of group A (the selection) and group B (its
-// complement). It is the engine's only source of ranks, medians, quantiles
-// and tail weights: Cliff's delta, the Mann-Whitney test, the group medians
-// and the extended quantile and tail components all read the same value,
-// so no group copy is ever sorted.
+// Ranking is what the robust and extended components need from one column
+// split into group A (the selection) and group B (its complement): the
+// Wilcoxon rank sum, the tie correction and both medians, computed by one
+// walk of the column's sort order, plus what it takes to walk that order
+// again for group quantiles. It is the engine's only source of ranks,
+// medians, quantiles and tail weights: Cliff's delta, the Mann-Whitney
+// test, the group medians and the extended quantile and tail components
+// all read the same value, so no group copy is ever sorted.
 type Ranking struct {
-	// Ranks are the fractional 1-based ranks of the combined sample, group
-	// A's values first. When built via RankingIntoWith the slice aliases the
-	// caller's scratch and is only valid until the scratch is reused; the
-	// scalar fields below are always safe to retain.
-	Ranks []float64
-	// Values is the concatenated sample the ranking was built over (group
-	// A's values first) and Perm its ascending sort permutation: Values
-	// indexed through Perm is the combined sample in sorted order. The
-	// extended quantile and tail components read per-group order
-	// statistics off this pair instead of re-sorting group copies. Both
-	// slices alias caller storage under the same lifetime rules as Ranks;
-	// Perm is nil for NaN-bearing input.
-	Values []float64
-	Perm   []int
 	// NA and NB are the group sizes.
 	NA, NB int
-	// RankSumA is the sum of group A's ranks (the Wilcoxon rank-sum W),
-	// accumulated in group-A element order.
+	// RankSumA is the sum of group A's fractional 1-based ranks (the
+	// Wilcoxon rank-sum W). Ranks are half-integers, so the sum is exact
+	// in any summation order.
 	RankSumA float64
 	// TieSum is Σ(t³−t) over tie groups, the Mann-Whitney tie correction.
 	TieSum float64
 	// MedianA and MedianB are the per-group medians (type-7 interpolation,
-	// identical to Median), read off the combined sort order so the groups
-	// are never re-sorted.
+	// identical to Median), read off the walk so the groups are never
+	// sorted.
 	MedianA, MedianB float64
 	// HasNaN reports that the input contained a NaN, which makes ranks
 	// meaningless; consumers must treat the sample as untestable.
 	HasNaN bool
+
+	// The walk's inputs, kept for QuantilesA/QuantilesB: the values, their
+	// order, and the group words (see OrderRanking). A Ranking only reads
+	// them, so it stays valid as long as the caller leaves them unchanged.
+	// order is nil for NaN-bearing input.
+	xs            []float64
+	order         []int32
+	sel, consider []uint64
 }
 
-// NewRanking ranks the concatenation of a and b with fresh allocations.
+// NewRanking ranks the concatenation of a and b with fresh allocations:
+// it orders the concatenation (one ranking pass) and walks it with group
+// A being the positions below len(a) — the same walk OrderRanking runs on
+// a column. NaN-bearing input yields a Ranking with HasNaN set and no
+// ranking pass performed (NaNs break comparison sorting, so any
+// rank-derived statistic would be garbage).
 func NewRanking(a, b []float64) Ranking {
-	n := len(a) + len(b)
-	combined := make([]float64, 0, n)
-	combined = append(combined, a...)
-	combined = append(combined, b...)
-	return RankingIntoWith(nil, make([]float64, n), make([]int, n), combined, len(a))
-}
-
-// RankingIntoWith ranks combined — group A's na values followed by group
-// B's — writing ranks into dst and using idx as index scratch; both must
-// have length len(combined). Inputs containing NaN yield a Ranking with
-// HasNaN set and no ranking pass performed (NaNs break comparison sorting,
-// so any rank-derived statistic would be garbage). The kernel scratch s
-// (nil allocates) keeps the radix/counting sort buffers across columns:
-// effect.Scratch threads its per-worker RankScratch through here, making a
-// warmed worker's ranking passes allocation-free.
-func RankingIntoWith(s *RankScratch, dst []float64, idx []int, combined []float64, na int) Ranking {
-	r := Ranking{NA: na, NB: len(combined) - na, MedianA: math.NaN(), MedianB: math.NaN()}
-	for _, v := range combined {
+	na, nb := len(a), len(b)
+	r := Ranking{NA: na, NB: nb, MedianA: math.NaN(), MedianB: math.NaN()}
+	xs := make([]float64, 0, na+nb)
+	xs = append(xs, a...)
+	xs = append(xs, b...)
+	for _, v := range xs {
 		if math.IsNaN(v) {
 			r.HasNaN = true
 			return r
 		}
 	}
-	r.TieSum = ranksCoreWith(s, dst, idx, combined)
-	r.Ranks = dst
-	r.Values = combined
-	r.Perm = idx
-	for i := 0; i < na; i++ {
-		r.RankSumA += dst[i]
+	sel := make([]uint64, (na+nb+63)/64)
+	for w := 0; w < na>>6; w++ {
+		sel[w] = ^uint64(0)
 	}
-	r.MedianA = groupMedian(combined, idx, na, func(orig int) bool { return orig < na })
-	r.MedianB = groupMedian(combined, idx, r.NB, func(orig int) bool { return orig >= na })
+	if rem := na & 63; rem != 0 {
+		sel[na>>6] = 1<<uint(rem) - 1
+	}
+	return OrderRanking(xs, Order(nil, make([]int32, 0, na+nb), xs), sel, nil, na, nb)
+}
+
+// OrderRanking derives the two-group Ranking of column xs from its sort
+// order (Order) in one linear walk, without sorting or allocating. Row r
+// of the order takes part when consider is nil or has bit r set (row r at
+// bit r&63 of word r>>6, the frame.Bitmap layout); a taking-part row is in
+// group A when sel has bit r set and in group B otherwise. na and nb are
+// the group sizes, which every caller already holds from its split; the
+// walk places the medians by them and panics if its own counts disagree.
+//
+// Ties are detected by value equality, so −0 and +0 share a tie group.
+// Because the order is a sorted multiset, the medians (and QuantilesA/B)
+// read the same values as sorting each group on its own.
+func OrderRanking(xs []float64, order []int32, sel, consider []uint64, na, nb int) Ranking {
+	r := Ranking{NA: na, NB: nb, xs: xs, order: order, sel: sel, consider: consider}
+	loA, hiA, fracA := medianPlan(na)
+	loB, hiB, fracB := medianPlan(nb)
+	var loVA, hiVA, loVB, hiVB float64
+	seenA, seenB := 0, 0
+	// The open tie group: its first value, its size and its group-A
+	// members; pos counts the taking-part rows before it.
+	var gv float64
+	gn, ga, pos := 0, 0, 0
+	closeGroup := func() {
+		// The group holds ranks pos+1 … pos+gn; each member gets their mean.
+		r.RankSumA += float64(ga) * (float64(pos) + float64(gn+1)/2)
+		if t := float64(gn); gn > 1 {
+			r.TieSum += t*t*t - t
+		}
+		pos += gn
+	}
+	for _, row := range order {
+		w, bit := row>>6, uint64(1)<<(uint32(row)&63)
+		if consider != nil && consider[w]&bit == 0 {
+			continue
+		}
+		v := xs[row]
+		if gn > 0 && v != gv {
+			closeGroup()
+			gn, ga = 0, 0
+		}
+		if gn == 0 {
+			gv = v
+		}
+		gn++
+		if sel[w]&bit != 0 {
+			ga++
+			if seenA == loA {
+				loVA = v
+			}
+			if seenA == hiA {
+				hiVA = v
+			}
+			seenA++
+		} else {
+			if seenB == loB {
+				loVB = v
+			}
+			if seenB == hiB {
+				hiVB = v
+			}
+			seenB++
+		}
+	}
+	if gn > 0 {
+		closeGroup()
+	}
+	if seenA != na || seenB != nb {
+		panic("stats: OrderRanking group sizes disagree with the split")
+	}
+	r.MedianA = interpolate(na, hiA, fracA, loVA, hiVA)
+	r.MedianB = interpolate(nb, hiB, fracB, loVB, hiVB)
 	return r
 }
 
-// groupMedian computes the median of the group selected by member, reading
-// the group's order statistics off the combined sort order in idx. It
-// replicates Quantile(sorted, 0.5) arithmetic exactly (same interpolation
-// expression), so a Ranking-backed median is bit-identical to sorting the
-// group separately.
-func groupMedian(combined []float64, idx []int, n int, member func(orig int) bool) float64 {
-	if n == 0 {
-		return math.NaN()
+// medianPlan returns the order-statistic positions and weight of the
+// type-7 median of n values: Quantile's arithmetic at q = 0.5. hi is −1
+// when the median is the single value at lo.
+func medianPlan(n int) (lo, hi int, frac float64) {
+	if n <= 1 {
+		return 0, -1, 0
 	}
 	h := 0.5 * float64(n-1)
-	lo := int(math.Floor(h))
-	hi := lo + 1
-	frac := h - float64(lo)
-	vlo, vhi := math.NaN(), math.NaN()
-	seen := -1
-	for _, orig := range idx {
-		if !member(orig) {
-			continue
-		}
-		seen++
-		if seen == lo {
-			vlo = combined[orig]
-			if n == 1 || hi >= n {
-				return vlo
-			}
-		}
-		if seen == hi {
-			vhi = combined[orig]
-			break
-		}
+	lo = int(math.Floor(h))
+	return lo, lo + 1, h - float64(lo)
+}
+
+// interpolate finishes a type-7 quantile of n values from its two order
+// statistics with Quantile's expression; NaN for an empty group.
+func interpolate(n, hi int, frac, vlo, vhi float64) float64 {
+	switch {
+	case n == 0:
+		return math.NaN()
+	case hi < 0:
+		return vlo
+	default:
+		return vlo*(1-frac) + vhi*frac
 	}
-	return vlo*(1-frac) + vhi*frac
 }
 
 // QuantilesA fills dst[i] with the qs[i]-th sample quantile of group A,
-// reading the group's order statistics off the combined sort permutation
-// instead of re-sorting a group copy. The interpolation replicates
-// Quantile (type-7) exactly, so the results are bit-identical to sorting
-// the group separately. dst must have len(qs); for NaN-bearing rankings
-// (Perm == nil) or an empty group every dst entry is NaN.
+// walking the order with the same membership test as the ranking walk
+// instead of sorting a group copy. The interpolation replicates Quantile
+// (type-7) exactly, so the results are bit-identical to sorting the group
+// separately. dst must have len(qs); for NaN-bearing rankings or an empty
+// group every dst entry is NaN.
 func (r Ranking) QuantilesA(qs, dst []float64) { r.groupQuantiles(r.NA, false, qs, dst) }
 
 // QuantilesB is QuantilesA for group B.
 func (r Ranking) QuantilesB(qs, dst []float64) { r.groupQuantiles(r.NB, true, qs, dst) }
 
-// groupQuantiles walks the sort permutation once, capturing the order
-// statistics every requested quantile needs and interpolating with the
-// same expression as Quantile. The extended components call it four times
-// per numeric column, so the bookkeeping for the common ≤8-quantile case
-// lives on the stack.
+// groupQuantiles walks the order once, capturing the order statistics
+// every requested quantile needs and interpolating with the same
+// expression as Quantile. The extended components call it four times per
+// numeric column, so the bookkeeping for the common ≤8-quantile case lives
+// on the stack.
 func (r Ranking) groupQuantiles(n int, groupB bool, qs, dst []float64) {
-	if r.Perm == nil || n == 0 {
+	if r.order == nil || n == 0 {
 		for i := range dst {
 			dst[i] = math.NaN()
 		}
@@ -229,17 +263,21 @@ func (r Ranking) groupQuantiles(n int, groupB bool, qs, dst []float64) {
 		}
 	}
 	seen := -1
-	for _, orig := range r.Perm {
-		if (orig >= r.NA) != groupB {
+	for _, row := range r.order {
+		w, bit := row>>6, uint64(1)<<(uint32(row)&63)
+		if r.consider != nil && r.consider[w]&bit == 0 {
+			continue
+		}
+		if (r.sel[w]&bit == 0) != groupB {
 			continue
 		}
 		seen++
 		for i := range qs {
 			if los[i] == seen {
-				vlo[i] = r.Values[orig]
+				vlo[i] = r.xs[row]
 			}
 			if his[i] == seen {
-				vhi[i] = r.Values[orig]
+				vhi[i] = r.xs[row]
 			}
 		}
 		if seen >= maxPos {
@@ -247,11 +285,7 @@ func (r Ranking) groupQuantiles(n int, groupB bool, qs, dst []float64) {
 		}
 	}
 	for i := range qs {
-		if his[i] < 0 {
-			dst[i] = vlo[i]
-		} else {
-			dst[i] = vlo[i]*(1-fracs[i]) + vhi[i]*fracs[i]
-		}
+		dst[i] = interpolate(n, his[i], fracs[i], vlo[i], vhi[i])
 	}
 }
 

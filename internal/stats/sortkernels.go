@@ -30,12 +30,12 @@ import (
 
 // RankScratch holds the reusable kernel buffers: radix keys and their
 // ping-pong partner, the permutation ping-pong buffer, and the counting
-// buckets. The zero value is ready to use; effect.Scratch embeds one per
-// worker so a characterization's ranking passes stop allocating after the
-// first column.
+// buckets. The zero value is ready to use; the engine keeps one per worker
+// while it orders a table's columns, so those ranking passes stop
+// allocating after the first column.
 type RankScratch struct {
 	keys, tmpKeys []uint64
-	tmpIdx        []int
+	tmpIdx        []int32
 	counts        []int
 }
 
@@ -50,23 +50,23 @@ func sizedUints(buf *[]uint64, n int) []uint64 {
 
 // radixBuffers returns the three length-n radix work arrays, reused from
 // the scratch when present.
-func (s *RankScratch) radixBuffers(n int) (keys, tmpKeys []uint64, tmpIdx []int) {
+func (s *RankScratch) radixBuffers(n int) (keys, tmpKeys []uint64, tmpIdx []int32) {
 	if s == nil {
-		return make([]uint64, n), make([]uint64, n), make([]int, n)
+		return make([]uint64, n), make([]uint64, n), make([]int32, n)
 	}
 	keys = sizedUints(&s.keys, n)
 	tmpKeys = sizedUints(&s.tmpKeys, n)
 	if cap(s.tmpIdx) < n {
-		s.tmpIdx = make([]int, n)
+		s.tmpIdx = make([]int32, n)
 	}
 	return keys, tmpKeys, s.tmpIdx[:n]
 }
 
 // countingBuffers returns a zeroed length-k bucket array and a length-n
 // output permutation buffer, reused from the scratch when present.
-func (s *RankScratch) countingBuffers(k, n int) (counts []int, tmpIdx []int) {
+func (s *RankScratch) countingBuffers(k, n int) (counts []int, tmpIdx []int32) {
 	if s == nil {
-		return make([]int, k), make([]int, n)
+		return make([]int, k), make([]int32, n)
 	}
 	if cap(s.counts) < k {
 		s.counts = make([]int, k)
@@ -76,7 +76,7 @@ func (s *RankScratch) countingBuffers(k, n int) (counts []int, tmpIdx []int) {
 		counts[i] = 0
 	}
 	if cap(s.tmpIdx) < n {
-		s.tmpIdx = make([]int, n)
+		s.tmpIdx = make([]int32, n)
 	}
 	return counts, s.tmpIdx[:n]
 }
@@ -113,18 +113,20 @@ const (
 	countingMaxRange = 1 << 16
 )
 
-// chooseKernel scans xs once and picks the cheapest kernel: fallback for
-// small n; counting when every value is integral in a range narrow both
-// absolutely and relative to n; radix otherwise. Columns containing -0 are
-// excluded from counting (its buckets would conflate -0 with +0 while the
-// key-ordered kernels separate them). xs must be NaN-free — RankingIntoWith
-// screens NaN before any kernel runs.
-func chooseKernel(xs []float64) (k kernelKind, lo int64, span int) {
-	if len(xs) <= fallbackMaxN {
+// chooseKernel scans the values xs[idx[i]] once and picks the cheapest
+// kernel: fallback for small n; counting when every value is integral in a
+// range narrow both absolutely and relative to n; radix otherwise. Columns
+// containing -0 are excluded from counting (its buckets would conflate -0
+// with +0 while the key-ordered kernels separate them). The indexed values
+// must be NaN-free: Order skips NaN rows and NewRanking screens NaN before
+// any kernel runs.
+func chooseKernel(xs []float64, idx []int32) (k kernelKind, lo int64, span int) {
+	if len(idx) <= fallbackMaxN {
 		return kernelFallback, 0, 0
 	}
 	minI, maxI := int64(math.MaxInt64), int64(math.MinInt64)
-	for _, v := range xs {
+	for _, id := range idx {
+		v := xs[id]
 		iv := int64(v)
 		if float64(iv) != v || (iv == 0 && math.Signbit(v)) {
 			return kernelRadix, 0, 0
@@ -139,7 +141,7 @@ func chooseKernel(xs []float64) (k kernelKind, lo int64, span int) {
 	// Two's-complement subtraction yields the correct unsigned width even
 	// when maxI-minI overflows int64.
 	uspan := uint64(maxI) - uint64(minI)
-	limit := uint64(8 * len(xs))
+	limit := uint64(8 * len(idx))
 	if limit > countingMaxRange {
 		limit = countingMaxRange
 	}
@@ -149,11 +151,11 @@ func chooseKernel(xs []float64) (k kernelKind, lo int64, span int) {
 	return kernelRadix, 0, 0
 }
 
-// KernelFor reports which ranking kernel the selector would run for xs:
-// "radix", "counting" or "fallback". Exposed for benchmarks and tests that
-// pin a specific strategy to a fixture shape.
+// KernelFor reports which ranking kernel the selector would run for the
+// NaN-free xs: "radix", "counting" or "fallback". Exposed for benchmarks and
+// tests that pin a specific strategy to a fixture shape.
 func KernelFor(xs []float64) string {
-	switch k, _, _ := chooseKernel(xs); k {
+	switch k, _, _ := chooseKernel(xs, identity(make([]int32, len(xs)))); k {
 	case kernelCounting:
 		return "counting"
 	case kernelRadix:
@@ -163,9 +165,18 @@ func KernelFor(xs []float64) string {
 	}
 }
 
+// identity fills idx with 0, 1, …, len(idx)−1 and returns it.
+func identity(idx []int32) []int32 {
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	return idx
+}
+
 // sortPermKernel sorts idx so xs indexed through it ascends in floatKey
-// order, using the given kernel; idx must hold a permutation of [0, n).
-func sortPermKernel(s *RankScratch, idx []int, xs []float64, k kernelKind, lo int64, span int) {
+// order, using the given kernel; idx holds distinct indices into xs (a
+// permutation of [0, len(xs)), or the non-NaN subset of one).
+func sortPermKernel(s *RankScratch, idx []int32, xs []float64, k kernelKind, lo int64, span int) {
 	switch k {
 	case kernelCounting:
 		countingSortPerm(s, idx, xs, lo, span)
@@ -182,7 +193,7 @@ func sortPermKernel(s *RankScratch, idx []int, xs []float64, k kernelKind, lo in
 // pre-pass (the key multiset never changes, so they stay valid for every
 // pass), and a pass whose digit is shared by all keys is skipped — columns
 // with values in a narrow exponent band sort in 2-3 passes.
-func radixSortPerm(s *RankScratch, idx []int, xs []float64) {
+func radixSortPerm(s *RankScratch, idx []int32, xs []float64) {
 	n := len(idx)
 	keys, tmpKeys, tmpIdx := s.radixBuffers(n)
 	for i, id := range idx {
@@ -232,7 +243,7 @@ func radixSortPerm(s *RankScratch, idx []int, xs []float64) {
 // [lo, lo+span]: one bucket per distinct value, one histogram pass, one
 // scatter pass. Stability keeps equal values in ascending original order,
 // matching what the downstream tie-walk assumes of any kernel.
-func countingSortPerm(s *RankScratch, idx []int, xs []float64, lo int64, span int) {
+func countingSortPerm(s *RankScratch, idx []int32, xs []float64, lo int64, span int) {
 	n := len(idx)
 	counts, tmpIdx := s.countingBuffers(span+1, n)
 	for _, id := range idx {
