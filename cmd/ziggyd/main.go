@@ -71,7 +71,6 @@ type options struct {
 	peers         string
 	concurrency   int
 	queueDepth    int
-	approxCap     int
 	approxDegrade bool
 }
 
@@ -90,7 +89,6 @@ func (opts options) config() core.Config {
 	cfg.Shards = opts.shards
 	cfg.CacheEntries = opts.cacheEntries
 	cfg.CacheBytes = opts.cacheBytes
-	cfg.ApproxRows = opts.approxCap
 	cfg.ApproxUnderPressure = opts.approxDegrade
 	return cfg
 }
@@ -218,8 +216,6 @@ func main() {
 		"characterizations one shard runs at once; further requests queue (0 = default)")
 	queueDepth := flag.Int("queue-depth", 0,
 		"admitted-but-waiting requests per shard before load is shed with 503 (0 = default)")
-	approxCap := flag.Int("approx-cap", 0,
-		"sample cap for approximate characterizations (0 = engine default)")
 	approxDegrade := flag.Bool("approx-under-pressure", false,
 		"serve a flagged approximate answer instead of shedding when a shard saturates")
 	worker := flag.Bool("worker", false,
@@ -244,7 +240,6 @@ func main() {
 		peers:         *peers,
 		concurrency:   *concurrency,
 		queueDepth:    *queueDepth,
-		approxCap:     *approxCap,
 		approxDegrade: *approxDegrade,
 	}, logger)
 	if err != nil {

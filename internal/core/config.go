@@ -112,13 +112,6 @@ type Config struct {
 	// CacheBytes bounds each memo tier to approximately this many resident
 	// bytes. Zero means DefaultCacheBytes; negative is invalid.
 	CacheBytes int64
-	// ApproxRows is the sample cap the serving layer applies when it
-	// answers approximately (Options.ApproxRows on degraded requests,
-	// ziggyd -approx-cap). Zero means DefaultApproxRows. Like Parallelism
-	// and Shards the engine itself never reads it — callers resolve it via
-	// EffectiveApproxRows and pass the concrete cap through Options — so
-	// it is excluded from the report-cache key.
-	ApproxRows int
 	// ApproxUnderPressure makes a saturated shard serve a deterministic
 	// sample-based approximate report (flagged Report.Approximate) instead
 	// of shedding with ErrSaturated. Serving-layer-only, like Shards.
@@ -132,20 +125,10 @@ const (
 	DefaultCacheBytes   = 256 << 20 // 256 MiB
 )
 
-// DefaultApproxRows is the sample cap applied when approximate serving is
-// requested without an explicit cap (Config.ApproxRows == 0).
+// DefaultApproxRows is the sample cap the serving layer applies when it
+// answers approximately without a per-request cap (Options.ApproxRows): an
+// "approximate": true request and a shard degrading under pressure.
 const DefaultApproxRows = 512
-
-// EffectiveApproxRows resolves the zero-means-default approximate sample
-// cap, mirroring EffectiveCacheBounds: the single place that maps 0 to
-// DefaultApproxRows for every serving edge (HTTP handler, degraded
-// admission).
-func (c Config) EffectiveApproxRows() int {
-	if c.ApproxRows == 0 {
-		return DefaultApproxRows
-	}
-	return c.ApproxRows
-}
 
 // EffectiveCacheBounds resolves the zero-means-default cache bounds: the
 // single place (shared by the engine, the report cache, and the shard
@@ -210,9 +193,6 @@ func (c Config) Validate() error {
 	}
 	if c.CacheBytes < 0 {
 		return fmt.Errorf("core: CacheBytes %d < 0 (0 means the default)", c.CacheBytes)
-	}
-	if c.ApproxRows < 0 {
-		return fmt.Errorf("core: ApproxRows %d < 0 (0 means the default)", c.ApproxRows)
 	}
 	if err := c.Weights.Validate(); err != nil {
 		return err

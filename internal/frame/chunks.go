@@ -297,6 +297,12 @@ func (f *Frame) ChunkFingerprints(i int) []uint64 {
 	return fps
 }
 
+// ChunkFingerprint returns ChunkFingerprints(i)[j] without building the
+// slice, for scans that compare chunk chains across many frames.
+func (f *Frame) ChunkFingerprint(i, j int) uint64 {
+	return sealFingerprint(f.cols[i].sealChunks(f.chunkRows).chunks[j].chain)
+}
+
 // Append returns a new frame holding f's rows followed by rows' rows. The
 // schemas must match exactly: same column count, names, kinds, and order —
 // a mismatch is rejected loudly rather than coerced. An empty rows frame

@@ -129,25 +129,25 @@ func (c *Client) forgetShipped(fp uint64) {
 }
 
 // register negotiates f onto the worker: POST the chunk manifest, then
-// stream exactly the chunk ranges the worker reports missing — none when
-// the fingerprint is known, the post-prefix suffix when the worker holds an
-// earlier version of the table, everything when it is cold. A 409 from the
-// chunk phase means the negotiation went stale under us (the prefix base
-// was evicted between the phases); renegotiate once from scratch.
+// stream the chunks after the prefix the worker offered — nothing when the
+// fingerprint is known, the suffix when the worker holds an earlier version
+// of the table, everything when it is cold. The stream repeats the manifest
+// and the offer, so the worker needs no memory of the first request. A 409
+// means the offered base was evicted in between; ask again once.
 func (c *Client) register(f *frame.Frame) error {
 	manifest := EncodeManifest(BuildManifest(f))
 	for attempt := 0; ; attempt++ {
-		nr, err := c.negotiate(manifest)
+		offer, err := c.negotiate(manifest)
 		if err != nil {
 			return err
 		}
-		if nr.Registered {
+		if offer.Registered {
 			break
 		}
-		body, err := EncodeChunks(f, nr.Missing)
-		if err != nil {
-			return fmt.Errorf("remote: worker %s sent unusable missing ranges: %w", c.addr, err)
+		if offer.PrefixChunks < 0 || offer.PrefixChunks > f.FullChunks() {
+			return fmt.Errorf("remote: worker %s offered a %d-chunk prefix of a %d-chunk table", c.addr, offer.PrefixChunks, f.NumChunks())
 		}
+		body := EncodeStream(f, manifest, offer.Base, offer.PrefixChunks)
 		resp, err := c.post(nil, PathChunks, body)
 		if err != nil {
 			return c.unavailable(err)
@@ -161,9 +161,8 @@ func (c *Client) register(f *frame.Frame) error {
 			return fmt.Errorf("remote: worker %s rejected chunk stream: %s", c.addr, errorMessage(resp))
 		}
 		resp.Body.Close()
-		nChunks, _ := CountChunks(nr.Missing, f.NumChunks())
 		c.tablesShipped.Add(1)
-		c.chunksShipped.Add(int64(nChunks))
+		c.chunksShipped.Add(int64(f.NumChunks() - offer.PrefixChunks))
 		c.bytesShipped.Add(int64(len(body)))
 		break
 	}
@@ -171,7 +170,8 @@ func (c *Client) register(f *frame.Frame) error {
 	return nil
 }
 
-// negotiate runs the manifest phase and returns the worker's answer.
+// negotiate runs the manifest phase and returns the worker's offer. The
+// body is read to EOF so the keep-alive connection is reused.
 func (c *Client) negotiate(manifest []byte) (ManifestResponse, error) {
 	resp, err := c.post(nil, PathManifest, manifest)
 	if err != nil {
@@ -181,12 +181,16 @@ func (c *Client) negotiate(manifest []byte) (ManifestResponse, error) {
 	if resp.StatusCode != http.StatusOK {
 		return ManifestResponse{}, fmt.Errorf("remote: worker %s rejected table manifest: %s", c.addr, errorMessage(resp))
 	}
-	var nr ManifestResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(&nr); err != nil {
+	var offer ManifestResponse
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	if err == nil {
+		err = json.Unmarshal(data, &offer)
+	}
+	if err != nil {
 		return ManifestResponse{}, c.unavailable(fmt.Errorf("manifest response: %w", err))
 	}
 	c.bytesShipped.Add(int64(len(manifest)))
-	return nr, nil
+	return offer, nil
 }
 
 // Characterize runs the request on the worker. An unknown-fingerprint
@@ -204,8 +208,8 @@ func (c *Client) Characterize(f *frame.Frame, sel *frame.Bitmap, opts core.Optio
 	if retry {
 		// The worker lost the table (restart); our shipped-set was stale.
 		// Re-registering heals it, and heals it incrementally: the manifest
-		// phase discovers what the worker still holds, so only the lost
-		// chunk ranges cross the wire again.
+		// phase discovers what the worker still holds, so only the chunks
+		// after the surviving prefix cross the wire again.
 		c.forgetShipped(f.Fingerprint())
 		if err := c.register(f); err != nil {
 			return nil, err

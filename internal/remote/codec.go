@@ -4,29 +4,32 @@
 //
 // A worker process (`ziggyd -worker`) wraps its own shard.Router in a
 // Worker handler exposing endpoints under /api/worker/: health, stats, the
-// two-phase table registration (manifest + chunks), a report-cache probe,
+// two-request table registration (manifest + chunks), a report-cache probe,
 // characterize, and invalidate. A front process (`ziggyd -peers
 // host1,host2`) builds one Client per worker and hands them to
 // shard.NewWithBackends; the front routes by the same rendezvous hash over
 // frame.Fingerprint the in-process router uses, so a front and its workers
 // agree on table ownership with zero coordination.
 //
-// Everything on the wire is content-addressed and versioned. Since codec
-// v4, the content addressing reaches chunk granularity:
+// Everything on the wire is content-addressed and versioned. A table
+// registers in two requests, and the worker keeps nothing between them:
 //
-//   - a table registers in two phases: the front POSTs a chunk manifest
-//     (schema, dictionaries, chunk capacity, and each column's per-chunk
-//     chain fingerprints), the worker answers with the chunk ranges it is
-//     missing — none for a known fingerprint, a suffix when it holds a
-//     prefix version of the table, everything when it is cold — and the
-//     front streams only those chunks. An append to a registered table
-//     ships O(delta) bytes, not O(table);
-//   - each streamed chunk is its index plus its cells, nothing else: the
-//     worker transplants the adopted prefix (frame.AdoptChunkPrefix) and
-//     reseals only the streamed rows, so the chain resumes across the
-//     splice; every resealed chunk must reproduce the manifest's chain
-//     commitment and the reassembled frame's Fingerprint() the sender's, so
-//     a corrupted cell is named by column and chunk and never stored;
+//   - the front POSTs a chunk manifest (schema, dictionaries, chunk
+//     capacity, and each column's per-chunk chain fingerprints) as a pure
+//     question. The worker answers "registered" for a fingerprint it holds,
+//     and otherwise the one prefix it can adopt: the length of the longest
+//     chunk prefix it finds in a resident table (typically the pre-append
+//     version) and that table's fingerprint;
+//   - the front then POSTs a self-describing chunk stream: the encoded
+//     manifest again, the base fingerprint and prefix it was offered, and
+//     each column's cells from the first missing chunk to the end. The
+//     worker re-checks the prefix against the named base, transplants it
+//     (frame.AdoptChunkPrefix) and reseals only the streamed rows, so an
+//     append ships O(delta) bytes. Every resealed chunk must reproduce the
+//     manifest's chain commitment and the reassembled frame's Fingerprint()
+//     the sender's, so a corrupted cell is named by column and chunk and
+//     never stored. Streams may arrive in any order, from any number of
+//     fronts, late or twice: one for a stored fingerprint replaces nothing;
 //   - characterize and cache-probe requests carry only the table
 //     fingerprint, the selection bitmap words, and the options, so a repeat
 //     query is answered from the worker's report cache without the table
@@ -51,9 +54,11 @@ import (
 // replaced the monolithic frame payload with the manifest/chunk-stream
 // negotiation, making table transport content-addressed per chunk; version
 // 5 dropped the per-chunk chain fingerprint and validity words from the
-// chunk stream, which the worker recomputes from the cells when it reseals.
+// chunk stream, which the worker recomputes from the cells when it reseals;
+// version 6 made the stream self-describing (manifest, base and prefix
+// inline, no per-chunk index), so the worker holds no negotiation state.
 // A version-skewed peer rejects loudly rather than misparsing.
-const codecVersion = 5
+const codecVersion = 6
 
 var (
 	manifestMagic   = [4]byte{'Z', 'G', 'M', codecVersion}
@@ -81,10 +86,10 @@ const (
 const maxManifestRows = 1 << 40
 
 // Manifest describes a table at chunk granularity without carrying any
-// cells: the registration offer of the two-phase negotiation. Equality of a
-// column's chain fingerprint at chunk j means equality of every cell
-// through chunk j (the chain is a prefix commitment), which is what lets
-// the worker answer with only the chunk ranges it is missing.
+// cells: the question of phase one and the header of the chunk stream.
+// Equality of a column's chain fingerprint at chunk j means equality of
+// every cell through chunk j (the chain is a prefix commitment), which is
+// what lets the worker adopt a resident prefix without seeing its cells.
 type Manifest struct {
 	// Fingerprint is the sender's frame.Fingerprint — what the reassembled
 	// table must reproduce.
@@ -114,16 +119,6 @@ func (m Manifest) NumChunks() int {
 		return 0
 	}
 	return (m.NumRows + m.ChunkRows - 1) / m.ChunkRows
-}
-
-// ChunkBounds returns the row range [start, end) of chunk j.
-func (m Manifest) ChunkBounds(j int) (start, end int) {
-	start = j * m.ChunkRows
-	end = start + m.ChunkRows
-	if end > m.NumRows {
-		end = m.NumRows
-	}
-	return start, end
 }
 
 // BuildManifest extracts a frame's manifest: its fingerprint, schema,
@@ -227,179 +222,125 @@ func DecodeManifest(data []byte) (Manifest, error) {
 	return m, nil
 }
 
-// ChunkRange is a half-open range [Start, End) of chunk indices. The worker
-// answers a manifest with the ranges it is missing; the chunk stream must
-// cover exactly those.
-type ChunkRange struct {
-	Start int `json:"start"`
-	End   int `json:"end"`
-}
-
-// CountChunks sums the chunk counts of ranges after validating them:
-// ascending, non-empty, non-overlapping, within [0, numChunks). Overlap or
-// disorder is a protocol violation, rejected loudly rather than deduped.
-func CountChunks(ranges []ChunkRange, numChunks int) (int, error) {
-	total, prev := 0, 0
-	for i, rg := range ranges {
-		if rg.Start < prev || rg.End <= rg.Start || rg.End > numChunks {
-			return 0, fmt.Errorf("remote: invalid chunk range %d: [%d,%d) of %d chunks after %d", i, rg.Start, rg.End, numChunks, prev)
-		}
-		total += rg.End - rg.Start
-		prev = rg.End
-	}
-	return total, nil
-}
-
-// ManifestResponse is the manifest endpoint body: the worker's side of the
-// negotiation.
+// ManifestResponse is the manifest endpoint body: the worker's answer to a
+// pure question, which changes nothing on the worker.
 type ManifestResponse struct {
-	// Fingerprint echoes the table's content fingerprint (hex).
-	Fingerprint string `json:"fingerprint"`
-	// Registered means the worker holds the table already (or could
-	// assemble it entirely from resident chunks) — nothing to ship.
+	// Registered means the worker holds the table already: nothing to ship.
 	Registered bool `json:"registered"`
-	// PrefixChunks is how many leading full chunks the worker will adopt
-	// from a resident prefix version of the table.
-	PrefixChunks int `json:"prefixChunks,omitempty"`
-	// Missing lists the chunk ranges the front must stream.
-	Missing []ChunkRange `json:"missing,omitempty"`
+	// PrefixChunks is how many leading full chunks the worker can adopt
+	// from its resident table Base (zero, and Base zero, when it holds no
+	// prefix version). The stream carries every chunk after them.
+	PrefixChunks int    `json:"prefixChunks,omitempty"`
+	Base         uint64 `json:"base,omitempty"`
 }
 
-// ChunkColumn is one column's slice of one streamed chunk. Floats holds
-// numeric cells; Codes categorical dictionary codes. Exactly one is
-// non-nil, matching the manifest's column kind.
+// ChunkColumn is one column's streamed cells, from the first streamed chunk
+// through the last row. Floats holds numeric cells; Codes categorical
+// dictionary codes. Exactly one is non-nil, matching the manifest's column
+// kind.
 type ChunkColumn struct {
 	Floats []float64
 	Codes  []int32
 }
 
-// ChunkPayload is one self-delimiting streamed chunk: its index plus every
-// column's slice.
-type ChunkPayload struct {
-	Index int
-	Cols  []ChunkColumn
+// Stream is a decoded chunk stream. It carries everything the worker needs
+// to register the table, so no record of the negotiation has to survive
+// between the two phases.
+type Stream struct {
+	Manifest Manifest
+	// Base is the fingerprint of the resident table whose first Prefix
+	// chunks the sender relies on (zero when Prefix is zero).
+	Base   uint64
+	Prefix int
+	// Tail holds each column's cells for chunks Prefix…n−1, in manifest
+	// column order.
+	Tail []ChunkColumn
 }
 
-// ExtractChunks builds the chunk payloads of f covering ranges (the
-// client's side of the chunk stream).
-func ExtractChunks(f *frame.Frame, ranges []ChunkRange) ([]ChunkPayload, error) {
-	total, err := CountChunks(ranges, f.NumChunks())
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ChunkPayload, 0, total)
-	for _, rg := range ranges {
-		for j := rg.Start; j < rg.End; j++ {
-			start, end := f.ChunkBounds(j)
-			p := ChunkPayload{Index: j, Cols: make([]ChunkColumn, f.NumCols())}
-			for i, c := range f.Columns() {
-				switch c.Kind() {
-				case frame.Numeric:
-					p.Cols[i].Floats = c.Floats()[start:end]
-				case frame.Categorical:
-					p.Cols[i].Codes = c.Codes()[start:end]
-				}
-			}
-			out = append(out, p)
-		}
-	}
-	return out, nil
-}
-
-// EncodeChunks serializes the chunk stream for f covering exactly the
-// ranges the worker reported missing.
-func EncodeChunks(f *frame.Frame, ranges []ChunkRange) ([]byte, error) {
-	chunks, err := ExtractChunks(f, ranges)
-	if err != nil {
-		return nil, err
-	}
-	return EncodeChunkPayloads(f.Fingerprint(), chunks), nil
-}
-
-// EncodeChunkPayloads serializes pre-extracted chunk payloads canonically.
-func EncodeChunkPayloads(fp uint64, chunks []ChunkPayload) []byte {
+// EncodeStream serializes the chunk stream registering f on a worker that
+// offered the first prefix chunks of its resident table base (0 and 0 on a
+// cold worker): f's encoded manifest, the offer, then each column's cells
+// from chunk prefix to the end. prefix must not exceed f.FullChunks().
+func EncodeStream(f *frame.Frame, manifest []byte, base uint64, prefix int) []byte {
+	start := prefix * f.ChunkRows()
 	var w wire.Buf
+	w.B = make([]byte, 0, 28+len(manifest)+8*f.NumCols()*(f.NumRows()-start))
 	w.B = append(w.B, chunksMagic[:]...)
-	w.U64(fp)
-	w.U64(uint64(len(chunks)))
-	for _, p := range chunks {
-		w.U64(uint64(p.Index))
-		for _, cc := range p.Cols {
-			if cc.Floats != nil {
-				w.F64s(cc.Floats)
-			} else {
-				for _, code := range cc.Codes {
-					w.U32(uint32(code))
-				}
+	w.U64(uint64(len(manifest)))
+	w.B = append(w.B, manifest...)
+	w.U64(base)
+	w.U64(uint64(prefix))
+	for _, c := range f.Columns() {
+		switch c.Kind() {
+		case frame.Numeric:
+			w.F64s(c.Floats()[start:])
+		case frame.Categorical:
+			for _, code := range c.Codes()[start:] {
+				w.U32(uint32(code))
 			}
 		}
 	}
 	return w.B
 }
 
-// DecodeChunks parses a chunk stream against its manifest, which fixes the
-// geometry: how many cells each chunk of each column carries. It rejects —
-// loudly, not by coercion — out-of-order or duplicate chunk indices (the
-// overlap case), out-of-dictionary codes, and truncated or trailing
-// payloads. Whether the cells are the ones the manifest committed to is
-// AssembleFrame's check: it reseals them against the manifest's chains.
-func DecodeChunks(data []byte, m Manifest) ([]ChunkPayload, error) {
+// DecodeStream parses a chunk stream strictly: its embedded manifest must
+// decode, the prefix must name a base and fit the manifest's full chunks,
+// the cells must fill exactly the rows after the prefix, codes must lie in
+// their dictionaries, and nothing may trail. Whether the cells are the ones
+// the manifest committed to is AssembleFrame's check: it reseals them
+// against the manifest's chains.
+func DecodeStream(data []byte) (Stream, error) {
 	if err := wire.CheckMagic(data, chunksMagic, decodingChunks); err != nil {
-		return nil, err
+		return Stream{}, err
 	}
 	r := &wire.Reader{What: decodingChunks, B: data, Off: 4}
-	if fp := r.U64(); r.Err == nil && fp != m.Fingerprint {
-		return nil, fmt.Errorf("%s: stream is for table %#x, manifest describes %#x", decodingChunks, fp, m.Fingerprint)
+	n := r.Count(1)
+	if r.Err != nil {
+		return Stream{}, r.Err
 	}
-	// Each chunk carries ≥8 bytes (its index) even for a zero-column table.
-	nChunks := r.Count(8)
-	numChunks := m.NumChunks()
-	out := make([]ChunkPayload, 0, nChunks)
-	prev := -1
-	for k := 0; k < nChunks && r.Err == nil; k++ {
-		idx64 := r.U64()
-		if r.Err != nil {
-			break
-		}
-		if idx64 >= uint64(numChunks) || int(idx64) <= prev {
-			r.Failf("chunk index %d out of order (previous %d, table has %d chunks)", idx64, prev, numChunks)
-			break
-		}
-		p := ChunkPayload{Index: int(idx64), Cols: make([]ChunkColumn, len(m.Cols))}
-		prev = p.Index
-		start, end := m.ChunkBounds(p.Index)
-		rows := end - start
-		for i, mc := range m.Cols {
-			var cc ChunkColumn
-			switch mc.Kind {
-			case frame.Numeric:
-				cc.Floats = r.F64s(rows)
-				if cc.Floats == nil {
-					cc.Floats = []float64{}
-				}
-			case frame.Categorical:
-				if uint64(rows) > uint64(len(r.B)-r.Off)/4 {
-					r.Failf("column %q chunk %d truncated", mc.Name, p.Index)
-				}
-				cc.Codes = make([]int32, rows)
-				for j := range cc.Codes {
-					cc.Codes[j] = int32(r.U32())
-				}
-				for _, code := range cc.Codes {
-					if code < -1 || int(code) >= len(mc.Dict) {
-						r.Failf("column %q chunk %d: code %d out of dictionary range %d", mc.Name, p.Index, code, len(mc.Dict))
-						break
-					}
-				}
+	m, err := DecodeManifest(data[r.Off : r.Off+n])
+	if err != nil {
+		return Stream{}, fmt.Errorf("%s: %w", decodingChunks, err)
+	}
+	r.Off += n
+	s := Stream{Manifest: m, Base: r.U64()}
+	prefix64 := r.U64()
+	if full := m.NumRows / m.ChunkRows; r.Err == nil && (prefix64 > uint64(full) || (prefix64 == 0) != (s.Base == 0)) {
+		r.Failf("prefix of %d chunks on base %#x for a table of %d full chunks", prefix64, s.Base, full)
+	}
+	if r.Err != nil {
+		return Stream{}, r.Err
+	}
+	s.Prefix = int(prefix64)
+	rows := m.NumRows - s.Prefix*m.ChunkRows
+	s.Tail = make([]ChunkColumn, len(m.Cols))
+	for i, mc := range m.Cols {
+		cc := &s.Tail[i]
+		switch mc.Kind {
+		case frame.Numeric:
+			if cc.Floats = r.F64s(rows); cc.Floats == nil {
+				cc.Floats = []float64{}
 			}
-			p.Cols[i] = cc
+		case frame.Categorical:
+			if uint64(rows) > uint64(len(r.B)-r.Off)/4 {
+				r.Failf("column %q truncated", mc.Name)
+				return Stream{}, r.Err
+			}
+			cc.Codes = make([]int32, rows)
+			for j := range cc.Codes {
+				code := int32(r.U32())
+				if code < -1 || int(code) >= len(mc.Dict) {
+					r.Failf("column %q row %d: code %d out of dictionary range %d", mc.Name, s.Prefix*m.ChunkRows+j, code, len(mc.Dict))
+					return Stream{}, r.Err
+				}
+				cc.Codes[j] = code
+			}
 		}
-		out = append(out, p)
 	}
 	if err := r.Finish(); err != nil {
-		return nil, err
+		return Stream{}, err
 	}
-	return out, nil
+	return s, nil
 }
 
 // EncodeInvalidate serializes an invalidate-by-fingerprint request.

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"net/http"
 	"strings"
@@ -51,9 +52,16 @@ func chunkedFrame(t testing.TB) *frame.Frame {
 	return f
 }
 
-// allRanges returns the full chunk range of f.
-func allRanges(f *frame.Frame) []ChunkRange {
-	return []ChunkRange{{Start: 0, End: f.NumChunks()}}
+// streamFor encodes the chunk stream registering f against a worker that
+// offered the first prefix chunks of the resident table base.
+func streamFor(f *frame.Frame, base uint64, prefix int) []byte {
+	return EncodeStream(f, EncodeManifest(BuildManifest(f)), base, prefix)
+}
+
+// tailOffset returns where the cells of a stream for f begin: magic (4),
+// manifest length (8) and bytes, base (8), prefix (8).
+func tailOffset(f *frame.Frame) int {
+	return 4 + 8 + len(EncodeManifest(BuildManifest(f))) + 8 + 8
 }
 
 // TestManifestCodecRoundTrip pins the registration offer: the manifest
@@ -99,8 +107,8 @@ func TestManifestCodecRejectsCorruption(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":          {},
 		"bad magic":      append([]byte("XXX\x04"), enc[4:]...),
-		"past version":   append([]byte("ZGM\x04"), enc[4:]...),
-		"future version": append([]byte("ZGM\x06"), enc[4:]...),
+		"past version":   append([]byte("ZGM\x05"), enc[4:]...),
+		"future version": append([]byte("ZGM\x07"), enc[4:]...),
 		"truncated":      enc[:len(enc)-3],
 		"trailing":       append(append([]byte(nil), enc...), 1),
 	}
@@ -125,192 +133,195 @@ func TestManifestCodecRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestChunkCodecRoundTrip pins the chunk stream: extracting any subset of
-// chunks, encoding, and decoding against the manifest reproduces the cells
-// bit for bit — and re-encodes canonically.
+// TestChunkCodecRoundTrip pins the chunk stream: it carries the manifest,
+// the offer it answers and every cell after the prefix bit for bit, and
+// re-encodes canonically.
 func TestChunkCodecRoundTrip(t *testing.T) {
 	f := chunkedFrame(t)
-	m := BuildManifest(f)
-	ranges := []ChunkRange{{Start: 1, End: 3}, {Start: 4, End: 5}}
-	enc, err := EncodeChunks(f, ranges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunks, err := DecodeChunks(enc, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantIdx := []int{1, 2, 4}
-	if len(chunks) != len(wantIdx) {
-		t.Fatalf("decoded %d chunks, want %d", len(chunks), len(wantIdx))
-	}
-	for k, p := range chunks {
-		if p.Index != wantIdx[k] {
-			t.Fatalf("chunk %d has index %d, want %d", k, p.Index, wantIdx[k])
+	manifest := EncodeManifest(BuildManifest(f))
+	for _, offer := range []struct {
+		base   uint64
+		prefix int
+	}{{0, 0}, {0xba5e, 2}, {0xba5e, f.FullChunks()}} {
+		enc := EncodeStream(f, manifest, offer.base, offer.prefix)
+		s, err := DecodeStream(enc)
+		if err != nil {
+			t.Fatalf("prefix %d: %v", offer.prefix, err)
 		}
-		start, _ := f.ChunkBounds(p.Index)
+		if !bytes.Equal(EncodeManifest(s.Manifest), manifest) || s.Base != offer.base || s.Prefix != offer.prefix {
+			t.Fatalf("prefix %d: decoded header base %#x prefix %d", offer.prefix, s.Base, s.Prefix)
+		}
+		start := offer.prefix * f.ChunkRows()
 		for i, c := range f.Columns() {
-			cc := p.Cols[i]
+			cc := s.Tail[i]
 			switch c.Kind() {
 			case frame.Numeric:
+				if len(cc.Floats) != f.NumRows()-start {
+					t.Fatalf("prefix %d col %d: %d cells", offer.prefix, i, len(cc.Floats))
+				}
 				for j, v := range cc.Floats {
-					orig := c.Floats()[start+j]
-					if math.Float64bits(v) != math.Float64bits(orig) {
-						t.Fatalf("chunk %d col %d cell %d: %v, want %v", p.Index, i, j, v, orig)
+					if orig := c.Floats()[start+j]; math.Float64bits(v) != math.Float64bits(orig) {
+						t.Fatalf("prefix %d col %d row %d: %v, want %v", offer.prefix, i, start+j, v, orig)
 					}
 				}
 			case frame.Categorical:
+				if len(cc.Codes) != f.NumRows()-start {
+					t.Fatalf("prefix %d col %d: %d codes", offer.prefix, i, len(cc.Codes))
+				}
 				for j, code := range cc.Codes {
 					if code != c.Codes()[start+j] {
-						t.Fatalf("chunk %d col %d code %d diverged", p.Index, i, j)
+						t.Fatalf("prefix %d col %d row %d: code diverged", offer.prefix, i, start+j)
 					}
 				}
 			}
 		}
 	}
-	if again := EncodeChunkPayloads(f.Fingerprint(), chunks); !bytes.Equal(again, enc) {
-		t.Error("re-encoded chunk stream differs")
-	}
 }
 
 // TestChunkCodecRejectsCorruption covers the chunk-stream error paths:
-// truncated chunks, version skew, overlapping/out-of-order ranges,
-// wrong-table streams, out-of-dictionary codes, and a flipped cell, which
-// decodes but fails AssembleFrame's reseal and the worker's chunks
-// endpoint. Every rejection is loud; nothing is coerced or deduped.
+// truncation, trailing bytes, version skew, a manifest whose geometry the
+// cells do not fill, prefixes outside the table, and out-of-dictionary
+// codes are rejected at decode; a flipped cell, a duplicated chunk and
+// swapped chunks decode but fail AssembleFrame's reseal and the worker's
+// chunks endpoint. Every rejection is loud; nothing is coerced or deduped.
 func TestChunkCodecRejectsCorruption(t *testing.T) {
 	f := chunkedFrame(t)
 	m := BuildManifest(f)
-	enc, err := EncodeChunks(f, allRanges(f))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeChunks(enc, m); err != nil {
+	enc := streamFor(f, 0, 0)
+	if _, err := DecodeStream(enc); err != nil {
 		t.Fatalf("control decode failed: %v", err)
+	}
+	off := tailOffset(f)
+	// numericChunk returns the byte range of chunk j of column "n" in enc.
+	numericChunk := func(j int) (int, int) {
+		start, end := f.ChunkBounds(j)
+		return off + 8*start, off + 8*end
+	}
+	// assembleErr decodes a well-formed but wrong stream and returns
+	// AssembleFrame's verdict.
+	assembleErr := func(t *testing.T, bad []byte) error {
+		t.Helper()
+		s, err := DecodeStream(bad)
+		if err != nil {
+			t.Fatalf("well-formed stream rejected at decode: %v", err)
+		}
+		_, err = AssembleFrame(s, nil)
+		return err
 	}
 
 	t.Run("truncated chunk", func(t *testing.T) {
-		if _, err := DecodeChunks(enc[:len(enc)-5], m); err == nil {
+		if _, err := DecodeStream(enc[:len(enc)-5]); err == nil {
 			t.Error("truncated stream accepted")
 		}
 	})
 	t.Run("trailing bytes", func(t *testing.T) {
-		if _, err := DecodeChunks(append(append([]byte(nil), enc...), 9), m); err == nil {
+		if _, err := DecodeStream(append(append([]byte(nil), enc...), 9)); err == nil {
 			t.Error("trailing bytes accepted")
 		}
 	})
 	t.Run("version skew", func(t *testing.T) {
-		for _, v := range []byte{3, 4, 6} {
-			if _, err := DecodeChunks(append([]byte{'Z', 'G', 'C', v}, enc[4:]...), m); err == nil {
+		for _, v := range []byte{4, 5, 7} {
+			if _, err := DecodeStream(append([]byte{'Z', 'G', 'C', v}, enc[4:]...)); err == nil {
 				t.Errorf("version %d stream accepted", v)
 			}
 		}
 	})
 	t.Run("wrong table", func(t *testing.T) {
-		other := BuildManifest(codecFrame(t))
-		if _, err := DecodeChunks(enc, other); err == nil {
-			t.Error("stream for another fingerprint accepted")
+		other := EncodeManifest(BuildManifest(codecFrame(t)))
+		if _, err := DecodeStream(EncodeStream(f, other, 0, 0)); err == nil {
+			t.Error("cells of another table's geometry accepted")
 		}
 	})
-	t.Run("overlapping ranges rejected at encode", func(t *testing.T) {
-		if _, err := EncodeChunks(f, []ChunkRange{{0, 2}, {1, 3}}); err == nil {
-			t.Error("overlapping ranges accepted")
+	t.Run("prefix out of range", func(t *testing.T) {
+		manifest := EncodeManifest(m)
+		withOffer := func(base uint64, prefix int) []byte {
+			bad := EncodeStream(f, manifest, 0, 0)
+			binary.LittleEndian.PutUint64(bad[off-16:], base)
+			binary.LittleEndian.PutUint64(bad[off-8:], uint64(prefix))
+			return bad
 		}
-		if _, err := EncodeChunks(f, []ChunkRange{{2, 2}}); err == nil {
-			t.Error("empty range accepted")
-		}
-		if _, err := EncodeChunks(f, []ChunkRange{{3, 99}}); err == nil {
-			t.Error("out-of-bounds range accepted")
+		for _, c := range []struct {
+			name   string
+			base   uint64
+			prefix int
+		}{
+			{"past the full chunks", 1, f.FullChunks() + 1},
+			{"no base", 0, 2},
+			{"base without prefix", 1, 0},
+			{"absurd", 1, -1},
+		} {
+			if _, err := DecodeStream(withOffer(c.base, c.prefix)); err == nil {
+				t.Errorf("%s: accepted", c.name)
+			}
 		}
 	})
-	t.Run("duplicate chunk index", func(t *testing.T) {
-		chunks, err := ExtractChunks(f, []ChunkRange{{0, 1}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bad := EncodeChunkPayloads(f.Fingerprint(), []ChunkPayload{chunks[0], chunks[0]})
-		if _, err := DecodeChunks(bad, m); err == nil {
-			t.Error("duplicate chunk index accepted")
+	t.Run("duplicated chunk", func(t *testing.T) {
+		bad := append([]byte(nil), enc...)
+		lo0, hi0 := numericChunk(0)
+		lo1, _ := numericChunk(1)
+		copy(bad[lo1:], enc[lo0:hi0])
+		if err := assembleErr(t, bad); err == nil || !strings.Contains(err.Error(), `column "n" chunk 1`) {
+			t.Errorf("assemble error = %v, want one naming column \"n\" chunk 1", err)
 		}
 	})
 	t.Run("out-of-order chunks", func(t *testing.T) {
-		chunks, err := ExtractChunks(f, []ChunkRange{{0, 2}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bad := EncodeChunkPayloads(f.Fingerprint(), []ChunkPayload{chunks[1], chunks[0]})
-		if _, err := DecodeChunks(bad, m); err == nil {
-			t.Error("out-of-order chunks accepted")
+		bad := append([]byte(nil), enc...)
+		lo1, hi1 := numericChunk(1)
+		lo2, hi2 := numericChunk(2)
+		copy(bad[lo1:], enc[lo2:hi2])
+		copy(bad[lo2:], enc[lo1:hi1])
+		if err := assembleErr(t, bad); err == nil || !strings.Contains(err.Error(), `column "n" chunk 1`) {
+			t.Errorf("assemble error = %v, want one naming column \"n\" chunk 1", err)
 		}
 	})
 	t.Run("cell flipped in stream", func(t *testing.T) {
-		chunks, err := ExtractChunks(f, allRanges(f))
-		if err != nil {
-			t.Fatal(err)
-		}
-		vals := append([]float64(nil), chunks[2].Cols[0].Floats...)
-		vals[5] += 1
-		chunks[2].Cols[0].Floats = vals
-		bad := EncodeChunkPayloads(f.Fingerprint(), chunks)
-		decoded, err := DecodeChunks(bad, m)
-		if err != nil {
-			t.Fatalf("well-formed stream rejected at decode: %v", err)
-		}
-		_, err = AssembleFrame(m, nil, 0, decoded)
-		if err == nil || !strings.Contains(err.Error(), `column "n" chunk 2`) {
+		bad := append([]byte(nil), enc...)
+		lo, _ := numericChunk(2)
+		bad[lo+5*8] ^= 0x01
+		if err := assembleErr(t, bad); err == nil || !strings.Contains(err.Error(), `column "n" chunk 2`) {
 			t.Errorf("assemble error = %v, want one naming column \"n\" chunk 2", err)
 		}
 
-		// Over the wire: the worker negotiates, then refuses the stream with
-		// 400 and stores nothing.
+		// Over the wire: the stream needs no negotiation before it, and the
+		// worker refuses it with 400 and stores nothing.
 		w, ts := newWorker(t, 1)
-		post := func(path string, body []byte) int {
-			t.Helper()
-			resp, err := http.Post(ts.URL+path, "application/octet-stream", bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			return resp.StatusCode
+		resp, err := http.Post(ts.URL+PathChunks, "application/octet-stream", bytes.NewReader(bad))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if code := post(PathManifest, EncodeManifest(m)); code != http.StatusOK {
-			t.Fatalf("manifest status %d", code)
-		}
-		if code := post(PathChunks, bad); code != http.StatusBadRequest {
-			t.Errorf("flipped-cell chunk stream status %d, want 400", code)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("flipped-cell chunk stream status %d, want 400", resp.StatusCode)
 		}
 		if _, ok := w.table(m.Fingerprint); ok {
 			t.Error("corrupted table reached the worker's table store")
 		}
 	})
 	t.Run("code out of dictionary", func(t *testing.T) {
-		chunks, err := ExtractChunks(f, allRanges(f))
-		if err != nil {
-			t.Fatal(err)
-		}
-		codes := append([]int32(nil), chunks[0].Cols[1].Codes...)
-		codes[3] = 99
-		chunks[0].Cols[1].Codes = codes
-		bad := EncodeChunkPayloads(f.Fingerprint(), chunks)
-		if _, err := DecodeChunks(bad, m); err == nil {
+		bad := append([]byte(nil), enc...)
+		binary.LittleEndian.PutUint32(bad[off+8*f.NumRows()+4*3:], 99)
+		if _, err := DecodeStream(bad); err == nil {
 			t.Error("out-of-dictionary code accepted")
 		}
 	})
 }
 
-// TestAssembleFrameRoundTrip pins the whole transport in process: manifest
-// out, chunks out, frame reassembled from scratch and from a prefix base,
-// fingerprint identical to the sender's in both cases.
+// TestAssembleFrameRoundTrip pins the whole transport in process: stream
+// out, frame reassembled from scratch and from a prefix base, fingerprint
+// identical to the sender's in both cases.
 func TestAssembleFrameRoundTrip(t *testing.T) {
 	f := chunkedFrame(t)
-	m := BuildManifest(f)
+	assemble := func(stream []byte, base *frame.Frame) (*frame.Frame, error) {
+		t.Helper()
+		s, err := DecodeStream(stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return AssembleFrame(s, base)
+	}
 
 	// Cold: every chunk streamed, no base.
-	chunks, err := ExtractChunks(f, allRanges(f))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := AssembleFrame(m, nil, 0, chunks)
+	cold, err := assemble(streamFor(f, 0, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,12 +331,8 @@ func TestAssembleFrameRoundTrip(t *testing.T) {
 
 	// Warm: adopt 4 full chunks from the (identical-prefix) original and
 	// stream only the last. Only the streamed chunk's rows may be rescanned.
-	tail, err := ExtractChunks(f, []ChunkRange{{Start: 4, End: 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	before := frame.ChunkScans()
-	warm, err := AssembleFrame(m, cold, 4, tail)
+	warm, err := assemble(streamFor(f, cold.Fingerprint(), 4), cold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,12 +361,18 @@ func TestAssembleFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	badTail, err := ExtractChunks(g2, []ChunkRange{{Start: 4, End: 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := AssembleFrame(m, cold, 4, badTail); err == nil {
+	badTail := EncodeStream(g2, EncodeManifest(BuildManifest(f)), cold.Fingerprint(), 4)
+	if _, err := assemble(badTail, cold); err == nil {
 		t.Error("spliced foreign tail reassembled without a chain error")
+	}
+
+	// A manifest whose chains match but whose fingerprint is not the
+	// sender's fails the final check.
+	lying := BuildManifest(f)
+	lying.Fingerprint ^= 1
+	if _, err := assemble(EncodeStream(f, EncodeManifest(lying), 0, 0), nil); err == nil ||
+		!strings.Contains(err.Error(), "sender computed") {
+		t.Errorf("assemble error = %v, want the final fingerprint check", err)
 	}
 }
 

@@ -85,57 +85,64 @@ func FuzzManifestCodec(f *testing.F) {
 	})
 }
 
-// FuzzChunkCodec hammers the chunk-stream decoder against a fixed manifest:
-// arbitrary bytes must either be rejected or decode into chunk payloads
-// whose cell counts match the manifest's geometry and which re-encode
-// canonically.
+// FuzzChunkCodec hammers the chunk-stream decoder and the worker's
+// reassembly behind it. The seed tables stand in for the worker's store: a
+// stream that decodes, names a resident base whose chains match its prefix
+// (what the worker checks before assembling), and reassembles must
+// reproduce its manifest's fingerprint and re-encode canonically;
+// everything else must be an error, never a panic.
 func FuzzChunkCodec(f *testing.F) {
 	frames := fuzzFrames()
-	ref := frames[2] // the multi-chunk table
-	m := BuildManifest(ref)
+	store := make(map[uint64]*frame.Frame, len(frames))
+	for _, fr := range frames {
+		store[fr.Fingerprint()] = fr
+	}
+	stream := func(fr *frame.Frame, base uint64, prefix int) []byte {
+		return EncodeStream(fr, EncodeManifest(BuildManifest(fr)), base, prefix)
+	}
 	f.Add([]byte{})
 	for _, fr := range frames {
-		if fr.NumChunks() == 0 {
-			continue
-		}
-		enc, err := EncodeChunks(fr, []ChunkRange{{Start: 0, End: fr.NumChunks()}})
-		if err != nil {
-			panic(err)
-		}
-		f.Add(enc)
+		f.Add(stream(fr, 0, 0))
 	}
-	partial, err := EncodeChunks(ref, []ChunkRange{{Start: 1, End: 3}})
-	if err != nil {
-		panic(err)
-	}
-	// Mild corruptions aimed at the v5 layout — magic (4), fingerprint (8),
-	// chunk count (8), then per chunk its index (8) and each column's cells:
-	// a truncation, a chunk index bumped out of order, a categorical code
-	// pushed out of the dictionary, and a v4 header on a v5 body.
+	// The appended table (200 rows) over its resident 128-row base: a
+	// two-chunk prefix and a streamed tail.
+	exact, appended := frames[3], frames[4]
+	partial := stream(appended, exact.Fingerprint(), 2)
+	// Mild corruptions aimed at the v6 layout — magic (4), manifest length
+	// (8) and bytes, base (8), prefix (8), then each column's cells: a
+	// truncation, a prefix past the table's full chunks, a categorical code
+	// pushed out of its dictionary, and a v5 header on a v6 body.
 	f.Add(partial)
 	f.Add(partial[:len(partial)-2])
-	reordered := append([]byte(nil), partial...)
-	reordered[20] = 3 // first chunk claims index 3, the second is 2
-	f.Add(reordered)
-	badCode := append([]byte(nil), partial...)
-	badCode[28+64*8] = 7 // chunk 1's first code; the dictionary has 3 values
+	tail := len(partial) - 8*(appended.NumRows()-128)
+	longPrefix := append([]byte(nil), partial...)
+	longPrefix[tail-8] = 9
+	f.Add(longPrefix)
+	chunked := stream(frames[2], 0, 0)
+	badCode := append([]byte(nil), chunked...)
+	badCode[len(badCode)-4*frames[2].NumRows()] = 7 // the dictionary has 3 values
 	f.Add(badCode)
-	f.Add(append([]byte("ZGC\x04"), partial[4:]...))
+	f.Add(append([]byte("ZGC\x05"), partial[4:]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		chunks, err := DecodeChunks(data, m)
+		s, err := DecodeStream(data)
+		if err != nil {
+			return // rejection is fine; panics and false accepts are not
+		}
+		var base *frame.Frame
+		if s.Prefix > 0 {
+			var ok bool
+			if base, ok = store[s.Base]; !ok || matchPrefix(s.Manifest, base) < s.Prefix {
+				return
+			}
+		}
+		got, err := AssembleFrame(s, base)
 		if err != nil {
 			return
 		}
-		for _, p := range chunks {
-			start, end := m.ChunkBounds(p.Index)
-			for i, cc := range p.Cols {
-				if got := len(cc.Floats) + len(cc.Codes); got != end-start {
-					t.Fatalf("accepted chunk %d col %d with %d cells, manifest geometry says %d",
-						p.Index, i, got, end-start)
-				}
-			}
+		if got.Fingerprint() != s.Manifest.Fingerprint {
+			t.Fatalf("stream reassembled to %#x, its manifest says %#x", got.Fingerprint(), s.Manifest.Fingerprint)
 		}
-		if again := EncodeChunkPayloads(m.Fingerprint, chunks); !bytes.Equal(again, data) {
+		if again := EncodeStream(got, EncodeManifest(s.Manifest), s.Base, s.Prefix); !bytes.Equal(again, data) {
 			t.Fatalf("accepted chunk stream is not canonical:\n in: %x\nout: %x", data, again)
 		}
 	})

@@ -505,7 +505,7 @@ func TestRemoteSaturationMapsRetryAfter(t *testing.T) {
 			return
 		}
 		if strings.HasSuffix(r.URL.Path, PathManifest) {
-			writeJSON(w, http.StatusOK, ManifestResponse{Fingerprint: "0x1", Registered: true})
+			writeJSON(w, http.StatusOK, ManifestResponse{Registered: true})
 			return
 		}
 		w.Header().Set("Retry-After", "2")
@@ -546,9 +546,9 @@ func TestRemoteSaturationMapsRetryAfter(t *testing.T) {
 
 // TestWorkerEndpointValidation covers the worker's HTTP error paths: wrong
 // methods, undecodable bodies, unknown fingerprints, and the empty-cache
-// probe.
+// probe — plus the one stream that is no error: an orphan.
 func TestWorkerEndpointValidation(t *testing.T) {
-	_, ts := newWorker(t, 1)
+	w, ts := newWorker(t, 1)
 	post := func(path string, body []byte) *http.Response {
 		t.Helper()
 		resp, err := http.Post(ts.URL+path, "application/octet-stream", bytes.NewReader(body))
@@ -570,15 +570,14 @@ func TestWorkerEndpointValidation(t *testing.T) {
 	if resp := post(PathInvalidate, []byte("garbage")); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("garbage invalidate status %d", resp.StatusCode)
 	}
-	// A well-formed chunk stream with no pending negotiation is a conflict:
-	// the front must renegotiate, never blind-write.
+	// A well-formed chunk stream needs no negotiation before it: the stream
+	// carries its own manifest, so an orphan registers its table.
 	orphan, _ := testTable(t, 41)
-	stream, err := EncodeChunks(orphan, []ChunkRange{{Start: 0, End: orphan.NumChunks()}})
-	if err != nil {
-		t.Fatal(err)
+	if resp := post(PathChunks, streamFor(orphan, 0, 0)); resp.StatusCode != http.StatusOK {
+		t.Errorf("orphan chunk stream status %d, want 200", resp.StatusCode)
 	}
-	if resp := post(PathChunks, stream); resp.StatusCode != http.StatusConflict {
-		t.Errorf("orphan chunk stream status %d, want 409", resp.StatusCode)
+	if _, ok := w.table(orphan.Fingerprint()); !ok {
+		t.Error("orphan chunk stream did not register its table")
 	}
 	if resp := post(PathCharacterize, []byte("garbage")); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("garbage characterize status %d", resp.StatusCode)

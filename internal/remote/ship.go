@@ -46,58 +46,49 @@ func matchPrefix(m Manifest, g *frame.Frame) int {
 			}
 		}
 	}
+	// Chunk by chunk, not ChunkFingerprints: the worker runs this against
+	// every resident table, so it must not allocate per candidate.
 	for i := range g.Columns() {
-		chains := g.ChunkFingerprints(i)
 		want := m.Cols[i].Chains
 		k := 0
-		for k < limit && chains[k] == want[k] {
+		for k < limit && g.ChunkFingerprint(i, k) == want[k] {
 			k++
 		}
-		if k < limit {
-			limit = k
-		}
-		if limit == 0 {
+		if limit = k; limit == 0 {
 			return 0
 		}
 	}
 	return limit
 }
 
-// AssembleFrame reconstructs the manifest's table from an adopted prefix of
-// base (the first prefixChunks full chunks, verified to match by
-// matchPrefix) plus the streamed chunks, which must cover exactly the
-// remaining indices in ascending order. The adopted prefix is transplanted
-// via frame.AdoptChunkPrefix, so sealing the result scans only the streamed
+// AssembleFrame reconstructs the stream's table from an adopted prefix of
+// base (the first s.Prefix full chunks, verified to match by matchPrefix)
+// plus the streamed tail cells. The adopted prefix is transplanted via
+// frame.AdoptChunkPrefix, so sealing the result scans only the streamed
 // rows — the chain resumes across the splice — and the final checks prove
 // integrity end to end: every chunk fingerprint must match the manifest's
 // commitment, and the reassembled frame's Fingerprint() must equal the
 // sender's.
-func AssembleFrame(m Manifest, base *frame.Frame, prefixChunks int, chunks []ChunkPayload) (*frame.Frame, error) {
+func AssembleFrame(s Stream, base *frame.Frame) (*frame.Frame, error) {
+	m := s.Manifest
 	numChunks := m.NumChunks()
-	if prefixChunks < 0 || prefixChunks > numChunks {
-		return nil, fmt.Errorf("remote: assemble %#x: prefix of %d chunks out of %d", m.Fingerprint, prefixChunks, numChunks)
+	prefixRows := s.Prefix * m.ChunkRows
+	if s.Prefix < 0 || prefixRows > m.NumRows {
+		return nil, fmt.Errorf("remote: assemble %#x: prefix of %d chunks out of %d", m.Fingerprint, s.Prefix, numChunks)
 	}
-	if want, got := numChunks-prefixChunks, len(chunks); want != got {
-		return nil, fmt.Errorf("remote: assemble %#x: %d streamed chunks, want %d", m.Fingerprint, got, want)
+	if len(s.Tail) != len(m.Cols) {
+		return nil, fmt.Errorf("remote: assemble %#x: stream carries %d columns, want %d", m.Fingerprint, len(s.Tail), len(m.Cols))
 	}
-	for k, p := range chunks {
-		if p.Index != prefixChunks+k {
-			return nil, fmt.Errorf("remote: assemble %#x: streamed chunk %d has index %d, want %d", m.Fingerprint, k, p.Index, prefixChunks+k)
-		}
-		if len(p.Cols) != len(m.Cols) {
-			return nil, fmt.Errorf("remote: assemble %#x: chunk %d carries %d columns, want %d", m.Fingerprint, p.Index, len(p.Cols), len(m.Cols))
-		}
-	}
-	prefixRows := prefixChunks * m.ChunkRows
-	if prefixChunks > 0 {
+	if s.Prefix > 0 {
 		if base == nil {
-			return nil, fmt.Errorf("remote: assemble %#x: %d-chunk prefix with no base frame", m.Fingerprint, prefixChunks)
+			return nil, fmt.Errorf("remote: assemble %#x: %d-chunk prefix with no base frame", m.Fingerprint, s.Prefix)
 		}
 		if base.NumRows() < prefixRows || base.NumCols() != len(m.Cols) {
-			return nil, fmt.Errorf("remote: assemble %#x: base frame cannot cover a %d-chunk prefix", m.Fingerprint, prefixChunks)
+			return nil, fmt.Errorf("remote: assemble %#x: base frame cannot cover a %d-chunk prefix", m.Fingerprint, s.Prefix)
 		}
 	}
 
+	tailRows := m.NumRows - prefixRows
 	cols := make([]*frame.Column, len(m.Cols))
 	for i, mc := range m.Cols {
 		if len(mc.Chains) != numChunks {
@@ -106,32 +97,26 @@ func AssembleFrame(m Manifest, base *frame.Frame, prefixChunks int, chunks []Chu
 		}
 		switch mc.Kind {
 		case frame.Numeric:
+			if len(s.Tail[i].Floats) != tailRows {
+				return nil, fmt.Errorf("remote: assemble %#x: column %q streams %d cells, want %d",
+					m.Fingerprint, mc.Name, len(s.Tail[i].Floats), tailRows)
+			}
 			vals := make([]float64, m.NumRows)
 			if prefixRows > 0 {
 				copy(vals, base.Col(i).Floats()[:prefixRows])
 			}
-			for _, p := range chunks {
-				start, end := m.ChunkBounds(p.Index)
-				if len(p.Cols[i].Floats) != end-start {
-					return nil, fmt.Errorf("remote: assemble %#x: column %q chunk %d carries %d cells, want %d",
-						m.Fingerprint, mc.Name, p.Index, len(p.Cols[i].Floats), end-start)
-				}
-				copy(vals[start:end], p.Cols[i].Floats)
-			}
+			copy(vals[prefixRows:], s.Tail[i].Floats)
 			cols[i] = frame.NewNumericColumn(mc.Name, vals)
 		case frame.Categorical:
+			if len(s.Tail[i].Codes) != tailRows {
+				return nil, fmt.Errorf("remote: assemble %#x: column %q streams %d codes, want %d",
+					m.Fingerprint, mc.Name, len(s.Tail[i].Codes), tailRows)
+			}
 			codes := make([]int32, m.NumRows)
 			if prefixRows > 0 {
 				copy(codes, base.Col(i).Codes()[:prefixRows])
 			}
-			for _, p := range chunks {
-				start, end := m.ChunkBounds(p.Index)
-				if len(p.Cols[i].Codes) != end-start {
-					return nil, fmt.Errorf("remote: assemble %#x: column %q chunk %d carries %d codes, want %d",
-						m.Fingerprint, mc.Name, p.Index, len(p.Cols[i].Codes), end-start)
-				}
-				copy(codes[start:end], p.Cols[i].Codes)
-			}
+			copy(codes[prefixRows:], s.Tail[i].Codes)
 			c, err := frame.NewCategoricalColumnFromCodes(mc.Name, codes, mc.Dict)
 			if err != nil {
 				return nil, fmt.Errorf("remote: assemble %#x: %v", m.Fingerprint, err)
@@ -148,8 +133,8 @@ func AssembleFrame(m Manifest, base *frame.Frame, prefixChunks int, chunks []Chu
 	if nf.NumRows() != m.NumRows {
 		return nil, fmt.Errorf("remote: assemble %#x: manifest says %d rows, columns carry %d", m.Fingerprint, m.NumRows, nf.NumRows())
 	}
-	if prefixChunks > 0 {
-		if err := nf.AdoptChunkPrefix(base, prefixChunks); err != nil {
+	if s.Prefix > 0 {
+		if err := nf.AdoptChunkPrefix(base, s.Prefix); err != nil {
 			return nil, fmt.Errorf("remote: assemble %#x: %v", m.Fingerprint, err)
 		}
 	}

@@ -2,8 +2,14 @@ package remote
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -13,9 +19,10 @@ import (
 	"repro/internal/shard"
 )
 
-// newTestServer serves an already-built worker (tests that need a custom
-// router config build their own instead of going through newWorker).
-func newTestServer(t testing.TB, w *Worker) *httptest.Server {
+// newTestServer serves an already-built worker, or a handler wrapping one
+// (tests that need a custom router config build their own instead of going
+// through newWorker).
+func newTestServer(t testing.TB, w http.Handler) *httptest.Server {
 	t.Helper()
 	ts := httptest.NewServer(w)
 	t.Cleanup(ts.Close)
@@ -367,5 +374,331 @@ func TestShippedSetIsBounded(t *testing.T) {
 	}
 	if d := after.BytesShipped - before.BytesShipped; d <= 0 {
 		t.Errorf("renegotiation shipped %d bytes, want one manifest's worth", d)
+	}
+}
+
+// postStream posts a raw chunk stream to the worker and returns the status.
+func postStream(t testing.TB, ts *httptest.Server, body []byte) int {
+	t.Helper()
+	resp, err := http.Post(ts.URL+PathChunks, "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// offerFor asks the worker what it would adopt for f (phase one alone).
+func offerFor(t testing.TB, ts *httptest.Server, f *frame.Frame) ManifestResponse {
+	t.Helper()
+	resp, err := http.Post(ts.URL+PathManifest, "application/octet-stream",
+		bytes.NewReader(EncodeManifest(BuildManifest(f))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var offer ManifestResponse
+	if err := json.NewDecoder(resp.Body).Decode(&offer); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("manifest: status %d, %v", resp.StatusCode, err)
+	}
+	return offer
+}
+
+// sameAsLocal characterizes f on the worker behind c and in process and
+// fails unless the reports are byte-identical.
+func sameAsLocal(t testing.TB, c *Client, f *frame.Frame, sel *frame.Bitmap) {
+	t.Helper()
+	remoteRep, err := c.Characterize(f, sel, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := shard.New(testConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	localRep, err := local.Characterize(f, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(canonical(remoteRep), canonical(localRep)) {
+		t.Errorf("table %#x: worker report diverged from the in-process one", f.Fingerprint())
+	}
+}
+
+// selectThird selects the first third of f's rows.
+func selectThird(f *frame.Frame) *frame.Bitmap {
+	sel := frame.NewBitmap(f.NumRows())
+	for i := 0; i < f.NumRows()/3; i++ {
+		sel.Set(i)
+	}
+	return sel
+}
+
+// TestConcurrentRegistrations pins that registration holds no per-offer
+// state to lose: 400 clients registering distinct tables on one worker at
+// once all succeed, and every table answers like the in-process engine.
+func TestConcurrentRegistrations(t *testing.T) {
+	const n = 400
+	cfg := testConfig(1)
+	cfg.CacheEntries = 2 * n // keep every table resident
+	router, err := shard.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorker(router)
+	ts := newTestServer(t, w)
+
+	tables := make([]*frame.Frame, n)
+	sels := make([]*frame.Bitmap, n)
+	for i := range tables {
+		tables[i], sels[i] = testTable(t, 1000+uint64(i))
+	}
+	clients := make([]*Client, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range clients {
+		clients[i] = NewClient(ts.URL)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = clients[i].RegisterTable(tables[i])
+		}(i)
+	}
+	wg.Wait()
+	failed := 0
+	for i, err := range errs {
+		if err != nil {
+			if failed++; failed <= 3 {
+				t.Errorf("registration %d: %v", i, err)
+			}
+		}
+	}
+	if failed > 0 {
+		t.Fatalf("%d of %d concurrent registrations failed", failed, n)
+	}
+	if got := w.NumTables(); got != n {
+		t.Fatalf("worker holds %d tables, want %d", got, n)
+	}
+	for i, c := range clients {
+		sameAsLocal(t, c, tables[i], sels[i])
+		if got := c.Snapshot().TablesShipped; got != 1 {
+			t.Fatalf("client %d shipped %d tables, want 1", i, got)
+		}
+	}
+}
+
+// TestTwoOffersForOneTable replays two negotiations for one grown table
+// that get different offers — cold, then a 10-chunk prefix once the base
+// has landed. Both streams succeed, in either order of arrival: the first
+// registers the table, the second (a late duplicate) replaces nothing.
+func TestTwoOffersForOneTable(t *testing.T) {
+	base, _ := chunkedTable(t, 11, 640) // 10 full chunks
+	grown := appendRows(t, base, 11, 128)
+	w, ts := newWorker(t, 1)
+	c := NewClient(ts.URL)
+
+	first := offerFor(t, ts, grown)
+	if first.Registered || first.PrefixChunks != 0 {
+		t.Fatalf("cold offer = %+v, want prefix 0", first)
+	}
+	if err := c.RegisterTable(base); err != nil {
+		t.Fatal(err)
+	}
+	second := offerFor(t, ts, grown)
+	if second.PrefixChunks != 10 || second.Base != base.Fingerprint() {
+		t.Fatalf("warm offer = %+v, want 10 chunks of base %#x", second, base.Fingerprint())
+	}
+
+	if code := postStream(t, ts, streamFor(grown, first.Base, first.PrefixChunks)); code != http.StatusOK {
+		t.Fatalf("stream for the first offer: status %d, want 200", code)
+	}
+	stored, ok := w.table(grown.Fingerprint())
+	if !ok {
+		t.Fatal("first stream did not register the table")
+	}
+	if code := postStream(t, ts, streamFor(grown, second.Base, second.PrefixChunks)); code != http.StatusOK {
+		t.Fatalf("stream for the second offer: status %d, want 200", code)
+	}
+	if again, _ := w.table(grown.Fingerprint()); again != stored {
+		t.Error("the late second stream replaced the stored table")
+	}
+	if w.NumTables() != 2 {
+		t.Errorf("worker holds %d tables, want base and grown", w.NumTables())
+	}
+	sameAsLocal(t, c, grown, selectThird(grown))
+}
+
+// TestOpenNegotiationsNeverExpire pins that phase one leaves nothing to
+// evict: far more open negotiations than any bound a worker could keep,
+// streamed afterwards in reverse order, all register.
+func TestOpenNegotiationsNeverExpire(t *testing.T) {
+	const n = 100
+	w, ts := newWorker(t, 1)
+	tables := make([]*frame.Frame, n)
+	offers := make([]ManifestResponse, n)
+	for i := range tables {
+		tables[i], _ = testTable(t, 2000+uint64(i))
+		offers[i] = offerFor(t, ts, tables[i])
+	}
+	for i := n - 1; i >= 0; i-- {
+		if code := postStream(t, ts, streamFor(tables[i], offers[i].Base, offers[i].PrefixChunks)); code != http.StatusOK {
+			t.Fatalf("stream %d after %d open negotiations: status %d", i, n, code)
+		}
+	}
+	if w.NumTables() != n {
+		t.Errorf("worker holds %d tables, want %d", w.NumTables(), n)
+	}
+}
+
+// TestLateDuplicateStream pins that a stream for a stored fingerprint
+// succeeds and replaces nothing — even when the base it names is gone.
+func TestLateDuplicateStream(t *testing.T) {
+	base, _ := chunkedTable(t, 12, 320)
+	grown := appendRows(t, base, 12, 64)
+	w, ts := newWorker(t, 1)
+	c := NewClient(ts.URL)
+	if err := c.RegisterTable(grown); err != nil {
+		t.Fatal(err)
+	}
+	stored, _ := w.table(grown.Fingerprint())
+	for _, stream := range [][]byte{
+		streamFor(grown, 0, 0),
+		streamFor(grown, base.Fingerprint(), base.FullChunks()), // base never resident
+	} {
+		if code := postStream(t, ts, stream); code != http.StatusOK {
+			t.Errorf("duplicate stream status %d, want 200", code)
+		}
+		if again, _ := w.table(grown.Fingerprint()); again != stored || w.NumTables() != 1 {
+			t.Error("a duplicate stream replaced the stored table")
+		}
+	}
+}
+
+// TestStreamChecks feeds the chunk endpoint one bad stream per check the
+// worker applies to a stream that arrives with no record behind it, and
+// pins each status: strict decoding and integrity failures answer 400, a
+// base that is not resident 409, and none stores anything.
+func TestStreamChecks(t *testing.T) {
+	base, _ := chunkedTable(t, 13, 640) // 10 full chunks
+	grown := appendRows(t, base, 13, 128)
+	// diverged shares base's first 5 chunks, then its rows differ.
+	half, _ := chunkedTable(t, 13, 320)
+	diverged := appendRows(t, half, 14, 448)
+	stranger, _ := chunkedTable(t, 15, 768)
+
+	w, ts := newWorker(t, 1)
+	if err := NewClient(ts.URL).RegisterTable(base); err != nil {
+		t.Fatal(err)
+	}
+	good := streamFor(grown, base.Fingerprint(), 10)
+	off := tailOffset(grown)
+	flipped := append([]byte(nil), good...)
+	flipped[off+3] ^= 0x10 // a cell of the first streamed chunk
+	lying := BuildManifest(grown)
+	lying.Fingerprint ^= 1
+	hugeManifest := append([]byte(nil), good...)
+	hugeManifest[4+7] = 0x7f // manifest length far past the payload
+	hugePrefix := append([]byte(nil), good...)
+	hugePrefix[off-1] = 0x7f
+
+	cases := []struct {
+		name   string
+		stream []byte
+		fp     uint64
+		want   int
+	}{
+		{"bad magic", append([]byte("XYZ\x06"), good[4:]...), grown.Fingerprint(), http.StatusBadRequest},
+		{"version skew", append([]byte("ZGC\x05"), good[4:]...), grown.Fingerprint(), http.StatusBadRequest},
+		{"truncated", good[:len(good)-1], grown.Fingerprint(), http.StatusBadRequest},
+		{"trailing bytes", append(append([]byte(nil), good...), 0), grown.Fingerprint(), http.StatusBadRequest},
+		{"oversized manifest length", hugeManifest, grown.Fingerprint(), http.StatusBadRequest},
+		{"oversized prefix", hugePrefix, grown.Fingerprint(), http.StatusBadRequest},
+		{"prefix its base does not match", streamFor(stranger, base.Fingerprint(), 6), stranger.Fingerprint(), http.StatusBadRequest},
+		{"prefix longer than the match", streamFor(diverged, base.Fingerprint(), 8), diverged.Fingerprint(), http.StatusBadRequest},
+		{"chain check", flipped, grown.Fingerprint(), http.StatusBadRequest},
+		{"fingerprint check", EncodeStream(grown, EncodeManifest(lying), 0, 0), lying.Fingerprint, http.StatusBadRequest},
+		{"base not resident", streamFor(grown, 0xdead, 10), grown.Fingerprint(), http.StatusConflict},
+	}
+	for _, c := range cases {
+		if code := postStream(t, ts, c.stream); code != c.want {
+			t.Errorf("%s: status %d, want %d", c.name, code, c.want)
+		}
+		if _, ok := w.table(c.fp); ok {
+			t.Errorf("%s: a rejected stream stored its table", c.name)
+		}
+	}
+	if code := postStream(t, ts, good); code != http.StatusOK {
+		t.Errorf("control stream status %d, want 200", code)
+	}
+	if w.NumTables() != 2 {
+		t.Errorf("worker holds %d tables, want base and grown", w.NumTables())
+	}
+}
+
+// TestEvictedBaseRenegotiates pins the client's side of the 409: the base
+// the worker offered is evicted before the stream arrives, the worker
+// answers 409, and the client asks once more and streams the whole table.
+func TestEvictedBaseRenegotiates(t *testing.T) {
+	base, _ := chunkedTable(t, 16, 640)
+	grown := appendRows(t, base, 16, 64)
+	w, _ := newWorker(t, 1)
+	var armed, evicted atomic.Bool
+	ts := newTestServer(t, http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == PathChunks && armed.Load() && !evicted.Swap(true) {
+			w.tables.RemoveIf(func(fp uint64) bool { return fp == base.Fingerprint() })
+		}
+		w.ServeHTTP(rw, r)
+	}))
+	c := NewClient(ts.URL)
+	if err := c.RegisterTable(base); err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	before := c.Snapshot()
+	if err := c.RegisterTable(grown); err != nil {
+		t.Fatalf("register after the base was evicted: %v", err)
+	}
+	if !evicted.Load() {
+		t.Fatal("the base was never evicted; the setup is wrong")
+	}
+	after := c.Snapshot()
+	if d := after.ChunksShipped - before.ChunksShipped; d != int64(grown.NumChunks()) {
+		t.Errorf("renegotiated register shipped %d chunks, want all %d", d, grown.NumChunks())
+	}
+	if d := after.TablesShipped - before.TablesShipped; d != 1 {
+		t.Errorf("renegotiated register counted %d table ships, want 1", d)
+	}
+	sameAsLocal(t, c, grown, selectThird(grown))
+}
+
+// TestRPCsReuseOneConnection pins that no worker RPC drops its keep-alive
+// connection: registrations (cold and appended) and invalidations run
+// back to back through one client open a single connection.
+func TestRPCsReuseOneConnection(t *testing.T) {
+	const n = 20
+	w, _ := newWorker(t, 1)
+	var conns atomic.Int64
+	ts := httptest.NewUnstartedServer(w)
+	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	c := NewClient(ts.URL)
+	t.Cleanup(func() { c.Close() })
+
+	f, _ := chunkedTable(t, 17, 320)
+	for i := 0; i < n; i++ {
+		if err := c.RegisterTable(f); err != nil {
+			t.Fatal(err)
+		}
+		c.InvalidateFrame(f.Fingerprint())
+		f = appendRows(t, f, 17, 64)
+	}
+	if got := conns.Load(); got > 1 {
+		t.Errorf("%d registrations and %d invalidations opened %d connections, want 1", n, n, got)
 	}
 }

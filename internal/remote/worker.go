@@ -8,14 +8,12 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/frame"
 	"repro/internal/memo"
 	"repro/internal/shard"
-	"repro/internal/wire"
 )
 
 // Worker endpoint paths, mounted by ziggyd -worker (and by tests directly).
@@ -38,52 +36,37 @@ const maxBodyBytes = 1 << 30
 
 // Worker serves the shard.Backend operations over HTTP for one process: a
 // content-addressed table store feeding the process's own shard.Router.
-// Tables arrive chunk-by-chunk through the two-phase manifest/chunks
-// negotiation (a known fingerprint ships nothing; a resident prefix version
-// ships only the suffix), characterize and cache-probe requests address
-// them by fingerprint, and admission control is the router's — a saturated
-// worker sheds with 503 and a Retry-After hint exactly like an in-process
-// shard sheds with ErrSaturated.
+// A table arrives in two requests that share no worker state. A manifest
+// asks what the worker already holds and is answered "registered" or with
+// the one chunk prefix a resident table can lend. A self-describing chunk
+// stream then carries the manifest, that offer and the missing cells, and
+// the worker rebuilds and verifies the table from the stream and its named
+// base alone — so streams may arrive in any order, from any number of
+// fronts, late or twice. Characterize and cache-probe requests address
+// tables by fingerprint, and admission control is the router's — a
+// saturated worker sheds with 503 and a Retry-After hint exactly like an
+// in-process shard sheds with ErrSaturated.
 //
 // The table store is LRU-bounded by the router's configured cache budget,
 // like every other tier in the system: a long-running worker fed many
 // distinct tables evicts the coldest instead of growing without bound.
 // Evicting a table that a front still uses is safe — the next characterize
-// answers unknown-fingerprint and the client re-ships it once.
+// answers unknown-fingerprint and the client re-ships it once; evicting an
+// offered base between the two requests answers the stream 409 and the
+// client asks again.
 type Worker struct {
 	router *shard.Router
 	mux    *http.ServeMux
 	tables *memo.Cache[uint64, *frame.Frame]
-
-	// pending holds open manifest negotiations keyed by table fingerprint:
-	// the manifest plus the prefix offer the worker made. Entries are tiny
-	// (no cells) and short-lived — resolved by the chunk stream, replaced by
-	// a re-negotiation, or evicted FIFO past maxPending.
-	pendMu    sync.Mutex
-	pending   map[uint64]pendingShip
-	pendOrder []uint64
 }
-
-// pendingShip is one open negotiation: what the front offered and what the
-// worker asked for.
-type pendingShip struct {
-	manifest     Manifest
-	baseFP       uint64 // resident prefix frame to adopt from; 0 = none
-	prefixChunks int
-	missing      []ChunkRange
-}
-
-// maxPending bounds concurrently open negotiations.
-const maxPending = 64
 
 // NewWorker wraps a router (typically a fresh local one: the worker's own
 // shards) in the worker HTTP API.
 func NewWorker(router *shard.Router) *Worker {
 	entries, bytes := router.Config().EffectiveCacheBounds()
 	w := &Worker{
-		router:  router,
-		tables:  memo.New[uint64, *frame.Frame](entries, bytes),
-		pending: make(map[uint64]pendingShip),
+		router: router,
+		tables: memo.New[uint64, *frame.Frame](entries, bytes),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathHealth, w.handleHealth)
@@ -176,67 +159,33 @@ func (w *Worker) handleStats(rw http.ResponseWriter, r *http.Request) {
 	writeJSON(rw, http.StatusOK, StatsResponse{Tables: w.NumTables(), Stats: w.router.Stats()})
 }
 
-// RegisterResponse is the chunk-stream endpoint body, completing a
-// registration.
-type RegisterResponse struct {
-	// Fingerprint is the registered table's content fingerprint, as the
-	// worker computed it (hex).
-	Fingerprint string `json:"fingerprint"`
-	// Registered is false when the fingerprint was already present and the
-	// payload was dropped without replacing anything.
-	Registered bool `json:"registered"`
-}
-
-// setPending records an open negotiation, evicting the oldest past the
-// bound; a re-negotiation for the same fingerprint replaces in place.
-func (w *Worker) setPending(fp uint64, p pendingShip) {
-	w.pendMu.Lock()
-	defer w.pendMu.Unlock()
-	if _, ok := w.pending[fp]; !ok {
-		if len(w.pendOrder) >= maxPending {
-			delete(w.pending, w.pendOrder[0])
-			w.pendOrder = w.pendOrder[1:]
-		}
-		w.pendOrder = append(w.pendOrder, fp)
-	}
-	w.pending[fp] = p
-}
-
-func (w *Worker) takePending(fp uint64) (pendingShip, bool) {
-	w.pendMu.Lock()
-	defer w.pendMu.Unlock()
-	p, ok := w.pending[fp]
-	return p, ok
-}
-
-func (w *Worker) dropPending(fp uint64) {
-	w.pendMu.Lock()
-	defer w.pendMu.Unlock()
-	if _, ok := w.pending[fp]; !ok {
-		return
-	}
-	delete(w.pending, fp)
-	for i, k := range w.pendOrder {
-		if k == fp {
-			w.pendOrder = append(w.pendOrder[:i], w.pendOrder[i+1:]...)
-			break
+// longestPrefix finds the resident table sharing the longest chunk prefix
+// with the manifest's table (typically its pre-append version, still
+// resident under the old fingerprint) and returns that prefix length and
+// the table's fingerprint; 0 and 0 when none shares a full chunk.
+func (w *Worker) longestPrefix(m Manifest) (prefix int, base uint64) {
+	// Collect under the store lock, match outside it: matching walks every
+	// column's chunk chain.
+	cands := make([]*frame.Frame, 0, w.tables.Len())
+	w.tables.Each(func(_ uint64, f *frame.Frame) bool {
+		cands = append(cands, f)
+		return true
+	})
+	var best *frame.Frame
+	for _, f := range cands {
+		if k := matchPrefix(m, f); k > prefix {
+			prefix, best = k, f
 		}
 	}
+	if best == nil {
+		return 0, 0
+	}
+	return prefix, best.Fingerprint()
 }
 
-// storeFrame registers an assembled frame in the table store and builds the
-// completion response.
-func (w *Worker) storeFrame(f *frame.Frame) RegisterResponse {
-	fp := f.Fingerprint()
-	_, outcome, _ := w.tables.Do(fp, frameSize, func() (*frame.Frame, error) { return f, nil })
-	return RegisterResponse{Fingerprint: fmt.Sprintf("%#x", fp), Registered: outcome == memo.Miss}
-}
-
-// handleManifest answers phase one of a registration: given the chunk
-// manifest, report which chunk ranges this worker is missing. A known
-// fingerprint needs nothing; otherwise the store is scanned for the longest
-// resident prefix version (typically the pre-append table, still resident
-// under its old fingerprint) and only the suffix is requested.
+// handleManifest answers phase one of a registration as a pure question:
+// the worker holds the table already, or here is the one prefix it can
+// adopt. Nothing is recorded; the chunk stream will carry the offer back.
 func (w *Worker) handleManifest(rw http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(rw, r)
 	if !ok {
@@ -247,109 +196,53 @@ func (w *Worker) handleManifest(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusBadRequest, err)
 		return
 	}
-	fpHex := fmt.Sprintf("%#x", m.Fingerprint)
 	if _, ok := w.table(m.Fingerprint); ok {
-		writeJSON(rw, http.StatusOK, ManifestResponse{Fingerprint: fpHex, Registered: true})
+		writeJSON(rw, http.StatusOK, ManifestResponse{Registered: true})
 		return
 	}
-	// Collect candidates under the store lock, match outside it: sealing a
-	// cold candidate's chunks is column-scan work.
-	type candidate struct {
-		fp uint64
-		f  *frame.Frame
-	}
-	var cands []candidate
-	w.tables.Each(func(fp uint64, f *frame.Frame) bool {
-		cands = append(cands, candidate{fp, f})
-		return true
-	})
-	var baseFP uint64
-	prefix := 0
-	for _, c := range cands {
-		if k := matchPrefix(m, c.f); k > prefix {
-			prefix, baseFP = k, c.fp
-		}
-	}
-	numChunks := m.NumChunks()
-	if prefix == numChunks {
-		// Every chunk is already resident (an empty table, or a truncation
-		// of a resident table to a chunk boundary): assemble without a
-		// stream.
-		var base *frame.Frame
-		if prefix > 0 {
-			base, _ = w.table(baseFP)
-		}
-		f, err := AssembleFrame(m, base, prefix, nil)
-		if err != nil {
-			writeError(rw, http.StatusBadRequest, err)
-			return
-		}
-		w.storeFrame(f)
-		writeJSON(rw, http.StatusOK, ManifestResponse{Fingerprint: fpHex, Registered: true, PrefixChunks: prefix})
-		return
-	}
-	missing := []ChunkRange{{Start: prefix, End: numChunks}}
-	w.setPending(m.Fingerprint, pendingShip{manifest: m, baseFP: baseFP, prefixChunks: prefix, missing: missing})
-	writeJSON(rw, http.StatusOK, ManifestResponse{
-		Fingerprint:  fpHex,
-		PrefixChunks: prefix,
-		Missing:      missing,
-	})
+	prefix, base := w.longestPrefix(m)
+	writeJSON(rw, http.StatusOK, ManifestResponse{PrefixChunks: prefix, Base: base})
 }
 
-// handleChunks completes phase two: decode the streamed chunks against the
-// pending manifest, splice them onto the adopted prefix, and register the
-// verified frame. A missing negotiation or an evicted prefix base answers
-// 409 so the front renegotiates from scratch; a payload that fails any
-// integrity check answers 400.
+// handleChunks completes phase two from the stream alone: decode it, adopt
+// the prefix of the base it names (re-checked against the manifest's
+// chains), splice the streamed cells on, and register the verified frame.
+// A stream for a fingerprint already stored succeeds and replaces nothing;
+// a base that is no longer resident answers 409 so the front asks again; a
+// stream that fails any integrity check answers 400.
 func (w *Worker) handleChunks(rw http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(rw, r)
 	if !ok {
 		return
 	}
-	if err := wire.CheckMagic(body, chunksMagic, decodingChunks); err != nil {
+	s, err := DecodeStream(body)
+	if err != nil {
 		writeError(rw, http.StatusBadRequest, err)
 		return
 	}
-	hdr := &wire.Reader{What: decodingChunks, B: body, Off: 4}
-	fp := hdr.U64()
-	if hdr.Err != nil {
-		writeError(rw, http.StatusBadRequest, hdr.Err)
-		return
-	}
-	pend, ok := w.takePending(fp)
-	if !ok {
-		writeError(rw, http.StatusConflict, fmt.Errorf("no pending registration for table %#x; send its manifest first", fp))
+	fp := s.Manifest.Fingerprint
+	if _, ok := w.table(fp); ok {
+		rw.WriteHeader(http.StatusOK)
 		return
 	}
 	var base *frame.Frame
-	if pend.baseFP != 0 {
-		if base, ok = w.table(pend.baseFP); !ok {
-			// The prefix offer went stale between the phases (LRU eviction);
-			// drop the negotiation and make the front start over.
-			w.dropPending(fp)
-			writeError(rw, http.StatusConflict, fmt.Errorf("prefix base %#x for table %#x is no longer resident; renegotiate", pend.baseFP, fp))
+	if s.Prefix > 0 {
+		if base, ok = w.table(s.Base); !ok {
+			writeError(rw, http.StatusConflict, fmt.Errorf("prefix base %#x for table %#x is no longer resident; ask again", s.Base, fp))
+			return
+		}
+		if k := matchPrefix(s.Manifest, base); k < s.Prefix {
+			writeError(rw, http.StatusBadRequest, fmt.Errorf("table %#x claims a %d-chunk prefix of base %#x, which matches %d", fp, s.Prefix, s.Base, k))
 			return
 		}
 	}
-	chunks, err := DecodeChunks(body, pend.manifest)
+	f, err := AssembleFrame(s, base)
 	if err != nil {
 		writeError(rw, http.StatusBadRequest, err)
 		return
 	}
-	f, err := AssembleFrame(pend.manifest, base, pend.prefixChunks, chunks)
-	if err != nil {
-		writeError(rw, http.StatusBadRequest, err)
-		return
-	}
-	resp := w.storeFrame(f)
-	w.dropPending(fp)
-	writeJSON(rw, http.StatusOK, resp)
-}
-
-// InvalidateResponse is the invalidate endpoint body.
-type InvalidateResponse struct {
-	Fingerprint string `json:"fingerprint"`
+	w.tables.Do(fp, frameSize, func() (*frame.Frame, error) { return f, nil })
+	rw.WriteHeader(http.StatusOK)
 }
 
 // handleInvalidate drops the derived cache entries (reports, prepared
@@ -369,7 +262,7 @@ func (w *Worker) handleInvalidate(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.router.InvalidateFrame(fp)
-	writeJSON(rw, http.StatusOK, InvalidateResponse{Fingerprint: fmt.Sprintf("%#x", fp)})
+	rw.WriteHeader(http.StatusOK)
 }
 
 // SetRetryAfter writes the standard integer-seconds Retry-After header

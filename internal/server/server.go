@@ -149,12 +149,11 @@ type characterizeRequest struct {
 	// uses to measure uncached serving latency.
 	SkipReportCache bool `json:"skipReportCache"`
 	// Approximate requests a sample-based answer: the pipeline runs on a
-	// deterministic stratified sample capped at the server's configured
-	// approximate row budget, and the response carries an "approximate"
-	// provenance block.
+	// deterministic stratified sample capped at core.DefaultApproxRows
+	// rows, and the response carries an "approximate" provenance block.
 	Approximate bool `json:"approximate"`
 	// ApproxRows overrides the sample cap for this request (implies
-	// Approximate); zero defers to the server configuration.
+	// Approximate); zero means core.DefaultApproxRows.
 	ApproxRows int `json:"approxRows"`
 	// ApproxSeed selects the sampling stream; zero is a valid seed. Ignored
 	// unless the request is approximate.
@@ -255,7 +254,7 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 	if req.Approximate || req.ApproxRows > 0 {
 		opts.ApproxRows = req.ApproxRows
 		if opts.ApproxRows == 0 {
-			opts.ApproxRows = s.router.Config().EffectiveApproxRows()
+			opts.ApproxRows = core.DefaultApproxRows
 		}
 		opts.ApproxSeed = req.ApproxSeed
 	}

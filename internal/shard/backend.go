@@ -110,13 +110,12 @@ type EngineBackend struct {
 
 	// Degrade-not-shed (Config.ApproxUnderPressure): a request the
 	// admission queue would shed is instead answered approximately on a
-	// deterministic sample of ≤ approxCap rows. approxRun is a separate
-	// blocking lane (capacity concurrency) — approximate runs are
-	// capped-cheap, so briefly waiting in line beats handing the explorer
-	// a 503, and the exact queue's occupancy still drives Retry-After for
-	// clients that opt out of degradation.
+	// deterministic sample of ≤ core.DefaultApproxRows rows. approxRun is
+	// a separate blocking lane (capacity concurrency) — approximate runs
+	// are capped-cheap, so briefly waiting in line beats handing the
+	// explorer a 503, and the exact queue's occupancy still drives
+	// Retry-After for clients that opt out of degradation.
 	approxUnderPressure bool
-	approxCap           int
 	approxRun           chan struct{}
 
 	requests atomic.Int64
@@ -155,7 +154,6 @@ func NewEngineBackend(cfg core.Config, reports *core.ReportCache, p Params) (*En
 		admit:               make(chan struct{}, p.Concurrency+p.QueueDepth),
 		run:                 make(chan struct{}, p.Concurrency),
 		approxUnderPressure: cfg.ApproxUnderPressure,
-		approxCap:           cfg.EffectiveApproxRows(),
 		approxRun:           make(chan struct{}, p.Concurrency),
 	}, nil
 }
@@ -210,7 +208,7 @@ func (b *EngineBackend) Characterize(f *frame.Frame, sel *frame.Bitmap, opts cor
 // own (cold) cache key.
 func (b *EngineBackend) characterizeDegraded(f *frame.Frame, sel *frame.Bitmap, opts core.Options) (*core.Report, error) {
 	if opts.ApproxRows == 0 {
-		opts.ApproxRows = b.approxCap
+		opts.ApproxRows = core.DefaultApproxRows
 	}
 	b.approxRun <- struct{}{}
 	defer func() { <-b.approxRun }()

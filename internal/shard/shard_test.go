@@ -313,7 +313,7 @@ func TestSaturationShedsLoad(t *testing.T) {
 		t.Fatalf("degraded request: err=%v, approximate=%v", err, degraded != nil && degraded.Approximate != nil)
 	}
 	explicit := uncached
-	explicit.ApproxRows, explicit.ApproxSeed = cfg.EffectiveApproxRows(), 0
+	explicit.ApproxRows, explicit.ApproxSeed = core.DefaultApproxRows, 0
 	want, err := mustRouter(t, testConfig(4)).CharacterizeOpts(f, sel, explicit)
 	if err != nil {
 		t.Fatal(err)

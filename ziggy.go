@@ -100,8 +100,8 @@ type (
 	SaturatedError = shard.SaturatedError
 )
 
-// DefaultApproxRows is the sample cap an approximate characterization uses
-// when Config.ApproxRows is zero.
+// DefaultApproxRows is the sample cap the serving layer uses for an
+// approximate answer that names no cap of its own.
 const DefaultApproxRows = core.DefaultApproxRows
 
 // ErrSaturated identifies requests shed because the owning shard's admission
