@@ -1,7 +1,7 @@
 // Benchmarks regenerating every figure and use case of the paper plus the
-// extension experiments of DESIGN.md §4. Each benchmark corresponds to one
-// experiment id; cmd/zigbench prints the same artifacts as tables, and
-// EXPERIMENTS.md records paper-claim vs measured output.
+// extension experiments. Each benchmark corresponds to one experiment id;
+// the internal/experiments package doc indexes the ids with the paper claim
+// each reproduces, and cmd/zigbench prints the same artifacts as tables.
 //
 // Run all of them with:
 //
@@ -421,7 +421,7 @@ func BenchmarkExtendedCharacterize(b *testing.B) {
 // ranking, two separate median sorts, Mann-Whitney's internal re-ranking,
 // and the tie-correction sort the old Mann-Whitney ran on the sorted
 // concatenation), "rank-once" sorts the in+out concatenation once
-// (effect.CliffDelta), and "walk" is what the engine runs per query: one
+// (stats.NewRanking), and "walk" is what the engine runs per query: one
 // walk of the column's order, sorted once per table outside the loop.
 func BenchmarkRobustColumn(b *testing.B) {
 	sc := mustCrime(b)
@@ -437,13 +437,13 @@ func BenchmarkRobustColumn(b *testing.B) {
 			_ = stats.Ranks(combined) // Cliff's delta ranking
 			_ = stats.Median(in)      // medians re-sorted separately
 			_ = stats.Median(out)
-			_ = hypo.MannWhitneyU(in, out) // internal re-ranking
-			sort.Float64s(combined)        // the old tie-correction pass
+			_ = hypo.MannWhitneyURanked(stats.NewRanking(in, out)) // Mann-Whitney's re-ranking
+			sort.Float64s(combined)                                // the old tie-correction pass
 		}
 	})
 	b.Run("rank-once", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = effect.CliffDelta("population", in, out)
+			_ = effect.CliffDeltaRanked("population", stats.NewRanking(in, out))
 		}
 	})
 	b.Run("walk", func(b *testing.B) {
@@ -458,13 +458,13 @@ func BenchmarkRobustColumn(b *testing.B) {
 	})
 }
 
-// BenchmarkRankingKernels measures one column's ranking per sort strategy
-// on a warmed scratch: the kernel sort of its order (stats.Order) and one
+// BenchmarkRankingKernels measures one column's ranking per input shape
+// on a warmed scratch: the radix sort of its order (stats.Order) and one
 // walk of that order for a half/half split (rank sum, tie correction,
-// group medians). The CI bench job runs it with -benchmem and gates the
-// radix and counting kernels to exactly 0 allocs/op via benchdiff
-// -zero-allocs; the fallback kernel is exempt (sort.Slice allocates its
-// closure by design, and at n≤64 it is off the hot path).
+// group medians). The shapes are a 4,096-value fractional column, a
+// 4,096-value narrow integral column and a 48-value column. The CI bench
+// job runs it with -benchmem and gates every shape to exactly 0 allocs/op
+// via benchdiff -zero-allocs.
 func BenchmarkRankingKernels(b *testing.B) {
 	mk := func(n int, f func(u uint64) float64) []float64 {
 		xs := make([]float64, n)
@@ -478,18 +478,15 @@ func BenchmarkRankingKernels(b *testing.B) {
 		return xs
 	}
 	cases := []struct {
-		name, kernel string
-		xs           []float64
+		name string
+		xs   []float64
 	}{
-		{"kernel=radix", "radix", mk(4096, func(u uint64) float64 { return float64(u%1000003) / 997 })},
-		{"kernel=counting", "counting", mk(4096, func(u uint64) float64 { return float64(u % 64) })},
-		{"kernel=fallback", "fallback", mk(48, func(u uint64) float64 { return float64(u%1000003) / 997 })},
+		{"shape=float", mk(4096, func(u uint64) float64 { return float64(u%1000003) / 997 })},
+		{"shape=integral", mk(4096, func(u uint64) float64 { return float64(u % 64) })},
+		{"shape=small", mk(48, func(u uint64) float64 { return float64(u%1000003) / 997 })},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			if got := stats.KernelFor(c.xs); got != c.kernel {
-				b.Fatalf("fixture selects kernel %q, want %q", got, c.kernel)
-			}
 			var scratch stats.RankScratch
 			dst := make([]int32, len(c.xs))
 			na := len(c.xs) / 2

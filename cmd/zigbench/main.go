@@ -1,6 +1,7 @@
 // Command zigbench regenerates the paper's figures and use cases plus the
-// extension experiments, printing each as an aligned table (see DESIGN.md
-// §4 for the experiment index and EXPERIMENTS.md for recorded outputs).
+// extension experiments, printing each as an aligned table. The
+// internal/experiments package doc indexes the ids with the paper claim
+// each reproduces.
 //
 //	zigbench -exp all
 //	zigbench -exp f1,f4,x3 -seed 42

@@ -1,8 +1,9 @@
 // Package baseline implements the comparison methods for the accuracy
-// experiments (experiment X3 in DESIGN.md): classic subspace-search
-// approaches that, unlike Ziggy, either operate as statistical black boxes
-// or ignore the exploration context entirely (paper §1's discussion of
-// dimensionality reduction and multidimensional visualization).
+// experiments (experiment x3 in the internal/experiments index): classic
+// subspace-search approaches that, unlike Ziggy, either operate as
+// statistical black boxes or ignore the exploration context entirely
+// (paper §1's discussion of dimensionality reduction and multidimensional
+// visualization).
 //
 //   - KLBeam: beam search maximizing the Gaussian Kullback-Leibler
 //     divergence between the selection and its complement — the "black

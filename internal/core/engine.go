@@ -381,7 +381,7 @@ func (e *Engine) prepare(f *frame.Frame) (*prepared, bool, error) {
 
 // columnOrders sorts every numeric column of f once — the table's only
 // ranking passes — into one int32 slab, one column per task with a
-// per-worker kernel scratch. Each query's two-group Ranking is then a walk
+// per-worker radix scratch. Each query's two-group Ranking is then a walk
 // of these orders (stats.OrderRanking) instead of a sort of the query's
 // in+out concatenation.
 func (e *Engine) columnOrders(f *frame.Frame) [][]int32 {

@@ -185,11 +185,13 @@ func Correlations(colA, colB string, inA, inB, outA, outB []float64) Component {
 	}
 }
 
-// CliffDeltaRanked derives the DiffLocationsRobust component from a
-// precomputed two-group Ranking: the rank sum gives the delta (U = #(in >
-// out) + ties/2; delta = 2U/(n·m) − 1), the ranking's group medians give
-// the verifiable Inside/Outside summary, and the tie-corrected rank sum
-// feeds the Mann-Whitney test — all without touching the raw values again.
+// CliffDeltaRanked derives the rank-based DiffLocationsRobust component,
+// delta = P(x > y) − P(x < y) for x drawn from the selection and y from
+// the complement, in [−1, 1], from a two-group Ranking: the rank sum gives
+// the delta (U = #(in > out) + ties/2; delta = 2U/(n·m) − 1), the
+// ranking's group medians give the verifiable Inside/Outside summary, and
+// the tie-corrected rank sum feeds the Mann-Whitney test — all without
+// touching the raw values again.
 // Degenerate rankings (a group below two elements, NaN-bearing input)
 // yield the invalid component.
 func CliffDeltaRanked(col string, r stats.Ranking) Component {

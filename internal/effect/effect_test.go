@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/randx"
+	"repro/internal/stats"
 )
 
 func normals(seed uint64, n int, mean, std float64) []float64 {
@@ -208,24 +209,25 @@ func TestFrequenciesDegenerate(t *testing.T) {
 }
 
 func TestCliffDelta(t *testing.T) {
+	cliff := func(in, out []float64) Component { return CliffDeltaRanked("x", stats.NewRanking(in, out)) }
 	// Complete separation: delta = +1.
 	in := []float64{10, 11, 12}
 	out := []float64{1, 2, 3}
-	c := CliffDelta("x", in, out)
+	c := cliff(in, out)
 	if math.Abs(c.Raw-1) > 1e-9 {
 		t.Errorf("separated delta = %v, want 1", c.Raw)
 	}
 	// Reversed: delta = -1.
-	c = CliffDelta("x", out, in)
+	c = cliff(out, in)
 	if math.Abs(c.Raw+1) > 1e-9 {
 		t.Errorf("reversed delta = %v, want -1", c.Raw)
 	}
 	// Identical: delta = 0.
-	c = CliffDelta("x", []float64{1, 2, 3}, []float64{1, 2, 3})
+	c = cliff([]float64{1, 2, 3}, []float64{1, 2, 3})
 	if math.Abs(c.Raw) > 1e-9 {
 		t.Errorf("identical delta = %v, want 0", c.Raw)
 	}
-	if CliffDelta("x", []float64{1}, []float64{1, 2}).Valid() {
+	if cliff([]float64{1}, []float64{1, 2}).Valid() {
 		t.Error("n<2 should be invalid")
 	}
 }
@@ -255,7 +257,7 @@ func TestCliffDeltaMatchesBruteForce(t *testing.T) {
 			}
 		}
 		want /= float64(n * m)
-		got := CliffDelta("x", in, out).Raw
+		got := CliffDeltaRanked("x", stats.NewRanking(in, out)).Raw
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("trial %d: delta = %v, brute force %v", trial, got, want)
 		}

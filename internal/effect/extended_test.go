@@ -243,7 +243,7 @@ func sortedRef(xs []float64) []float64 {
 
 // refQuantiles is the sorted-copy reference for Quantiles: each group
 // sorted on its own, quartiles read with stats.Quantile, and a Mann-Whitney
-// test that ranks the pair itself.
+// test on a fresh ranking of the pair.
 func refQuantiles(in, out []float64) Component {
 	if len(in) < 4 || len(out) < 4 {
 		return invalid(DiffQuantiles, "x")
@@ -258,7 +258,7 @@ func refQuantiles(in, out []float64) Component {
 	}
 	raw := (medIn - medOut) / pooled
 	return Component{Kind: DiffQuantiles, Columns: []string{"x"}, Raw: raw, Norm: normalize(raw),
-		Inside: medIn, Outside: medOut, Test: hypo.MannWhitneyU(in, out)}
+		Inside: medIn, Outside: medOut, Test: hypo.MannWhitneyURanked(stats.NewRanking(in, out))}
 }
 
 // refTails is the sorted-copy reference for Tails.

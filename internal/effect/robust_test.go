@@ -8,52 +8,41 @@ import (
 )
 
 // TestCliffDeltaDegenerate pins the untestable-input contract of the robust
-// component across both entry points (from the raw groups, from a
-// precomputed ranking): all-ties columns keep a defined delta but an
-// untestable P = NaN, while single-element groups and NaN-bearing columns
-// yield the invalid component — never a panic.
+// component: all-ties columns keep a defined delta but an untestable
+// P = NaN, while single-element groups and NaN-bearing columns yield the
+// invalid component — never a panic.
 func TestCliffDeltaDegenerate(t *testing.T) {
-	entries := []struct {
-		name string
-		comp func(in, out []float64) Component
-	}{
-		{"alloc", func(in, out []float64) Component { return CliffDelta("x", in, out) }},
-		{"ranked", func(in, out []float64) Component {
-			return CliffDeltaRanked("x", stats.NewRanking(in, out))
-		}},
-	}
-	for _, e := range entries {
-		t.Run(e.name, func(t *testing.T) {
-			// All ties: delta 0 and medians defined, but the Mann-Whitney
-			// variance collapses, so the significance bound is NaN.
-			c := e.comp([]float64{4, 4, 4, 4}, []float64{4, 4, 4})
-			if !c.Valid() || c.Raw != 0 || c.Inside != 4 || c.Outside != 4 {
-				t.Errorf("all-ties component = %+v, want valid delta 0 around 4", c)
+	t.Run("ranked", func(t *testing.T) {
+		comp := func(in, out []float64) Component { return CliffDeltaRanked("x", stats.NewRanking(in, out)) }
+		// All ties: delta 0 and medians defined, but the Mann-Whitney
+		// variance collapses, so the significance bound is NaN.
+		c := comp([]float64{4, 4, 4, 4}, []float64{4, 4, 4})
+		if !c.Valid() || c.Raw != 0 || c.Inside != 4 || c.Outside != 4 {
+			t.Errorf("all-ties component = %+v, want valid delta 0 around 4", c)
+		}
+		if !math.IsNaN(c.Test.P) {
+			t.Errorf("all-ties P = %v, want NaN", c.Test.P)
+		}
+		// Single-element and empty groups.
+		for _, pair := range [][2][]float64{
+			{{1}, {2, 3, 4}},
+			{{1, 2, 3}, {4}},
+			{nil, {1, 2, 3}},
+		} {
+			if c := comp(pair[0], pair[1]); c.Valid() || !math.IsNaN(c.Test.P) {
+				t.Errorf("tiny groups %v gave %+v, want invalid", pair, c)
 			}
-			if !math.IsNaN(c.Test.P) {
-				t.Errorf("all-ties P = %v, want NaN", c.Test.P)
+		}
+		// NaN-bearing columns.
+		for _, pair := range [][2][]float64{
+			{{1, math.NaN(), 3}, {4, 5, 6}},
+			{{1, 2, 3}, {math.NaN(), 5, 6}},
+		} {
+			if c := comp(pair[0], pair[1]); c.Valid() || !math.IsNaN(c.Test.P) {
+				t.Errorf("NaN input %v gave %+v, want invalid", pair, c)
 			}
-			// Single-element and empty groups.
-			for _, pair := range [][2][]float64{
-				{{1}, {2, 3, 4}},
-				{{1, 2, 3}, {4}},
-				{nil, {1, 2, 3}},
-			} {
-				if c := e.comp(pair[0], pair[1]); c.Valid() || !math.IsNaN(c.Test.P) {
-					t.Errorf("tiny groups %v gave %+v, want invalid", pair, c)
-				}
-			}
-			// NaN-bearing columns.
-			for _, pair := range [][2][]float64{
-				{{1, math.NaN(), 3}, {4, 5, 6}},
-				{{1, 2, 3}, {math.NaN(), 5, 6}},
-			} {
-				if c := e.comp(pair[0], pair[1]); c.Valid() || !math.IsNaN(c.Test.P) {
-					t.Errorf("NaN input %v gave %+v, want invalid", pair, c)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestCliffDeltaRankOnce asserts the budget at the component level: one
@@ -64,13 +53,13 @@ func TestCliffDeltaRankOnce(t *testing.T) {
 	out := normals(22, 400, 0.5, 1)
 
 	before := stats.RankOps()
-	alloc := CliffDelta("x", in, out)
+	fresh := CliffDeltaRanked("x", stats.NewRanking(in, out))
 	if got := stats.RankOps() - before; got != 1 {
-		t.Errorf("CliffDelta cost %d ranking passes, want 1", got)
+		t.Errorf("NewRanking + CliffDeltaRanked cost %d ranking passes, want 1", got)
 	}
 	walked := CliffDeltaRanked("x", columnRanking(in, out))
-	if componentBits(alloc) != componentBits(walked) {
-		t.Errorf("CliffDelta %+v differs from the column walk %+v", alloc, walked)
+	if componentBits(fresh) != componentBits(walked) {
+		t.Errorf("NewRanking component %+v differs from the column walk %+v", fresh, walked)
 	}
 }
 

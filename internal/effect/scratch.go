@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/hypo"
-	"repro/internal/stats"
 )
 
 // Scratch holds the category-count buffers the categorical components
@@ -31,19 +30,6 @@ func zeroedFloats(buf *[]float64, n int) []float64 {
 		s[i] = 0
 	}
 	return s
-}
-
-// CliffDelta computes the rank-based DiffLocationsRobust component:
-// delta = P(x > y) - P(x < y) for x drawn from the selection and y from the
-// complement, in [-1, 1]. One ranking of the concatenation (NewRanking)
-// produces the delta, both group medians, and the Mann-Whitney
-// significance bound via CliffDeltaRanked. The engine never calls it: it
-// walks the column order it prepared once per table instead.
-func CliffDelta(col string, in, out []float64) Component {
-	if len(in) < 2 || len(out) < 2 {
-		return invalid(DiffLocationsRobust, col)
-	}
-	return CliffDeltaRanked(col, stats.NewRanking(in, out))
 }
 
 // categoryCounts tallies the in and out codes over a k-entry dictionary

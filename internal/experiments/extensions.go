@@ -375,37 +375,6 @@ func SamplingAblation(seed uint64, trials int) (*Table, error) {
 	return t, nil
 }
 
-// All runs every experiment in DESIGN.md order.
-func All(seed uint64) ([]*Table, error) {
-	type expFn func() (*Table, error)
-	fns := []expFn{
-		func() (*Table, error) { return Figure1(seed) },
-		func() (*Table, error) { return Figure2(seed) },
-		func() (*Table, error) { return Figure3(seed) },
-		func() (*Table, error) { return Figure4(seed) },
-		func() (*Table, error) { return Figure5(seed) },
-		func() (*Table, error) { return UseCaseBoxOffice(seed) },
-		func() (*Table, error) { return UseCaseUSCrime(seed) },
-		func() (*Table, error) { return UseCaseInnovation(seed) },
-		func() (*Table, error) { return ScalingColumns(seed) },
-		func() (*Table, error) { return ScalingRows(seed) },
-		func() (*Table, error) { return AccuracyVsBaselines(seed, 3) },
-		func() (*Table, error) { return MinTightSweep(seed) },
-		func() (*Table, error) { return SharedStatsCache(seed) },
-		func() (*Table, error) { return LinkageAblation(seed, 3) },
-		func() (*Table, error) { return SamplingAblation(seed, 2) },
-	}
-	var tables []*Table
-	for _, fn := range fns {
-		tbl, err := fn()
-		if err != nil {
-			return tables, err
-		}
-		tables = append(tables, tbl)
-	}
-	return tables, nil
-}
-
 // ByID resolves an experiment identifier to its runner.
 func ByID(id string, seed uint64) (*Table, error) {
 	switch id {
@@ -444,7 +413,7 @@ func ByID(id string, seed uint64) (*Table, error) {
 	}
 }
 
-// IDs lists the experiment identifiers in DESIGN.md order.
+// IDs lists the experiment identifiers in package-index order.
 func IDs() []string {
 	return []string{"f1", "f2", "f3", "f4", "f5", "uc1", "uc2", "uc3", "x1", "x2", "x3", "x4", "x5", "x6", "x7"}
 }

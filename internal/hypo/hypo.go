@@ -145,27 +145,15 @@ func ChiSquareHomogeneity(countsA, countsB []float64) Result {
 	return Result{Stat: chi2, DF: df, P: stats.ChiSquaredSF(chi2, df)}
 }
 
-// MannWhitneyU tests H₀: the two samples come from the same distribution,
-// using the rank-sum statistic with normal approximation and tie
-// correction. It is the distribution-free alternative to WelchT and is used
-// when the engine is configured for robust mode.
-//
-// MannWhitneyU ranks the concatenation itself; callers that already hold a
-// stats.Ranking for the pair — the robust pipeline computes one per column
-// for Cliff's delta — should call MannWhitneyURanked instead and pay no
-// second ranking pass.
-func MannWhitneyU(a, b []float64) Result {
-	if len(a) < 2 || len(b) < 2 {
-		return Result{P: math.NaN()}
-	}
-	return MannWhitneyURanked(stats.NewRanking(a, b))
-}
-
-// MannWhitneyURanked is MannWhitneyU on a precomputed two-group Ranking:
-// the rank sum, tie correction and group sizes it needs are all carried by
-// r, so no sorting happens here. Degenerate inputs — groups smaller than
-// two, NaN-bearing samples, or all-tied data whose variance collapses to
-// zero — yield P = NaN: the test is untestable, not significant.
+// MannWhitneyURanked tests H₀: the two samples come from the same
+// distribution, using the rank-sum statistic with normal approximation,
+// tie correction and a continuity correction of 0.5. It is the
+// distribution-free alternative to WelchT, used when the engine is
+// configured for robust mode. The rank sum, tie correction and group sizes
+// it needs are all carried by the two-group Ranking r, so no sorting
+// happens here. Degenerate inputs — groups smaller than two, NaN-bearing
+// samples, or all-tied data whose variance collapses to zero — yield
+// P = NaN: the test is untestable, not significant.
 func MannWhitneyURanked(r stats.Ranking) Result {
 	if r.NA < 2 || r.NB < 2 || r.HasNaN {
 		return Result{P: math.NaN()}

@@ -185,34 +185,37 @@ func TestChiSquareDegenerate(t *testing.T) {
 	}
 }
 
-func TestMannWhitneyU(t *testing.T) {
+// mannWhitney runs the test on a fresh ranking of the pair, as every
+// caller outside the engine's column walk does.
+func mannWhitney(a, b []float64) Result { return MannWhitneyURanked(stats.NewRanking(a, b)) }
+
+func TestMannWhitneyURanked(t *testing.T) {
 	a := normals(8, 200, 0, 1)
 	b := normals(9, 200, 2, 1)
-	res := MannWhitneyU(a, b)
+	res := mannWhitney(a, b)
 	if res.P > 1e-6 {
 		t.Errorf("shifted distributions p = %v, want tiny", res.P)
 	}
 	// Identical samples: p near 1.
 	c := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	res = MannWhitneyU(c, c)
+	res = mannWhitney(c, c)
 	if res.P < 0.9 {
 		t.Errorf("identical samples p = %v, want ≈1", res.P)
 	}
-	if MannWhitneyU([]float64{1}, c).Valid() {
+	if mannWhitney([]float64{1}, c).Valid() {
 		t.Error("n<2 should be invalid")
 	}
 	// All-tied data: the rank variance collapses to zero, so the test is
 	// untestable — P must be NaN, not a significance claim.
-	res = MannWhitneyU([]float64{5, 5, 5}, []float64{5, 5, 5})
+	res = mannWhitney([]float64{5, 5, 5}, []float64{5, 5, 5})
 	if !math.IsNaN(res.P) {
 		t.Errorf("all ties p = %v, want NaN", res.P)
 	}
 }
 
-// TestMannWhitneyDegenerate pins the untestable-input contract for both the
-// slice entry point and the precomputed-rank entry point: all-ties columns,
-// single-element groups, and NaN-bearing samples yield P = NaN (never a
-// panic, never a fake significance).
+// TestMannWhitneyDegenerate pins the untestable-input contract: all-ties
+// columns, single-element groups, and NaN-bearing samples yield P = NaN
+// (never a panic, never a fake significance).
 func TestMannWhitneyDegenerate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -228,9 +231,6 @@ func TestMannWhitneyDegenerate(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if res := MannWhitneyU(tc.a, tc.b); !math.IsNaN(res.P) {
-				t.Errorf("MannWhitneyU P = %v, want NaN", res.P)
-			}
 			if res := MannWhitneyURanked(stats.NewRanking(tc.a, tc.b)); !math.IsNaN(res.P) {
 				t.Errorf("MannWhitneyURanked P = %v, want NaN", res.P)
 			}
@@ -238,22 +238,25 @@ func TestMannWhitneyDegenerate(t *testing.T) {
 	}
 }
 
-// TestMannWhitneyRankedMatchesSliceEntry asserts the precomputed-rank entry
-// point is bit-identical to the slice entry point on ordinary data.
-func TestMannWhitneyRankedMatchesSliceEntry(t *testing.T) {
-	a := normals(11, 80, 0, 1)
-	b := normals(12, 70, 0.4, 1.5)
-	// Inject ties so the tie-correction path is exercised.
-	for i := 0; i < 20; i++ {
-		a[i] = float64(i / 4)
-		b[i] = float64(i / 4)
+// TestMannWhitneyTextbookTies pins the test to values computed by hand.
+// Pooled ranks of a = {1.1, 2, 2, 3.5, 5} and b = {2, 3.5, 4, 6, 7, 8}:
+// 1.1 → 1, the three 2s → 3, the two 3.5s → 5.5, 4 → 7, 5 → 8, then 9, 10,
+// 11. So W = 1 + 3 + 3 + 5.5 + 8 = 20.5, Σ(t³−t) = 24 + 6 = 30 and
+// U = W − 5·6/2 = 5.5. Under the continuity-corrected normal approximation
+// μ = 15, σ² = (30/12)·(12 − 30/110) = 29.318…, z = (5.5 − 15 + 0.5)/σ =
+// −1.66216…, and P = 2·Φ(−|z|) = 0.0964798035.
+func TestMannWhitneyTextbookTies(t *testing.T) {
+	a := []float64{1.1, 2, 2, 3.5, 5}
+	b := []float64{2, 3.5, 4, 6, 7, 8}
+	r := stats.NewRanking(a, b)
+	if r.RankSumA != 20.5 || r.TieSum != 30 {
+		t.Errorf("RankSumA, TieSum = %v, %v; want 20.5, 30", r.RankSumA, r.TieSum)
 	}
-	want := MannWhitneyU(a, b)
-	got := MannWhitneyURanked(stats.NewRanking(a, b))
-	if math.Float64bits(want.Stat) != math.Float64bits(got.Stat) ||
-		math.Float64bits(want.P) != math.Float64bits(got.P) {
-		t.Errorf("ranked entry differs: want %+v got %+v", want, got)
+	res := MannWhitneyURanked(r)
+	if res.Stat != 5.5 {
+		t.Errorf("U = %v, want 5.5", res.Stat)
 	}
+	approx(t, "p", res.P, 0.0964798035, 1e-9)
 }
 
 func TestMannWhitneyRobustToOutliers(t *testing.T) {
@@ -261,7 +264,7 @@ func TestMannWhitneyRobustToOutliers(t *testing.T) {
 	// mean-based test might. This is why the engine offers robust mode.
 	a := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	b := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 1e6}
-	res := MannWhitneyU(a, b)
+	res := mannWhitney(a, b)
 	if res.P < 0.2 {
 		t.Errorf("outlier-only difference p = %v, want large", res.P)
 	}

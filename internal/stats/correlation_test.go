@@ -53,6 +53,14 @@ func TestSpearmanMonotone(t *testing.T) {
 	}
 }
 
+// TestSpearmanTextbookTies pins Spearman to a value computed by hand. The
+// midranks are x → {1, 2.5, 2.5, 4, 5} and y → {2, 1, 3.5, 3.5, 5}, both
+// with mean 3; their deviations give Σdxdy = 7.25 and Σdx² = Σdy² = 9.5, so
+// ρ = 7.25/9.5 = 29/38.
+func TestSpearmanTextbookTies(t *testing.T) {
+	approx(t, "spearman with ties", Spearman([]float64{1, 2, 2, 3, 4}, []float64{2, 1, 3, 3, 5}), 29.0/38, 1e-15)
+}
+
 func TestFisherZ(t *testing.T) {
 	for _, r := range []float64{-0.9, -0.5, 0, 0.3, 0.8} {
 		approx(t, "fisher round-trip", math.Tanh(FisherZ(r)), r, 1e-12)

@@ -147,20 +147,20 @@ func Ranks(xs []float64) []float64 {
 }
 
 // RanksIdxWith writes the ranks of xs into dst using idx as index scratch
-// and s as kernel scratch (nil allocates); dst and idx must have length
+// and s as radix scratch (nil allocates); dst and idx must have length
 // len(xs), and dst is returned for convenience. Callers ranking many
 // columns in a loop — the Spearman dependency matrix's rank-once phase —
 // reuse one scratch per worker instead of allocating radix buffers per
 // column, so a warmed scratch ranks without allocating. Tie groups are
-// found by value equality after the sort, which makes the ranks identical
-// for every kernel. The ranking pass is metered by RankOps like every
-// other.
+// found by value equality after the sort, so −0 and +0 share a rank. The
+// ranking pass is metered by RankOps like every other.
 func RanksIdxWith(s *RankScratch, dst []float64, idx []int32, xs []float64) []float64 {
 	rankOps.Add(1)
 	n := len(xs)
-	identity(idx)
-	k, lo, span := chooseKernel(xs, idx)
-	sortPermKernel(s, idx, xs, k, lo, span)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	radixSortPerm(s, idx, xs)
 	for i := 0; i < n; {
 		j := i
 		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {

@@ -5,9 +5,8 @@ import (
 	"sync/atomic"
 )
 
-// rankOps counts ranking passes — kernel sorts of an index permutation by
-// value, whatever strategy the selector picked — executed since process
-// start. The robust and extended paths are specified to sort each numeric
+// rankOps counts ranking passes — radix sorts of an index permutation by
+// value — executed since process start. The robust and extended paths are specified to sort each numeric
 // column once per table (Order, during preparation) and never per query:
 // a query's two-group Ranking is a walk over that order, which costs no
 // pass. Tests and benchmarks read this counter to assert that budget
@@ -23,7 +22,7 @@ func RankOps() int64 { return rankOps.Load() }
 // Order writes the sort order of xs into dst and returns it: the rows of
 // xs's non-NaN values (NaN is the frame's NULL), ascending in floatKey
 // order. dst needs capacity for every non-NaN value (it grows otherwise);
-// s holds the kernel buffers (nil allocates). This is the one ranking pass
+// s holds the radix buffers (nil allocates). This is the one ranking pass
 // a numeric column costs: the engine orders each column once per table in
 // its preparation stage, and every query's two-group Ranking is then a
 // linear walk of the order (OrderRanking). Rows are int32, so a column
@@ -36,8 +35,7 @@ func Order(s *RankScratch, dst []int32, xs []float64) []int32 {
 			order = append(order, int32(i))
 		}
 	}
-	k, lo, span := chooseKernel(xs, order)
-	sortPermKernel(s, order, xs, k, lo, span)
+	radixSortPerm(s, order, xs)
 	return order
 }
 

@@ -87,9 +87,11 @@ func referenceWalk(xs []float64, sel, consider []uint64) refWalk {
 	return ref
 }
 
-// walkColumns is the adversarial corpus: heavy ties, ±Inf, −0 beside +0
-// and NULL rows, at non-NULL counts either side of the 64-value fallback
-// bound and inside the counting kernel's range.
+// walkColumns is the adversarial corpus, keyed by shape: heavy ties, ±Inf,
+// −0 beside +0 and NULL rows at non-NULL counts from 1 to either side of
+// 64 (one selection word), narrow and wide integral columns, the IEEE-754
+// extremes, and the degenerate columns — empty, one value, all equal, all
+// NULL.
 func walkColumns() []struct {
 	name string
 	xs   []float64
@@ -121,35 +123,31 @@ func walkColumns() []struct {
 			return float64(r.Intn(5)) / 2
 		}
 	}
-	var cols []struct {
+	extreme := func() float64 {
+		return [...]float64{
+			math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1),
+			math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+			math.Float64frombits(1<<52 - 1), 0, math.Copysign(0, -1), 1,
+		}[r.Intn(10)]
+	}
+	type shape = struct {
 		name string
 		xs   []float64
 	}
+	var cols []shape
 	for _, n := range []int{1, 2, 5, 63, 64, 65, 130} {
-		cols = append(cols, struct {
-			name string
-			xs   []float64
-		}{fmt.Sprintf("adversarial-%d", n), col(n, 5, adversarial)})
+		cols = append(cols, shape{fmt.Sprintf("adversarial-%d", n), col(n, 5, adversarial)})
 	}
-	cols = append(cols,
-		struct {
-			name string
-			xs   []float64
-		}{"counting-ties", col(500, 7, func() float64 { return float64(r.Intn(12) - 4) })},
-		struct {
-			name string
-			xs   []float64
-		}{"counting-wide", col(2000, 0, func() float64 { return float64(r.Intn(9000)) })},
-		struct {
-			name string
-			xs   []float64
-		}{"radix-normals", col(700, 3, func() float64 { return r.NormFloat64() })},
-		struct {
-			name string
-			xs   []float64
-		}{"all-null", []float64{math.NaN(), math.NaN(), math.NaN()}},
+	return append(cols,
+		shape{"narrow-integral-ties", col(500, 7, func() float64 { return float64(r.Intn(12) - 4) })},
+		shape{"wide-integral", col(2000, 0, func() float64 { return float64(r.Intn(9000)) })},
+		shape{"normals", col(700, 3, func() float64 { return r.NormFloat64() })},
+		shape{"extremes", col(150, 4, extreme)},
+		shape{"all-equal", col(90, 6, func() float64 { return 3 })},
+		shape{"empty", nil},
+		shape{"one-value", []float64{math.NaN(), -1.5}},
+		shape{"all-null", []float64{math.NaN(), math.NaN(), math.NaN()}},
 	)
-	return cols
 }
 
 // walkSplits returns the (sel, consider) pairs a column is walked under:
@@ -195,36 +193,20 @@ func walkSplits(r *randx.Source, xs []float64) [][2][]uint64 {
 // TestOrderRankingMatchesReference pins the walk of a column order to the
 // sort-the-concatenation reference bit for bit — group sizes, rank sum,
 // tie correction, medians and the extended quantiles — over the
-// adversarial corpus, every split shape, and an order built by each
-// kernel the column admits. NewRanking over the same groups must agree
+// adversarial corpus and every split shape, with the order built on a nil,
+// a fresh and a shared scratch. NewRanking over the same groups must agree
 // too: it runs the same walk.
 func TestOrderRankingMatchesReference(t *testing.T) {
 	r := randx.New(99)
 	eq := func(a, b float64) bool {
 		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 	}
-	selected := map[kernelKind]bool{}
+	shared := &RankScratch{}
 	for _, c := range walkColumns() {
-		var rows []int32
-		for row, v := range c.xs {
-			if !math.IsNaN(v) {
-				rows = append(rows, int32(row))
-			}
-		}
-		selK, lo, span := chooseKernel(c.xs, rows)
-		selected[selK] = true
-		var kernels []kernelKind
-		if len(rows) > 0 {
-			kernels = []kernelKind{kernelFallback, kernelRadix}
-		}
-		if selK == kernelCounting {
-			kernels = append(kernels, kernelCounting)
-		}
-		orders := map[string][]int32{"selected": Order(nil, nil, c.xs)}
-		for _, k := range kernels {
-			o := append([]int32(nil), rows...)
-			sortPermKernel(nil, o, c.xs, k, lo, span)
-			orders[fmt.Sprintf("kernel=%d", k)] = o
+		orders := map[string][]int32{
+			"scratch=nil":    Order(nil, nil, c.xs),
+			"scratch=fresh":  Order(&RankScratch{}, nil, c.xs),
+			"scratch=shared": Order(shared, nil, c.xs),
 		}
 		for si, sp := range walkSplits(r, c.xs) {
 			sel, consider := sp[0], sp[1]
@@ -276,9 +258,6 @@ func TestOrderRankingMatchesReference(t *testing.T) {
 			}
 			check("NewRanking", NewRanking(a, b))
 		}
-	}
-	if len(selected) != 3 {
-		t.Errorf("corpus selects kernels %v, want all three", selected)
 	}
 }
 

@@ -63,8 +63,8 @@ type PlantedData struct {
 }
 
 // Planted generates a dataset with known characteristic views. The baseline
-// accuracy experiment (experiment X3 in DESIGN.md) measures how well each
-// search method recovers TrueViews from Frame + Selection.
+// accuracy experiment (x3 in the internal/experiments index) measures how
+// well each search method recovers TrueViews from Frame + Selection.
 func Planted(cfg PlantedConfig) (*PlantedData, error) {
 	if cfg.Rows < 10 {
 		return nil, fmt.Errorf("synth: Planted needs at least 10 rows, got %d", cfg.Rows)

@@ -9,7 +9,8 @@
 // by latent factors, with an outcome variable (crime rate, gross revenue,
 // patactivity) wired to specific blocks so that selections on the outcome
 // exhibit exactly the kinds of characteristic views the paper reports
-// (see DESIGN.md, substitution table).
+// (the internal/experiments package doc lists the claims each dataset
+// backs).
 //
 // All generators are deterministic functions of their seed.
 package synth
