@@ -122,11 +122,14 @@ func BenchmarkFigure3ZigComponents(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		effect.Means("population", inP, outP)
-		effect.Means("pop_density", inD, outD)
-		effect.StdDevs("population", inP, outP)
-		effect.StdDevs("pop_density", inD, outD)
-		effect.Correlations("population", "pop_density", inP, inD, outP, outD)
+		sInP, sOutP := stats.Summarize(inP), stats.Summarize(outP)
+		sInD, sOutD := stats.Summarize(inD), stats.Summarize(outD)
+		effect.Means("population", sInP, sOutP)
+		effect.Means("pop_density", sInD, sOutD)
+		effect.StdDevs("population", sInP, sOutP)
+		effect.StdDevs("pop_density", sInD, sOutD)
+		effect.Correlations("population", "pop_density",
+			stats.Pearson(inP, inD), len(inP), stats.Pearson(outP, outD), len(outP))
 	}
 }
 
@@ -449,10 +452,10 @@ func BenchmarkRobustColumn(b *testing.B) {
 	b.Run("walk", func(b *testing.B) {
 		xs := sc.Frame.Col(sc.Frame.ColIndex("population")).Floats()
 		order := stats.Order(nil, nil, xs)
-		sel := sc.Mask.Words()
+		sel, rest := sc.Mask.Words(), sc.Mask.Clone().Not().Words()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			r := stats.OrderRanking(xs, order, sel, nil, len(in), len(out))
+			r := stats.OrderRanking(xs, order, sel, rest, len(in), len(out))
 			_ = effect.CliffDeltaRanked("population", r)
 		}
 	})
@@ -494,13 +497,13 @@ func BenchmarkRankingKernels(b *testing.B) {
 			for i := 0; i < na; i++ {
 				sel.Set(i)
 			}
-			words := sel.Words()
+			words, rest := sel.Words(), sel.Clone().Not().Words()
 			stats.Order(&scratch, dst, c.xs) // warm the scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				order := stats.Order(&scratch, dst, c.xs)
-				_ = stats.OrderRanking(c.xs, order, words, nil, na, len(c.xs)-na)
+				_ = stats.OrderRanking(c.xs, order, words, rest, na, len(c.xs)-na)
 			}
 		})
 	}

@@ -18,15 +18,16 @@ type Method interface {
 	FindViews(f *frame.Frame, sel *frame.Bitmap, k, d int) [][]string
 }
 
-// numericSplits precomputes per-column splits for the numeric columns.
-type numericSplits struct {
+// numericSides precomputes the inside and outside values of the numeric
+// columns.
+type numericSides struct {
 	names []string
 	in    [][]float64
 	out   [][]float64
 }
 
-func splitNumericColumns(f *frame.Frame, sel *frame.Bitmap) numericSplits {
-	var s numericSplits
+func splitNumericColumns(f *frame.Frame, sel *frame.Bitmap) numericSides {
+	var s numericSides
 	for _, idx := range f.NumericColumns() {
 		name := f.Col(idx).Name()
 		in, out, err := f.SplitNumeric(name, sel)
@@ -161,7 +162,7 @@ func intsKey(xs []int) string {
 
 // gaussianKL computes KL(in ‖ out) for the selected columns under
 // multivariate Gaussian fits. Returns NaN when covariances are singular.
-func gaussianKL(s numericSplits, cols []int) float64 {
+func gaussianKL(s numericSides, cols []int) float64 {
 	d := len(cols)
 	muIn := make([]float64, d)
 	muOut := make([]float64, d)

@@ -49,17 +49,6 @@ func (g *Graph) AddEdge(u, v int) {
 // HasEdge reports whether u and v are adjacent.
 func (g *Graph) HasEdge(u, v int) bool { return g.adj[u][v] }
 
-// Degree returns the degree of v.
-func (g *Graph) Degree(v int) int {
-	d := 0
-	for _, e := range g.adj[v] {
-		if e {
-			d++
-		}
-	}
-	return d
-}
-
 // MaximalCliques enumerates all maximal cliques using Bron-Kerbosch with
 // pivoting. Cliques are returned as sorted vertex slices, largest first
 // (ties by smallest first vertex). maxCliques bounds the enumeration to
@@ -136,33 +125,4 @@ func (g *Graph) MaximalCliques(maxCliques int) [][]int {
 		return out[i][0] < out[j][0]
 	})
 	return out
-}
-
-// ConnectedComponents returns the vertex sets of the graph's connected
-// components, each sorted, ordered by smallest vertex.
-func (g *Graph) ConnectedComponents() [][]int {
-	seen := make([]bool, g.n)
-	var comps [][]int
-	for s := 0; s < g.n; s++ {
-		if seen[s] {
-			continue
-		}
-		var comp []int
-		stack := []int{s}
-		seen[s] = true
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, v)
-			for u := 0; u < g.n; u++ {
-				if g.adj[v][u] && !seen[u] {
-					seen[u] = true
-					stack = append(stack, u)
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	return comps
 }

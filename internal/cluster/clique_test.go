@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/randx"
@@ -140,9 +139,6 @@ func TestGraphFromThreshold(t *testing.T) {
 	if !g.HasEdge(0, 1) || !g.HasEdge(1, 2) || g.HasEdge(0, 2) {
 		t.Fatal("thresholded edges wrong")
 	}
-	if g.Degree(1) != 2 || g.Degree(0) != 1 {
-		t.Fatal("degrees wrong")
-	}
 	if g.N() != 3 {
 		t.Fatal("N wrong")
 	}
@@ -153,22 +149,6 @@ func TestAddEdgeSelfLoopIgnored(t *testing.T) {
 	g.AddEdge(1, 1)
 	if g.HasEdge(1, 1) {
 		t.Fatal("self loop stored")
-	}
-}
-
-func TestConnectedComponents(t *testing.T) {
-	g := NewGraph(6)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(4, 5)
-	comps := g.ConnectedComponents()
-	if len(comps) != 3 {
-		t.Fatalf("components = %v, want 3", comps)
-	}
-	sizes := []int{len(comps[0]), len(comps[1]), len(comps[2])}
-	sort.Ints(sizes)
-	if !reflect.DeepEqual(sizes, []int{1, 2, 3}) {
-		t.Fatalf("component sizes = %v", sizes)
 	}
 }
 

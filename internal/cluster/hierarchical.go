@@ -206,69 +206,6 @@ func (d *Dendrogram) CutAt(h float64) [][]int {
 	return out
 }
 
-// CutK returns exactly k flat clusters by applying the first n-k merges in
-// order (merge index, not height, so tied heights cannot over-merge). k is
-// clamped to [1, NumLeaves].
-func (d *Dendrogram) CutK(k int) [][]int {
-	if k < 1 {
-		k = 1
-	}
-	if k > d.NumLeaves {
-		k = d.NumLeaves
-	}
-	steps := d.NumLeaves - k
-	if steps > len(d.Merges) {
-		steps = len(d.Merges)
-	}
-	return d.cutSteps(steps)
-}
-
-// cutSteps applies exactly the first `steps` merges and returns the flat
-// clusters.
-func (d *Dendrogram) cutSteps(steps int) [][]int {
-	parent := make([]int, d.NumLeaves+len(d.Merges))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for step := 0; step < steps && step < len(d.Merges); step++ {
-		m := d.Merges[step]
-		id := d.NumLeaves + step
-		parent[find(m.A)] = id
-		parent[find(m.B)] = id
-	}
-	groups := make(map[int][]int)
-	for leaf := 0; leaf < d.NumLeaves; leaf++ {
-		root := find(leaf)
-		groups[root] = append(groups[root], leaf)
-	}
-	out := make([][]int, 0, len(groups))
-	for _, g := range groups {
-		sort.Ints(g)
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
-}
-
-// Heights returns the merge heights in order; useful for rendering the
-// dendrogram and for choosing MIN_tight interactively, as the paper's demo
-// does.
-func (d *Dendrogram) Heights() []float64 {
-	hs := make([]float64, len(d.Merges))
-	for i, m := range d.Merges {
-		hs[i] = m.Height
-	}
-	return hs
-}
-
 // Render draws a crude text dendrogram listing merges bottom-up; the demo
 // server exposes it so users can pick MIN_tight visually.
 func (d *Dendrogram) Render(labels []string) string {

@@ -154,9 +154,6 @@ func TestSingleLeaf(t *testing.T) {
 	if len(cl) != 1 || len(cl[0]) != 1 || cl[0][0] != 0 {
 		t.Fatalf("CutAt on single leaf = %v", cl)
 	}
-	if got := dd.CutK(5); len(got) != 1 {
-		t.Fatalf("CutK clamp failed: %v", got)
-	}
 }
 
 func TestCutAtExtremes(t *testing.T) {
@@ -167,27 +164,6 @@ func TestCutAtExtremes(t *testing.T) {
 	}
 	if got := dd.CutAt(10); len(got) != 1 {
 		t.Fatalf("cut above all heights: %d clusters, want 1", len(got))
-	}
-}
-
-func TestCutK(t *testing.T) {
-	d, n := twoBlockDistances(3, 3, 0.1, 0.9)
-	dd, _ := Agglomerate(d, n, Complete)
-	for k := 1; k <= n; k++ {
-		got := dd.CutK(k)
-		if len(got) != k {
-			t.Fatalf("CutK(%d) gave %d clusters: %v", k, len(got), got)
-		}
-		total := 0
-		for _, c := range got {
-			total += len(c)
-		}
-		if total != n {
-			t.Fatalf("CutK(%d) lost leaves: %v", k, got)
-		}
-	}
-	if got := dd.CutK(0); len(got) != 1 {
-		t.Fatalf("CutK(0) should clamp to 1, got %d", len(got))
 	}
 }
 
@@ -204,10 +180,9 @@ func TestHeightsMonotoneForCompleteAndAverage(t *testing.T) {
 	}
 	for _, linkage := range []Linkage{Complete, Average, Single} {
 		dd, _ := Agglomerate(d, n, linkage)
-		hs := dd.Heights()
-		for i := 1; i < len(hs); i++ {
-			if hs[i] < hs[i-1]-1e-9 {
-				t.Fatalf("%v: heights not monotone: %v", linkage, hs)
+		for i := 1; i < len(dd.Merges); i++ {
+			if dd.Merges[i].Height < dd.Merges[i-1].Height-1e-9 {
+				t.Fatalf("%v: heights not monotone: %v", linkage, dd.Merges)
 			}
 		}
 	}

@@ -6,9 +6,10 @@
 //
 // The pipeline follows paper Figure 4:
 //
-//	Preparation      — split every column into Cᴵ/Cᴼ, compute per-column
-//	                   Zig-Components, build the column dependency matrix
-//	                   (cached across queries on the same table).
+//	Preparation      — build the column dependency matrix (cached across
+//	                   queries on the same table), partition the rows into
+//	                   Cᴵ/Cᴼ word masks, and compute per-column
+//	                   Zig-Components from walks of those masks.
 //	View search      — generate tight candidate views by partitioning the
 //	                   dependency graph (complete-linkage clustering by
 //	                   default, maximal cliques as the alternative), score
@@ -84,8 +85,6 @@ type Config struct {
 	// MinRows is the minimum number of usable rows required on each side
 	// of the split before a column participates at all.
 	MinRows int
-	// MaxCliques bounds clique enumeration when Generator == Cliques.
-	MaxCliques int
 	// Extended enables the extended Zig-Component families from the
 	// companion research paper: quantile shifts, tail-weight changes,
 	// categorical entropy changes, and mixed categorical-numeric
@@ -125,6 +124,10 @@ const (
 	DefaultCacheBytes   = 256 << 20 // 256 MiB
 )
 
+// maxCliques bounds clique enumeration when Generator == Cliques, against
+// pathological dependency graphs.
+const maxCliques = 10000
+
 // DefaultApproxRows is the sample cap the serving layer applies when it
 // answers approximately without a per-request cap (Options.ApproxRows): an
 // "approximate": true request and a shard degrading under pressure.
@@ -160,7 +163,6 @@ func DefaultConfig() Config {
 		Alpha:              0.05,
 		Aggregation:        hypo.MinP,
 		MinRows:            5,
-		MaxCliques:         10000,
 		RequireSignificant: false,
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 	"time"
 
@@ -136,6 +135,8 @@ type colData struct {
 	name   string
 	kind   frame.Kind
 	usable bool
+	// valid is the column's non-NULL mask (frame.ColumnValidWords).
+	valid []uint64
 	// warning is the skip reason when the column is unusable; collected
 	// into Report.Warnings in column order after the parallel fan-out.
 	warning string
@@ -296,14 +297,18 @@ func (e *Engine) characterize(f *frame.Frame, sel *frame.Bitmap, opts Options, n
 		// The sampling stream mixes both content fingerprints with the
 		// caller's seed, so distinct (table, selection) pairs never share a
 		// sample, yet the same request is byte-identical wherever it is
-		// computed. The provenance block is set even when the cap covers
-		// every row (the sample is then the whole table): approximate
-		// requested ⇒ Approximate non-nil, which keeps the flag trustworthy
-		// for clients.
-		seed := approxSampleSeed(f.Fingerprint(), sel.Fingerprint(), opts.ApproxSeed, opts.ApproxRows)
-		consider = sample.Stratified(sel, opts.ApproxRows, e.cfg.MinRows, seed)
-		sampled := consider.Count()
-		inside := countInside(sel, consider)
+		// computed.
+		consider = sample.Stratified(sel, opts.ApproxRows, e.cfg.MinRows,
+			approxSampleSeed(f.Fingerprint(), sel.Fingerprint(), opts.ApproxSeed, opts.ApproxRows))
+	}
+	p := newPartition(f.NumRows(), sel, consider)
+	if consider != nil {
+		// The provenance block is set even when the cap covers every row
+		// (the sample is then the whole table): approximate requested ⇒
+		// Approximate non-nil, which keeps the flag trustworthy for
+		// clients.
+		inside, outside := countRows(p.in, nil), countRows(p.out, nil)
+		sampled := inside + outside
 		inflation := 1.0
 		if sampled > 0 && sampled < f.NumRows() {
 			inflation = math.Sqrt(float64(f.NumRows()) / float64(sampled))
@@ -313,11 +318,11 @@ func (e *Engine) characterize(f *frame.Frame, sel *frame.Bitmap, opts Options, n
 			CapRows:     opts.ApproxRows,
 			Seed:        opts.ApproxSeed,
 			InsideRows:  inside,
-			OutsideRows: sampled - inside,
+			OutsideRows: outside,
 			SEInflation: inflation,
 		}
 	}
-	cols := e.splitColumns(f, prep, sel, consider, rep)
+	cols := e.summarizeColumns(f, prep, &p, rep)
 	for _, name := range opts.ExcludeColumns {
 		if idx := f.ColIndex(name); idx >= 0 {
 			cols[idx].usable = false
@@ -330,7 +335,7 @@ func (e *Engine) characterize(f *frame.Frame, sel *frame.Bitmap, opts Options, n
 	// ---- Stage 2: view search -------------------------------------------
 	t1 := time.Now()
 	candidates := e.generateCandidates(prep, cols)
-	scored := e.scoreCandidates(f, sel, consider, cols, prep.dep, candidates)
+	scored := e.scoreCandidates(f, &p, cols, prep.dep, candidates)
 	chosen := e.rankDisjoint(scored)
 	rep.Timings.Search = time.Since(t1)
 
@@ -347,6 +352,10 @@ func (e *Engine) characterize(f *frame.Frame, sel *frame.Bitmap, opts Options, n
 	rep.Timings.Post = time.Since(t2)
 	return rep, nil
 }
+
+// workers returns the effective worker count for this engine's parallel
+// stages: Config.Parallelism, with 0 meaning all CPUs.
+func (e *Engine) workers() int { return par.Workers(e.cfg.Parallelism) }
 
 // ranked reports whether the engine's per-column components read a
 // stats.Ranking (robust or extended mode), and so whether its preparation
@@ -446,68 +455,18 @@ func approxSampleSeed(frameFP, selFP, userSeed uint64, cap int) uint64 {
 	return h
 }
 
-// countInside counts the sampled rows that lie inside the selection
-// (sel ∧ consider), word at a time.
-func countInside(sel, consider *frame.Bitmap) int {
-	n := 0
-	for wi, nw := 0, sel.WordCount(); wi < nw; wi++ {
-		n += bits.OnesCount64(sel.WordAt(wi) & consider.WordAt(wi))
-	}
-	return n
-}
-
-// splitWords walks the selection one 64-bit word at a time and hands the
-// caller two row masks per word: the considered in-rows (sel ∧ consider)
-// and the considered out-rows (¬sel ∧ consider), with the final word's
-// spare bits masked off. Set bits are then consumed with TrailingZeros64,
-// so both split sides receive their rows in ascending order — exactly the
-// order the old per-row Get loop produced — while skipping empty words and
-// all per-row bitmap calls.
-func splitWords(n int, sel, consider *frame.Bitmap, emit func(base int, inW, outW uint64)) {
-	nw := sel.WordCount()
-	for wi := 0; wi < nw; wi++ {
-		base := wi << 6
-		mask := ^uint64(0)
-		if rem := n - base; rem < 64 {
-			mask = 1<<uint(rem) - 1
-		}
-		if consider != nil {
-			mask &= consider.WordAt(wi)
-		}
-		w := sel.WordAt(wi)
-		emit(base, w&mask, ^w&mask)
-	}
-}
-
-// rowSplit is one query's partition of a table's rows: the selection and
-// the optional sample restricting it, plus their words as the column-order
-// walks read them.
-type rowSplit struct {
-	sel, consider           *frame.Bitmap
-	selWords, considerWords []uint64
-}
-
-// splitColumns computes the Cᴵ/Cᴼ split and the 1D components per column,
-// fanning the columns out across the engine's workers. Each task writes
-// only cols[i], so the result is identical for every worker count; skip
-// warnings are collected in column order afterwards.
-func (e *Engine) splitColumns(f *frame.Frame, prep *prepared, sel, consider *frame.Bitmap, rep *Report) []colData {
-	rs := rowSplit{sel: sel, consider: consider}
-	if e.ranked() {
-		rs.selWords = sel.Words()
-		if consider != nil {
-			rs.considerWords = consider.Words()
-		}
-	}
+// summarizeColumns computes each column's 1D components from the
+// partition, fanning the columns out across the engine's workers. Each
+// task writes only cols[i], so the result is identical for every worker
+// count; skip warnings are collected in column order afterwards.
+func (e *Engine) summarizeColumns(f *frame.Frame, prep *prepared, p *partition, rep *Report) []colData {
 	cols := make([]colData, f.NumCols())
-	workers := e.workers()
-	scratches := newScratchPool(workers)
-	par.For(workers, f.NumCols(), func(w, i int) {
+	par.For(e.workers(), f.NumCols(), func(_, i int) {
 		var order []int32
 		if prep.orders != nil {
 			order = prep.orders[i]
 		}
-		cols[i] = e.splitColumn(f.Col(i), i, rs, order, scratches.get(w))
+		cols[i] = e.summarizeColumn(f, i, p, order)
 	})
 	for i := range cols {
 		if cols[i].warning != "" {
@@ -517,26 +476,29 @@ func (e *Engine) splitColumns(f *frame.Frame, prep *prepared, sel, consider *fra
 	return cols
 }
 
-// splitColumn computes one column's Cᴵ/Cᴼ split, into the worker's
-// scratch, and its 1D components. order is the column's prepared sort
-// order when the engine ranks.
-func (e *Engine) splitColumn(c *frame.Column, idx int, rs rowSplit, order []int32, s *scoreScratch) colData {
-	cd := colData{idx: idx, name: c.Name(), kind: c.Kind()}
+// summarizeColumn computes column i's 1D components by walking the
+// partition's sides over the column's non-NULL rows. order is the column's
+// prepared sort order when the engine ranks.
+func (e *Engine) summarizeColumn(f *frame.Frame, i int, p *partition, order []int32) colData {
+	c := f.Col(i)
+	cd := colData{idx: i, name: c.Name(), kind: c.Kind(), valid: f.ColumnValidWords(i)}
+	nIn, nOut := countRows(p.in, cd.valid), countRows(p.out, cd.valid)
+	if nIn < e.cfg.MinRows || nOut < e.cfg.MinRows {
+		cd.warning = fmt.Sprintf("column %q skipped: only %d/%d usable rows inside/outside", c.Name(), nIn, nOut)
+		return cd
+	}
+	cd.usable = true
 	switch c.Kind() {
 	case frame.Numeric:
-		in, out := s.numericSplit(c, rs.sel, rs.consider)
-		if len(in) < e.cfg.MinRows || len(out) < e.cfg.MinRows {
-			cd.warning = fmt.Sprintf("column %q skipped: only %d/%d usable rows inside/outside", c.Name(), len(in), len(out))
-			break
-		}
-		cd.usable = true
+		xs := c.Floats()
+		in, out := summarize(xs, p.in, cd.valid, nIn), summarize(xs, p.out, cd.valid, nOut)
 		// Sort once per table, walk per query: in robust or extended mode
 		// one walk of the column's prepared order serves Cliff's delta, its
 		// Mann-Whitney bound and both medians (robust), and the quantile
 		// and tail order statistics (extended). Nothing is sorted here.
 		var r stats.Ranking
 		if e.ranked() {
-			r = stats.OrderRanking(c.Floats(), order, rs.selWords, rs.considerWords, len(in), len(out))
+			r = stats.OrderRanking(xs, order, p.in, p.out, nIn, nOut)
 		}
 		if e.cfg.Robust {
 			cd.comps = append(cd.comps, effect.CliffDeltaRanked(c.Name(), r))
@@ -545,19 +507,15 @@ func (e *Engine) splitColumn(c *frame.Column, idx int, rs rowSplit, order []int3
 		}
 		cd.comps = append(cd.comps, effect.StdDevs(c.Name(), in, out))
 		if e.cfg.Extended {
-			cd.comps = append(cd.comps, effect.Quantiles(c.Name(), in, out, r))
-			cd.comps = append(cd.comps, effect.Tails(c.Name(), in, out, r))
+			cd.comps = append(cd.comps, effect.Quantiles(c.Name(), r))
+			cd.comps = append(cd.comps, effect.Tails(c.Name(), r, in, out))
 		}
 	case frame.Categorical:
-		in, out := s.categoricalSplit(c, rs.sel, rs.consider)
-		if len(in) < e.cfg.MinRows || len(out) < e.cfg.MinRows {
-			cd.warning = fmt.Sprintf("column %q skipped: only %d/%d usable rows inside/outside", c.Name(), len(in), len(out))
-			break
-		}
-		cd.usable = true
-		cd.comps = append(cd.comps, effect.Frequencies(&s.eff, c.Name(), in, out, c.Dict()))
+		k := c.Cardinality()
+		in, out := tally(c.Codes(), p.in, cd.valid, k), tally(c.Codes(), p.out, cd.valid, k)
+		cd.comps = append(cd.comps, effect.Frequencies(c.Name(), in, out, c.Dict()))
 		if e.cfg.Extended {
-			cd.comps = append(cd.comps, effect.Entropy(&s.eff, c.Name(), in, out, c.Dict()))
+			cd.comps = append(cd.comps, effect.Entropy(c.Name(), in, out, c.Dict()))
 		}
 	}
 	cd.score = effect.Score(cd.comps, e.cfg.Weights)
@@ -578,7 +536,7 @@ func (e *Engine) generateCandidates(prep *prepared, cols []colData) [][]int {
 			}
 		}
 		g := cluster.GraphFromThreshold(vals, n, e.cfg.MinTight)
-		groups = g.MaximalCliques(e.cfg.MaxCliques)
+		groups = g.MaximalCliques(maxCliques)
 	default:
 		if prep.dendro == nil {
 			return nil
@@ -652,22 +610,19 @@ func (e *Engine) packGroup(group []int, dep *depend.Matrix, cols []colData) [][]
 
 // scoreCandidates materializes Views (without explanations) for candidate
 // index groups, fanning the candidates out across the engine's workers.
-// Each task writes only views[i] and uses its worker's private scratch for
-// the effect and hypothesis computations, so the scored views are identical
-// for every worker count.
-func (e *Engine) scoreCandidates(f *frame.Frame, sel, consider *frame.Bitmap, cols []colData, dep *depend.Matrix, candidates [][]int) []View {
+// Each task writes only views[i], so the scored views are identical for
+// every worker count.
+func (e *Engine) scoreCandidates(f *frame.Frame, p *partition, cols []colData, dep *depend.Matrix, candidates [][]int) []View {
 	views := make([]View, len(candidates))
-	workers := e.workers()
-	scratches := newScratchPool(workers)
-	par.For(workers, len(candidates), func(w, i int) {
-		views[i] = e.scoreCandidate(f, sel, consider, cols, dep, candidates[i], scratches.get(w))
+	par.For(e.workers(), len(candidates), func(_, i int) {
+		views[i] = e.scoreCandidate(f, p, cols, dep, candidates[i])
 	})
 	return views
 }
 
 // scoreCandidate scores one candidate column group, computing the pairwise
-// correlation components lazily.
-func (e *Engine) scoreCandidate(f *frame.Frame, sel, consider *frame.Bitmap, cols []colData, dep *depend.Matrix, cand []int, s *scoreScratch) View {
+// components lazily.
+func (e *Engine) scoreCandidate(f *frame.Frame, p *partition, cols []colData, dep *depend.Matrix, cand []int) View {
 	var comps []effect.Component
 	for _, idx := range cand {
 		comps = append(comps, cols[idx].comps...)
@@ -680,12 +635,14 @@ func (e *Engine) scoreCandidate(f *frame.Frame, sel, consider *frame.Bitmap, col
 			ca, cb := cols[cand[a]], cols[cand[b]]
 			switch {
 			case ca.kind == frame.Numeric && cb.kind == frame.Numeric:
-				inA, inB, outA, outB := s.alignedSplit(f.Col(ca.idx), f.Col(cb.idx), sel, consider)
-				comps = append(comps, effect.Correlations(ca.name, cb.name, inA, inB, outA, outB))
+				fa, fb := f.Col(ca.idx).Floats(), f.Col(cb.idx).Floats()
+				ri, ni := correlate(fa, fb, p.in, ca.valid, cb.valid)
+				ro, no := correlate(fa, fb, p.out, ca.valid, cb.valid)
+				comps = append(comps, effect.Correlations(ca.name, cb.name, ri, ni, ro, no))
 			case e.cfg.Extended && ca.kind == frame.Categorical && cb.kind == frame.Numeric:
-				comps = append(comps, mixedSeparation(f, ca, cb, sel, consider, s))
+				comps = append(comps, mixedSeparation(f, p, ca, cb))
 			case e.cfg.Extended && ca.kind == frame.Numeric && cb.kind == frame.Categorical:
-				comps = append(comps, mixedSeparation(f, cb, ca, sel, consider, s))
+				comps = append(comps, mixedSeparation(f, p, cb, ca))
 			}
 		}
 	}
@@ -698,23 +655,24 @@ func (e *Engine) scoreCandidate(f *frame.Frame, sel, consider *frame.Bitmap, col
 	for _, c := range comps {
 		ps = append(ps, c.Test.P)
 	}
-	p := hypo.Combine(ps, e.cfg.Aggregation)
+	pv := hypo.Combine(ps, e.cfg.Aggregation)
 	return View{
 		Columns:     names,
 		Score:       effect.Score(comps, e.cfg.Weights),
 		Tightness:   dep.MinPairwise(cand),
 		Components:  comps,
-		PValue:      p,
-		Significant: !math.IsNaN(p) && p < e.cfg.Alpha,
+		PValue:      pv,
+		Significant: !math.IsNaN(pv) && pv < e.cfg.Alpha,
 	}
 }
 
 // mixedSeparation computes the extended DiffSeparation component for a
-// categorical × numeric pair.
-func mixedSeparation(f *frame.Frame, cat, num colData, sel, consider *frame.Bitmap, s *scoreScratch) effect.Component {
+// categorical × numeric pair from a gather of each side's complete cases.
+func mixedSeparation(f *frame.Frame, p *partition, cat, num colData) effect.Component {
 	cc := f.Col(cat.idx)
-	nc := f.Col(num.idx)
-	catIn, numIn, catOut, numOut := s.mixedSplit(cc, nc, sel, consider)
+	codes, xs := cc.Codes(), f.Col(num.idx).Floats()
+	catIn, numIn := completeCases(codes, xs, p.in, cat.valid, num.valid)
+	catOut, numOut := completeCases(codes, xs, p.out, cat.valid, num.valid)
 	return effect.Separation(cat.name, num.name, catIn, numIn, catOut, numOut, cc.Cardinality())
 }
 

@@ -104,7 +104,6 @@ func hashConfig(c Config) uint64 {
 	h.Bool(c.Robust)
 	h.Bool(c.RequireSignificant)
 	h.Int(c.MinRows)
-	h.Int(c.MaxCliques)
 	h.Bool(c.Extended)
 	return h.Sum()
 }

@@ -3,7 +3,6 @@ package db
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/frame"
@@ -244,34 +243,12 @@ func (a *aggAccumulator) result() (num float64, str string, isNull bool) {
 // sortFrame returns f's rows reordered by the given keys (all of which must
 // be columns of f).
 func sortFrame(f *frame.Frame, keys []OrderKey) (*frame.Frame, error) {
-	type sortCol struct {
-		col  *frame.Column
-		desc bool
-	}
-	cols := make([]sortCol, len(keys))
-	for i, k := range keys {
-		c, ok := f.Lookup(k.Column)
-		if !ok {
-			return nil, evalErrorf("unknown column %q in ORDER BY", k.Column)
-		}
-		cols[i] = sortCol{col: c, desc: k.Desc}
-	}
 	idx := make([]int, f.NumRows())
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		for _, k := range cols {
-			cmp := compareRows(k.col, idx[a], idx[b])
-			if cmp == 0 {
-				continue
-			}
-			if k.desc {
-				return cmp > 0
-			}
-			return cmp < 0
-		}
-		return false
-	})
+	if err := orderRows(f, idx, keys); err != nil {
+		return nil, err
+	}
 	return materializeInOrder(f, idx)
 }

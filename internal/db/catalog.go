@@ -133,33 +133,8 @@ func (c *Catalog) finish(stmt *SelectStmt, base *frame.Frame, mask *frame.Bitmap
 	idx := mask.Indices()
 
 	// ORDER BY over the selected row indices.
-	if len(stmt.OrderBy) > 0 {
-		type sortCol struct {
-			col  *frame.Column
-			desc bool
-		}
-		keys := make([]sortCol, len(stmt.OrderBy))
-		for i, k := range stmt.OrderBy {
-			col, ok := base.Lookup(k.Column)
-			if !ok {
-				return nil, evalErrorf("unknown column %q in ORDER BY", k.Column)
-			}
-			keys[i] = sortCol{col: col, desc: k.Desc}
-		}
-		sort.SliceStable(idx, func(a, b int) bool {
-			ra, rb := idx[a], idx[b]
-			for _, k := range keys {
-				cmp := compareRows(k.col, ra, rb)
-				if cmp == 0 {
-					continue
-				}
-				if k.desc {
-					return cmp > 0
-				}
-				return cmp < 0
-			}
-			return false
-		})
+	if err := orderRows(base, idx, stmt.OrderBy); err != nil {
+		return nil, err
 	}
 
 	// LIMIT.
@@ -180,6 +155,36 @@ func (c *Catalog) finish(stmt *SelectStmt, base *frame.Frame, mask *frame.Bitmap
 		}
 	}
 	return &Result{Stmt: stmt, Base: base, Mask: mask, Rows: rows}, nil
+}
+
+// orderRows stably sorts the row indices idx of f by keys, each naming a
+// column of f (the ORDER BY of a query or of an aggregate's output).
+func orderRows(f *frame.Frame, idx []int, keys []OrderKey) error {
+	if len(keys) == 0 {
+		return nil
+	}
+	cols := make([]*frame.Column, len(keys))
+	for i, k := range keys {
+		c, ok := f.Lookup(k.Column)
+		if !ok {
+			return evalErrorf("unknown column %q in ORDER BY", k.Column)
+		}
+		cols[i] = c
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		for i, c := range cols {
+			cmp := compareRows(c, idx[a], idx[b])
+			if cmp == 0 {
+				continue
+			}
+			if keys[i].Desc {
+				return cmp > 0
+			}
+			return cmp < 0
+		}
+		return false
+	})
+	return nil
 }
 
 // compareRows orders two rows of one column: NULLs sort last, numbers by

@@ -415,16 +415,7 @@ func pearsonFused(xs, ys []float64, mx, my, sxx, syy float64) float64 {
 	for i := range xs {
 		sxy += (xs[i] - mx) * (ys[i] - my)
 	}
-	if sxx == 0 || syy == 0 {
-		return math.NaN()
-	}
-	r := sxy / math.Sqrt(sxx*syy)
-	if r > 1 {
-		r = 1
-	} else if r < -1 {
-		r = -1
-	}
-	return r
+	return stats.FinishPearson(sxy, sxx, syy)
 }
 
 // absClamp maps a correlation to a dependency score the way

@@ -112,15 +112,15 @@ func invalid(kind Kind, cols ...string) Component {
 	return Component{Kind: kind, Columns: cols, Raw: math.NaN(), Norm: math.NaN(), Test: hypo.Result{P: math.NaN()}}
 }
 
-// Means computes the DiffMeans component for one column, split into the
-// selection (in) and its complement (out).
-func Means(col string, in, out []float64) Component {
-	if len(in) < 2 || len(out) < 2 {
+// Means computes the DiffMeans component for one column from the
+// summaries of the selection (in) and its complement (out).
+func Means(col string, in, out stats.Summary) Component {
+	if in.N < 2 || out.N < 2 {
 		return invalid(DiffMeans, col)
 	}
-	mi, mo := stats.Mean(in), stats.Mean(out)
-	vi, vo := stats.Variance(in), stats.Variance(out)
-	ni, no := float64(len(in)), float64(len(out))
+	mi, mo := in.Mean, out.Mean
+	vi, vo := in.Var, out.Var
+	ni, no := float64(in.N), float64(out.N)
 	pooledVar := ((ni-1)*vi + (no-1)*vo) / (ni + no - 2)
 	if pooledVar <= 0 || math.IsNaN(pooledVar) {
 		return invalid(DiffMeans, col)
@@ -140,12 +140,13 @@ func Means(col string, in, out []float64) Component {
 	}
 }
 
-// StdDevs computes the DiffStdDevs component for one column.
-func StdDevs(col string, in, out []float64) Component {
-	if len(in) < 2 || len(out) < 2 {
+// StdDevs computes the DiffStdDevs component for one column from the
+// summaries of both sides.
+func StdDevs(col string, in, out stats.Summary) Component {
+	if in.N < 2 || out.N < 2 {
 		return invalid(DiffStdDevs, col)
 	}
-	si, so := stats.StdDev(in), stats.StdDev(out)
+	si, so := math.Sqrt(in.Var), math.Sqrt(out.Var)
 	if si <= 0 || so <= 0 || math.IsNaN(si) || math.IsNaN(so) {
 		return invalid(DiffStdDevs, col)
 	}
@@ -162,15 +163,10 @@ func StdDevs(col string, in, out []float64) Component {
 }
 
 // Correlations computes the two-dimensional DiffCorrelations component for
-// a column pair. inA/inB are the selection's values on the two columns
-// (row-aligned), outA/outB the complement's.
-func Correlations(colA, colB string, inA, inB, outA, outB []float64) Component {
-	if len(inA) < 4 || len(outA) < 4 || len(inA) != len(inB) || len(outA) != len(outB) {
-		return invalid(DiffCorrelations, colA, colB)
-	}
-	ri := stats.Pearson(inA, inB)
-	ro := stats.Pearson(outA, outB)
-	if math.IsNaN(ri) || math.IsNaN(ro) {
+// a column pair from each side's Pearson correlation: ri over the ni
+// complete cases of the selection, ro over the no of its complement.
+func Correlations(colA, colB string, ri float64, ni int, ro float64, no int) Component {
+	if ni < 4 || no < 4 || math.IsNaN(ri) || math.IsNaN(ro) {
 		return invalid(DiffCorrelations, colA, colB)
 	}
 	raw := stats.FisherZ(ri) - stats.FisherZ(ro)
@@ -181,7 +177,7 @@ func Correlations(colA, colB string, inA, inB, outA, outB []float64) Component {
 		Norm:    normalize(raw),
 		Inside:  ri,
 		Outside: ro,
-		Test:    hypo.CorrelationZ(ri, len(inA), ro, len(outA)),
+		Test:    hypo.CorrelationZ(ri, ni, ro, no),
 	}
 }
 
@@ -210,4 +206,50 @@ func CliffDeltaRanked(col string, r stats.Ranking) Component {
 		Outside: r.MedianB,
 		Test:    hypo.MannWhitneyURanked(r),
 	}
+}
+
+// Frequencies computes the DiffFrequencies component for a categorical
+// column from the per-code counts of both sides over its dictionary. Raw
+// and Norm are the total variation distance between the two frequency
+// vectors; Detail names the category with the largest absolute shift.
+func Frequencies(col string, countsIn, countsOut []float64, dict []string) Component {
+	ni, no := total(countsIn), total(countsOut)
+	if ni < 2 || no < 2 || len(dict) == 0 {
+		return invalid(DiffFrequencies, col)
+	}
+	tvd := 0.0
+	bestShift := -1.0
+	bestCat := ""
+	var bestIn, bestOut float64
+	for i := range dict {
+		pi := countsIn[i] / ni
+		po := countsOut[i] / no
+		shift := math.Abs(pi - po)
+		tvd += shift
+		if shift > bestShift {
+			bestShift = shift
+			bestCat = dict[i]
+			bestIn, bestOut = pi, po
+		}
+	}
+	tvd /= 2
+	return Component{
+		Kind:    DiffFrequencies,
+		Columns: []string{col},
+		Raw:     tvd,
+		Norm:    tvd, // already in [0, 1]
+		Inside:  bestIn,
+		Outside: bestOut,
+		Test:    hypo.ChiSquareHomogeneity(countsIn, countsOut),
+		Detail:  bestCat,
+	}
+}
+
+// total sums category counts; integral counts sum exactly.
+func total(counts []float64) float64 {
+	t := 0.0
+	for _, c := range counts {
+		t += c
+	}
+	return t
 }

@@ -17,10 +17,45 @@ func normals(seed uint64, n int, mean, std float64) []float64 {
 	return xs
 }
 
+// The components read summaries, correlations and category counts; these
+// adapters compute them from a copied split with the slice functions the
+// engine's walks are pinned against.
+func means(col string, in, out []float64) Component {
+	return Means(col, stats.Summarize(in), stats.Summarize(out))
+}
+
+func stdDevs(col string, in, out []float64) Component {
+	return StdDevs(col, stats.Summarize(in), stats.Summarize(out))
+}
+
+func correlations(colA, colB string, inA, inB, outA, outB []float64) Component {
+	return Correlations(colA, colB, stats.Pearson(inA, inB), len(inA), stats.Pearson(outA, outB), len(outA))
+}
+
+// codeCounts tallies dictionary codes over a k-entry dictionary, ignoring
+// codes outside it.
+func codeCounts(codes []int32, k int) []float64 {
+	counts := make([]float64, k)
+	for _, c := range codes {
+		if int(c) < k {
+			counts[c]++
+		}
+	}
+	return counts
+}
+
+func frequencies(col string, in, out []int32, dict []string) Component {
+	return Frequencies(col, codeCounts(in, len(dict)), codeCounts(out, len(dict)), dict)
+}
+
+func entropy(col string, in, out []int32, dict []string) Component {
+	return Entropy(col, codeCounts(in, len(dict)), codeCounts(out, len(dict)), dict)
+}
+
 func TestMeansDetectsShift(t *testing.T) {
 	in := normals(1, 300, 2, 1)
 	out := normals(2, 3000, 0, 1)
-	c := Means("x", in, out)
+	c := means("x", in, out)
 	if !c.Valid() {
 		t.Fatal("component invalid")
 	}
@@ -44,7 +79,7 @@ func TestMeansDetectsShift(t *testing.T) {
 func TestMeansSign(t *testing.T) {
 	in := normals(3, 500, -1, 1)
 	out := normals(4, 500, 1, 1)
-	c := Means("x", in, out)
+	c := means("x", in, out)
 	if c.Raw >= 0 {
 		t.Errorf("selection below complement should give negative g, got %v", c.Raw)
 	}
@@ -53,7 +88,7 @@ func TestMeansSign(t *testing.T) {
 func TestMeansNoEffect(t *testing.T) {
 	in := normals(5, 1000, 0, 1)
 	out := normals(6, 1000, 0, 1)
-	c := Means("x", in, out)
+	c := means("x", in, out)
 	if math.Abs(c.Raw) > 0.15 {
 		t.Errorf("null g = %v, want ≈0", c.Raw)
 	}
@@ -63,7 +98,7 @@ func TestMeansHedgesCorrectionShrinks(t *testing.T) {
 	// The correction factor J < 1 shrinks the raw Cohen's d.
 	in := []float64{1, 2, 3}
 	out := []float64{4, 5, 6}
-	c := Means("x", in, out)
+	c := means("x", in, out)
 	// Cohen's d = (2-5)/1 = -3; J = 1 - 3/(4·6-9) = 0.8; g = -2.4.
 	if math.Abs(c.Raw-(-2.4)) > 1e-9 {
 		t.Errorf("g = %v, want -2.4", c.Raw)
@@ -71,10 +106,10 @@ func TestMeansHedgesCorrectionShrinks(t *testing.T) {
 }
 
 func TestMeansDegenerate(t *testing.T) {
-	if Means("x", []float64{1}, []float64{1, 2}).Valid() {
+	if means("x", []float64{1}, []float64{1, 2}).Valid() {
 		t.Error("n<2 should be invalid")
 	}
-	if Means("x", []float64{1, 1}, []float64{1, 1}).Valid() {
+	if means("x", []float64{1, 1}, []float64{1, 1}).Valid() {
 		t.Error("zero pooled variance should be invalid")
 	}
 }
@@ -82,7 +117,7 @@ func TestMeansDegenerate(t *testing.T) {
 func TestStdDevs(t *testing.T) {
 	in := normals(7, 800, 0, 3)
 	out := normals(8, 800, 0, 1)
-	c := StdDevs("x", in, out)
+	c := stdDevs("x", in, out)
 	if !c.Valid() {
 		t.Fatal("component invalid")
 	}
@@ -96,17 +131,17 @@ func TestStdDevs(t *testing.T) {
 		t.Error("3× spread should be significant")
 	}
 	// Lower variance inside gives a negative raw value.
-	c2 := StdDevs("x", out, in)
+	c2 := stdDevs("x", out, in)
 	if c2.Raw >= 0 {
 		t.Errorf("tighter selection should give negative raw, got %v", c2.Raw)
 	}
 }
 
 func TestStdDevsDegenerate(t *testing.T) {
-	if StdDevs("x", []float64{2, 2, 2}, []float64{1, 2, 3}).Valid() {
+	if stdDevs("x", []float64{2, 2, 2}, []float64{1, 2, 3}).Valid() {
 		t.Error("zero std should be invalid")
 	}
-	if StdDevs("x", []float64{1}, []float64{1, 2}).Valid() {
+	if stdDevs("x", []float64{1}, []float64{1, 2}).Valid() {
 		t.Error("n<2 should be invalid")
 	}
 }
@@ -124,7 +159,7 @@ func TestCorrelations(t *testing.T) {
 		outA[i] = r.NormFloat64()
 		outB[i] = r.NormFloat64() // independent outside
 	}
-	c := Correlations("a", "b", inA, inB, outA, outB)
+	c := correlations("a", "b", inA, inB, outA, outB)
 	if !c.Valid() {
 		t.Fatal("component invalid")
 	}
@@ -148,14 +183,14 @@ func TestCorrelations(t *testing.T) {
 func TestCorrelationsDegenerate(t *testing.T) {
 	short := []float64{1, 2, 3}
 	long := []float64{1, 2, 3, 4, 5}
-	if Correlations("a", "b", short, short, long, long).Valid() {
+	if correlations("a", "b", short, short, long, long).Valid() {
 		t.Error("n<4 should be invalid")
 	}
-	if Correlations("a", "b", long, short, long, long).Valid() {
+	if correlations("a", "b", long, short, long, long).Valid() {
 		t.Error("mismatched sides should be invalid")
 	}
 	flat := []float64{1, 1, 1, 1, 1}
-	if Correlations("a", "b", flat, long, long, long).Valid() {
+	if correlations("a", "b", flat, long, long, long).Valid() {
 		t.Error("constant column should be invalid")
 	}
 }
@@ -177,7 +212,7 @@ func TestFrequencies(t *testing.T) {
 	for i := range out {
 		out[i] = int32(i % 3)
 	}
-	c := Frequencies(nil, "color", in, out, dict)
+	c := frequencies("color", in, out, dict)
 	if !c.Valid() {
 		t.Fatal("component invalid")
 	}
@@ -200,10 +235,10 @@ func TestFrequencies(t *testing.T) {
 }
 
 func TestFrequenciesDegenerate(t *testing.T) {
-	if Frequencies(nil, "c", []int32{0}, []int32{0, 1}, []string{"a", "b"}).Valid() {
+	if frequencies("c", []int32{0}, []int32{0, 1}, []string{"a", "b"}).Valid() {
 		t.Error("n<2 should be invalid")
 	}
-	if Frequencies(nil, "c", []int32{0, 1}, []int32{0, 1}, nil).Valid() {
+	if frequencies("c", []int32{0, 1}, []int32{0, 1}, nil).Valid() {
 		t.Error("empty dict should be invalid")
 	}
 }

@@ -46,21 +46,13 @@ func extendedName(k Kind) (string, bool) {
 	}
 }
 
-// usableRanking reports whether r is a NaN-free ranking of groups the size
-// of the in/out pair — the precondition for reading order statistics off
-// it.
-func usableRanking(r stats.Ranking, in, out []float64) bool {
-	return !r.HasNaN && r.NA == len(in) && r.NB == len(out)
-}
-
 // Quantiles computes the DiffQuantiles component: the median shift scaled
 // by the pooled interquartile range, tested with Mann-Whitney U. The
 // quartiles of both groups and the Mann-Whitney bound are read off the
-// column's two-group Ranking r, which must rank the same in/out pair, so
-// the component sorts nothing; an unusable ranking (NaN-bearing, or built
-// over other data) yields the invalid component.
-func Quantiles(col string, in, out []float64, r stats.Ranking) Component {
-	if len(in) < 4 || len(out) < 4 || !usableRanking(r, in, out) {
+// column's two-group Ranking r, so the component sorts nothing; a
+// NaN-bearing ranking yields the invalid component.
+func Quantiles(col string, r stats.Ranking) Component {
+	if r.NA < 4 || r.NB < 4 || r.HasNaN {
 		return invalid(DiffQuantiles, col)
 	}
 	qs := [3]float64{0.25, 0.5, 0.75}
@@ -87,11 +79,11 @@ func Quantiles(col string, in, out []float64, r stats.Ranking) Component {
 // statistic (P95-P5)/(P75-P25) between the two sides. Heavy-tailed
 // selections score high. All four order statistics per group are read off
 // the column's Ranking r under the same contract as Quantiles. The F
-// variance test provides an (approximate) significance bound; spread
-// changes and tail changes travel together for the distributions explorers
-// meet.
-func Tails(col string, in, out []float64, r stats.Ranking) Component {
-	if len(in) < 10 || len(out) < 10 || !usableRanking(r, in, out) {
+// variance test over the sides' summaries in and out (the groups r ranks)
+// provides an (approximate) significance bound; spread changes and tail
+// changes travel together for the distributions explorers meet.
+func Tails(col string, r stats.Ranking, in, out stats.Summary) Component {
+	if r.NA < 10 || r.NB < 10 || r.HasNaN {
 		return invalid(DiffTails, col)
 	}
 	qs := [4]float64{0.05, 0.25, 0.75, 0.95}
@@ -118,6 +110,28 @@ func Tails(col string, in, out []float64, r stats.Ranking) Component {
 		Inside:  ti,
 		Outside: to,
 		Test:    hypo.VarianceF(in, out),
+	}
+}
+
+// Entropy computes the DiffEntropy component for a categorical column from
+// the per-code counts of both sides: the difference of normalized Shannon
+// entropies (in [0,1] each). A selection concentrated on few categories
+// scores negative raw values.
+func Entropy(col string, countsIn, countsOut []float64, dict []string) Component {
+	if total(countsIn) < 2 || total(countsOut) < 2 || len(dict) < 2 {
+		return invalid(DiffEntropy, col)
+	}
+	hi := normalizedEntropy(countsIn)
+	ho := normalizedEntropy(countsOut)
+	raw := hi - ho
+	return Component{
+		Kind:    DiffEntropy,
+		Columns: []string{col},
+		Raw:     raw,
+		Norm:    math.Abs(raw), // entropies are already normalized to [0,1]
+		Inside:  hi,
+		Outside: ho,
+		Test:    hypo.ChiSquareHomogeneity(countsIn, countsOut),
 	}
 }
 

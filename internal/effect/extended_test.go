@@ -110,7 +110,7 @@ func TestEntropyConcentration(t *testing.T) {
 	for i := range out {
 		out[i] = int32(i % 4)
 	}
-	c := Entropy(nil, "cat", in, out, dict)
+	c := entropy("cat", in, out, dict)
 	if !c.Valid() {
 		t.Fatal("component invalid")
 	}
@@ -130,10 +130,10 @@ func TestEntropyConcentration(t *testing.T) {
 
 func TestEntropyDegenerate(t *testing.T) {
 	dict := []string{"a", "b"}
-	if Entropy(nil, "c", []int32{0}, []int32{0, 1}, dict).Valid() {
+	if entropy("c", []int32{0}, []int32{0, 1}, dict).Valid() {
 		t.Error("n<2 should be invalid")
 	}
-	if Entropy(nil, "c", []int32{0, 1}, []int32{0, 1}, []string{"only"}).Valid() {
+	if entropy("c", []int32{0, 1}, []int32{0, 1}, []string{"only"}).Valid() {
 		t.Error("single-category dict should be invalid")
 	}
 }
@@ -226,11 +226,11 @@ func componentBits(c Component) string {
 // quantiles and tails rank the pair afresh, as the engine does once per
 // numeric column, and compute the component off that ranking.
 func quantiles(in, out []float64) Component {
-	return Quantiles("x", in, out, stats.NewRanking(in, out))
+	return Quantiles("x", stats.NewRanking(in, out))
 }
 
 func tails(in, out []float64) Component {
-	return Tails("x", in, out, stats.NewRanking(in, out))
+	return Tails("x", stats.NewRanking(in, out), stats.Summarize(in), stats.Summarize(out))
 }
 
 // sortedRef returns an ascending copy of xs: the naive order-statistics
@@ -280,7 +280,7 @@ func refTails(in, out []float64) Component {
 	}
 	raw := math.Log(ti / to)
 	return Component{Kind: DiffTails, Columns: []string{"x"}, Raw: raw, Norm: normalize(raw),
-		Inside: ti, Outside: to, Test: hypo.VarianceF(in, out)}
+		Inside: ti, Outside: to, Test: hypo.VarianceF(stats.Summarize(in), stats.Summarize(out))}
 }
 
 // adversarialPairs builds the differential corpus: every pairing of the
@@ -338,13 +338,15 @@ func adversarialPairs() [][2][]float64 {
 // it by a selection bitmap.
 func columnRanking(in, out []float64) stats.Ranking {
 	var xs []float64
-	var sel []uint64
+	var sel, rest []uint64
 	push := func(v float64, inside bool) {
+		for len(sel) <= len(xs)>>6 {
+			sel, rest = append(sel, 0), append(rest, 0)
+		}
 		if inside {
-			for len(sel) <= len(xs)>>6 {
-				sel = append(sel, 0)
-			}
 			sel[len(xs)>>6] |= 1 << (uint(len(xs)) & 63)
+		} else {
+			rest[len(xs)>>6] |= 1 << (uint(len(xs)) & 63)
 		}
 		xs = append(xs, v, math.NaN())
 	}
@@ -357,10 +359,10 @@ func columnRanking(in, out []float64) stats.Ranking {
 		}
 	}
 	for len(sel) < (len(xs)+63)/64 {
-		sel = append(sel, 0)
+		sel, rest = append(sel, 0), append(rest, 0)
 	}
 	order := stats.Order(nil, make([]int32, 0, len(xs)), xs)
-	return stats.OrderRanking(xs, order, sel, nil, len(in), len(out))
+	return stats.OrderRanking(xs, order, sel, rest, len(in), len(out))
 }
 
 // TestQuantilesRankedMatchesSortingPath asserts the Ranking-backed
@@ -374,7 +376,7 @@ func TestQuantilesRankedMatchesSortingPath(t *testing.T) {
 		if got := componentBits(quantiles(in, out)); got != want {
 			t.Fatalf("pair %d (%v | %v): ranked %s, reference %s", i, in, out, got, want)
 		}
-		if got := componentBits(Quantiles("x", in, out, columnRanking(in, out))); got != want {
+		if got := componentBits(Quantiles("x", columnRanking(in, out))); got != want {
 			t.Fatalf("pair %d (%v | %v): column-ranked %s, reference %s", i, in, out, got, want)
 		}
 	}
@@ -389,27 +391,23 @@ func TestTailsRankedMatchesSortingPath(t *testing.T) {
 		if got := componentBits(tails(in, out)); got != want {
 			t.Fatalf("pair %d (%v | %v): ranked %s, reference %s", i, in, out, got, want)
 		}
-		if got := componentBits(Tails("x", in, out, columnRanking(in, out))); got != want {
+		if got := componentBits(Tails("x", columnRanking(in, out), stats.Summarize(in), stats.Summarize(out))); got != want {
 			t.Fatalf("pair %d (%v | %v): column-ranked %s, reference %s", i, in, out, got, want)
 		}
 	}
 }
 
 // TestRankedComponentsInvalidOnDegenerateRanking asserts that a ranking
-// without an order (NaN-bearing input) or one built over other data gives
-// the invalid component instead of misreading the order.
+// without an order (NaN-bearing input) gives the invalid component instead
+// of misreading the order, even when the groups are large enough.
 func TestRankedComponentsInvalidOnDegenerateRanking(t *testing.T) {
-	in := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	in := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, math.NaN()}
 	out := []float64{2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
-	for name, r := range map[string]stats.Ranking{
-		"nan":      stats.NewRanking([]float64{math.NaN()}, []float64{1}),
-		"mismatch": stats.NewRanking(in[:5], out),
-	} {
-		if c := Quantiles("x", in, out, r); c.Valid() || c.Kind != DiffQuantiles {
-			t.Errorf("%s ranking: Quantiles = %+v, want invalid", name, c)
-		}
-		if c := Tails("x", in, out, r); c.Valid() || c.Kind != DiffTails {
-			t.Errorf("%s ranking: Tails = %+v, want invalid", name, c)
-		}
+	r := stats.NewRanking(in, out)
+	if c := Quantiles("x", r); c.Valid() || c.Kind != DiffQuantiles {
+		t.Errorf("NaN ranking: Quantiles = %+v, want invalid", c)
+	}
+	if c := Tails("x", r, stats.Summarize(in), stats.Summarize(out)); c.Valid() || c.Kind != DiffTails {
+		t.Errorf("NaN ranking: Tails = %+v, want invalid", c)
 	}
 }

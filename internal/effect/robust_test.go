@@ -72,8 +72,8 @@ func TestQuantilesRankedSharesRanking(t *testing.T) {
 	r := stats.NewRanking(in, out)
 
 	before := stats.RankOps()
-	q := Quantiles("x", in, out, r)
-	tw := Tails("x", in, out, r)
+	q := Quantiles("x", r)
+	tw := Tails("x", r, stats.Summarize(in), stats.Summarize(out))
 	if got := stats.RankOps() - before; got != 0 {
 		t.Errorf("Quantiles and Tails cost %d ranking passes, want 0", got)
 	}

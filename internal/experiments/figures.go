@@ -174,11 +174,13 @@ func Figure3(seed uint64) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	sInP, sOutP := stats.Summarize(inP), stats.Summarize(outP)
+	sInD, sOutD := stats.Summarize(inD), stats.Summarize(outD)
 	comps := []effect.Component{
-		effect.Means("population", inP, outP),
-		effect.Means("pop_density", inD, outD),
-		effect.StdDevs("population", inP, outP),
-		effect.StdDevs("pop_density", inD, outD),
+		effect.Means("population", sInP, sOutP),
+		effect.Means("pop_density", sInD, sOutD),
+		effect.StdDevs("population", sInP, sOutP),
+		effect.StdDevs("pop_density", sInD, sOutD),
 	}
 	// The 2D component needs row-aligned values.
 	pCol, _ := sc.Frame.Lookup("population")
@@ -196,7 +198,8 @@ func Figure3(seed uint64) (*Table, error) {
 			outB = append(outB, dCol.Float(i))
 		}
 	}
-	comps = append(comps, effect.Correlations("population", "pop_density", inA, inB, outA, outB))
+	comps = append(comps, effect.Correlations("population", "pop_density",
+		stats.Pearson(inA, inB), len(inA), stats.Pearson(outA, outB), len(outA)))
 
 	t := &Table{
 		ID:     "f3",

@@ -107,71 +107,6 @@ func (cb *colBuilder) intern(v string) int32 {
 	return code
 }
 
-// AppendRows appends whole rows: each row must have one value per declared
-// column — float64 (or any integer type), string, or nil for NULL, matching
-// the column kind. The row is validated before anything is appended, so a
-// rejected row leaves the builder unchanged.
-func (b *Builder) AppendRows(rows [][]any) error {
-	for r, row := range rows {
-		if len(row) != len(b.cols) {
-			return fmt.Errorf("frame: row %d has %d values, want %d columns", r, len(row), len(b.cols))
-		}
-		for i, v := range row {
-			if v == nil {
-				continue
-			}
-			cb := b.cols[i]
-			switch v.(type) {
-			case float64, float32, int, int8, int16, int32, int64, uint, uint8, uint16, uint32, uint64:
-				if cb.kind != Numeric {
-					return fmt.Errorf("frame: row %d: numeric value %v for %s column %q", r, v, cb.kind, cb.name)
-				}
-			case string:
-				if cb.kind != Categorical {
-					return fmt.Errorf("frame: row %d: string value %q for %s column %q", r, v, cb.kind, cb.name)
-				}
-			default:
-				return fmt.Errorf("frame: row %d: unsupported value %T for column %q", r, v, cb.name)
-			}
-		}
-		for i, v := range row {
-			if v == nil {
-				b.AppendNull(i)
-				continue
-			}
-			switch x := v.(type) {
-			case float64:
-				b.AppendFloat(i, x)
-			case float32:
-				b.AppendFloat(i, float64(x))
-			case int:
-				b.AppendFloat(i, float64(x))
-			case int8:
-				b.AppendFloat(i, float64(x))
-			case int16:
-				b.AppendFloat(i, float64(x))
-			case int32:
-				b.AppendFloat(i, float64(x))
-			case int64:
-				b.AppendFloat(i, float64(x))
-			case uint:
-				b.AppendFloat(i, float64(x))
-			case uint8:
-				b.AppendFloat(i, float64(x))
-			case uint16:
-				b.AppendFloat(i, float64(x))
-			case uint32:
-				b.AppendFloat(i, float64(x))
-			case uint64:
-				b.AppendFloat(i, float64(x))
-			case string:
-				b.AppendStr(i, x)
-			}
-		}
-	}
-	return nil
-}
-
 // Build validates column lengths and returns the finished Frame, chunked at
 // the capacity SetChunkRows chose.
 func (b *Builder) Build() (*Frame, error) {

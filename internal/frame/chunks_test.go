@@ -238,51 +238,6 @@ func TestAppendGrowsDictionary(t *testing.T) {
 	}
 }
 
-func TestBuilderAppendRows(t *testing.T) {
-	b := NewBuilder("t")
-	b.AddNumeric("x")
-	b.AddCategorical("c")
-	if err := b.AppendRows([][]any{
-		{1.5, "a"},
-		{int(2), "b"},
-		{nil, nil},
-		{uint8(3), "a"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	f := b.MustBuild()
-	if f.NumRows() != 4 {
-		t.Fatalf("rows = %d, want 4", f.NumRows())
-	}
-	if f.Col(0).Float(1) != 2 || f.Col(0).Float(3) != 3 || !f.Col(0).IsNull(2) {
-		t.Errorf("numeric column wrong: %v", f.Col(0).Floats())
-	}
-	if f.Col(1).Str(1) != "b" || !f.Col(1).IsNull(2) {
-		t.Errorf("categorical column wrong")
-	}
-
-	for name, rows := range map[string][][]any{
-		"short row":       {{1.5}},
-		"string->numeric": {{"x", "a"}},
-		"float->cat":      {{1.0, 2.0}},
-		"bad type":        {{[]byte("x"), "a"}},
-	} {
-		bad := NewBuilder("t")
-		bad.AddNumeric("x")
-		bad.AddCategorical("c")
-		if err := bad.AppendRows(rows); err == nil {
-			t.Errorf("%s: no error", name)
-		}
-		if bad.NumRows() != 0 {
-			t.Errorf("%s: rejected row mutated builder (%d rows)", name, bad.NumRows())
-		}
-	}
-}
-
-// nullFixture builds rows [lo, hi) of a four-column frame — numeric and
-// categorical columns with scattered NULLs, an all-NULL column, and a
-// NULL-free one — under the given chunk capacity. Rows depend only on their
-// index, so fixtures over adjacent ranges append into the whole.
 func nullFixture(t *testing.T, lo, hi, chunkRows int) *Frame {
 	t.Helper()
 	n := hi - lo

@@ -20,12 +20,12 @@
 // Contracts the statistics layers rely on:
 //
 //   - Column accessors (Float, Code, Str) never copy; Floats and Codes
-//     expose the backing slices read-only. Callers that need NULL-free
-//     views strip NULLs while splitting (see core.scoreScratch.numericSplit;
-//     stats.Order skips NULL rows the same way), so
-//     packages stats, effect and hypo can assume NaN-free input on their
-//     hot paths — with the robust entry points additionally hardened to
-//     report NaN-bearing input as untestable rather than panicking.
+//     expose the backing slices read-only. The engine reads cells in place
+//     under a row mask ∧ Frame.ColumnValidWords, so NULLs never reach its
+//     statistics (stats.Order skips NULL rows the same way), and packages
+//     stats, effect and hypo can assume NaN-free input on their hot paths —
+//     with the robust entry points additionally hardened to report
+//     NaN-bearing input as untestable rather than panicking.
 //   - NullCount is O(1) once the column is sealed — its chunk seal records
 //     the count — and one scan before that. Any Fingerprint call seals
 //     every column, so by the time the engine prepares a table the count

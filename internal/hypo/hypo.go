@@ -34,16 +34,17 @@ func (r Result) Significant(alpha float64) bool {
 	return r.Valid() && r.P < alpha
 }
 
-// WelchT tests H₀: mean(a) = mean(b) without assuming equal variances,
-// using the Welch–Satterthwaite degrees of freedom. This is the asymptotic
-// bound behind the difference-of-means Zig-Component.
-func WelchT(a, b []float64) Result {
-	na, nb := float64(len(a)), float64(len(b))
+// WelchT tests H₀: mean(a) = mean(b) from the two samples' summaries
+// without assuming equal variances, using the Welch–Satterthwaite degrees
+// of freedom. This is the asymptotic bound behind the difference-of-means
+// Zig-Component.
+func WelchT(a, b stats.Summary) Result {
+	na, nb := float64(a.N), float64(b.N)
 	if na < 2 || nb < 2 {
 		return Result{P: math.NaN()}
 	}
-	ma, mb := stats.Mean(a), stats.Mean(b)
-	va, vb := stats.Variance(a), stats.Variance(b)
+	ma, mb := a.Mean, b.Mean
+	va, vb := a.Var, b.Var
 	sea := va / na
 	seb := vb / nb
 	se := sea + seb
@@ -60,16 +61,16 @@ func WelchT(a, b []float64) Result {
 	return Result{Stat: tStat, DF: df, P: stats.StudentTTwoTail(tStat, df)}
 }
 
-// VarianceF tests H₀: var(a) = var(b) with the F ratio test. The statistic
-// is the larger variance over the smaller, and the two-sided p-value is
-// twice the upper tail (capped at 1). This backs the difference-of-standard-
-// deviations Zig-Component.
-func VarianceF(a, b []float64) Result {
-	na, nb := float64(len(a)), float64(len(b))
+// VarianceF tests H₀: var(a) = var(b) from the two samples' summaries with
+// the F ratio test. The statistic is the larger variance over the smaller,
+// and the two-sided p-value is twice the upper tail (capped at 1). This
+// backs the difference-of-standard-deviations Zig-Component.
+func VarianceF(a, b stats.Summary) Result {
+	na, nb := float64(a.N), float64(b.N)
 	if na < 2 || nb < 2 {
 		return Result{P: math.NaN()}
 	}
-	va, vb := stats.Variance(a), stats.Variance(b)
+	va, vb := a.Var, b.Var
 	if va <= 0 && vb <= 0 {
 		return Result{Stat: 1, DF: na - 1, DF2: nb - 1, P: 1}
 	}

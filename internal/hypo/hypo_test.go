@@ -24,10 +24,15 @@ func normals(seed uint64, n int, mean, std float64) []float64 {
 	return xs
 }
 
+// welchT and varianceF run the tests on the summaries of copied samples.
+func welchT(a, b []float64) Result { return WelchT(stats.Summarize(a), stats.Summarize(b)) }
+
+func varianceF(a, b []float64) Result { return VarianceF(stats.Summarize(a), stats.Summarize(b)) }
+
 func TestWelchTDetectsShift(t *testing.T) {
 	a := normals(1, 400, 0, 1)
 	b := normals(2, 400, 1, 1)
-	res := WelchT(a, b)
+	res := welchT(a, b)
 	if !res.Valid() {
 		t.Fatal("result invalid")
 	}
@@ -55,7 +60,7 @@ func TestWelchTNullCalibration(t *testing.T) {
 			a[i] = r.NormFloat64()
 			b[i] = r.NormFloat64()
 		}
-		if WelchT(a, b).P < 0.1 {
+		if welchT(a, b).P < 0.1 {
 			reject++
 		}
 	}
@@ -70,26 +75,26 @@ func TestWelchTKnownValue(t *testing.T) {
 	// t = -3/√2.5 = -1.89737, Welch df = 6.25/1.0625 = 5.88235.
 	a := []float64{1, 2, 3, 4, 5}
 	b := []float64{2, 4, 6, 8, 10}
-	res := WelchT(a, b)
+	res := welchT(a, b)
 	approx(t, "t", res.Stat, -1.8973666, 1e-6)
 	approx(t, "df", res.DF, 5.8823529, 1e-6)
 	approx(t, "p", res.P, 0.1075312, 1e-6)
 }
 
 func TestWelchTDegenerate(t *testing.T) {
-	if WelchT([]float64{1}, []float64{2, 3}).Valid() {
+	if welchT([]float64{1}, []float64{2, 3}).Valid() {
 		t.Error("n<2 should be invalid")
 	}
-	res := WelchT([]float64{5, 5, 5}, []float64{5, 5, 5})
+	res := welchT([]float64{5, 5, 5}, []float64{5, 5, 5})
 	approx(t, "identical constants p", res.P, 1, 0)
-	res = WelchT([]float64{5, 5, 5}, []float64{7, 7, 7})
+	res = welchT([]float64{5, 5, 5}, []float64{7, 7, 7})
 	approx(t, "distinct constants p", res.P, 0, 0)
 }
 
 func TestVarianceFDetectsSpread(t *testing.T) {
 	a := normals(4, 300, 0, 1)
 	b := normals(5, 300, 0, 3)
-	res := VarianceF(a, b)
+	res := varianceF(a, b)
 	if res.P > 1e-6 {
 		t.Errorf("3× std should give tiny p, got %v", res.P)
 	}
@@ -101,8 +106,8 @@ func TestVarianceFDetectsSpread(t *testing.T) {
 func TestVarianceFSymmetry(t *testing.T) {
 	a := normals(6, 200, 0, 1)
 	b := normals(7, 200, 0, 2)
-	r1 := VarianceF(a, b)
-	r2 := VarianceF(b, a)
+	r1 := varianceF(a, b)
+	r2 := varianceF(b, a)
 	approx(t, "F symmetric p", r1.P, r2.P, 1e-12)
 	approx(t, "F symmetric stat", r1.Stat, r2.Stat, 1e-12)
 }
@@ -110,18 +115,18 @@ func TestVarianceFSymmetry(t *testing.T) {
 func TestVarianceFKnownValue(t *testing.T) {
 	// Hand-computed: F = 10/2.5 = 4 with (4,4) df; the F(4,4) CDF at 4 is
 	// I_{0.8}(2,2) = 0.896, so the two-sided p is 2·0.104 = 0.208.
-	res := VarianceF([]float64{1, 2, 3, 4, 5}, []float64{2, 4, 6, 8, 10})
+	res := varianceF([]float64{1, 2, 3, 4, 5}, []float64{2, 4, 6, 8, 10})
 	approx(t, "F", res.Stat, 4, 1e-12) // we report the larger-over-smaller ratio
 	approx(t, "p", res.P, 0.208, 1e-9)
 }
 
 func TestVarianceFDegenerate(t *testing.T) {
-	if VarianceF([]float64{1}, []float64{1, 2}).Valid() {
+	if varianceF([]float64{1}, []float64{1, 2}).Valid() {
 		t.Error("n<2 should be invalid")
 	}
-	res := VarianceF([]float64{3, 3, 3}, []float64{9, 9, 9})
+	res := varianceF([]float64{3, 3, 3}, []float64{9, 9, 9})
 	approx(t, "both constant p", res.P, 1, 0)
-	res = VarianceF([]float64{3, 3, 3}, []float64{1, 2, 3})
+	res = varianceF([]float64{3, 3, 3}, []float64{1, 2, 3})
 	approx(t, "one constant p", res.P, 0, 0)
 }
 

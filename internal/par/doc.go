@@ -9,13 +9,11 @@
 //
 // The second half of the contract is the worker index: fn receives a
 // stable worker id below min(workers, n) that it may use to address
-// per-worker scratch state (radix-sort buffers while a table's column
-// orders are built, split and category-count buffers per query) without
-// locking. The engine's scratch pools (core.scratchPool, effect.Scratch,
-// the stats.RankScratch slice of core.Engine.columnOrders) are built on
-// this guarantee; scratch-backed computations return exactly the same
-// bytes as allocation-backed ones because the buffers only ever carry
-// values written by the current task.
+// per-worker scratch state without locking. The stats.RankScratch slice of
+// core.Engine.columnOrders (radix-sort buffers while a table's column
+// orders are built) is built on this guarantee; scratch-backed
+// computations return exactly the same bytes as allocation-backed ones
+// because the buffers only ever carry values written by the current task.
 //
 // Error handling mirrors the sequential world: if any task panics, the
 // pool stops handing out work, in-flight tasks drain, and the first panic

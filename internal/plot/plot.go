@@ -198,7 +198,7 @@ func View(f *frame.Frame, sel *frame.Bitmap, columns []string, width, height int
 		a, okA := f.Lookup(columns[0])
 		b, okB := f.Lookup(columns[1])
 		if okA && okB && a.Kind() == frame.Numeric && b.Kind() == frame.Numeric {
-			inX, inY, outX, outY := alignedSplit(a, b, sel)
+			inX, inY, outX, outY := completePairs(a, b, sel)
 			return Scatter(columns[0], columns[1], inX, inY, outX, outY, width, height), nil
 		}
 	}
@@ -228,8 +228,8 @@ func View(f *frame.Frame, sel *frame.Bitmap, columns []string, width, height int
 	return b.String(), nil
 }
 
-// alignedSplit extracts pairwise complete cases split by the mask.
-func alignedSplit(a, b *frame.Column, sel *frame.Bitmap) (inX, inY, outX, outY []float64) {
+// completePairs extracts pairwise complete cases split by the mask.
+func completePairs(a, b *frame.Column, sel *frame.Bitmap) (inX, inY, outX, outY []float64) {
 	n := a.Len()
 	for i := 0; i < n; i++ {
 		if a.IsNull(i) || b.IsNull(i) {

@@ -40,7 +40,7 @@ func TestScatterLayout(t *testing.T) {
 	f, sel := plotFixture(t)
 	a, _ := f.Lookup("x")
 	b, _ := f.Lookup("y")
-	inX, inY, outX, outY := alignedSplit(a, b, sel)
+	inX, inY, outX, outY := completePairs(a, b, sel)
 	s := Scatter("x", "y", inX, inY, outX, outY, 40, 12)
 	if !strings.Contains(s, "+") || !strings.Contains(s, "·") {
 		t.Fatalf("scatter lacks glyphs:\n%s", s)

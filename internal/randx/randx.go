@@ -9,7 +9,6 @@
 package randx
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -99,19 +98,6 @@ func (r *Source) Intn(n int) int {
 	}
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (r *Source) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
@@ -163,11 +149,6 @@ func (r *Source) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
 }
 
-// LogNormal returns exp(N(mu, sigma)).
-func (r *Source) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.Normal(mu, sigma))
-}
-
 // Bernoulli returns true with probability p.
 func (r *Source) Bernoulli(p float64) bool {
 	return r.Float64() < p
@@ -198,89 +179,4 @@ func (r *Source) Categorical(w []float64) int {
 		}
 	}
 	return len(w) - 1
-}
-
-// Cholesky computes the lower-triangular Cholesky factor L of a symmetric
-// positive-definite matrix a (row-major, n×n) such that L·Lᵀ = a. It returns
-// an error if the matrix is not positive definite within tolerance.
-func Cholesky(a []float64, n int) ([]float64, error) {
-	if len(a) != n*n {
-		return nil, fmt.Errorf("randx: Cholesky matrix size %d does not match n=%d", len(a), n)
-	}
-	l := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			sum := a[i*n+j]
-			for k := 0; k < j; k++ {
-				sum -= l[i*n+k] * l[j*n+k]
-			}
-			if i == j {
-				if sum <= 0 {
-					return nil, errors.New("randx: matrix is not positive definite")
-				}
-				l[i*n+j] = math.Sqrt(sum)
-			} else {
-				l[i*n+j] = sum / l[j*n+j]
-			}
-		}
-	}
-	return l, nil
-}
-
-// MultiNormal samples from a multivariate normal distribution.
-type MultiNormal struct {
-	mean []float64
-	l    []float64 // lower Cholesky factor of the covariance, row-major
-	n    int
-}
-
-// NewMultiNormal builds a sampler for N(mean, cov). cov is row-major
-// n×n symmetric positive-definite.
-func NewMultiNormal(mean []float64, cov []float64) (*MultiNormal, error) {
-	n := len(mean)
-	l, err := Cholesky(cov, n)
-	if err != nil {
-		return nil, err
-	}
-	m := make([]float64, n)
-	copy(m, mean)
-	return &MultiNormal{mean: m, l: l, n: n}, nil
-}
-
-// Dim returns the dimensionality of the distribution.
-func (m *MultiNormal) Dim() int { return m.n }
-
-// Sample draws one vector into dst (which must have length Dim) using r.
-func (m *MultiNormal) Sample(r *Source, dst []float64) {
-	if len(dst) != m.n {
-		panic("randx: MultiNormal.Sample dst has wrong length")
-	}
-	z := make([]float64, m.n)
-	for i := range z {
-		z[i] = r.NormFloat64()
-	}
-	for i := 0; i < m.n; i++ {
-		sum := m.mean[i]
-		for k := 0; k <= i; k++ {
-			sum += m.l[i*m.n+k] * z[k]
-		}
-		dst[i] = sum
-	}
-}
-
-// EquiCorrelation returns an n×n covariance matrix with unit variances and
-// constant pairwise correlation rho. For positive definiteness rho must be
-// in (-1/(n-1), 1).
-func EquiCorrelation(n int, rho float64) []float64 {
-	cov := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				cov[i*n+j] = 1
-			} else {
-				cov[i*n+j] = rho
-			}
-		}
-	}
-	return cov
 }

@@ -3,7 +3,6 @@ package randx
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -77,25 +76,6 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 	New(1).Intn(0)
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(11)
-	f := func(nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := r.Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestNormFloat64Moments(t *testing.T) {
 	r := New(13)
 	const n = 200000
@@ -159,113 +139,6 @@ func TestCategoricalPanics(t *testing.T) {
 			}()
 			New(1).Categorical(w)
 		}()
-	}
-}
-
-func TestCholeskyIdentity(t *testing.T) {
-	n := 4
-	a := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		a[i*n+i] = 1
-	}
-	l, err := Cholesky(a, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if math.Abs(l[i*n+j]-want) > 1e-12 {
-				t.Errorf("L[%d][%d] = %v, want %v", i, j, l[i*n+j], want)
-			}
-		}
-	}
-}
-
-func TestCholeskyReconstruction(t *testing.T) {
-	// a = [[4,2,1],[2,3,0.5],[1,0.5,2]] is positive definite.
-	a := []float64{4, 2, 1, 2, 3, 0.5, 1, 0.5, 2}
-	n := 3
-	l, err := Cholesky(a, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			sum := 0.0
-			for k := 0; k < n; k++ {
-				sum += l[i*n+k] * l[j*n+k]
-			}
-			if math.Abs(sum-a[i*n+j]) > 1e-10 {
-				t.Errorf("(LLᵀ)[%d][%d] = %v, want %v", i, j, sum, a[i*n+j])
-			}
-		}
-	}
-}
-
-func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := []float64{1, 2, 2, 1} // eigenvalues 3 and -1
-	if _, err := Cholesky(a, 2); err == nil {
-		t.Fatal("Cholesky accepted an indefinite matrix")
-	}
-}
-
-func TestCholeskyRejectsWrongSize(t *testing.T) {
-	if _, err := Cholesky([]float64{1, 2, 3}, 2); err == nil {
-		t.Fatal("Cholesky accepted a mis-sized matrix")
-	}
-}
-
-func TestMultiNormalMomentsAndCorrelation(t *testing.T) {
-	mean := []float64{1, -2}
-	cov := []float64{1, 0.8, 0.8, 1}
-	mn, err := NewMultiNormal(mean, cov)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mn.Dim() != 2 {
-		t.Fatalf("Dim = %d, want 2", mn.Dim())
-	}
-	r := New(23)
-	const n = 100000
-	var sx, sy, sxx, syy, sxy float64
-	v := make([]float64, 2)
-	for i := 0; i < n; i++ {
-		mn.Sample(r, v)
-		sx += v[0]
-		sy += v[1]
-		sxx += v[0] * v[0]
-		syy += v[1] * v[1]
-		sxy += v[0] * v[1]
-	}
-	mx, my := sx/n, sy/n
-	vx := sxx/n - mx*mx
-	vy := syy/n - my*my
-	cxy := sxy/n - mx*my
-	if math.Abs(mx-1) > 0.02 || math.Abs(my+2) > 0.02 {
-		t.Errorf("means = (%v, %v), want (1, -2)", mx, my)
-	}
-	if math.Abs(vx-1) > 0.03 || math.Abs(vy-1) > 0.03 {
-		t.Errorf("variances = (%v, %v), want (1, 1)", vx, vy)
-	}
-	if corr := cxy / math.Sqrt(vx*vy); math.Abs(corr-0.8) > 0.02 {
-		t.Errorf("correlation = %v, want ~0.8", corr)
-	}
-}
-
-func TestEquiCorrelationMatrix(t *testing.T) {
-	cov := EquiCorrelation(3, 0.5)
-	want := []float64{1, 0.5, 0.5, 0.5, 1, 0.5, 0.5, 0.5, 1}
-	for i := range want {
-		if cov[i] != want[i] {
-			t.Fatalf("EquiCorrelation(3, 0.5) = %v, want %v", cov, want)
-		}
-	}
-	if _, err := Cholesky(cov, 3); err != nil {
-		t.Fatalf("equicorrelation matrix should be positive definite: %v", err)
 	}
 }
 

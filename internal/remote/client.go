@@ -18,7 +18,7 @@ import (
 	"repro/internal/shard"
 )
 
-// probeTimeout bounds the cheap control-plane calls (health, stats, cache
+// probeTimeout bounds the cheap control-plane calls (stats, cache
 // probe). Characterize itself runs without a deadline — a cold
 // characterization of a big table is legitimately slow.
 const probeTimeout = 3 * time.Second
@@ -347,26 +347,6 @@ func (c *Client) Snapshot() shard.ShardSnapshot {
 		snap.MeanServiceMillis = serviceMillis / float64(snap.Completed)
 	}
 	return snap
-}
-
-// Healthy performs a health round-trip to the worker.
-func (c *Client) Healthy() error {
-	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.addr+PathHealth, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return c.unavailable(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("remote: worker %s health status %d", c.addr, resp.StatusCode)
-	}
-	c.healthy.Store(true)
-	return nil
 }
 
 // InvalidateCaches is a no-op: the worker's caches belong to the worker

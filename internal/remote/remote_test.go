@@ -599,7 +599,7 @@ func TestWorkerEndpointValidation(t *testing.T) {
 }
 
 // TestClientAgainstDeadWorker covers the client-side transport error paths:
-// probes degrade to misses, health and registration report
+// probes degrade to misses, registration and characterization report
 // ErrBackendUnavailable, and stats mark the backend unhealthy.
 func TestClientAgainstDeadWorker(t *testing.T) {
 	ts := httptest.NewServer(http.NotFoundHandler())
@@ -614,9 +614,6 @@ func TestClientAgainstDeadWorker(t *testing.T) {
 	}
 	if _, err := c.Characterize(f, sel, core.Options{}); !errors.Is(err, shard.ErrBackendUnavailable) {
 		t.Errorf("characterize error = %v, want ErrBackendUnavailable", err)
-	}
-	if err := c.Healthy(); err == nil {
-		t.Error("dead worker reported healthy")
 	}
 	snap := c.Snapshot()
 	if snap.Healthy || snap.Kind != shard.KindRemote || snap.Addr != strings.TrimRight(ts.URL, "/") {

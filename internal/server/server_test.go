@@ -190,7 +190,6 @@ func (saturatedBackend) CachedReport(uint64, *frame.Bitmap, core.Options) (*core
 	return nil, false
 }
 func (saturatedBackend) Snapshot() shard.ShardSnapshot { return shard.ShardSnapshot{Kind: "local"} }
-func (saturatedBackend) Healthy() error                { return nil }
 func (saturatedBackend) InvalidateCaches()             {}
 func (saturatedBackend) Close() error                  { return nil }
 

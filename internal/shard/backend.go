@@ -40,9 +40,6 @@ type Backend interface {
 	// Snapshot returns the backend's traffic counters and cache tiers; the
 	// router stamps the shard index.
 	Snapshot() ShardSnapshot
-	// Healthy reports whether the backend can currently serve (always nil
-	// for in-process backends).
-	Healthy() error
 	// InvalidateCaches drops the backend's cache tiers where it can (a
 	// remote backend leaves its worker's caches alone).
 	InvalidateCaches()
@@ -298,10 +295,6 @@ func (b *EngineBackend) Snapshot() ShardSnapshot {
 		Reports: memo.Snapshot{},
 	}
 }
-
-// Healthy always succeeds: an in-process backend is reachable by
-// construction.
-func (b *EngineBackend) Healthy() error { return nil }
 
 // InvalidateCaches drops the engine's prepared tier (and, because the
 // engine shares it, the report cache — idempotent across backends).

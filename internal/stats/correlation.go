@@ -18,11 +18,17 @@ func Pearson(xs, ys []float64) float64 {
 		sxx += dx * dx
 		syy += dy * dy
 	}
+	return FinishPearson(sxy, sxx, syy)
+}
+
+// FinishPearson finishes a Pearson correlation from the centered sums
+// Σdxdy, Σdx² and Σdy² of its second pass: NaN when either series is
+// constant, clamped into [-1, 1] against rounding excursions otherwise.
+func FinishPearson(sxy, sxx, syy float64) float64 {
 	if sxx == 0 || syy == 0 {
 		return math.NaN()
 	}
 	r := sxy / math.Sqrt(sxx*syy)
-	// Clamp rounding excursions outside [-1, 1].
 	if r > 1 {
 		r = 1
 	} else if r < -1 {

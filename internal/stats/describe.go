@@ -29,23 +29,47 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
+// Summary is what the moment-based Zig-Components read of one side of a
+// split: the count, the mean and the unbiased sample variance. Mean is NaN
+// for N = 0 and Var for N < 2. The engine fills it by walking a column's
+// rows in place; Summarize fills it from a slice, and both visit the
+// values in the same order and finish through FinishVariance, so the two
+// agree bit for bit.
+type Summary struct {
+	N         int
+	Mean, Var float64
+}
+
+// Summarize returns the Summary of xs: the mean in one pass and the
+// variance in a second, compensated pass (FinishVariance).
+func Summarize(xs []float64) Summary {
+	s := Summary{N: len(xs), Mean: Mean(xs), Var: math.NaN()}
+	if len(xs) < 2 {
+		return s
+	}
+	var ss, comp float64
+	for _, x := range xs {
+		d := x - s.Mean
+		ss += d * d
+		comp += d
+	}
+	s.Var = FinishVariance(ss, comp, len(xs))
+	return s
+}
+
+// FinishVariance finishes the two-pass variance of n ≥ 2 values from the
+// second pass's sums of squared and of plain deviations from the mean; the
+// compensation term comp corrects for rounding in the mean.
+func FinishVariance(ss, comp float64, n int) float64 {
+	fn := float64(n)
+	return (ss - comp*comp/fn) / (fn - 1)
+}
+
 // Variance returns the unbiased sample variance (n-1 denominator), or NaN
 // for fewer than two values. It uses the two-pass algorithm for numerical
 // stability.
 func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var ss, comp float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-		comp += d
-	}
-	// The compensation term corrects for rounding in the mean.
-	n := float64(len(xs))
-	return (ss - comp*comp/n) / (n - 1)
+	return Summarize(xs).Var
 }
 
 // StdDev returns the sample standard deviation.

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -50,18 +51,25 @@ func TestRegIncBetaClosedForms(t *testing.T) {
 }
 
 func TestRegIncGamma(t *testing.T) {
-	// P(1, x) = 1 - exp(-x).
+	// Q(1, x) = exp(-x).
 	for _, x := range []float64{0, 0.5, 1, 2, 5, 10} {
-		approx(t, "P(1,x)", RegIncGammaP(1, x), 1-math.Exp(-x), 1e-10)
 		approx(t, "Q(1,x)", RegIncGammaQ(1, x), math.Exp(-x), 1e-10)
 	}
-	// P + Q = 1 across regimes (series and continued fraction).
-	for _, a := range []float64{0.5, 1, 3, 10} {
-		for _, x := range []float64{0.1, 1, 5, 20} {
-			approx(t, "P+Q", RegIncGammaP(a, x)+RegIncGammaQ(a, x), 1, 1e-10)
+	// Closed forms across regimes (series below a+1, continued fraction
+	// above): Q(1/2, x) = erfc(√x) and, for integer a, Q(a, x) =
+	// exp(-x)·Σ_{k<a} x^k/k!.
+	for _, x := range []float64{0.1, 1, 5, 20} {
+		approx(t, "Q(0.5,x)", RegIncGammaQ(0.5, x), math.Erfc(math.Sqrt(x)), 1e-10)
+		for _, a := range []int{3, 10} {
+			sum, term := 0.0, 1.0
+			for k := 0; k < a; k++ {
+				sum += term
+				term *= x / float64(k+1)
+			}
+			approx(t, fmt.Sprintf("Q(%d,x)", a), RegIncGammaQ(float64(a), x), math.Exp(-x)*sum, 1e-10)
 		}
 	}
-	if !math.IsNaN(RegIncGammaP(-1, 1)) || !math.IsNaN(RegIncGammaQ(0, 1)) {
+	if !math.IsNaN(RegIncGammaQ(-1, 1)) || !math.IsNaN(RegIncGammaQ(0, 1)) {
 		t.Error("invalid arguments should be NaN")
 	}
 	approx(t, "Q(2,0)", RegIncGammaQ(2, 0), 1, 0)

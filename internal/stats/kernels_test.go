@@ -279,13 +279,13 @@ func TestRankingKernelsZeroAlloc(t *testing.T) {
 		}); allocs != 0 {
 			t.Errorf("shape=%s: Order cost %v allocs/op with warmed scratch, want 0", c.shape, allocs)
 		}
-		sel := make([]uint64, (len(c.xs)+63)/64)
+		sel, rest := make([]uint64, (len(c.xs)+63)/64), make([]uint64, (len(c.xs)+63)/64)
 		for i := range sel {
-			sel[i] = 0x5555555555555555
+			sel[i], rest[i] = 0x5555555555555555, 0xaaaaaaaaaaaaaaaa
 		}
 		na := (len(c.xs) + 1) / 2
 		if allocs := testing.AllocsPerRun(10, func() {
-			OrderRanking(c.xs, order, sel, nil, na, len(c.xs)-na)
+			OrderRanking(c.xs, order, sel, rest, na, len(c.xs)-na)
 		}); allocs != 0 {
 			t.Errorf("shape=%s: OrderRanking cost %v allocs/op, want 0", c.shape, allocs)
 		}

@@ -65,20 +65,20 @@ type Ranking struct {
 	HasNaN bool
 
 	// The walk's inputs, kept for QuantilesA/QuantilesB: the values, their
-	// order, and the group words (see OrderRanking). A Ranking only reads
+	// order, and the group masks (see OrderRanking). A Ranking only reads
 	// them, so it stays valid as long as the caller leaves them unchanged.
 	// order is nil for NaN-bearing input.
-	xs            []float64
-	order         []int32
-	sel, consider []uint64
+	xs    []float64
+	order []int32
+	a, b  []uint64
 }
 
 // NewRanking ranks the concatenation of a and b with fresh allocations:
 // it orders the concatenation (one ranking pass) and walks it with group
-// A being the positions below len(a) — the same walk OrderRanking runs on
-// a column. NaN-bearing input yields a Ranking with HasNaN set and no
-// ranking pass performed (NaNs break comparison sorting, so any
-// rank-derived statistic would be garbage).
+// A being the positions below len(a) and group B the rest — the same walk
+// OrderRanking runs on a column. NaN-bearing input yields a Ranking with
+// HasNaN set and no ranking pass performed (NaNs break comparison
+// sorting, so any rank-derived statistic would be garbage).
 func NewRanking(a, b []float64) Ranking {
 	na, nb := len(a), len(b)
 	r := Ranking{NA: na, NB: nb, MedianA: math.NaN(), MedianB: math.NaN()}
@@ -91,29 +91,31 @@ func NewRanking(a, b []float64) Ranking {
 			return r
 		}
 	}
-	sel := make([]uint64, (na+nb+63)/64)
-	for w := 0; w < na>>6; w++ {
-		sel[w] = ^uint64(0)
+	maskA, maskB := make([]uint64, (na+nb+63)/64), make([]uint64, (na+nb+63)/64)
+	for row := range xs {
+		if row < na {
+			maskA[row>>6] |= 1 << (uint(row) & 63)
+		} else {
+			maskB[row>>6] |= 1 << (uint(row) & 63)
+		}
 	}
-	if rem := na & 63; rem != 0 {
-		sel[na>>6] = 1<<uint(rem) - 1
-	}
-	return OrderRanking(xs, Order(nil, make([]int32, 0, na+nb), xs), sel, nil, na, nb)
+	return OrderRanking(xs, Order(nil, make([]int32, 0, na+nb), xs), maskA, maskB, na, nb)
 }
 
 // OrderRanking derives the two-group Ranking of column xs from its sort
 // order (Order) in one linear walk, without sorting or allocating. Row r
-// of the order takes part when consider is nil or has bit r set (row r at
-// bit r&63 of word r>>6, the frame.Bitmap layout); a taking-part row is in
-// group A when sel has bit r set and in group B otherwise. na and nb are
-// the group sizes, which every caller already holds from its split; the
-// walk places the medians by them and panics if its own counts disagree.
+// of the order is in group A when mask a has bit r set (row r at bit r&63
+// of word r>>6, the frame.Bitmap layout), in group B when mask b has, and
+// takes no part when neither has; the masks must not share a row. na and
+// nb are the group sizes, which every caller already holds from counting
+// its masks; the walk places the medians by them and panics if its own
+// counts disagree.
 //
 // Ties are detected by value equality, so −0 and +0 share a tie group.
 // Because the order is a sorted multiset, the medians (and QuantilesA/B)
 // read the same values as sorting each group on its own.
-func OrderRanking(xs []float64, order []int32, sel, consider []uint64, na, nb int) Ranking {
-	r := Ranking{NA: na, NB: nb, xs: xs, order: order, sel: sel, consider: consider}
+func OrderRanking(xs []float64, order []int32, a, b []uint64, na, nb int) Ranking {
+	r := Ranking{NA: na, NB: nb, xs: xs, order: order, a: a, b: b}
 	loA, hiA, fracA := medianPlan(na)
 	loB, hiB, fracB := medianPlan(nb)
 	var loVA, hiVA, loVB, hiVB float64
@@ -132,7 +134,8 @@ func OrderRanking(xs []float64, order []int32, sel, consider []uint64, na, nb in
 	}
 	for _, row := range order {
 		w, bit := row>>6, uint64(1)<<(uint32(row)&63)
-		if consider != nil && consider[w]&bit == 0 {
+		inA := a[w]&bit != 0
+		if !inA && b[w]&bit == 0 {
 			continue
 		}
 		v := xs[row]
@@ -144,7 +147,7 @@ func OrderRanking(xs []float64, order []int32, sel, consider []uint64, na, nb in
 			gv = v
 		}
 		gn++
-		if sel[w]&bit != 0 {
+		if inA {
 			ga++
 			if seenA == loA {
 				loVA = v
@@ -205,17 +208,17 @@ func interpolate(n, hi int, frac, vlo, vhi float64) float64 {
 // (type-7) exactly, so the results are bit-identical to sorting the group
 // separately. dst must have len(qs); for NaN-bearing rankings or an empty
 // group every dst entry is NaN.
-func (r Ranking) QuantilesA(qs, dst []float64) { r.groupQuantiles(r.NA, false, qs, dst) }
+func (r Ranking) QuantilesA(qs, dst []float64) { r.groupQuantiles(r.NA, r.a, qs, dst) }
 
 // QuantilesB is QuantilesA for group B.
-func (r Ranking) QuantilesB(qs, dst []float64) { r.groupQuantiles(r.NB, true, qs, dst) }
+func (r Ranking) QuantilesB(qs, dst []float64) { r.groupQuantiles(r.NB, r.b, qs, dst) }
 
-// groupQuantiles walks the order once, capturing the order statistics
-// every requested quantile needs and interpolating with the same
+// groupQuantiles walks the order once over the n rows of mask, capturing
+// the order statistics every requested quantile needs and interpolating with the same
 // expression as Quantile. The extended components call it four times per
 // numeric column, so the bookkeeping for the common ≤8-quantile case lives
 // on the stack.
-func (r Ranking) groupQuantiles(n int, groupB bool, qs, dst []float64) {
+func (r Ranking) groupQuantiles(n int, mask []uint64, qs, dst []float64) {
 	if r.order == nil || n == 0 {
 		for i := range dst {
 			dst[i] = math.NaN()
@@ -262,11 +265,7 @@ func (r Ranking) groupQuantiles(n int, groupB bool, qs, dst []float64) {
 	}
 	seen := -1
 	for _, row := range r.order {
-		w, bit := row>>6, uint64(1)<<(uint32(row)&63)
-		if r.consider != nil && r.consider[w]&bit == 0 {
-			continue
-		}
-		if (r.sel[w]&bit == 0) != groupB {
+		if mask[row>>6]&(1<<(uint32(row)&63)) == 0 {
 			continue
 		}
 		seen++

@@ -86,22 +86,9 @@ func betaCF(a, b, x float64) float64 {
 	return h
 }
 
-// RegIncGammaP returns the regularized lower incomplete gamma function
-// P(a, x) for a > 0, x >= 0. It returns NaN for invalid arguments.
-func RegIncGammaP(a, x float64) float64 {
-	if a <= 0 || x < 0 || math.IsNaN(a) || math.IsNaN(x) {
-		return math.NaN()
-	}
-	if x == 0 {
-		return 0
-	}
-	if x < a+1 {
-		return gammaSeries(a, x)
-	}
-	return 1 - gammaCF(a, x)
-}
-
-// RegIncGammaQ returns the upper tail Q(a, x) = 1 - P(a, x).
+// RegIncGammaQ returns the regularized upper incomplete gamma function
+// Q(a, x) = 1 - P(a, x) for a > 0, x >= 0. It returns NaN for invalid
+// arguments.
 func RegIncGammaQ(a, x float64) float64 {
 	if a <= 0 || x < 0 || math.IsNaN(a) || math.IsNaN(x) {
 		return math.NaN()

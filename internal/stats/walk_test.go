@@ -20,7 +20,8 @@ func keyLess(a, b float64) bool {
 }
 
 // refWalk is what a walk must reproduce, computed naively: split the
-// column into the two groups in row order, sort the in+out concatenation,
+// column into the two groups in row order — a row in neither mask takes no
+// part — sort the in+out concatenation,
 // assign average ranks to tie groups found by value equality, and read
 // medians and quantiles off each group sorted on its own.
 type refWalk struct {
@@ -30,19 +31,8 @@ type refWalk struct {
 	qa, qb           []float64
 }
 
-func referenceWalk(xs []float64, sel, consider []uint64) refWalk {
-	bit := func(words []uint64, r int) bool { return words[r>>6]&(1<<(uint(r)&63)) != 0 }
-	var a, b []float64
-	for r, v := range xs {
-		if math.IsNaN(v) || (consider != nil && !bit(consider, r)) {
-			continue
-		}
-		if bit(sel, r) {
-			a = append(a, v)
-		} else {
-			b = append(b, v)
-		}
-	}
+func referenceWalk(xs []float64, maskA, maskB []uint64) refWalk {
+	a, b := groups(xs, maskA, maskB)
 	combined := append(append([]float64(nil), a...), b...)
 	idx := make([]int, len(combined))
 	for i := range idx {
@@ -150,10 +140,32 @@ func walkColumns() []struct {
 	)
 }
 
-// walkSplits returns the (sel, consider) pairs a column is walked under:
-// consider nil and a random sample, each with selections of no row, one
-// row, all rows but one, every row and a random half.
-func walkSplits(r *randx.Source, xs []float64) [][2][]uint64 {
+// groups copies the non-NaN values of the rows of each mask, in row order.
+func groups(xs []float64, maskA, maskB []uint64) (a, b []float64) {
+	bit := func(words []uint64, r int) bool { return words[r>>6]&(1<<(uint(r)&63)) != 0 }
+	for r, v := range xs {
+		switch {
+		case math.IsNaN(v):
+		case bit(maskA, r):
+			a = append(a, v)
+		case bit(maskB, r):
+			b = append(b, v)
+		}
+	}
+	return a, b
+}
+
+// walkSplit is one pair of group masks a column is walked under.
+type walkSplit struct {
+	a, b    []uint64
+	sampled bool
+}
+
+// walkSplits returns the group masks a column is walked under: selections
+// of no row, one row, all rows but one, every row and a random half, each
+// against its complement over every row and over a random sample, whose
+// unsampled rows lie in neither mask.
+func walkSplits(r *randx.Source, xs []float64) []walkSplit {
 	n := len(xs)
 	words := func(pick func(row int) bool) []uint64 {
 		w := make([]uint64, (n+63)/64)
@@ -165,7 +177,7 @@ func walkSplits(r *randx.Source, xs []float64) [][2][]uint64 {
 		return w
 	}
 	sample := words(func(int) bool { return r.Intn(10) < 7 })
-	var splits [][2][]uint64
+	var splits []walkSplit
 	for _, consider := range [][]uint64{nil, sample} {
 		// The row a one-row (or all-but-one) selection singles out: a
 		// non-NULL row the walk takes part in, when there is one.
@@ -184,7 +196,19 @@ func walkSplits(r *randx.Source, xs []float64) [][2][]uint64 {
 			words(func(int) bool { return true }),
 			half,
 		} {
-			splits = append(splits, [2][]uint64{sel, consider})
+			sp := walkSplit{a: make([]uint64, len(sel)), b: make([]uint64, len(sel)), sampled: consider != nil}
+			for row := 0; row < n; row++ {
+				w, bit := row>>6, uint64(1)<<(uint(row)&63)
+				if consider != nil && consider[w]&bit == 0 {
+					continue
+				}
+				if sel[w]&bit != 0 {
+					sp.a[w] |= bit
+				} else {
+					sp.b[w] |= bit
+				}
+			}
+			splits = append(splits, sp)
 		}
 	}
 	return splits
@@ -209,11 +233,10 @@ func TestOrderRankingMatchesReference(t *testing.T) {
 			"scratch=shared": Order(shared, nil, c.xs),
 		}
 		for si, sp := range walkSplits(r, c.xs) {
-			sel, consider := sp[0], sp[1]
-			want := referenceWalk(c.xs, sel, consider)
+			want := referenceWalk(c.xs, sp.a, sp.b)
 			check := func(how string, got Ranking) {
 				t.Helper()
-				where := fmt.Sprintf("%s split %d (consider=%v) %s", c.name, si, consider != nil, how)
+				where := fmt.Sprintf("%s split %d (sampled=%v) %s", c.name, si, sp.sampled, how)
 				if got.NA != want.na || got.NB != want.nb || got.HasNaN {
 					t.Fatalf("%s: sizes (%d,%d,nan=%v), want (%d,%d)", where, got.NA, got.NB, got.HasNaN, want.na, want.nb)
 				}
@@ -243,20 +266,9 @@ func TestOrderRankingMatchesReference(t *testing.T) {
 				}
 			}
 			for name, o := range orders {
-				check(name, OrderRanking(c.xs, o, sel, consider, want.na, want.nb))
+				check(name, OrderRanking(c.xs, o, sp.a, sp.b, want.na, want.nb))
 			}
-			var a, b []float64
-			for row, v := range c.xs {
-				if math.IsNaN(v) || (consider != nil && consider[row>>6]&(1<<(uint(row)&63)) == 0) {
-					continue
-				}
-				if sel[row>>6]&(1<<(uint(row)&63)) != 0 {
-					a = append(a, v)
-				} else {
-					b = append(b, v)
-				}
-			}
-			check("NewRanking", NewRanking(a, b))
+			check("NewRanking", NewRanking(groups(c.xs, sp.a, sp.b)))
 		}
 	}
 }
@@ -266,13 +278,13 @@ func TestOrderRankingMatchesReference(t *testing.T) {
 func TestOrderRankingRejectsWrongSizes(t *testing.T) {
 	xs := []float64{3, 1, 2, math.NaN(), 5}
 	order := Order(nil, nil, xs)
-	sel := []uint64{0b00011}
+	sel, rest := []uint64{0b00011}, []uint64{0b11100}
 	defer func() {
 		if recover() == nil {
 			t.Error("mismatched sizes did not panic")
 		}
 	}()
-	OrderRanking(xs, order, sel, nil, 2, 3)
+	OrderRanking(xs, order, sel, rest, 2, 3)
 }
 
 // TestOrderSkipsNulls pins the order's shape: the non-NaN rows only, in
