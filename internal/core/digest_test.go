@@ -50,6 +50,42 @@ func nullInjected(t *testing.T, f *frame.Frame) *frame.Frame {
 	return g
 }
 
+// catNullInjected copies f with NULL codes punched into every categorical
+// column: row r of column i is NULL where (5r+i) mod 7 = 0. It is the table
+// that exercises the categorical validity mask of the frequency, entropy,
+// dependency η and separation walks.
+func catNullInjected(t *testing.T, f *frame.Frame) *frame.Frame {
+	t.Helper()
+	cols := make([]*frame.Column, f.NumCols())
+	nulls := 0
+	for i, c := range f.Columns() {
+		if c.Kind() != frame.Categorical {
+			cols[i] = c
+			continue
+		}
+		codes := append([]int32(nil), c.Codes()...)
+		for r := range codes {
+			if (5*r+i)%7 == 0 {
+				codes[r] = -1
+				nulls++
+			}
+		}
+		nc, err := frame.NewCategoricalColumnFromCodes(c.Name(), codes, c.Dict())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols[i] = nc
+	}
+	if nulls == 0 {
+		t.Fatal("null injection produced no NULLs")
+	}
+	g, err := frame.New(f.Name()+"_catnulls", cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // namedSelection is one query of the digest corpus.
 type namedSelection struct {
 	name string
@@ -89,7 +125,8 @@ func digestSelections(t *testing.T, f *frame.Frame) []namedSelection {
 // TestReportDigests pins the report bytes of every engine mode — default,
 // robust, extended, robust+extended, Spearman dependencies with
 // three-column views, and clique generation — on exact and approximate
-// runs, over two synthetic tables and a NULL-injected copy of a third, to
+// runs, over two synthetic tables, a copy of a third with numeric NULLs and
+// a copy of the second with categorical NULLs, to
 // SHA-256 digests of the wire encoding. Every other determinism rail
 // compares the engine with itself; this one compares it with the bytes it
 // produced when the golden was written. Run with -update to rewrite the
@@ -113,7 +150,8 @@ func TestReportDigests(t *testing.T) {
 		{"exact", Options{SkipReportCache: true}},
 		{"approx300", Options{SkipReportCache: true, ApproxRows: 300, ApproxSeed: 3}},
 	}
-	tables := []*frame.Frame{synth.USCrime(1), synth.BoxOffice(1), nullInjected(t, synth.USCrime(3))}
+	tables := []*frame.Frame{synth.USCrime(1), synth.BoxOffice(1), nullInjected(t, synth.USCrime(3)),
+		catNullInjected(t, synth.BoxOffice(1))}
 	var lines []string
 	for _, f := range tables {
 		sels := digestSelections(t, f)
