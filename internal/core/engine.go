@@ -238,26 +238,16 @@ func cloneCached(rep *Report) *Report {
 	return &clone
 }
 
-// CachedReport returns the memoized report for (f, sel, opts) without
-// running any part of the pipeline; ok is false on a miss. A hit counts
-// toward the report cache's hit counter exactly as if the request had been
-// served by CharacterizeOpts — the shard router uses this as its
-// pre-admission fast path, so repeat queries stay ~µs even when the owning
-// shard's queue is saturated by slow characterizations.
-func (e *Engine) CachedReport(f *frame.Frame, sel *frame.Bitmap, opts Options) (*Report, bool) {
-	if f == nil || sel == nil || sel.Len() != f.NumRows() {
-		return nil, false
-	}
-	return e.CachedReportFingerprint(f.Fingerprint(), sel, opts)
-}
-
-// CachedReportFingerprint is CachedReport addressed by the table's content
-// fingerprint instead of the table itself. It exists for the distribution
-// layer: a front router (or a worker answering its cached-probe RPC) can ask
-// "is this report already cached?" knowing only the fingerprint — before the
-// table has been shipped to the process at all — so a repeat query crossing
-// the process boundary is answered from the report cache without moving the
-// table a second time.
+// CachedReportFingerprint returns the memoized report for the table with
+// content fingerprint frameFP, sel and opts without running any part of
+// the pipeline; ok is false on a miss. A hit counts toward the report
+// cache's hit counter exactly as if CharacterizeOpts had served it. It is
+// the distribution layer's pre-admission fast path: a front router (or a
+// worker answering its cached-probe RPC) can ask "is this report already
+// cached?" knowing only the fingerprint — before the table has been
+// shipped to the process at all — so a repeat query crossing the process
+// boundary is answered from the report cache without moving the table a
+// second time, and stays ~µs while the owning shard is saturated.
 func (e *Engine) CachedReportFingerprint(frameFP uint64, sel *frame.Bitmap, opts Options) (*Report, bool) {
 	if sel == nil || opts.SkipReportCache {
 		return nil, false
@@ -284,8 +274,8 @@ func (e *Engine) characterize(f *frame.Frame, sel *frame.Bitmap, opts Options, n
 	t0 := time.Now()
 	prep, hit, err := e.prepare(f)
 	if err != nil {
-		// Only reachable when a concurrent preparation leader panicked;
-		// surface the condition instead of dereferencing a nil prepared.
+		// The clustering rejected the matrix, or a concurrent preparation
+		// leader panicked: an error, never an empty report.
 		return nil, fmt.Errorf("core: preparing table: %w", err)
 	}
 	rep.CacheHit = hit
@@ -365,19 +355,16 @@ func (e *Engine) ranked() bool { return e.cfg.Robust || e.cfg.Extended }
 // prepare returns the cached dependency matrix, dendrogram and (when the
 // engine ranks) column orders for f, computing them on first use.
 // Concurrent first queries on the same table deduplicate: one computes,
-// the rest wait and share the result. The error is non-nil only when a
-// deduplicated wait ended because the computing leader panicked
-// (memo.ErrComputePanicked).
+// the rest wait and share the result. The error is the clustering's
+// rejection of the matrix, or memo.ErrComputePanicked when a deduplicated
+// wait ended because the computing leader panicked; errors are not cached.
 func (e *Engine) prepare(f *frame.Frame) (*prepared, bool, error) {
 	key := prepKey{frame: f.Fingerprint(), measure: e.cfg.Measure, linkage: e.cfg.Linkage, ranked: e.ranked()}
 	p, outcome, err := e.prep.Do(key, preparedSize, func() (*prepared, error) {
 		dep := e.dependencies(f)
-		var dendro *cluster.Dendrogram
-		if f.NumCols() >= 1 {
-			d, err := cluster.Agglomerate(dep.Distances(), f.NumCols(), e.cfg.Linkage)
-			if err == nil {
-				dendro = d
-			}
+		dendro, err := cluster.Agglomerate(dep.Distances(), f.NumCols(), e.cfg.Linkage)
+		if err != nil {
+			return nil, err
 		}
 		p := &prepared{dep: dep, dendro: dendro}
 		if e.ranked() {
@@ -538,9 +525,6 @@ func (e *Engine) generateCandidates(prep *prepared, cols []colData) [][]int {
 		g := cluster.GraphFromThreshold(vals, n, e.cfg.MinTight)
 		groups = g.MaximalCliques(maxCliques)
 	default:
-		if prep.dendro == nil {
-			return nil
-		}
 		// Complete-linkage height h groups columns with max pairwise
 		// distance ≤ h, i.e. min pairwise dependency ≥ 1-h = MinTight.
 		groups = prep.dendro.CutAt(1 - e.cfg.MinTight)
@@ -667,13 +651,13 @@ func (e *Engine) scoreCandidate(f *frame.Frame, p *partition, cols []colData, de
 }
 
 // mixedSeparation computes the extended DiffSeparation component for a
-// categorical × numeric pair from a gather of each side's complete cases.
+// categorical × numeric pair from each side's η over its complete cases.
 func mixedSeparation(f *frame.Frame, p *partition, cat, num colData) effect.Component {
 	cc := f.Col(cat.idx)
-	codes, xs := cc.Codes(), f.Col(num.idx).Floats()
-	catIn, numIn := completeCases(codes, xs, p.in, cat.valid, num.valid)
-	catOut, numOut := completeCases(codes, xs, p.out, cat.valid, num.valid)
-	return effect.Separation(cat.name, num.name, catIn, numIn, catOut, numOut, cc.Cardinality())
+	codes, xs, k := cc.Codes(), f.Col(num.idx).Floats(), cc.Cardinality()
+	return effect.Separation(cat.name, num.name,
+		correlationRatio(codes, xs, k, p.in, cat.valid, num.valid),
+		correlationRatio(codes, xs, k, p.out, cat.valid, num.valid))
 }
 
 // rankDisjoint orders candidates by decreasing score and greedily keeps

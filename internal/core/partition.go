@@ -120,20 +120,17 @@ func correlate(a, b []float64, mask, validA, validB []uint64) (r float64, n int)
 	return stats.FinishPearson(sxy, sxx, syy), n
 }
 
-// completeCases gathers, into fresh slices, the codes and values of the
-// rows of mask where categorical codes and numeric xs are both non-NULL.
-func completeCases(codes []int32, xs []float64, mask, validCat, validNum []uint64) ([]int32, []float64) {
-	n := 0
-	for wi, m := range mask {
-		n += bits.OnesCount64(m & validCat[wi] & validNum[wi])
-	}
-	cat, num := make([]int32, 0, n), make([]float64, 0, n)
+// correlationRatio returns the correlation ratio η of numeric xs grouped
+// by the k-category codes over the rows of mask where both columns are
+// non-NULL (validCat ∧ validNum), fed to the accumulator in ascending row
+// order like the dependency matrix's column scan.
+func correlationRatio(codes []int32, xs []float64, k int, mask, validCat, validNum []uint64) stats.Eta {
+	acc := stats.NewCorrelationRatio(k)
 	for wi, m := range mask {
 		for w := m & validCat[wi] & validNum[wi]; w != 0; w &= w - 1 {
 			i := wi<<6 + bits.TrailingZeros64(w)
-			cat = append(cat, codes[i])
-			num = append(num, xs[i])
+			acc.Add(codes[i], xs[i])
 		}
 	}
-	return cat, num
+	return acc.Eta()
 }

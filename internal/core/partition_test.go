@@ -133,8 +133,9 @@ func TestPartitionWalksMatchCopiedSplit(t *testing.T) {
 }
 
 // TestPartitionCategoricalWalks pins the categorical walks to plain loops:
-// the per-code tally and the complete-case gather of a categorical ×
-// numeric pair, in row order, with NULLs on both columns.
+// the per-code tally and the correlation ratio of a categorical × numeric
+// pair over its complete cases, fed in row order, with NULLs on both
+// columns.
 func TestPartitionCategoricalWalks(t *testing.T) {
 	r := randx.New(7)
 	const n = 200
@@ -160,24 +161,22 @@ func TestPartitionCategoricalWalks(t *testing.T) {
 	xs, vc, vn := num.Floats(), f.ColumnValidWords(0), f.ColumnValidWords(1)
 	for _, mask := range [][]uint64{p.in, p.out} {
 		want := make([]float64, len(dict))
-		var wantCat []int32
-		var wantNum []float64
+		wantEta := stats.NewCorrelationRatio(len(dict))
 		for i, code := range codes {
 			if mask[i>>6]&(1<<(uint(i)&63)) == 0 || code < 0 {
 				continue
 			}
 			want[code]++
 			if !math.IsNaN(xs[i]) {
-				wantCat = append(wantCat, code)
-				wantNum = append(wantNum, xs[i])
+				wantEta.Add(code, xs[i])
 			}
 		}
 		if got := tally(codes, mask, vc, len(dict)); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("tally = %v, want %v", got, want)
 		}
-		gotCat, gotNum := completeCases(codes, xs, mask, vc, vn)
-		if fmt.Sprint(gotCat) != fmt.Sprint(wantCat) || fmt.Sprint(gotNum) != fmt.Sprint(wantNum) {
-			t.Errorf("completeCases = %v %v, want %v %v", gotCat, gotNum, wantCat, wantNum)
+		got, wantE := correlationRatio(codes, xs, len(dict), mask, vc, vn), wantEta.Eta()
+		if !sameBits(got.Value, wantE.Value) || got.N != wantE.N || got.Groups != wantE.Groups {
+			t.Errorf("correlationRatio = %+v, want %+v", got, wantE)
 		}
 	}
 }

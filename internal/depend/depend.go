@@ -38,8 +38,10 @@ func (m Measure) String() string {
 
 // Pairwise returns the dependency in [0, 1] between columns a and b of f,
 // which must have the same length. NULL rows (in either column) are dropped
-// pairwise. Degenerate cases (constant columns, too few rows) return 0: an
-// uninformative column cannot anchor a tight view.
+// pairwise. Degenerate cases return 0 — fewer than three complete cases, a
+// constant column, a categorical column with one category, and a statistic
+// that an infinite cell turns NaN — because every cell returns through
+// absClamp: an uninformative column cannot anchor a tight view.
 //
 // For numeric pairs under AbsPearson it is the two-pass reference
 // (stats.Pearson over the gathered complete cases) that the tests hold the
@@ -62,31 +64,19 @@ func numericDependency(xs, ys []float64, m Measure) float64 {
 	if len(xs) < 3 {
 		return 0
 	}
-	var v float64
 	switch m {
 	case AbsSpearman:
-		v = math.Abs(stats.Spearman(xs, ys))
+		return absClamp(stats.Spearman(xs, ys))
 	case NormalizedMI:
-		v = stats.NormalizedMI(xs, ys, 0)
+		return absClamp(stats.NormalizedMI(xs, ys, 0))
 	default:
-		v = math.Abs(stats.Pearson(xs, ys))
+		return absClamp(stats.Pearson(xs, ys))
 	}
-	if math.IsNaN(v) {
-		return 0
-	}
-	if v > 1 {
-		v = 1
-	}
-	return v
 }
 
 // alignedNumeric extracts pairwise complete cases from two numeric columns.
 func alignedNumeric(a, b *frame.Column) (xs, ys []float64) {
-	n := a.Len()
-	if b.Len() < n {
-		n = b.Len()
-	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < min(a.Len(), b.Len()); i++ {
 		if a.IsNull(i) || b.IsNull(i) {
 			continue
 		}
@@ -108,11 +98,7 @@ func cramersV(a, b *frame.Column) float64 {
 	rowTot := make([]float64, r)
 	colTot := make([]float64, c)
 	n := 0.0
-	length := a.Len()
-	if b.Len() < length {
-		length = b.Len()
-	}
-	for i := 0; i < length; i++ {
+	for i := 0; i < min(a.Len(), b.Len()); i++ {
 		if a.IsNull(i) || b.IsNull(i) {
 			continue
 		}
@@ -139,66 +125,31 @@ func cramersV(a, b *frame.Column) float64 {
 			chi2 += d * d / expected
 		}
 	}
-	k := float64(minInt(r, c) - 1)
-	if k <= 0 {
-		return 0
-	}
-	v := math.Sqrt(chi2 / (n * k))
-	if v > 1 {
-		v = 1
-	}
-	return v
+	k := float64(min(r, c) - 1)
+	return absClamp(math.Sqrt(chi2 / (n * k)))
 }
 
-// correlationRatio computes η: the square root of the between-group share of
-// the numeric column's variance when grouped by the categorical column.
+// correlationRatio returns the dependency of a categorical × numeric pair:
+// the correlation ratio η of num grouped by cat over the pair's complete
+// cases, 0 below three cases or two categories.
 func correlationRatio(cat, num *frame.Column) float64 {
 	card := cat.Cardinality()
 	if card < 2 {
 		return 0
 	}
-	n := minInt(cat.Len(), num.Len())
+	n := min(cat.Len(), num.Len())
 	codes, xs := cat.Codes()[:n], num.Floats()[:n]
-	groupSum := make([]float64, card)
-	groupN := make([]float64, card)
-	var total stats.Moments
+	acc := stats.NewCorrelationRatio(card)
 	for i, g := range codes {
-		v := xs[i]
-		if g < 0 || math.IsNaN(v) { // a NULL on either side
-			continue
+		if v := xs[i]; g >= 0 && !math.IsNaN(v) { // NULL on neither side
+			acc.Add(g, v)
 		}
-		groupSum[g] += v
-		groupN[g]++
-		total.Add(v)
 	}
-	if total.N() < 3 {
+	eta := acc.Eta()
+	if eta.N < 3 {
 		return 0
 	}
-	grand := total.Mean()
-	ssTotal := total.Variance() * float64(total.N()-1)
-	if ssTotal <= 0 {
-		return 0
-	}
-	ssBetween := 0.0
-	for g, gn := range groupN {
-		if gn == 0 {
-			continue
-		}
-		d := groupSum[g]/gn - grand
-		ssBetween += gn * d * d
-	}
-	eta := math.Sqrt(ssBetween / ssTotal)
-	if eta > 1 {
-		eta = 1
-	}
-	return eta
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return absClamp(eta.Value)
 }
 
 // Matrix is a symmetric column-dependency matrix over a frame's columns.
@@ -368,10 +319,7 @@ func pairCell(f *frame.Frame, m Measure, info []colStats, s *pairScratch, i, j i
 // testing every row. Rows come out in ascending order — the same order the
 // per-row scan produced — so every downstream statistic is bit-identical.
 func (s *pairScratch) gatherAligned(a, b *colStats) (xs, ys []float64) {
-	n := len(a.floats)
-	if len(b.floats) < n {
-		n = len(b.floats)
-	}
+	n := min(len(a.floats), len(b.floats))
 	if cap(s.xs) < n {
 		s.xs = make([]float64, 0, n)
 		s.ys = make([]float64, 0, n)
@@ -418,8 +366,11 @@ func pearsonFused(xs, ys []float64, mx, my, sxx, syy float64) float64 {
 	return stats.FinishPearson(sxy, sxx, syy)
 }
 
-// absClamp maps a correlation to a dependency score the way
-// numericDependency does: |v|, NaN → 0, clamped into [0, 1].
+// absClamp maps a raw statistic — a correlation, Cramér's V or η — to the
+// dependency S: |v|, with NaN → 0 and anything above 1 → 1. It is the one
+// degenerate-case rule of the matrix: every cell returns through it, so a
+// constant column, too few cases or an infinite cell give 0, never a NaN
+// that the clustering stage would reject.
 func absClamp(v float64) float64 {
 	v = math.Abs(v)
 	if math.IsNaN(v) {

@@ -9,8 +9,16 @@
 // implementation), absolute Spearman rank correlation (robust to monotone
 // non-linearity), and normalized binned mutual information (captures
 // arbitrary dependencies at higher cost). Heterogeneous column pairs fall
-// back to the correlation ratio η (numeric vs categorical) or Cramér's V
-// (categorical vs categorical) under every measure.
+// back to the correlation ratio η (numeric vs categorical, through the
+// stats.CorrelationRatio accumulator the extended separation component
+// also uses) or Cramér's V (categorical vs categorical) under every
+// measure.
+//
+// Every cell maps its raw statistic to S through one rule: the absolute
+// value, NaN → 0 and anything above 1 → 1. A constant column, fewer than
+// three complete cases, or an infinite cell (which turns a correlation or η
+// NaN) thus gives 0, and the matrix never holds a value the clustering
+// stage rejects.
 //
 // Matrix is the preparation-stage product: the full pairwise dependency
 // matrix over a frame's columns, cached per table by the engine and shared

@@ -160,71 +160,27 @@ func normalizedEntropy(counts []float64) float64 {
 }
 
 // Separation computes the DiffSeparation component: the change of the
-// correlation ratio η (how strongly the categorical column cat separates
-// the numeric column num) between the selection and its complement.
-// catIn/catOut are dictionary codes aligned with numIn/numOut.
-func Separation(catCol, numCol string, catIn []int32, numIn []float64, catOut []int32, numOut []float64, card int) Component {
-	if len(catIn) != len(numIn) || len(catOut) != len(numOut) ||
-		len(catIn) < 8 || len(catOut) < 8 || card < 2 {
-		return invalid(DiffSeparation, catCol, numCol)
-	}
-	etaIn := etaOf(catIn, numIn, card)
-	etaOut := etaOf(catOut, numOut, card)
-	if math.IsNaN(etaIn) || math.IsNaN(etaOut) {
+// correlation ratio η (how strongly the categorical column catCol separates
+// the numeric column numCol) between the selection and its complement,
+// from each side's η over its complete cases. A side with fewer than 8
+// cases, fewer than two populated categories or a NaN η gives the invalid
+// component.
+func Separation(catCol, numCol string, in, out stats.Eta) Component {
+	if in.N < 8 || out.N < 8 || in.Groups < 2 || out.Groups < 2 ||
+		math.IsNaN(in.Value) || math.IsNaN(out.Value) {
 		return invalid(DiffSeparation, catCol, numCol)
 	}
 	// Fisher-z the ratios like correlations: η lives in [0,1].
-	raw := stats.FisherZ(etaIn) - stats.FisherZ(etaOut)
+	raw := stats.FisherZ(in.Value) - stats.FisherZ(out.Value)
 	return Component{
 		Kind:    DiffSeparation,
 		Columns: []string{catCol, numCol},
 		Raw:     raw,
 		Norm:    normalize(raw),
-		Inside:  etaIn,
-		Outside: etaOut,
+		Inside:  in.Value,
+		Outside: out.Value,
 		// η² relates to the F statistic of one-way ANOVA; Fisher z over
 		// atanh(η) with the correlation test gives the asymptotic bound.
-		Test: hypo.CorrelationZ(etaIn, len(catIn), etaOut, len(catOut)),
+		Test: hypo.CorrelationZ(in.Value, in.N, out.Value, out.N),
 	}
-}
-
-// etaOf computes the correlation ratio of codes vs values.
-func etaOf(codes []int32, vals []float64, card int) float64 {
-	groupSum := make([]float64, card)
-	groupN := make([]float64, card)
-	var total stats.Moments
-	for i, c := range codes {
-		if c < 0 || int(c) >= card {
-			continue
-		}
-		groupSum[c] += vals[i]
-		groupN[c]++
-		total.Add(vals[i])
-	}
-	if total.N() < 4 {
-		return math.NaN()
-	}
-	grand := total.Mean()
-	ssTotal := total.Variance() * float64(total.N()-1)
-	if ssTotal <= 0 {
-		return math.NaN()
-	}
-	ssBetween := 0.0
-	groups := 0
-	for g := 0; g < card; g++ {
-		if groupN[g] == 0 {
-			continue
-		}
-		groups++
-		d := groupSum[g]/groupN[g] - grand
-		ssBetween += groupN[g] * d * d
-	}
-	if groups < 2 {
-		return math.NaN()
-	}
-	eta := math.Sqrt(ssBetween / ssTotal)
-	if eta > 1 {
-		eta = 1
-	}
-	return eta
 }

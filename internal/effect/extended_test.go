@@ -154,7 +154,7 @@ func TestSeparationDetectsGroupDivergence(t *testing.T) {
 		catOut[i] = int32(r.Intn(3))
 		numOut[i] = r.NormFloat64()
 	}
-	c := Separation("group", "value", catIn, numIn, catOut, numOut, 3)
+	c := Separation("group", "value", eta(catIn, numIn, 3), eta(catOut, numOut, 3))
 	if !c.Valid() {
 		t.Fatal("component invalid")
 	}
@@ -175,25 +175,34 @@ func TestSeparationDetectsGroupDivergence(t *testing.T) {
 	}
 }
 
+// eta feeds codes and vals, aligned, to a k-category correlation ratio.
+func eta(codes []int32, vals []float64, k int) stats.Eta {
+	acc := stats.NewCorrelationRatio(k)
+	for i, g := range codes {
+		acc.Add(g, vals[i])
+	}
+	return acc.Eta()
+}
+
 func TestSeparationDegenerate(t *testing.T) {
-	short := []int32{0, 1}
-	shortF := []float64{1, 2}
-	if Separation("g", "v", short, shortF, short, shortF, 2).Valid() {
+	if Separation("g", "v", eta([]int32{0, 1}, []float64{1, 2}, 2), eta([]int32{0, 1}, []float64{1, 2}, 2)).Valid() {
 		t.Error("n<8 should be invalid")
 	}
 	n := 20
-	cat := make([]int32, n)
+	one := make([]int32, n) // a single group
+	two := make([]int32, n)
 	num := make([]float64, n)
-	for i := range cat {
-		cat[i] = 0 // single group
+	for i := range num {
+		two[i] = int32(i % 2)
 		num[i] = float64(i)
 	}
-	if Separation("g", "v", cat, num, cat, num, 1).Valid() {
-		t.Error("cardinality<2 should be invalid")
+	if Separation("g", "v", eta(one, num, 2), eta(two, num, 2)).Valid() {
+		t.Error("one populated category should be invalid")
 	}
-	// Mismatched lengths.
-	if Separation("g", "v", cat, num[:10], cat, num, 2).Valid() {
-		t.Error("mismatched lengths should be invalid")
+	clean := eta(two, num, 2)
+	num[3] = math.Inf(1)
+	if Separation("g", "v", eta(two, num, 2), clean).Valid() {
+		t.Error("a NaN η should be invalid")
 	}
 }
 

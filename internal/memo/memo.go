@@ -15,6 +15,7 @@ package memo
 
 import (
 	"container/list"
+	"encoding/json"
 	"errors"
 	"sync"
 )
@@ -69,6 +70,16 @@ type Snapshot struct {
 
 // Requests returns the total number of Do calls the snapshot covers.
 func (s Snapshot) Requests() int64 { return s.Hits + s.Misses }
+
+// MarshalJSON encodes the snapshot's counters together with its derived
+// Requests count, so every JSON reader sees hits + misses = requests.
+func (s Snapshot) MarshalJSON() ([]byte, error) {
+	type counters Snapshot // without this method
+	return json.Marshal(struct {
+		counters
+		Requests int64 `json:"requests"`
+	}{counters(s), s.Requests()})
+}
 
 // entry is one cached key/value pair with its charged size.
 type entry[K comparable, V any] struct {

@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -307,5 +308,27 @@ func TestEach(t *testing.T) {
 	}
 	if _, ok := small.Get(2); ok {
 		t.Error("LRU victim 2 survived")
+	}
+}
+
+// TestSnapshotJSONCarriesRequests pins the snapshot's wire form: every
+// counter plus the derived requests, and a round trip that keeps the
+// counters.
+func TestSnapshotJSONCarriesRequests(t *testing.T) {
+	s := Snapshot{Hits: 3, Misses: 2, Evictions: 1, Deduped: 1, Inflight: 1, Entries: 4, Bytes: 64}
+	data, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"hits":3,"misses":2,"evictions":1,"deduped":1,"inflight":1,"entries":4,"bytes":64,"requests":5}`
+	if string(data) != want {
+		t.Errorf("JSON = %s, want %s", data, want)
+	}
+	var back Snapshot
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back != s {
+		t.Errorf("round trip = %+v, want %+v", back, s)
 	}
 }

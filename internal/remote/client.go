@@ -349,10 +349,6 @@ func (c *Client) Snapshot() shard.ShardSnapshot {
 	return snap
 }
 
-// InvalidateCaches is a no-op: the worker's caches belong to the worker
-// (and may serve other fronts).
-func (c *Client) InvalidateCaches() {}
-
 // InvalidateFrame tells the worker to drop the derived cache entries
 // (reports, prepared structures) of a fingerprint this front's table
 // lifecycle just superseded — Unregister and Append call it through the

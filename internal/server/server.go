@@ -331,72 +331,16 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 
 // statsResponse is the wire form of /api/stats. Prepared aggregates the
 // per-shard prepared tiers; Reports is the shared cross-shard report cache;
-// Shards breaks traffic and prepared counters down per shard.
+// Shards breaks traffic and cache counters down per shard.
 type statsResponse struct {
 	// Prepared and Reports are the two memo tiers; within each,
 	// hits + misses = requests and misses - deduped = computations.
-	Prepared tierJSON `json:"prepared"`
-	Reports  tierJSON `json:"reports"`
+	Prepared memo.Snapshot `json:"prepared"`
+	Reports  memo.Snapshot `json:"reports"`
 	// ShardCount is the number of engine shards behind the router.
 	ShardCount int `json:"shardCount"`
 	// Shards is the per-shard breakdown.
-	Shards []shardJSON `json:"shards"`
-}
-
-// shardJSON is one backend's traffic and cache-tier counters. Kind is
-// "local" or "remote"; remote entries carry the worker address, its
-// reachability, and how many table payloads were actually shipped to it.
-type shardJSON struct {
-	Shard    int    `json:"shard"`
-	Kind     string `json:"kind"`
-	Addr     string `json:"addr,omitempty"`
-	Healthy  bool   `json:"healthy"`
-	Requests int64  `json:"requests"`
-	Rejected int64  `json:"rejected"`
-	// ApproxServed counts served approximate reports — pressure-degraded
-	// and explicitly requested alike.
-	ApproxServed int64 `json:"approxServed"`
-	Inflight     int64 `json:"inflight"`
-	Queued       int64 `json:"queued"`
-	// RetryAfterMillis is the shard's current backoff hint; shed requests
-	// carry the same figure in their Retry-After header.
-	RetryAfterMillis int64 `json:"retryAfterMillis"`
-	// Completed counts executed (non-cached) characterizations;
-	// MeanServiceMillis is their observed mean wall time — the service-rate
-	// estimate behind the backoff hint.
-	Completed         int64    `json:"completed"`
-	MeanServiceMillis float64  `json:"meanServiceMillis,omitempty"`
-	TablesShipped     int64    `json:"tablesShipped,omitempty"`
-	ChunksShipped     int64    `json:"chunksShipped,omitempty"`
-	BytesShipped      int64    `json:"bytesShipped,omitempty"`
-	Prepared          tierJSON `json:"prepared"`
-	// Reports is a remote worker's own report tier; local shards share the
-	// router cache reported in the top-level reports field.
-	Reports tierJSON `json:"reports"`
-}
-
-type tierJSON struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Requests  int64 `json:"requests"`
-	Evictions int64 `json:"evictions"`
-	Deduped   int64 `json:"deduped"`
-	Inflight  int64 `json:"inflight"`
-	Entries   int   `json:"entries"`
-	Bytes     int64 `json:"bytes"`
-}
-
-func tierFrom(s memo.Snapshot) tierJSON {
-	return tierJSON{
-		Hits:      s.Hits,
-		Misses:    s.Misses,
-		Requests:  s.Requests(),
-		Evictions: s.Evictions,
-		Deduped:   s.Deduped,
-		Inflight:  s.Inflight,
-		Entries:   s.Entries,
-		Bytes:     s.Bytes,
-	}
+	Shards []shard.ShardSnapshot `json:"shards"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -406,33 +350,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	stats := s.router.Stats()
 	totals := stats.Totals()
-	resp := statsResponse{
-		Prepared:   tierFrom(totals.Prepared),
-		Reports:    tierFrom(totals.Reports),
+	s.writeJSON(w, http.StatusOK, statsResponse{
+		Prepared:   totals.Prepared,
+		Reports:    totals.Reports,
 		ShardCount: s.router.NumShards(),
-	}
-	for _, sh := range stats.Shards {
-		resp.Shards = append(resp.Shards, shardJSON{
-			Shard:             sh.Shard,
-			Kind:              sh.Kind,
-			Addr:              sh.Addr,
-			Healthy:           sh.Healthy,
-			Requests:          sh.Requests,
-			Rejected:          sh.Rejected,
-			ApproxServed:      sh.ApproxServed,
-			Inflight:          sh.Inflight,
-			Queued:            sh.Queued,
-			RetryAfterMillis:  sh.RetryAfterMillis,
-			Completed:         sh.Completed,
-			MeanServiceMillis: sh.MeanServiceMillis,
-			TablesShipped:     sh.TablesShipped,
-			ChunksShipped:     sh.ChunksShipped,
-			BytesShipped:      sh.BytesShipped,
-			Prepared:          tierFrom(sh.Prepared),
-			Reports:           tierFrom(sh.Reports),
-		})
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+		Shards:     stats.Shards,
+	})
 }
 
 func (s *Server) handleDendrogram(w http.ResponseWriter, r *http.Request) {

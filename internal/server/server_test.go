@@ -190,7 +190,6 @@ func (saturatedBackend) CachedReport(uint64, *frame.Bitmap, core.Options) (*core
 	return nil, false
 }
 func (saturatedBackend) Snapshot() shard.ShardSnapshot { return shard.ShardSnapshot{Kind: "local"} }
-func (saturatedBackend) InvalidateCaches()             {}
 func (saturatedBackend) Close() error                  { return nil }
 
 // TestSaturationSetsRetryAfter pins the backoff satellite at the demo
@@ -283,9 +282,17 @@ func TestStatsEndpointAndReportCache(t *testing.T) {
 		if stats.Prepared.Misses != 1 {
 			t.Errorf("%s prepared tier = %+v, want 1 miss", path, stats.Prepared)
 		}
-		for name, tier := range map[string]tierJSON{"prepared": stats.Prepared, "reports": stats.Reports} {
-			if tier.Hits+tier.Misses != tier.Requests {
-				t.Errorf("%s %s tier does not reconcile: %+v", path, name, tier)
+		var tiers map[string]json.RawMessage
+		if err := json.Unmarshal(rec.Body.Bytes(), &tiers); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"prepared", "reports"} {
+			var tier map[string]int64
+			if err := json.Unmarshal(tiers[name], &tier); err != nil {
+				t.Fatal(err)
+			}
+			if tier["hits"]+tier["misses"] != tier["requests"] {
+				t.Errorf("%s %s tier does not reconcile: %v", path, name, tier)
 			}
 		}
 		// The sharded breakdown: a pinned two-shard router, the two admitted

@@ -40,14 +40,11 @@ type Backend interface {
 	// Snapshot returns the backend's traffic counters and cache tiers; the
 	// router stamps the shard index.
 	Snapshot() ShardSnapshot
-	// InvalidateCaches drops the backend's cache tiers where it can (a
-	// remote backend leaves its worker's caches alone).
-	InvalidateCaches()
 	// InvalidateFrame drops the cache entries of the single frame with the
 	// given content fingerprint — the scoped invalidation behind the table
-	// lifecycle (unregister, append). Unlike InvalidateCaches, a remote
-	// backend forwards this to its worker, which drops the fingerprint's
-	// derived cache entries (best-effort; an unreachable worker is skipped).
+	// lifecycle (unregister, append). A remote backend forwards this to its
+	// worker, which drops the fingerprint's derived cache entries
+	// (best-effort; an unreachable worker is skipped).
 	InvalidateFrame(fp uint64)
 	// Close releases transport resources; in-process backends no-op.
 	Close() error
@@ -295,10 +292,6 @@ func (b *EngineBackend) Snapshot() ShardSnapshot {
 		Reports: memo.Snapshot{},
 	}
 }
-
-// InvalidateCaches drops the engine's prepared tier (and, because the
-// engine shares it, the report cache — idempotent across backends).
-func (b *EngineBackend) InvalidateCaches() { b.engine.InvalidateCache() }
 
 // InvalidateFrame drops the fingerprint's entries from the engine's
 // prepared tier and the shared report cache (idempotent across backends

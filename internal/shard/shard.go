@@ -305,16 +305,6 @@ func (r *Router) CachedReportFingerprint(fp uint64, sel *frame.Bitmap, opts core
 	return r.backends[Assign(fp, len(r.backends))].CachedReport(fp, sel, opts)
 }
 
-// InvalidateCaches drops every backend's local cache tiers and the shared
-// report cache; mainly for benchmarks that need a cold router. Remote
-// workers keep their caches (they serve other fronts too).
-func (r *Router) InvalidateCaches() {
-	for _, b := range r.backends {
-		b.InvalidateCaches()
-	}
-	r.reports.Purge()
-}
-
 // InvalidateFrame drops the cache entries of the single frame with the
 // given content fingerprint: its reports in the shared cache and its
 // prepared structures on every local backend. The table lifecycle calls
@@ -362,7 +352,7 @@ type ShardSnapshot struct {
 	// ApproxServed counts successfully served approximate reports —
 	// requests degraded under pressure (Config.ApproxUnderPressure) and
 	// explicitly requested sample-based answers alike.
-	ApproxServed int64 `json:"approxServed,omitempty"`
+	ApproxServed int64 `json:"approxServed"`
 	// Inflight is the number of characterizations executing right now;
 	// Queued the number admitted but waiting for a run slot.
 	Inflight int64 `json:"inflight"`

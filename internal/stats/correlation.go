@@ -61,6 +61,72 @@ func FisherZ(r float64) float64 {
 	return math.Atanh(r)
 }
 
+// CorrelationRatio accumulates the correlation ratio η of a numeric series
+// grouped by category: per-category sums and counts, plus Welford's running
+// mean and M2 over every case. It is the one η of the module — the
+// dependency matrix's categorical × numeric cells and the extended
+// separation component both feed it complete cases in ascending row order
+// — so the two agree bit for bit on the same cases.
+type CorrelationRatio struct {
+	sum, count []float64 // per category
+	n          int
+	mean, m2   float64
+}
+
+// NewCorrelationRatio returns an empty accumulator over k categories.
+func NewCorrelationRatio(k int) CorrelationRatio {
+	return CorrelationRatio{sum: make([]float64, k), count: make([]float64, k)}
+}
+
+// Add folds in one complete case: category g, in [0, k), with value v.
+func (c *CorrelationRatio) Add(g int32, v float64) {
+	c.sum[g] += v
+	c.count[g]++
+	c.n++
+	d := v - c.mean
+	c.mean += d / float64(c.n)
+	c.m2 += d * (v - c.mean)
+}
+
+// Eta is a correlation ratio with the cases and categories it covers.
+type Eta struct {
+	// Value is η in [0, 1]: the square root of the between-category share
+	// of the values' sum of squares. It is NaN below two cases and for
+	// constant values, and may be NaN when a value is infinite or its
+	// square overflows.
+	Value float64
+	// N counts the cases; Groups counts the categories holding any.
+	N, Groups int
+}
+
+// Eta finishes the accumulator. The between-category sum runs over the
+// categories in ascending order; the total sum of squares is n−1 times the
+// sample variance, rounded as that product.
+func (c *CorrelationRatio) Eta() Eta {
+	e := Eta{Value: math.NaN(), N: c.n}
+	var ssBetween float64
+	for g, n := range c.count {
+		if n == 0 {
+			continue
+		}
+		e.Groups++
+		d := c.sum[g]/n - c.mean
+		ssBetween += n * d * d
+	}
+	if c.n < 2 {
+		return e
+	}
+	ssTotal := c.m2 / float64(c.n-1) * float64(c.n-1)
+	if ssTotal <= 0 {
+		return e
+	}
+	e.Value = math.Sqrt(ssBetween / ssTotal)
+	if e.Value > 1 {
+		e.Value = 1
+	}
+	return e
+}
+
 // CorrelationMatrix returns the M×M Pearson correlation matrix (row-major)
 // of the given column series. Cells involving a constant column are NaN off
 // the diagonal and 1 on it.

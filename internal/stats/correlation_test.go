@@ -214,3 +214,64 @@ func BenchmarkMutualInformation(b *testing.B) {
 		MutualInformationBinned(xs, ys, 16)
 	}
 }
+
+// TestCorrelationRatioMatchesTwoPass holds the streaming η against the
+// textbook two-pass formula: between-category over total sum of squares.
+func TestCorrelationRatioMatchesTwoPass(t *testing.T) {
+	r := randx.New(11)
+	const k, n = 4, 600
+	codes := make([]int32, n)
+	xs := make([]float64, n)
+	acc := NewCorrelationRatio(k + 1) // category k stays empty
+	for i := range xs {
+		codes[i] = int32(r.Intn(k))
+		xs[i] = float64(codes[i]) + r.NormFloat64()
+		acc.Add(codes[i], xs[i])
+	}
+	grand := Mean(xs)
+	sum := make([]float64, k)
+	cnt := make([]float64, k)
+	var ssTotal float64
+	for i, x := range xs {
+		sum[codes[i]] += x
+		cnt[codes[i]]++
+		ssTotal += (x - grand) * (x - grand)
+	}
+	var ssBetween float64
+	for g := range sum {
+		d := sum[g]/cnt[g] - grand
+		ssBetween += cnt[g] * d * d
+	}
+	got := acc.Eta()
+	approx(t, "η", got.Value, math.Sqrt(ssBetween/ssTotal), 1e-12)
+	if got.N != n || got.Groups != k {
+		t.Errorf("N, Groups = %d, %d; want %d, %d", got.N, got.Groups, n, k)
+	}
+}
+
+// TestCorrelationRatioDegenerate pins the NaN cases: no spread to explain,
+// and a sum of squares that an infinite value poisons.
+func TestCorrelationRatioDegenerate(t *testing.T) {
+	for name, xs := range map[string][]float64{
+		"empty":    nil,
+		"one case": {3},
+		"constant": {2, 2, 2, 2},
+		"+Inf":     {1, 2, math.Inf(1), 4},
+		"-Inf":     {1, 2, math.Inf(-1), 4},
+	} {
+		acc := NewCorrelationRatio(2)
+		for i, x := range xs {
+			acc.Add(int32(i%2), x)
+		}
+		if got := acc.Eta(); !math.IsNaN(got.Value) || got.N != len(xs) {
+			t.Errorf("%s: η = %+v, want NaN over %d cases", name, got, len(xs))
+		}
+	}
+	acc := NewCorrelationRatio(3)
+	for _, x := range []float64{1, 1, 5, 5} {
+		acc.Add(int32(x)%3, x)
+	}
+	if got := acc.Eta(); got.Value != 1 || got.Groups != 2 {
+		t.Errorf("perfect separation: η = %+v, want 1 over 2 groups", got)
+	}
+}

@@ -128,42 +128,6 @@ func Median(xs []float64) float64 {
 	return Quantile(s, 0.5)
 }
 
-// Moments accumulates streaming mean/variance via Welford's algorithm. It
-// lets the preparation stage compute statistics in one pass without
-// materializing both column splits.
-type Moments struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds x into the accumulator.
-func (m *Moments) Add(x float64) {
-	m.n++
-	delta := x - m.mean
-	m.mean += delta / float64(m.n)
-	m.m2 += delta * (x - m.mean)
-}
-
-// N returns the count of values seen.
-func (m *Moments) N() int { return m.n }
-
-// Mean returns the running mean (NaN when empty).
-func (m *Moments) Mean() float64 {
-	if m.n == 0 {
-		return math.NaN()
-	}
-	return m.mean
-}
-
-// Variance returns the running unbiased sample variance (NaN below 2).
-func (m *Moments) Variance() float64 {
-	if m.n < 2 {
-		return math.NaN()
-	}
-	return m.m2 / float64(m.n-1)
-}
-
 // Ranks returns the fractional ranks of xs (average ranks for ties),
 // 1-based, as used by Spearman correlation and the Mann-Whitney test.
 func Ranks(xs []float64) []float64 {

@@ -72,28 +72,6 @@ func TestQuantilePanics(t *testing.T) {
 	}
 }
 
-func TestMomentsMatchesBatch(t *testing.T) {
-	r := randx.New(5)
-	xs := make([]float64, 500)
-	var m Moments
-	for i := range xs {
-		xs[i] = r.Normal(3, 2)
-		m.Add(xs[i])
-	}
-	approx(t, "streaming mean", m.Mean(), Mean(xs), 1e-9)
-	approx(t, "streaming var", m.Variance(), Variance(xs), 1e-9)
-	if m.N() != 500 {
-		t.Fatalf("N = %d", m.N())
-	}
-}
-
-func TestMomentsEmpty(t *testing.T) {
-	var m Moments
-	if !math.IsNaN(m.Mean()) || !math.IsNaN(m.Variance()) {
-		t.Error("empty Moments should be NaN")
-	}
-}
-
 func TestRanks(t *testing.T) {
 	got := Ranks([]float64{10, 20, 20, 30})
 	want := []float64{1, 2.5, 2.5, 4}

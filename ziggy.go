@@ -415,15 +415,8 @@ func (s *Session) Table(name string) (*Frame, bool) { return s.catalog.Table(nam
 // reports the per-shard slice of the cache budget (use Router().Config()
 // for the configured values), and its InvalidateCache purges the shared
 // report cache (shared by every shard and every session attached via
-// WithSharedCache) but only shard 0's prepared tier — use
-// InvalidateCaches for whole-session cache control.
+// WithSharedCache) but only shard 0's prepared tier and fold prefixes.
 func (s *Session) Engine() *Engine { return s.router.Engine(0) }
-
-// InvalidateCaches drops every shard's prepared structures and the shared
-// report cache. Like Engine.InvalidateCache it is mainly for benchmarks,
-// and equally insufficient for frames mutated in place against the
-// immutability convention (see Engine.InvalidateCache).
-func (s *Session) InvalidateCaches() { s.router.InvalidateCaches() }
 
 // Router exposes the sharded serving layer behind the session.
 func (s *Session) Router() *Router { return s.router }
