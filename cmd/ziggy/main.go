@@ -8,10 +8,12 @@
 //	ziggy -dataset uscrime -query "SELECT * FROM uscrime WHERE crime_violent_rate >= 1300"
 //	ziggy -csv data.csv -query "SELECT * FROM data WHERE price > 100" -max-views 5
 //	ziggy -dataset boxoffice -query "..." -exclude gross_musd -json
+//
+// -json prints the report as the JSON document ziggyd's /api/characterize
+// answers.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -20,6 +22,7 @@ import (
 
 	ziggy "repro"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/depend"
 	"repro/internal/hypo"
 )
@@ -140,9 +143,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *jsonOutput {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep.Report)
+		return core.WriteReportJSON(out, *query, rep.Report, nil)
 	}
 	printReport(out, rep)
 	if *plotViews {

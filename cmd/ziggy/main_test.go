@@ -46,16 +46,55 @@ func TestCLIJSONOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	var decoded struct {
-		Views []struct {
-			Columns []string `json:"Columns"`
-			Score   float64  `json:"Score"`
-		} `json:"Views"`
+		SQL          string `json:"sql"`
+		SelectedRows int    `json:"selectedRows"`
+		Views        []struct {
+			Columns []string `json:"columns"`
+			Score   float64  `json:"score"`
+		} `json:"views"`
 	}
 	if err := json.Unmarshal([]byte(out), &decoded); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, out)
 	}
-	if len(decoded.Views) == 0 {
-		t.Fatal("no views in JSON output")
+	if len(decoded.Views) == 0 || decoded.Views[0].Score <= 0 || len(decoded.Views[0].Columns) == 0 {
+		t.Fatalf("no views in JSON output:\n%s", out)
+	}
+	if decoded.SQL == "" || decoded.SelectedRows == 0 {
+		t.Fatalf("report header missing from JSON output:\n%s", out)
+	}
+}
+
+// TestCLIJSONInvalidComponent runs a selection whose year view carries an
+// invalid diff-stddevs component (raw, norm and p all NaN): -json must
+// still encode, dropping the component, as /api/characterize does.
+func TestCLIJSONInvalidComponent(t *testing.T) {
+	out, err := runCLI(t,
+		"-dataset", "boxoffice",
+		"-query", "SELECT * FROM boxoffice WHERE year >= 2013",
+		"-exclude-predicate=false",
+		"-json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded struct {
+		Views []struct {
+			Columns    []string `json:"columns"`
+			Components []struct {
+				Kind string `json:"kind"`
+			} `json:"components"`
+		} `json:"views"`
+	}
+	if err := json.Unmarshal([]byte(out), &decoded); err != nil {
+		t.Fatalf("invalid JSON: %v\n%s", err, out)
+	}
+	var year bool
+	for _, v := range decoded.Views {
+		for _, c := range v.Columns {
+			year = year || c == "year"
+		}
+	}
+	if !year {
+		t.Fatalf("no view over the predicate column year:\n%s", out)
 	}
 }
 

@@ -93,10 +93,6 @@ func NewShared(cfg Config, reports *ReportCache) (*Engine, error) {
 // Config returns the engine's configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// ReportCache returns the engine's report-level memo — the engine's own when
-// built with New, the shared one when built with NewShared.
-func (e *Engine) ReportCache() *ReportCache { return e.reports }
-
 // InvalidateCache drops every cache tier: prepared structures, the
 // dependency fold's prefix states and memoized reports. Content
 // fingerprints make stale entries unreachable on their own when a table is
@@ -167,9 +163,7 @@ type Options struct {
 	// ApproxSeed, ApproxRows), so approximate reports are byte-identical
 	// per configuration across worker counts, shard counts, and serving
 	// topologies — and they memoize under their own report-cache key,
-	// separate from the exact report. Callers wanting "a cap, any cap"
-	// resolve Config.EffectiveApproxRows before setting this; the engine
-	// only ever sees concrete values.
+	// separate from the exact report.
 	ApproxRows int
 	// ApproxSeed selects the sampling stream for approximate runs (0 is a
 	// valid seed). Ignored unless ApproxRows > 0.

@@ -58,24 +58,25 @@ type Approximate struct {
 	// SampleRows is the number of rows the pipeline actually consumed
 	// (InsideRows + OutsideRows). It equals min(CapRows, selection size)
 	// up to the per-side MinRows floors.
-	SampleRows int
+	SampleRows int `json:"sampleRows"`
 	// CapRows is the requested sample cap (Options.ApproxRows).
-	CapRows int
+	CapRows int `json:"capRows"`
 	// Seed is the caller-chosen sampling seed (Options.ApproxSeed); the
 	// effective stratified-sampling seed also mixes in both content
 	// fingerprints, so distinct (frame, selection) pairs never share a
 	// sample stream.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// InsideRows and OutsideRows are the per-stratum sample sizes: how
 	// many selected and non-selected rows survived the proportional cut.
-	InsideRows, OutsideRows int
+	InsideRows  int `json:"insideRows"`
+	OutsideRows int `json:"outsideRows"`
 	// SEInflation estimates how much wider the standard errors behind the
 	// per-component hypothesis tests are versus the exact report:
 	// sqrt(TotalRows / SampleRows), ≥ 1, 1 when nothing was cut. The
 	// tests themselves already run on the sample (their p-values reflect
 	// the reduced power); this annotation quantifies the resolution loss
 	// for display.
-	SEInflation float64
+	SEInflation float64 `json:"seInflation"`
 }
 
 // Report is the full outcome of Engine.Characterize.

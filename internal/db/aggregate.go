@@ -8,38 +8,75 @@ import (
 	"repro/internal/frame"
 )
 
-// executeAggregation runs the aggregation path: group the selected rows by
-// the GROUP BY columns (one global group when absent), evaluate each
-// aggregate, then apply ORDER BY and LIMIT over the aggregated output.
-func executeAggregation(stmt *SelectStmt, base *frame.Frame, mask *frame.Bitmap) (*frame.Frame, error) {
-	// Resolve grouping columns.
-	groupCols := make([]*frame.Column, len(stmt.GroupBy))
+// aggPlan is an aggregation resolved against its table: the grouping
+// columns, each aggregate's input column (nil for COUNT(*)), and the
+// output's schema.
+type aggPlan struct {
+	groupCols []*frame.Column
+	aggCols   []*frame.Column
+	// out is a frame with the output's columns, grouping columns first,
+	// and no rows.
+	out *frame.Frame
+}
+
+// planAggregation resolves the aggregation path of stmt against base and
+// applies each aggregate's kind rule.
+func planAggregation(stmt *SelectStmt, base *frame.Frame) (*aggPlan, error) {
+	p := &aggPlan{groupCols: make([]*frame.Column, len(stmt.GroupBy)), aggCols: make([]*frame.Column, len(stmt.Aggs))}
+	b := frame.NewBuilder(base.Name())
 	for i, name := range stmt.GroupBy {
 		c, ok := base.Lookup(name)
 		if !ok {
 			return nil, evalErrorf("unknown column %q in GROUP BY", name)
 		}
-		groupCols[i] = c
+		p.groupCols[i] = c
+		addColumn(b, c.Kind(), name)
 	}
-	// Resolve aggregate input columns.
-	aggCols := make([]*frame.Column, len(stmt.Aggs))
 	for i, a := range stmt.Aggs {
+		kind := frame.Numeric
 		if a.Column == "" {
 			if a.Func != "COUNT" {
 				return nil, evalErrorf("%s requires a column", a.Func)
 			}
-			continue
+		} else {
+			c, ok := base.Lookup(a.Column)
+			if !ok {
+				return nil, evalErrorf("unknown column %q in %s()", a.Column, a.Func)
+			}
+			// Over a categorical column only COUNT, MIN and MAX apply, and
+			// MIN and MAX yield strings.
+			if c.Kind() == frame.Categorical {
+				if a.Func != "COUNT" && a.Func != "MIN" && a.Func != "MAX" {
+					return nil, evalErrorf("%s() needs a numeric column, %q is %s", a.Func, a.Column, c.Kind())
+				}
+				if a.Func != "COUNT" {
+					kind = frame.Categorical
+				}
+			}
+			p.aggCols[i] = c
 		}
-		c, ok := base.Lookup(a.Column)
-		if !ok {
-			return nil, evalErrorf("unknown column %q in %s()", a.Column, a.Func)
-		}
-		if c.Kind() != frame.Numeric && a.Func != "COUNT" && a.Func != "MIN" && a.Func != "MAX" {
-			return nil, evalErrorf("%s() needs a numeric column, %q is %s", a.Func, a.Column, c.Kind())
-		}
-		aggCols[i] = c
+		addColumn(b, kind, a.OutputName())
 	}
+	out, err := b.Build()
+	if err != nil {
+		return nil, evalErrorf("%v", err)
+	}
+	p.out = out
+	return p, nil
+}
 
+func addColumn(b *frame.Builder, kind frame.Kind, name string) {
+	if kind == frame.Numeric {
+		b.AddNumeric(name)
+	} else {
+		b.AddCategorical(name)
+	}
+}
+
+// run groups the selected rows of base by the grouping columns (one global
+// group when there are none) and evaluates each aggregate: one output row
+// per group, in first-seen order.
+func (p *aggPlan) run(stmt *SelectStmt, base *frame.Frame, mask *frame.Bitmap) (*frame.Frame, error) {
 	type groupState struct {
 		firstRow int
 		accs     []*aggAccumulator
@@ -48,7 +85,7 @@ func executeAggregation(stmt *SelectStmt, base *frame.Frame, mask *frame.Bitmap)
 	var order []string // group keys in first-seen order
 
 	mask.ForEach(func(row int) {
-		key := groupKey(groupCols, row)
+		key := groupKey(p.groupCols, row)
 		g, ok := groups[key]
 		if !ok {
 			g = &groupState{firstRow: row, accs: make([]*aggAccumulator, len(stmt.Aggs))}
@@ -58,81 +95,43 @@ func executeAggregation(stmt *SelectStmt, base *frame.Frame, mask *frame.Bitmap)
 			groups[key] = g
 			order = append(order, key)
 		}
-		for i := range stmt.Aggs {
-			g.accs[i].add(aggCols[i], row)
+		for i, c := range p.aggCols {
+			g.accs[i].add(c, row)
 		}
 	})
 
-	// Assemble the output frame: grouping columns first, aggregates after.
-	b := frame.NewBuilder(base.Name())
-	groupIdx := make([]int, len(groupCols))
-	for i, c := range groupCols {
-		if c.Kind() == frame.Numeric {
-			groupIdx[i] = b.AddNumeric(c.Name())
-		} else {
-			groupIdx[i] = b.AddCategorical(c.Name())
-		}
-	}
-	aggIdx := make([]int, len(stmt.Aggs))
-	aggIsNumeric := make([]bool, len(stmt.Aggs))
-	for i, a := range stmt.Aggs {
-		// MIN/MAX over categorical columns yield strings; everything else
-		// is numeric.
-		if (a.Func == "MIN" || a.Func == "MAX") && aggCols[i] != nil && aggCols[i].Kind() == frame.Categorical {
-			aggIdx[i] = b.AddCategorical(a.OutputName())
-		} else {
-			aggIdx[i] = b.AddNumeric(a.OutputName())
-			aggIsNumeric[i] = true
-		}
+	// Builder columns are numbered in declaration order, so group column i
+	// is column i and aggregate i is column len(groupCols)+i.
+	b := frame.NewBuilder(p.out.Name())
+	for _, c := range p.out.Columns() {
+		addColumn(b, c.Kind(), c.Name())
 	}
 	for _, key := range order {
 		g := groups[key]
-		for i, c := range groupCols {
+		for i, c := range p.groupCols {
 			switch {
 			case c.IsNull(g.firstRow):
-				b.AppendNull(groupIdx[i])
+				b.AppendNull(i)
 			case c.Kind() == frame.Numeric:
-				b.AppendFloat(groupIdx[i], c.Float(g.firstRow))
+				b.AppendFloat(i, c.Float(g.firstRow))
 			default:
-				b.AppendStr(groupIdx[i], c.Str(g.firstRow))
+				b.AppendStr(i, c.Str(g.firstRow))
 			}
 		}
-		for i := range stmt.Aggs {
-			num, str, isNull := g.accs[i].result()
+		for i, acc := range g.accs {
+			col := len(p.groupCols) + i
+			num, str, isNull := acc.result()
 			switch {
 			case isNull:
-				b.AppendNull(aggIdx[i])
-			case aggIsNumeric[i]:
-				b.AppendFloat(aggIdx[i], num)
+				b.AppendNull(col)
+			case p.out.Col(col).Kind() == frame.Numeric:
+				b.AppendFloat(col, num)
 			default:
-				b.AppendStr(aggIdx[i], str)
+				b.AppendStr(col, str)
 			}
 		}
 	}
-	out, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-
-	// ORDER BY over the aggregated output (keys may name group columns or
-	// aggregate output names).
-	if len(stmt.OrderBy) > 0 {
-		out, err = sortFrame(out, stmt.OrderBy)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if stmt.Limit >= 0 && stmt.Limit < out.NumRows() {
-		idx := make([]int, stmt.Limit)
-		for i := range idx {
-			idx[i] = i
-		}
-		out, err = materializeInOrder(out, idx)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return b.Build()
 }
 
 // groupKey builds a hashable key from the grouping values of one row.
@@ -238,17 +237,4 @@ func (a *aggAccumulator) result() (num float64, str string, isNull bool) {
 	default:
 		return 0, "", true
 	}
-}
-
-// sortFrame returns f's rows reordered by the given keys (all of which must
-// be columns of f).
-func sortFrame(f *frame.Frame, keys []OrderKey) (*frame.Frame, error) {
-	idx := make([]int, f.NumRows())
-	for i := range idx {
-		idx[i] = i
-	}
-	if err := orderRows(f, idx, keys); err != nil {
-		return nil, err
-	}
-	return materializeInOrder(f, idx)
 }

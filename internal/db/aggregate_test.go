@@ -47,7 +47,7 @@ func TestGlobalAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := res.Rows
+	rows := mustRows(t, res)
 	if rows.NumRows() != 1 {
 		t.Fatalf("rows = %d, want 1", rows.NumRows())
 	}
@@ -78,7 +78,7 @@ func TestGroupBy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := res.Rows
+	rows := mustRows(t, res)
 	if rows.NumRows() != 2 {
 		t.Fatalf("groups = %d, want 2", rows.NumRows())
 	}
@@ -99,11 +99,12 @@ func TestGroupByMultipleKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows.NumRows() != 4 {
-		t.Fatalf("groups = %d, want 4", res.Rows.NumRows())
+	rows := mustRows(t, res)
+	if rows.NumRows() != 4 {
+		t.Fatalf("groups = %d, want 4", rows.NumRows())
 	}
-	region, _ := res.Rows.Lookup("region")
-	product, _ := res.Rows.Lookup("product")
+	region, _ := rows.Lookup("region")
+	product, _ := rows.Lookup("product")
 	if region.Str(0) != "east" || product.Str(0) != "gadget" {
 		t.Errorf("first group = %s/%s", region.Str(0), product.Str(0))
 	}
@@ -116,9 +117,10 @@ func TestAggregatesSkipNulls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count, _ := res.Rows.Lookup("count_units")
-	sum, _ := res.Rows.Lookup("sum_units")
-	avg, _ := res.Rows.Lookup("avg_units")
+	rows := mustRows(t, res)
+	count, _ := rows.Lookup("count_units")
+	sum, _ := rows.Lookup("sum_units")
+	avg, _ := rows.Lookup("avg_units")
 	if count.Float(0) != 5 {
 		t.Errorf("COUNT(units) = %v, want 5 (NULL skipped)", count.Float(0))
 	}
@@ -136,8 +138,9 @@ func TestAggregateAliases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := res.Rows.Lookup("mean_revenue"); !ok {
-		t.Fatalf("alias missing: %v", res.Rows.ColumnNames())
+	rows := mustRows(t, res)
+	if _, ok := rows.Lookup("mean_revenue"); !ok {
+		t.Fatalf("alias missing: %v", rows.ColumnNames())
 	}
 }
 
@@ -147,8 +150,9 @@ func TestMinMaxOnCategorical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	minC, _ := res.Rows.Lookup("min_product")
-	maxC, _ := res.Rows.Lookup("max_product")
+	rows := mustRows(t, res)
+	minC, _ := rows.Lookup("min_product")
+	maxC, _ := rows.Lookup("max_product")
 	if minC.Str(0) != "gadget" || maxC.Str(0) != "widget" {
 		t.Errorf("min/max = %q/%q", minC.Str(0), maxC.Str(0))
 	}
@@ -160,10 +164,11 @@ func TestAggregationWithWhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows.NumRows() != 2 {
-		t.Fatalf("groups = %d", res.Rows.NumRows())
+	rows := mustRows(t, res)
+	if rows.NumRows() != 2 {
+		t.Fatalf("groups = %d", rows.NumRows())
 	}
-	sum, _ := res.Rows.Lookup("sum_amount")
+	sum, _ := rows.Lookup("sum_amount")
 	if sum.Float(0) != 300 || sum.Float(1) != 300 {
 		t.Errorf("widget sums = %v/%v", sum.Float(0), sum.Float(1))
 	}
@@ -179,7 +184,8 @@ func TestAggregationOrderByAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	product, _ := res.Rows.Lookup("product")
+	rows := mustRows(t, res)
+	product, _ := rows.Lookup("product")
 	if product.Str(0) != "widget" { // 600 > 450
 		t.Errorf("first product = %q, want widget", product.Str(0))
 	}
@@ -191,8 +197,9 @@ func TestAggregationLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows.NumRows() != 2 {
-		t.Fatalf("rows = %d, want 2", res.Rows.NumRows())
+	rows := mustRows(t, res)
+	if rows.NumRows() != 2 {
+		t.Fatalf("rows = %d, want 2", rows.NumRows())
 	}
 }
 
@@ -202,12 +209,13 @@ func TestGroupByWithoutAggregatesActsAsDistinct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	region, _ := res.Rows.Lookup("region")
-	if res.Rows.NumRows() != 2 || region.Str(0) != "east" || region.Str(1) != "west" {
-		t.Fatalf("distinct regions wrong: %d rows", res.Rows.NumRows())
+	rows := mustRows(t, res)
+	region, _ := rows.Lookup("region")
+	if rows.NumRows() != 2 || region.Str(0) != "east" || region.Str(1) != "west" {
+		t.Fatalf("distinct regions wrong: %d rows", rows.NumRows())
 	}
 	// The implicit COUNT(*) is materialized.
-	if _, ok := res.Rows.Lookup("count"); !ok {
+	if _, ok := rows.Lookup("count"); !ok {
 		t.Error("implicit count missing")
 	}
 }
@@ -218,10 +226,11 @@ func TestGroupByNumericKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows.NumRows() != 6 { // all amounts distinct
-		t.Fatalf("groups = %d, want 6", res.Rows.NumRows())
+	rows := mustRows(t, res)
+	if rows.NumRows() != 6 { // all amounts distinct
+		t.Fatalf("groups = %d, want 6", rows.NumRows())
 	}
-	amount, _ := res.Rows.Lookup("amount")
+	amount, _ := rows.Lookup("amount")
 	if amount.Kind() != frame.Numeric || amount.Float(0) != 50 {
 		t.Errorf("first amount = %v", amount.Float(0))
 	}
@@ -258,12 +267,13 @@ func TestEmptySelectionAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := mustRows(t, res)
 	// No rows matched: the engine produces zero groups (one-global-group
 	// with COUNT 0 would also be defensible; we document zero groups).
-	if res.Rows.NumRows() != 0 {
-		t.Fatalf("rows = %d, want 0 groups for an empty selection", res.Rows.NumRows())
+	if rows.NumRows() != 0 {
+		t.Fatalf("rows = %d, want 0 groups for an empty selection", rows.NumRows())
 	}
-	if _, ok := res.Rows.Lookup("count"); !ok {
+	if _, ok := rows.Lookup("count"); !ok {
 		t.Error("output schema should still carry the aggregate columns")
 	}
 }

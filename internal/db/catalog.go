@@ -65,7 +65,9 @@ func (c *Catalog) TableNames() []string {
 	return names
 }
 
-// Result is the outcome of executing a SELECT.
+// Result is an executed SELECT: the statement resolved against its table
+// and the WHERE selection over that table. It holds no result rows; Rows
+// gathers them on request.
 type Result struct {
 	// Stmt is the parsed statement.
 	Stmt *SelectStmt
@@ -74,8 +76,14 @@ type Result struct {
 	// Mask is the WHERE selection over the base table, before ORDER BY and
 	// LIMIT. This is the Cᴵ/Cᴼ split Ziggy consumes.
 	Mask *frame.Bitmap
-	// Rows is the materialized result: projected, ordered and limited.
-	Rows *frame.Frame
+
+	// projected is the projection's view of the base table (the table
+	// itself for SELECT *); nil on the aggregation path, which agg plans.
+	projected *frame.Frame
+	agg       *aggPlan
+	// order holds each ORDER BY key's column position in the base table on
+	// the projection path, and in the aggregation output otherwise.
+	order []int
 }
 
 // Query parses and executes sql against the catalog.
@@ -87,104 +95,90 @@ func (c *Catalog) Query(sql string) (*Result, error) {
 	return c.Execute(stmt)
 }
 
-// Execute runs a parsed statement.
+// Execute resolves every name a parsed statement uses — the table, WHERE,
+// the projection or the aggregation, and ORDER BY — and evaluates WHERE.
+// It copies no cell: every statement it accepts gathers its rows through
+// Result.Rows without error.
 func (c *Catalog) Execute(stmt *SelectStmt) (*Result, error) {
 	base, ok := c.Table(stmt.Table)
 	if !ok {
 		return nil, evalErrorf("unknown table %q", stmt.Table)
 	}
-
-	// WHERE.
-	var mask *frame.Bitmap
-	if stmt.Where == nil {
-		mask = frame.NewBitmap(base.NumRows())
-		mask.SetAll()
-	} else {
-		m, err := EvalPredicate(base, stmt.Where)
-		if err != nil {
-			return nil, err
-		}
-		mask = m
-	}
-	return c.finish(stmt, base, mask)
-}
-
-func (c *Catalog) finish(stmt *SelectStmt, base *frame.Frame, mask *frame.Bitmap) (*Result, error) {
-	// Aggregation queries follow their own materialization path; the
-	// selection mask over the base table is preserved either way.
-	if len(stmt.Aggs) > 0 {
-		rows, err := executeAggregation(stmt, base, mask)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Stmt: stmt, Base: base, Mask: mask, Rows: rows}, nil
-	}
-
-	// Validate projection before doing any work.
-	projected := base
-	if len(stmt.Columns) > 0 {
-		var err error
-		projected, err = base.Select(stmt.Columns...)
-		if err != nil {
-			return nil, evalErrorf("%v", err)
-		}
-	}
-
-	idx := mask.Indices()
-
-	// ORDER BY over the selected row indices.
-	if err := orderRows(base, idx, stmt.OrderBy); err != nil {
+	res := &Result{Stmt: stmt, Base: base}
+	var err error
+	if res.Mask, err = EvalPredicate(base, stmt.Where); err != nil {
 		return nil, err
 	}
-
-	// LIMIT.
-	if stmt.Limit >= 0 && stmt.Limit < len(idx) {
-		idx = idx[:stmt.Limit]
+	if len(stmt.Aggs) > 0 {
+		if res.agg, err = planAggregation(stmt, base); err != nil {
+			return nil, err
+		}
+		res.order, err = resolveOrder(stmt.OrderBy, res.agg.out)
+	} else {
+		res.projected = base
+		if len(stmt.Columns) > 0 {
+			if res.projected, err = base.Select(stmt.Columns...); err != nil {
+				return nil, evalErrorf("%v", err)
+			}
+		}
+		res.order, err = resolveOrder(stmt.OrderBy, base)
 	}
-
-	rows, err := projected.Filter(frame.BitmapFromIndices(base.NumRows(), idx))
 	if err != nil {
 		return nil, err
 	}
-	// Filter loses ORDER BY ordering (bitmap iteration is ascending), so
-	// re-materialize in sorted order when ORDER BY is present.
-	if len(stmt.OrderBy) > 0 {
-		rows, err = materializeInOrder(projected, idx)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return &Result{Stmt: stmt, Base: base, Mask: mask, Rows: rows}, nil
+	return res, nil
 }
 
-// orderRows stably sorts the row indices idx of f by keys, each naming a
-// column of f (the ORDER BY of a query or of an aggregate's output).
-func orderRows(f *frame.Frame, idx []int, keys []OrderKey) error {
-	if len(keys) == 0 {
-		return nil
+// Rows gathers the result rows: the projection of the selected rows, or
+// the aggregation's groups, in ORDER BY order and cut at LIMIT.
+func (r *Result) Rows() (*frame.Frame, error) {
+	if r.agg == nil {
+		return r.gather(r.Base, r.projected, r.Mask.Indices()), nil
 	}
-	cols := make([]*frame.Column, len(keys))
+	out, err := r.agg.run(r.Stmt, r.Base, r.Mask)
+	if err != nil {
+		return nil, err
+	}
+	idx := make([]int, out.NumRows())
+	for i := range idx {
+		idx[i] = i
+	}
+	return r.gather(out, out, idx), nil
+}
+
+// gather stably sorts the row indices idx by the ORDER BY over src's
+// columns, cuts them at the LIMIT, and takes those rows of f.
+func (r *Result) gather(src, f *frame.Frame, idx []int) *frame.Frame {
+	if len(r.order) > 0 {
+		sort.SliceStable(idx, func(a, b int) bool {
+			for i, col := range r.order {
+				cmp := compareRows(src.Col(col), idx[a], idx[b])
+				if cmp == 0 {
+					continue
+				}
+				if r.Stmt.OrderBy[i].Desc {
+					return cmp > 0
+				}
+				return cmp < 0
+			}
+			return false
+		})
+	}
+	if lim := r.Stmt.Limit; lim >= 0 && lim < len(idx) {
+		idx = idx[:lim]
+	}
+	return f.Take(idx)
+}
+
+// resolveOrder returns the position in f of each ORDER BY key's column.
+func resolveOrder(keys []OrderKey, f *frame.Frame) ([]int, error) {
+	order := make([]int, len(keys))
 	for i, k := range keys {
-		c, ok := f.Lookup(k.Column)
-		if !ok {
-			return evalErrorf("unknown column %q in ORDER BY", k.Column)
+		if order[i] = f.ColIndex(k.Column); order[i] < 0 {
+			return nil, evalErrorf("unknown column %q in ORDER BY", k.Column)
 		}
-		cols[i] = c
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		for i, c := range cols {
-			cmp := compareRows(c, idx[a], idx[b])
-			if cmp == 0 {
-				continue
-			}
-			if keys[i].Desc {
-				return cmp > 0
-			}
-			return cmp < 0
-		}
-		return false
-	})
-	return nil
+	return order, nil
 }
 
 // compareRows orders two rows of one column: NULLs sort last, numbers by
@@ -219,33 +213,4 @@ func compareRows(c *frame.Column, a, b int) int {
 	default:
 		return 0
 	}
-}
-
-// materializeInOrder builds a frame from specific row indices in the given
-// order.
-func materializeInOrder(f *frame.Frame, idx []int) (*frame.Frame, error) {
-	b := frame.NewBuilder(f.Name())
-	colIdx := make([]int, f.NumCols())
-	for i := 0; i < f.NumCols(); i++ {
-		c := f.Col(i)
-		if c.Kind() == frame.Numeric {
-			colIdx[i] = b.AddNumeric(c.Name())
-		} else {
-			colIdx[i] = b.AddCategorical(c.Name())
-		}
-	}
-	for _, ri := range idx {
-		for i := 0; i < f.NumCols(); i++ {
-			c := f.Col(i)
-			switch {
-			case c.IsNull(ri):
-				b.AppendNull(colIdx[i])
-			case c.Kind() == frame.Numeric:
-				b.AppendFloat(colIdx[i], c.Float(ri))
-			default:
-				b.AppendStr(colIdx[i], c.Str(ri))
-			}
-		}
-	}
-	return b.Build()
 }

@@ -26,13 +26,16 @@ func evalErrorf(format string, args ...any) error {
 	return &EvalError{Msg: fmt.Sprintf(format, args...)}
 }
 
-// EvalPredicate evaluates expr over f and returns the TRUE bitmap.
+// EvalPredicate evaluates expr over f and returns the TRUE bitmap. A nil
+// expr, a statement without WHERE, selects every row.
 func EvalPredicate(f *frame.Frame, expr Expr) (*frame.Bitmap, error) {
-	t, _, err := eval3(f, expr)
-	if err != nil {
-		return nil, err
+	if expr == nil {
+		all := frame.NewBitmap(f.NumRows())
+		all.SetAll()
+		return all, nil
 	}
-	return t, nil
+	t, _, err := eval3(f, expr)
+	return t, err
 }
 
 func eval3(f *frame.Frame, expr Expr) (t, u *frame.Bitmap, err error) {

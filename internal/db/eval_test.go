@@ -180,10 +180,11 @@ func TestProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows.NumCols() != 2 || res.Rows.NumRows() != 2 {
-		t.Fatalf("rows shape %d×%d", res.Rows.NumRows(), res.Rows.NumCols())
+	rows := mustRows(t, res)
+	if rows.NumCols() != 2 || rows.NumRows() != 2 {
+		t.Fatalf("rows shape %d×%d", rows.NumRows(), rows.NumCols())
 	}
-	if res.Rows.Col(0).Name() != "name" || res.Rows.Col(1).Name() != "pop" {
+	if rows.Col(0).Name() != "name" || rows.Col(1).Name() != "pop" {
 		t.Fatal("projection order wrong")
 	}
 }
@@ -194,10 +195,11 @@ func TestOrderByAndLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows.NumRows() != 3 {
-		t.Fatalf("rows = %d", res.Rows.NumRows())
+	rows := mustRows(t, res)
+	if rows.NumRows() != 3 {
+		t.Fatalf("rows = %d", rows.NumRows())
 	}
-	names := res.Rows.Col(0)
+	names := rows.Col(0)
 	if names.Str(0) != "New York" || names.Str(1) != "Los Angeles" || names.Str(2) != "Albany" {
 		t.Fatalf("order wrong: %v %v %v", names.Str(0), names.Str(1), names.Str(2))
 	}
@@ -213,7 +215,8 @@ func TestOrderByNullsLast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := res.Rows.Col(0).Str(res.Rows.NumRows() - 1)
+	rows := mustRows(t, res)
+	last := rows.Col(0).Str(rows.NumRows() - 1)
 	if last != "Albany" { // Albany has NULL crime
 		t.Fatalf("last row = %q, want Albany (NULL sorts last)", last)
 	}
@@ -225,8 +228,9 @@ func TestOrderByMultipleKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	states := res.Rows.Col(0)
-	names := res.Rows.Col(1)
+	rows := mustRows(t, res)
+	states := rows.Col(0)
+	names := rows.Col(1)
 	if states.Str(0) != "CA" || names.Str(0) != "Los Angeles" {
 		t.Fatalf("first row = %s/%s", states.Str(0), names.Str(0))
 	}
@@ -241,8 +245,9 @@ func TestLimitZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows.NumRows() != 0 {
-		t.Fatalf("rows = %d, want 0", res.Rows.NumRows())
+	rows := mustRows(t, res)
+	if rows.NumRows() != 0 {
+		t.Fatalf("rows = %d, want 0", rows.NumRows())
 	}
 }
 
@@ -299,4 +304,14 @@ func TestLikeSpecialCharactersAreLiteral(t *testing.T) {
 	if !reflect.DeepEqual(got, []int{0}) {
 		t.Fatalf("regex metacharacters leaked: %v", got)
 	}
+}
+
+// mustRows gathers a query's result rows.
+func mustRows(t *testing.T, res *Result) *frame.Frame {
+	t.Helper()
+	rows, err := res.Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
 }

@@ -2,7 +2,10 @@ package db
 
 import (
 	"errors"
+	"math"
 	"testing"
+
+	"repro/internal/frame"
 )
 
 // fuzzSeeds covers every production of the dialect plus the sharp edges the
@@ -55,6 +58,101 @@ func FuzzParseSQL(f *testing.F) {
 		}
 		if again := reparsed.String(); again != rendered {
 			t.Fatalf("round trip of %q diverged:\nfirst:  %q\nsecond: %q", input, rendered, again)
+		}
+	})
+}
+
+// fuzzCatalog holds table t, whose columns carry the names the seeds use,
+// with NULLs in numeric and categorical columns alike.
+func fuzzCatalog(t testing.TB) *Catalog {
+	t.Helper()
+	nan := math.NaN()
+	num := map[string][]float64{
+		"a": {1, 2, nan, 4, 1, 2, 3},
+		"c": {-3.5, 0, 1, nan, 2, -1, 0},
+		"v": {0, 5, 5, nan, -2, 7, 1},
+		"x": {5, 6, 0.5, 7, nan, 1e-9, 2},
+		"y": {0, 1, nan, 0.5, 2, 1, 1},
+	}
+	cat := map[string][]string{
+		"b":    {"p", "q", "", "q", "p", "r", ""},
+		"g":    {"a", "b", "b'c", "", "a", "z", "b"},
+		"h":    {"z", "", "y", "z", "y", "x", "x"},
+		"name": {"ab", "a_b", "", "b%", "a'b", "xab", "ab"},
+	}
+	b := frame.NewBuilder("t")
+	for _, name := range []string{"a", "c", "v", "x", "y"} {
+		col := b.AddNumeric(name)
+		for _, v := range num[name] {
+			b.AppendFloat(col, v)
+		}
+	}
+	for _, name := range []string{"b", "g", "h", "name"} {
+		col := b.AddCategorical(name)
+		for _, v := range cat[name] {
+			if v == "" {
+				b.AppendNull(col)
+			} else {
+				b.AppendStr(col, v)
+			}
+		}
+	}
+	c := NewCatalog()
+	if err := c.Register(b.MustBuild()); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// FuzzQuery runs arbitrary statements through Query over a small table
+// with NULLs. Query never panics and fails only with a *SyntaxError or an
+// *EvalError; every statement it accepts gathers its rows without error,
+// and a projection returns the selected rows cut at LIMIT. The server
+// characterizes the selection of any statement Query accepts without
+// gathering, so a statement whose rows could not be gathered must be
+// refused by Query itself.
+func FuzzQuery(f *testing.F) {
+	for _, s := range fuzzSeeds {
+		f.Add(s)
+	}
+	for _, s := range []string{
+		"SELECT g, COUNT(*) AS n, MIN(name), MAX(h) FROM t WHERE x > 1 GROUP BY g ORDER BY n DESC, g LIMIT 2",
+		"SELECT * FROM t ORDER BY g DESC, x LIMIT 3",
+		"SELECT name, v FROM t WHERE b IS NULL ORDER BY v",
+		"SELECT COUNT(*), COUNT(*) FROM t",
+		"SELECT x, x FROM t",
+		"SELECT g, COUNT(*) AS g FROM t GROUP BY g",
+		"SELECT h FROM t GROUP BY h, h",
+		"SELECT AVG(y) FROM t ORDER BY avg_y LIMIT 0",
+		"SELECT x FROM t ORDER BY a",
+		"SELECT SUM(g) FROM t",
+	} {
+		f.Add(s)
+	}
+	cat := fuzzCatalog(f)
+	f.Fuzz(func(t *testing.T, input string) {
+		res, err := cat.Query(input)
+		if err != nil {
+			var syn *SyntaxError
+			var ev *EvalError
+			if !errors.As(err, &syn) && !errors.As(err, &ev) {
+				t.Fatalf("Query(%q) returned %T: %v", input, err, err)
+			}
+			return
+		}
+		rows, err := res.Rows()
+		if err != nil {
+			t.Fatalf("Query(%q) accepted a statement whose rows fail: %v", input, err)
+		}
+		if len(res.Stmt.Aggs) > 0 {
+			return
+		}
+		want := res.Mask.Count()
+		if lim := res.Stmt.Limit; lim >= 0 && lim < want {
+			want = lim
+		}
+		if rows.NumRows() != want {
+			t.Fatalf("Query(%q) gathered %d rows, want %d", input, rows.NumRows(), want)
 		}
 	})
 }

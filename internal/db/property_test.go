@@ -231,21 +231,23 @@ func TestAggregationConsistencyProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	globalRows := mustRows(t, global)
 	grouped, err := cat.Query("SELECT g, COUNT(v), SUM(v) FROM t GROUP BY g")
 	if err != nil {
 		t.Fatal(err)
 	}
-	gCount, _ := grouped.Rows.Lookup("count_v")
-	gSum, _ := grouped.Rows.Lookup("sum_v")
+	groupedRows := mustRows(t, grouped)
+	gCount, _ := groupedRows.Lookup("count_v")
+	gSum, _ := groupedRows.Lookup("sum_v")
 	var totalCount, totalSum float64
-	for i := 0; i < grouped.Rows.NumRows(); i++ {
+	for i := 0; i < groupedRows.NumRows(); i++ {
 		totalCount += gCount.Float(i)
 		if !gSum.IsNull(i) {
 			totalSum += gSum.Float(i)
 		}
 	}
-	wantCount, _ := global.Rows.Lookup("count_v")
-	wantSum, _ := global.Rows.Lookup("sum_v")
+	wantCount, _ := globalRows.Lookup("count_v")
+	wantSum, _ := globalRows.Lookup("sum_v")
 	if totalCount != wantCount.Float(0) {
 		t.Fatalf("group counts sum to %v, global %v", totalCount, wantCount.Float(0))
 	}

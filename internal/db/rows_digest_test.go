@@ -145,7 +145,7 @@ func TestQueryRowDigests(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		rows := res.Rows
+		rows := mustRows(t, res)
 		fmt.Fprintf(&b, "%x %d×%d %s\n", rowsDigest(rows), rows.NumRows(), rows.NumCols(), sql)
 	}
 	got := b.String()

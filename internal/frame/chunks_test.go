@@ -101,16 +101,13 @@ func TestAppendEquivalentToWholeBuild(t *testing.T) {
 	whole := buildChunked(t, 300, 64)
 	base := buildChunked(t, 190, 64)
 	extra := buildChunked(t, 300, 64)
-	// Carve the tail rows [190, 300) via Filter to get an independent frame
+	// Carve the tail rows [190, 300) via Take to get an independent frame
 	// with the same cells.
-	mask := NewBitmap(300)
+	var rows []int
 	for i := 190; i < 300; i++ {
-		mask.Set(i)
+		rows = append(rows, i)
 	}
-	tail, err := extra.Filter(mask)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tail := extra.Take(rows)
 	got, err := base.Append(tail)
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -376,63 +375,33 @@ func (f *Frame) Select(names ...string) (*Frame, error) {
 	return nf, nil
 }
 
-// Filter materializes the rows where mask is set into a new frame.
-func (f *Frame) Filter(mask *Bitmap) (*Frame, error) {
-	if mask.Len() != f.numRows {
-		return nil, fmt.Errorf("frame: mask length %d does not match %d rows", mask.Len(), f.numRows)
-	}
-	out := make([]*Column, len(f.cols))
-	n := mask.Count()
+// Take copies the given rows of f, in the given order, into a new frame
+// with f's name and schema. NULLs stay NULL, a row may repeat, and each
+// categorical dictionary is compacted to the values the taken rows use, in
+// first-use order. It panics on a row outside [0, NumRows()).
+func (f *Frame) Take(rows []int) *Frame {
+	out := &Frame{name: f.name, cols: make([]*Column, len(f.cols)), byName: f.byName, numRows: len(rows)}
 	for ci, c := range f.cols {
 		switch c.kind {
 		case Numeric:
-			vals := make([]float64, 0, n)
-			mask.ForEach(func(i int) {
-				vals = append(vals, c.floats[i])
-			})
-			out[ci] = NewNumericColumn(c.name, vals)
+			vals := make([]float64, len(rows))
+			for i, r := range rows {
+				vals[i] = c.floats[r]
+			}
+			out.cols[ci] = NewNumericColumn(c.name, vals)
 		case Categorical:
-			nc := &Column{name: c.name, kind: Categorical, index: make(map[string]int32)}
-			nc.codes = make([]int32, 0, n)
-			mask.ForEach(func(i int) {
-				if c.codes[i] < 0 {
-					nc.codes = append(nc.codes, -1)
+			nc := &Column{name: c.name, kind: Categorical, index: make(map[string]int32), codes: make([]int32, len(rows))}
+			for i, r := range rows {
+				if code := c.codes[r]; code < 0 {
+					nc.codes[i] = -1
 				} else {
-					nc.codes = append(nc.codes, nc.intern(c.dict[c.codes[i]]))
+					nc.codes[i] = nc.intern(c.dict[code])
 				}
-			})
-			out[ci] = nc
+			}
+			out.cols[ci] = nc
 		}
 	}
-	return New(f.name, out)
-}
-
-// Head returns a string rendering of the first n rows, for debugging and
-// CLI display.
-func (f *Frame) Head(n int) string {
-	if n > f.numRows {
-		n = f.numRows
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (%d rows × %d cols)\n", f.name, f.numRows, len(f.cols))
-	b.WriteString(strings.Join(f.ColumnNames(), "\t"))
-	b.WriteByte('\n')
-	for i := 0; i < n; i++ {
-		for j, c := range f.cols {
-			if j > 0 {
-				b.WriteByte('\t')
-			}
-			if c.IsNull(i) {
-				b.WriteString("NULL")
-			} else if c.kind == Numeric {
-				fmt.Fprintf(&b, "%g", c.floats[i])
-			} else {
-				b.WriteString(c.Str(i))
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
+	return out
 }
 
 // SplitNumeric partitions the non-NULL values of the named numeric column

@@ -2,7 +2,7 @@ package frame
 
 import (
 	"math"
-	"strings"
+	"reflect"
 	"testing"
 )
 
@@ -132,35 +132,30 @@ func TestSelect(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
+func TestTake(t *testing.T) {
 	f := sampleFrame(t)
-	mask := BitmapFromIndices(5, []int{0, 3, 4})
-	sub, err := f.Filter(mask)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.NumRows() != 3 {
-		t.Fatalf("filtered rows = %d, want 3", sub.NumRows())
+	sub := f.Take([]int{4, 0, 3, 0})
+	if sub.NumRows() != 4 || sub.Name() != f.Name() {
+		t.Fatalf("taken frame %q has %d rows, want %q with 4", sub.Name(), sub.NumRows(), f.Name())
 	}
 	x, _ := sub.Lookup("x")
-	if x.Float(0) != 1 || x.Float(1) != 4 || x.Float(2) != 5 {
-		t.Fatalf("filtered numeric values wrong: %v", x.Floats())
+	if x.Float(0) != 5 || x.Float(1) != 1 || x.Float(2) != 4 || x.Float(3) != 1 {
+		t.Fatalf("taken numeric values wrong: %v", x.Floats())
 	}
 	c, _ := sub.Lookup("c")
-	if c.Str(0) != "a" || c.Str(1) != "c" || c.Str(2) != "b" {
-		t.Fatal("filtered categorical values wrong")
+	if c.Str(0) != "b" || c.Str(1) != "a" || c.Str(2) != "c" || c.Str(3) != "a" {
+		t.Fatal("taken categorical values wrong")
 	}
-	// Dictionary of the filtered column must be rebuilt (no stale entries).
-	if c.Cardinality() != 3 {
-		t.Fatalf("filtered cardinality = %d, want 3", c.Cardinality())
+	// The dictionary is rebuilt from the taken rows, in first-use order.
+	if got := c.Dict(); !reflect.DeepEqual(got, []string{"b", "a", "c"}) {
+		t.Fatalf("taken dictionary = %v, want [b a c]", got)
 	}
-	wrong := NewBitmap(4)
-	if _, err := f.Filter(wrong); err == nil {
-		t.Fatal("Filter accepted wrong-length mask")
+	if sub := f.Take(nil); sub.NumRows() != 0 || sub.NumCols() != f.NumCols() {
+		t.Fatalf("empty take is %d×%d", sub.NumRows(), sub.NumCols())
 	}
 }
 
-func TestFilterPreservesNulls(t *testing.T) {
+func TestTakePreservesNulls(t *testing.T) {
 	b := NewBuilder("t")
 	xi := b.AddNumeric("x")
 	ci := b.AddCategorical("c")
@@ -169,14 +164,12 @@ func TestFilterPreservesNulls(t *testing.T) {
 	b.AppendNull(xi)
 	b.AppendNull(ci)
 	f := b.MustBuild()
-	mask := NewBitmap(2)
-	mask.SetAll()
-	sub, err := f.Filter(mask)
-	if err != nil {
-		t.Fatal(err)
+	sub := f.Take([]int{1, 0})
+	if !sub.Col(0).IsNull(0) || !sub.Col(1).IsNull(0) || sub.Col(1).Str(1) != "a" {
+		t.Fatal("Take dropped NULLs")
 	}
-	if !sub.Col(0).IsNull(1) || !sub.Col(1).IsNull(1) {
-		t.Fatal("Filter dropped NULLs")
+	if sub.Col(1).Cardinality() != 1 {
+		t.Fatalf("NULL entered the dictionary: %v", sub.Col(1).Dict())
 	}
 }
 
@@ -255,21 +248,6 @@ func TestSortedNumeric(t *testing.T) {
 	}
 	if _, err := f.SortedNumeric("c"); err == nil {
 		t.Fatal("SortedNumeric accepted categorical column")
-	}
-}
-
-func TestHead(t *testing.T) {
-	f := sampleFrame(t)
-	h := f.Head(2)
-	if !strings.Contains(h, "5 rows × 2 cols") || !strings.Contains(h, "NULL") == false && false {
-		t.Fatalf("Head output unexpected: %q", h)
-	}
-	if !strings.Contains(h, "x\tc") {
-		t.Fatalf("Head missing header: %q", h)
-	}
-	hAll := f.Head(100)
-	if !strings.Contains(hAll, "NULL") {
-		t.Fatalf("Head(100) should show the NULL row: %q", hAll)
 	}
 }
 

@@ -12,6 +12,12 @@
 //	GET  /api/dendrogram      ?table=name — text dendrogram for MIN_tight
 //	GET  /api/stats           cache + shard counters (also /stats)
 //
+// A characterize request runs its SQL through db.Catalog.Query, which
+// resolves the statement and evaluates WHERE into the selection mask; the
+// engine reads only that mask, so no result row is ever copied. The answer
+// is the report's one JSON document, core.WriteReportJSON, which the ziggy
+// CLI's -json prints too.
+//
 // Requests are served by a sharded layer (internal/shard): each table is
 // owned by one backend shard — an in-process engine, or a remote worker
 // process when ziggyd runs with -peers — chosen by content fingerprint, and
@@ -34,7 +40,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math"
 	"net/http"
 	"time"
 
@@ -160,69 +165,6 @@ type characterizeRequest struct {
 	ApproxSeed uint64 `json:"approxSeed"`
 }
 
-// viewJSON is the wire form of a characteristic view.
-type viewJSON struct {
-	Columns     []string        `json:"columns"`
-	Score       float64         `json:"score"`
-	Tightness   float64         `json:"tightness"`
-	PValue      *float64        `json:"pValue"` // null when untestable
-	Significant bool            `json:"significant"`
-	Explanation string          `json:"explanation"`
-	Components  []componentJSON `json:"components"`
-	// Plot is the ASCII chart of the view, present when requested.
-	Plot string `json:"plot,omitempty"`
-}
-
-type componentJSON struct {
-	Kind    string   `json:"kind"`
-	Columns []string `json:"columns"`
-	Raw     float64  `json:"raw"`
-	Norm    float64  `json:"norm"`
-	Inside  float64  `json:"inside"`
-	Outside float64  `json:"outside"`
-	PValue  *float64 `json:"pValue"`
-	Detail  string   `json:"detail,omitempty"`
-}
-
-// characterizeResponse is the wire form of a report.
-type characterizeResponse struct {
-	SQL          string  `json:"sql"`
-	SelectedRows int     `json:"selectedRows"`
-	TotalRows    int     `json:"totalRows"`
-	PrepMillis   float64 `json:"prepMillis"`
-	SearchMillis float64 `json:"searchMillis"`
-	PostMillis   float64 `json:"postMillis"`
-	// CacheHit reports reuse of the prepared dependency structure;
-	// ReportCacheHit reports that the entire report came from the
-	// report-level memo.
-	CacheHit       bool       `json:"cacheHit"`
-	ReportCacheHit bool       `json:"reportCacheHit"`
-	Warnings       []string   `json:"warnings,omitempty"`
-	Views          []viewJSON `json:"views"`
-	// Approximate is the provenance block of a sample-based answer — present
-	// exactly when the report ran on a deterministic sample, whether the
-	// client asked for it or a saturated shard degraded to it instead of
-	// shedding. Absent on full-precision responses.
-	Approximate *approximateJSON `json:"approximate,omitempty"`
-}
-
-// approximateJSON is the wire form of core.Approximate.
-type approximateJSON struct {
-	SampleRows  int     `json:"sampleRows"`
-	CapRows     int     `json:"capRows"`
-	Seed        uint64  `json:"seed"`
-	InsideRows  int     `json:"insideRows"`
-	OutsideRows int     `json:"outsideRows"`
-	SEInflation float64 `json:"seInflation"`
-}
-
-func optFloat(v float64) *float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return nil
-	}
-	return &v
-}
-
 func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
@@ -274,59 +216,19 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp := characterizeResponse{
-		SQL:            req.SQL,
-		SelectedRows:   rep.SelectedRows,
-		TotalRows:      rep.TotalRows,
-		PrepMillis:     float64(rep.Timings.Preparation.Microseconds()) / 1000,
-		SearchMillis:   float64(rep.Timings.Search.Microseconds()) / 1000,
-		PostMillis:     float64(rep.Timings.Post.Microseconds()) / 1000,
-		CacheHit:       rep.CacheHit,
-		ReportCacheHit: rep.ReportCacheHit,
-		Warnings:       rep.Warnings,
-	}
-	if a := rep.Approximate; a != nil {
-		resp.Approximate = &approximateJSON{
-			SampleRows:  a.SampleRows,
-			CapRows:     a.CapRows,
-			Seed:        a.Seed,
-			InsideRows:  a.InsideRows,
-			OutsideRows: a.OutsideRows,
-			SEInflation: a.SEInflation,
+	var plotView func(columns []string) string
+	if req.IncludePlots {
+		plotView = func(columns []string) string {
+			// A view that cannot be drawn goes without a chart.
+			chart, _ := plot.View(res.Base, res.Mask, columns, 56, 14)
+			return chart
 		}
 	}
-	for _, v := range rep.Views {
-		vj := viewJSON{
-			Columns:     v.Columns,
-			Score:       v.Score,
-			Tightness:   v.Tightness,
-			PValue:      optFloat(v.PValue),
-			Significant: v.Significant,
-			Explanation: v.Explanation,
-		}
-		if req.IncludePlots {
-			if chart, err := plot.View(res.Base, res.Mask, v.Columns, 56, 14); err == nil {
-				vj.Plot = chart
-			}
-		}
-		for _, c := range v.Components {
-			if !c.Valid() {
-				continue
-			}
-			vj.Components = append(vj.Components, componentJSON{
-				Kind:    c.Kind.String(),
-				Columns: c.Columns,
-				Raw:     c.Raw,
-				Norm:    c.Norm,
-				Inside:  c.Inside,
-				Outside: c.Outside,
-				PValue:  optFloat(c.Test.P),
-				Detail:  c.Detail,
-			})
-		}
-		resp.Views = append(resp.Views, vj)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if err := core.WriteReportJSON(w, req.SQL, rep, plotView); err != nil && s.logger != nil {
+		s.logger.Printf("encoding response: %v", err)
 	}
-	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // statsResponse is the wire form of /api/stats. Prepared aggregates the

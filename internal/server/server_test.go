@@ -78,6 +78,23 @@ func TestTablesEndpoint(t *testing.T) {
 	}
 }
 
+// characterizeResponse decodes the fields of the report document
+// (core.WriteReportJSON) that these tests read.
+type characterizeResponse struct {
+	SelectedRows   int     `json:"selectedRows"`
+	TotalRows      int     `json:"totalRows"`
+	PrepMillis     float64 `json:"prepMillis"`
+	SearchMillis   float64 `json:"searchMillis"`
+	PostMillis     float64 `json:"postMillis"`
+	CacheHit       bool    `json:"cacheHit"`
+	ReportCacheHit bool    `json:"reportCacheHit"`
+	Views          []struct {
+		Columns     []string          `json:"columns"`
+		Explanation string            `json:"explanation"`
+		Components  []json.RawMessage `json:"components"`
+	} `json:"views"`
+}
+
 func characterize(t *testing.T, s *Server, body string) (*httptest.ResponseRecorder, characterizeResponse) {
 	t.Helper()
 	rec := httptest.NewRecorder()

@@ -217,9 +217,6 @@ func (r *Router) NumShards() int { return len(r.backends) }
 // Config returns the configuration the router was built with.
 func (r *Router) Config() core.Config { return r.cfg }
 
-// Backend returns shard i's backend.
-func (r *Router) Backend(i int) Backend { return r.backends[i] }
-
 // Engine returns shard i's engine when the backend is in-process, nil when
 // it lives behind RPC — remote engines are not reachable as objects.
 func (r *Router) Engine(i int) *core.Engine {
@@ -228,10 +225,6 @@ func (r *Router) Engine(i int) *core.Engine {
 	}
 	return nil
 }
-
-// ReportCache returns the router's shared report cache (the pre-admission
-// probe tier of its in-process backends; remote workers run their own).
-func (r *Router) ReportCache() *core.ReportCache { return r.reports }
 
 // Characterize routes the request to the backend owning f and runs the full
 // pipeline there (or serves it from a report cache).

@@ -441,14 +441,18 @@ type QueryReport struct {
 	*Report
 	// SQL is the characterized query.
 	SQL string
-	// Rows is the materialized query result (projection, order, limit
-	// applied).
-	Rows *Frame
 	// Mask is the selection over the base table.
 	Mask *Bitmap
 	// Base is the queried table.
 	Base *Frame
+
+	res *db.Result
 }
+
+// Rows gathers the query's result rows: projection, order and limit
+// applied. Characterization reads only the selection, so the rows are
+// copied only here.
+func (q *QueryReport) Rows() (*Frame, error) { return q.res.Rows() }
 
 // Characterize executes the SQL query and characterizes its selection.
 func (s *Session) Characterize(sql string) (*QueryReport, error) {
@@ -465,9 +469,9 @@ func (s *Session) CharacterizeOpts(sql string, opts Options) (*QueryReport, erro
 	}
 	rep, err := s.router.CharacterizeOpts(res.Base, res.Mask, opts)
 	if err != nil {
-		return nil, fmt.Errorf("ziggy: characterizing %q: %w", sql, err)
+		return nil, fmt.Errorf("characterizing %q: %w", sql, err)
 	}
-	return &QueryReport{Report: rep, SQL: sql, Rows: res.Rows, Mask: res.Mask, Base: res.Base}, nil
+	return &QueryReport{Report: rep, SQL: sql, Mask: res.Mask, Base: res.Base, res: res}, nil
 }
 
 // Query executes SQL without characterization, returning the result rows
@@ -477,7 +481,11 @@ func (s *Session) Query(sql string) (*Frame, *Bitmap, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return res.Rows, res.Mask, nil
+	rows, err := res.Rows()
+	if err != nil {
+		return nil, nil, err
+	}
+	return rows, res.Mask, nil
 }
 
 // PredicateColumns parses a query and returns the column names referenced

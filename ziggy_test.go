@@ -85,8 +85,11 @@ func TestEndToEndCharacterization(t *testing.T) {
 	if len(rep.Views) == 0 {
 		t.Fatal("no views")
 	}
-	if rep.SQL == "" || rep.Base == nil || rep.Mask == nil || rep.Rows == nil {
+	if rep.SQL == "" || rep.Base == nil || rep.Mask == nil {
 		t.Fatal("QueryReport incomplete")
+	}
+	if rows, err := rep.Rows(); err != nil || rows.NumRows() != rep.Mask.Count() {
+		t.Fatalf("QueryReport.Rows: %v", err)
 	}
 	// The scale block must surface: budget/opening/theaters correlate with
 	// gross.
