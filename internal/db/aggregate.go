@@ -57,11 +57,10 @@ func planAggregation(stmt *SelectStmt, base *frame.Frame) (*aggPlan, error) {
 		}
 		addColumn(b, kind, a.OutputName())
 	}
-	out, err := b.Build()
-	if err != nil {
+	var err error
+	if p.out, err = b.Build(); err != nil {
 		return nil, evalErrorf("%v", err)
 	}
-	p.out = out
 	return p, nil
 }
 
@@ -73,10 +72,10 @@ func addColumn(b *frame.Builder, kind frame.Kind, name string) {
 	}
 }
 
-// run groups the selected rows of base by the grouping columns (one global
-// group when there are none) and evaluates each aggregate: one output row
-// per group, in first-seen order.
-func (p *aggPlan) run(stmt *SelectStmt, base *frame.Frame, mask *frame.Bitmap) (*frame.Frame, error) {
+// run groups the selected rows by the grouping columns (one global group
+// when there are none) and evaluates each aggregate: one output row per
+// group, in first-seen order.
+func (p *aggPlan) run(stmt *SelectStmt, mask *frame.Bitmap) (*frame.Frame, error) {
 	type groupState struct {
 		firstRow int
 		accs     []*aggAccumulator

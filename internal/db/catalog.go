@@ -135,7 +135,7 @@ func (r *Result) Rows() (*frame.Frame, error) {
 	if r.agg == nil {
 		return r.gather(r.Base, r.projected, r.Mask.Indices()), nil
 	}
-	out, err := r.agg.run(r.Stmt, r.Base, r.Mask)
+	out, err := r.agg.run(r.Stmt, r.Mask)
 	if err != nil {
 		return nil, err
 	}
