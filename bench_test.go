@@ -185,6 +185,45 @@ func BenchmarkFigure5ServerRoundTrip(b *testing.B) {
 	}
 }
 
+// BenchmarkCatalogQuery measures the SQL layer the front runs on every
+// characterize request, cached repeats included: parse, resolve and
+// evaluate WHERE over uscrime(1). group_by also gathers the groups through
+// Result.Rows. CI gates its allocs/op.
+func BenchmarkCatalogQuery(b *testing.B) {
+	cat := db.NewCatalog()
+	if err := cat.Register(synth.USCrime(1)); err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name, sql string
+		rows      bool
+	}{
+		{"threshold", "SELECT * FROM uscrime WHERE crime_violent_rate >= 1300", false},
+		{"and_or_in", "SELECT * FROM uscrime WHERE (crime_violent_rate >= 1300 AND pop_density < 500) OR region IN ('West', 'South')", false},
+		{"group_by", "SELECT region, size_class, COUNT(*) FROM uscrime GROUP BY region, size_class", true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			query := func() {
+				res, err := cat.Query(bc.sql)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if bc.rows {
+					if _, err := res.Rows(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			query()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				query()
+			}
+		})
+	}
+}
+
 // benchUseCase measures a warm characterization of one §4.2 scenario.
 func benchUseCase(b *testing.B, f *frame.Frame, col string, q float64) {
 	b.Helper()

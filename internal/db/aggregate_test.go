@@ -1,8 +1,11 @@
 package db
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/frame"
@@ -233,6 +236,95 @@ func TestGroupByNumericKey(t *testing.T) {
 	amount, _ := rows.Lookup("amount")
 	if amount.Kind() != frame.Numeric || amount.Float(0) != 50 {
 		t.Errorf("first amount = %v", amount.Float(0))
+	}
+}
+
+// TestGroupByKeyEquality pins what makes two rows one group: their
+// grouping values are equal under WHERE's =, so 0 and -0 share a group,
+// and a NULL is equal only to NULL. Each group shows its first row's
+// values; want lists the groups in first-seen order with their COUNT(*).
+func TestGroupByKeyEquality(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	cases := []struct {
+		name string
+		// cols holds table t's columns, added in the order a, b, c, v: a
+		// float64 column is numeric (NaN is NULL), any other categorical
+		// (nil is NULL).
+		cols map[string][]any
+		sql  string
+		want []string
+	}{
+		{
+			name: "negative zero equals zero",
+			cols: map[string][]any{"v": {0.0, negZero, 1.0}},
+			sql:  "SELECT v, COUNT(*) FROM t GROUP BY v",
+			want: []string{"0 2", "1 1"},
+		},
+		{
+			name: "NULL is its own group",
+			cols: map[string][]any{"c": {"N", nil, "x"}},
+			sql:  "SELECT c, COUNT(*) FROM t GROUP BY c",
+			want: []string{`"N" 1`, "NULL 1", `"x" 1`},
+		},
+		{
+			name: "separator bytes inside values",
+			cols: map[string][]any{"a": {"p\x00q", "p"}, "b": {"r", "q\x00r"}},
+			sql:  "SELECT a, b, COUNT(*) FROM t GROUP BY a, b",
+			want: []string{`"p\x00q" "r" 1`, `"p" "q\x00r" 1`},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := frame.NewBuilder("t")
+			for _, name := range []string{"a", "b", "c", "v"} {
+				vals, ok := tc.cols[name]
+				if !ok {
+					continue
+				}
+				if _, numeric := vals[0].(float64); numeric {
+					col := b.AddNumeric(name)
+					for _, v := range vals {
+						b.AppendFloat(col, v.(float64))
+					}
+					continue
+				}
+				col := b.AddCategorical(name)
+				for _, v := range vals {
+					if v == nil {
+						b.AppendNull(col)
+					} else {
+						b.AppendStr(col, v.(string))
+					}
+				}
+			}
+			cat := NewCatalog()
+			if err := cat.Register(b.MustBuild()); err != nil {
+				t.Fatal(err)
+			}
+			res, err := cat.Query(tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := mustRows(t, res)
+			var got []string
+			for r := 0; r < rows.NumRows(); r++ {
+				var cells []string
+				for _, c := range rows.Columns() {
+					switch v := c.Value(r).(type) {
+					case nil:
+						cells = append(cells, "NULL")
+					case string:
+						cells = append(cells, strconv.Quote(v))
+					default:
+						cells = append(cells, fmt.Sprint(v))
+					}
+				}
+				got = append(got, strings.Join(cells, " "))
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("%s: groups %q, want %q", tc.sql, got, tc.want)
+			}
+		})
 	}
 }
 

@@ -295,14 +295,24 @@ func TestLikeSpecialCharactersAreLiteral(t *testing.T) {
 	s := b.AddCategorical("s")
 	b.AppendStr(s, "a.b")
 	b.AppendStr(s, "axb")
+	b.AppendStr(s, "a\nb")
 	cat := NewCatalog()
 	if err := cat.Register(b.MustBuild()); err != nil {
 		t.Fatal(err)
 	}
-	// '.' in the pattern must match only a literal dot, not any rune.
-	got := selectedRows(t, cat, "SELECT * FROM t WHERE s LIKE 'a.b'")
-	if !reflect.DeepEqual(got, []int{0}) {
-		t.Fatalf("regex metacharacters leaked: %v", got)
+	cases := map[string][]int{
+		// '.' in the pattern must match only a literal dot, not any rune.
+		"SELECT * FROM t WHERE s LIKE 'a.b'": {0},
+		// % and _ match any rune, a newline included: CSV loads quoted
+		// fields that span lines.
+		"SELECT * FROM t WHERE s LIKE 'a%'":     {0, 1, 2},
+		"SELECT * FROM t WHERE s LIKE 'a_b'":    {0, 1, 2},
+		"SELECT * FROM t WHERE s NOT LIKE 'a%'": {},
+	}
+	for sql, want := range cases {
+		if got := selectedRows(t, cat, sql); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: got %v, want %v", sql, got, want)
+		}
 	}
 }
 

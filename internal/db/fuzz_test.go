@@ -1,8 +1,11 @@
 package db
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/frame"
@@ -63,22 +66,24 @@ func FuzzParseSQL(f *testing.F) {
 }
 
 // fuzzCatalog holds table t, whose columns carry the names the seeds use,
-// with NULLs in numeric and categorical columns alike.
+// with NULLs in numeric and categorical columns alike, a -0 beside a 0 in
+// c, a category spelled N beside g's NULL, and a value in name that spans
+// two lines.
 func fuzzCatalog(t testing.TB) *Catalog {
 	t.Helper()
 	nan := math.NaN()
 	num := map[string][]float64{
 		"a": {1, 2, nan, 4, 1, 2, 3},
-		"c": {-3.5, 0, 1, nan, 2, -1, 0},
+		"c": {-3.5, 0, 1, nan, 2, -1, math.Copysign(0, -1)},
 		"v": {0, 5, 5, nan, -2, 7, 1},
 		"x": {5, 6, 0.5, 7, nan, 1e-9, 2},
 		"y": {0, 1, nan, 0.5, 2, 1, 1},
 	}
 	cat := map[string][]string{
 		"b":    {"p", "q", "", "q", "p", "r", ""},
-		"g":    {"a", "b", "b'c", "", "a", "z", "b"},
+		"g":    {"a", "b", "b'c", "", "N", "z", "b"},
 		"h":    {"z", "", "y", "z", "y", "x", "x"},
-		"name": {"ab", "a_b", "", "b%", "a'b", "xab", "ab"},
+		"name": {"ab", "a_b", "", "b%", "a'b", "xab", "a\nb"},
 	}
 	b := frame.NewBuilder("t")
 	for _, name := range []string{"a", "c", "v", "x", "y"} {
@@ -106,8 +111,12 @@ func fuzzCatalog(t testing.TB) *Catalog {
 
 // FuzzQuery runs arbitrary statements through Query over a small table
 // with NULLs. Query never panics and fails only with a *SyntaxError or an
-// *EvalError; every statement it accepts gathers its rows without error,
-// and a projection returns the selected rows cut at LIMIT. The server
+// *EvalError; every statement it accepts gathers its rows without error.
+// Its answers match refEval, a row-at-a-time reference: the selection is
+// the reference's, a projection returns the selected rows cut at LIMIT,
+// and an aggregation returns one group per distinct tuple of grouping
+// values among the selected rows (equal under =, NULL equal only to NULL),
+// cut at LIMIT, whose COUNT(*) sums to the selected rows. The server
 // characterizes the selection of any statement Query accepts without
 // gathering, so a statement whose rows could not be gathered must be
 // refused by Query itself.
@@ -126,10 +135,13 @@ func FuzzQuery(f *testing.F) {
 		"SELECT AVG(y) FROM t ORDER BY avg_y LIMIT 0",
 		"SELECT x FROM t ORDER BY a",
 		"SELECT SUM(g) FROM t",
+		"SELECT c, g, COUNT(*) FROM t WHERE c = 0 OR g IS NULL GROUP BY c, g",
+		"SELECT * FROM t WHERE NOT (c <> 0) AND name NOT LIKE '%_'",
 	} {
 		f.Add(s)
 	}
 	cat := fuzzCatalog(f)
+	base, _ := cat.Table("t")
 	f.Fuzz(func(t *testing.T, input string) {
 		res, err := cat.Query(input)
 		if err != nil {
@@ -140,21 +152,166 @@ func FuzzQuery(f *testing.F) {
 			}
 			return
 		}
+		var selected []int
+		for r := 0; r < base.NumRows(); r++ {
+			if res.Stmt.Where == nil || refEval(base, res.Stmt.Where, r) == refTrue {
+				selected = append(selected, r)
+			}
+		}
+		if got := res.Mask.Indices(); !slices.Equal(got, selected) {
+			t.Fatalf("Query(%q) selected rows %v, the reference %v", input, got, selected)
+		}
 		rows, err := res.Rows()
 		if err != nil {
 			t.Fatalf("Query(%q) accepted a statement whose rows fail: %v", input, err)
 		}
+		want := len(selected)
 		if len(res.Stmt.Aggs) > 0 {
-			return
+			var keys [][]any
+			for _, r := range selected {
+				key := make([]any, len(res.Stmt.GroupBy))
+				for i, name := range res.Stmt.GroupBy {
+					key[i] = refCell(base, name, r)
+				}
+				if !slices.ContainsFunc(keys, func(k []any) bool { return slices.Equal(k, key) }) {
+					keys = append(keys, key)
+				}
+			}
+			want = len(keys)
 		}
-		want := res.Mask.Count()
 		if lim := res.Stmt.Limit; lim >= 0 && lim < want {
 			want = lim
 		}
 		if rows.NumRows() != want {
 			t.Fatalf("Query(%q) gathered %d rows, want %d", input, rows.NumRows(), want)
 		}
+		for i, a := range res.Stmt.Aggs {
+			if a.Func != "COUNT" || a.Column != "" || res.Stmt.Limit >= 0 {
+				continue
+			}
+			sum := 0.0
+			for r := 0; r < rows.NumRows(); r++ {
+				sum += rows.Col(len(res.Stmt.GroupBy) + i).Float(r)
+			}
+			if int(sum) != len(selected) {
+				t.Fatalf("Query(%q): COUNT(*) sums to %v over %d selected rows", input, sum, len(selected))
+			}
+		}
 	})
+}
+
+// refTruth is a three-valued truth value.
+type refTruth int
+
+const (
+	refFalse refTruth = iota
+	refTrue
+	refUnknown
+)
+
+func refBool(b bool) refTruth {
+	if b {
+		return refTrue
+	}
+	return refFalse
+}
+
+// refCell returns row r of the named column through Column.Value: a
+// float64, a string, or nil for NULL.
+func refCell(f *frame.Frame, name string, r int) any {
+	c, _ := f.Lookup(name)
+	return c.Value(r)
+}
+
+// refEval is FuzzQuery's reference: it evaluates a predicate that Query
+// accepted on row r alone, one cell at a time, with SQL's three-valued
+// logic.
+func refEval(f *frame.Frame, expr Expr, r int) refTruth {
+	var col string
+	var test func(v any) bool
+	switch e := expr.(type) {
+	case *BinaryLogic:
+		a, b := refEval(f, e.L, r), refEval(f, e.R, r)
+		if e.Op == "AND" && (a == refFalse || b == refFalse) || e.Op == "OR" && (a == refTrue || b == refTrue) {
+			return refBool(e.Op == "OR")
+		}
+		if a == refUnknown || b == refUnknown {
+			return refUnknown
+		}
+		return a
+	case *NotExpr:
+		if inner := refEval(f, e.Inner, r); inner != refUnknown {
+			return refBool(inner == refFalse)
+		}
+		return refUnknown
+	case *IsNullExpr:
+		return refBool((refCell(f, e.Column, r) == nil) != e.Negate)
+	case *Comparison:
+		col = e.Column
+		test = func(v any) bool {
+			c := refOrder(v, e.Value)
+			switch e.Op {
+			case "=":
+				return c == 0
+			case "!=", "<>":
+				return c != 0
+			case "<":
+				return c < 0
+			case "<=":
+				return c <= 0
+			case ">":
+				return c > 0
+			}
+			return c >= 0
+		}
+	case *InExpr:
+		col = e.Column
+		test = func(v any) bool {
+			return slices.ContainsFunc(e.Values, func(lit Literal) bool { return refOrder(v, lit) == 0 }) != e.Negate
+		}
+	case *BetweenExpr:
+		col = e.Column
+		test = func(v any) bool { return (refOrder(v, e.Lo) >= 0 && refOrder(v, e.Hi) <= 0) != e.Negate }
+	case *LikeExpr:
+		col = e.Column
+		test = func(v any) bool { return refLike([]rune(v.(string)), []rune(e.Pattern)) != e.Negate }
+	}
+	v := refCell(f, col, r)
+	if v == nil {
+		return refUnknown
+	}
+	return refBool(test(v))
+}
+
+// refOrder compares a non-NULL cell with a literal of its kind.
+func refOrder(v any, lit Literal) int {
+	if s, ok := v.(string); ok {
+		return strings.Compare(s, lit.Str)
+	}
+	return cmp.Compare(v.(float64), lit.Num)
+}
+
+// refLike matches s against a LIKE pattern: % matches any run of runes and
+// _ any one rune.
+func refLike(s, p []rune) bool {
+	if len(p) == 0 {
+		return len(s) == 0
+	}
+	switch p[0] {
+	case '%':
+		for len(p) > 1 && p[1] == '%' {
+			p = p[1:]
+		}
+		for i := 0; i <= len(s); i++ {
+			if refLike(s[i:], p[1:]) {
+				return true
+			}
+		}
+		return false
+	case '_':
+		return len(s) > 0 && refLike(s[1:], p[1:])
+	}
+	return len(s) > 0 && s[0] == p[0] && refLike(s[1:], p[1:])
 }
 
 // TestQuoteIdent pins the printer's quoting rule directly.
