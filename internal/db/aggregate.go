@@ -1,9 +1,8 @@
 package db
 
 import (
-	"fmt"
+	"encoding/binary"
 	"math"
-	"strings"
 
 	"repro/internal/frame"
 )
@@ -78,24 +77,28 @@ func addColumn(b *frame.Builder, kind frame.Kind, name string) {
 func (p *aggPlan) run(stmt *SelectStmt, mask *frame.Bitmap) (*frame.Frame, error) {
 	type groupState struct {
 		firstRow int
-		accs     []*aggAccumulator
+		accs     []aggAccumulator
 	}
-	groups := make(map[string]*groupState)
-	var order []string // group keys in first-seen order
+	var groups []groupState
+	index := make(map[string]int) // group key -> position in groups
+	key := make([]byte, 8*len(p.groupCols))
 
 	mask.ForEach(func(row int) {
-		key := groupKey(p.groupCols, row)
-		g, ok := groups[key]
+		for i, c := range p.groupCols {
+			binary.LittleEndian.PutUint64(key[8*i:], groupWord(c, row))
+		}
+		g, ok := index[string(key)]
 		if !ok {
-			g = &groupState{firstRow: row, accs: make([]*aggAccumulator, len(stmt.Aggs))}
+			g = len(groups)
+			index[string(key)] = g
+			accs := make([]aggAccumulator, len(stmt.Aggs))
 			for i, a := range stmt.Aggs {
-				g.accs[i] = newAggAccumulator(a.Func)
+				accs[i] = newAggAccumulator(a.Func)
 			}
-			groups[key] = g
-			order = append(order, key)
+			groups = append(groups, groupState{firstRow: row, accs: accs})
 		}
 		for i, c := range p.aggCols {
-			g.accs[i].add(c, row)
+			groups[g].accs[i].add(c, row)
 		}
 	})
 
@@ -105,8 +108,7 @@ func (p *aggPlan) run(stmt *SelectStmt, mask *frame.Bitmap) (*frame.Frame, error
 	for _, c := range p.out.Columns() {
 		addColumn(b, c.Kind(), c.Name())
 	}
-	for _, key := range order {
-		g := groups[key]
+	for _, g := range groups {
 		for i, c := range p.groupCols {
 			switch {
 			case c.IsNull(g.firstRow):
@@ -133,23 +135,23 @@ func (p *aggPlan) run(stmt *SelectStmt, mask *frame.Bitmap) (*frame.Frame, error
 	return b.Build()
 }
 
-// groupKey builds a hashable key from the grouping values of one row.
-func groupKey(cols []*frame.Column, row int) string {
-	if len(cols) == 0 {
-		return ""
+// groupWord is column c's 8-byte word of row's group key, so two rows
+// share a group exactly when their grouping values are equal under WHERE's
+// =, with NULL equal to NULL: a categorical column's dictionary code (NULL
+// is -1), or a numeric column's float bits with -0 as +0 and every NULL
+// as one NaN.
+func groupWord(c *frame.Column, row int) uint64 {
+	if c.Kind() == frame.Categorical {
+		return uint64(c.Code(row))
 	}
-	var sb strings.Builder
-	for _, c := range cols {
-		if c.IsNull(row) {
-			sb.WriteString("\x00N")
-		} else if c.Kind() == frame.Numeric {
-			fmt.Fprintf(&sb, "\x00%g", c.Float(row))
-		} else {
-			sb.WriteString("\x00")
-			sb.WriteString(c.Str(row))
-		}
+	switch v := c.Float(row); {
+	case v == 0:
+		return 0
+	case v != v:
+		return math.Float64bits(math.NaN())
+	default:
+		return math.Float64bits(v)
 	}
-	return sb.String()
 }
 
 // aggAccumulator folds rows for one aggregate.
@@ -165,8 +167,8 @@ type aggAccumulator struct {
 	seen  bool
 }
 
-func newAggAccumulator(fn string) *aggAccumulator {
-	return &aggAccumulator{fn: fn, min: math.Inf(1), max: math.Inf(-1)}
+func newAggAccumulator(fn string) aggAccumulator {
+	return aggAccumulator{fn: fn, min: math.Inf(1), max: math.Inf(-1)}
 }
 
 // add folds one row. col is nil only for COUNT(*).

@@ -1,18 +1,22 @@
 package db
 
 import (
+	"cmp"
 	"fmt"
 	"regexp"
+	"slices"
 	"strings"
 
 	"repro/internal/frame"
 )
 
 // Predicate evaluation uses SQL's three-valued logic: each expression
-// evaluates to a pair of bitmaps (t, u) where t marks rows on which the
-// predicate is TRUE and u marks rows on which it is UNKNOWN (a NULL took
-// part in the comparison). WHERE keeps only the TRUE rows, so
-// `NOT (x > 5)` correctly excludes rows with NULL x.
+// evaluates to a pair of row masks (t, u), 64 rows to a word, where t marks
+// rows on which the predicate is TRUE and u marks rows on which it is
+// UNKNOWN. A leaf is UNKNOWN exactly on its column's NULL rows, the
+// complement of frame.Frame.ColumnValidWords, so its test sees only
+// non-NULL values. WHERE keeps only the TRUE rows, so `NOT (x > 5)`
+// correctly excludes rows with NULL x.
 
 // EvalError reports a semantic failure during predicate evaluation.
 type EvalError struct {
@@ -35,287 +39,245 @@ func EvalPredicate(f *frame.Frame, expr Expr) (*frame.Bitmap, error) {
 		return all, nil
 	}
 	t, _, err := eval3(f, expr)
-	return t, err
+	if err != nil {
+		return nil, err
+	}
+	return frame.BitmapFromWords(f.NumRows(), t)
 }
 
-func eval3(f *frame.Frame, expr Expr) (t, u *frame.Bitmap, err error) {
+// eval3 returns the TRUE and UNKNOWN masks of expr. Both are freshly
+// allocated, so the connectives combine their operands' masks in place.
+func eval3(f *frame.Frame, expr Expr) (t, u []uint64, err error) {
 	switch e := expr.(type) {
 	case *BinaryLogic:
-		t1, u1, err := eval3(f, e.L)
-		if err != nil {
+		if t, u, err = eval3(f, e.L); err != nil {
 			return nil, nil, err
 		}
 		t2, u2, err := eval3(f, e.R)
 		if err != nil {
 			return nil, nil, err
 		}
-		if e.Op == "AND" {
-			// TRUE iff both true; UNKNOWN iff both are at least possible
-			// (true or unknown) and not both true.
-			t = t1.Clone().And(t2)
-			lhs := t1.Clone().Or(u1)
-			rhs := t2.Clone().Or(u2)
-			u = lhs.And(rhs).AndNot(t)
-			return t, u, nil
+		for i := range t {
+			if e.Op == "AND" {
+				// TRUE iff both true; UNKNOWN iff both are at least possible
+				// (true or unknown) and not both true.
+				both := t[i] & t2[i]
+				u[i] = (t[i] | u[i]) & (t2[i] | u2[i]) &^ both
+				t[i] = both
+			} else {
+				// OR: TRUE iff either true; UNKNOWN iff some side unknown and
+				// none true.
+				t[i] |= t2[i]
+				u[i] = (u[i] | u2[i]) &^ t[i]
+			}
 		}
-		// OR: TRUE iff either true; UNKNOWN iff some side unknown and none
-		// true.
-		t = t1.Clone().Or(t2)
-		u = u1.Clone().Or(u2).AndNot(t)
 		return t, u, nil
 
 	case *NotExpr:
-		t1, u1, err := eval3(f, e.Inner)
-		if err != nil {
+		if t, u, err = eval3(f, e.Inner); err != nil {
 			return nil, nil, err
 		}
 		// NOT TRUE = FALSE, NOT FALSE = TRUE, NOT UNKNOWN = UNKNOWN.
-		t = t1.Clone().Or(u1).Not()
-		return t, u1.Clone(), nil
+		for i := range t {
+			t[i] |= u[i]
+		}
+		return not(t, f.NumRows()), u, nil
 
-	case *Comparison:
-		return evalComparison(f, e)
-	case *InExpr:
-		return evalIn(f, e)
-	case *BetweenExpr:
-		return evalBetween(f, e)
-	case *LikeExpr:
-		return evalLike(f, e)
 	case *IsNullExpr:
-		return evalIsNull(f, e)
+		col, err := lookupColumn(f, e.Column)
+		if err != nil {
+			return nil, nil, err
+		}
+		t = nullWords(f, col)
+		if e.Negate {
+			not(t, f.NumRows())
+		}
+		// IS NULL is never unknown.
+		return t, make([]uint64, len(t)), nil
+
 	default:
-		return nil, nil, evalErrorf("unsupported expression %T", expr)
+		l, err := resolveLeaf(f, expr)
+		if err != nil {
+			return nil, nil, err
+		}
+		return l.scan(f), nullWords(f, l.col), nil
 	}
 }
 
-// nullMask marks the NULL rows of a column.
-func nullMask(c *frame.Column, n int) *frame.Bitmap {
-	u := frame.NewBitmap(n)
-	for i := 0; i < n; i++ {
-		if c.IsNull(i) {
-			u.Set(i)
-		}
+// not complements the row mask w over n rows in place, keeping the bits
+// past the last row clear, and returns it.
+func not(w []uint64, n int) []uint64 {
+	for i := range w {
+		w[i] = ^w[i]
 	}
-	return u
+	if rem := uint(n) & 63; rem != 0 {
+		w[len(w)-1] &= 1<<rem - 1
+	}
+	return w
 }
 
-func lookupColumn(f *frame.Frame, name string) (*frame.Column, error) {
-	c, ok := f.Lookup(name)
-	if !ok {
-		return nil, evalErrorf("unknown column %q in table %q", name, f.Name())
-	}
-	return c, nil
+// nullWords returns a fresh mask of column col's NULL rows.
+func nullWords(f *frame.Frame, col int) []uint64 {
+	return not(slices.Clone(f.ColumnValidWords(col)), f.NumRows())
 }
 
-func evalComparison(f *frame.Frame, e *Comparison) (t, u *frame.Bitmap, err error) {
-	c, err := lookupColumn(f, e.Column)
-	if err != nil {
-		return nil, nil, err
+func lookupColumn(f *frame.Frame, name string) (int, error) {
+	col := f.ColIndex(name)
+	if col < 0 {
+		return -1, evalErrorf("unknown column %q in table %q", name, f.Name())
 	}
-	n := f.NumRows()
-	t = frame.NewBitmap(n)
-	u = nullMask(c, n)
-
-	switch c.Kind() {
-	case frame.Numeric:
-		if e.Value.IsString {
-			return nil, nil, evalErrorf("cannot compare numeric column %q with string %q", e.Column, e.Value.Str)
-		}
-		v := e.Value.Num
-		vals := c.Floats()
-		for i := 0; i < n; i++ {
-			if c.IsNull(i) {
-				continue
-			}
-			if numCompare(vals[i], v, e.Op) {
-				t.Set(i)
-			}
-		}
-	case frame.Categorical:
-		if !e.Value.IsString {
-			return nil, nil, evalErrorf("cannot compare categorical column %q with number %v", e.Column, e.Value.Num)
-		}
-		v := e.Value.Str
-		for i := 0; i < n; i++ {
-			if c.IsNull(i) {
-				continue
-			}
-			if strCompare(c.Str(i), v, e.Op) {
-				t.Set(i)
-			}
-		}
-	}
-	return t, u, nil
+	return col, nil
 }
 
-func numCompare(a, b float64, op string) bool {
+// leaf is a predicate leaf resolved once per statement: its column and a
+// test of that column's non-NULL values, num on a numeric column and str
+// on a categorical one.
+type leaf struct {
+	col int
+	num func(float64) bool
+	str func(string) bool
+}
+
+// resolveLeaf checks a leaf's column and literal kinds and builds its test.
+func resolveLeaf(f *frame.Frame, expr Expr) (l leaf, err error) {
+	var name string
+	switch e := expr.(type) {
+	case *Comparison:
+		name = e.Column
+	case *InExpr:
+		name = e.Column
+	case *BetweenExpr:
+		name = e.Column
+	case *LikeExpr:
+		name = e.Column
+	default:
+		return l, evalErrorf("unsupported expression %T", expr)
+	}
+	if l.col, err = lookupColumn(f, name); err != nil {
+		return l, err
+	}
+	numeric := f.Col(l.col).Kind() == frame.Numeric
+
+	switch e := expr.(type) {
+	case *Comparison:
+		switch {
+		case numeric && e.Value.IsString:
+			return l, evalErrorf("cannot compare numeric column %q with string %q", e.Column, e.Value.Str)
+		case !numeric && !e.Value.IsString:
+			return l, evalErrorf("cannot compare categorical column %q with number %v", e.Column, e.Value.Num)
+		case numeric:
+			l.num = compareTo(e.Op, e.Value.Num)
+		default:
+			l.str = compareTo(e.Op, e.Value.Str)
+		}
+
+	case *InExpr:
+		if numeric {
+			set := make(map[float64]bool, len(e.Values))
+			for _, lit := range e.Values {
+				if lit.IsString {
+					return l, evalErrorf("string literal in IN list for numeric column %q", e.Column)
+				}
+				set[lit.Num] = true
+			}
+			l.num = func(v float64) bool { return set[v] != e.Negate }
+		} else {
+			set := make(map[string]bool, len(e.Values))
+			for _, lit := range e.Values {
+				if !lit.IsString {
+					return l, evalErrorf("numeric literal in IN list for categorical column %q", e.Column)
+				}
+				set[lit.Str] = true
+			}
+			l.str = func(s string) bool { return set[s] != e.Negate }
+		}
+
+	case *BetweenExpr:
+		switch {
+		case numeric && (e.Lo.IsString || e.Hi.IsString):
+			return l, evalErrorf("string bounds in BETWEEN for numeric column %q", e.Column)
+		case !numeric && (!e.Lo.IsString || !e.Hi.IsString):
+			return l, evalErrorf("numeric bounds in BETWEEN for categorical column %q", e.Column)
+		case numeric:
+			l.num = between(e.Lo.Num, e.Hi.Num, e.Negate)
+		default:
+			l.str = between(e.Lo.Str, e.Hi.Str, e.Negate)
+		}
+
+	case *LikeExpr:
+		if numeric {
+			return l, evalErrorf("LIKE requires a categorical column, %q is %s", e.Column, frame.Numeric)
+		}
+		re, err := likeToRegexp(e.Pattern)
+		if err != nil {
+			return l, err
+		}
+		l.str = func(s string) bool { return re.MatchString(s) != e.Negate }
+	}
+	return l, nil
+}
+
+// compareTo returns the test `x op v`.
+func compareTo[T cmp.Ordered](op string, v T) func(T) bool {
 	switch op {
 	case "=":
-		return a == b
+		return func(x T) bool { return x == v }
 	case "!=", "<>":
-		return a != b
+		return func(x T) bool { return x != v }
 	case "<":
-		return a < b
+		return func(x T) bool { return x < v }
 	case "<=":
-		return a <= b
+		return func(x T) bool { return x <= v }
 	case ">":
-		return a > b
+		return func(x T) bool { return x > v }
 	case ">=":
-		return a >= b
+		return func(x T) bool { return x >= v }
 	default:
-		return false
+		return func(T) bool { return false }
 	}
 }
 
-func strCompare(a, b, op string) bool {
-	switch op {
-	case "=":
-		return a == b
-	case "!=", "<>":
-		return a != b
-	case "<":
-		return a < b
-	case "<=":
-		return a <= b
-	case ">":
-		return a > b
-	case ">=":
-		return a >= b
-	default:
-		return false
-	}
+// between returns the test `x BETWEEN lo AND hi`, or NOT BETWEEN.
+func between[T cmp.Ordered](lo, hi T, negate bool) func(T) bool {
+	return func(x T) bool { return (x >= lo && x <= hi) != negate }
 }
 
-func evalIn(f *frame.Frame, e *InExpr) (t, u *frame.Bitmap, err error) {
-	c, err := lookupColumn(f, e.Column)
-	if err != nil {
-		return nil, nil, err
+// scan returns the mask of the non-NULL rows that pass the leaf's test. A
+// categorical test runs once per dictionary entry, and the scan looks up
+// each row's code.
+func (l leaf) scan(f *frame.Frame) []uint64 {
+	c, valid := f.Col(l.col), f.ColumnValidWords(l.col)
+	if l.num != nil {
+		return scanWords(c.Floats(), valid, l.num)
 	}
-	n := f.NumRows()
-	t = frame.NewBitmap(n)
-	u = nullMask(c, n)
-
-	switch c.Kind() {
-	case frame.Numeric:
-		set := make(map[float64]bool, len(e.Values))
-		for _, lit := range e.Values {
-			if lit.IsString {
-				return nil, nil, evalErrorf("string literal in IN list for numeric column %q", e.Column)
-			}
-			set[lit.Num] = true
-		}
-		vals := c.Floats()
-		for i := 0; i < n; i++ {
-			if c.IsNull(i) {
-				continue
-			}
-			if set[vals[i]] != e.Negate {
-				t.Set(i)
-			}
-		}
-	case frame.Categorical:
-		set := make(map[string]bool, len(e.Values))
-		for _, lit := range e.Values {
-			if !lit.IsString {
-				return nil, nil, evalErrorf("numeric literal in IN list for categorical column %q", e.Column)
-			}
-			set[lit.Str] = true
-		}
-		for i := 0; i < n; i++ {
-			if c.IsNull(i) {
-				continue
-			}
-			if set[c.Str(i)] != e.Negate {
-				t.Set(i)
-			}
-		}
+	pass := make([]bool, len(c.Dict()))
+	for code, s := range c.Dict() {
+		pass[code] = l.str(s)
 	}
-	return t, u, nil
+	return scanWords(c.Codes(), valid, func(code int32) bool { return code >= 0 && pass[code] })
 }
 
-func evalBetween(f *frame.Frame, e *BetweenExpr) (t, u *frame.Bitmap, err error) {
-	c, err := lookupColumn(f, e.Column)
-	if err != nil {
-		return nil, nil, err
+// scanWords sets bit i&63 of word i>>6 where test(vals[i]) holds, 64 rows
+// at a time, and ANDs each word with the validity word.
+func scanWords[T any](vals []T, valid []uint64, test func(T) bool) []uint64 {
+	t := make([]uint64, len(valid))
+	for w := range t {
+		var word uint64
+		for i, v := range vals[w<<6 : min(w<<6+64, len(vals))] {
+			if test(v) {
+				word |= 1 << i
+			}
+		}
+		t[w] = word & valid[w]
 	}
-	n := f.NumRows()
-	t = frame.NewBitmap(n)
-	u = nullMask(c, n)
-
-	switch c.Kind() {
-	case frame.Numeric:
-		if e.Lo.IsString || e.Hi.IsString {
-			return nil, nil, evalErrorf("string bounds in BETWEEN for numeric column %q", e.Column)
-		}
-		lo, hi := e.Lo.Num, e.Hi.Num
-		vals := c.Floats()
-		for i := 0; i < n; i++ {
-			if c.IsNull(i) {
-				continue
-			}
-			inside := vals[i] >= lo && vals[i] <= hi
-			if inside != e.Negate {
-				t.Set(i)
-			}
-		}
-	case frame.Categorical:
-		if !e.Lo.IsString || !e.Hi.IsString {
-			return nil, nil, evalErrorf("numeric bounds in BETWEEN for categorical column %q", e.Column)
-		}
-		lo, hi := e.Lo.Str, e.Hi.Str
-		for i := 0; i < n; i++ {
-			if c.IsNull(i) {
-				continue
-			}
-			s := c.Str(i)
-			inside := s >= lo && s <= hi
-			if inside != e.Negate {
-				t.Set(i)
-			}
-		}
-	}
-	return t, u, nil
+	return t
 }
 
-func evalLike(f *frame.Frame, e *LikeExpr) (t, u *frame.Bitmap, err error) {
-	c, err := lookupColumn(f, e.Column)
-	if err != nil {
-		return nil, nil, err
-	}
-	if c.Kind() != frame.Categorical {
-		return nil, nil, evalErrorf("LIKE requires a categorical column, %q is %s", e.Column, c.Kind())
-	}
-	re, err := likeToRegexp(e.Pattern)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := f.NumRows()
-	t = frame.NewBitmap(n)
-	u = nullMask(c, n)
-	// Match each dictionary entry once, then scan codes.
-	dict := c.Dict()
-	matches := make([]bool, len(dict))
-	for code, s := range dict {
-		matches[code] = re.MatchString(s)
-	}
-	codes := c.Codes()
-	for i := 0; i < n; i++ {
-		code := codes[i]
-		if code < 0 {
-			continue
-		}
-		if matches[code] != e.Negate {
-			t.Set(i)
-		}
-	}
-	return t, u, nil
-}
-
-// likeToRegexp compiles a SQL LIKE pattern (% = any run, _ = any one rune)
-// into an anchored regular expression.
+// likeToRegexp compiles a SQL LIKE pattern (% = any run, _ = any one rune,
+// a newline included) into an anchored regular expression.
 func likeToRegexp(pattern string) (*regexp.Regexp, error) {
 	var b strings.Builder
-	b.WriteString("^")
+	b.WriteString("(?s)^")
 	for _, r := range pattern {
 		switch r {
 		case '%':
@@ -332,18 +294,4 @@ func likeToRegexp(pattern string) (*regexp.Regexp, error) {
 		return nil, evalErrorf("invalid LIKE pattern %q: %v", pattern, err)
 	}
 	return re, nil
-}
-
-func evalIsNull(f *frame.Frame, e *IsNullExpr) (t, u *frame.Bitmap, err error) {
-	c, err := lookupColumn(f, e.Column)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := f.NumRows()
-	t = nullMask(c, n)
-	if e.Negate {
-		t.Not()
-	}
-	// IS NULL is never unknown.
-	return t, frame.NewBitmap(n), nil
 }
