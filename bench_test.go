@@ -224,6 +224,81 @@ func BenchmarkCatalogQuery(b *testing.B) {
 	}
 }
 
+// crimeQuery is the repeat query the cached-path benchmarks serve: a
+// threshold on uscrime(1).
+const crimeQuery = "SELECT * FROM uscrime WHERE crime_violent_rate >= 1300"
+
+// BenchmarkReportWire measures the report codec on every RPC that carries
+// a report: encode then decode the uscrime(1) report of crimeQuery. B/report
+// is its wire size. CI gates its allocs/op.
+func BenchmarkReportWire(b *testing.B) {
+	cat := db.NewCatalog()
+	if err := cat.Register(synth.USCrime(1)); err != nil {
+		b.Fatal(err)
+	}
+	res, err := cat.Query(crimeQuery)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep, err := mustEngine(b, core.DefaultConfig()).Characterize(res.Base, res.Mask)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.DecodeReport(core.EncodeReport(rep)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(core.EncodeReport(rep))), "B/report")
+}
+
+// BenchmarkFrontCachedHit measures a repeat POST /api/characterize of
+// crimeQuery on a front whose only backend is a remote worker: after the
+// worker's cache answered one probe, the front's own report tier answers
+// every repeat, with no RPC. CI gates its allocs/op.
+func BenchmarkFrontCachedHit(b *testing.B) {
+	cfg := core.DefaultConfig()
+	cfg.Shards, cfg.Parallelism = 1, 1
+	worker, err := shard.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(remote.NewWorker(worker))
+	defer ts.Close()
+	client := remote.NewClient(ts.URL)
+	defer client.Close()
+	front, err := shard.NewWithBackends(cfg, nil, []shard.Backend{client})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cat := db.NewCatalog()
+	if err := cat.Register(synth.USCrime(1)); err != nil {
+		b.Fatal(err)
+	}
+	srv := server.New(cat, front, nil)
+	body := []byte(`{"sql": "` + crimeQuery + `"}`)
+	post := func() {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/characterize", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	post() // cold: computed on the worker
+	post() // the worker's cache answers the probe; the front tier keeps it
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
+	}
+	b.StopTimer()
+	if w := worker.Stats().Reports; w.Hits != 1 {
+		b.Fatalf("worker report tier served %d hits, want 1: repeats reached the worker", w.Hits)
+	}
+}
+
 // benchUseCase measures a warm characterization of one §4.2 scenario.
 func benchUseCase(b *testing.B, f *frame.Frame, col string, q float64) {
 	b.Helper()

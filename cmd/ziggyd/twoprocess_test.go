@@ -22,10 +22,11 @@ import (
 // TestTwoProcessSmoke is the end-to-end proof that the distribution layer
 // works between real processes: it builds the ziggyd binary, starts a
 // `ziggyd -worker`, points a front `ziggyd -peers` at it, runs a
-// characterize plus its cached repeat over the HTTP API, and asserts the
-// responses match the checked-in golden bytes — i.e. a two-process
-// deployment is byte-identical to the single-process one the golden suite
-// pins. CI runs it as the dedicated smoke job.
+// characterize plus two cached repeats over the HTTP API (the first
+// answered by the worker's report cache, the second by the front's own),
+// and asserts the responses match the checked-in golden bytes — i.e. a
+// two-process deployment is byte-identical to the single-process one the
+// golden suite pins. CI runs it as the dedicated smoke job.
 func TestTwoProcessSmoke(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skipf("go toolchain not in PATH: %v", err)
@@ -58,6 +59,11 @@ func TestTwoProcessSmoke(t *testing.T) {
 	}
 	checkGolden(t, "characterize_cached.json", cached)
 
+	// A third identical request is answered by the front's own report tier,
+	// filled from the second request's worker-probe hit: same bytes, no RPC.
+	third := postSmoke(t, frontAddr, query)
+	checkGolden(t, "characterize_cached.json", third)
+
 	// The front's stats must show one remote worker, healthy, with exactly
 	// one table shipment — the repeat was answered from the worker's cache
 	// without the table crossing the wire again.
@@ -67,6 +73,10 @@ func TestTwoProcessSmoke(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var stats struct {
+		// Reports sums the front's own report tier and the worker's.
+		Reports struct {
+			Hits, Misses int64
+		} `json:"reports"`
 		ShardCount int `json:"shardCount"`
 		Shards     []struct {
 			Kind          string `json:"kind"`
@@ -93,6 +103,11 @@ func TestTwoProcessSmoke(t *testing.T) {
 	}
 	if sh.Reports.Hits != 1 || sh.Reports.Misses != 1 {
 		t.Errorf("worker reports tier = %+v, want 1 hit / 1 miss", sh.Reports)
+	}
+	// The front tier is the total less the worker's tier: the third request
+	// was its one hit, and no third RPC reached the worker.
+	if hits, misses := stats.Reports.Hits-sh.Reports.Hits, stats.Reports.Misses-sh.Reports.Misses; hits != 1 || misses != 0 {
+		t.Errorf("front reports tier = %d hits / %d misses (total %+v), want 1 / 0", hits, misses, stats.Reports)
 	}
 }
 

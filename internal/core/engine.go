@@ -66,17 +66,7 @@ func NewShared(cfg Config, reports *ReportCache) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Extended {
-		// Extended component families default to unit weight unless the
-		// user priced them explicitly.
-		w := cfg.Weights.Clone()
-		for _, k := range []effect.Kind{effect.DiffQuantiles, effect.DiffTails, effect.DiffEntropy, effect.DiffSeparation} {
-			if _, ok := w[k]; !ok {
-				w[k] = 1
-			}
-		}
-		cfg.Weights = w
-	}
+	cfg = effectiveConfig(cfg)
 	entries, bytes := cfg.EffectiveCacheBounds()
 	if reports == nil {
 		reports = NewReportCache(entries, bytes)
@@ -88,6 +78,22 @@ func NewShared(cfg Config, reports *ReportCache) (*Engine, error) {
 		prefixes: memo.New[uint64, *depend.FoldState](entries, bytes),
 		reports:  reports,
 	}, nil
+}
+
+// effectiveConfig applies the defaults an engine runs cfg with: extended
+// component families get unit weight unless the user priced them
+// explicitly.
+func effectiveConfig(cfg Config) Config {
+	if cfg.Extended {
+		w := cfg.Weights.Clone()
+		for _, k := range []effect.Kind{effect.DiffQuantiles, effect.DiffTails, effect.DiffEntropy, effect.DiffSeparation} {
+			if _, ok := w[k]; !ok {
+				w[k] = 1
+			}
+		}
+		cfg.Weights = w
+	}
+	return cfg
 }
 
 // Config returns the engine's configuration.
@@ -203,12 +209,7 @@ func (e *Engine) CharacterizeOpts(f *frame.Frame, sel *frame.Bitmap, opts Option
 	if opts.SkipReportCache {
 		return e.characterize(f, sel, opts, nIn)
 	}
-	key := reportKey{
-		frame: f.Fingerprint(),
-		sel:   sel.Fingerprint(),
-		cfg:   e.cfgHash,
-		opts:  hashOptions(opts),
-	}
+	key := newReportKey(f.Fingerprint(), sel, e.cfgHash, opts)
 	rep, outcome, err := e.reports.c.Do(key, reportSize, func() (*Report, error) {
 		return e.characterize(f, sel, opts, nIn)
 	})
@@ -236,27 +237,14 @@ func cloneCached(rep *Report) *Report {
 // content fingerprint frameFP, sel and opts without running any part of
 // the pipeline; ok is false on a miss. A hit counts toward the report
 // cache's hit counter exactly as if CharacterizeOpts had served it. It is
-// the distribution layer's pre-admission fast path: a front router (or a
-// worker answering its cached-probe RPC) can ask "is this report already
-// cached?" knowing only the fingerprint — before the table has been
-// shipped to the process at all — so a repeat query crossing the process
-// boundary is answered from the report cache without moving the table a
-// second time, and stays ~µs while the owning shard is saturated.
+// the distribution layer's pre-admission fast path: a router (or a worker
+// answering its cached-probe RPC) can ask "is this report already cached?"
+// knowing only the fingerprint — before the table has been shipped to the
+// process at all — so a repeat query crossing the process boundary is
+// answered from the report cache without moving the table a second time,
+// and stays ~µs while the owning shard is saturated.
 func (e *Engine) CachedReportFingerprint(frameFP uint64, sel *frame.Bitmap, opts Options) (*Report, bool) {
-	if sel == nil || opts.SkipReportCache {
-		return nil, false
-	}
-	key := reportKey{
-		frame: frameFP,
-		sel:   sel.Fingerprint(),
-		cfg:   e.cfgHash,
-		opts:  hashOptions(opts),
-	}
-	rep, ok := e.reports.c.Lookup(key)
-	if !ok {
-		return nil, false
-	}
-	return cloneCached(rep), true
+	return e.reports.CachedFingerprint(frameFP, sel, e.cfgHash, opts)
 }
 
 // characterize runs the full uncached pipeline; nIn is sel.Count(), already
@@ -601,7 +589,14 @@ func (e *Engine) scoreCandidates(f *frame.Frame, p *partition, cols []colData, d
 // scoreCandidate scores one candidate column group, computing the pairwise
 // components lazily.
 func (e *Engine) scoreCandidate(f *frame.Frame, p *partition, cols []colData, dep *depend.Matrix, cand []int) View {
-	var comps []effect.Component
+	// Sized for every 1D component plus one per column pair, so the slice
+	// never regrows: a kept view's components are cached with its report,
+	// and append's doubling would leave up to half of them as slack.
+	n := len(cand) * (len(cand) - 1) / 2
+	for _, idx := range cand {
+		n += len(cols[idx].comps)
+	}
+	comps := make([]effect.Component, 0, n)
 	for _, idx := range cand {
 		comps = append(comps, cols[idx].comps...)
 	}

@@ -75,6 +75,18 @@ type reportKey struct {
 	frame, sel, cfg, opts uint64
 }
 
+// newReportKey builds the report key of one request; cfgHash is
+// ConfigHash of the configuration that answers it.
+func newReportKey(frameFP uint64, sel *frame.Bitmap, cfgHash uint64, opts Options) reportKey {
+	return reportKey{frame: frameFP, sel: sel.Fingerprint(), cfg: cfgHash, opts: hashOptions(opts)}
+}
+
+// ConfigHash returns the configuration component of the report key: the
+// hash an engine built from cfg keys its reports under. A caller that
+// reads or fills a ReportCache by fingerprint (CachedFingerprint,
+// StoreFingerprint) computes it once and passes it with every request.
+func ConfigHash(cfg Config) uint64 { return hashConfig(effectiveConfig(cfg)) }
+
 // hashConfig folds every output-affecting Config field into a key
 // component. Parallelism and Shards are deliberately excluded: reports are
 // bit-for-bit identical for every worker count (TestParallelDeterminism) and
@@ -205,6 +217,36 @@ func (rc *ReportCache) InvalidateFrame(fp uint64) int {
 
 // Len returns the number of cached reports.
 func (rc *ReportCache) Len() int { return rc.c.Len() }
+
+// CachedFingerprint returns the report cached for the table with content
+// fingerprint frameFP, sel, the configuration hashed by cfgHash
+// (ConfigHash) and opts, without running anything; ok is false on a miss,
+// on a nil selection and under SkipReportCache. A hit counts as a served
+// request and comes back flagged as a report-cache hit with zeroed
+// timings; a miss counts nothing, because the caller's next tier accounts
+// the request.
+func (rc *ReportCache) CachedFingerprint(frameFP uint64, sel *frame.Bitmap, cfgHash uint64, opts Options) (*Report, bool) {
+	if sel == nil || opts.SkipReportCache {
+		return nil, false
+	}
+	rep, ok := rc.c.Lookup(newReportKey(frameFP, sel, cfgHash, opts))
+	if !ok {
+		return nil, false
+	}
+	return cloneCached(rep), true
+}
+
+// StoreFingerprint caches rep under the same key CachedFingerprint reads,
+// counting neither a hit nor a miss: rep was served, and counted, by the
+// tier it came from. The shard router fills its front tier this way from
+// the hits of backends whose caches live in another process. A nil
+// selection or SkipReportCache stores nothing.
+func (rc *ReportCache) StoreFingerprint(frameFP uint64, sel *frame.Bitmap, cfgHash uint64, opts Options, rep *Report) {
+	if sel == nil || opts.SkipReportCache {
+		return
+	}
+	rc.c.Put(newReportKey(frameFP, sel, cfgHash, opts), rep, reportSize(rep))
+}
 
 // CacheStats is a point-in-time view of the engine's two memo tiers; the
 // server's /api/stats endpoint serializes it directly. Within each tier,

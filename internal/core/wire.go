@@ -58,7 +58,7 @@ const decodingReport = "core: decoding report"
 // encode as version 3; reports with an Approximate block encode as the
 // version-4 partial-report frame.
 func EncodeReport(rep *Report) []byte {
-	w := wire.Buf{B: []byte{'Z', 'G', 'R', reportVersionExact}}
+	w := wire.Buf{B: append(make([]byte, 0, encodedReportSize(rep)), 'Z', 'G', 'R', reportVersionExact)}
 	if a := rep.Approximate; a != nil {
 		w.B[3] = reportVersionApprox
 		w.I64(int64(a.SampleRows))
@@ -101,6 +101,30 @@ func EncodeReport(rep *Report) []byte {
 	w.Bool(rep.CacheHit)
 	w.Bool(rep.ReportCacheHit)
 	return w.B
+}
+
+// encodedReportSize returns the exact length of EncodeReport(rep), so the
+// encoder allocates its buffer once.
+func encodedReportSize(rep *Report) int {
+	strs := func(ss []string) int {
+		n := 8
+		for _, s := range ss {
+			n += 8 + len(s)
+		}
+		return n
+	}
+	n := 4 + 5*8 + strs(rep.Warnings) + 8 + 2
+	if rep.Approximate != nil {
+		n += 6 * 8
+	}
+	for i := range rep.Views {
+		v := &rep.Views[i]
+		n += strs(v.Columns) + 3*8 + 1 + 8 + len(v.Explanation) + 8
+		for _, c := range v.Components {
+			n += 8 + strs(c.Columns) + 8*8 + 8 + len(c.Detail)
+		}
+	}
+	return n
 }
 
 // DecodeReport parses a wire-format report, accepting exactly the

@@ -107,6 +107,9 @@ func TestReportCodecRoundTrip(t *testing.T) {
 		"approx": approxWireFixture(),
 	} {
 		enc := EncodeReport(rep)
+		if cap(enc) != len(enc) {
+			t.Errorf("%s: encoder sized its buffer %d for %d bytes", name, cap(enc), len(enc))
+		}
 		dec, err := DecodeReport(enc)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -141,6 +144,9 @@ func TestReportCodecEngineOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := EncodeReport(rep)
+	if cap(enc) != len(enc) {
+		t.Errorf("encoder sized its buffer %d for %d bytes", cap(enc), len(enc))
+	}
 	dec, err := DecodeReport(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -278,5 +284,57 @@ func TestCachedReportFingerprint(t *testing.T) {
 	snap := eng.CacheStats().Reports
 	if snap.Hits != 1 || snap.Misses != 1 {
 		t.Errorf("reports tier = %+v, want exactly the probe hit and the cold miss", snap)
+	}
+}
+
+// TestReportCacheFingerprintTier pins the front-tier surface of
+// ReportCache: StoreFingerprint files a report under exactly the key an
+// engine built from the same configuration reads (ConfigHash applies the
+// engine's extended-weight defaults), counts no request, and honours
+// SkipReportCache and nil selections; CachedFingerprint counts its hits
+// only.
+func TestReportCacheFingerprintTier(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Extended = true
+	computed, f, sel := testEngine(t, cfg)
+	rep, err := computed.Characterize(f, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := NewReportCache(0, 0)
+	h := ConfigHash(cfg)
+	if _, ok := rc.CachedFingerprint(f.Fingerprint(), sel, h, Options{}); ok {
+		t.Fatal("empty cache answered")
+	}
+	rc.StoreFingerprint(f.Fingerprint(), sel, h, Options{SkipReportCache: true}, rep)
+	rc.StoreFingerprint(f.Fingerprint(), nil, h, Options{}, rep)
+	if rc.Len() != 0 {
+		t.Fatal("StoreFingerprint stored under SkipReportCache or a nil selection")
+	}
+	rc.StoreFingerprint(f.Fingerprint(), sel, h, Options{}, rep)
+	if s := rc.Snapshot(); s.Hits != 0 || s.Misses != 0 || s.Entries != 1 {
+		t.Fatalf("after StoreFingerprint: %+v, want one entry and no counted request", s)
+	}
+	got, ok := rc.CachedFingerprint(f.Fingerprint(), sel, h, Options{})
+	if !ok || !got.ReportCacheHit || got.Timings != (Timings{}) {
+		t.Fatalf("CachedFingerprint after store: ok=%v, want a flagged hit with zero timings", ok)
+	}
+	if _, ok := rc.CachedFingerprint(f.Fingerprint(), sel, h, Options{SkipReportCache: true}); ok {
+		t.Error("CachedFingerprint ignored SkipReportCache")
+	}
+	// An engine sharing the cache finds the stored report under its own key.
+	eng, err := NewShared(cfg, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, err := eng.Characterize(f, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.ReportCacheHit {
+		t.Error("engine missed the report stored under ConfigHash")
+	}
+	if s := rc.Snapshot(); s.Hits != 2 || s.Misses != 0 {
+		t.Errorf("reports tier = %+v, want the two served hits only", s)
 	}
 }

@@ -206,6 +206,16 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 	return zero, false
 }
 
+// Put stores v under key, charged size bytes, without counting a hit or a
+// miss: it serves no request. A front tier that fills itself from another
+// tier's hits uses it, so hits + misses summed over both tiers still equals
+// requests. An existing entry is refreshed; evictions count as usual.
+func (c *Cache[K, V]) Put(key K, v V, size int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.insertLocked(key, v, size)
+}
+
 // insertLocked stores a new entry and evicts from the cold end while either
 // bound is exceeded. The newest entry survives even if it alone exceeds
 // maxBytes — caching an oversized value beats recomputing it every time —

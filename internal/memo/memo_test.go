@@ -332,3 +332,27 @@ func TestSnapshotJSONCarriesRequests(t *testing.T) {
 		t.Errorf("round trip = %+v, want %+v", back, s)
 	}
 }
+
+// TestPutCountsNothing pins the front-tier insert: Put stores and refreshes
+// an entry without touching hits or misses, a later Lookup of it counts one
+// hit, and Put still evicts past the bounds.
+func TestPutCountsNothing(t *testing.T) {
+	c := New[int, int](2, 0)
+	c.Put(1, 10, 1)
+	c.Put(1, 11, 1) // refresh, not a second entry
+	if s := c.Snapshot(); s.Hits != 0 || s.Misses != 0 || s.Entries != 1 || s.Bytes != 1 {
+		t.Fatalf("after Put: %+v, want one entry and no counted request", s)
+	}
+	if v, ok := c.Lookup(1); !ok || v != 11 {
+		t.Fatalf("Lookup after Put = %d, %v; want the refreshed 11", v, ok)
+	}
+	c.Put(2, 20, 1)
+	c.Put(3, 30, 1) // evicts 1, the least recently used
+	s := c.Snapshot()
+	if s.Hits != 1 || s.Misses != 0 || s.Entries != 2 || s.Evictions != 1 {
+		t.Fatalf("after overflowing Puts: %+v, want 1 hit, 2 entries, 1 eviction", s)
+	}
+	if _, ok := c.Get(1); ok {
+		t.Error("Put did not evict the coldest entry")
+	}
+}

@@ -230,7 +230,7 @@ func (c *Client) characterizeOnce(body []byte) (rep *core.Report, retry bool, er
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		data, err := io.ReadAll(http.MaxBytesReader(nil, resp.Body, maxBodyBytes))
+		data, err := readReply(resp)
 		if err != nil {
 			return nil, false, c.unavailable(err)
 		}
@@ -278,7 +278,7 @@ func (c *Client) CachedReport(fp uint64, sel *frame.Bitmap, opts core.Options) (
 	if resp.StatusCode != http.StatusOK {
 		return nil, false
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(nil, resp.Body, maxBodyBytes))
+	data, err := readReply(resp)
 	if err != nil {
 		return nil, false
 	}
@@ -287,6 +287,24 @@ func (c *Client) CachedReport(fp uint64, sel *frame.Bitmap, opts core.Options) (
 		return nil, false
 	}
 	return rep, true
+}
+
+// readReply reads a report reply whole, at most maxBodyBytes of it. A reply
+// with a Content-Length (the worker always sends one) is read into one
+// buffer of exactly that size; one without it grows as io.ReadAll does.
+func readReply(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 {
+		return io.ReadAll(http.MaxBytesReader(nil, resp.Body, maxBodyBytes))
+	}
+	if n > maxBodyBytes {
+		return nil, fmt.Errorf("reply of %d bytes exceeds the %d-byte limit", n, maxBodyBytes)
+	}
+	data := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 // Snapshot folds the worker's sharded stats into one backend entry:

@@ -702,3 +702,97 @@ func TestRPCsReuseOneConnection(t *testing.T) {
 		t.Errorf("%d registrations and %d invalidations opened %d connections, want 1", n, n, got)
 	}
 }
+
+// TestReportRepliesReuseOneConnection pins the report replies' framing:
+// characterize and cache-probe replies carry a Content-Length, the client
+// reads exactly that many bytes, and back-to-back report RPCs through one
+// client keep a single keep-alive connection.
+func TestReportRepliesReuseOneConnection(t *testing.T) {
+	const n = 20
+	w, _ := newWorker(t, 1)
+	var conns atomic.Int64
+	ts := httptest.NewUnstartedServer(w)
+	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	c := NewClient(ts.URL)
+	t.Cleanup(func() { c.Close() })
+
+	f, sel := testTable(t, 21)
+	if err := c.RegisterTable(f); err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.Characterize(f, sel, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.post(nil, PathCached, EncodeRequest(Request{Fingerprint: f.Fingerprint(), Sel: sel}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.ContentLength != int64(len(body)) {
+		t.Fatalf("probe reply: Content-Length %d for %d bytes (err %v), want the exact length", resp.ContentLength, len(body), err)
+	}
+	for i := 0; i < n; i++ {
+		rep, ok := c.CachedReport(f.Fingerprint(), sel, core.Options{})
+		if !ok || !bytes.Equal(canonical(rep), canonical(want)) {
+			t.Fatalf("probe %d: ok=%v or bytes diverged", i, ok)
+		}
+		if rep, err = c.Characterize(f, sel, core.Options{}); err != nil || !bytes.Equal(canonical(rep), canonical(want)) {
+			t.Fatalf("characterize %d: err=%v or bytes diverged", i, err)
+		}
+	}
+	if got := conns.Load(); got > 1 {
+		t.Errorf("%d report RPCs opened %d connections, want 1", 2*n+2, got)
+	}
+}
+
+// TestReadReplyFraming covers the reply reader's other two paths: a reply
+// without a Content-Length (chunked) still decodes, and a declared length
+// past maxBodyBytes is refused before anything is allocated for it.
+func TestReadReplyFraming(t *testing.T) {
+	f, sel := testTable(t, 22)
+	want, err := mustLocal(t).Characterize(f, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := core.EncodeReport(want)
+	chunked := newTestServer(t, http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		rw.Write(enc[:len(enc)/2])
+		rw.(http.Flusher).Flush() // commits the reply without a length
+		rw.Write(enc[len(enc)/2:])
+	}))
+	rep, ok := NewClient(chunked.URL).CachedReport(f.Fingerprint(), sel, core.Options{})
+	if !ok || !bytes.Equal(core.EncodeReport(rep), enc) {
+		t.Errorf("chunked reply: ok=%v or bytes diverged", ok)
+	}
+
+	huge := newTestServer(t, http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		rw.Header().Set("Content-Length", fmt.Sprint(int64(maxBodyBytes)+1))
+		rw.WriteHeader(http.StatusOK)
+	}))
+	resp, err := http.Get(huge.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if _, err := readReply(resp); err == nil {
+		t.Error("readReply accepted a reply declared past maxBodyBytes")
+	}
+}
+
+// mustLocal builds a one-shard in-process router.
+func mustLocal(t testing.TB) *shard.Router {
+	t.Helper()
+	r, err := shard.New(testConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}

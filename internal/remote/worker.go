@@ -306,8 +306,17 @@ func (w *Worker) handleCharacterize(rw http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	writeReport(rw, rep)
+}
+
+// writeReport answers with the report's wire encoding. The explicit
+// Content-Length lets the client read the reply into one buffer of the
+// right size.
+func writeReport(rw http.ResponseWriter, rep *core.Report) {
+	data := core.EncodeReport(rep)
 	rw.Header().Set("Content-Type", "application/octet-stream")
-	rw.Write(core.EncodeReport(rep))
+	rw.Header().Set("Content-Length", strconv.Itoa(len(data)))
+	rw.Write(data)
 }
 
 func (w *Worker) handleCached(rw http.ResponseWriter, r *http.Request) {
@@ -329,6 +338,5 @@ func (w *Worker) handleCached(rw http.ResponseWriter, r *http.Request) {
 		rw.WriteHeader(http.StatusNoContent)
 		return
 	}
-	rw.Header().Set("Content-Type", "application/octet-stream")
-	rw.Write(core.EncodeReport(rep))
+	writeReport(rw, rep)
 }

@@ -20,9 +20,11 @@
 //
 // Requests are served by a sharded layer (internal/shard): each table is
 // owned by one backend shard — an in-process engine, or a remote worker
-// process when ziggyd runs with -peers — chosen by content fingerprint, and
-// in-process shards share one report cache while remote repeats hit the
-// owning worker's cache over the wire. Characterization responses report
+// process when ziggyd runs with -peers — chosen by content fingerprint.
+// In-process shards share one report cache. A remote repeat is answered
+// once by the owning worker's cache over the wire, and after that by the
+// router's own report cache, the front tier, with no RPC. Characterization
+// responses report
 // two cache signals: cacheHit (the owning shard reused the query-
 // independent dependency structure) and reportCacheHit (the entire report
 // was served from a content-addressed report memo — the serving hot path
@@ -32,7 +34,9 @@
 // tiers plus a per-shard breakdown (kind, address and health of the
 // backend, admitted/rejected/in-flight/queued requests, the backoff hint,
 // shipped tables, cache tiers); within each tier hits + misses equals the
-// number of requests.
+// number of requests. In front mode the top-level reports tier sums the
+// front tier's counters and the workers', and each request is counted in
+// exactly one of them.
 package server
 
 import (
@@ -232,8 +236,9 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 }
 
 // statsResponse is the wire form of /api/stats. Prepared aggregates the
-// per-shard prepared tiers; Reports is the shared cross-shard report cache;
-// Shards breaks traffic and cache counters down per shard.
+// per-shard prepared tiers; Reports is the shared cross-shard report cache
+// (in front mode, the front tier plus every worker's report tier); Shards
+// breaks traffic and cache counters down per shard.
 type statsResponse struct {
 	// Prepared and Reports are the two memo tiers; within each,
 	// hits + misses = requests and misses - deduped = computations.

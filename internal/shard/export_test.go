@@ -21,3 +21,10 @@ func (r *Router) fillShard(i int) (release func()) {
 		}
 	}
 }
+
+// FillShard and TestTable expose fillShard and testTable to this
+// directory's external tests, which import packages (remote, server) that
+// import this one.
+func FillShard(r *Router, i int) (release func()) { return r.fillShard(i) }
+
+var TestTable = testTable

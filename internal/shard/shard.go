@@ -32,8 +32,12 @@
 // instance, or reloaded copy of the table serves it, and the same cache can
 // be shared across routers (ziggy.WithSharedCache). Remote backends extend
 // the same probe across the process boundary: the front asks the owning
-// worker by fingerprint before shipping anything, so repeat queries hit the
-// worker's cache without the table crossing the wire again.
+// worker by fingerprint before shipping anything, so a repeat hits the
+// worker's cache without the table crossing the wire again. The report the
+// worker answers that probe with then lands in the router's own cache, the
+// front tier, under the same key, and every later repeat is answered there
+// with no RPC at all. In front mode the router's Stats.Reports snapshot
+// therefore counts front-tier hits, and the workers' tiers count the rest.
 package shard
 
 import (
@@ -87,7 +91,10 @@ type Params struct {
 // Router fans characterization requests out to its backends by table
 // content fingerprint. It is safe for concurrent use.
 type Router struct {
-	cfg      core.Config
+	cfg core.Config
+	// cfgHash keys the front tier the way the engines key the shared
+	// cache (core.ConfigHash).
+	cfgHash  uint64
 	reports  *core.ReportCache
 	backends []Backend
 }
@@ -139,8 +146,11 @@ func NewWithParams(cfg core.Config, reports *core.ReportCache, p Params) (*Route
 // The backend order is the shard numbering: rendezvous assignment depends
 // only on (fingerprint, position), so a front process and its workers stay
 // in agreement as long as the list order is stable. reports is the router's
-// pre-admission shared cache for its in-process backends (nil = a fresh
-// one); remote backends keep their caches worker-side.
+// pre-admission shared cache (nil = a fresh one). In-process backends
+// (EngineBackend) read and fill it themselves. For every other backend,
+// whose report cache lives in another process, it is the front tier: a
+// repeat the backend's cache answered once is answered here afterwards,
+// with no RPC.
 func NewWithBackends(cfg core.Config, reports *core.ReportCache, backends []Backend) (*Router, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -156,7 +166,7 @@ func NewWithBackends(cfg core.Config, reports *core.ReportCache, backends []Back
 	if reports == nil {
 		reports = core.NewReportCache(cfg.CacheEntries, cfg.CacheBytes)
 	}
-	return &Router{cfg: cfg, reports: reports, backends: backends}, nil
+	return &Router{cfg: cfg, cfgHash: core.ConfigHash(cfg), reports: reports, backends: backends}, nil
 }
 
 // Assign returns the shard a table fingerprint maps to among shards shards,
@@ -233,16 +243,17 @@ func (r *Router) Characterize(f *frame.Frame, sel *frame.Bitmap) (*core.Report, 
 }
 
 // CharacterizeOpts is Characterize with per-run options. The owning backend
-// is probed for a cached report first — a ~µs lookup (one cheap RPC when
-// the owner is remote) that never touches the admission queue, so cached
-// traffic cannot be shed, stuck behind slow characterizations, or force a
-// table to re-ship. A miss registers the table (content-addressed: at most
-// one shipment per backend) and characterizes, shedding with ErrSaturated
-// when the owner already has Concurrency running plus QueueDepth waiting
-// requests. If the owner is unreachable (a worker that is down), the
-// request fails over along the rendezvous ranking; reports are
-// byte-identical wherever they compute, so failover changes latency, never
-// bytes.
+// is probed for a cached report first — a ~µs lookup that never touches the
+// admission queue, so cached traffic cannot be shed, stuck behind slow
+// characterizations, or force a table to re-ship. When the owner is remote
+// the router's front tier answers a repeat it has seen hit before, and only
+// a front-tier miss costs the probe RPC. A miss registers the table
+// (content-addressed: at most one shipment per backend) and characterizes,
+// shedding with ErrSaturated when the owner already has Concurrency running
+// plus QueueDepth waiting requests. If the owner is unreachable (a worker
+// that is down), the request fails over along the rendezvous ranking;
+// reports are byte-identical wherever they compute, so failover changes
+// latency, never bytes.
 func (r *Router) CharacterizeOpts(f *frame.Frame, sel *frame.Bitmap, opts core.Options) (*core.Report, error) {
 	if f == nil {
 		// The engine validates too, but routing needs the fingerprint first.
@@ -272,7 +283,7 @@ func (r *Router) CharacterizeOpts(f *frame.Frame, sel *frame.Bitmap, opts core.O
 // serveOn runs the probe → register → characterize sequence on one backend.
 func (r *Router) serveOn(i int, f *frame.Frame, fp uint64, sel *frame.Bitmap, opts core.Options) (*core.Report, error) {
 	b := r.backends[i]
-	if rep, ok := b.CachedReport(fp, sel, opts); ok {
+	if rep, ok := r.cached(b, fp, sel, opts); ok {
 		return rep, nil
 	}
 	if err := b.RegisterTable(f); err != nil {
@@ -291,11 +302,35 @@ func (r *Router) serveOn(i int, f *frame.Frame, fp uint64, sel *frame.Bitmap, op
 	return rep, nil
 }
 
-// CachedReportFingerprint probes the owning backend's report cache without
-// running anything; it is the surface a worker exposes over RPC so repeat
-// queries can be answered before their table was ever shipped.
+// cached probes backend b's report cache. An in-process backend shares the
+// router's cache, so its own probe is the whole lookup. Any other backend
+// keeps its cache in another process: the router's cache is its front
+// tier, read first and filled only from the backend's hits. Characterize
+// results never enter it, so a query asked once costs no front memory, and
+// a report degraded under pressure (which the backend memoizes under its
+// own approximate key) never lands under an exact one. A front-tier miss
+// counts nothing and the stored hit was counted by the backend, so each
+// request is counted once across the tiers.
+func (r *Router) cached(b Backend, fp uint64, sel *frame.Bitmap, opts core.Options) (*core.Report, bool) {
+	if _, local := b.(*EngineBackend); local {
+		return b.CachedReport(fp, sel, opts)
+	}
+	if rep, ok := r.reports.CachedFingerprint(fp, sel, r.cfgHash, opts); ok {
+		return rep, true
+	}
+	rep, ok := b.CachedReport(fp, sel, opts)
+	if ok {
+		r.reports.StoreFingerprint(fp, sel, r.cfgHash, opts, rep)
+	}
+	return rep, ok
+}
+
+// CachedReportFingerprint probes the owning backend's report cache (through
+// the front tier when it is remote) without running anything; it is the
+// surface a worker exposes over RPC so repeat queries can be answered
+// before their table was ever shipped.
 func (r *Router) CachedReportFingerprint(fp uint64, sel *frame.Bitmap, opts core.Options) (*core.Report, bool) {
-	return r.backends[Assign(fp, len(r.backends))].CachedReport(fp, sel, opts)
+	return r.cached(r.backends[Assign(fp, len(r.backends))], fp, sel, opts)
 }
 
 // InvalidateFrame drops the cache entries of the single frame with the
@@ -338,7 +373,9 @@ type ShardSnapshot struct {
 	// the last transport outcome for remote ones.
 	Healthy bool `json:"healthy"`
 	// Requests counts served characterizations: admitted ones plus repeat
-	// queries answered by the pre-admission cache probe.
+	// queries answered by the pre-admission cache probe. A remote entry
+	// carries the worker's counts, so repeats the router's front tier
+	// answered are not among them.
 	Requests int64 `json:"requests"`
 	// Rejected counts requests shed with ErrSaturated.
 	Rejected int64 `json:"rejected"`
@@ -386,8 +423,9 @@ type ShardSnapshot struct {
 type Stats struct {
 	Shards []ShardSnapshot `json:"shards"`
 	// Reports is the router's shared report cache; its counters cover every
-	// in-process backend (and every router sharing the cache). Remote
-	// workers' report tiers appear on their shard entries instead.
+	// in-process backend (and every router sharing the cache) and, for
+	// remote backends, the front tier's hits. Remote workers' own report
+	// tiers appear on their shard entries.
 	Reports memo.Snapshot `json:"reports"`
 }
 

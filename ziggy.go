@@ -282,8 +282,9 @@ func WithSharedCache(reports *ReportCache) Option {
 // WithPeers adds one remote worker backend (`ziggyd -worker`) per address,
 // routed by the same rendezvous hash over table content fingerprints the
 // in-process router uses. Tables ship to their owning worker once
-// (content-addressed), repeat queries are served from the workers' report
-// caches without re-shipping, and unreachable workers fail over along the
+// (content-addressed), a repeat query is served from the worker's report
+// cache without re-shipping and from then on from the session's own report
+// cache without an RPC, and unreachable workers fail over along the
 // rendezvous ranking.
 func WithPeers(addrs ...string) Option {
 	return func(sc *sessionConfig) {
