@@ -260,7 +260,7 @@ func BenchmarkReportWire(b *testing.B) {
 // every repeat, with no RPC. CI gates its allocs/op.
 func BenchmarkFrontCachedHit(b *testing.B) {
 	cfg := core.DefaultConfig()
-	cfg.Shards, cfg.Parallelism = 1, 1
+	cfg.Parallelism = 1
 	worker, err := shard.New(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -403,14 +403,14 @@ func BenchmarkCharacterizeCached(b *testing.B) {
 }
 
 // BenchmarkShardedThroughput measures sustained multi-table serving through
-// the shard router — the IDEBench-style workload the sharded layer exists
-// for: four distinct tables, each owned by one shard, queried round-robin
-// from GOMAXPROCS client goroutines. SkipReportCache forces every request
-// through the per-query pipeline (prepared structures stay warm), so the
-// number measures compute throughput under admission control rather than
-// cache lookups; ns/op is the per-request wall time across all clients. On
-// a multi-core runner, higher shard counts let distinct tables
-// characterize concurrently.
+// the shard router over k = 1, 2 and 4 explicit local backends (the
+// sub-benchmarks keep their shards=k names): four distinct tables, each
+// owned by one backend, queried round-robin from GOMAXPROCS client
+// goroutines. SkipReportCache forces every request through the per-query
+// pipeline (prepared structures stay warm), so the number measures compute
+// throughput under admission control rather than cache lookups; ns/op is
+// the per-request wall time across all clients. On a multi-core runner,
+// more backends let distinct tables characterize concurrently.
 func BenchmarkShardedThroughput(b *testing.B) {
 	const tables = 4
 	fixtures := make([]*synth.PlantedData, tables)
@@ -430,9 +430,17 @@ func BenchmarkShardedThroughput(b *testing.B) {
 	for _, n := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
 			cfg := core.DefaultConfig()
-			cfg.Shards = n
-			cfg.Parallelism = 1 // per-request parallelism off: shards provide the concurrency
-			router, err := shard.New(cfg)
+			cfg.Parallelism = 1 // per-request parallelism off: backends provide the concurrency
+			reports := core.NewReportCache(cfg.CacheEntries, cfg.CacheBytes)
+			backends := make([]shard.Backend, n)
+			for i := range backends {
+				eb, err := shard.NewEngineBackend(cfg, reports, shard.Params{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				backends[i] = eb
+			}
+			router, err := shard.NewWithBackends(cfg, reports, backends)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -971,7 +979,6 @@ func BenchmarkRemoteAppendShip(b *testing.B) {
 	}
 	newTarget := func(b *testing.B) *remote.Client {
 		cfg := core.DefaultConfig()
-		cfg.Shards = 1
 		cfg.Parallelism = 1
 		router, err := shard.New(cfg)
 		if err != nil {

@@ -38,12 +38,6 @@ func run() error {
 
 	var f *frame.Frame
 	switch *dataset {
-	case "uscrime":
-		f = synth.USCrime(*seed)
-	case "boxoffice":
-		f = synth.BoxOffice(*seed)
-	case "innovation":
-		f = synth.Innovation(*seed)
 	case "planted":
 		pd, err := synth.Planted(synth.PlantedConfig{
 			Seed: *seed, Rows: *rows, SelectionFraction: *frac,
@@ -61,7 +55,10 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "planted views: %v\nselection: %d rows\n",
 			pd.TrueViews, pd.Selection.Count())
 	default:
-		return fmt.Errorf("unknown dataset %q", *dataset)
+		var err error
+		if f, err = synth.ByName(*dataset, *seed); err != nil {
+			return err
+		}
 	}
 
 	if err := csvio.WriteFile(*out, f); err != nil {

@@ -25,6 +25,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/depend"
 	"repro/internal/hypo"
+	"repro/internal/synth"
 )
 
 func main() {
@@ -110,7 +111,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	case *dataset != "":
-		f, err := builtinDataset(*dataset, *seed)
+		f, err := synth.ByName(*dataset, *seed)
 		if err != nil {
 			return err
 		}
@@ -156,19 +157,6 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	return nil
-}
-
-func builtinDataset(name string, seed uint64) (*ziggy.Frame, error) {
-	switch name {
-	case "uscrime":
-		return ziggy.USCrimeData(seed), nil
-	case "boxoffice":
-		return ziggy.BoxOfficeData(seed), nil
-	case "innovation":
-		return ziggy.InnovationData(seed), nil
-	default:
-		return nil, fmt.Errorf("unknown dataset %q (want uscrime, boxoffice or innovation)", name)
-	}
 }
 
 func printReport(out io.Writer, rep *ziggy.QueryReport) {

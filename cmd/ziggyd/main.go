@@ -3,12 +3,10 @@
 // and per-view explanations on the right.
 //
 // By default it preloads the three demo datasets. Additional CSV files can
-// be registered with repeated -csv flags. Serving is sharded: -shards engine
-// shards (0 = all CPUs) sit behind a consistent-hash router that owns each
-// table by content fingerprint, with per-shard admission queues and one
-// shared report cache, so repeated identical queries are answered in ~µs no
-// matter which shard serves them (bounds: -cache-entries / -cache-bytes) and
-// /api/stats exposes the per-shard and shared-cache counters.
+// be registered with repeated -csv flags. One in-process engine serves
+// them behind an admission queue, and a report cache answers repeated
+// identical queries in ~µs (bounds: -cache-entries / -cache-bytes);
+// /api/stats exposes the engine's and the cache's counters.
 //
 // The same binary scales past one process: `ziggyd -worker` runs a
 // characterization worker — no datasets, tables are shipped to it by a
@@ -20,7 +18,6 @@
 // unreachable workers fail over along the rendezvous ranking.
 //
 //	ziggyd -addr :8080
-//	ziggyd -addr :8080 -shards 4
 //	ziggyd -addr :8081 -worker
 //	ziggyd -addr :8080 -peers 127.0.0.1:8081,127.0.0.1:8082
 //	ziggyd -addr :8080 -datasets uscrime,boxoffice -csv extra.csv
@@ -64,7 +61,6 @@ type options struct {
 	minTight      float64
 	maxViews      int
 	parallelism   int
-	shards        int
 	cacheEntries  int
 	cacheBytes    int64
 	worker        bool
@@ -86,7 +82,6 @@ func (opts options) config() core.Config {
 	cfg.MinTight = opts.minTight
 	cfg.MaxViews = opts.maxViews
 	cfg.Parallelism = opts.parallelism
-	cfg.Shards = opts.shards
 	cfg.CacheEntries = opts.cacheEntries
 	cfg.CacheBytes = opts.cacheBytes
 	cfg.ApproxUnderPressure = opts.approxDegrade
@@ -95,8 +90,8 @@ func (opts options) config() core.Config {
 
 // buildHandler assembles the serving stack the options describe: a worker
 // (RPC endpoints over a fresh local router, fed tables by its front), or
-// the demo server — routing to in-process shards by default, to remote
-// workers with -peers.
+// the demo server — served by one in-process engine by default, routed to
+// remote workers with -peers.
 func buildHandler(opts options, logger *log.Logger) (http.Handler, error) {
 	if opts.worker && opts.peers != "" {
 		return nil, fmt.Errorf("-worker and -peers are mutually exclusive (a worker does not route to other workers)")
@@ -108,7 +103,7 @@ func buildHandler(opts options, logger *log.Logger) (http.Handler, error) {
 }
 
 // buildWorker assembles the worker stack: the worker RPC API over this
-// process's own sharded router. No tables are loaded — fronts ship them,
+// process's own engine. No tables are loaded — fronts ship them,
 // content-addressed, each at most once.
 func buildWorker(opts options, logger *log.Logger) (http.Handler, error) {
 	router, err := shard.NewWithParams(opts.config(), nil, opts.params())
@@ -116,7 +111,7 @@ func buildWorker(opts options, logger *log.Logger) (http.Handler, error) {
 		return nil, err
 	}
 	if logger != nil {
-		logger.Printf("worker mode: %d engine shards, awaiting table shipments", router.NumShards())
+		logger.Printf("worker mode: awaiting table shipments")
 	}
 	return remote.NewWorker(router), nil
 }
@@ -124,49 +119,12 @@ func buildWorker(opts options, logger *log.Logger) (http.Handler, error) {
 // buildServer registers the requested tables and wraps them in the demo
 // server; logger may be nil for silence.
 func buildServer(opts options, logger *log.Logger) (*server.Server, error) {
-	catalog := db.NewCatalog()
-	for _, name := range strings.Split(opts.datasets, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		var err error
-		switch name {
-		case "uscrime":
-			err = catalog.Register(synth.USCrime(opts.seed))
-		case "boxoffice":
-			err = catalog.Register(synth.BoxOffice(opts.seed))
-		case "innovation":
-			err = catalog.Register(synth.Innovation(opts.seed))
-		default:
-			err = fmt.Errorf("unknown dataset %q", name)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if logger != nil {
-			logger.Printf("registered dataset %s", name)
-		}
+	catalog, err := buildCatalog(opts, logger)
+	if err != nil {
+		return nil, err
 	}
-	for _, path := range opts.csvs {
-		f, err := csvio.ReadFile(path, csvio.Options{})
-		if err != nil {
-			return nil, err
-		}
-		if err := catalog.Register(f); err != nil {
-			return nil, err
-		}
-		if logger != nil {
-			logger.Printf("registered %s (%d rows × %d cols)", f.Name(), f.NumRows(), f.NumCols())
-		}
-	}
-	if len(catalog.TableNames()) == 0 {
-		return nil, fmt.Errorf("no tables registered; pass -datasets or -csv")
-	}
-
 	cfg := opts.config()
 	var router *shard.Router
-	var err error
 	if opts.peers != "" {
 		var backends []shard.Backend
 		for _, peer := range strings.Split(opts.peers, ",") {
@@ -191,11 +149,46 @@ func buildServer(opts options, logger *log.Logger) (*server.Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		if logger != nil {
-			logger.Printf("serving with %d engine shards", router.NumShards())
-		}
 	}
 	return server.New(catalog, router, logger), nil
+}
+
+// buildCatalog registers the built-in datasets and CSV files the options
+// name; logger may be nil for silence.
+func buildCatalog(opts options, logger *log.Logger) (*db.Catalog, error) {
+	catalog := db.NewCatalog()
+	for _, name := range strings.Split(opts.datasets, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		f, err := synth.ByName(name, opts.seed)
+		if err != nil {
+			return nil, err
+		}
+		if err := catalog.Register(f); err != nil {
+			return nil, err
+		}
+		if logger != nil {
+			logger.Printf("registered dataset %s", name)
+		}
+	}
+	for _, path := range opts.csvs {
+		f, err := csvio.ReadFile(path, csvio.Options{})
+		if err != nil {
+			return nil, err
+		}
+		if err := catalog.Register(f); err != nil {
+			return nil, err
+		}
+		if logger != nil {
+			logger.Printf("registered %s (%d rows × %d cols)", f.Name(), f.NumRows(), f.NumCols())
+		}
+	}
+	if len(catalog.TableNames()) == 0 {
+		return nil, fmt.Errorf("no tables registered; pass -datasets or -csv")
+	}
+	return catalog, nil
 }
 
 func main() {
@@ -207,21 +200,20 @@ func main() {
 	minTight := flag.Float64("min-tight", 0.4, "tightness threshold")
 	maxViews := flag.Int("max-views", 8, "maximum views per query")
 	parallel := flag.Int("parallelism", 0, "engine worker count (0 = all CPUs, 1 = sequential)")
-	shards := flag.Int("shards", 0, "engine shard count behind the router (0 = all CPUs)")
 	cacheEntries := flag.Int("cache-entries", 0,
-		"LRU entry bound per cache tier, covering all shards together (0 = engine default)")
+		"LRU entry bound per cache tier (0 = engine default)")
 	cacheBytes := flag.Int64("cache-bytes", 0,
-		"approximate byte bound per cache tier, covering all shards together (0 = engine default)")
+		"approximate byte bound per cache tier (0 = engine default)")
 	concurrency := flag.Int("concurrency", 0,
-		"characterizations one shard runs at once; further requests queue (0 = default)")
+		"characterizations the engine runs at once; further requests queue (0 = default)")
 	queueDepth := flag.Int("queue-depth", 0,
-		"admitted-but-waiting requests per shard before load is shed with 503 (0 = default)")
+		"admitted-but-waiting requests before load is shed with 503 (0 = default)")
 	approxDegrade := flag.Bool("approx-under-pressure", false,
-		"serve a flagged approximate answer instead of shedding when a shard saturates")
+		"serve a flagged approximate answer instead of shedding when the engine saturates")
 	worker := flag.Bool("worker", false,
 		"run as a characterization worker: serve the /api/worker RPC API; tables are shipped by a -peers front")
 	peers := flag.String("peers", "",
-		"comma-separated worker addresses (host:port or http:// URLs); route characterizations to them instead of in-process shards")
+		"comma-separated worker addresses (host:port or http:// URLs); route characterizations to them instead of the in-process engine")
 	flag.Var(&csvs, "csv", "CSV file to register (repeatable)")
 	flag.Parse()
 
@@ -233,7 +225,6 @@ func main() {
 		minTight:      *minTight,
 		maxViews:      *maxViews,
 		parallelism:   *parallel,
-		shards:        *shards,
 		cacheEntries:  *cacheEntries,
 		cacheBytes:    *cacheBytes,
 		worker:        *worker,

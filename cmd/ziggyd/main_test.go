@@ -11,6 +11,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/server"
+	"repro/internal/shard"
 )
 
 // -update regenerates the golden files from the current responses:
@@ -18,32 +22,40 @@ import (
 //	go test ./cmd/ziggyd -update
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// goldenServer builds the exact serving stack main assembles, on the small
+// goldenServer builds the serving stack main assembles, on the small
 // deterministic boxoffice dataset so golden responses are stable and fast.
-// Parallelism 1 pins the sequential path and shards 2 pins the router
-// topology (output is identical for every worker and shard count, so both
-// are belt and braces, not a requirement — but the per-shard stats counters
-// depend on the shard count, so the golden /api/stats shape needs it fixed).
+// Parallelism 1 pins the sequential path and two local backends pin the
+// router topology (output is identical for every worker and backend count,
+// so both are belt and braces, not a requirement — but the per-backend
+// stats counters depend on the backend count, so the golden /api/stats
+// shape needs it fixed).
 func goldenServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	return shardedServer(t, 2)
+	return localServer(t, 2)
 }
 
-// shardedServer is goldenServer with an explicit shard count.
-func shardedServer(t *testing.T, shards int) *httptest.Server {
+// localServer is goldenServer over k in-process backends sharing one report
+// cache with the router.
+func localServer(t *testing.T, k int) *httptest.Server {
 	t.Helper()
-	srv, err := buildServer(options{
-		datasets:    "boxoffice",
-		seed:        1,
-		minTight:    0.4,
-		maxViews:    8,
-		parallelism: 1,
-		shards:      shards,
-	}, nil)
+	opts := options{datasets: "boxoffice", seed: 1, minTight: 0.4, maxViews: 8, parallelism: 1}
+	catalog, err := buildCatalog(opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv)
+	cfg := opts.config()
+	reports := core.NewReportCache(cfg.CacheEntries, cfg.CacheBytes)
+	backends := make([]shard.Backend, k)
+	for i := range backends {
+		if backends[i], err = shard.NewEngineBackend(cfg, reports, opts.params()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	router, err := shard.NewWithBackends(cfg, reports, backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(server.New(catalog, router, nil))
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -237,12 +249,12 @@ func TestBuildServerValidation(t *testing.T) {
 		{datasets: "nope", minTight: 0.4, maxViews: 8},
 		{datasets: "", minTight: 0.4, maxViews: 8},
 		{datasets: "boxoffice", csvs: []string{"/does/not/exist.csv"}, minTight: 0.4, maxViews: 8},
-		{datasets: "boxoffice", minTight: 0.4, maxViews: 8, shards: -1},
+		{datasets: "boxoffice", minTight: 0.4, maxViews: 8, parallelism: -1},
 		{datasets: "boxoffice", minTight: 0.4, maxViews: 8, cacheEntries: -1},
 		{datasets: "boxoffice", minTight: 0.4, maxViews: 8, cacheBytes: -1},
 		{datasets: "boxoffice", minTight: 0.4, maxViews: 8, worker: true, peers: "127.0.0.1:1"},
 		{datasets: "boxoffice", minTight: 0.4, maxViews: 8, peers: " , "},
-		{minTight: 0.4, maxViews: 8, worker: true, shards: -1},
+		{minTight: 0.4, maxViews: 8, worker: true, parallelism: -1},
 	}
 	for i, opts := range cases {
 		if _, err := buildHandler(opts, nil); err == nil {
@@ -250,7 +262,7 @@ func TestBuildServerValidation(t *testing.T) {
 		}
 	}
 	// Worker mode needs no datasets at all.
-	if _, err := buildHandler(options{minTight: 0.4, maxViews: 8, worker: true, shards: 1}, nil); err != nil {
+	if _, err := buildHandler(options{minTight: 0.4, maxViews: 8, worker: true}, nil); err != nil {
 		t.Errorf("worker mode without datasets: %v", err)
 	}
 	// Custom cache bounds flow through to the engine.
@@ -284,29 +296,29 @@ func scrubCacheFlags(v any) {
 	}
 }
 
-// TestGoldenShardCountsAgree pins the determinism contract of the sharded
-// daemon at the wire level: the same query answered by 1-, 2- and 4-shard
-// servers produces byte-identical cold responses, every shard count serves
-// the identical repeat from the shared report cache, and the cached body is
-// byte-identical to the cold one except for the two cache flags. The
-// 1-shard cold body is also pinned against the checked-in golden file, so
-// all shard counts agree with the golden wire format.
+// TestGoldenShardCountsAgree pins the determinism contract of the daemon
+// at the wire level: the same query answered by servers over k = 1, 2 and 4
+// local backends produces byte-identical cold responses, every backend
+// count serves the identical repeat from the shared report cache, and the
+// cached body is byte-identical to the cold one except for the two cache
+// flags. The k = 1 cold body is also pinned against the checked-in golden
+// file, so all backend counts agree with the golden wire format.
 func TestGoldenShardCountsAgree(t *testing.T) {
 	const query = `{"sql": "SELECT * FROM boxoffice WHERE gross_musd >= 100", "excludePredicate": true}`
 	type run struct {
-		shards       int
+		k            int
 		cold, cached []byte
 	}
 	var runs []run
 	for _, n := range []int{1, 2, 4} {
-		ts := shardedServer(t, n)
+		ts := localServer(t, n)
 		code, cold := post(t, ts, "/api/characterize", query)
 		if code != http.StatusOK {
-			t.Fatalf("shards=%d: cold status %d: %s", n, code, cold)
+			t.Fatalf("k=%d: cold status %d: %s", n, code, cold)
 		}
 		code, cached := post(t, ts, "/api/characterize", query)
 		if code != http.StatusOK {
-			t.Fatalf("shards=%d: cached status %d: %s", n, code, cached)
+			t.Fatalf("k=%d: cached status %d: %s", n, code, cached)
 		}
 		var rep struct {
 			CacheHit       bool `json:"cacheHit"`
@@ -316,21 +328,21 @@ func TestGoldenShardCountsAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !rep.CacheHit || !rep.ReportCacheHit {
-			t.Errorf("shards=%d: repeat not served from the shared report cache", n)
+			t.Errorf("k=%d: repeat not served from the shared report cache", n)
 		}
 		runs = append(runs, run{
-			shards: n,
-			cold:   canonicalize(t, fmt.Sprintf("shards=%d cold", n), cold),
-			cached: canonicalize(t, fmt.Sprintf("shards=%d cached", n), cached),
+			k:      n,
+			cold:   canonicalize(t, fmt.Sprintf("k=%d cold", n), cold),
+			cached: canonicalize(t, fmt.Sprintf("k=%d cached", n), cached),
 		})
 	}
 	for _, r := range runs[1:] {
 		if !bytes.Equal(r.cold, runs[0].cold) {
-			t.Errorf("cold response differs between shards=%d and shards=%d\n--- shards=%d\n%s\n--- shards=%d\n%s",
-				runs[0].shards, r.shards, runs[0].shards, runs[0].cold, r.shards, r.cold)
+			t.Errorf("cold response differs between k=%d and k=%d\n--- k=%d\n%s\n--- k=%d\n%s",
+				runs[0].k, r.k, runs[0].k, runs[0].cold, r.k, r.cold)
 		}
 		if !bytes.Equal(r.cached, runs[0].cached) {
-			t.Errorf("cached response differs between shards=%d and shards=%d", runs[0].shards, r.shards)
+			t.Errorf("cached response differs between k=%d and k=%d", runs[0].k, r.k)
 		}
 	}
 	// Cached == cold once the cache flags are neutralized.
@@ -347,10 +359,10 @@ func TestGoldenShardCountsAgree(t *testing.T) {
 		c1, _ := json.MarshalIndent(cold, "", "  ")
 		c2, _ := json.MarshalIndent(cached, "", "  ")
 		if !bytes.Equal(c1, c2) {
-			t.Errorf("shards=%d: cached response differs from cold beyond the cache flags\n--- cold\n%s\n--- cached\n%s", r.shards, c1, c2)
+			t.Errorf("k=%d: cached response differs from cold beyond the cache flags\n--- cold\n%s\n--- cached\n%s", r.k, c1, c2)
 		}
 	}
-	// And the shard-count-independent body matches the checked-in golden
+	// And the backend-count-independent body matches the checked-in golden
 	// (written by TestGoldenCharacterizeTwiceAndStats under -update).
 	if !*update {
 		want, err := os.ReadFile(filepath.Join("testdata", "golden", "characterize_cold.json"))
@@ -358,7 +370,7 @@ func TestGoldenShardCountsAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(runs[0].cold, want) {
-			t.Error("sharded cold response diverged from the checked-in golden file")
+			t.Error("cold response diverged from the checked-in golden file")
 		}
 	}
 }
@@ -366,7 +378,7 @@ func TestGoldenShardCountsAgree(t *testing.T) {
 // TestGoldenApproximateCharacterize pins the approximate request surface:
 // an "approximate": true query resolves the default sample cap, returns a
 // flagged report whose provenance block is part of the pinned golden body,
-// is byte-identical across shard counts 1, 2 and 4, and memoizes under its
+// is byte-identical across k = 1, 2 and 4 local backends, and memoizes under its
 // own cache key — the repeat is a report-cache hit with the same bytes, and
 // an exact query for the same selection is NOT served from the approximate
 // entry.
@@ -376,10 +388,10 @@ func TestGoldenApproximateCharacterize(t *testing.T) {
 
 	var bodies [][]byte
 	for _, n := range []int{1, 2, 4} {
-		ts := shardedServer(t, n)
+		ts := localServer(t, n)
 		code, cold := post(t, ts, "/api/characterize", query)
 		if code != http.StatusOK {
-			t.Fatalf("shards=%d: approximate status %d: %s", n, code, cold)
+			t.Fatalf("k=%d: approximate status %d: %s", n, code, cold)
 		}
 		var rep struct {
 			Approximate *struct {
@@ -393,20 +405,20 @@ func TestGoldenApproximateCharacterize(t *testing.T) {
 			t.Fatal(err)
 		}
 		if rep.Approximate == nil {
-			t.Fatalf("shards=%d: approximate response carries no provenance block: %s", n, cold)
+			t.Fatalf("k=%d: approximate response carries no provenance block: %s", n, cold)
 		}
 		if rep.Approximate.CapRows != 512 || rep.Approximate.Seed != 7 {
-			t.Fatalf("shards=%d: provenance %+v, want the default cap 512 at seed 7", n, rep.Approximate)
+			t.Fatalf("k=%d: provenance %+v, want the default cap 512 at seed 7", n, rep.Approximate)
 		}
 		if rep.Approximate.SampleRows > rep.Approximate.CapRows || rep.Approximate.SEInflation < 1 {
-			t.Fatalf("shards=%d: provenance does not reconcile: %+v", n, rep.Approximate)
+			t.Fatalf("k=%d: provenance does not reconcile: %+v", n, rep.Approximate)
 		}
 
 		// The repeat under the identical approximate configuration is a
 		// report-cache hit, byte-identical beyond the cache flags.
 		code, cached := post(t, ts, "/api/characterize", query)
 		if code != http.StatusOK {
-			t.Fatalf("shards=%d: approximate repeat status %d: %s", n, code, cached)
+			t.Fatalf("k=%d: approximate repeat status %d: %s", n, code, cached)
 		}
 		var flags struct {
 			ReportCacheHit bool `json:"reportCacheHit"`
@@ -415,7 +427,7 @@ func TestGoldenApproximateCharacterize(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !flags.ReportCacheHit {
-			t.Errorf("shards=%d: approximate repeat missed the report cache", n)
+			t.Errorf("k=%d: approximate repeat missed the report cache", n)
 		}
 		var c1, c2 any
 		json.Unmarshal(canonicalize(t, "cold", cold), &c1)
@@ -425,14 +437,14 @@ func TestGoldenApproximateCharacterize(t *testing.T) {
 		b1, _ := json.MarshalIndent(c1, "", "  ")
 		b2, _ := json.MarshalIndent(c2, "", "  ")
 		if !bytes.Equal(b1, b2) {
-			t.Errorf("shards=%d: cached approximate response differs from cold beyond the cache flags", n)
+			t.Errorf("k=%d: cached approximate response differs from cold beyond the cache flags", n)
 		}
 
 		// The exact query must not be conflated with the approximate entry:
 		// it computes cold (no report-cache hit) and carries no provenance.
 		code, exact := post(t, ts, "/api/characterize", exactQuery)
 		if code != http.StatusOK {
-			t.Fatalf("shards=%d: exact status %d: %s", n, code, exact)
+			t.Fatalf("k=%d: exact status %d: %s", n, code, exact)
 		}
 		var exactRep struct {
 			ReportCacheHit bool            `json:"reportCacheHit"`
@@ -442,17 +454,17 @@ func TestGoldenApproximateCharacterize(t *testing.T) {
 			t.Fatal(err)
 		}
 		if exactRep.ReportCacheHit {
-			t.Errorf("shards=%d: exact query was served from the approximate cache entry", n)
+			t.Errorf("k=%d: exact query was served from the approximate cache entry", n)
 		}
 		if len(exactRep.Approximate) != 0 {
-			t.Errorf("shards=%d: exact response carries an approximate block: %s", n, exactRep.Approximate)
+			t.Errorf("k=%d: exact response carries an approximate block: %s", n, exactRep.Approximate)
 		}
 
-		bodies = append(bodies, canonicalize(t, fmt.Sprintf("shards=%d approx", n), cold))
+		bodies = append(bodies, canonicalize(t, fmt.Sprintf("k=%d approx", n), cold))
 	}
 	for i := 1; i < len(bodies); i++ {
 		if !bytes.Equal(bodies[i], bodies[0]) {
-			t.Errorf("approximate response differs between shards=1 and shards=%d\n--- shards=1\n%s\n--- other\n%s",
+			t.Errorf("approximate response differs between k=1 and k=%d\n--- k=1\n%s\n--- other\n%s",
 				[]int{1, 2, 4}[i], bodies[0], bodies[i])
 		}
 	}
@@ -475,7 +487,6 @@ func TestPressureDegradeOverHTTP(t *testing.T) {
 		minTight:      0.4,
 		maxViews:      8,
 		parallelism:   1,
-		shards:        1,
 		concurrency:   1,
 		queueDepth:    1,
 		approxDegrade: true,

@@ -37,7 +37,7 @@ func TestTwoProcessSmoke(t *testing.T) {
 		t.Fatalf("building ziggyd: %v\n%s", err, out)
 	}
 
-	workerAddr := startDaemon(t, bin, "-worker", "-addr", "127.0.0.1:0", "-shards", "2", "-parallelism", "1")
+	workerAddr := startDaemon(t, bin, "-worker", "-addr", "127.0.0.1:0", "-parallelism", "1")
 	frontAddr := startDaemon(t, bin, "-peers", workerAddr, "-addr", "127.0.0.1:0",
 		"-datasets", "boxoffice", "-seed", "1", "-parallelism", "1")
 
@@ -194,7 +194,7 @@ func TestTwoProcessAppendShipsChunks(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("building ziggyd: %v\n%s", err, out)
 	}
-	workerAddr := startDaemon(t, bin, "-worker", "-addr", "127.0.0.1:0", "-shards", "1", "-parallelism", "1")
+	workerAddr := startDaemon(t, bin, "-worker", "-addr", "127.0.0.1:0", "-parallelism", "1")
 
 	cfg := core.DefaultConfig()
 	cfg.Parallelism = 1

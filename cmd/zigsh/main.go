@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	ziggy "repro"
+	"repro/internal/synth"
 )
 
 func main() {
@@ -58,17 +59,11 @@ func newShell(dataset, csvPath string, seed uint64) (*shell, error) {
 			return nil, err
 		}
 	} else {
-		switch dataset {
-		case "uscrime":
-			err = session.Register(ziggy.USCrimeData(seed))
-		case "boxoffice":
-			err = session.Register(ziggy.BoxOfficeData(seed))
-		case "innovation":
-			err = session.Register(ziggy.InnovationData(seed))
-		default:
-			return nil, fmt.Errorf("unknown dataset %q", dataset)
-		}
+		f, err := synth.ByName(dataset, seed)
 		if err != nil {
+			return nil, err
+		}
+		if err := session.Register(f); err != nil {
 			return nil, err
 		}
 	}
@@ -116,9 +111,8 @@ func (s *shell) execute(line string, out io.Writer) error {
   \views <value>        set the maximum number of views
   \robust on|off        rank-based statistics
   \extended on|off      extended Zig-Components
-  \shards <value>       set the engine shard count (0 = all CPUs)
   \config               show the engine configuration
-  \stats                show shared-cache and per-shard counters
+  \stats                show cache and per-backend counters
   \quit                 leave
 `)
 		return nil
@@ -176,12 +170,10 @@ func (s *shell) execute(line string, out io.Writer) error {
 		return s.setBool(fields, out, func(v bool) { s.cfg.Robust = v })
 	case `\extended`:
 		return s.setBool(fields, out, func(v bool) { s.cfg.Extended = v })
-	case `\shards`:
-		return s.setInt(fields, out, func(v int) { s.cfg.Shards = v })
 
 	case `\config`:
-		fmt.Fprintf(out, "min_tight=%.2f max_dim=%d max_views=%d robust=%v extended=%v alpha=%g shards=%d\n",
-			s.cfg.MinTight, s.cfg.MaxDim, s.cfg.MaxViews, s.cfg.Robust, s.cfg.Extended, s.cfg.Alpha, s.session.Shards())
+		fmt.Fprintf(out, "min_tight=%.2f max_dim=%d max_views=%d robust=%v extended=%v alpha=%g\n",
+			s.cfg.MinTight, s.cfg.MaxDim, s.cfg.MaxViews, s.cfg.Robust, s.cfg.Extended, s.cfg.Alpha)
 		return nil
 
 	case `\stats`:

@@ -96,24 +96,25 @@ type Config struct {
 	// sequential path with no goroutines. Results are bit-for-bit
 	// identical for every worker count.
 	Parallelism int
-	// Shards is the number of independent engine shards the serving layer
-	// (internal/shard, ziggy.Session, ziggyd -shards) runs behind its
-	// router; each loaded table is assigned to one shard by content
-	// fingerprint. Zero means all CPUs (runtime.GOMAXPROCS). The engine
-	// itself ignores the field — it parameterizes the router — and like
-	// Parallelism it never affects report bytes (TestShardedDeterminism),
-	// so it is excluded from the report-cache key.
+	// Shards is kept only so existing assignments of 0 or 1 still compile;
+	// Validate rejects any other value.
+	//
+	// Deprecated: a process runs one in-process engine. Several local
+	// engines are a topology like any other: build them with
+	// shard.NewEngineBackend and pass them to shard.NewWithBackends (or
+	// ziggy.WithBackends).
 	Shards int
 	// CacheEntries bounds each memo tier (prepared structures and full
-	// reports) to this many LRU entries. Zero means DefaultCacheEntries;
-	// negative is invalid.
+	// reports) of an engine to this many LRU entries. Zero means
+	// DefaultCacheEntries; negative is invalid.
 	CacheEntries int
 	// CacheBytes bounds each memo tier to approximately this many resident
 	// bytes. Zero means DefaultCacheBytes; negative is invalid.
 	CacheBytes int64
 	// ApproxUnderPressure makes a saturated shard serve a deterministic
 	// sample-based approximate report (flagged Report.Approximate) instead
-	// of shedding with ErrSaturated. Serving-layer-only, like Shards.
+	// of shedding with ErrSaturated. It parameterizes the serving layer,
+	// not the engine, so it never enters the report-cache key.
 	ApproxUnderPressure bool
 }
 
@@ -134,9 +135,8 @@ const maxCliques = 10000
 const DefaultApproxRows = 512
 
 // EffectiveCacheBounds resolves the zero-means-default cache bounds: the
-// single place (shared by the engine, the report cache, and the shard
-// router's per-shard budget split) that maps 0 to DefaultCacheEntries /
-// DefaultCacheBytes.
+// single place (shared by the engine and the report cache) that maps 0 to
+// DefaultCacheEntries / DefaultCacheBytes.
 func (c Config) EffectiveCacheBounds() (entries int, bytes int64) {
 	entries, bytes = c.CacheEntries, c.CacheBytes
 	if entries == 0 {
@@ -187,8 +187,8 @@ func (c Config) Validate() error {
 	if c.Parallelism < 0 {
 		return fmt.Errorf("core: Parallelism %d < 0 (0 means all CPUs)", c.Parallelism)
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("core: Shards %d < 0 (0 means all CPUs)", c.Shards)
+	if c.Shards != 0 && c.Shards != 1 {
+		return fmt.Errorf("core: Shards %d: a process runs one engine; build several local engines with shard.NewWithBackends", c.Shards)
 	}
 	if c.CacheEntries < 0 {
 		return fmt.Errorf("core: CacheEntries %d < 0 (0 means the default)", c.CacheEntries)

@@ -36,8 +36,8 @@ type Engine struct {
 	// resumes the fold instead of rebuilding its matrix from row 0.
 	prefixes *memo.Cache[uint64, *depend.FoldState]
 	// reports may be private to this engine (New) or shared with other
-	// engines (NewShared) — the shard router runs one report cache behind
-	// all of its shard engines.
+	// engines (NewShared) — the shard router shares its report cache with
+	// its local backends.
 	reports *ReportCache
 }
 

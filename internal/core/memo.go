@@ -88,11 +88,13 @@ func newReportKey(frameFP uint64, sel *frame.Bitmap, cfgHash uint64, opts Option
 func ConfigHash(cfg Config) uint64 { return hashConfig(effectiveConfig(cfg)) }
 
 // hashConfig folds every output-affecting Config field into a key
-// component. Parallelism and Shards are deliberately excluded: reports are
-// bit-for-bit identical for every worker count (TestParallelDeterminism) and
-// every shard count (TestShardedDeterminism), so a cached report is valid
-// regardless of how many workers or shards would have recomputed it — and a
-// shared cache serves routers of different shard counts interchangeably.
+// component. Parallelism is deliberately excluded: reports are bit-for-bit
+// identical for every worker count (TestParallelDeterminism) and for every
+// backend topology (TestShardedDeterminism), so a cached report is valid
+// regardless of how many workers or engines would have recomputed it — and
+// a shared cache serves routers of different topologies interchangeably.
+// The serving-layer fields (CacheEntries, CacheBytes, ApproxUnderPressure)
+// never shape a report, and the deprecated Shards is at most 1.
 func hashConfig(c Config) uint64 {
 	h := memo.NewHasher()
 	h.Float(c.MinTight)
@@ -181,10 +183,10 @@ func reportSize(r *Report) int64 {
 // reports keyed by (frame fingerprint, selection fingerprint, config hash,
 // options hash). Because every key component is derived from content — never
 // from object identity or from which engine computes the value — one
-// ReportCache is safe to share across engines: the shard router
-// (internal/shard) runs one ReportCache behind all of its shards, and
-// sessions sharing one (ziggy.WithSharedCache) serve each other's repeat
-// queries. The wrapper keeps the key type private so callers cannot insert
+// ReportCache is safe to share across engines: a shard router
+// (internal/shard) over several local backends runs one ReportCache behind
+// all of them, and sessions sharing one (ziggy.WithSharedCache) serve each
+// other's repeat queries. The wrapper keeps the key type private so callers cannot insert
 // entries that bypass the engine's hashing discipline.
 type ReportCache struct {
 	c *memo.Cache[reportKey, *Report]
@@ -209,7 +211,7 @@ func (rc *ReportCache) Purge() { rc.c.Purge() }
 // the given content fingerprint — all selections, configs, and options —
 // and returns how many entries it dropped. Entries for other frames are
 // untouched, so unregistering or appending to one table never costs another
-// table its cached repeats, even on a cache shared across shards and
+// table its cached repeats, even on a cache shared across engines and
 // sessions.
 func (rc *ReportCache) InvalidateFrame(fp uint64) int {
 	return rc.c.RemoveIf(func(k reportKey) bool { return k.frame == fp })

@@ -146,3 +146,23 @@ func TestParallelismValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestShardsValidation pins what is left of the deprecated shard count:
+// 0 and 1 validate, and any other value is rejected with an error naming
+// shard.NewWithBackends, the way to run several local engines.
+func TestShardsValidation(t *testing.T) {
+	for _, n := range []int{-1, 2, 4} {
+		cfg := DefaultConfig()
+		cfg.Shards = n
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "NewWithBackends") {
+			t.Errorf("Shards=%d: err = %v, want a rejection naming NewWithBackends", n, err)
+		}
+	}
+	for _, n := range []int{0, 1} {
+		cfg := DefaultConfig()
+		cfg.Shards = n
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Shards=%d rejected: %v", n, err)
+		}
+	}
+}

@@ -301,9 +301,7 @@ func Figure5(seed uint64) (*Table, error) {
 	if err := cat.Register(synth.USCrime(seed)); err != nil {
 		return nil, err
 	}
-	cfg := engineConfig()
-	cfg.Shards = 1 // one table, one shard: keep the figure cheap
-	router, err := shard.New(cfg)
+	router, err := shard.New(engineConfig())
 	if err != nil {
 		return nil, err
 	}

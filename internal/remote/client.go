@@ -388,6 +388,10 @@ func (c *Client) InvalidateFrame(fp uint64) {
 	resp.Body.Close()
 }
 
+// Engine is nil: the worker's engine lives in another process, so the
+// router answers this backend's repeats from its front tier.
+func (c *Client) Engine() *core.Engine { return nil }
+
 // Close drops idle transport connections.
 func (c *Client) Close() error {
 	c.hc.CloseIdleConnections()

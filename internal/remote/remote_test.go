@@ -52,22 +52,38 @@ func testTable(t testing.TB, seed uint64) (*frame.Frame, *frame.Bitmap) {
 	return f, sel
 }
 
-func testConfig(shards int) core.Config {
+func testConfig() core.Config {
 	cfg := core.DefaultConfig()
-	cfg.Shards = shards
 	cfg.Parallelism = 1
 	return cfg
 }
 
-// newWorker starts a worker process stand-in: a local router with the given
-// shard count behind the worker HTTP API on an httptest server.
-func newWorker(t testing.TB, shards int) (*Worker, *httptest.Server) {
+// localRouter builds a router over k in-process backends sharing one report
+// cache with the router: how several local engines are expressed.
+func localRouter(t testing.TB, k int) *shard.Router {
 	t.Helper()
-	router, err := shard.New(testConfig(shards))
+	cfg := testConfig()
+	reports := core.NewReportCache(cfg.CacheEntries, cfg.CacheBytes)
+	backends := make([]shard.Backend, k)
+	for i := range backends {
+		b, err := shard.NewEngineBackend(cfg, reports, shard.Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		backends[i] = b
+	}
+	r, err := shard.NewWithBackends(cfg, reports, backends)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWorker(router)
+	return r
+}
+
+// newWorker starts a worker process stand-in: a router over k local
+// backends behind the worker HTTP API on an httptest server.
+func newWorker(t testing.TB, k int) (*Worker, *httptest.Server) {
+	t.Helper()
+	w := NewWorker(localRouter(t, k))
 	ts := httptest.NewServer(w)
 	t.Cleanup(ts.Close)
 	return w, ts
@@ -84,11 +100,37 @@ func canonical(rep *core.Report) []byte {
 	return core.EncodeReport(&c)
 }
 
+// topologies builds the three serving topologies the determinism pins
+// compare at k local backends: "local" (k in-process backends), "remote" (a
+// front over one worker running k) and "mixed" (a front over an in-process
+// engine and such a worker).
+func topologies(t testing.TB, k int) map[string]*shard.Router {
+	t.Helper()
+	front := func(backends ...shard.Backend) *shard.Router {
+		r, err := shard.NewWithBackends(testConfig(), nil, backends)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	_, ts := newWorker(t, k)
+	eng, err := shard.NewEngineBackend(testConfig(), nil, shard.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts2 := newWorker(t, k)
+	return map[string]*shard.Router{
+		"local":  localRouter(t, k),
+		"remote": front(NewClient(ts.URL)),
+		"mixed":  front(eng, NewClient(ts2.URL)),
+	}
+}
+
 // TestRemoteDeterminism is the acceptance pin of the distribution layer:
-// for shard counts 1, 2 and 4, the same queries answered by an in-process
-// router, by a front routing to a remote worker over HTTP, and by a mixed
-// local/remote topology produce byte-identical reports (canonical wire
-// encoding, volatile fields neutralized).
+// for k = 1, 2 and 4 local backends, the same queries answered by an
+// in-process router, by a front routing to a remote worker over HTTP, and
+// by a mixed local/remote topology produce byte-identical reports
+// (canonical wire encoding, volatile fields neutralized).
 func TestRemoteDeterminism(t *testing.T) {
 	type table struct {
 		f   *frame.Frame
@@ -100,9 +142,9 @@ func TestRemoteDeterminism(t *testing.T) {
 		tables = append(tables, table{f, sel})
 	}
 
-	// The reference: a plain in-process single-shard router.
+	// The reference: a plain one-engine router.
 	reference := make([][]byte, len(tables))
-	refRouter, err := shard.New(testConfig(1))
+	refRouter, err := shard.New(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,55 +156,27 @@ func TestRemoteDeterminism(t *testing.T) {
 		reference[i] = canonical(rep)
 	}
 
-	for _, shards := range []int{1, 2, 4} {
-		topologies := map[string]*shard.Router{}
-
-		local, err := shard.New(testConfig(shards))
-		if err != nil {
-			t.Fatal(err)
-		}
-		topologies["local"] = local
-
-		_, ts := newWorker(t, shards)
-		remoteRouter, err := shard.NewWithBackends(testConfig(shards), nil,
-			[]shard.Backend{NewClient(ts.URL)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		topologies["remote"] = remoteRouter
-
-		eng, err := shard.NewEngineBackend(testConfig(1), nil, shard.Params{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, ts2 := newWorker(t, shards)
-		mixed, err := shard.NewWithBackends(testConfig(shards), nil,
-			[]shard.Backend{eng, NewClient(ts2.URL)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		topologies["mixed"] = mixed
-
-		for name, router := range topologies {
+	for _, k := range []int{1, 2, 4} {
+		for name, router := range topologies(t, k) {
 			for i, tb := range tables {
 				rep, err := router.Characterize(tb.f, tb.sel)
 				if err != nil {
-					t.Fatalf("shards=%d %s table %d: %v", shards, name, i, err)
+					t.Fatalf("k=%d %s table %d: %v", k, name, i, err)
 				}
 				if !bytes.Equal(canonical(rep), reference[i]) {
-					t.Errorf("shards=%d %s: table %d report diverged from the in-process reference", shards, name, i)
+					t.Errorf("k=%d %s: table %d report diverged from the in-process reference", k, name, i)
 				}
 				// The repeat must be served from a report cache wherever it
 				// lives, still byte-identical.
 				again, err := router.Characterize(tb.f, tb.sel)
 				if err != nil {
-					t.Fatalf("shards=%d %s table %d repeat: %v", shards, name, i, err)
+					t.Fatalf("k=%d %s table %d repeat: %v", k, name, i, err)
 				}
 				if !again.ReportCacheHit {
-					t.Errorf("shards=%d %s: table %d repeat missed every report cache", shards, name, i)
+					t.Errorf("k=%d %s: table %d repeat missed every report cache", k, name, i)
 				}
 				if !bytes.Equal(canonical(again), reference[i]) {
-					t.Errorf("shards=%d %s: cached table %d report diverged", shards, name, i)
+					t.Errorf("k=%d %s: cached table %d report diverged", k, name, i)
 				}
 			}
 			router.Close()
@@ -174,7 +188,7 @@ func TestRemoteDeterminism(t *testing.T) {
 // approximate path: for a matrix of (sample cap, seed) configurations, the
 // version-2 partial-report frame produced in process, over HTTP to a remote
 // worker, and over a mixed local/remote topology is byte-identical per
-// configuration across shard counts 1, 2 and 4 — and distinct
+// configuration across k = 1, 2 and 4 local backends — and distinct
 // configurations produce distinct reports, so a cache can never conflate
 // them.
 func TestRemoteApproximateDeterminism(t *testing.T) {
@@ -186,7 +200,7 @@ func TestRemoteApproximateDeterminism(t *testing.T) {
 	}
 
 	// References: in-process single-shard, one per configuration.
-	refRouter, err := shard.New(testConfig(1))
+	refRouter, err := shard.New(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,56 +226,28 @@ func TestRemoteApproximateDeterminism(t *testing.T) {
 		}
 	}
 
-	for _, shards := range []int{1, 2, 4} {
-		topologies := map[string]*shard.Router{}
-
-		local, err := shard.New(testConfig(shards))
-		if err != nil {
-			t.Fatal(err)
-		}
-		topologies["local"] = local
-
-		_, ts := newWorker(t, shards)
-		remoteRouter, err := shard.NewWithBackends(testConfig(shards), nil,
-			[]shard.Backend{NewClient(ts.URL)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		topologies["remote"] = remoteRouter
-
-		eng, err := shard.NewEngineBackend(testConfig(1), nil, shard.Params{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, ts2 := newWorker(t, shards)
-		mixed, err := shard.NewWithBackends(testConfig(shards), nil,
-			[]shard.Backend{eng, NewClient(ts2.URL)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		topologies["mixed"] = mixed
-
-		for name, router := range topologies {
+	for _, k := range []int{1, 2, 4} {
+		for name, router := range topologies(t, k) {
 			for ci, opts := range configs {
 				rep, err := router.CharacterizeOpts(f, sel, opts)
 				if err != nil {
-					t.Fatalf("shards=%d %s config %d: %v", shards, name, ci, err)
+					t.Fatalf("k=%d %s config %d: %v", k, name, ci, err)
 				}
 				if !bytes.Equal(canonical(rep), reference[ci]) {
-					t.Errorf("shards=%d %s: config %d approximate report diverged from the in-process reference",
-						shards, name, ci)
+					t.Errorf("k=%d %s: config %d approximate report diverged from the in-process reference",
+						k, name, ci)
 				}
 				// Approximate reports memoize per configuration: the repeat
 				// is a report-cache hit with the same bytes.
 				again, err := router.CharacterizeOpts(f, sel, opts)
 				if err != nil {
-					t.Fatalf("shards=%d %s config %d repeat: %v", shards, name, ci, err)
+					t.Fatalf("k=%d %s config %d repeat: %v", k, name, ci, err)
 				}
 				if !again.ReportCacheHit {
-					t.Errorf("shards=%d %s: config %d repeat missed every report cache", shards, name, ci)
+					t.Errorf("k=%d %s: config %d repeat missed every report cache", k, name, ci)
 				}
 				if !bytes.Equal(canonical(again), reference[ci]) {
-					t.Errorf("shards=%d %s: cached config %d report diverged", shards, name, ci)
+					t.Errorf("k=%d %s: cached config %d report diverged", k, name, ci)
 				}
 			}
 			router.Close()
@@ -279,7 +265,7 @@ func twoWorkerFront(t *testing.T) (*shard.Router, []*Client, []*Worker, [2]struc
 	w0, ts0 := newWorker(t, 1)
 	w1, ts1 := newWorker(t, 1)
 	clients := []*Client{NewClient(ts0.URL), NewClient(ts1.URL)}
-	front, err := shard.NewWithBackends(testConfig(2), nil, []shard.Backend{clients[0], clients[1]})
+	front, err := shard.NewWithBackends(testConfig(), nil, []shard.Backend{clients[0], clients[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +329,7 @@ func TestCrossProcessCacheCoherence(t *testing.T) {
 	// front process) gets repeat queries served from the workers' caches
 	// without shipping anything at all.
 	fresh := []*Client{NewClient(clients[0].Addr()), NewClient(clients[1].Addr())}
-	front2, err := shard.NewWithBackends(testConfig(2), nil, []shard.Backend{fresh[0], fresh[1]})
+	front2, err := shard.NewWithBackends(testConfig(), nil, []shard.Backend{fresh[0], fresh[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +378,7 @@ func TestWorkerDownFailover(t *testing.T) {
 	w0, ts0 := newWorker(t, 1)
 	_, ts1 := newWorker(t, 1)
 	_ = w0
-	front, err := shard.NewWithBackends(testConfig(2), nil,
+	front, err := shard.NewWithBackends(testConfig(), nil,
 		[]shard.Backend{NewClient(ts0.URL), NewClient(ts1.URL)})
 	if err != nil {
 		t.Fatal(err)
@@ -446,7 +432,7 @@ func TestWorkerDownFailover(t *testing.T) {
 // its table store (restart) answers with unknown-fingerprint, and the
 // client re-ships the table exactly once and retries transparently.
 func TestWorkerRestartReships(t *testing.T) {
-	router1, err := shard.New(testConfig(1))
+	router1, err := shard.New(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +447,7 @@ func TestWorkerRestartReships(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	client := NewClient(ts.URL)
-	front, err := shard.NewWithBackends(testConfig(1), nil, []shard.Backend{client})
+	front, err := shard.NewWithBackends(testConfig(), nil, []shard.Backend{client})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +459,7 @@ func TestWorkerRestartReships(t *testing.T) {
 
 	// "Restart" the worker: a fresh router and an empty table store behind
 	// the same address.
-	router2, err := shard.New(testConfig(1))
+	router2, err := shard.New(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +510,7 @@ func TestRemoteSaturationMapsRetryAfter(t *testing.T) {
 	backends := make([]shard.Backend, 2)
 	backends[satIdx] = NewClient(sat.URL)
 	backends[1-satIdx] = NewClient(other.URL)
-	front, err := shard.NewWithBackends(testConfig(2), nil, backends)
+	front, err := shard.NewWithBackends(testConfig(), nil, backends)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func TestAppendShipsOnlyNewChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := shard.New(testConfig(1))
+	local, err := shard.New(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,8 @@ func TestAppendShipsOnlyNewChunks(t *testing.T) {
 // TestAppendShipDeterminism extends the topology acceptance sweep to
 // delta-shipped tables: after the base version ships, the appended version's
 // reports are byte-identical across local, remote, and mixed topologies for
-// shard counts 1, 2 and 4 — the reassembled frame is provably the sender's.
+// k = 1, 2 and 4 local backends — the reassembled frame is provably the
+// sender's.
 func TestAppendShipDeterminism(t *testing.T) {
 	base, _ := chunkedTable(t, 5, 320)
 	grown := appendRows(t, base, 5, 64)
@@ -163,7 +164,7 @@ func TestAppendShipDeterminism(t *testing.T) {
 		}
 	}
 
-	refRouter, err := shard.New(testConfig(1))
+	refRouter, err := shard.New(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,55 +174,27 @@ func TestAppendShipDeterminism(t *testing.T) {
 	}
 	reference := canonical(refRep)
 
-	for _, shards := range []int{1, 2, 4} {
-		topologies := map[string]*shard.Router{}
-
-		local, err := shard.New(testConfig(shards))
-		if err != nil {
-			t.Fatal(err)
-		}
-		topologies["local"] = local
-
-		_, ts := newWorker(t, shards)
-		remoteRouter, err := shard.NewWithBackends(testConfig(shards), nil,
-			[]shard.Backend{NewClient(ts.URL)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		topologies["remote"] = remoteRouter
-
-		eng, err := shard.NewEngineBackend(testConfig(1), nil, shard.Params{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, ts2 := newWorker(t, shards)
-		mixed, err := shard.NewWithBackends(testConfig(shards), nil,
-			[]shard.Backend{eng, NewClient(ts2.URL)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		topologies["mixed"] = mixed
-
-		for name, router := range topologies {
+	for _, k := range []int{1, 2, 4} {
+		for name, router := range topologies(t, k) {
 			// Ship and query the base first so the appended version arrives
 			// over the delta path wherever a remote backend is involved.
 			if _, err := router.Characterize(base, baseSel); err != nil {
-				t.Fatalf("shards=%d %s base: %v", shards, name, err)
+				t.Fatalf("k=%d %s base: %v", k, name, err)
 			}
 			folded := depend.RowsFolded()
 			rep, err := router.Characterize(grown, sel)
 			if err != nil {
-				t.Fatalf("shards=%d %s: %v", shards, name, err)
+				t.Fatalf("k=%d %s: %v", k, name, err)
 			}
 			// On one worker shard the grown table lands beside its base, so the
 			// worker resumes the dependency fold from the base's last full
 			// chunk instead of refolding every row.
-			if folded = depend.RowsFolded() - folded; name == "remote" && shards == 1 &&
+			if folded = depend.RowsFolded() - folded; name == "remote" && k == 1 &&
 				folded > int64(grown.NumRows()-base.FullChunks()*base.ChunkRows()) {
-				t.Errorf("shards=1 remote: the worker folded %d rows per pair for a %d-row append", folded, grown.NumRows()-base.NumRows())
+				t.Errorf("k=1 remote: the worker folded %d rows per pair for a %d-row append", folded, grown.NumRows()-base.NumRows())
 			}
 			if !bytes.Equal(canonical(rep), reference) {
-				t.Errorf("shards=%d %s: delta-shipped report diverged from the in-process reference", shards, name)
+				t.Errorf("k=%d %s: delta-shipped report diverged from the in-process reference", k, name)
 			}
 			router.Close()
 		}
@@ -233,7 +206,7 @@ func TestAppendShipDeterminism(t *testing.T) {
 // recovery renegotiates, the worker finds the surviving version as a prefix,
 // and only the suffix re-crosses the wire.
 func TestPartialStoreHeal(t *testing.T) {
-	cfg := testConfig(1)
+	cfg := testConfig()
 	cfg.CacheEntries = 2 // table store holds two versions
 	router, err := shard.New(cfg)
 	if err != nil {
@@ -283,7 +256,7 @@ func TestPartialStoreHeal(t *testing.T) {
 	}
 
 	// The healed table still answers byte-identically.
-	local, err := shard.New(testConfig(1))
+	local, err := shard.New(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +312,7 @@ func TestInvalidateFrameEndToEnd(t *testing.T) {
 // registrations than the bound, an aged-out fingerprint costs one manifest
 // renegotiation but zero chunk bytes when the worker still holds the table.
 func TestShippedSetIsBounded(t *testing.T) {
-	cfg := testConfig(1)
+	cfg := testConfig()
 	cfg.CacheEntries = 512 // worker table store outlives the client's shipped set
 	router, err := shard.New(cfg)
 	if err != nil {
@@ -413,7 +386,7 @@ func sameAsLocal(t testing.TB, c *Client, f *frame.Frame, sel *frame.Bitmap) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := shard.New(testConfig(1))
+	local, err := shard.New(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +413,7 @@ func selectThird(f *frame.Frame) *frame.Bitmap {
 // once all succeed, and every table answers like the in-process engine.
 func TestConcurrentRegistrations(t *testing.T) {
 	const n = 400
-	cfg := testConfig(1)
+	cfg := testConfig()
 	cfg.CacheEntries = 2 * n // keep every table resident
 	router, err := shard.New(cfg)
 	if err != nil {
@@ -790,7 +763,7 @@ func TestReadReplyFraming(t *testing.T) {
 // mustLocal builds a one-shard in-process router.
 func mustLocal(t testing.TB) *shard.Router {
 	t.Helper()
-	r, err := shard.New(testConfig(1))
+	r, err := shard.New(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,8 +60,8 @@ type Worker struct {
 	tables *memo.Cache[uint64, *frame.Frame]
 }
 
-// NewWorker wraps a router (typically a fresh local one: the worker's own
-// shards) in the worker HTTP API.
+// NewWorker wraps a router (typically shard.New's: one in-process engine)
+// in the worker HTTP API.
 func NewWorker(router *shard.Router) *Worker {
 	entries, bytes := router.Config().EffectiveCacheBounds()
 	w := &Worker{

@@ -18,20 +18,20 @@
 // is the report's one JSON document, core.WriteReportJSON, which the ziggy
 // CLI's -json prints too.
 //
-// Requests are served by a sharded layer (internal/shard): each table is
-// owned by one backend shard — an in-process engine, or a remote worker
-// process when ziggyd runs with -peers — chosen by content fingerprint.
-// In-process shards share one report cache. A remote repeat is answered
-// once by the owning worker's cache over the wire, and after that by the
-// router's own report cache, the front tier, with no RPC. Characterization
-// responses report
-// two cache signals: cacheHit (the owning shard reused the query-
-// independent dependency structure) and reportCacheHit (the entire report
+// Requests are served through a router (internal/shard) over one or more
+// backends: the process's in-process engine, or the remote worker
+// processes ziggyd routes to with -peers, each table owned by one backend
+// chosen by content fingerprint. In-process backends share the router's
+// report cache. A remote repeat is answered once by the owning worker's
+// cache over the wire, and after that by the router's own report cache,
+// the front tier, with no RPC. Characterization responses report two cache
+// signals: cacheHit (the owning backend reused the query-independent
+// dependency structure) and reportCacheHit (the entire report
 // was served from a content-addressed report memo — the serving hot path
 // for repeated identical queries). Shed requests (HTTP 503) carry a
-// Retry-After header computed from the owning shard's queue depth and
+// Retry-After header computed from the owning backend's queue depth and
 // observed service rate. /api/stats exposes the aggregated prepared/reports
-// tiers plus a per-shard breakdown (kind, address and health of the
+// tiers plus a per-backend breakdown (kind, address and health of the
 // backend, admitted/rejected/in-flight/queued requests, the backoff hint,
 // shipped tables, cache tiers); within each tier hits + misses equals the
 // number of requests. In front mode the top-level reports tier sums the
@@ -236,17 +236,17 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 }
 
 // statsResponse is the wire form of /api/stats. Prepared aggregates the
-// per-shard prepared tiers; Reports is the shared cross-shard report cache
-// (in front mode, the front tier plus every worker's report tier); Shards
-// breaks traffic and cache counters down per shard.
+// per-backend prepared tiers; Reports is the router's report cache plus
+// every backend's own report tier (in front mode, the front tier plus every
+// worker's); Shards breaks traffic and cache counters down per backend.
 type statsResponse struct {
 	// Prepared and Reports are the two memo tiers; within each,
 	// hits + misses = requests and misses - deduped = computations.
 	Prepared memo.Snapshot `json:"prepared"`
 	Reports  memo.Snapshot `json:"reports"`
-	// ShardCount is the number of engine shards behind the router.
+	// ShardCount is the number of backends behind the router.
 	ShardCount int `json:"shardCount"`
-	// Shards is the per-shard breakdown.
+	// Shards is the per-backend breakdown.
 	Shards []shard.ShardSnapshot `json:"shards"`
 }
 

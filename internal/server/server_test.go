@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -17,15 +18,29 @@ import (
 	"repro/internal/synth"
 )
 
-func testServer(t *testing.T) *Server {
+// testServer serves boxoffice from two local backends, so the routed path
+// is exercised.
+func testServer(t *testing.T) *Server { return localServer(t, 2) }
+
+// localServer serves boxoffice from k in-process backends sharing one
+// report cache with the router.
+func localServer(t *testing.T, k int) *Server {
 	t.Helper()
 	cat := db.NewCatalog()
 	if err := cat.Register(synth.BoxOffice(1)); err != nil {
 		t.Fatal(err)
 	}
 	cfg := core.DefaultConfig()
-	cfg.Shards = 2 // exercise the sharded path with a pinned count
-	router, err := shard.New(cfg)
+	reports := core.NewReportCache(cfg.CacheEntries, cfg.CacheBytes)
+	backends := make([]shard.Backend, k)
+	for i := range backends {
+		b, err := shard.NewEngineBackend(cfg, reports, shard.Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		backends[i] = b
+	}
+	router, err := shard.NewWithBackends(cfg, reports, backends)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,6 +222,7 @@ func (saturatedBackend) CachedReport(uint64, *frame.Bitmap, core.Options) (*core
 	return nil, false
 }
 func (saturatedBackend) Snapshot() shard.ShardSnapshot { return shard.ShardSnapshot{Kind: "local"} }
+func (saturatedBackend) Engine() *core.Engine          { return nil }
 func (saturatedBackend) Close() error                  { return nil }
 
 // TestSaturationSetsRetryAfter pins the backoff satellite at the demo
@@ -267,9 +283,24 @@ func TestCacheHitReportedOnSecondQuery(t *testing.T) {
 // TestStatsEndpointAndReportCache drives the serving hot path end to end:
 // the first characterization computes, the identical repeat is served from
 // the report memo (reportCacheHit), and /api/stats counters reconcile
-// (hits + misses = requests per tier).
+// (hits + misses = requests per tier), over k = 1, 2 and 4 local backends.
 func TestStatsEndpointAndReportCache(t *testing.T) {
+	for _, k := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) { checkStats(t, localServer(t, k), k) })
+	}
+
+	// Wrong method rejected.
 	s := testServer(t)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/stats", nil))
+	if rec.Code != http.StatusMethodNotAllowed {
+		t.Fatalf("POST /api/stats status %d", rec.Code)
+	}
+}
+
+// checkStats runs a query and its repeat on s, served by k local backends,
+// and checks what /api/stats reports.
+func checkStats(t *testing.T, s *Server, k int) {
 	body := `{"sql": "SELECT * FROM boxoffice WHERE gross_musd >= 100"}`
 	_, first := characterize(t, s, body)
 	if first.ReportCacheHit {
@@ -312,10 +343,10 @@ func TestStatsEndpointAndReportCache(t *testing.T) {
 				t.Errorf("%s %s tier does not reconcile: %v", path, name, tier)
 			}
 		}
-		// The sharded breakdown: a pinned two-shard router, the two admitted
-		// requests on the single owning shard, idle shards cold.
-		if stats.ShardCount != 2 || len(stats.Shards) != 2 {
-			t.Fatalf("%s shard breakdown = count %d, %d entries; want 2/2", path, stats.ShardCount, len(stats.Shards))
+		// The per-backend breakdown: the two admitted requests on the single
+		// owning backend, idle backends cold.
+		if stats.ShardCount != k || len(stats.Shards) != k {
+			t.Fatalf("%s shard breakdown = count %d, %d entries; want %d", path, stats.ShardCount, len(stats.Shards), k)
 		}
 		var requests, entries int64
 		for _, sh := range stats.Shards {
@@ -333,10 +364,4 @@ func TestStatsEndpointAndReportCache(t *testing.T) {
 		}
 	}
 
-	// Wrong method rejected.
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/stats", nil))
-	if rec.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("POST /api/stats status %d", rec.Code)
-	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/frame"
-	"repro/internal/memo"
 )
 
 // Backend is one shard of the serving layer behind the router — the
@@ -40,6 +39,11 @@ type Backend interface {
 	// Snapshot returns the backend's traffic counters and cache tiers; the
 	// router stamps the shard index.
 	Snapshot() ShardSnapshot
+	// Engine returns the backend's in-process engine, or nil when the engine
+	// lives in another process. The router asks it to tell a backend that
+	// probes an engine's cache here from one whose repeats its front tier
+	// answers; a wrapper that embeds a Backend forwards it.
+	Engine() *core.Engine
 	// InvalidateFrame drops the cache entries of the single frame with the
 	// given content fingerprint — the scoped invalidation behind the table
 	// lifecycle (unregister, append). A remote backend forwards this to its
@@ -89,12 +93,14 @@ const (
 )
 
 // EngineBackend is the in-process Backend: one core.Engine plus the shard's
-// admission queue and traffic counters. It is what every router ran before
-// the boundary became pluggable, now behind the same interface as a remote
-// worker.
+// admission queue and traffic counters, behind the same interface as a
+// remote worker.
 type EngineBackend struct {
 	engine      *core.Engine
 	concurrency int
+	// ownReports marks an engine built on a private report cache (nil
+	// reports), which Snapshot then reports as the backend's own tier.
+	ownReports bool
 
 	// admit bounds running + waiting requests (capacity concurrency +
 	// queue depth); a failed non-blocking send is a shed request. run
@@ -125,9 +131,11 @@ type EngineBackend struct {
 }
 
 // NewEngineBackend builds an in-process backend with its own engine sharing
-// the given report cache (nil = private) and admission parameters (zero
-// values = package defaults). Mixed local/remote topologies hand these to
-// NewWithBackends next to remote clients.
+// the given report cache (nil = private, reported on the backend's own
+// Snapshot) and admission parameters (zero values = package defaults).
+// Topologies of several local engines, or of local and remote ones, hand
+// these to NewWithBackends; pass the router the same report cache so the
+// engines' repeats are counted once, as Stats.Reports.
 func NewEngineBackend(cfg core.Config, reports *core.ReportCache, p Params) (*EngineBackend, error) {
 	if p.Concurrency < 0 || p.QueueDepth < 0 {
 		return nil, fmt.Errorf("shard: negative admission params %+v", p)
@@ -145,6 +153,7 @@ func NewEngineBackend(cfg core.Config, reports *core.ReportCache, p Params) (*En
 	return &EngineBackend{
 		engine:              e,
 		concurrency:         p.Concurrency,
+		ownReports:          reports == nil,
 		admit:               make(chan struct{}, p.Concurrency+p.QueueDepth),
 		run:                 make(chan struct{}, p.Concurrency),
 		approxUnderPressure: cfg.ApproxUnderPressure,
@@ -275,7 +284,8 @@ func (b *EngineBackend) Snapshot() ShardSnapshot {
 	if completed > 0 {
 		meanService = float64(b.serviceNanos.Load()) / float64(completed) / 1e6
 	}
-	return ShardSnapshot{
+	stats := b.engine.CacheStats()
+	snap := ShardSnapshot{
 		Kind:              KindLocal,
 		Healthy:           true,
 		Requests:          b.requests.Load(),
@@ -286,11 +296,14 @@ func (b *EngineBackend) Snapshot() ShardSnapshot {
 		RetryAfterMillis:  b.retryAfter().Milliseconds(),
 		Completed:         completed,
 		MeanServiceMillis: meanService,
-		Prepared:          b.engine.CacheStats().Prepared,
-		// Reports stays zero: local backends share the router's report
-		// cache, reported once as Stats.Reports.
-		Reports: memo.Snapshot{},
+		Prepared:          stats.Prepared,
 	}
+	if b.ownReports {
+		// A shared cache stays zero here: the router reports it once as
+		// Stats.Reports.
+		snap.Reports = stats.Reports
+	}
+	return snap
 }
 
 // InvalidateFrame drops the fingerprint's entries from the engine's

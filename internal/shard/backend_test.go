@@ -26,7 +26,7 @@ func occupy(b *EngineBackend, k int) (release func()) {
 // [retryAfterMin, retryAfterMax] no matter how fast or slow the observed
 // rate is.
 func TestRetryAfterClamped(t *testing.T) {
-	b, err := NewEngineBackend(testConfig(1), nil, Params{Concurrency: 2, QueueDepth: 2})
+	b, err := NewEngineBackend(testConfig(), nil, Params{Concurrency: 2, QueueDepth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

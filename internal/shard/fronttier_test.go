@@ -23,7 +23,7 @@ import (
 // cache lives in another process, the router's own cache answers the
 // repeats that backend's cache answered once.
 
-// probeCounter is a remote backend that counts the cache probes it sends.
+// probeCounter wraps a backend and counts the cache probes sent through it.
 type probeCounter struct {
 	shard.Backend
 	probes atomic.Int64
@@ -44,7 +44,7 @@ type frontRig struct {
 
 func newFrontRig(t *testing.T, cfg core.Config, p shard.Params) *frontRig {
 	t.Helper()
-	cfg.Shards, cfg.Parallelism = 1, 1
+	cfg.Parallelism = 1
 	worker, err := shard.NewWithParams(cfg, nil, p)
 	if err != nil {
 		t.Fatal(err)
@@ -100,6 +100,37 @@ func TestFrontTierRepeatSkipsProbe(t *testing.T) {
 	}
 	if got := front.Totals().Reports.Requests(); got != 3 {
 		t.Errorf("requests summed over both tiers = %d, want 3", got)
+	}
+}
+
+// TestWrappedLocalBackendProbesItsEngine pins that a wrapper embedding an
+// in-process backend (a tracer, say) still reads as local: the router has
+// no front tier for it and probes the engine's cache on every repeat, so
+// the backend counts every request and the wrapper sees every probe.
+func TestWrappedLocalBackendProbesItsEngine(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Parallelism = 1
+	reports := core.NewReportCache(0, 0)
+	eb, err := shard.NewEngineBackend(cfg, reports, shard.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrapped := &probeCounter{Backend: eb}
+	r, err := shard.NewWithBackends(cfg, reports, []shard.Backend{wrapped})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, sel := shard.TestTable(t, 7)
+	for i := 0; i < 4; i++ { // one miss, three repeats
+		if _, err := r.Characterize(f, sel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := eb.Snapshot().Requests; got != 4 {
+		t.Errorf("backend requests = %d, want 4", got)
+	}
+	if got := wrapped.probes.Load(); got != 4 {
+		t.Errorf("probes through the wrapper = %d, want 4", got)
 	}
 }
 

@@ -26,6 +26,11 @@
 // in rendezvous order (reports are byte-identical wherever they compute, so
 // failover never changes the answer).
 //
+// A process runs one in-process engine: New builds a router over a single
+// EngineBackend that holds the whole cache budget. Several local engines
+// are a topology like any other, built with NewEngineBackend and handed to
+// NewWithBackends.
+//
 // The report-level memo is NOT per backend: in-process backends share one
 // core.ReportCache keyed by (frame fp, selection fp, config hash, options
 // hash), so a repeat query hits in ~µs no matter which shard, engine
@@ -43,7 +48,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -99,46 +103,25 @@ type Router struct {
 	backends []Backend
 }
 
-// New builds a router with cfg.Shards in-process engine backends
-// (0 = GOMAXPROCS) and a fresh shared report cache bounded by
-// cfg.CacheEntries / cfg.CacheBytes.
+// New builds a router over one in-process engine backend and a fresh
+// report cache, each bounded by cfg.CacheEntries / cfg.CacheBytes.
 func New(cfg core.Config) (*Router, error) {
 	return NewWithParams(cfg, nil, Params{})
 }
 
-// NewWithParams is New with an externally owned shared report cache, so
-// several routers (e.g. sessions) can serve each other's repeat queries
-// (nil builds a private cache), and explicit admission-queue tuning.
+// NewWithParams is New with an externally owned report cache, so several
+// routers (e.g. sessions) can serve each other's repeat queries (nil builds
+// a private cache), and explicit admission-queue tuning. The engine gets
+// the full configured cache budget.
 func NewWithParams(cfg core.Config, reports *core.ReportCache, p Params) (*Router, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	n := cfg.Shards
-	if n == 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
 	if reports == nil {
-		// The shared report cache is a single instance and gets the full
-		// configured budget.
 		reports = core.NewReportCache(cfg.CacheEntries, cfg.CacheBytes)
 	}
-	// The prepared tiers partition across shards (a table's structures live
-	// only on its owning shard), so the configured cache budget bounds the
-	// router as a whole rather than multiplying by the shard count: each
-	// shard engine gets a 1/n slice.
-	perShard := cfg
-	entries, bytes := cfg.EffectiveCacheBounds()
-	perShard.CacheEntries = max(1, entries/n)
-	perShard.CacheBytes = max(1, bytes/int64(n))
-	backends := make([]Backend, n)
-	for i := 0; i < n; i++ {
-		b, err := NewEngineBackend(perShard, reports, p)
-		if err != nil {
-			return nil, err
-		}
-		backends[i] = b
+	b, err := NewEngineBackend(cfg, reports, p)
+	if err != nil {
+		return nil, err
 	}
-	return NewWithBackends(cfg, reports, backends)
+	return NewWithBackends(cfg, reports, []Backend{b})
 }
 
 // NewWithBackends builds a router over explicit backends — remote clients
@@ -147,10 +130,11 @@ func NewWithParams(cfg core.Config, reports *core.ReportCache, p Params) (*Route
 // only on (fingerprint, position), so a front process and its workers stay
 // in agreement as long as the list order is stable. reports is the router's
 // pre-admission shared cache (nil = a fresh one). In-process backends
-// (EngineBackend) read and fill it themselves. For every other backend,
-// whose report cache lives in another process, it is the front tier: a
-// repeat the backend's cache answered once is answered here afterwards,
-// with no RPC.
+// (those whose Engine is non-nil) read their engine's cache themselves;
+// build them on this cache (NewEngineBackend) to share it. For every other
+// backend, whose report cache lives in another process, it is the front
+// tier: a repeat the backend's cache answered once is answered here
+// afterwards, with no RPC.
 func NewWithBackends(cfg core.Config, reports *core.ReportCache, backends []Backend) (*Router, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -229,12 +213,7 @@ func (r *Router) Config() core.Config { return r.cfg }
 
 // Engine returns shard i's engine when the backend is in-process, nil when
 // it lives behind RPC — remote engines are not reachable as objects.
-func (r *Router) Engine(i int) *core.Engine {
-	if b, ok := r.backends[i].(*EngineBackend); ok {
-		return b.Engine()
-	}
-	return nil
-}
+func (r *Router) Engine(i int) *core.Engine { return r.backends[i].Engine() }
 
 // Characterize routes the request to the backend owning f and runs the full
 // pipeline there (or serves it from a report cache).
@@ -302,17 +281,18 @@ func (r *Router) serveOn(i int, f *frame.Frame, fp uint64, sel *frame.Bitmap, op
 	return rep, nil
 }
 
-// cached probes backend b's report cache. An in-process backend shares the
-// router's cache, so its own probe is the whole lookup. Any other backend
-// keeps its cache in another process: the router's cache is its front
-// tier, read first and filled only from the backend's hits. Characterize
-// results never enter it, so a query asked once costs no front memory, and
-// a report degraded under pressure (which the backend memoizes under its
-// own approximate key) never lands under an exact one. A front-tier miss
-// counts nothing and the stored hit was counted by the backend, so each
-// request is counted once across the tiers.
+// cached probes backend b's report cache. An in-process backend (non-nil
+// Engine, also through a wrapper that embeds it) probes its engine's cache,
+// the router's own when they share it, so its probe is the whole lookup.
+// Any other backend keeps its cache in another process: the router's cache
+// is its front tier, read first and filled only from the backend's hits.
+// Characterize results never enter it, so a query asked once costs no
+// front memory, and a report degraded under pressure (which the backend
+// memoizes under its own approximate key) never lands under an exact one.
+// A front-tier miss counts nothing and the stored hit was counted by the
+// backend, so each request is counted once across the tiers.
 func (r *Router) cached(b Backend, fp uint64, sel *frame.Bitmap, opts core.Options) (*core.Report, bool) {
-	if _, local := b.(*EngineBackend); local {
+	if b.Engine() != nil {
 		return b.CachedReport(fp, sel, opts)
 	}
 	if rep, ok := r.reports.CachedFingerprint(fp, sel, r.cfgHash, opts); ok {
@@ -411,9 +391,9 @@ type ShardSnapshot struct {
 	BytesShipped  int64 `json:"bytesShipped,omitempty"`
 	// Prepared is the backend's prepared-structure memo tier.
 	Prepared memo.Snapshot `json:"prepared"`
-	// Reports is a remote worker's own shared report tier. Local backends
-	// leave it zero — they share the router's cache, reported once as
-	// Stats.Reports.
+	// Reports is a remote worker's own shared report tier, or a local
+	// backend's private one. Local backends built on a shared cache leave
+	// it zero — the router reports its cache once as Stats.Reports.
 	Reports memo.Snapshot `json:"reports"`
 }
 
@@ -423,9 +403,10 @@ type ShardSnapshot struct {
 type Stats struct {
 	Shards []ShardSnapshot `json:"shards"`
 	// Reports is the router's shared report cache; its counters cover every
-	// in-process backend (and every router sharing the cache) and, for
-	// remote backends, the front tier's hits. Remote workers' own report
-	// tiers appear on their shard entries.
+	// in-process backend built on it (and every router sharing the cache)
+	// and, for remote backends, the front tier's hits. Remote workers' own
+	// report tiers, and local backends' private ones, appear on their shard
+	// entries.
 	Reports memo.Snapshot `json:"reports"`
 }
 
@@ -453,7 +434,7 @@ func (r *Router) Stats() Stats {
 
 // Totals folds the snapshot into the two-tier core.CacheStats shape: the
 // per-backend prepared tiers summed, plus the report tier — the router's
-// shared cache and any remote workers' own report tiers combined. It keeps
+// shared cache and any backend's own report tier combined. It keeps
 // Session.CacheStats and the /api/stats prepared/reports fields meaningful
 // under sharding, local or distributed.
 func (s Stats) Totals() core.CacheStats {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/frame"
+	"repro/internal/memo"
 	"repro/internal/randx"
 )
 
@@ -41,9 +42,8 @@ func testTable(t testing.TB, seed uint64) (*frame.Frame, *frame.Bitmap) {
 	return f, sel
 }
 
-func testConfig(shards int) core.Config {
+func testConfig() core.Config {
 	cfg := core.DefaultConfig()
-	cfg.Shards = shards
 	cfg.Parallelism = 1
 	return cfg
 }
@@ -57,12 +57,35 @@ func mustRouter(t testing.TB, cfg core.Config) *Router {
 	return r
 }
 
+// localRouter builds a router over k in-process backends sharing one report
+// cache with the router (reports, or a fresh one when nil): how several
+// local engines are expressed.
+func localRouter(t testing.TB, cfg core.Config, reports *core.ReportCache, k int, p Params) *Router {
+	t.Helper()
+	if reports == nil {
+		reports = core.NewReportCache(cfg.CacheEntries, cfg.CacheBytes)
+	}
+	backends := make([]Backend, k)
+	for i := range backends {
+		b, err := NewEngineBackend(cfg, reports, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		backends[i] = b
+	}
+	r, err := NewWithBackends(cfg, reports, backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // TestAssignStableAndInRange pins the consistent-hashing contract: the
 // assignment is a pure function of (fingerprint, shard count) — identical
 // across calls and across router instances — and always lands in range.
 func TestAssignStableAndInRange(t *testing.T) {
-	r1 := mustRouter(t, testConfig(4))
-	r2 := mustRouter(t, testConfig(4))
+	r1 := localRouter(t, testConfig(), nil, 4, Params{})
+	r2 := localRouter(t, testConfig(), nil, 4, Params{})
 	rng := randx.New(1)
 	for i := 0; i < 1000; i++ {
 		fp := rng.Uint64()
@@ -125,7 +148,7 @@ func TestAssignMinimalRehash(t *testing.T) {
 // shards than tables: only owning shards see traffic, idle shards stay cold,
 // and the totals still reconcile.
 func TestShardCountExceedsTables(t *testing.T) {
-	r := mustRouter(t, testConfig(8))
+	r := localRouter(t, testConfig(), nil, 8, Params{})
 	f1, s1 := testTable(t, 1)
 	f2, s2 := testTable(t, 2)
 	for i := 0; i < 2; i++ {
@@ -157,7 +180,7 @@ func TestShardCountExceedsTables(t *testing.T) {
 // identical table (a distinct object with the same bytes) routes to the same
 // shard and hits that shard's prepared cache.
 func TestReloadLandsOnSameShard(t *testing.T) {
-	r := mustRouter(t, testConfig(4))
+	r := localRouter(t, testConfig(), nil, 4, Params{})
 	f1, s1 := testTable(t, 9)
 	if _, err := r.Characterize(f1, s1); err != nil {
 		t.Fatal(err)
@@ -194,14 +217,8 @@ func TestReloadLandsOnSameShard(t *testing.T) {
 // exactly once.
 func TestSharedCacheAcrossRouters(t *testing.T) {
 	rc := core.NewReportCache(0, 0)
-	ra, err := NewWithParams(testConfig(2), rc, Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := NewWithParams(testConfig(4), rc, Params{}) // different shard count on purpose
-	if err != nil {
-		t.Fatal(err)
-	}
+	ra := localRouter(t, testConfig(), rc, 2, Params{})
+	rb := localRouter(t, testConfig(), rc, 4, Params{}) // different backend count on purpose
 	f, sel := testTable(t, 3)
 	cold, err := ra.Characterize(f, sel)
 	if err != nil {
@@ -252,11 +269,8 @@ func TestSharedCacheAcrossRouters(t *testing.T) {
 // ErrSaturated, counts the rejection, and recovers once capacity frees up.
 // Other shards are unaffected — the point of per-shard queues.
 func TestSaturationShedsLoad(t *testing.T) {
-	cfg := testConfig(4)
-	r, err := NewWithParams(cfg, nil, Params{Concurrency: 1, QueueDepth: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := testConfig()
+	r := localRouter(t, cfg, nil, 4, Params{Concurrency: 1, QueueDepth: 1})
 	f, sel := testTable(t, 5)
 	owner := r.ShardFor(f.Fingerprint())
 	// Warm the shared cache with one report before pinning the shard down.
@@ -301,10 +315,7 @@ func TestSaturationShedsLoad(t *testing.T) {
 	// (cache flags and timings aside) to an explicit approximate request
 	// at the default cap and seed 0 on an unsaturated router.
 	cfg.ApproxUnderPressure = true
-	dr, err := NewWithParams(cfg, nil, Params{Concurrency: 1, QueueDepth: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dr := localRouter(t, cfg, nil, 4, Params{Concurrency: 1, QueueDepth: 1})
 	owner = dr.ShardFor(f.Fingerprint())
 	release = dr.fillShard(owner)
 	defer release()
@@ -314,7 +325,7 @@ func TestSaturationShedsLoad(t *testing.T) {
 	}
 	explicit := uncached
 	explicit.ApproxRows, explicit.ApproxSeed = core.DefaultApproxRows, 0
-	want, err := mustRouter(t, testConfig(4)).CharacterizeOpts(f, sel, explicit)
+	want, err := mustRouter(t, testConfig()).CharacterizeOpts(f, sel, explicit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,38 +346,35 @@ func canonicalReport(rep *core.Report) []byte {
 	return core.EncodeReport(&c)
 }
 
-// TestPreparedBudgetPartitioned pins the memory contract: the configured
-// cache bounds cover the whole router, so each shard engine's prepared tier
-// gets a 1/n slice (never below one entry), while the shared report cache
-// keeps the full budget.
-func TestPreparedBudgetPartitioned(t *testing.T) {
-	cfg := testConfig(4)
+// TestNewRunsOneEngine pins the default topology: New builds one
+// in-process backend whose engine holds the whole configured cache budget,
+// sharing the router's report cache.
+func TestNewRunsOneEngine(t *testing.T) {
+	cfg := testConfig()
 	cfg.CacheEntries = 8
 	cfg.CacheBytes = 4 << 20
 	r := mustRouter(t, cfg)
-	for i := 0; i < r.NumShards(); i++ {
-		got := r.Engine(i).Config()
-		if got.CacheEntries != 2 || got.CacheBytes != 1<<20 {
-			t.Errorf("shard %d prepared budget = %d entries / %d bytes, want 2 / %d",
-				i, got.CacheEntries, got.CacheBytes, 1<<20)
+	if r.NumShards() != 1 {
+		t.Fatalf("New built %d backends, want 1", r.NumShards())
+	}
+	if got := r.Engine(0).Config(); got.CacheEntries != 8 || got.CacheBytes != 4<<20 {
+		t.Errorf("engine budget = %d entries / %d bytes, want 8 / %d", got.CacheEntries, got.CacheBytes, 4<<20)
+	}
+	f, sel := testTable(t, 42)
+	for i := 0; i < 2; i++ {
+		if _, err := r.Characterize(f, sel); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// More shards than entries still leaves every shard able to cache one
-	// table.
-	tiny := testConfig(4)
-	tiny.CacheEntries = 2
-	r = mustRouter(t, tiny)
-	for i := 0; i < r.NumShards(); i++ {
-		if got := r.Engine(i).Config().CacheEntries; got != 1 {
-			t.Errorf("shard %d entry bound = %d, want the floor of 1", i, got)
-		}
+	if st := r.Stats(); st.Reports.Hits != 1 || st.Reports.Misses != 1 || st.Shards[0].Reports != (memo.Snapshot{}) {
+		t.Errorf("stats = %+v, want the router's cache at 1 hit / 1 miss and no backend tier", st)
 	}
 }
 
 // TestStatsTotals pins the aggregation used by Session.CacheStats: prepared
 // tiers sum across shards and the reports tier is the shared cache.
 func TestStatsTotals(t *testing.T) {
-	r := mustRouter(t, testConfig(3))
+	r := localRouter(t, testConfig(), nil, 3, Params{})
 	for seed := uint64(20); seed < 24; seed++ {
 		f, sel := testTable(t, seed)
 		for i := 0; i < 2; i++ {
@@ -430,10 +438,7 @@ func TestRankOrdersAllShards(t *testing.T) {
 // service rate), the same figure ShardStats reports while the shard is
 // pinned, and the hint returns to zero once the queue drains.
 func TestSaturatedRetryAfterHint(t *testing.T) {
-	r, err := NewWithParams(testConfig(2), nil, Params{Concurrency: 1, QueueDepth: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := localRouter(t, testConfig(), nil, 2, Params{Concurrency: 1, QueueDepth: 1})
 	f, sel := testTable(t, 31)
 	owner := r.ShardFor(f.Fingerprint())
 	// One completed characterization seeds the observed service rate.
@@ -442,7 +447,7 @@ func TestSaturatedRetryAfterHint(t *testing.T) {
 	}
 	release := r.fillShard(owner)
 	uncached := core.Options{ExcludeColumns: []string{"c1"}}
-	_, err = r.CharacterizeOpts(f, sel, uncached)
+	_, err := r.CharacterizeOpts(f, sel, uncached)
 	var sat *SaturatedError
 	if !errors.As(err, &sat) {
 		t.Fatalf("saturated shard returned %v, want *SaturatedError", err)
@@ -463,7 +468,7 @@ func TestSaturatedRetryAfterHint(t *testing.T) {
 // topologies: every shard reports kind "local", healthy, and no shipped
 // tables.
 func TestSnapshotKindAndHealth(t *testing.T) {
-	r := mustRouter(t, testConfig(3))
+	r := localRouter(t, testConfig(), nil, 3, Params{})
 	for _, sh := range r.Stats().Shards {
 		if sh.Kind != KindLocal || !sh.Healthy || sh.TablesShipped != 0 || sh.Addr != "" {
 			t.Errorf("local shard snapshot = %+v", sh)
@@ -476,22 +481,22 @@ func TestSnapshotKindAndHealth(t *testing.T) {
 
 // TestNewWithBackendsValidation covers the explicit-topology constructor.
 func TestNewWithBackendsValidation(t *testing.T) {
-	if _, err := NewWithBackends(testConfig(1), nil, nil); err == nil {
+	if _, err := NewWithBackends(testConfig(), nil, nil); err == nil {
 		t.Error("empty backend list accepted")
 	}
-	if _, err := NewWithBackends(testConfig(1), nil, []Backend{nil}); err == nil {
+	if _, err := NewWithBackends(testConfig(), nil, []Backend{nil}); err == nil {
 		t.Error("nil backend accepted")
 	}
-	b, err := NewEngineBackend(testConfig(1), nil, Params{})
+	b, err := NewEngineBackend(testConfig(), nil, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := testConfig(1)
+	bad := testConfig()
 	bad.MaxDim = 0
 	if _, err := NewWithBackends(bad, nil, []Backend{b}); err == nil {
 		t.Error("invalid config accepted")
 	}
-	r, err := NewWithBackends(testConfig(1), nil, []Backend{b})
+	r, err := NewWithBackends(testConfig(), nil, []Backend{b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,25 +510,20 @@ func TestNewWithBackendsValidation(t *testing.T) {
 }
 
 // TestRouterValidation covers construction errors: invalid engine config,
-// negative shard count, negative admission params, and nil-frame routing.
+// negative admission params, and nil-frame routing.
 func TestRouterValidation(t *testing.T) {
-	bad := testConfig(1)
+	bad := testConfig()
 	bad.MaxDim = 0
 	if _, err := New(bad); err == nil {
 		t.Error("invalid engine config accepted")
 	}
-	neg := testConfig(0)
-	neg.Shards = -1
-	if _, err := New(neg); err == nil {
-		t.Error("negative shard count accepted")
-	}
-	if _, err := NewWithParams(testConfig(1), nil, Params{Concurrency: -1}); err == nil {
+	if _, err := NewWithParams(testConfig(), nil, Params{Concurrency: -1}); err == nil {
 		t.Error("negative concurrency accepted")
 	}
-	if _, err := NewWithParams(testConfig(1), nil, Params{QueueDepth: -1}); err == nil {
+	if _, err := NewWithParams(testConfig(), nil, Params{QueueDepth: -1}); err == nil {
 		t.Error("negative queue depth accepted")
 	}
-	r := mustRouter(t, testConfig(2))
+	r := mustRouter(t, testConfig())
 	if _, err := r.Characterize(nil, frame.NewBitmap(1)); err == nil {
 		t.Error("nil frame accepted")
 	}
@@ -533,7 +533,7 @@ func TestRouterValidation(t *testing.T) {
 // executed (non-cached) characterizations and their observed mean
 // service time surface through Stats, and cache hits do not inflate them.
 func TestServiceCountersExposed(t *testing.T) {
-	r := mustRouter(t, testConfig(1))
+	r := mustRouter(t, testConfig())
 	f, sel := testTable(t, 41)
 	// Two identical requests: one executes, one is a report-cache hit.
 	for i := 0; i < 2; i++ {

@@ -103,3 +103,17 @@ func QuantileOf(f *frame.Frame, col string, q float64) (float64, error) {
 	}
 	return stats.Quantile(sorted, q), nil
 }
+
+// ByName generates the built-in demonstration dataset called name
+// ("uscrime", "boxoffice" or "innovation") from seed.
+func ByName(name string, seed uint64) (*frame.Frame, error) {
+	switch name {
+	case "uscrime":
+		return USCrime(seed), nil
+	case "boxoffice":
+		return BoxOffice(seed), nil
+	case "innovation":
+		return Innovation(seed), nil
+	}
+	return nil, fmt.Errorf("unknown dataset %q (want uscrime, boxoffice or innovation)", name)
+}

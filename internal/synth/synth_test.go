@@ -305,3 +305,22 @@ func BenchmarkUSCrimeGeneration(b *testing.B) {
 		USCrime(uint64(i))
 	}
 }
+
+// TestByName pins the built-in dataset lookup the commands share: each name
+// generates its dataset for the seed, and an unknown name is an error.
+func TestByName(t *testing.T) {
+	for name, gen := range map[string]func(uint64) *frame.Frame{
+		"uscrime": USCrime, "boxoffice": BoxOffice, "innovation": Innovation,
+	} {
+		f, err := ByName(name, 3)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if f.Name() != name || f.Fingerprint() != gen(3).Fingerprint() {
+			t.Errorf("ByName(%q, 3) differs from its generator", name)
+		}
+	}
+	if _, err := ByName("nope", 3); err == nil {
+		t.Error("unknown dataset accepted")
+	}
+}

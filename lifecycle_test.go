@@ -47,7 +47,7 @@ func loadInPieces(t *testing.T, s *ziggy.Session, table *ziggy.Frame, k int) {
 // TestChunkedLoadDifferential is the differential rail of the chunked
 // representation: a table loaded in k incremental batches (k ∈ {1, 3, 17})
 // characterizes byte-identically to the same table loaded whole, across
-// Parallelism ∈ {1, 2, NumCPU} × Shards ∈ {1, 2, 4}. Chunk layout and load
+// Parallelism ∈ {1, 2, NumCPU} × k ∈ {1, 2, 4} local backends. Chunk layout and load
 // history are never allowed to leak into report bytes.
 func TestChunkedLoadDifferential(t *testing.T) {
 	table := synth.Micro("micro", 3, 400, 6)
@@ -68,27 +68,23 @@ func TestChunkedLoadDifferential(t *testing.T) {
 	want := reportFingerprint(ref.Report)
 
 	for _, par := range []int{1, 2, runtime.NumCPU()} {
-		for _, shards := range []int{1, 2, 4} {
+		for _, backends := range []int{1, 2, 4} {
 			for _, k := range []int{1, 3, 17} {
 				cfg := ziggy.DefaultConfig()
 				cfg.Parallelism = par
-				cfg.Shards = shards
-				s, err := ziggy.New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				s := localSession(t, cfg, nil, backends)
 				loadInPieces(t, s, table, k)
 				rep, err := s.Characterize(query)
 				if err != nil {
-					t.Fatalf("par=%d shards=%d k=%d: %v", par, shards, k, err)
+					t.Fatalf("par=%d backends=%d k=%d: %v", par, backends, k, err)
 				}
 				if rep.TotalRows != table.NumRows() {
-					t.Fatalf("par=%d shards=%d k=%d: loaded %d rows, want %d",
-						par, shards, k, rep.TotalRows, table.NumRows())
+					t.Fatalf("par=%d backends=%d k=%d: loaded %d rows, want %d",
+						par, backends, k, rep.TotalRows, table.NumRows())
 				}
 				if got := reportFingerprint(rep.Report); got != want {
-					t.Errorf("par=%d shards=%d k=%d: chunked load diverges from whole load\n--- whole\n%s\n--- chunked\n%s",
-						par, shards, k, want, got)
+					t.Errorf("par=%d backends=%d k=%d: chunked load diverges from whole load\n--- whole\n%s\n--- chunked\n%s",
+						par, backends, k, want, got)
 				}
 			}
 		}
@@ -411,18 +407,15 @@ func TestUnregisterDropsTableAndReports(t *testing.T) {
 }
 
 // TestNewOptionTopologies covers ziggy.New's functional options: the
-// default in-process topology, a shared report cache, explicit backends, and
+// default one-engine topology, a shared report cache, explicit backends, and
 // an empty peer list.
 func TestNewOptionTopologies(t *testing.T) {
-	cfg := ziggy.DefaultConfig()
-	cfg.Shards = 2
-
-	s, err := ziggy.New(cfg)
+	s, err := ziggy.New(ziggy.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Shards() != 2 {
-		t.Errorf("New: %d shards, want 2", s.Shards())
+	if s.Shards() != 1 || s.Engine() == nil {
+		t.Errorf("New: %d backends, want 1 in-process engine", s.Shards())
 	}
 	if err := s.Close(); err != nil {
 		t.Errorf("Close: %v", err)
@@ -452,27 +445,49 @@ func TestNewOptionTopologies(t *testing.T) {
 		t.Error("WithSharedCache sessions did not share the report cache")
 	}
 
-	// WithBackends: an explicit single-engine topology is one shard.
-	eb, err := ziggy.NewEngineBackend(ziggy.DefaultConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	se, err := ziggy.New(ziggy.DefaultConfig(), ziggy.WithBackends(eb))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if se.Shards() != 1 {
-		t.Errorf("WithBackends(1 backend): %d shards, want 1", se.Shards())
+	// WithBackends: several local engines are explicit backends.
+	if se := localSession(t, ziggy.DefaultConfig(), nil, 2); se.Shards() != 2 {
+		t.Errorf("WithBackends(2 backends): %d backends, want 2", se.Shards())
 	}
 
 	// WithPeers with no addresses contributes no backends, so New falls back
-	// to in-process shards.
-	sp, err := ziggy.New(cfg, ziggy.WithPeers())
+	// to the in-process engine.
+	sp, err := ziggy.New(ziggy.DefaultConfig(), ziggy.WithPeers())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp.Shards() != 2 || sp.Engine() == nil {
-		t.Errorf("WithPeers(): %d shards, want 2 in-process shards", sp.Shards())
+	if sp.Shards() != 1 || sp.Engine() == nil {
+		t.Errorf("WithPeers(): %d backends, want the in-process engine", sp.Shards())
+	}
+}
+
+// TestPrivateEngineBackendCounted pins that a local backend built on its
+// own report cache shows in the session's stats: the backend reports its
+// engine's tier, so three identical characterizations read 2 hits and 1
+// miss in CacheStats, as in the engine itself.
+func TestPrivateEngineBackendCounted(t *testing.T) {
+	cfg := ziggy.DefaultConfig()
+	eb, err := ziggy.NewEngineBackend(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := ziggy.New(cfg, ziggy.WithBackends(eb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Register(ziggy.BoxOfficeData(1)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := s.Characterize("SELECT * FROM boxoffice WHERE gross_musd >= 100"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Engine().CacheStats().Reports; got.Hits != 2 || got.Misses != 1 {
+		t.Fatalf("engine report tier = %+v, want 2 hits / 1 miss", got)
+	}
+	if got := s.CacheStats().Reports; got.Hits != 2 || got.Misses != 1 {
+		t.Errorf("session report tier = %+v, want 2 hits / 1 miss", got)
 	}
 }
 

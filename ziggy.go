@@ -78,12 +78,12 @@ type (
 	CacheSnapshot = memo.Snapshot
 
 	// ReportCache is the shared content-addressed report memo. One cache
-	// serves every shard of a session's router, and WithSharedCache
-	// attaches several sessions to the same cache so they serve each
-	// other's repeat queries.
+	// serves every in-process backend of a session's router, and
+	// WithSharedCache attaches several sessions to the same cache so they
+	// serve each other's repeat queries.
 	ReportCache = core.ReportCache
-	// Router is the sharded serving layer: N backends behind a
-	// consistent-hash router with per-shard admission queues.
+	// Router is the serving layer: one or more backends behind a
+	// consistent-hash router with per-backend admission queues.
 	Router = shard.Router
 	// Backend is one shard behind the router: an in-process engine or a
 	// remote worker process — the transport-agnostic boundary the router
@@ -248,10 +248,11 @@ func PlotView(f *Frame, sel *Bitmap, columns []string, width, height int) (strin
 	return plot.View(f, sel, columns, width, height)
 }
 
-// Session couples the embedded SQL layer with a sharded characterization
-// serving layer: the "tuple description engine distributed as a library" the
-// paper's conclusion announces, scaled out to Config.Shards engine shards
-// behind a consistent-hash router with one shared report cache.
+// Session couples the embedded SQL layer with a characterization serving
+// layer: the "tuple description engine distributed as a library" the
+// paper's conclusion announces. By default one in-process engine serves it;
+// WithPeers and WithBackends spread its tables over several backends behind
+// a consistent-hash router.
 type Session struct {
 	// mu serializes the catalog's writers, so Append's read-grow-register
 	// cannot interleave with another Append or Unregister of the same table.
@@ -301,10 +302,10 @@ func WithBackends(backends ...Backend) Option {
 }
 
 // New validates cfg and creates an empty session. With no options it runs
-// cfg.Shards in-process engine shards (0 = all CPUs) behind a
-// consistent-hash router with a private shared report cache; WithPeers /
-// WithBackends replace the in-process shards with an explicit topology, and
-// WithSharedCache swaps in an externally owned report cache.
+// one in-process engine with a private report cache, both on the full
+// configured cache budget; WithPeers / WithBackends replace it with an
+// explicit topology, and WithSharedCache swaps in an externally owned
+// report cache.
 func New(cfg Config, opts ...Option) (*Session, error) {
 	var sc sessionConfig
 	for _, opt := range opts {
@@ -330,8 +331,9 @@ func New(cfg Config, opts ...Option) (*Session, error) {
 func NewWorkerBackend(addr string) Backend { return remote.NewClient(addr) }
 
 // NewEngineBackend returns an in-process Backend sharing the given report
-// cache (nil = private), for WithBackends topologies mixing local and
-// remote shards.
+// cache (nil = private), for WithBackends topologies of several local
+// engines or of local and remote ones. Pass the same cache to
+// WithSharedCache so the session counts the engines' repeats once.
 func NewEngineBackend(cfg Config, reports *ReportCache) (Backend, error) {
 	return shard.NewEngineBackend(cfg, reports, shard.Params{})
 }
@@ -400,7 +402,7 @@ func (s *Session) Unregister(name string) bool {
 }
 
 // Close releases the serving layer's transport resources (idle RPC
-// connections to remote workers); in-process shards need no teardown. The
+// connections to remote workers); in-process engines need no teardown. The
 // session must not be used after Close.
 func (s *Session) Close() error { return s.router.Close() }
 
@@ -410,30 +412,30 @@ func (s *Session) Tables() []string { return s.catalog.TableNames() }
 // Table returns a registered frame.
 func (s *Session) Table(name string) (*Frame, bool) { return s.catalog.Table(name) }
 
-// Engine exposes the first shard's engine, or nil when shard 0 is a remote
-// worker (WithPeers) — remote engines are not reachable as objects.
-// With multiple shards it is NOT the whole serving layer: its Config
-// reports the per-shard slice of the cache budget (use Router().Config()
-// for the configured values), and its InvalidateCache purges the shared
-// report cache (shared by every shard and every session attached via
-// WithSharedCache) but only shard 0's prepared tier and fold prefixes.
+// Engine exposes the engine of the session's first backend: the only one
+// of a default session, nil when that backend is a remote worker
+// (WithPeers) — remote engines are not reachable as objects. Over several
+// backends it is NOT the whole serving layer: its InvalidateCache purges
+// its report cache (shared by every session attached via WithSharedCache)
+// but only backend 0's prepared tier and fold prefixes.
 func (s *Session) Engine() *Engine { return s.router.Engine(0) }
 
 // Router exposes the sharded serving layer behind the session.
 func (s *Session) Router() *Router { return s.router }
 
-// Shards returns the number of engine shards serving the session.
+// Shards returns the number of backends serving the session: 1 by
+// default, one per WithPeers address and WithBackends backend otherwise.
 func (s *Session) Shards() int { return s.router.NumShards() }
 
 // CacheStats returns the session's cache counters folded into the two-tier
-// shape: the shards' prepared-structure tiers summed, plus the shared
-// report cache — how often repeated queries were served from memo, how many
+// shape: the backends' prepared-structure tiers summed, plus the report
+// tiers — how often repeated queries were served from memo, how many
 // entries were evicted under the configured bounds, and how many concurrent
 // identical requests were deduplicated onto one computation.
 func (s *Session) CacheStats() CacheStats { return s.router.Stats().Totals() }
 
-// ShardStats returns the full sharded snapshot: per-shard admission/traffic
-// counters and prepared tiers, plus the shared report cache.
+// ShardStats returns the full snapshot: per-backend admission/traffic
+// counters and cache tiers, plus the router's report cache.
 func (s *Session) ShardStats() ShardStats { return s.router.Stats() }
 
 // QueryReport couples a characterization report with the query that

@@ -29,6 +29,29 @@ func newSession(t *testing.T) *ziggy.Session {
 	return s
 }
 
+// localSession opens a session over k in-process engine backends sharing
+// one report cache with the session (rc, or a fresh one when nil): how
+// several local engines are expressed.
+func localSession(t testing.TB, cfg ziggy.Config, rc *ziggy.ReportCache, k int) *ziggy.Session {
+	t.Helper()
+	if rc == nil {
+		rc = ziggy.NewReportCache(cfg.CacheEntries, cfg.CacheBytes)
+	}
+	backends := make([]ziggy.Backend, k)
+	for i := range backends {
+		b, err := ziggy.NewEngineBackend(cfg, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		backends[i] = b
+	}
+	s, err := ziggy.New(cfg, ziggy.WithSharedCache(rc), ziggy.WithBackends(backends...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestSessionLifecycle(t *testing.T) {
 	s := newSession(t)
 	if err := s.Register(ziggy.BoxOfficeData(1)); err != nil {
@@ -305,8 +328,8 @@ func shardedFixtureTables(t *testing.T) []*ziggy.Frame {
 }
 
 // TestShardedDeterminism is the acceptance test of the sharded serving
-// layer: (1) every report is byte-identical across Config.Shards ∈ {1, 2,
-// 4}; (2) a repeat query from a different session attached to the same
+// layer: (1) every report is byte-identical across k ∈ {1, 2, 4} local
+// backends; (2) a repeat query from a different session attached to the same
 // shared report cache is served from that cache — the hit counter
 // increments and the router-level lookup is orders of magnitude faster
 // than the cold run; (3) concurrent identical requests landing on
@@ -318,52 +341,42 @@ func TestShardedDeterminism(t *testing.T) {
 		"SELECT * FROM boxoffice2 WHERE budget_musd >= 60",
 	}
 
-	shardCounts := []int{1, 2, 4}
-	fingerprints := make(map[string][]string) // query → fingerprint per shard count
-	for _, shards := range shardCounts {
-		cfg := ziggy.DefaultConfig()
-		cfg.Shards = shards
-		session, err := ziggy.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+	backendCounts := []int{1, 2, 4}
+	fingerprints := make(map[string][]string) // query → fingerprint per backend count
+	for _, k := range backendCounts {
+		session := localSession(t, ziggy.DefaultConfig(), nil, k)
 		for _, f := range shardedFixtureTables(t) {
 			if err := session.Register(f); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if session.Shards() != shards {
-			t.Fatalf("session runs %d shards, want %d", session.Shards(), shards)
+		if session.Shards() != k {
+			t.Fatalf("session runs %d backends, want %d", session.Shards(), k)
 		}
 		for _, q := range queries {
 			rep, err := session.Characterize(q)
 			if err != nil {
-				t.Fatalf("shards=%d %q: %v", shards, q, err)
+				t.Fatalf("k=%d %q: %v", k, q, err)
 			}
 			fingerprints[q] = append(fingerprints[q], reportFingerprint(rep.Report))
 		}
 	}
 	for _, q := range queries {
-		for i := 1; i < len(shardCounts); i++ {
+		for i := 1; i < len(backendCounts); i++ {
 			if fingerprints[q][i] != fingerprints[q][0] {
-				t.Errorf("%q: report differs between shards=%d and shards=%d\n--- shards=%d\n%s\n--- shards=%d\n%s",
-					q, shardCounts[0], shardCounts[i],
-					shardCounts[0], fingerprints[q][0], shardCounts[i], fingerprints[q][i])
+				t.Errorf("%q: report differs between k=%d and k=%d\n--- k=%d\n%s\n--- k=%d\n%s",
+					q, backendCounts[0], backendCounts[i],
+					backendCounts[0], fingerprints[q][0], backendCounts[i], fingerprints[q][i])
 			}
 		}
 	}
 
-	// (2) Cross-session shared cache: two sessions with different shard
+	// (2) Cross-session shared cache: two sessions with different backend
 	// counts attached to one cache; a query answered by the first is a ~µs
 	// lookup for the second.
 	rc := ziggy.NewReportCache(0, 0)
-	newShared := func(shards int) *ziggy.Session {
-		cfg := ziggy.DefaultConfig()
-		cfg.Shards = shards
-		s, err := ziggy.New(cfg, ziggy.WithSharedCache(rc))
-		if err != nil {
-			t.Fatal(err)
-		}
+	newShared := func(k int) *ziggy.Session {
+		s := localSession(t, ziggy.DefaultConfig(), rc, k)
 		for _, f := range shardedFixtureTables(t) {
 			if err := s.Register(f); err != nil {
 				t.Fatal(err)
@@ -443,7 +456,7 @@ func TestShardedDeterminism(t *testing.T) {
 // TestApproximateDeterminism sweeps the sample-based approximate path
 // across the full serving matrix: for every (seed, cap) configuration the
 // report — including its provenance block — is byte-identical across
-// Parallelism ∈ {1, 2, NumCPU} × Shards ∈ {1, 2, 4}, and distinct
+// Parallelism ∈ {1, 2, NumCPU} × k ∈ {1, 2, 4} local backends, and distinct
 // configurations produce distinct reports. Approximation must be a pure
 // function of (frame, selection, seed, cap), never of the serving topology.
 func TestApproximateDeterminism(t *testing.T) {
@@ -463,14 +476,10 @@ func TestApproximateDeterminism(t *testing.T) {
 	}
 	fingerprints := map[key][]string{}
 	for _, parallelism := range []int{1, 2, runtime.NumCPU()} {
-		for _, shards := range []int{1, 2, 4} {
+		for _, k := range []int{1, 2, 4} {
 			cfg := ziggy.DefaultConfig()
 			cfg.Parallelism = parallelism
-			cfg.Shards = shards
-			session, err := ziggy.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			session := localSession(t, cfg, nil, k)
 			for _, f := range shardedFixtureTables(t) {
 				if err := session.Register(f); err != nil {
 					t.Fatal(err)
@@ -480,11 +489,11 @@ func TestApproximateDeterminism(t *testing.T) {
 				for ci, opts := range configs {
 					rep, err := session.CharacterizeOpts(q, opts)
 					if err != nil {
-						t.Fatalf("p=%d shards=%d %q config %d: %v", parallelism, shards, q, ci, err)
+						t.Fatalf("p=%d k=%d %q config %d: %v", parallelism, k, q, ci, err)
 					}
 					a := rep.Approximate
 					if a == nil {
-						t.Fatalf("p=%d shards=%d %q: approximate request served without provenance", parallelism, shards, q)
+						t.Fatalf("p=%d k=%d %q: approximate request served without provenance", parallelism, k, q)
 					}
 					if a.CapRows != opts.ApproxRows || a.Seed != opts.ApproxSeed {
 						t.Fatalf("provenance %+v does not echo config %+v", a, opts)
@@ -586,9 +595,7 @@ func TestApproximateTracksExact(t *testing.T) {
 // serves repeats from the workers' report caches, and reports the workers
 // in its shard stats.
 func TestSessionOverRemoteWorkers(t *testing.T) {
-	cfg := ziggy.DefaultConfig()
-	cfg.Shards = 1
-	workerRouter, err := shard.New(cfg)
+	workerRouter, err := shard.New(ziggy.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
