@@ -256,8 +256,8 @@ func BenchmarkReportWire(b *testing.B) {
 
 // BenchmarkFrontCachedHit measures a repeat POST /api/characterize of
 // crimeQuery on a front whose only backend is a remote worker: after the
-// worker's cache answered one probe, the front's own report tier answers
-// every repeat, with no RPC. CI gates its allocs/op.
+// worker's cache answered one repeat, the front's own report tier answers
+// every later one, with no RPC. CI gates its allocs/op.
 func BenchmarkFrontCachedHit(b *testing.B) {
 	cfg := core.DefaultConfig()
 	cfg.Parallelism = 1
@@ -287,7 +287,7 @@ func BenchmarkFrontCachedHit(b *testing.B) {
 		}
 	}
 	post() // cold: computed on the worker
-	post() // the worker's cache answers the probe; the front tier keeps it
+	post() // the worker's cache answers the characterize; the front tier keeps it
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

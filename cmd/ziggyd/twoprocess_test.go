@@ -60,7 +60,7 @@ func TestTwoProcessSmoke(t *testing.T) {
 	checkGolden(t, "characterize_cached.json", cached)
 
 	// A third identical request is answered by the front's own report tier,
-	// filled from the second request's worker-probe hit: same bytes, no RPC.
+	// filled from the second request's worker-cache hit: same bytes, no RPC.
 	third := postSmoke(t, frontAddr, query)
 	checkGolden(t, "characterize_cached.json", third)
 

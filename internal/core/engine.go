@@ -238,11 +238,12 @@ func cloneCached(rep *Report) *Report {
 // the pipeline; ok is false on a miss. A hit counts toward the report
 // cache's hit counter exactly as if CharacterizeOpts had served it. It is
 // the distribution layer's pre-admission fast path: a router (or a worker
-// answering its cached-probe RPC) can ask "is this report already cached?"
-// knowing only the fingerprint — before the table has been shipped to the
-// process at all — so a repeat query crossing the process boundary is
-// answered from the report cache without moving the table a second time,
-// and stays ~µs while the owning shard is saturated.
+// answering a characterize RPC for a table it does not hold) can ask "is
+// this report already cached?" knowing only the fingerprint — before the
+// table has been shipped to the process at all — so a repeat query
+// crossing the process boundary is answered from the report cache without
+// moving the table a second time, and stays ~µs while the owning shard is
+// saturated.
 func (e *Engine) CachedReportFingerprint(frameFP uint64, sel *frame.Bitmap, opts Options) (*Report, bool) {
 	return e.reports.CachedFingerprint(frameFP, sel, e.cfgHash, opts)
 }

@@ -268,6 +268,10 @@ func (e *Engine) CacheStats() CacheStats {
 	return CacheStats{Prepared: e.prep.Snapshot(), Reports: e.reports.Snapshot()}
 }
 
+// Reports returns the engine's report cache: its own, or the one it shares
+// (NewShared).
+func (e *Engine) Reports() *ReportCache { return e.reports }
+
 // AddSnapshots sums two snapshots' counters and occupancy; the shard router
 // uses it to aggregate the per-shard prepared tiers into one view.
 func AddSnapshots(a, b memo.Snapshot) memo.Snapshot {

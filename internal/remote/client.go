@@ -14,34 +14,27 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/frame"
-	"repro/internal/memo"
 	"repro/internal/shard"
 )
 
-// probeTimeout bounds the cheap control-plane calls (stats, cache
-// probe). Characterize itself runs without a deadline — a cold
-// characterization of a big table is legitimately slow.
+// probeTimeout bounds the cheap control-plane calls (stats, invalidate).
+// Characterize itself runs without a deadline — a cold characterization of
+// a big table is legitimately slow.
 const probeTimeout = 3 * time.Second
 
 // Client is the RPC shard.Backend: it fronts one worker process over
-// HTTP. Tables ship at most once per client and at chunk granularity
-// (content-addressed by fingerprint down to per-chunk chain fingerprints:
-// an append ships only the new chunks; a worker restart is detected by its
-// unknown-fingerprint response and healed by re-shipping what was lost),
-// cache probes cross the process boundary by fingerprint alone, and
-// transport failures surface as shard.ErrBackendUnavailable so the router
-// fails over along the rendezvous ranking. Safe for concurrent use.
+// HTTP. Each request is one characterize RPC naming the table by
+// fingerprint; the worker answers a repeat from its report cache even for a
+// table it does not hold, and answers 404 for an unknown table otherwise.
+// Only then does the client ship the table, at chunk granularity
+// (content-addressed down to per-chunk chain fingerprints: an append ships
+// only the new chunks, and a worker that lost a table re-receives only what
+// it lost), and retry once. Transport failures surface as
+// shard.ErrBackendUnavailable so the router fails over along the rendezvous
+// ranking. Safe for concurrent use.
 type Client struct {
 	addr string
 	hc   *http.Client
-
-	// shipped remembers which fingerprints this client has registered on
-	// the worker, LRU-bounded to the same default entry budget as the
-	// worker's table store — a long-lived front churning through tables
-	// cannot leak tracking state past what the worker could even hold. An
-	// aged-out entry costs one redundant manifest round-trip (the worker
-	// answers "registered", no chunks ship), never a re-ship.
-	shipped *memo.Cache[uint64, struct{}]
 
 	tablesShipped atomic.Int64
 	chunksShipped atomic.Int64
@@ -57,12 +50,7 @@ func NewClient(addr string) *Client {
 	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
 	}
-	entries, _ := core.DefaultConfig().EffectiveCacheBounds()
-	c := &Client{
-		addr:    strings.TrimRight(addr, "/"),
-		hc:      &http.Client{},
-		shipped: memo.New[uint64, struct{}](entries, 0),
-	}
+	c := &Client{addr: strings.TrimRight(addr, "/"), hc: &http.Client{}}
 	c.healthy.Store(true)
 	return c
 }
@@ -107,26 +95,13 @@ func errorMessage(resp *http.Response) string {
 	return strings.TrimSpace(string(data))
 }
 
-// RegisterTable ships f to the worker unless this client already did; the
-// worker side is content-addressed too, so concurrent fronts shipping the
-// same table cost one store, not a conflict.
-func (c *Client) RegisterTable(f *frame.Frame) error {
-	if _, done := c.shipped.Get(f.Fingerprint()); done {
-		return nil
-	}
-	return c.register(f)
-}
-
-// markShipped records fp in the bounded shipped set.
-func (c *Client) markShipped(fp uint64) {
-	c.shipped.Do(fp, func(struct{}) int64 { return 1 }, func() (struct{}, error) { return struct{}{}, nil })
-}
-
-// forgetShipped drops fp from the shipped set (the worker proved it no
-// longer holds the table, or this front superseded it).
-func (c *Client) forgetShipped(fp uint64) {
-	c.shipped.RemoveIf(func(k uint64) bool { return k == fp })
-}
+// RegisterTable negotiates f onto the worker ahead of its first query: a
+// table the worker already holds costs one manifest and ships nothing. The
+// router never calls it, because Characterize registers a table when the
+// worker answers that it does not hold it. The worker side is
+// content-addressed, so concurrent fronts shipping the same table cost one
+// store, not a conflict.
+func (c *Client) RegisterTable(f *frame.Frame) error { return c.register(f) }
 
 // register negotiates f onto the worker: POST the chunk manifest, then
 // stream the chunks after the prefix the worker offered — nothing when the
@@ -142,7 +117,7 @@ func (c *Client) register(f *frame.Frame) error {
 			return err
 		}
 		if offer.Registered {
-			break
+			return nil
 		}
 		if offer.PrefixChunks < 0 || offer.PrefixChunks > f.FullChunks() {
 			return fmt.Errorf("remote: worker %s offered a %d-chunk prefix of a %d-chunk table", c.addr, offer.PrefixChunks, f.NumChunks())
@@ -164,10 +139,8 @@ func (c *Client) register(f *frame.Frame) error {
 		c.tablesShipped.Add(1)
 		c.chunksShipped.Add(int64(f.NumChunks() - offer.PrefixChunks))
 		c.bytesShipped.Add(int64(len(body)))
-		break
+		return nil
 	}
-	c.markShipped(f.Fingerprint())
-	return nil
 }
 
 // negotiate runs the manifest phase and returns the worker's offer. The
@@ -194,8 +167,8 @@ func (c *Client) negotiate(manifest []byte) (ManifestResponse, error) {
 }
 
 // Characterize runs the request on the worker. An unknown-fingerprint
-// response (the worker restarted since this client shipped the table) is
-// healed by re-shipping and retrying once; saturation comes back as a
+// response (the worker never received the table, or lost it) is healed by
+// registering the table and retrying once; saturation comes back as a
 // *shard.SaturatedError carrying the worker's Retry-After hint; transport
 // failures as shard.ErrBackendUnavailable.
 func (c *Client) Characterize(f *frame.Frame, sel *frame.Bitmap, opts core.Options) (*core.Report, error) {
@@ -206,11 +179,9 @@ func (c *Client) Characterize(f *frame.Frame, sel *frame.Bitmap, opts core.Optio
 	body := EncodeRequest(Request{Fingerprint: f.Fingerprint(), Sel: sel, Opts: opts})
 	rep, retry, err := c.characterizeOnce(body)
 	if retry {
-		// The worker lost the table (restart); our shipped-set was stale.
-		// Re-registering heals it, and heals it incrementally: the manifest
-		// phase discovers what the worker still holds, so only the chunks
-		// after the surviving prefix cross the wire again.
-		c.forgetShipped(f.Fingerprint())
+		// Registration is incremental: the manifest phase discovers what
+		// the worker holds, so only the chunks after the longest resident
+		// prefix cross the wire.
 		if err := c.register(f); err != nil {
 			return nil, err
 		}
@@ -260,33 +231,10 @@ func retryAfterFrom(resp *http.Response) time.Duration {
 	return 0
 }
 
-// CachedReport probes the worker's report cache by fingerprint. Any
-// transport or protocol failure is a miss — the router's characterize path
-// will surface the real error.
-func (c *Client) CachedReport(fp uint64, sel *frame.Bitmap, opts core.Options) (*core.Report, bool) {
-	if sel == nil || opts.SkipReportCache {
-		return nil, false
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
-	defer cancel()
-	resp, err := c.post(ctx, PathCached, EncodeRequest(Request{Fingerprint: fp, Sel: sel, Opts: opts}))
-	if err != nil {
-		c.healthy.Store(false)
-		return nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, false
-	}
-	data, err := readReply(resp)
-	if err != nil {
-		return nil, false
-	}
-	rep, err := core.DecodeReport(data)
-	if err != nil {
-		return nil, false
-	}
-	return rep, true
+// CachedReport always misses: the worker's report cache lives in another
+// process, and the characterize RPC reads it.
+func (c *Client) CachedReport(uint64, *frame.Bitmap, core.Options) (*core.Report, bool) {
+	return nil, false
 }
 
 // readReply reads a report reply whole, at most maxBodyBytes of it. A reply
@@ -377,7 +325,6 @@ func (c *Client) Snapshot() shard.ShardSnapshot {
 // to what the re-registration supersedes. Best-effort: an unreachable
 // worker has nothing worth invalidating.
 func (c *Client) InvalidateFrame(fp uint64) {
-	c.forgetShipped(fp)
 	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	resp, err := c.post(ctx, PathInvalidate, EncodeInvalidate(fp))

@@ -4,8 +4,8 @@
 //
 // A worker process (`ziggyd -worker`) wraps its own shard.Router in a
 // Worker handler exposing endpoints under /api/worker/: health, stats, the
-// two-request table registration (manifest + chunks), a report-cache probe,
-// characterize, and invalidate. A front process (`ziggyd -peers
+// two-request table registration (manifest + chunks), characterize, and
+// invalidate. A front process (`ziggyd -peers
 // host1,host2`) builds one Client per worker and hands them to
 // shard.NewWithBackends; the front routes by the same rendezvous hash over
 // frame.Fingerprint the in-process router uses, so a front and its workers
@@ -30,10 +30,12 @@
 //     the sender's, so a corrupted cell is named by column and chunk and
 //     never stored. Streams may arrive in any order, from any number of
 //     fronts, late or twice: one for a stored fingerprint replaces nothing;
-//   - characterize and cache-probe requests carry only the table
-//     fingerprint, the selection bitmap words, and the options, so a repeat
-//     query is answered from the worker's report cache without the table
-//     crossing the wire again (even by a front that never shipped it);
+//   - a characterize request carries only the table fingerprint, the
+//     selection bitmap words, and the options, so a repeat query is
+//     answered from the worker's report cache without the table crossing
+//     the wire again (even by a front that never shipped it, to a worker
+//     that never received it); a worker that holds neither the table nor
+//     the report answers 404, and only then does the front ship the table;
 //   - reports come back in core's report wire format, which round-trips
 //     byte-identically — a remote report re-encodes to the same bytes as an
 //     in-process one (TestRemoteDeterminism).
@@ -364,16 +366,15 @@ func DecodeInvalidate(data []byte) (uint64, error) {
 	return fp, nil
 }
 
-// Request is the body of a characterize or cache-probe call: the table by
-// fingerprint only, the selection by its bitmap words, and the per-run
-// options.
+// Request is the body of a characterize call: the table by fingerprint
+// only, the selection by its bitmap words, and the per-run options.
 type Request struct {
 	Fingerprint uint64
 	Sel         *frame.Bitmap
 	Opts        core.Options
 }
 
-// EncodeRequest serializes a characterize/cache-probe request.
+// EncodeRequest serializes a characterize request.
 func EncodeRequest(req Request) []byte {
 	var w wire.Buf
 	w.B = append(w.B, requestMagic[:]...)
@@ -391,7 +392,7 @@ func EncodeRequest(req Request) []byte {
 	return w.B
 }
 
-// DecodeRequest parses a characterize/cache-probe request, validating the
+// DecodeRequest parses a characterize request, validating the
 // bitmap (word count and stray bits) via frame.BitmapFromWords.
 func DecodeRequest(data []byte) (Request, error) {
 	if err := wire.CheckMagic(data, requestMagic, decodingRequest); err != nil {

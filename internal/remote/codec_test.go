@@ -395,7 +395,7 @@ func TestInvalidateCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRequestCodecRoundTrip pins the characterize/probe request format.
+// TestRequestCodecRoundTrip pins the characterize request format.
 func TestRequestCodecRoundTrip(t *testing.T) {
 	sel := frame.NewBitmap(100)
 	for i := 0; i < 100; i += 7 {

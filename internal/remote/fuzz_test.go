@@ -148,7 +148,7 @@ func FuzzChunkCodec(f *testing.F) {
 	})
 }
 
-// FuzzRequestCodec hammers the characterize/probe request decoder the same
+// FuzzRequestCodec hammers the characterize request decoder the same
 // way: reject or round-trip, never panic.
 func FuzzRequestCodec(f *testing.F) {
 	f.Add([]byte{})

@@ -486,14 +486,6 @@ func TestWorkerRestartReships(t *testing.T) {
 func TestRemoteSaturationMapsRetryAfter(t *testing.T) {
 	var secondBackendHit bool
 	sat := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, PathCached) {
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-		if strings.HasSuffix(r.URL.Path, PathManifest) {
-			writeJSON(w, http.StatusOK, ManifestResponse{Registered: true})
-			return
-		}
 		w.Header().Set("Retry-After", "2")
 		w.Header().Set(RetryAfterMillisHeader, "1500")
 		writeError(w, http.StatusServiceUnavailable, shard.ErrSaturated)
@@ -531,8 +523,8 @@ func TestRemoteSaturationMapsRetryAfter(t *testing.T) {
 }
 
 // TestWorkerEndpointValidation covers the worker's HTTP error paths: wrong
-// methods, undecodable bodies, unknown fingerprints, and the empty-cache
-// probe — plus the one stream that is no error: an orphan.
+// methods, undecodable bodies and unknown fingerprints — plus the one
+// stream that is no error: an orphan.
 func TestWorkerEndpointValidation(t *testing.T) {
 	w, ts := newWorker(t, 1)
 	post := func(path string, body []byte) *http.Response {
@@ -573,9 +565,6 @@ func TestWorkerEndpointValidation(t *testing.T) {
 	if resp := post(PathCharacterize, req); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown-table characterize status %d", resp.StatusCode)
 	}
-	if resp := post(PathCached, req); resp.StatusCode != http.StatusNoContent {
-		t.Errorf("cold cache probe status %d", resp.StatusCode)
-	}
 	// Health reports shape.
 	resp, err := http.Get(ts.URL + PathHealth)
 	if err != nil || resp.StatusCode != http.StatusOK {
@@ -585,16 +574,13 @@ func TestWorkerEndpointValidation(t *testing.T) {
 }
 
 // TestClientAgainstDeadWorker covers the client-side transport error paths:
-// probes degrade to misses, registration and characterization report
-// ErrBackendUnavailable, and stats mark the backend unhealthy.
+// registration and characterization report ErrBackendUnavailable, and
+// stats mark the backend unhealthy.
 func TestClientAgainstDeadWorker(t *testing.T) {
 	ts := httptest.NewServer(http.NotFoundHandler())
 	ts.Close() // immediately dead
 	c := NewClient(ts.URL)
 	f, sel := testTable(t, 10)
-	if _, ok := c.CachedReport(f.Fingerprint(), sel, core.Options{}); ok {
-		t.Error("probe against a dead worker reported a hit")
-	}
 	if err := c.RegisterTable(f); !errors.Is(err, shard.ErrBackendUnavailable) {
 		t.Errorf("register error = %v, want ErrBackendUnavailable", err)
 	}

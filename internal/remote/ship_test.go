@@ -271,25 +271,25 @@ func TestPartialStoreHeal(t *testing.T) {
 
 // TestInvalidateFrameEndToEnd pins the invalidate RPC: the worker drops the
 // fingerprint's derived report cache but keeps the stored table — it is the
-// delta base the successor version wants — and the client forgets its
-// shipped mark so a re-register renegotiates.
+// delta base the successor version wants.
 func TestInvalidateFrameEndToEnd(t *testing.T) {
 	w, ts := newWorker(t, 1)
 	c := NewClient(ts.URL)
 	f, sel := chunkedTable(t, 9, 320)
-
-	if err := c.RegisterTable(f); err != nil {
-		t.Fatal(err)
+	cached := func() bool {
+		_, ok := w.Router().CachedReportFingerprint(f.Fingerprint(), sel, core.Options{})
+		return ok
 	}
+
 	if _, err := c.Characterize(f, sel, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.CachedReport(f.Fingerprint(), sel, core.Options{}); !ok {
+	if !cached() {
 		t.Fatal("report cache cold after characterize")
 	}
 
 	c.InvalidateFrame(f.Fingerprint())
-	if _, ok := c.CachedReport(f.Fingerprint(), sel, core.Options{}); ok {
+	if cached() {
 		t.Error("worker report cache survived the invalidate")
 	}
 	if _, ok := w.table(f.Fingerprint()); !ok {
@@ -299,54 +299,12 @@ func TestInvalidateFrameEndToEnd(t *testing.T) {
 	// The superseding version delta-ships against the retained base.
 	before := c.Snapshot()
 	grown := appendRows(t, f, 9, 64)
-	if err := c.RegisterTable(grown); err != nil {
+	if _, err := c.Characterize(grown, selectThird(grown), core.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	after := c.Snapshot()
 	if d := after.ChunksShipped - before.ChunksShipped; d != 1 {
-		t.Errorf("post-invalidate register shipped %d chunks, want 1 (retained base prefix)", d)
-	}
-}
-
-// TestShippedSetIsBounded pins the client's shipped-set LRU: after far more
-// registrations than the bound, an aged-out fingerprint costs one manifest
-// renegotiation but zero chunk bytes when the worker still holds the table.
-func TestShippedSetIsBounded(t *testing.T) {
-	cfg := testConfig()
-	cfg.CacheEntries = 512 // worker table store outlives the client's shipped set
-	router, err := shard.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := NewWorker(router)
-	ts := newTestServer(t, w)
-	c := NewClient(ts.URL)
-
-	first, _ := testTable(t, 100)
-	if err := c.RegisterTable(first); err != nil {
-		t.Fatal(err)
-	}
-	entries, _ := core.DefaultConfig().EffectiveCacheBounds()
-	for i := 0; i < entries+8; i++ {
-		f, _ := testTable(t, 200+uint64(i))
-		if err := c.RegisterTable(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	before := c.Snapshot()
-	if err := c.RegisterTable(first); err != nil {
-		t.Fatal(err)
-	}
-	after := c.Snapshot()
-	if d := after.ChunksShipped - before.ChunksShipped; d != 0 {
-		t.Errorf("aged-out shipped mark re-shipped %d chunks; the worker-resident table needs none", d)
-	}
-	if after.TablesShipped != before.TablesShipped {
-		t.Errorf("renegotiation without chunks counted as a table ship")
-	}
-	if d := after.BytesShipped - before.BytesShipped; d <= 0 {
-		t.Errorf("renegotiation shipped %d bytes, want one manifest's worth", d)
+		t.Errorf("post-invalidate characterize shipped %d chunks, want 1 (retained base prefix)", d)
 	}
 }
 
@@ -677,9 +635,10 @@ func TestRPCsReuseOneConnection(t *testing.T) {
 }
 
 // TestReportRepliesReuseOneConnection pins the report replies' framing:
-// characterize and cache-probe replies carry a Content-Length, the client
-// reads exactly that many bytes, and back-to-back report RPCs through one
-// client keep a single keep-alive connection.
+// characterize replies carry a Content-Length, the client reads exactly
+// that many bytes, and back-to-back characterize RPCs through one client —
+// the unknown-table reply, registration, the cold run and the repeats the
+// worker's cache answers — keep a single keep-alive connection.
 func TestReportRepliesReuseOneConnection(t *testing.T) {
 	const n = 20
 	w, _ := newWorker(t, 1)
@@ -696,33 +655,27 @@ func TestReportRepliesReuseOneConnection(t *testing.T) {
 	t.Cleanup(func() { c.Close() })
 
 	f, sel := testTable(t, 21)
-	if err := c.RegisterTable(f); err != nil {
-		t.Fatal(err)
-	}
 	want, err := c.Characterize(f, sel, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := c.post(nil, PathCached, EncodeRequest(Request{Fingerprint: f.Fingerprint(), Sel: sel}))
+	resp, err := c.post(nil, PathCharacterize, EncodeRequest(Request{Fingerprint: f.Fingerprint(), Sel: sel}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil || resp.ContentLength != int64(len(body)) {
-		t.Fatalf("probe reply: Content-Length %d for %d bytes (err %v), want the exact length", resp.ContentLength, len(body), err)
+		t.Fatalf("characterize reply: Content-Length %d for %d bytes (err %v), want the exact length", resp.ContentLength, len(body), err)
 	}
 	for i := 0; i < n; i++ {
-		rep, ok := c.CachedReport(f.Fingerprint(), sel, core.Options{})
-		if !ok || !bytes.Equal(canonical(rep), canonical(want)) {
-			t.Fatalf("probe %d: ok=%v or bytes diverged", i, ok)
-		}
-		if rep, err = c.Characterize(f, sel, core.Options{}); err != nil || !bytes.Equal(canonical(rep), canonical(want)) {
-			t.Fatalf("characterize %d: err=%v or bytes diverged", i, err)
+		rep, err := c.Characterize(f, sel, core.Options{})
+		if err != nil || !rep.ReportCacheHit || !bytes.Equal(canonical(rep), canonical(want)) {
+			t.Fatalf("repeat %d: err=%v, or not a cache hit, or bytes diverged", i, err)
 		}
 	}
 	if got := conns.Load(); got > 1 {
-		t.Errorf("%d report RPCs opened %d connections, want 1", 2*n+2, got)
+		t.Errorf("%d worker RPCs opened %d connections, want 1", n+5, got)
 	}
 }
 
@@ -741,9 +694,9 @@ func TestReadReplyFraming(t *testing.T) {
 		rw.(http.Flusher).Flush() // commits the reply without a length
 		rw.Write(enc[len(enc)/2:])
 	}))
-	rep, ok := NewClient(chunked.URL).CachedReport(f.Fingerprint(), sel, core.Options{})
-	if !ok || !bytes.Equal(core.EncodeReport(rep), enc) {
-		t.Errorf("chunked reply: ok=%v or bytes diverged", ok)
+	rep, err := NewClient(chunked.URL).Characterize(f, sel, core.Options{})
+	if err != nil || !bytes.Equal(core.EncodeReport(rep), enc) {
+		t.Errorf("chunked reply: err=%v or bytes diverged", err)
 	}
 
 	huge := newTestServer(t, http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {

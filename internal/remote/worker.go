@@ -23,9 +23,16 @@ const (
 	PathManifest     = "/api/worker/manifest"
 	PathChunks       = "/api/worker/chunks"
 	PathCharacterize = "/api/worker/characterize"
-	PathCached       = "/api/worker/cached"
 	PathInvalidate   = "/api/worker/invalidate"
 )
+
+// PathCached named the report-cache probe endpoint, which characterize
+// replaced: it answers a repeat from the worker's cache itself.
+//
+// Deprecated: no worker serves it. It stays only because the serving
+// benchmark (benchmark/trace.go) reads it; the benchmark-only change of
+// ROADMAP.md item 7 drops that use, and then this constant.
+const PathCached = "/api/worker/cached"
 
 // RetryAfterMillisHeader carries the saturation backoff hint at millisecond
 // fidelity next to the standard integer-seconds Retry-After header.
@@ -42,10 +49,10 @@ const maxBodyBytes = 1 << 30
 // stream then carries the manifest, that offer and the missing cells, and
 // the worker rebuilds and verifies the table from the stream and its named
 // base alone — so streams may arrive in any order, from any number of
-// fronts, late or twice. Characterize and cache-probe requests address
-// tables by fingerprint, and admission control is the router's — a
-// saturated worker sheds with 503 and a Retry-After hint exactly like an
-// in-process shard sheds with ErrSaturated.
+// fronts, late or twice. Characterize requests address tables by
+// fingerprint, and admission control is the router's — a saturated worker
+// sheds with 503 and a Retry-After hint exactly like an in-process shard
+// sheds with ErrSaturated.
 //
 // The table store is LRU-bounded by the router's configured cache budget,
 // like every other tier in the system: a long-running worker fed many
@@ -74,7 +81,6 @@ func NewWorker(router *shard.Router) *Worker {
 	mux.HandleFunc(PathManifest, w.handleManifest)
 	mux.HandleFunc(PathChunks, w.handleChunks)
 	mux.HandleFunc(PathCharacterize, w.handleCharacterize)
-	mux.HandleFunc(PathCached, w.handleCached)
 	mux.HandleFunc(PathInvalidate, w.handleInvalidate)
 	w.mux = mux
 	return w
@@ -289,6 +295,13 @@ func (w *Worker) handleCharacterize(rw http.ResponseWriter, r *http.Request) {
 	}
 	f, ok := w.table(req.Fingerprint)
 	if !ok {
+		// The report cache is keyed by fingerprints, so a repeat is
+		// answered even for a table this worker never received (or
+		// evicted); only a miss asks the front to ship it.
+		if rep, ok := w.router.CachedReportFingerprint(req.Fingerprint, req.Sel, req.Opts); ok {
+			writeReport(rw, rep)
+			return
+		}
 		writeError(rw, http.StatusNotFound, fmt.Errorf("unknown table fingerprint %#x", req.Fingerprint))
 		return
 	}
@@ -317,26 +330,4 @@ func writeReport(rw http.ResponseWriter, rep *core.Report) {
 	rw.Header().Set("Content-Type", "application/octet-stream")
 	rw.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	rw.Write(data)
-}
-
-func (w *Worker) handleCached(rw http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(rw, r)
-	if !ok {
-		return
-	}
-	req, err := DecodeRequest(body)
-	if err != nil {
-		writeError(rw, http.StatusBadRequest, err)
-		return
-	}
-	// Probing needs no table: the report cache is keyed by fingerprints, so
-	// a repeat query hits even when this worker restarted its front (or
-	// never saw the table ship — the cache remembers the content, not the
-	// object).
-	rep, ok := w.router.CachedReportFingerprint(req.Fingerprint, req.Sel, req.Opts)
-	if !ok {
-		rw.WriteHeader(http.StatusNoContent)
-		return
-	}
-	writeReport(rw, rep)
 }

@@ -15,34 +15,41 @@ import (
 // (EngineBackend) or behind RPC in another one (internal/remote.Client)
 // without the router, the cache keys, or the rendezvous routing changing.
 //
-// Everything is addressed by content: tables register by their frame
-// fingerprint (re-registration of a known fingerprint is a no-op, so a
-// table crosses the process boundary at most once), cache probes take only
-// the fingerprint (a repeat query can be answered before the table was ever
-// shipped), and reports come back byte-identical no matter which backend
-// computes them.
+// Everything is addressed by content: a remote backend names a table by
+// its frame fingerprint and ships it only when its worker does not hold it,
+// and reports come back byte-identical no matter which backend computes
+// them. A request that no cache in the router's process answers costs one
+// Characterize call.
 type Backend interface {
 	// RegisterTable makes f available to the backend. It is content
-	// addressed and idempotent: a fingerprint the backend already holds is
-	// a no-op, so the router may call it on every request.
+	// addressed and idempotent.
+	//
+	// Deprecated: the router never calls it; a remote backend registers a
+	// table inside Characterize when its worker does not hold it. It stays
+	// only because the serving benchmark (benchmark/trace.go) overrides it;
+	// the benchmark-only change of ROADMAP.md item 7 drops that override,
+	// and then this method.
 	RegisterTable(f *frame.Frame) error
-	// Characterize runs the full pipeline (or serves the backend's report
-	// cache) for a registered table. Saturated backends shed with a
-	// *SaturatedError; unreachable remote backends report
-	// ErrBackendUnavailable so the router can fail over.
+	// Characterize runs the full pipeline, or serves the backend's report
+	// cache; a remote reply sets ReportCacheHit when the worker's cache
+	// answered it. Saturated backends shed with a *SaturatedError;
+	// unreachable remote backends report ErrBackendUnavailable so the
+	// router can fail over.
 	Characterize(f *frame.Frame, sel *frame.Bitmap, opts core.Options) (*core.Report, error)
-	// CachedReport probes the backend's report cache by table fingerprint
-	// without executing anything — the pre-admission fast path that keeps
-	// repeat queries at ~µs even when the backend is saturated, and keeps
-	// them from re-shipping tables across processes.
+	// CachedReport looks the report up in a cache in this process by table
+	// fingerprint, with no RPC and no admission — the pre-admission fast
+	// path that keeps repeat queries at ~µs even when an in-process backend
+	// is saturated. A remote backend holds no such cache and always misses.
 	CachedReport(fp uint64, sel *frame.Bitmap, opts core.Options) (*core.Report, bool)
 	// Snapshot returns the backend's traffic counters and cache tiers; the
-	// router stamps the shard index.
+	// router stamps the shard index and, for an in-process backend, its
+	// engine's report tier (Router.Stats counts each cache once).
 	Snapshot() ShardSnapshot
 	// Engine returns the backend's in-process engine, or nil when the engine
 	// lives in another process. The router asks it to tell a backend that
 	// probes an engine's cache here from one whose repeats its front tier
-	// answers; a wrapper that embeds a Backend forwards it.
+	// answers, and to count that engine's report cache in Stats; a wrapper
+	// that embeds a Backend forwards it.
 	Engine() *core.Engine
 	// InvalidateFrame drops the cache entries of the single frame with the
 	// given content fingerprint — the scoped invalidation behind the table
@@ -98,9 +105,6 @@ const (
 type EngineBackend struct {
 	engine      *core.Engine
 	concurrency int
-	// ownReports marks an engine built on a private report cache (nil
-	// reports), which Snapshot then reports as the backend's own tier.
-	ownReports bool
 
 	// admit bounds running + waiting requests (capacity concurrency +
 	// queue depth); a failed non-blocking send is a shed request. run
@@ -131,11 +135,11 @@ type EngineBackend struct {
 }
 
 // NewEngineBackend builds an in-process backend with its own engine sharing
-// the given report cache (nil = private, reported on the backend's own
-// Snapshot) and admission parameters (zero values = package defaults).
-// Topologies of several local engines, or of local and remote ones, hand
-// these to NewWithBackends; pass the router the same report cache so the
-// engines' repeats are counted once, as Stats.Reports.
+// the given report cache (nil = private) and admission parameters (zero
+// values = package defaults). Topologies of several local engines, or of
+// local and remote ones, hand these to NewWithBackends. Passing the router
+// the same report cache keeps one cache for the engines and the front tier
+// instead of two; Router.Stats counts each distinct cache once either way.
 func NewEngineBackend(cfg core.Config, reports *core.ReportCache, p Params) (*EngineBackend, error) {
 	if p.Concurrency < 0 || p.QueueDepth < 0 {
 		return nil, fmt.Errorf("shard: negative admission params %+v", p)
@@ -153,7 +157,6 @@ func NewEngineBackend(cfg core.Config, reports *core.ReportCache, p Params) (*En
 	return &EngineBackend{
 		engine:              e,
 		concurrency:         p.Concurrency,
-		ownReports:          reports == nil,
 		admit:               make(chan struct{}, p.Concurrency+p.QueueDepth),
 		run:                 make(chan struct{}, p.Concurrency),
 		approxUnderPressure: cfg.ApproxUnderPressure,
@@ -166,6 +169,8 @@ func (b *EngineBackend) Engine() *core.Engine { return b.engine }
 
 // RegisterTable is a no-op: an in-process backend reads the frame directly,
 // so registration is implicit.
+//
+// Deprecated: see Backend.RegisterTable.
 func (b *EngineBackend) RegisterTable(*frame.Frame) error { return nil }
 
 // Characterize admits the request through the shard's queue and runs the
@@ -271,9 +276,10 @@ func (b *EngineBackend) retryAfter() time.Duration {
 	return d
 }
 
-// Snapshot returns the backend's point-in-time counters. Inflight and
-// Queued are instantaneous channel occupancies and may be transiently
-// inconsistent with each other under concurrent traffic.
+// Snapshot returns the backend's point-in-time counters and prepared tier;
+// Router.Stats adds the report tier. Inflight and Queued are instantaneous
+// channel occupancies and may be transiently inconsistent with each other
+// under concurrent traffic.
 func (b *EngineBackend) Snapshot() ShardSnapshot {
 	queued := int64(len(b.admit)) - int64(len(b.run))
 	if queued < 0 {
@@ -284,8 +290,7 @@ func (b *EngineBackend) Snapshot() ShardSnapshot {
 	if completed > 0 {
 		meanService = float64(b.serviceNanos.Load()) / float64(completed) / 1e6
 	}
-	stats := b.engine.CacheStats()
-	snap := ShardSnapshot{
+	return ShardSnapshot{
 		Kind:              KindLocal,
 		Healthy:           true,
 		Requests:          b.requests.Load(),
@@ -296,14 +301,8 @@ func (b *EngineBackend) Snapshot() ShardSnapshot {
 		RetryAfterMillis:  b.retryAfter().Milliseconds(),
 		Completed:         completed,
 		MeanServiceMillis: meanService,
-		Prepared:          stats.Prepared,
+		Prepared:          b.engine.CacheStats().Prepared,
 	}
-	if b.ownReports {
-		// A shared cache stays zero here: the router reports it once as
-		// Stats.Reports.
-		snap.Reports = stats.Reports
-	}
-	return snap
 }
 
 // InvalidateFrame drops the fingerprint's entries from the engine's

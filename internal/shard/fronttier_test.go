@@ -23,22 +23,28 @@ import (
 // cache lives in another process, the router's own cache answers the
 // repeats that backend's cache answered once.
 
-// probeCounter wraps a backend and counts the cache probes sent through it.
-type probeCounter struct {
+// callCounter wraps a backend and counts the cache probes and the
+// characterize calls sent through it.
+type callCounter struct {
 	shard.Backend
-	probes atomic.Int64
+	probes, calls atomic.Int64
 }
 
-func (p *probeCounter) CachedReport(fp uint64, sel *frame.Bitmap, opts core.Options) (*core.Report, bool) {
-	p.probes.Add(1)
-	return p.Backend.CachedReport(fp, sel, opts)
+func (c *callCounter) CachedReport(fp uint64, sel *frame.Bitmap, opts core.Options) (*core.Report, bool) {
+	c.probes.Add(1)
+	return c.Backend.CachedReport(fp, sel, opts)
+}
+
+func (c *callCounter) Characterize(f *frame.Frame, sel *frame.Bitmap, opts core.Options) (*core.Report, error) {
+	c.calls.Add(1)
+	return c.Backend.Characterize(f, sel, opts)
 }
 
 // frontRig is a front router over one worker served by an httptest server.
 type frontRig struct {
 	front   *shard.Router
 	tier    *core.ReportCache // the front's report cache: its front tier
-	backend *probeCounter
+	backend *callCounter
 	worker  *shard.Router // the worker's own router
 }
 
@@ -53,7 +59,7 @@ func newFrontRig(t *testing.T, cfg core.Config, p shard.Params) *frontRig {
 	t.Cleanup(ts.Close)
 	client := remote.NewClient(ts.URL)
 	t.Cleanup(func() { client.Close() })
-	rig := &frontRig{tier: core.NewReportCache(0, 0), backend: &probeCounter{Backend: client}, worker: worker}
+	rig := &frontRig{tier: core.NewReportCache(0, 0), backend: &callCounter{Backend: client}, worker: worker}
 	rig.front, err = shard.NewWithBackends(cfg, rig.tier, []shard.Backend{rig.backend})
 	if err != nil {
 		t.Fatal(err)
@@ -70,26 +76,31 @@ func (rig *frontRig) characterize(t *testing.T, f *frame.Frame, sel *frame.Bitma
 	return rep
 }
 
-// TestFrontTierRepeatSkipsProbe pins the tentpole path and its accounting:
-// the first repeat is a worker-probe hit that fills the front tier, the
-// next is answered there with no probe, and each request is counted once
-// across the front and worker tiers.
-func TestFrontTierRepeatSkipsProbe(t *testing.T) {
+// TestFrontTierRepeatSkipsRPC pins the tentpole path and its accounting:
+// the first repeat is a characterize reply the worker's cache answered,
+// which fills the front tier, the next is answered there with no RPC, and
+// each request is counted once across the front and worker tiers. The
+// router never asks a remote backend's CachedReport.
+func TestFrontTierRepeatSkipsRPC(t *testing.T) {
 	rig := newFrontRig(t, core.DefaultConfig(), shard.Params{})
 	f, sel := shard.TestTable(t, 1)
 	cold := rig.characterize(t, f, sel, core.Options{})
-	probeHit := rig.characterize(t, f, sel, core.Options{})
-	if cold.ReportCacheHit || !probeHit.ReportCacheHit || rig.tier.Len() != 1 {
-		t.Fatalf("cold hit=%v, repeat hit=%v, front entries=%d; want a cold miss, then a probe hit stored once",
-			cold.ReportCacheHit, probeHit.ReportCacheHit, rig.tier.Len())
+	workerHit := rig.characterize(t, f, sel, core.Options{})
+	if cold.ReportCacheHit || !workerHit.ReportCacheHit || rig.tier.Len() != 1 {
+		t.Fatalf("cold hit=%v, repeat hit=%v, front entries=%d; want a cold miss, then a worker hit stored once",
+			cold.ReportCacheHit, workerHit.ReportCacheHit, rig.tier.Len())
 	}
-	probes := rig.backend.probes.Load()
+	calls := rig.backend.calls.Load()
 	frontHit := rig.characterize(t, f, sel, core.Options{})
-	if got := rig.backend.probes.Load(); got != probes {
-		t.Errorf("front-tier hit still probed the worker (%d probes, want %d)", got, probes)
+	if got := rig.backend.calls.Load(); got != calls {
+		t.Errorf("front-tier hit still called the worker (%d calls, want %d)", got, calls)
 	}
-	if !frontHit.ReportCacheHit || !bytes.Equal(core.EncodeReport(frontHit), core.EncodeReport(probeHit)) {
-		t.Error("front-tier hit differs from the worker-probe hit it replaces")
+	if calls != 2 || rig.backend.probes.Load() != 0 {
+		t.Errorf("%d characterize calls and %d remote probes for a miss and a repeat, want 2 and 0",
+			calls, rig.backend.probes.Load())
+	}
+	if !frontHit.ReportCacheHit || !bytes.Equal(core.EncodeReport(frontHit), core.EncodeReport(workerHit)) {
+		t.Error("front-tier hit differs from the worker hit it replaces")
 	}
 	front := rig.front.Stats()
 	if front.Reports.Hits != 1 || front.Reports.Misses != 0 {
@@ -100,6 +111,23 @@ func TestFrontTierRepeatSkipsProbe(t *testing.T) {
 	}
 	if got := front.Totals().Reports.Requests(); got != 3 {
 		t.Errorf("requests summed over both tiers = %d, want 3", got)
+	}
+}
+
+// TestFrontTierStoresRequestedApproximate pins the other half of the
+// degraded-report rule: an approximate report the request itself asked for
+// is stored under that request's own key, so its repeats skip the RPC.
+func TestFrontTierStoresRequestedApproximate(t *testing.T) {
+	rig := newFrontRig(t, core.DefaultConfig(), shard.Params{})
+	f, sel := shard.TestTable(t, 8)
+	approx := core.Options{ApproxRows: 40}
+	for i := 0; i < 3; i++ {
+		if rep := rig.characterize(t, f, sel, approx); rep.Approximate == nil {
+			t.Fatalf("approximate request %d answered exactly", i)
+		}
+	}
+	if got := rig.backend.calls.Load(); got != 2 {
+		t.Errorf("%d characterize calls for three approximate requests, want 2 (the third is a front-tier hit)", got)
 	}
 }
 
@@ -115,7 +143,7 @@ func TestWrappedLocalBackendProbesItsEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrapped := &probeCounter{Backend: eb}
+	wrapped := &callCounter{Backend: eb}
 	r, err := shard.NewWithBackends(cfg, reports, []shard.Backend{wrapped})
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +164,8 @@ func TestWrappedLocalBackendProbesItsEngine(t *testing.T) {
 
 // TestFrontTierSkipsDegradedReports pins that a report degraded under
 // pressure never lands in the front tier: the worker memoizes it under its
-// approximate key, and the front tier fills only from exact-key probe hits.
+// approximate key, and the front tier fills only from cache-hit replies to
+// the request's own key.
 // Once the pressure ends, the exact request is answered exactly.
 func TestFrontTierSkipsDegradedReports(t *testing.T) {
 	cfg := core.DefaultConfig()
@@ -171,7 +200,7 @@ func TestFrontTierSkipsDegradedReports(t *testing.T) {
 
 // TestFrontTierInvalidateFrame pins the append and unregister path:
 // Router.InvalidateFrame drops the old fingerprint's front entries, and
-// requests on the grown table probe the worker until their own probe hit
+// requests on the grown table call the worker until its cache-hit reply
 // fills the front tier.
 func TestFrontTierInvalidateFrame(t *testing.T) {
 	rig := newFrontRig(t, core.DefaultConfig(), shard.Params{})
@@ -179,7 +208,7 @@ func TestFrontTierInvalidateFrame(t *testing.T) {
 	rig.characterize(t, f, sel, core.Options{})
 	rig.characterize(t, f, sel, core.Options{})
 	if rig.tier.Len() != 1 {
-		t.Fatalf("front tier holds %d entries after a probe hit, want 1", rig.tier.Len())
+		t.Fatalf("front tier holds %d entries after a worker hit, want 1", rig.tier.Len())
 	}
 
 	rig.front.InvalidateFrame(f.Fingerprint())
@@ -203,11 +232,11 @@ func TestFrontTierInvalidateFrame(t *testing.T) {
 			grownSel.Set(f.NumRows() + i)
 		}
 	}
-	for i, wantProbe := range []bool{true, true, false} {
-		before := rig.backend.probes.Load()
+	for i, wantCall := range []bool{true, true, false} {
+		before := rig.backend.calls.Load()
 		rig.characterize(t, grown, grownSel, core.Options{})
-		if probed := rig.backend.probes.Load() > before; probed != wantProbe {
-			t.Errorf("grown-table request %d: probed the worker = %v, want %v", i, probed, wantProbe)
+		if called := rig.backend.calls.Load() > before; called != wantCall {
+			t.Errorf("grown-table request %d: called the worker = %v, want %v", i, called, wantCall)
 		}
 	}
 }
@@ -228,7 +257,7 @@ func TestFrontTierSkipReportCache(t *testing.T) {
 	}
 
 	rig.characterize(t, f, sel, core.Options{})
-	rig.characterize(t, f, sel, core.Options{}) // a probe hit: now stored
+	rig.characterize(t, f, sel, core.Options{}) // a worker hit: now stored
 	before := rig.tier.Snapshot()
 	if rep := rig.characterize(t, f, sel, skip); rep.ReportCacheHit {
 		t.Error("SkipReportCache request read the front tier")
@@ -238,10 +267,10 @@ func TestFrontTierSkipReportCache(t *testing.T) {
 	}
 }
 
-// TestFrontTierServesProbeHitBody pins the served bytes: through the demo
+// TestFrontTierServesWorkerHitBody pins the served bytes: through the demo
 // server, the /api/characterize body a front-tier hit answers is the body
-// of the worker-probe hit it replaces.
-func TestFrontTierServesProbeHitBody(t *testing.T) {
+// of the worker-cache hit it replaces.
+func TestFrontTierServesWorkerHitBody(t *testing.T) {
 	rig := newFrontRig(t, core.DefaultConfig(), shard.Params{})
 	cat := db.NewCatalog()
 	if err := cat.Register(synth.BoxOffice(1)); err != nil {
@@ -264,14 +293,14 @@ func TestFrontTierServesProbeHitBody(t *testing.T) {
 		return body
 	}
 	post()
-	probeHit := post()
-	probes := rig.backend.probes.Load()
+	workerHit := post()
+	calls := rig.backend.calls.Load()
 	frontHit := post()
-	if rig.backend.probes.Load() != probes {
-		t.Fatal("third request probed the worker; the front tier did not answer it")
+	if rig.backend.calls.Load() != calls {
+		t.Fatal("third request called the worker; the front tier did not answer it")
 	}
-	if !bytes.Equal(frontHit, probeHit) {
-		t.Errorf("front-tier hit body differs from the worker-probe hit body:\n%s\nvs\n%s", frontHit, probeHit)
+	if !bytes.Equal(frontHit, workerHit) {
+		t.Errorf("front-tier hit body differs from the worker hit body:\n%s\nvs\n%s", frontHit, workerHit)
 	}
 }
 

@@ -16,15 +16,15 @@
 //     (≈ 1/(N+1) of them), and every moved key moves to the new one.
 //
 // The router talks to its shards only through the Backend interface
-// (backend.go): register a table by content (ships across the process
-// boundary at most once), probe the report cache by fingerprint, then
-// characterize. EngineBackend is the in-process implementation — an engine
-// plus an admission queue that sheds load with ErrSaturated and a
-// Retry-After hint instead of head-of-line blocking. internal/remote.Client
-// is the HTTP implementation backed by a `ziggyd -worker` process; when a
-// remote backend is unreachable the router fails over to the next backend
-// in rendezvous order (reports are byte-identical wherever they compute, so
-// failover never changes the answer).
+// (backend.go): a request that no cache in this process answers costs one
+// Characterize call on its owner. EngineBackend is the in-process
+// implementation — an engine plus an admission queue that sheds load with
+// ErrSaturated and a Retry-After hint instead of head-of-line blocking.
+// internal/remote.Client is the HTTP implementation backed by a `ziggyd
+// -worker` process; it ships a table only when the worker answers that it
+// does not hold it. When a remote backend is unreachable the router fails
+// over to the next backend in rendezvous order (reports are byte-identical
+// wherever they compute, so failover never changes the answer).
 //
 // A process runs one in-process engine: New builds a router over a single
 // EngineBackend that holds the whole cache budget. Several local engines
@@ -35,14 +35,13 @@
 // core.ReportCache keyed by (frame fp, selection fp, config hash, options
 // hash), so a repeat query hits in ~µs no matter which shard, engine
 // instance, or reloaded copy of the table serves it, and the same cache can
-// be shared across routers (ziggy.WithSharedCache). Remote backends extend
-// the same probe across the process boundary: the front asks the owning
-// worker by fingerprint before shipping anything, so a repeat hits the
-// worker's cache without the table crossing the wire again. The report the
-// worker answers that probe with then lands in the router's own cache, the
-// front tier, under the same key, and every later repeat is answered there
-// with no RPC at all. In front mode the router's Stats.Reports snapshot
-// therefore counts front-tier hits, and the workers' tiers count the rest.
+// be shared across routers (ziggy.WithSharedCache). A remote worker answers
+// a repeat from its own report cache inside the characterize call, by
+// fingerprint, so the table does not cross the wire again. Such a hit then
+// lands in the router's own cache, the front tier, under the same key, and
+// every later repeat is answered there with no RPC at all. In front mode
+// the router's Stats.Reports snapshot therefore counts front-tier hits, and
+// the workers' tiers count the rest.
 package shard
 
 import (
@@ -221,18 +220,18 @@ func (r *Router) Characterize(f *frame.Frame, sel *frame.Bitmap) (*core.Report, 
 	return r.CharacterizeOpts(f, sel, core.Options{})
 }
 
-// CharacterizeOpts is Characterize with per-run options. The owning backend
-// is probed for a cached report first — a ~µs lookup that never touches the
-// admission queue, so cached traffic cannot be shed, stuck behind slow
-// characterizations, or force a table to re-ship. When the owner is remote
-// the router's front tier answers a repeat it has seen hit before, and only
-// a front-tier miss costs the probe RPC. A miss registers the table
-// (content-addressed: at most one shipment per backend) and characterizes,
-// shedding with ErrSaturated when the owner already has Concurrency running
-// plus QueueDepth waiting requests. If the owner is unreachable (a worker
-// that is down), the request fails over along the rendezvous ranking;
-// reports are byte-identical wherever they compute, so failover changes
-// latency, never bytes.
+// CharacterizeOpts is Characterize with per-run options. An in-process
+// owner is probed for a cached report first — a ~µs lookup that never
+// touches the admission queue, so cached traffic cannot be shed or stuck
+// behind slow characterizations. When the owner is remote the router's
+// front tier answers a repeat the worker's cache has answered once, and a
+// front-tier miss costs one characterize RPC, which the worker answers
+// from its own report cache when it can. A miss characterizes on the
+// owner, shedding with ErrSaturated when it already has Concurrency
+// running plus QueueDepth waiting requests. If the owner is unreachable (a
+// worker that is down), the request fails over along the rendezvous
+// ranking; reports are byte-identical wherever they compute, so failover
+// changes latency, never bytes.
 func (r *Router) CharacterizeOpts(f *frame.Frame, sel *frame.Bitmap, opts core.Options) (*core.Report, error) {
 	if f == nil {
 		// The engine validates too, but routing needs the fingerprint first.
@@ -259,14 +258,12 @@ func (r *Router) CharacterizeOpts(f *frame.Frame, sel *frame.Bitmap, opts core.O
 	return nil, firstErr
 }
 
-// serveOn runs the probe → register → characterize sequence on one backend.
+// serveOn answers the request on one backend: from a cache in this process
+// when one holds the report, otherwise with one Characterize call.
 func (r *Router) serveOn(i int, f *frame.Frame, fp uint64, sel *frame.Bitmap, opts core.Options) (*core.Report, error) {
 	b := r.backends[i]
 	if rep, ok := r.cached(b, fp, sel, opts); ok {
 		return rep, nil
-	}
-	if err := b.RegisterTable(f); err != nil {
-		return nil, fmt.Errorf("shard %d: %w", i, err)
 	}
 	rep, err := b.Characterize(f, sel, opts)
 	if err != nil {
@@ -278,37 +275,35 @@ func (r *Router) serveOn(i int, f *frame.Frame, fp uint64, sel *frame.Bitmap, op
 		}
 		return nil, err
 	}
+	// A remote reply its worker's cache answered fills the front tier. A
+	// report degraded under pressure is approximate although the request
+	// was not; the worker memoized it under its approximate key, and it
+	// must never land under the exact one.
+	if b.Engine() == nil && rep.ReportCacheHit && (rep.Approximate == nil || opts.ApproxRows > 0) {
+		r.reports.StoreFingerprint(fp, sel, r.cfgHash, opts, rep)
+	}
 	return rep, nil
 }
 
-// cached probes backend b's report cache. An in-process backend (non-nil
-// Engine, also through a wrapper that embeds it) probes its engine's cache,
-// the router's own when they share it, so its probe is the whole lookup.
-// Any other backend keeps its cache in another process: the router's cache
-// is its front tier, read first and filled only from the backend's hits.
-// Characterize results never enter it, so a query asked once costs no
-// front memory, and a report degraded under pressure (which the backend
-// memoizes under its own approximate key) never lands under an exact one.
-// A front-tier miss counts nothing and the stored hit was counted by the
-// backend, so each request is counted once across the tiers.
+// cached answers from a report cache in this process, without admission.
+// An in-process backend (non-nil Engine, also through a wrapper that embeds
+// it) probes its engine's cache, the router's own when they share it, so
+// its probe is the whole lookup. Any other backend keeps its cache in
+// another process: the router's cache is its front tier, filled only from
+// the backend's cache-hit replies (serveOn), so a query asked once costs no
+// front memory. A front-tier miss counts nothing and the stored hit was
+// counted by the backend, so each request is counted once across the tiers.
 func (r *Router) cached(b Backend, fp uint64, sel *frame.Bitmap, opts core.Options) (*core.Report, bool) {
 	if b.Engine() != nil {
 		return b.CachedReport(fp, sel, opts)
 	}
-	if rep, ok := r.reports.CachedFingerprint(fp, sel, r.cfgHash, opts); ok {
-		return rep, true
-	}
-	rep, ok := b.CachedReport(fp, sel, opts)
-	if ok {
-		r.reports.StoreFingerprint(fp, sel, r.cfgHash, opts, rep)
-	}
-	return rep, ok
+	return r.reports.CachedFingerprint(fp, sel, r.cfgHash, opts)
 }
 
-// CachedReportFingerprint probes the owning backend's report cache (through
-// the front tier when it is remote) without running anything; it is the
-// surface a worker exposes over RPC so repeat queries can be answered
-// before their table was ever shipped.
+// CachedReportFingerprint looks the report up in the owning backend's
+// cache, or in the front tier when that backend is remote, without running
+// anything. A worker calls it when a characterize request names a table it
+// does not hold, so a repeat is answered before the table was ever shipped.
 func (r *Router) CachedReportFingerprint(fp uint64, sel *frame.Bitmap, opts core.Options) (*core.Report, bool) {
 	return r.cached(r.backends[Assign(fp, len(r.backends))], fp, sel, opts)
 }
@@ -391,9 +386,10 @@ type ShardSnapshot struct {
 	BytesShipped  int64 `json:"bytesShipped,omitempty"`
 	// Prepared is the backend's prepared-structure memo tier.
 	Prepared memo.Snapshot `json:"prepared"`
-	// Reports is a remote worker's own shared report tier, or a local
-	// backend's private one. Local backends built on a shared cache leave
-	// it zero — the router reports its cache once as Stats.Reports.
+	// Reports is a remote worker's own report tier, or the report cache of
+	// a local backend when it is not the router's and no earlier shard
+	// entry carries it. Every cache is counted once: the router's as
+	// Stats.Reports, any other on the first entry that holds it.
 	Reports memo.Snapshot `json:"reports"`
 }
 
@@ -405,7 +401,7 @@ type Stats struct {
 	// Reports is the router's shared report cache; its counters cover every
 	// in-process backend built on it (and every router sharing the cache)
 	// and, for remote backends, the front tier's hits. Remote workers' own
-	// report tiers, and local backends' private ones, appear on their shard
+	// report tiers, and local backends' other caches, appear on their shard
 	// entries.
 	Reports memo.Snapshot `json:"reports"`
 }
@@ -415,7 +411,9 @@ type Stats struct {
 // transiently inconsistent with each other under concurrent traffic; remote
 // entries reflect the worker's last reachable state. Backend snapshots are
 // gathered concurrently, so a topology of unreachable workers costs one
-// probe timeout, not one per worker.
+// probe timeout, not one per worker. Each distinct report cache is counted
+// once, by identity, so local backends sharing a cache the router does not
+// hold still show their traffic, and only once.
 func (r *Router) Stats() Stats {
 	s := Stats{Shards: make([]ShardSnapshot, len(r.backends)), Reports: r.reports.Snapshot()}
 	var wg sync.WaitGroup
@@ -429,6 +427,13 @@ func (r *Router) Stats() Stats {
 		}(i, b)
 	}
 	wg.Wait()
+	counted := map[*core.ReportCache]bool{r.reports: true}
+	for i, b := range r.backends {
+		if e := b.Engine(); e != nil && !counted[e.Reports()] {
+			counted[e.Reports()] = true
+			s.Shards[i].Reports = e.Reports().Snapshot()
+		}
+	}
 	return s
 }
 

@@ -282,11 +282,13 @@ func WithSharedCache(reports *ReportCache) Option {
 
 // WithPeers adds one remote worker backend (`ziggyd -worker`) per address,
 // routed by the same rendezvous hash over table content fingerprints the
-// in-process router uses. Tables ship to their owning worker once
-// (content-addressed), a repeat query is served from the worker's report
-// cache without re-shipping and from then on from the session's own report
-// cache without an RPC, and unreachable workers fail over along the
-// rendezvous ranking.
+// in-process router uses. A query the session cannot answer itself costs
+// one characterize RPC; a table ships to its owning worker only when the
+// worker answers that it does not hold it, and then only the chunks it
+// lacks. A repeat query is served from the
+// worker's report cache without re-shipping and from then on from the
+// session's own report cache without an RPC, and unreachable workers fail
+// over along the rendezvous ranking.
 func WithPeers(addrs ...string) Option {
 	return func(sc *sessionConfig) {
 		for _, addr := range addrs {
@@ -332,8 +334,8 @@ func NewWorkerBackend(addr string) Backend { return remote.NewClient(addr) }
 
 // NewEngineBackend returns an in-process Backend sharing the given report
 // cache (nil = private), for WithBackends topologies of several local
-// engines or of local and remote ones. Pass the same cache to
-// WithSharedCache so the session counts the engines' repeats once.
+// engines or of local and remote ones. Backends built on one cache serve
+// each other's repeats, and CacheStats counts that cache once.
 func NewEngineBackend(cfg Config, reports *ReportCache) (Backend, error) {
 	return shard.NewEngineBackend(cfg, reports, shard.Params{})
 }

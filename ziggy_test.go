@@ -3,7 +3,9 @@ package ziggy_test
 import (
 	"fmt"
 	"math"
+	"net/http"
 	"net/http/httptest"
+	"path"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -644,5 +646,189 @@ func TestSessionOverRemoteWorkers(t *testing.T) {
 	}
 	if tot := stats.Totals(); tot.Reports.Hits != 1 || tot.Reports.Misses != 1 {
 		t.Errorf("totals reports tier = %+v, want 1 hit / 1 miss", tot.Reports)
+	}
+}
+
+// rpcLog records the worker endpoints a front calls, in order, as the
+// last path element; a non-200 status is appended in parentheses.
+type rpcLog struct {
+	mu    sync.Mutex
+	calls []string
+}
+
+// serve wraps a worker handler so every request is logged.
+func (l *rpcLog) serve(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		l.mu.Lock()
+		i := len(l.calls)
+		l.calls = append(l.calls, path.Base(r.URL.Path))
+		l.mu.Unlock()
+		h.ServeHTTP(statusLogger{ResponseWriter: w, log: l, i: i}, r)
+	})
+}
+
+// take returns the calls logged since the last take.
+func (l *rpcLog) take() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	calls := l.calls
+	l.calls = nil
+	return calls
+}
+
+// statusLogger marks a non-200 status on its call before the reply is
+// sent, so the log is complete by the time the front sees the reply.
+type statusLogger struct {
+	http.ResponseWriter
+	log *rpcLog
+	i   int
+}
+
+func (w statusLogger) WriteHeader(code int) {
+	if code != http.StatusOK {
+		w.log.mu.Lock()
+		w.log.calls[w.i] += fmt.Sprintf("(%d)", code)
+		w.log.mu.Unlock()
+	}
+	w.ResponseWriter.WriteHeader(code)
+}
+
+// TestOneRPCPerRemoteRequest pins the RPCs a front makes per request that
+// its own report tier does not answer: one characterize, which the worker
+// answers from its report cache when it can. A table ships only when the
+// worker answers that it does not hold it, and a worker that never received
+// a table still answers a repeat its report cache holds.
+func TestOneRPCPerRemoteRequest(t *testing.T) {
+	cfg := ziggy.DefaultConfig()
+	// Two workers on one report cache: the second has never received a
+	// table, but holds every report the first computed.
+	workerReports := ziggy.NewReportCache(cfg.CacheEntries, cfg.CacheBytes)
+	var logs [2]rpcLog
+	var workers [2]*remote.Worker
+	var urls [2]string
+	for i := range workers {
+		router, err := shard.NewWithParams(cfg, workerReports, shard.Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers[i] = remote.NewWorker(router)
+		ts := httptest.NewServer(logs[i].serve(workers[i]))
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	s, err := ziggy.New(cfg, ziggy.WithPeers(urls[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	base := ziggy.BoxOfficeData(1)
+	if err := s.Register(base); err != nil {
+		t.Fatal(err)
+	}
+	const cold, fresh = "SELECT * FROM boxoffice WHERE gross_musd >= 100", "SELECT * FROM boxoffice WHERE gross_musd >= 150"
+	grown, err := base.Append(ziggy.BoxOfficeData(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ship := []string{"characterize(404)", "manifest", "chunks", "characterize"}
+	for _, step := range []struct {
+		name string
+		op   func() error
+		want []string
+	}{
+		{"cold table", func() error { _, err := s.Characterize(cold); return err }, ship},
+		{"fresh query", func() error { _, err := s.Characterize(fresh); return err }, []string{"characterize"}},
+		{"first repeat", func() error { _, err := s.Characterize(fresh); return err }, []string{"characterize"}},
+		{"front-tier repeat", func() error { _, err := s.Characterize(fresh); return err }, nil},
+		{"new table version", func() error {
+			if err := s.Register(grown); err != nil {
+				return err
+			}
+			_, err := s.Characterize(fresh)
+			return err
+		}, ship},
+		{"append", func() error {
+			if err := s.Append("boxoffice", ziggy.BoxOfficeData(3)); err != nil {
+				return err
+			}
+			_, err := s.Characterize(fresh)
+			return err
+		}, append([]string{"invalidate"}, ship...)},
+	} {
+		if err := step.op(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if got := logs[0].take(); !reflect.DeepEqual(got, step.want) {
+			t.Errorf("%s: RPCs %v, want %v", step.name, got, step.want)
+		}
+	}
+
+	// A second front, on the worker that never received the table, asks a
+	// repeat the shared report cache holds.
+	s2, err := ziggy.New(cfg, ziggy.WithPeers(urls[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s2.Close() })
+	if err := s2.Register(base); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s2.Characterize(cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := logs[1].take(); !reflect.DeepEqual(got, []string{"characterize"}) {
+		t.Errorf("second front's repeat: RPCs %v, want [characterize]", got)
+	}
+	if !rep.ReportCacheHit {
+		t.Error("second front's repeat was not a report-cache hit")
+	}
+	if n := workers[1].NumTables(); n != 0 {
+		t.Errorf("second worker holds %d tables, want 0", n)
+	}
+	if got := s2.ShardStats().Shards[0].TablesShipped; got != 0 {
+		t.Errorf("second front shipped %d tables, want 0", got)
+	}
+}
+
+// TestStatsCountEachReportCacheOnce pins the report tier's accounting when
+// local backends share a cache the session does not hold: their traffic
+// shows in CacheStats, and counts once however many backends share it.
+func TestStatsCountEachReportCacheOnce(t *testing.T) {
+	cfg := ziggy.DefaultConfig()
+	cfg.Parallelism = 1
+	for _, k := range []int{1, 2} {
+		rc := ziggy.NewReportCache(cfg.CacheEntries, cfg.CacheBytes)
+		backends := make([]ziggy.Backend, k)
+		for i := range backends {
+			b, err := ziggy.NewEngineBackend(cfg, rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			backends[i] = b
+		}
+		s, err := ziggy.New(cfg, ziggy.WithBackends(backends...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables := shardedFixtureTables(t)
+		for _, f := range tables {
+			if err := s.Register(f); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				if _, err := s.Characterize("SELECT * FROM " + f.Name() + " WHERE gross_musd >= 100"); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		want := rc.Snapshot()
+		if want.Hits != 4 || want.Misses != 2 {
+			t.Fatalf("k=%d: shared cache = %+v, want 4 hits / 2 misses", k, want)
+		}
+		if got := s.CacheStats().Reports; got.Hits != want.Hits || got.Misses != want.Misses {
+			t.Errorf("k=%d: session reports tier = %d hits / %d misses, want the shared cache's %d / %d",
+				k, got.Hits, got.Misses, want.Hits, want.Misses)
+		}
 	}
 }
