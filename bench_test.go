@@ -12,9 +12,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
-	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -26,7 +26,6 @@ import (
 	"repro/internal/effect"
 	"repro/internal/experiments"
 	"repro/internal/frame"
-	"repro/internal/hypo"
 	"repro/internal/remote"
 	"repro/internal/server"
 	"repro/internal/shard"
@@ -541,46 +540,67 @@ func BenchmarkExtendedCharacterize(b *testing.B) {
 	}
 }
 
-// BenchmarkRobustColumn isolates one robust column's statistics battery:
-// "rank-twice" replays the five sorts of the pre-rank-once shape (Cliff's
-// ranking, two separate median sorts, Mann-Whitney's internal re-ranking,
-// and the tie-correction sort the old Mann-Whitney ran on the sorted
-// concatenation), "rank-once" sorts the in+out concatenation once
-// (stats.NewRanking), and "walk" is what the engine runs per query: one
-// walk of the column's order, sorted once per table outside the loop.
+// splitSink keeps the compiler from dropping BenchmarkRobustColumn's
+// measured call.
+var splitSink stats.Ranking
+
+// BenchmarkRobustColumn times one numeric column's per-query work, with
+// the column sorted once outside the loop as the prepared tier sorts it
+// once per table. "walk" is the robust walk of the column's order and
+// Cliff's delta from it. "split" is the whole split a fresh query runs per
+// numeric column on a robust engine (core.SplitColumn): the side counts,
+// both sides' summaries and the walk. It runs on uscrime's population
+// column and on an 8,192-row column with ties and NULLs, 30% selected;
+// the CI bench job gates it to 0 allocs/op via benchdiff -zero-allocs.
 func BenchmarkRobustColumn(b *testing.B) {
 	sc := mustCrime(b)
 	in, out, err := sc.Frame.SplitNumeric("population", sc.Mask)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("rank-twice", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			combined := make([]float64, 0, len(in)+len(out))
-			combined = append(combined, in...)
-			combined = append(combined, out...)
-			_ = stats.Ranks(combined) // Cliff's delta ranking
-			_ = stats.Median(in)      // medians re-sorted separately
-			_ = stats.Median(out)
-			_ = hypo.MannWhitneyURanked(stats.NewRanking(in, out)) // Mann-Whitney's re-ranking
-			sort.Float64s(combined)                                // the old tie-correction pass
-		}
-	})
-	b.Run("rank-once", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = effect.CliffDeltaRanked("population", stats.NewRanking(in, out))
-		}
-	})
+	pop := sc.Frame.ColIndex("population")
+	xs := sc.Frame.Col(pop).Floats()
+	order := stats.Order(nil, nil, xs)
+	sel, rest := sc.Mask.Words(), sc.Mask.Clone().Not().Words()
 	b.Run("walk", func(b *testing.B) {
-		xs := sc.Frame.Col(sc.Frame.ColIndex("population")).Floats()
-		order := stats.Order(nil, nil, xs)
-		sel, rest := sc.Mask.Words(), sc.Mask.Clone().Not().Words()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			r := stats.OrderRanking(xs, order, sel, rest, len(in), len(out))
 			_ = effect.CliffDeltaRanked("population", r)
 		}
 	})
+	split := func(f *frame.Frame, col int, mask *frame.Bitmap) func(b *testing.B) {
+		return func(b *testing.B) {
+			xs, valid := f.Col(col).Floats(), f.ColumnValidWords(col)
+			order := stats.Order(nil, nil, xs)
+			in, out := mask.Words(), mask.Clone().Not().Words()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, _, splitSink = core.SplitColumn(xs, order, in, out, valid)
+			}
+		}
+	}
+	b.Run("split/column=population", split(sc.Frame, pop, sc.Mask))
+	const n = 8192
+	synthetic, mask := make([]float64, n), frame.NewBitmap(n)
+	u := uint64(0x9e3779b97f4a7c15)
+	for i := range synthetic {
+		u ^= u << 13
+		u ^= u >> 7
+		u ^= u << 17
+		synthetic[i] = float64(u%5000) / 7
+		if u%32 == 0 {
+			synthetic[i] = math.NaN()
+		}
+		if (u>>32)%10 < 3 {
+			mask.Set(i)
+		}
+	}
+	f, err := frame.New("split", []*frame.Column{frame.NewNumericColumn("x", synthetic)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("split/rows=8192", split(f, 0, mask))
 }
 
 // BenchmarkRankingKernels measures one column's ranking per input shape

@@ -7,14 +7,14 @@
 //	go test -run '^$' -bench . -benchtime 100ms -count 3 -benchmem . | tee bench.txt
 //	benchdiff parse -in bench.txt -out BENCH_ci.json
 //	benchdiff compare -baseline BENCH_baseline.json -current BENCH_ci.json -threshold 2.0 \
-//	    -zero-allocs '^BenchmarkRankingKernels/'
+//	    -zero-allocs '^(BenchmarkRankingKernels/|BenchmarkRobustColumn/split/)'
 //
 // Alongside the timing gate, compare enforces allocation budgets: a
 // benchmark whose allocs/op exceeds its baseline fails (allocation counts
 // are deterministic, so any increase is a real regression, with no
 // threshold slack), and benchmarks matching -zero-allocs must report
-// exactly 0 allocs/op — the gate that keeps the ranking kernel
-// allocation-free on the hot path.
+// exactly 0 allocs/op — the gate that keeps the ranking kernel and a
+// column's per-query split allocation-free on the hot path.
 //
 // The update subcommand folds a benchmark run back into the checked-in
 // baseline — the workflow for refreshing BENCH_baseline.json from a

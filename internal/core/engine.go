@@ -461,7 +461,7 @@ func (e *Engine) summarizeColumn(f *frame.Frame, i int, p *partition, order []in
 	switch c.Kind() {
 	case frame.Numeric:
 		xs := c.Floats()
-		in, out := summarize(xs, p.in, cd.valid, nIn), summarize(xs, p.out, cd.valid, nOut)
+		in, out := summarizePair(xs, p.in, p.out, cd.valid, nIn, nOut)
 		// Sort once per table, walk per query: in robust or extended mode
 		// one walk of the column's prepared order serves Cliff's delta, its
 		// Mann-Whitney bound and both medians (robust), and the quantile
@@ -610,8 +610,7 @@ func (e *Engine) scoreCandidate(f *frame.Frame, p *partition, cols []colData, de
 			switch {
 			case ca.kind == frame.Numeric && cb.kind == frame.Numeric:
 				fa, fb := f.Col(ca.idx).Floats(), f.Col(cb.idx).Floats()
-				ri, ni := correlate(fa, fb, p.in, ca.valid, cb.valid)
-				ro, no := correlate(fa, fb, p.out, ca.valid, cb.valid)
+				ri, ni, ro, no := correlatePair(fa, fb, p.in, p.out, ca.valid, cb.valid)
 				comps = append(comps, effect.Correlations(ca.name, cb.name, ri, ni, ro, no))
 			case e.cfg.Extended && ca.kind == frame.Categorical && cb.kind == frame.Numeric:
 				comps = append(comps, mixedSeparation(f, p, ca, cb))

@@ -13,9 +13,12 @@ import (
 // layout: row r at bit r&63 of word r>>6. Both are restricted to the
 // approximate sample, when there is one, and clear past the last row, so
 // every per-query statistic is a walk of side ∧ frame.ColumnValidWords —
-// nothing is copied. Every walk visits its rows in ascending order, the
-// order a copied split would hold them, so a walk's sums are the slice
-// functions' sums bit for bit.
+// nothing is copied. The moment and pair walks (summarizePair,
+// correlatePair) serve both sides in one loop over the words, a word's
+// in-bits beside its out-bits, so the sides' add chains overlap. Every
+// side still visits its rows in ascending order, the order a copied split
+// would hold them, so each side's sums are the slice functions' sums bit
+// for bit.
 type partition struct {
 	in, out []uint64
 }
@@ -52,29 +55,67 @@ func countRows(mask, valid []uint64) int {
 	return n
 }
 
-// summarize returns the Summary of xs over the n rows of mask ∧ valid in
-// Summarize's two passes: the mean, then the compensated sums of squares.
-func summarize(xs []float64, mask, valid []uint64, n int) stats.Summary {
-	var sum float64
+// summarizePair returns the Summaries of xs over the nIn rows of
+// in ∧ valid and the nOut rows of out ∧ valid, each in Summarize's two
+// passes: the mean, then the compensated sums of squares. A side of fewer
+// than two rows keeps a NaN variance.
+//
+// Both sides walk each word in one loop, so their two add chains overlap
+// instead of running back to back; each side still adds its own rows in
+// ascending order, so each Summary is Summarize's of that side bit for
+// bit.
+func summarizePair(xs []float64, in, out, valid []uint64, nIn, nOut int) (sIn, sOut stats.Summary) {
+	var sumIn, sumOut float64
 	for wi, v := range valid {
-		for w := mask[wi] & v; w != 0; w &= w - 1 {
-			sum += xs[wi<<6+bits.TrailingZeros64(w)]
+		base := wi << 6
+		wIn, wOut := in[wi]&v, out[wi]&v
+		for ; wIn != 0 && wOut != 0; wIn, wOut = wIn&(wIn-1), wOut&(wOut-1) {
+			sumIn += xs[base+bits.TrailingZeros64(wIn)]
+			sumOut += xs[base+bits.TrailingZeros64(wOut)]
+		}
+		for ; wIn != 0; wIn &= wIn - 1 {
+			sumIn += xs[base+bits.TrailingZeros64(wIn)]
+		}
+		for ; wOut != 0; wOut &= wOut - 1 {
+			sumOut += xs[base+bits.TrailingZeros64(wOut)]
 		}
 	}
-	s := stats.Summary{N: n, Mean: sum / float64(n), Var: math.NaN()}
-	if n < 2 {
-		return s
+	sIn = stats.Summary{N: nIn, Mean: sumIn / float64(nIn), Var: math.NaN()}
+	sOut = stats.Summary{N: nOut, Mean: sumOut / float64(nOut), Var: math.NaN()}
+	if nIn < 2 && nOut < 2 {
+		return sIn, sOut
 	}
-	var ss, comp float64
+	mIn, mOut := sIn.Mean, sOut.Mean
+	var ssIn, compIn, ssOut, compOut float64
 	for wi, v := range valid {
-		for w := mask[wi] & v; w != 0; w &= w - 1 {
-			d := xs[wi<<6+bits.TrailingZeros64(w)] - s.Mean
-			ss += d * d
-			comp += d
+		base := wi << 6
+		wIn, wOut := in[wi]&v, out[wi]&v
+		for ; wIn != 0 && wOut != 0; wIn, wOut = wIn&(wIn-1), wOut&(wOut-1) {
+			di := xs[base+bits.TrailingZeros64(wIn)] - mIn
+			do := xs[base+bits.TrailingZeros64(wOut)] - mOut
+			ssIn += di * di
+			compIn += di
+			ssOut += do * do
+			compOut += do
+		}
+		for ; wIn != 0; wIn &= wIn - 1 {
+			d := xs[base+bits.TrailingZeros64(wIn)] - mIn
+			ssIn += d * d
+			compIn += d
+		}
+		for ; wOut != 0; wOut &= wOut - 1 {
+			d := xs[base+bits.TrailingZeros64(wOut)] - mOut
+			ssOut += d * d
+			compOut += d
 		}
 	}
-	s.Var = stats.FinishVariance(ss, comp, n)
-	return s
+	if nIn >= 2 {
+		sIn.Var = stats.FinishVariance(ssIn, compIn, nIn)
+	}
+	if nOut >= 2 {
+		sOut.Var = stats.FinishVariance(ssOut, compOut, nOut)
+	}
+	return sIn, sOut
 }
 
 // tally counts the dictionary codes of the rows of mask ∧ valid into a
@@ -89,35 +130,80 @@ func tally(codes []int32, mask, valid []uint64, k int) []float64 {
 	return counts
 }
 
-// correlate returns the Pearson correlation of columns a and b over the
-// rows of mask where both are non-NULL (validA ∧ validB), and that
-// complete-case count, in stats.Pearson's two passes.
-func correlate(a, b []float64, mask, validA, validB []uint64) (r float64, n int) {
-	var sa, sb float64
-	for wi, m := range mask {
-		w := m & validA[wi] & validB[wi]
-		n += bits.OnesCount64(w)
-		for ; w != 0; w &= w - 1 {
-			i := wi<<6 + bits.TrailingZeros64(w)
-			sa += a[i]
-			sb += b[i]
+// correlatePair returns the Pearson correlation of columns a and b, and
+// its complete-case count, over the rows of in and of out where both
+// columns are non-NULL (validA ∧ validB), each in stats.Pearson's two
+// passes. Like summarizePair it walks both sides of each word in one loop,
+// each side adding its rows in ascending order, so each side's r is
+// stats.Pearson's of that side's complete cases bit for bit.
+func correlatePair(a, b []float64, in, out, validA, validB []uint64) (rIn float64, nIn int, rOut float64, nOut int) {
+	var saIn, sbIn, saOut, sbOut float64
+	for wi := range validA {
+		base, v := wi<<6, validA[wi]&validB[wi]
+		wIn, wOut := in[wi]&v, out[wi]&v
+		nIn += bits.OnesCount64(wIn)
+		nOut += bits.OnesCount64(wOut)
+		for ; wIn != 0 && wOut != 0; wIn, wOut = wIn&(wIn-1), wOut&(wOut-1) {
+			i, o := base+bits.TrailingZeros64(wIn), base+bits.TrailingZeros64(wOut)
+			saIn += a[i]
+			sbIn += b[i]
+			saOut += a[o]
+			sbOut += b[o]
+		}
+		for ; wIn != 0; wIn &= wIn - 1 {
+			i := base + bits.TrailingZeros64(wIn)
+			saIn += a[i]
+			sbIn += b[i]
+		}
+		for ; wOut != 0; wOut &= wOut - 1 {
+			o := base + bits.TrailingZeros64(wOut)
+			saOut += a[o]
+			sbOut += b[o]
 		}
 	}
-	if n < 2 {
-		return math.NaN(), n
+	rIn, rOut = math.NaN(), math.NaN()
+	if nIn < 2 && nOut < 2 {
+		return rIn, nIn, rOut, nOut
 	}
-	ma, mb := sa/float64(n), sb/float64(n)
-	var sxy, sxx, syy float64
-	for wi, m := range mask {
-		for w := m & validA[wi] & validB[wi]; w != 0; w &= w - 1 {
-			i := wi<<6 + bits.TrailingZeros64(w)
-			dx, dy := a[i]-ma, b[i]-mb
-			sxy += dx * dy
-			sxx += dx * dx
-			syy += dy * dy
+	maIn, mbIn := saIn/float64(nIn), sbIn/float64(nIn)
+	maOut, mbOut := saOut/float64(nOut), sbOut/float64(nOut)
+	var sxyIn, sxxIn, syyIn, sxyOut, sxxOut, syyOut float64
+	for wi := range validA {
+		base, v := wi<<6, validA[wi]&validB[wi]
+		wIn, wOut := in[wi]&v, out[wi]&v
+		for ; wIn != 0 && wOut != 0; wIn, wOut = wIn&(wIn-1), wOut&(wOut-1) {
+			i, o := base+bits.TrailingZeros64(wIn), base+bits.TrailingZeros64(wOut)
+			dxi, dyi := a[i]-maIn, b[i]-mbIn
+			dxo, dyo := a[o]-maOut, b[o]-mbOut
+			sxyIn += dxi * dyi
+			sxxIn += dxi * dxi
+			syyIn += dyi * dyi
+			sxyOut += dxo * dyo
+			sxxOut += dxo * dxo
+			syyOut += dyo * dyo
+		}
+		for ; wIn != 0; wIn &= wIn - 1 {
+			i := base + bits.TrailingZeros64(wIn)
+			dx, dy := a[i]-maIn, b[i]-mbIn
+			sxyIn += dx * dy
+			sxxIn += dx * dx
+			syyIn += dy * dy
+		}
+		for ; wOut != 0; wOut &= wOut - 1 {
+			o := base + bits.TrailingZeros64(wOut)
+			dx, dy := a[o]-maOut, b[o]-mbOut
+			sxyOut += dx * dy
+			sxxOut += dx * dx
+			syyOut += dy * dy
 		}
 	}
-	return stats.FinishPearson(sxy, sxx, syy), n
+	if nIn >= 2 {
+		rIn = stats.FinishPearson(sxyIn, sxxIn, syyIn)
+	}
+	if nOut >= 2 {
+		rOut = stats.FinishPearson(sxyOut, sxxOut, syyOut)
+	}
+	return rIn, nIn, rOut, nOut
 }
 
 // correlationRatio returns the correlation ratio η of numeric xs grouped
@@ -133,4 +219,20 @@ func correlationRatio(codes []int32, xs []float64, k int, mask, validCat, validN
 		}
 	}
 	return acc.Eta()
+}
+
+// SplitColumn runs the per-query kernels that a fresh query runs for one
+// numeric column: the non-NULL row counts of both sides, their Summaries
+// (summarizePair) and, when order (the column's prepared stats.Order) is
+// non-nil, the Ranking walk. in and out are the sides' word masks, in the
+// layout of partition, and valid the column's non-NULL words
+// (frame.ColumnValidWords). It allocates nothing; it is exported so that
+// benchmarks outside the package can time the engine's split of a column.
+func SplitColumn(xs []float64, order []int32, in, out, valid []uint64) (sIn, sOut stats.Summary, r stats.Ranking) {
+	nIn, nOut := countRows(in, valid), countRows(out, valid)
+	sIn, sOut = summarizePair(xs, in, out, valid, nIn, nOut)
+	if order != nil {
+		r = stats.OrderRanking(xs, order, in, out, nIn, nOut)
+	}
+	return sIn, sOut, r
 }

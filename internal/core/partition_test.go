@@ -68,11 +68,14 @@ func copiedPairs(a, b []float64, mask []uint64) (ca, cb []float64) {
 
 // TestPartitionWalksMatchCopiedSplit pins every walk of the partition to
 // the slice function it replaces, bit for bit, on a copied split: the row
-// count against a plain count loop, the moments walk against
-// stats.Summarize, and the pair walk against stats.Pearson over the
-// complete cases. The columns carry NULL runs, ±Inf and signed zeros, one
-// is entirely NULL, the row counts straddle the tail word, and each split
-// runs with and without an approximate sample.
+// count against a plain count loop, the paired moments walk against
+// stats.Summarize of each side, and the paired pair walk against
+// stats.Pearson over each side's complete cases. The columns carry NULL
+// runs, ±Inf and signed zeros, one is entirely NULL, the row counts
+// straddle the tail word, and each split runs with and without an
+// approximate sample. Besides a random third, the selections single out
+// one row, all rows but one and no row, so one side holds fewer than two
+// rows (a NaN variance and correlation) while the other is full.
 func TestPartitionWalksMatchCopiedSplit(t *testing.T) {
 	r := randx.New(2024)
 	for _, n := range []int{63, 64, 65, 4097} {
@@ -86,47 +89,74 @@ func TestPartitionWalksMatchCopiedSplit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, sample := frame.NewBitmap(n), frame.NewBitmap(n)
+		third, sample := frame.NewBitmap(n), frame.NewBitmap(n)
 		for i := 0; i < n; i++ {
 			if r.Intn(3) == 0 {
-				sel.Set(i)
+				third.Set(i)
 			}
 			if r.Intn(4) != 0 {
 				sample.Set(i)
 			}
 		}
-		for _, consider := range []*frame.Bitmap{nil, sample} {
-			p := newPartition(n, sel, consider)
-			for side, mask := range map[string][]uint64{"in": p.in, "out": p.out} {
+		// The last row column a holds (and the sample keeps), so the
+		// one-row selections leave one row on a side of column a.
+		single := n - 1
+		for math.IsNaN(cols[0].Floats()[single]) || !sample.Get(single) {
+			single--
+		}
+		one, allButOne := frame.NewBitmap(n), frame.NewBitmap(n)
+		one.Set(single)
+		for i := 0; i < n; i++ {
+			if i != single {
+				allButOne.Set(i)
+			}
+		}
+		sels := map[string]*frame.Bitmap{"third": third, "one": one, "all-but-one": allButOne, "none": frame.NewBitmap(n)}
+		for selName, sel := range sels {
+			for _, consider := range []*frame.Bitmap{nil, sample} {
+				p := newPartition(n, sel, consider)
 				for i, c := range cols {
-					where := fmt.Sprintf("n=%d sampled=%v side=%s col=%s", n, consider != nil, side, c.Name())
+					where := fmt.Sprintf("n=%d sel=%s sampled=%v col=%s", n, selName, consider != nil, c.Name())
 					xs, valid := c.Floats(), f.ColumnValidWords(i)
-					want := copiedSplit(xs, mask)
-					count := countRows(mask, valid)
-					if count != len(want) {
-						t.Fatalf("%s: countRows = %d, want %d", where, count, len(want))
+					wantIn, wantOut := copiedSplit(xs, p.in), copiedSplit(xs, p.out)
+					nIn, nOut := countRows(p.in, valid), countRows(p.out, valid)
+					if nIn != len(wantIn) || nOut != len(wantOut) {
+						t.Fatalf("%s: countRows = %d/%d, want %d/%d", where, nIn, nOut, len(wantIn), len(wantOut))
 					}
-					got, ref := summarize(xs, mask, valid, count), stats.Summarize(want)
-					if got.N != ref.N || !sameBits(got.Mean, ref.Mean) || !sameBits(got.Var, ref.Var) {
-						t.Errorf("%s: summarize = %+v, Summarize = %+v", where, got, ref)
+					gotIn, gotOut := summarizePair(xs, p.in, p.out, valid, nIn, nOut)
+					for side, pair := range map[string][2]stats.Summary{
+						"in":  {gotIn, stats.Summarize(wantIn)},
+						"out": {gotOut, stats.Summarize(wantOut)},
+					} {
+						got, ref := pair[0], pair[1]
+						if got.N != ref.N || !sameBits(got.Mean, ref.Mean) || !sameBits(got.Var, ref.Var) {
+							t.Errorf("%s side=%s: summarizePair = %+v, Summarize = %+v", where, side, got, ref)
+						}
 					}
 					for j, d := range cols {
-						ca, cb := copiedPairs(xs, d.Floats(), mask)
-						rho, m := correlate(xs, d.Floats(), mask, valid, f.ColumnValidWords(j))
-						if m != len(ca) || !sameBits(rho, stats.Pearson(ca, cb)) {
-							t.Errorf("%s × %s: correlate = (%v, %d), Pearson = (%v, %d)",
-								where, d.Name(), rho, m, stats.Pearson(ca, cb), len(ca))
+						rIn, mIn, rOut, mOut := correlatePair(xs, d.Floats(), p.in, p.out, valid, f.ColumnValidWords(j))
+						for _, side := range []struct {
+							name string
+							r    float64
+							m    int
+							mask []uint64
+						}{{"in", rIn, mIn, p.in}, {"out", rOut, mOut, p.out}} {
+							ca, cb := copiedPairs(xs, d.Floats(), side.mask)
+							if side.m != len(ca) || !sameBits(side.r, stats.Pearson(ca, cb)) {
+								t.Errorf("%s side=%s × %s: correlatePair = (%v, %d), Pearson = (%v, %d)",
+									where, side.name, d.Name(), side.r, side.m, stats.Pearson(ca, cb), len(ca))
+							}
 						}
 					}
 				}
-			}
-			// The sides partition the considered rows, and nothing past n.
-			considered := n
-			if consider != nil {
-				considered = consider.Count()
-			}
-			if in, out := countRows(p.in, nil), countRows(p.out, nil); in+out != considered {
-				t.Errorf("n=%d sampled=%v: sides hold %d+%d rows, want %d", n, consider != nil, in, out, considered)
+				// The sides partition the considered rows, and nothing past n.
+				considered := n
+				if consider != nil {
+					considered = consider.Count()
+				}
+				if in, out := countRows(p.in, nil), countRows(p.out, nil); in+out != considered {
+					t.Errorf("n=%d sel=%s sampled=%v: sides hold %d+%d rows, want %d", n, selName, consider != nil, in, out, considered)
+				}
 			}
 		}
 	}

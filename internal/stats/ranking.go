@@ -51,8 +51,12 @@ type Ranking struct {
 	// NA and NB are the group sizes.
 	NA, NB int
 	// RankSumA is the sum of group A's fractional 1-based ranks (the
-	// Wilcoxon rank-sum W). Ranks are half-integers, so the sum is exact
-	// in any summation order.
+	// Wilcoxon rank-sum W): half of the walk's doubled sum, which is an
+	// exact integer for any column Order accepts (fewer than 2³¹ rows).
+	// Up to 94,906,265 ranked rows W stays below 2⁵², so it is also
+	// exactly what adding the half-integer ranks in float64 gives, in any
+	// order; past that a float sum rounds, while W is the exact sum rounded
+	// once.
 	RankSumA float64
 	// TieSum is Σ(t³−t) over tie groups, the Mann-Whitney tie correction.
 	TieSum float64
@@ -114,64 +118,81 @@ func NewRanking(a, b []float64) Ranking {
 // Ties are detected by value equality, so −0 and +0 share a tie group.
 // Because the order is a sorted multiset, the medians (and QuantilesA/B)
 // read the same values as sorting each group on its own.
+//
+// Membership is read as 0/1 from the mask words rather than branched on,
+// since a selection interleaves the groups unpredictably along the order;
+// the only membership branch skips rows outside both masks, which occur
+// only under an approximate sample. The rank sum is accumulated doubled,
+// in an int64, so every tie group adds an integer (see Ranking.RankSumA);
+// the tie correction adds Σ(t³−t) in float64, group by group.
 func OrderRanking(xs []float64, order []int32, a, b []uint64, na, nb int) Ranking {
 	r := Ranking{NA: na, NB: nb, xs: xs, order: order, a: a, b: b}
 	loA, hiA, fracA := medianPlan(na)
 	loB, hiB, fracB := medianPlan(nb)
 	var loVA, hiVA, loVB, hiVB float64
-	seenA, seenB := 0, 0
-	// The open tie group: its first value, its size and its group-A
-	// members; pos counts the taking-part rows before it.
-	var gv float64
-	gn, ga, pos := 0, 0, 0
-	closeGroup := func() {
-		// The group holds ranks pos+1 … pos+gn; each member gets their mean.
-		r.RankSumA += float64(ga) * (float64(pos) + float64(gn+1)/2)
-		if t := float64(gn); gn > 1 {
-			r.TieSum += t*t*t - t
-		}
-		pos += gn
-	}
+	// seen counts the taking-part rows walked so far. offA and offB are
+	// each group's rows walked so far less its median's position lo, so a
+	// row is its group's lo-th when its off is 0 and the hi-th (lo+1) when
+	// it is 1. The open tie group starts at position pos and holds ga rows
+	// of group A; gv is its value (NaN before the first row, so the first
+	// row opens a group). Closed, a group of gn = seen−pos rows holds ranks
+	// pos+1 … pos+gn, so each member's doubled rank is 2·pos+gn+1.
+	gv := math.NaN()
+	var seen, pos, ga, sum2 int64
+	offA, offB := -int64(loA), -int64(loB)
+	var tieSum float64
 	for _, row := range order {
+		// Both tests compile to a bit test and a set, not a branch.
 		w, bit := row>>6, uint64(1)<<(uint32(row)&63)
-		inA := a[w]&bit != 0
-		if !inA && b[w]&bit == 0 {
+		var inA, inB int64
+		if a[w]&bit != 0 {
+			inA = 1
+		}
+		if b[w]&bit != 0 {
+			inB = 1
+		}
+		if inA|inB == 0 {
 			continue
 		}
 		v := xs[row]
-		if gn > 0 && v != gv {
-			closeGroup()
-			gn, ga = 0, 0
+		if v != gv {
+			gn := seen - pos
+			sum2 += ga * (2*pos + gn + 1)
+			if gn > 1 {
+				t := float64(gn)
+				tieSum += t*t*t - t
+			}
+			gv, pos, ga = v, seen, 0
 		}
-		if gn == 0 {
-			gv = v
-		}
-		gn++
-		if inA {
-			ga++
-			if seenA == loA {
+		// Open for at most a few rows around each median.
+		if uint64(offA) <= 1 || uint64(offB) <= 1 {
+			switch {
+			case inA != 0 && offA == 0:
 				loVA = v
-			}
-			if seenA == hiA {
+			case inA != 0 && offA == 1:
 				hiVA = v
-			}
-			seenA++
-		} else {
-			if seenB == loB {
+			case inB != 0 && offB == 0:
 				loVB = v
-			}
-			if seenB == hiB {
+			case inB != 0 && offB == 1:
 				hiVB = v
 			}
-			seenB++
 		}
+		ga += inA
+		offA += inA
+		offB += inB
+		seen++
 	}
-	if gn > 0 {
-		closeGroup()
+	// Close the last group.
+	gn := seen - pos
+	sum2 += ga * (2*pos + gn + 1)
+	if gn > 1 {
+		t := float64(gn)
+		tieSum += t*t*t - t
 	}
-	if seenA != na || seenB != nb {
+	if int(offA)+loA != na || int(offB)+loB != nb {
 		panic("stats: OrderRanking group sizes disagree with the split")
 	}
+	r.RankSumA, r.TieSum = float64(sum2)/2, tieSum
 	r.MedianA = interpolate(na, hiA, fracA, loVA, hiVA)
 	r.MedianB = interpolate(nb, hiB, fracB, loVB, hiVB)
 	return r
@@ -263,12 +284,22 @@ func (r Ranking) groupQuantiles(n int, mask []uint64, qs, dst []float64) {
 			}
 		}
 	}
+	// Membership is read as 0/1, as in OrderRanking, and a row is only
+	// read when it is the member at next, the lowest planned position not
+	// yet passed: seen|(in−1) is a member's position and −1 for any other
+	// row, so every row but the few planned ones costs one compare that
+	// predicts well.
+	next := nextPlanned(los, his, -1)
 	seen := -1
 	for _, row := range r.order {
-		if mask[row>>6]&(1<<(uint32(row)&63)) == 0 {
+		in := 0
+		if mask[row>>6]&(1<<(uint32(row)&63)) != 0 {
+			in = 1
+		}
+		seen += in
+		if seen|(in-1) != next {
 			continue
 		}
-		seen++
 		for i := range qs {
 			if los[i] == seen {
 				vlo[i] = r.xs[row]
@@ -280,10 +311,25 @@ func (r Ranking) groupQuantiles(n int, mask []uint64, qs, dst []float64) {
 		if seen >= maxPos {
 			break
 		}
+		next = nextPlanned(los, his, seen)
 	}
 	for i := range qs {
 		dst[i] = interpolate(n, his[i], fracs[i], vlo[i], vhi[i])
 	}
+}
+
+// nextPlanned returns the lowest of the positions los and his above
+// after, or −1 when none is.
+func nextPlanned(los, his []int, after int) int {
+	next := -1
+	for _, ps := range [2][]int{los, his} {
+		for _, p := range ps {
+			if p > after && (next < 0 || p < next) {
+				next = p
+			}
+		}
+	}
+	return next
 }
 
 // SpearmanRanked returns the Spearman correlation of two series whose

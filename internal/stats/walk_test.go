@@ -301,3 +301,111 @@ func TestOrderSkipsNulls(t *testing.T) {
 		t.Errorf("Order = %v, want %v", got, want)
 	}
 }
+
+// floatRankSums is the float accumulation OrderRanking's integer rank sum
+// replaces: each tie group, closed in walk order, adds ga·(pos + (gn+1)/2)
+// to the rank sum and t³−t to the tie correction, both in float64.
+func floatRankSums(xs []float64, order []int32, a, b []uint64) (rankSumA, tieSum float64) {
+	var gv float64
+	gn, ga, pos := 0, 0, 0
+	closeGroup := func() {
+		rankSumA += float64(ga) * (float64(pos) + float64(gn+1)/2)
+		if t := float64(gn); gn > 1 {
+			tieSum += t*t*t - t
+		}
+		pos += gn
+	}
+	for _, row := range order {
+		w, bit := row>>6, uint64(1)<<(uint32(row)&63)
+		inA := a[w]&bit != 0
+		if !inA && b[w]&bit == 0 {
+			continue
+		}
+		v := xs[row]
+		if gn > 0 && v != gv {
+			closeGroup()
+			gn, ga = 0, 0
+		}
+		if gn == 0 {
+			gv = v
+		}
+		gn++
+		if inA {
+			ga++
+		}
+	}
+	if gn > 0 {
+		closeGroup()
+	}
+	return rankSumA, tieSum
+}
+
+// TestOrderRankingRankSumExact is the exactness rail of the integer rank
+// sum: on a column of 2¹⁷+37 rows that mixes one tie group of a quarter of
+// the rows, runs of −0 and +0 (one tie group), NULLs and distinct values,
+// RankSumA and TieSum must equal floatRankSums bit for bit under half
+// splits (a random half and the first half of the rows) and under the
+// same splits restricted to a random sample. At this size both sums are
+// exact, so any difference is a slip in the integer arithmetic.
+func TestOrderRankingRankSumExact(t *testing.T) {
+	const n = 1<<17 + 37
+	r := randx.New(17)
+	xs := make([]float64, n)
+	for i := range xs {
+		switch k := r.Intn(16); {
+		case k < 4:
+			xs[i] = 2.5
+		case k == 4:
+			xs[i] = math.Copysign(0, -1)
+		case k == 5:
+			xs[i] = 0
+		case k == 6:
+			xs[i] = math.NaN()
+		default:
+			xs[i] = float64(i) + r.Float64()
+		}
+	}
+	order := Order(nil, nil, xs)
+	words := func(pick func(row int) bool) []uint64 {
+		w := make([]uint64, (n+63)/64)
+		for row := 0; row < n; row++ {
+			if pick(row) {
+				w[row>>6] |= 1 << (uint(row) & 63)
+			}
+		}
+		return w
+	}
+	count := func(mask []uint64) int {
+		c := 0
+		for _, row := range order {
+			if mask[row>>6]&(1<<(uint32(row)&63)) != 0 {
+				c++
+			}
+		}
+		return c
+	}
+	sample := words(func(int) bool { return r.Intn(10) < 7 })
+	randomHalf := words(func(int) bool { return r.Intn(2) == 0 })
+	firstHalf := words(func(row int) bool { return row < n/2 })
+	for _, sampled := range []bool{false, true} {
+		for name, sel := range map[string][]uint64{"random-half": randomHalf, "first-half": firstHalf} {
+			a, b := make([]uint64, len(sel)), make([]uint64, len(sel))
+			for w := range sel {
+				keep := ^uint64(0)
+				if sampled {
+					keep = sample[w]
+				}
+				if rem := n - w<<6; rem < 64 {
+					keep &= 1<<uint(rem) - 1
+				}
+				a[w], b[w] = sel[w]&keep, ^sel[w]&keep
+			}
+			got := OrderRanking(xs, order, a, b, count(a), count(b))
+			wantW, wantT := floatRankSums(xs, order, a, b)
+			if math.Float64bits(got.RankSumA) != math.Float64bits(wantW) || math.Float64bits(got.TieSum) != math.Float64bits(wantT) {
+				t.Errorf("%s sampled=%v: (RankSumA, TieSum) = (%v, %v), float accumulation (%v, %v)",
+					name, sampled, got.RankSumA, got.TieSum, wantW, wantT)
+			}
+		}
+	}
+}
