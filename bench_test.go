@@ -975,6 +975,36 @@ func BenchmarkAppendCharacterize(b *testing.B) {
 	})
 }
 
+// BenchmarkFrameAppend times one Frame.Append of 256 rows onto a sealed
+// 16,384 × 32 synth.Micro table with 1,024-row chunks, the shape of the
+// serving benchmark's append workload. Its B/op and allocs/op are the
+// allocation gate for a grown version that shares its base's cells instead
+// of copying them.
+func BenchmarkFrameAppend(b *testing.B) {
+	const rows, cols, chunkRows, tailRows = 16384, 32, 1024, 256
+	whole := synth.Micro("micro", 7, rows+tailRows, cols)
+	idx := make([]int, rows+tailRows)
+	for i := range idx {
+		idx[i] = i
+	}
+	base, err := frame.NewChunked("micro", whole.Take(idx[:rows]).Columns(), chunkRows)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tail, err := frame.NewChunked("micro", whole.Take(idx[rows:]).Columns(), chunkRows)
+	if err != nil {
+		b.Fatal(err)
+	}
+	base.Fingerprint() // seal once: the steady state of a live table
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := base.Append(tail); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRemoteAppendShip measures the chunk-granular transport on the
 // append lifecycle, over a real worker HTTP round trip. "delta" re-registers
 // a table that grew by a tail after its base already shipped: the two-phase

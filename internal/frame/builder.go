@@ -23,8 +23,7 @@ type colBuilder struct {
 	// Categorical cells are dictionary-encoded on arrival (code -1 = NULL),
 	// so a builder holds one dictionary instead of every raw string.
 	codes []int32
-	dict  []string
-	index map[string]int32
+	interner
 }
 
 // NewBuilder creates a Builder for a table with the given name.
@@ -44,7 +43,7 @@ func (b *Builder) AddNumeric(name string) int {
 
 // AddCategorical declares a categorical column and returns its index.
 func (b *Builder) AddCategorical(name string) int {
-	b.cols = append(b.cols, &colBuilder{name: name, kind: Categorical, index: make(map[string]int32)})
+	b.cols = append(b.cols, &colBuilder{name: name, kind: Categorical})
 	return len(b.cols) - 1
 }
 
@@ -97,39 +96,15 @@ func (b *Builder) AppendNull(col int) {
 	}
 }
 
-func (cb *colBuilder) intern(v string) int32 {
-	if code, ok := cb.index[v]; ok {
-		return code
-	}
-	code := int32(len(cb.dict))
-	cb.dict = append(cb.dict, v)
-	cb.index[v] = code
-	return code
-}
-
 // Build validates column lengths and returns the finished Frame, chunked at
-// the capacity SetChunkRows chose.
+// the capacity SetChunkRows chose. It is a Splice onto no base, so the
+// frame owns copies of the cells and the builder may go on appending.
 func (b *Builder) Build() (*Frame, error) {
-	cols := make([]*Column, 0, len(b.cols))
-	for _, cb := range b.cols {
-		var c *Column
-		switch cb.kind {
-		case Numeric:
-			vals := make([]float64, len(cb.floats))
-			copy(vals, cb.floats)
-			c = NewNumericColumn(cb.name, vals)
-		case Categorical:
-			c = &Column{name: cb.name, kind: Categorical, index: make(map[string]int32, len(cb.dict))}
-			c.codes = make([]int32, len(cb.codes))
-			copy(c.codes, cb.codes)
-			c.dict = append([]string(nil), cb.dict...)
-			for code, v := range c.dict {
-				c.index[v] = int32(code)
-			}
-		}
-		cols = append(cols, c)
+	cols := make([]Cells, len(b.cols))
+	for i, cb := range b.cols {
+		cols[i] = Cells{Name: cb.name, Kind: cb.kind, Floats: cb.floats, Codes: cb.codes, Dict: cb.dict}
 	}
-	return NewChunked(b.name, cols, b.chunkRows)
+	return Splice(b.name, b.chunkRows, nil, 0, cols)
 }
 
 // MustBuild is Build but panics on error.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/memo"
@@ -15,13 +16,13 @@ import (
 // validity bitmap. The chain is a prefix of a flat left-to-right scan and
 // the validity words are chunk-local and aligned to 64-row boundaries, so
 // the seal of a column is a pure function of its cells — the same for every
-// chunk layout — and Append can transplant the full-chunk prefix of a base
+// chunk layout — and Splice can transplant the full-chunk prefix of a base
 // column and scan only the rows past the last full chunk boundary. Storage
 // stays contiguous: chunks are metadata over the one backing array, so
 // kernels, splits, and codecs read columns exactly as before.
 //
 // Seals are cached on the Column (not the Frame) so frames that share
-// columns — Select views, appended descendants — share the work.
+// columns — Select views — share the work.
 
 // DefaultChunkRows is the chunk capacity used when a frame does not choose
 // one. It is a multiple of 64 so full-chunk validity bitmaps concatenate
@@ -72,7 +73,7 @@ type colSeal struct {
 	chunkRows int
 	chunks    []chunkMeta
 	// finalized reports that chunks cover every row AND the whole-column
-	// fields below were computed. Seals seeded by Append or AdoptChunkPrefix
+	// fields below were computed. Seals seeded by Splice's prefix transplant
 	// are stored unfinalized (a chunk prefix only) and complete on first use
 	// — coverage alone cannot distinguish a boundary-aligned prefix from a
 	// finished seal.
@@ -225,60 +226,22 @@ func (f *Frame) ChunkBounds(j int) (start, end int) {
 // when the last chunk is partial.
 func (f *Frame) FullChunks() int { return f.numRows / f.ChunkRows() }
 
-// AdoptChunkPrefix seeds every column's seal with the first fullChunks
-// sealed chunks of the corresponding base column, the cross-frame form of
-// what Append does for its own result: fingerprinting or sealing f
-// afterwards scans only the rows past the adopted prefix. The frames must
-// share schema and chunk capacity, both must span the prefix, and — because
-// chunk chains hash dictionary codes, not strings — a categorical base
-// column's dictionary must be a prefix of f's.
-//
-// The caller is responsible for content: adopting a prefix asserts that
-// base's cells over those chunks are identical to f's (verify with
-// ChunkFingerprints — chunk j's fingerprint commits to every cell through
-// j). Adopting a mismatched prefix yields a frame whose fingerprint and
-// validity words describe the base's cells, not f's.
-func (f *Frame) AdoptChunkPrefix(base *Frame, fullChunks int) error {
-	if fullChunks <= 0 {
+// adoptChunkPrefix seeds every column's seal with the first n sealed chunks
+// of base's column, so sealing f scans only the rows past them. It is
+// Splice's last step: Splice has checked schemas and capacities and copied
+// those chunks' cells from base, whose chains the seals now describe. Both
+// frames must span the prefix.
+func (f *Frame) adoptChunkPrefix(base *Frame, n int) error {
+	if n <= 0 {
 		return nil
 	}
 	cr := f.ChunkRows()
-	if base.ChunkRows() != cr {
-		return fmt.Errorf("frame: adopt prefix: chunk capacity %d, base has %d", cr, base.ChunkRows())
-	}
-	if len(base.cols) != len(f.cols) {
-		return fmt.Errorf("frame: adopt prefix: %d columns, base has %d", len(f.cols), len(base.cols))
-	}
-	rows := fullChunks * cr
-	if rows > f.numRows || rows > base.numRows {
-		return fmt.Errorf("frame: adopt prefix: %d chunks (%d rows) exceed %d/%d rows", fullChunks, rows, f.numRows, base.numRows)
-	}
-	for i, c := range f.cols {
-		bc := base.cols[i]
-		if bc.name != c.name || bc.kind != c.kind {
-			return fmt.Errorf("frame: adopt prefix: column %d is %s %q, base has %s %q",
-				i, c.kind, c.name, bc.kind, bc.name)
-		}
-		if c.kind == Categorical {
-			if len(bc.dict) > len(c.dict) {
-				return fmt.Errorf("frame: adopt prefix: column %q dictionary shrank from %d to %d values",
-					c.name, len(bc.dict), len(c.dict))
-			}
-			for code, v := range bc.dict {
-				if c.dict[code] != v {
-					return fmt.Errorf("frame: adopt prefix: column %q dictionary diverges at code %d (%q vs %q)",
-						c.name, code, c.dict[code], v)
-				}
-			}
-		}
+	if rows := n * cr; rows > f.numRows || rows > base.numRows {
+		return fmt.Errorf("frame: adopt prefix: %d chunks (%d rows) exceed %d/%d rows", n, rows, f.numRows, base.numRows)
 	}
 	for i, c := range f.cols {
 		s := base.cols[i].sealChunks(cr)
-		if len(s.chunks) < fullChunks || s.chunks[fullChunks-1].end != rows {
-			return fmt.Errorf("frame: adopt prefix: column %q base seal covers %d chunks, want %d full",
-				c.name, len(s.chunks), fullChunks)
-		}
-		c.seal.Store(&colSeal{chunkRows: s.chunkRows, chunks: s.chunks[:fullChunks:fullChunks]})
+		c.seal.Store(&colSeal{chunkRows: cr, chunks: s.chunks[:n:n]})
 	}
 	return nil
 }
@@ -303,68 +266,142 @@ func (f *Frame) ChunkFingerprint(i, j int) uint64 {
 	return sealFingerprint(f.cols[i].sealChunks(f.chunkRows).chunks[j].chain)
 }
 
+// Cells is one column of a Splice: its schema, and its cells after the
+// splice row. Floats holds a numeric column's cells; Codes a categorical
+// column's codes (-1 = NULL) into Dict, the whole dictionary of the new
+// version, which must start with the base column's. Splice takes Dict as
+// it is, so its values must be distinct (an interner's dictionary or a
+// decoded manifest's is).
+type Cells struct {
+	Name   string
+	Kind   Kind
+	Floats []float64
+	Codes  []int32
+	Dict   []string
+}
+
+// Extends reports whether a column with the given name, kind and
+// dictionary can hold c's cells as its first rows: the same name and kind,
+// and a dictionary that starts with c's (cells are codes, so a code must
+// keep its string). It allocates nothing, so a worker can ask it of every
+// resident table.
+func (c *Column) Extends(name string, kind Kind, dict []string) bool {
+	return name == c.name && kind == c.kind && len(dict) >= len(c.dict) && slices.Equal(dict[:len(c.dict)], c.dict)
+}
+
+// Splice builds a table version from the first k rows of base followed by
+// the tail cells, chunked at chunkRows (see NewChunked); with no base and
+// k = 0 it is a plain build. It is the one path that copies cells into a
+// new version: Builder.Build, Append and the worker's reassembly of a
+// shipped table all call it.
+//
+// Before it copies a cell it checks the column count, chunk capacity, each
+// column's name and kind against base's, that every tail has one length
+// and codes inside its dictionary, and that each dictionary extends base's.
+// The result shares no cells with base or tail, and it inherits base's
+// sealed full chunks before row k: sealing it scans only the rows after.
+func Splice(name string, chunkRows int, base *Frame, k int, tail []Cells) (*Frame, error) {
+	if err := checkSplice(name, chunkRows, base, k, tail); err != nil {
+		return nil, err
+	}
+	cols := make([]*Column, len(tail))
+	for i, t := range tail {
+		c := &Column{name: t.Name, kind: t.Kind, dict: t.Dict[:len(t.Dict):len(t.Dict)]}
+		switch t.Kind {
+		case Numeric:
+			var prefix []float64
+			if k > 0 {
+				prefix = base.cols[i].floats[:k]
+			}
+			c.floats = concat(prefix, t.Floats)
+		case Categorical:
+			var prefix []int32
+			if k > 0 {
+				prefix = base.cols[i].codes[:k]
+			}
+			c.codes = concat(prefix, t.Codes)
+		}
+		cols[i] = c
+	}
+	nf, err := NewChunked(name, cols, chunkRows)
+	if err != nil {
+		return nil, err
+	}
+	// A partial chunk of base before k is dropped: its validity words are
+	// chunk-local and change once the chunk fills, so its rows rescan.
+	if err := nf.adoptChunkPrefix(base, k/nf.ChunkRows()); err != nil {
+		return nil, err
+	}
+	return nf, nil
+}
+
+// concat returns prefix followed by tail in one fresh exact-length array.
+// make followed at once by copy lets the compiler skip zeroing the prefix.
+func concat[T float64 | int32](prefix, tail []T) []T {
+	out := make([]T, len(prefix)+len(tail))
+	copy(out, prefix)
+	copy(out[len(prefix):], tail)
+	return out
+}
+
+// checkSplice is Splice's validation: it reports why the tail cannot
+// follow base's first k rows.
+func checkSplice(name string, chunkRows int, base *Frame, k int, tail []Cells) error {
+	switch {
+	case k < 0 || (k > 0 && (base == nil || k > base.numRows)):
+		return fmt.Errorf("frame: splice %q: no %d-row base prefix", name, k)
+	case base != nil && len(tail) != len(base.cols):
+		return fmt.Errorf("frame: splice %q: %d columns, base has %d", name, len(tail), len(base.cols))
+	case k > 0 && base.ChunkRows() != normalizeChunkRows(chunkRows):
+		return fmt.Errorf("frame: splice %q: chunk capacity %d, base has %d", name, normalizeChunkRows(chunkRows), base.ChunkRows())
+	}
+	n := 0
+	for i, t := range tail {
+		cells := len(t.Floats)
+		if t.Kind == Categorical {
+			cells = len(t.Codes)
+			if err := checkCodes(t.Codes, len(t.Dict)); err != nil {
+				return fmt.Errorf("frame: splice %q: column %q: %w", name, t.Name, err)
+			}
+		}
+		if i > 0 && cells != n {
+			return fmt.Errorf("frame: splice %q: column %q has %d tail cells, want %d", name, t.Name, cells, n)
+		}
+		n = cells
+		if base != nil && !base.cols[i].Extends(t.Name, t.Kind, t.Dict) {
+			bc := base.cols[i]
+			return fmt.Errorf("frame: splice %q: column %d, %s %q with %d dictionary values, does not extend base's %s %q with %d",
+				name, i, t.Kind, t.Name, len(t.Dict), bc.kind, bc.name, len(bc.dict))
+		}
+	}
+	return nil
+}
+
 // Append returns a new frame holding f's rows followed by rows' rows. The
 // schemas must match exactly: same column count, names, kinds, and order —
 // a mismatch is rejected loudly rather than coerced. An empty rows frame
 // returns f itself.
 //
-// The result shares no backing storage with either input (each column is
-// copied into a fresh exact-capacity array, so concurrent appends to the
-// same base cannot alias), but it inherits f's sealed full chunks: sealing
-// or fingerprinting the result scans only the rows past f's last full chunk
-// boundary — at most chunkRows−1 old rows plus the appended ones.
+// It is a Splice of rows' cells onto all of f, each categorical tail
+// recoded into f's dictionary (new values appended in first-use order):
+// the result shares no cells with either input and inherits f's sealed
+// full chunks.
 func (f *Frame) Append(rows *Frame) (*Frame, error) {
-	if rows.NumCols() != len(f.cols) {
-		return nil, fmt.Errorf("frame: append to %q: %d columns, want %d", f.name, rows.NumCols(), len(f.cols))
-	}
-	for i, base := range f.cols {
-		add := rows.cols[i]
-		if add.name != base.name || add.kind != base.kind {
-			return nil, fmt.Errorf("frame: append to %q: column %d is %s %q, want %s %q",
-				f.name, i, add.kind, add.name, base.kind, base.name)
+	tail := make([]Cells, len(rows.cols))
+	for i, c := range rows.cols {
+		tail[i] = Cells{Name: c.name, Kind: c.kind, Floats: c.floats}
+		if c.kind == Categorical && i < len(f.cols) {
+			in := newInterner(f.cols[i].dict)
+			codes := append([]int32(nil), c.codes...)
+			in.recode(codes, c.dict)
+			tail[i].Codes, tail[i].Dict = codes, in.dict
 		}
 	}
 	if rows.numRows == 0 {
+		if err := checkSplice(f.name, f.chunkRows, f, f.numRows, tail); err != nil {
+			return nil, err
+		}
 		return f, nil
 	}
-	cols := make([]*Column, len(f.cols))
-	for i, base := range f.cols {
-		add := rows.cols[i]
-		switch base.kind {
-		case Numeric:
-			vals := make([]float64, base.Len()+add.Len())
-			copy(vals, base.floats)
-			copy(vals[base.Len():], add.floats)
-			cols[i] = NewNumericColumn(base.name, vals)
-		case Categorical:
-			nc := &Column{name: base.name, kind: Categorical, index: make(map[string]int32, len(base.dict))}
-			nc.codes = make([]int32, base.Len()+add.Len())
-			copy(nc.codes, base.codes)
-			nc.dict = append([]string(nil), base.dict...)
-			for code, v := range nc.dict {
-				nc.index[v] = int32(code)
-			}
-			for j, code := range add.codes {
-				if code < 0 {
-					nc.codes[base.Len()+j] = -1
-				} else {
-					nc.codes[base.Len()+j] = nc.intern(add.dict[code])
-				}
-			}
-			cols[i] = nc
-		}
-	}
-	nf, err := New(f.name, cols)
-	if err != nil {
-		return nil, err
-	}
-	nf.chunkRows = f.chunkRows
-	// f's cells are a prefix of nf's, so f's sealed full chunks carry over
-	// verbatim. A trailing partial chunk of f is dropped: its validity words
-	// are chunk-local and would change once the chunk fills, so its rows
-	// rescan.
-	if err := nf.AdoptChunkPrefix(f, f.FullChunks()); err != nil {
-		return nil, err
-	}
-	return nf, nil
+	return Splice(f.name, f.chunkRows, f, f.numRows, tail)
 }

@@ -303,8 +303,9 @@ func TestNullCountReadsSeal(t *testing.T) {
 				}
 			case "adopted prefix":
 				base := nullFixture(t, 0, split, cr)
-				f = nullFixture(t, 0, rows, cr)
-				if err := f.AdoptChunkPrefix(base, base.FullChunks()); err != nil {
+				k := base.FullChunks() * cr
+				var err error
+				if f, err = Splice("t", cr, base, k, tailCells(nullFixture(t, 0, rows, cr), k)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -361,60 +362,92 @@ func TestChunkBoundsAndFullChunks(t *testing.T) {
 	}
 }
 
-// TestAdoptChunkPrefix pins the cross-frame seal transplant: after adopting
-// the base's full chunks, sealing the grown frame scans only the rows past
-// the prefix and every derived quantity matches a cold build.
-func TestAdoptChunkPrefix(t *testing.T) {
-	base := buildChunked(t, 128, 64)
+// tailCells returns f's cells from row k on, each categorical column with
+// its whole dictionary: the tail that splices f back from its own prefix.
+func tailCells(f *Frame, k int) []Cells {
+	out := make([]Cells, len(f.cols))
+	for i, c := range f.cols {
+		out[i] = Cells{Name: c.name, Kind: c.kind, Dict: c.dict}
+		if c.kind == Numeric {
+			out[i].Floats = c.floats[k:]
+		} else {
+			out[i].Codes = c.codes[k:]
+		}
+	}
+	return out
+}
+
+// TestSpliceAdoptsChunkPrefix pins the seal transplant inside Splice: after
+// splicing onto a base's first k rows, sealing the new version scans only
+// the rows past the base's last full chunk before k, and every derived
+// quantity matches a cold build.
+func TestSpliceAdoptsChunkPrefix(t *testing.T) {
+	base := buildChunked(t, 160, 64)  // full chunks end at 64, 128
 	whole := buildChunked(t, 300, 64) // shares the generator: identical prefix
 	cold := buildChunked(t, 300, 64)
 
-	base.Fingerprint() // warm the base's seal; adoption reuses it
-	before := ChunkScans()
-	if err := whole.AdoptChunkPrefix(base, 2); err != nil {
-		t.Fatal(err)
-	}
-	fp := whole.Fingerprint()
-	scans := ChunkScans() - before
-	// 300 rows / 64 = 5 chunks; 2 adopted, so each of the 2 columns scans 3.
-	if scans > 6 {
-		t.Errorf("adoption + fingerprint scanned %d chunks, want ≤ 6", scans)
-	}
-	if fp != cold.Fingerprint() {
-		t.Errorf("adopted fingerprint %x, cold build %x", fp, cold.Fingerprint())
-	}
-	for i := 0; i < whole.NumCols(); i++ {
-		if !reflect.DeepEqual(whole.ChunkFingerprints(i), cold.ChunkFingerprints(i)) {
-			t.Errorf("col %d: chunk fingerprints diverged after adoption", i)
+	base.Fingerprint() // warm the base's seal; the splice reuses it
+	for _, tc := range []struct{ k, scans int }{
+		// 300 rows / 64 = 5 chunks per column; k=128 and k=150 both adopt
+		// 2, so each of the 2 columns scans 3. k=0 adopts none.
+		{128, 6}, {150, 6}, {0, 10},
+	} {
+		b := base
+		if tc.k == 0 {
+			b = nil // a plain build
 		}
-		if !reflect.DeepEqual(whole.ColumnValidWords(i), cold.ColumnValidWords(i)) {
-			t.Errorf("col %d: valid words diverged after adoption", i)
+		before := ChunkScans()
+		got, err := Splice("t", 64, b, tc.k, tailCells(whole, tc.k))
+		if err != nil {
+			t.Fatalf("k=%d: %v", tc.k, err)
 		}
-	}
-
-	// Adopting zero (or fewer) chunks is a no-op, not an error.
-	if err := cold.AdoptChunkPrefix(base, 0); err != nil {
-		t.Errorf("zero-chunk adoption: %v", err)
+		fp := got.Fingerprint()
+		if scans := ChunkScans() - before; scans != int64(tc.scans) {
+			t.Errorf("k=%d: splice + fingerprint scanned %d chunks, want %d", tc.k, scans, tc.scans)
+		}
+		if fp != cold.Fingerprint() {
+			t.Errorf("k=%d: spliced fingerprint %x, cold build %x", tc.k, fp, cold.Fingerprint())
+		}
+		for i := 0; i < got.NumCols(); i++ {
+			if !reflect.DeepEqual(got.ChunkFingerprints(i), cold.ChunkFingerprints(i)) {
+				t.Errorf("k=%d col %d: chunk fingerprints diverged", tc.k, i)
+			}
+			if !reflect.DeepEqual(got.ColumnValidWords(i), cold.ColumnValidWords(i)) {
+				t.Errorf("k=%d col %d: valid words diverged", tc.k, i)
+			}
+		}
 	}
 }
 
-// TestAdoptChunkPrefixRejectsMismatch covers the guard rails: capacity,
-// schema, span, and dictionary-prefix violations all refuse loudly.
-func TestAdoptChunkPrefixRejectsMismatch(t *testing.T) {
+// TestSpliceRejectsMismatch covers the guard rails: capacity, schema,
+// span, tail lengths, code ranges and dictionary-prefix violations all
+// refuse loudly, before a cell is copied.
+func TestSpliceRejectsMismatch(t *testing.T) {
 	base := buildChunked(t, 128, 64)
 	f := buildChunked(t, 300, 64)
+	splice := func(base *Frame, k int, tail []Cells) error {
+		_, err := Splice("t", 64, base, k, tail)
+		return err
+	}
 
-	if err := f.AdoptChunkPrefix(buildChunked(t, 128, 128), 1); err == nil {
+	if splice(buildChunked(t, 128, 128), 64, tailCells(f, 64)) == nil {
 		t.Error("capacity mismatch accepted")
 	}
-	if err := f.AdoptChunkPrefix(MustNew("e", nil), 1); err == nil {
+	if splice(MustNew("e", nil), 0, tailCells(f, 0)) == nil {
 		t.Error("column-count mismatch accepted")
 	}
-	if err := f.AdoptChunkPrefix(base, 3); err == nil {
+	if splice(base, 192, tailCells(f, 192)) == nil {
 		t.Error("prefix beyond the base accepted")
 	}
-	if err := base.AdoptChunkPrefix(f, 3); err == nil {
-		t.Error("prefix beyond the adopter accepted")
+	if splice(nil, 64, tailCells(f, 64)) == nil || splice(base, -1, tailCells(f, 0)) == nil {
+		t.Error("prefix with no base accepted")
+	}
+	// The transplant itself refuses a prefix past either frame.
+	if err := f.adoptChunkPrefix(base, 3); err == nil {
+		t.Error("transplant beyond the base accepted")
+	}
+	if err := base.adoptChunkPrefix(f, 3); err == nil {
+		t.Error("transplant beyond the adopter accepted")
 	}
 
 	renamed, err := NewChunked("t", []*Column{
@@ -424,12 +457,27 @@ func TestAdoptChunkPrefixRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.AdoptChunkPrefix(renamed, 1); err == nil {
+	if splice(renamed, 64, tailCells(f, 64)) == nil {
 		t.Error("column-name mismatch accepted")
 	}
+	swapped := tailCells(f, 64)
+	swapped[0] = Cells{Name: "x", Kind: Categorical, Codes: make([]int32, len(swapped[0].Floats))}
+	if splice(base, 64, swapped) == nil {
+		t.Error("column-kind mismatch accepted")
+	}
+	short := tailCells(f, 64)
+	short[1].Codes = short[1].Codes[1:]
+	if splice(base, 64, short) == nil {
+		t.Error("unequal tail lengths accepted")
+	}
+	outside := tailCells(f, 64)
+	outside[1].Codes = append([]int32{int32(len(outside[1].Dict))}, outside[1].Codes[1:]...)
+	if splice(base, 64, outside) == nil || splice(nil, 0, outside) == nil {
+		t.Error("code outside the dictionary accepted")
+	}
 
-	// A base whose dictionary is not a prefix of the adopter's: its chunk
-	// chains hash different codes, so adoption must refuse.
+	// A base whose dictionary is not a prefix of the tail's: its chunk
+	// chains hash different codes, so the splice must refuse.
 	strs := make([]string, 128)
 	for i := range strs {
 		strs[i] = fmt.Sprintf("w%d", i%13) // disjoint from buildChunked's v%d
@@ -441,7 +489,16 @@ func TestAdoptChunkPrefixRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.AdoptChunkPrefix(divergent, 1); err == nil {
+	if splice(divergent, 64, tailCells(f, 64)) == nil {
 		t.Error("divergent dictionary accepted")
+	}
+	shrunk := tailCells(f, 64)
+	shrunk[1].Codes = make([]int32, len(shrunk[1].Codes))
+	for i := range shrunk[1].Codes {
+		shrunk[1].Codes[i] = -1 // in range of any dictionary
+	}
+	shrunk[1].Dict = shrunk[1].Dict[:3]
+	if splice(base, 64, shrunk) == nil {
+		t.Error("shrunk dictionary accepted")
 	}
 }

@@ -5,9 +5,13 @@
 // column kinds exist: numeric columns store float64 values (with NaN
 // representing NULL, matching how the paper's MonetDB/R stack surfaces
 // missing doubles) and categorical columns store dictionary-encoded strings
-// (code -1 representing NULL). Frames are immutable once built; Builder is
-// the append-only construction path used by the CSV loader and the
-// synthetic-data generators.
+// (code -1 representing NULL). A categorical column is its codes and its
+// dictionary; the string-to-code index exists only while a column is
+// encoded. Frames are immutable once built. Every table version that copies
+// cells comes from one Splice of a base's first k rows and tail cells:
+// Builder.Build (the append-only construction path of the CSV loader and
+// the synthetic-data generators, a splice onto no base), Frame.Append, and
+// the remote worker's reassembly of a shipped table.
 //
 // Frames are the unit of exchange between the SQL layer (package db), the
 // statistics layers, and the Ziggy engine (package core). Selection results

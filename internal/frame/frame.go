@@ -42,7 +42,6 @@ type Column struct {
 	// Categorical storage. Valid only when kind == Categorical.
 	codes []int32
 	dict  []string
-	index map[string]int32 // dict value -> code
 
 	// seal caches the column's chunked metadata (per-chunk fingerprints,
 	// validity words, NULL count — see chunks.go), built lazily under sealMu
@@ -60,12 +59,12 @@ func NewNumericColumn(name string, values []float64) *Column {
 // Empty strings are stored as regular values; use NULL explicitly via
 // AppendNull on a Builder if needed.
 func NewCategoricalColumn(name string, values []string) *Column {
-	c := &Column{name: name, kind: Categorical, index: make(map[string]int32)}
-	c.codes = make([]int32, len(values))
+	var in interner
+	codes := make([]int32, len(values))
 	for i, v := range values {
-		c.codes[i] = c.intern(v)
+		codes[i] = in.intern(v)
 	}
-	return c
+	return &Column{name: name, kind: Categorical, codes: codes, dict: in.dict}
 }
 
 // NewCategoricalColumnFromCodes rebuilds a categorical column from its
@@ -76,29 +75,71 @@ func NewCategoricalColumn(name string, values []string) *Column {
 // as-is, so a column shipped across the wire must be reassembled from this
 // constructor to fingerprint identically on both sides.
 func NewCategoricalColumnFromCodes(name string, codes []int32, dict []string) (*Column, error) {
-	for i, code := range codes {
-		if code < -1 || int(code) >= len(dict) {
-			return nil, fmt.Errorf("frame: code %d at row %d outside dictionary of %d values", code, i, len(dict))
-		}
+	if err := checkCodes(codes, len(dict)); err != nil {
+		return nil, err
 	}
-	c := &Column{name: name, kind: Categorical, codes: codes, dict: dict, index: make(map[string]int32, len(dict))}
-	for code, v := range dict {
-		if _, dup := c.index[v]; dup {
+	seen := make(map[string]struct{}, len(dict))
+	for _, v := range dict {
+		if _, dup := seen[v]; dup {
 			return nil, fmt.Errorf("frame: duplicate dictionary value %q", v)
 		}
-		c.index[v] = int32(code)
+		seen[v] = struct{}{}
 	}
-	return c, nil
+	return &Column{name: name, kind: Categorical, codes: codes, dict: dict}, nil
 }
 
-func (c *Column) intern(v string) int32 {
-	if code, ok := c.index[v]; ok {
+// checkCodes reports the first code outside [-1, dictLen).
+func checkCodes(codes []int32, dictLen int) error {
+	for i, code := range codes {
+		if code < -1 || int(code) >= dictLen {
+			return fmt.Errorf("frame: code %d at row %d outside dictionary of %d values", code, i, dictLen)
+		}
+	}
+	return nil
+}
+
+// interner dictionary-encodes strings in first-occurrence order. It is the
+// one string index in the package, held only while a categorical column is
+// built (by Builder, NewCategoricalColumn, Take and Append): a finished
+// column is its codes and dictionary alone. The zero value is empty and
+// ready to use.
+type interner struct {
+	dict  []string
+	index map[string]int32
+}
+
+// newInterner returns an interner whose dictionary starts with a copy of
+// dict, which must hold distinct values.
+func newInterner(dict []string) interner {
+	in := interner{dict: append([]string(nil), dict...), index: make(map[string]int32, len(dict))}
+	for code, v := range dict {
+		in.index[v] = int32(code)
+	}
+	return in
+}
+
+func (in *interner) intern(v string) int32 {
+	if code, ok := in.index[v]; ok {
 		return code
 	}
-	code := int32(len(c.dict))
-	c.dict = append(c.dict, v)
-	c.index[v] = code
+	if in.index == nil {
+		in.index = make(map[string]int32)
+	}
+	code := int32(len(in.dict))
+	in.dict = append(in.dict, v)
+	in.index[v] = code
 	return code
+}
+
+// recode rewrites codes, which index dict, in place to index the
+// interner's dictionary, interning their strings in row order (NULL stays
+// -1).
+func (in *interner) recode(codes []int32, dict []string) {
+	for i, code := range codes {
+		if code >= 0 {
+			codes[i] = in.intern(dict[code])
+		}
+	}
 }
 
 // Name returns the column name.
@@ -187,14 +228,16 @@ func (c *Column) Cardinality() int {
 	return len(c.dict)
 }
 
-// CodeOf returns the dictionary code for value v, or -1 if v does not occur
-// in the column.
+// CodeOf returns the dictionary code for value v, or -1 if v is not in the
+// dictionary. A column keeps no string index, so it scans the dictionary.
 func (c *Column) CodeOf(v string) int32 {
 	if c.kind != Categorical {
 		panic(fmt.Sprintf("frame: CodeOf on %s column %q", c.kind, c.name))
 	}
-	if code, ok := c.index[v]; ok {
-		return code
+	for code, s := range c.dict {
+		if s == v {
+			return int32(code)
+		}
 	}
 	return -1
 }
@@ -390,15 +433,13 @@ func (f *Frame) Take(rows []int) *Frame {
 			}
 			out.cols[ci] = NewNumericColumn(c.name, vals)
 		case Categorical:
-			nc := &Column{name: c.name, kind: Categorical, index: make(map[string]int32), codes: make([]int32, len(rows))}
+			codes := make([]int32, len(rows))
 			for i, r := range rows {
-				if code := c.codes[r]; code < 0 {
-					nc.codes[i] = -1
-				} else {
-					nc.codes[i] = nc.intern(c.dict[code])
-				}
+				codes[i] = c.codes[r]
 			}
-			out.cols[ci] = nc
+			var in interner
+			in.recode(codes, c.dict)
+			out.cols[ci] = &Column{name: c.name, kind: Categorical, codes: codes, dict: in.dict}
 		}
 	}
 	return out

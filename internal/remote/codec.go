@@ -23,11 +23,13 @@
 //   - the front then POSTs a self-describing chunk stream: the encoded
 //     manifest again, the base fingerprint and prefix it was offered, and
 //     each column's cells from the first missing chunk to the end. The
-//     worker re-checks the prefix against the named base, transplants it
-//     (frame.AdoptChunkPrefix) and reseals only the streamed rows, so an
-//     append ships O(delta) bytes. Every resealed chunk must reproduce the
-//     manifest's chain commitment and the reassembled frame's Fingerprint()
-//     the sender's, so a corrupted cell is named by column and chunk and
+//     worker splices the streamed cells onto the named base's prefix
+//     (frame.Splice, which checks the base's schema and dictionaries and
+//     carries its sealed prefix chunks over) and reseals only the streamed
+//     rows, so an append ships O(delta) bytes. Every chunk, adopted or
+//     resealed, must reproduce the manifest's chain commitment and the
+//     reassembled frame's Fingerprint() the sender's, so a corrupted cell
+//     or a base whose prefix differs is named by column and chunk and
 //     never stored. Streams may arrive in any order, from any number of
 //     fronts, late or twice: one for a stored fingerprint replaces nothing;
 //   - a characterize request carries only the table fingerprint, the
@@ -236,15 +238,6 @@ type ManifestResponse struct {
 	Base         uint64 `json:"base,omitempty"`
 }
 
-// ChunkColumn is one column's streamed cells, from the first streamed chunk
-// through the last row. Floats holds numeric cells; Codes categorical
-// dictionary codes. Exactly one is non-nil, matching the manifest's column
-// kind.
-type ChunkColumn struct {
-	Floats []float64
-	Codes  []int32
-}
-
 // Stream is a decoded chunk stream. It carries everything the worker needs
 // to register the table, so no record of the negotiation has to survive
 // between the two phases.
@@ -254,9 +247,10 @@ type Stream struct {
 	// chunks the sender relies on (zero when Prefix is zero).
 	Base   uint64
 	Prefix int
-	// Tail holds each column's cells for chunks Prefix…n−1, in manifest
-	// column order.
-	Tail []ChunkColumn
+	// Tail holds each column's schema (name, kind and dictionary, from
+	// the manifest) and its cells for chunks Prefix…n−1, in manifest
+	// column order: what frame.Splice appends to the base's prefix.
+	Tail []frame.Cells
 }
 
 // EncodeStream serializes the chunk stream registering f on a worker that
@@ -315,9 +309,10 @@ func DecodeStream(data []byte) (Stream, error) {
 	}
 	s.Prefix = int(prefix64)
 	rows := m.NumRows - s.Prefix*m.ChunkRows
-	s.Tail = make([]ChunkColumn, len(m.Cols))
+	s.Tail = make([]frame.Cells, len(m.Cols))
 	for i, mc := range m.Cols {
 		cc := &s.Tail[i]
+		cc.Name, cc.Kind, cc.Dict = mc.Name, mc.Kind, mc.Dict
 		switch mc.Kind {
 		case frame.Numeric:
 			if cc.Floats = r.F64s(rows); cc.Floats == nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -373,6 +374,111 @@ func TestAssembleFrameRoundTrip(t *testing.T) {
 	if _, err := assemble(EncodeStream(f, EncodeManifest(lying), 0, 0), nil); err == nil ||
 		!strings.Contains(err.Error(), "sender computed") {
 		t.Errorf("assemble error = %v, want the final fingerprint check", err)
+	}
+}
+
+// TestAssembleFrameRejectsMismatchedBase hands AssembleFrame bases that
+// cannot carry the stream's prefix — another column kind, name, count,
+// dictionary or chunk capacity — without the worker's matchPrefix filter
+// in front: each must be an error before a cell is copied, never a panic.
+func TestAssembleFrameRejectsMismatchedBase(t *testing.T) {
+	f := chunkedFrame(t) // "n" numeric, "c" categorical with dictionary a, b, c
+	s, err := DecodeStream(streamFor(f, 0xba5e, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefixOf := func(chunkRows int, cols ...*frame.Column) *frame.Frame {
+		t.Helper()
+		g, err := frame.NewChunked("chunked", cols, chunkRows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	num := frame.NewNumericColumn("n", f.Col(0).Floats()[:128])
+	cat, err := frame.NewCategoricalColumnFromCodes("c", f.Col(1).Codes()[:128], f.Col(1).Dict())
+	if err != nil {
+		t.Fatal(err)
+	}
+	strs := make([]string, 128)
+	for i := range strs {
+		strs[i] = string(rune('c' - i%3)) // dictionary c, b, a
+	}
+	if got, err := AssembleFrame(s, prefixOf(64, num, cat)); err != nil || got.Fingerprint() != f.Fingerprint() {
+		t.Fatalf("control: matching base failed: %v", err)
+	}
+	for name, base := range map[string]*frame.Frame{
+		"kind":         prefixOf(64, frame.NewCategoricalColumn("n", strs), cat),
+		"name":         prefixOf(64, frame.NewNumericColumn("m", num.Floats()), cat),
+		"column count": prefixOf(64, num),
+		"dictionary":   prefixOf(64, num, frame.NewCategoricalColumn("c", strs)),
+		"capacity":     prefixOf(128, num, cat),
+	} {
+		if _, err := AssembleFrame(s, base); err == nil {
+			t.Errorf("base with another %s accepted", name)
+		}
+	}
+}
+
+// TestUnusedDictionaryValueShips pins a dictionary layout interning cannot
+// produce: a base whose dictionary holds a value no row uses. Appending
+// keeps that layout (new values follow it), and shipping the grown version
+// over a partial prefix of the base reassembles the same dictionary, chunk
+// chains and fingerprint as the sender's.
+func TestUnusedDictionaryValueShips(t *testing.T) {
+	const rows, tailRows = 200, 100 // chunks of 64: three full, one partial
+	vals := make([]float64, rows)
+	codes := make([]int32, rows)
+	for i := range codes {
+		vals[i] = float64(i % 5)
+		codes[i] = []int32{0, 2, -1}[i%3] // "unused" (code 1) never occurs
+	}
+	cat, err := frame.NewCategoricalColumnFromCodes("c", codes, []string{"x", "unused", "y"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := frame.NewChunked("t", []*frame.Column{frame.NewNumericColumn("n", vals), cat}, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tvals := make([]float64, tailRows)
+	strs := make([]string, tailRows)
+	for i := range strs {
+		tvals[i] = float64(i % 7)
+		strs[i] = []string{"z", "y", "x"}[i%3]
+	}
+	tail, err := frame.NewChunked("t", []*frame.Column{frame.NewNumericColumn("n", tvals), frame.NewCategoricalColumn("c", strs)}, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown, err := base.Append(tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"x", "unused", "y", "z"}; !reflect.DeepEqual(grown.Col(1).Dict(), want) {
+		t.Fatalf("grown dictionary %q, want %q", grown.Col(1).Dict(), want)
+	}
+
+	m := BuildManifest(grown)
+	if k := matchPrefix(m, base); k != base.FullChunks() {
+		t.Fatalf("worker would offer %d chunks of the base, want its %d full ones", k, base.FullChunks())
+	}
+	s, err := DecodeStream(EncodeStream(grown, EncodeManifest(m), base.Fingerprint(), base.FullChunks()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := AssembleFrame(s, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Col(1).Dict(), grown.Col(1).Dict()) || got.Fingerprint() != grown.Fingerprint() {
+		t.Errorf("shipped version has dictionary %q and fingerprint %#x, sender %q and %#x",
+			got.Col(1).Dict(), got.Fingerprint(), grown.Col(1).Dict(), grown.Fingerprint())
+	}
+	for i := range got.Columns() {
+		if !reflect.DeepEqual(got.ChunkFingerprints(i), grown.ChunkFingerprints(i)) {
+			t.Errorf("column %d: chunk chains diverged", i)
+		}
 	}
 }
 

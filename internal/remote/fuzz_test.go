@@ -9,9 +9,10 @@ import (
 )
 
 // fuzzFrames builds the seed tables for the transport fuzzers: the
-// corruption fixture, a zero-column frame, and chunked layouts — multi-chunk
-// at the minimum capacity, a boundary-exact row count, and an appended frame
-// whose seal was built incrementally.
+// corruption fixture, a zero-column frame, chunked layouts — multi-chunk at
+// the minimum capacity, a boundary-exact row count, and an appended frame
+// whose seal was built incrementally — and a frame with the boundary-exact
+// table's column name but the other kind.
 func fuzzFrames() []*frame.Frame {
 	cat, err := frame.NewCategoricalColumnFromCodes("city",
 		[]int32{2, -1, 0, 1, 2}, []string{"zzz", "aaa", "mmm"})
@@ -52,7 +53,13 @@ func fuzzFrames() []*frame.Frame {
 	if err != nil {
 		panic(err)
 	}
-	return []*frame.Frame{flat, frame.MustNew("empty", nil), chunked, exact, appended}
+	otherKind, err := frame.NewChunked("exact", []*frame.Column{
+		frame.NewCategoricalColumn("n", strs[:128]),
+	}, 64)
+	if err != nil {
+		panic(err)
+	}
+	return []*frame.Frame{flat, frame.MustNew("empty", nil), chunked, exact, appended, otherKind}
 }
 
 // FuzzManifestCodec hammers the registration-offer decoder: arbitrary bytes
@@ -86,9 +93,9 @@ func FuzzManifestCodec(f *testing.F) {
 }
 
 // FuzzChunkCodec hammers the chunk-stream decoder and the worker's
-// reassembly behind it. The seed tables stand in for the worker's store: a
-// stream that decodes, names a resident base whose chains match its prefix
-// (what the worker checks before assembling), and reassembles must
+// reassembly behind it. The seed tables stand in for the worker's store,
+// and AssembleFrame gets whatever stored table the stream names as its
+// base, matching or not: a stream that decodes and reassembles must
 // reproduce its manifest's fingerprint and re-encode canonically;
 // everything else must be an error, never a panic.
 func FuzzChunkCodec(f *testing.F) {
@@ -105,9 +112,11 @@ func FuzzChunkCodec(f *testing.F) {
 		f.Add(stream(fr, 0, 0))
 	}
 	// The appended table (200 rows) over its resident 128-row base: a
-	// two-chunk prefix and a streamed tail.
-	exact, appended := frames[3], frames[4]
+	// two-chunk prefix and a streamed tail; and the same stream naming a
+	// base whose column has the other kind.
+	exact, appended, otherKind := frames[3], frames[4], frames[5]
 	partial := stream(appended, exact.Fingerprint(), 2)
+	f.Add(stream(appended, otherKind.Fingerprint(), 2))
 	// Mild corruptions aimed at the v6 layout — magic (4), manifest length
 	// (8) and bytes, base (8), prefix (8), then each column's cells: a
 	// truncation, a prefix past the table's full chunks, a categorical code
@@ -128,14 +137,7 @@ func FuzzChunkCodec(f *testing.F) {
 		if err != nil {
 			return // rejection is fine; panics and false accepts are not
 		}
-		var base *frame.Frame
-		if s.Prefix > 0 {
-			var ok bool
-			if base, ok = store[s.Base]; !ok || matchPrefix(s.Manifest, base) < s.Prefix {
-				return
-			}
-		}
-		got, err := AssembleFrame(s, base)
+		got, err := AssembleFrame(s, store[s.Base])
 		if err != nil {
 			return
 		}

@@ -210,9 +210,10 @@ func (w *Worker) handleManifest(rw http.ResponseWriter, r *http.Request) {
 	writeJSON(rw, http.StatusOK, ManifestResponse{PrefixChunks: prefix, Base: base})
 }
 
-// handleChunks completes phase two from the stream alone: decode it, adopt
-// the prefix of the base it names (re-checked against the manifest's
-// chains), splice the streamed cells on, and register the verified frame.
+// handleChunks completes phase two from the stream alone: decode it,
+// splice the streamed cells onto the prefix of the base it names, and
+// register the frame once AssembleFrame has verified it against the
+// manifest's chains (which also re-checks the prefix).
 // A stream for a fingerprint already stored succeeds and replaces nothing;
 // a base that is no longer resident answers 409 so the front asks again; a
 // stream that fails any integrity check answers 400.
@@ -235,10 +236,6 @@ func (w *Worker) handleChunks(rw http.ResponseWriter, r *http.Request) {
 	if s.Prefix > 0 {
 		if base, ok = w.table(s.Base); !ok {
 			writeError(rw, http.StatusConflict, fmt.Errorf("prefix base %#x for table %#x is no longer resident; ask again", s.Base, fp))
-			return
-		}
-		if k := matchPrefix(s.Manifest, base); k < s.Prefix {
-			writeError(rw, http.StatusBadRequest, fmt.Errorf("table %#x claims a %d-chunk prefix of base %#x, which matches %d", fp, s.Prefix, s.Base, k))
 			return
 		}
 	}
