@@ -848,19 +848,29 @@ func thresholdMask(b *testing.B, f *frame.Frame, col string, threshold float64) 
 
 // BenchmarkAppendCharacterize measures the incremental-characterization win
 // of the chunked representation on the append lifecycle: a 20,000-row table
-// grows by 5% and the grown table is characterized with the report tier
-// bypassed (SkipReportCache), so the pipeline itself is paid both times.
+// of five numeric columns and the categorical tier grows by 5%, and the
+// grown table is characterized with the report tier bypassed
+// (SkipReportCache), so the pipeline itself is paid both times.
 // "incremental" is the steady state of a live table: the base was
 // characterized once and dropped the way Session.Append drops it
 // (InvalidateFrame), each iteration appends a fresh tail onto the sealed
-// base, and afterwards drops only the grown table's entries. Its full chunks
-// carry over, so only the rows past the base's last chunk boundary rescan
-// for fingerprints and validity words, and the dependency matrix resumes its fold
-// from the base's prefix state. "cold" characterizes the same grown content
-// built from scratch on purged caches, paying the whole-table seal and the
-// full fold. Both arms copy the column storage once per iteration.
-// rowsfolded/op counts the rows each numeric pair folded (depend.RowsFolded):
-// ~1,544 (the rows past 19 full chunks) against 21,000.
+// base, and afterwards drops only the grown table's entries. Its full
+// chunks carry over, so only the rows past the base's last chunk boundary
+// rescan for fingerprints and validity words, and the dependency matrix
+// resumes from the base's prefix state: its numeric pairs fold and its
+// tier × numeric η cells feed only those rows. "cold" characterizes the
+// same grown content built from scratch on purged caches, paying the
+// whole-table seal and the full matrix. Both arms copy the column storage
+// once per iteration. The robust_ and extended_ arms run the same two
+// lifecycles on a Robust and an Extended engine, which also sort every
+// numeric column of each grown table again (core.Engine.columnOrders).
+//
+// Each arm reports its preparation work per op: rowsfolded/op, the rows
+// each numeric pair folded (depend.RowsFolded); etarowsfed/op, the rows
+// each η cell fed (depend.EtaRowsFed) — both ~1,544 (the rows past 19 full
+// chunks) incrementally against 21,000 cold; and sorts/op, the ranking
+// passes (stats.RankOps) — one per numeric column in the robust and
+// extended arms, incremental or cold alike.
 func BenchmarkAppendCharacterize(b *testing.B) {
 	const rows, cols, chunkRows, tailRows = 20000, 6, 1024, 1000
 	whole := synth.Micro("micro", 7, rows+tailRows, cols)
@@ -933,46 +943,58 @@ func BenchmarkAppendCharacterize(b *testing.B) {
 		}
 		return f
 	}
-	rowsFolded := func(b *testing.B, start int64) {
-		b.ReportMetric(float64(depend.RowsFolded()-start)/float64(b.N), "rowsfolded/op")
+	type meters struct{ folded, fed, sorts int64 }
+	read := func() meters { return meters{depend.RowsFolded(), depend.EtaRowsFed(), stats.RankOps()} }
+	report := func(b *testing.B, start meters) {
+		end, n := read(), float64(b.N)
+		b.ReportMetric(float64(end.folded-start.folded)/n, "rowsfolded/op")
+		b.ReportMetric(float64(end.fed-start.fed)/n/(cols-1), "etarowsfed/op")
+		b.ReportMetric(float64(end.sorts-start.sorts)/n, "sorts/op")
 	}
 
-	engine := mustEngine(b, core.DefaultConfig())
 	opts := core.Options{SkipReportCache: true}
-	b.Run("incremental", func(b *testing.B) {
-		engine.InvalidateCache()
-		baseSel := frame.NewBitmap(base.NumRows())
-		for i := 0; i < base.NumRows()/2; i++ {
-			baseSel.Set(i)
-		}
-		if _, err := engine.CharacterizeOpts(base, baseSel, opts); err != nil {
-			b.Fatal(err)
-		}
-		engine.InvalidateFrame(base.Fingerprint())
-		start := depend.RowsFolded()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			g, err := base.Append(freshTail(i))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := engine.CharacterizeOpts(g, sel, opts); err != nil {
-				b.Fatal(err)
-			}
-			engine.InvalidateFrame(g.Fingerprint())
-		}
-		rowsFolded(b, start)
-	})
-	b.Run("cold", func(b *testing.B) {
-		start := depend.RowsFolded()
-		for i := 0; i < b.N; i++ {
+	for _, mode := range []struct {
+		prefix           string
+		robust, extended bool
+	}{{"", false, false}, {"robust_", true, false}, {"extended_", false, true}} {
+		cfg := core.DefaultConfig()
+		cfg.Robust, cfg.Extended = mode.robust, mode.extended
+		engine := mustEngine(b, cfg)
+		b.Run(mode.prefix+"incremental", func(b *testing.B) {
 			engine.InvalidateCache()
-			if _, err := engine.CharacterizeOpts(freshCopy(), sel, opts); err != nil {
+			baseSel := frame.NewBitmap(base.NumRows())
+			for i := 0; i < base.NumRows()/2; i++ {
+				baseSel.Set(i)
+			}
+			if _, err := engine.CharacterizeOpts(base, baseSel, opts); err != nil {
 				b.Fatal(err)
 			}
-		}
-		rowsFolded(b, start)
-	})
+			engine.InvalidateFrame(base.Fingerprint())
+			start := read()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g, err := base.Append(freshTail(i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := engine.CharacterizeOpts(g, sel, opts); err != nil {
+					b.Fatal(err)
+				}
+				engine.InvalidateFrame(g.Fingerprint())
+			}
+			report(b, start)
+		})
+		b.Run(mode.prefix+"cold", func(b *testing.B) {
+			start := read()
+			for i := 0; i < b.N; i++ {
+				engine.InvalidateCache()
+				if _, err := engine.CharacterizeOpts(freshCopy(), sel, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			report(b, start)
+		})
+	}
 }
 
 // BenchmarkFrameAppend times one Frame.Append of 256 rows onto a sealed

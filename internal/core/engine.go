@@ -388,9 +388,11 @@ func (e *Engine) columnOrders(f *frame.Frame) [][]int32 {
 // fold state of f's longest chunk prefix found in the prefix tier, probing
 // from the last full chunk down, and leaves f's own state at its last full
 // chunk boundary for the table f grows into next. An append of r rows thus
-// folds at most ChunkRows−1+r rows per pair instead of the whole table, and
-// because the fold is layout-free the matrix is bit-identical to a cold
-// build. Other measures rebuild in full: Spearman's ranks are global.
+// folds at most ChunkRows−1+r rows per numeric pair, and feeds as many to
+// each categorical × numeric η cell, instead of the whole table; a
+// categorical × categorical pair rescans every row. Because the fold is
+// layout-free the matrix is bit-identical to a cold build. Other measures
+// rebuild in full: Spearman's ranks are global.
 func (e *Engine) dependencies(f *frame.Frame) *depend.Matrix {
 	if e.cfg.Measure != depend.AbsPearson {
 		return depend.NewMatrixParallel(f, e.cfg.Measure, e.workers())

@@ -53,9 +53,10 @@ func encodeStable(rep *Report) []byte {
 // TestAppendResumesDependencyFold pins the prefix tier's lifecycle. A table
 // is characterized, its fingerprint is dropped the way Session.Append drops
 // it, and its grown successor then folds only the rows past the base's last
-// full chunk, answering byte-identically to the same rows loaded whole on a
-// cold engine. InvalidateCache drops the prefix states: the next build
-// folds every row.
+// full chunk, in its numeric pairs and its categorical × numeric η cells
+// alike, answering byte-identically to the same rows loaded whole on a cold
+// engine. InvalidateCache drops the prefix states: the next build folds and
+// feeds every row.
 func TestAppendResumesDependencyFold(t *testing.T) {
 	const rows, tail, chunkRows = 16384, 256, 1024
 	whole := synth.Micro("m", 5, rows+tail, 8)
@@ -76,13 +77,17 @@ func TestAppendResumesDependencyFold(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{SkipReportCache: true}
-	before := depend.RowsFolded()
+	mixed := int64(whole.NumCols() - 1) // tier × each numeric column
+	before, fedBefore := depend.RowsFolded(), depend.EtaRowsFed()
 	rep, err := e.CharacterizeOpts(grown, firstThird(grown), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if folded := depend.RowsFolded() - before; folded > chunkRows+tail {
 		t.Errorf("append after InvalidateFrame folded %d rows per pair, want ≤ %d", folded, chunkRows+tail)
+	}
+	if fed := (depend.EtaRowsFed() - fedBefore) / mixed; fed > chunkRows+tail {
+		t.Errorf("append after InvalidateFrame fed %d rows per η cell, want ≤ %d", fed, chunkRows+tail)
 	}
 
 	cold, err := New(cfg)
@@ -99,12 +104,15 @@ func TestAppendResumesDependencyFold(t *testing.T) {
 	}
 
 	e.InvalidateCache()
-	before = depend.RowsFolded()
+	before, fedBefore = depend.RowsFolded(), depend.EtaRowsFed()
 	if _, err := e.CharacterizeOpts(grown, firstThird(grown), opts); err != nil {
 		t.Fatal(err)
 	}
 	if folded := depend.RowsFolded() - before; folded != rows+tail {
 		t.Errorf("after InvalidateCache the build folded %d rows per pair, want all %d", folded, rows+tail)
+	}
+	if fed := (depend.EtaRowsFed() - fedBefore) / mixed; fed != rows+tail {
+		t.Errorf("after InvalidateCache the build fed %d rows per η cell, want all %d", fed, rows+tail)
 	}
 }
 

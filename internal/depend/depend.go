@@ -133,23 +133,50 @@ func cramersV(a, b *frame.Column) float64 {
 // the correlation ratio η of num grouped by cat over the pair's complete
 // cases, 0 below three cases or two categories.
 func correlationRatio(cat, num *frame.Column) float64 {
-	card := cat.Cardinality()
-	if card < 2 {
-		return 0
+	dep, _ := etaCell(cat.Codes(), num.Floats(), cat.Cardinality(), nil, 0, -1)
+	return dep
+}
+
+// etaCell is the module's one η scan, shared by Pairwise and the Pearson
+// fold: the dependency of categorical codes, over a card-entry dictionary,
+// and numeric xs. It feeds a copy of from (nil: an empty accumulator, and
+// lo must be 0) the pair's complete cases in rows [lo, n), in ascending
+// order. When keepAt ≥ lo it also returns the accumulator after rows
+// [0, keepAt), in Copy(0)'s canonical form, for a later build to resume
+// from. EtaRowsFed counts the rows it feeds.
+func etaCell(codes []int32, xs []float64, card int, from *stats.CorrelationRatio, lo, keepAt int) (float64, stats.CorrelationRatio) {
+	n := min(len(codes), len(xs))
+	etaRowsFed.Add(int64(n - lo))
+	var acc stats.CorrelationRatio
+	if from != nil {
+		acc = from.Copy(card)
+	} else {
+		acc = stats.NewCorrelationRatio(card)
 	}
-	n := min(cat.Len(), num.Len())
-	codes, xs := cat.Codes()[:n], num.Floats()[:n]
-	acc := stats.NewCorrelationRatio(card)
-	for i, g := range codes {
-		if v := xs[i]; g >= 0 && !math.IsNaN(v) { // NULL on neither side
-			acc.Add(g, v)
-		}
+	var kept stats.CorrelationRatio
+	if keepAt >= lo {
+		feedEta(&acc, codes[lo:keepAt], xs[lo:keepAt])
+		kept, lo = acc.Copy(0), keepAt
+	}
+	feedEta(&acc, codes[lo:n], xs[lo:n])
+	if card < 2 {
+		return 0, kept
 	}
 	eta := acc.Eta()
 	if eta.N < 3 {
-		return 0
+		return 0, kept
 	}
-	return absClamp(eta.Value)
+	return absClamp(eta.Value), kept
+}
+
+// feedEta adds the rows that are NULL on neither side to acc.
+func feedEta(acc *stats.CorrelationRatio, codes []int32, xs []float64) {
+	xs = xs[:len(codes)]
+	for i, g := range codes {
+		if v := xs[i]; g >= 0 && !math.IsNaN(v) {
+			acc.Add(g, v)
+		}
+	}
 }
 
 // Matrix is a symmetric column-dependency matrix over a frame's columns.

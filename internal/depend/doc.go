@@ -35,9 +35,13 @@
 // chunk capacity, so the fold's state at any chunk boundary (FoldState) is
 // a pure function of the rows before it: a table grown by an append
 // resumes from its base's state and folds only the new rows, bit-identical
-// to a cold build. RowsFolded meters that work. Pairs with a categorical
-// column do not fold; they are Pairwise's scan on every build. Pairwise
-// remains the two-pass reference the tests hold the fold against.
+// to a cold build. RowsFolded meters that work. A categorical × numeric
+// pair resumes as well: the state keeps its stats.CorrelationRatio, which
+// is fed row by row in ascending order, so feeding a copy only the new
+// rows gives a cold scan's bits with no merge; EtaRowsFed meters it. A
+// categorical × categorical pair is Cramér's V over every row on every
+// build. Pairwise remains the two-pass reference the tests hold the fold
+// against, and its η is the fold's own scan.
 //
 // Under the Spearman measure the matrix additionally runs a rank-once
 // phase: ranking is sharded per column (each NULL-free numeric column is

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/frame"
 	"repro/internal/par"
+	"repro/internal/stats"
 )
 
 // The Pearson matrix is a left fold over fixed 64-row blocks. Each numeric
@@ -19,7 +20,9 @@ import (
 // the fold runs strictly left to right, so the state at any chunk boundary
 // is a pure function of the rows before it: a build resumed from a
 // FoldState gives the same bits as a cold build, for every chunk layout and
-// worker count.
+// worker count. Each categorical × numeric pair keeps its correlation-ratio
+// accumulator, which is fed row by row in ascending order and so resumes
+// exactly, with no merge.
 
 // foldBlock is the fold's canonical block size: one validity word.
 const foldBlock = 64
@@ -33,6 +36,16 @@ var rowsFolded atomic.Int64
 // adds n, and a build resumed from a FoldState at row b adds n−b. Tests and
 // benchmarks assert deltas around an operation.
 func RowsFolded() int64 { return rowsFolded.Load() }
+
+// etaRowsFed counts the rows η scans fed process-wide; see EtaRowsFed.
+var etaRowsFed atomic.Int64
+
+// EtaRowsFed returns the number of rows the module's one η scan has fed to
+// correlation-ratio accumulators, summed over every categorical × numeric
+// cell of this process — a Pearson matrix's or Pairwise's. Like RowsFolded
+// it only grows: a cold Pearson build of an n-row frame with p such cells
+// adds p·n, and a build resumed from a FoldState at row b adds p·(n−b).
+func EtaRowsFed() int64 { return etaRowsFed.Load() }
 
 // moments is a running (n, mean, M2) over one series. The mean is carried
 // as the unevaluated sum hi + lo: a block's mean is its first value plus
@@ -172,19 +185,26 @@ func maskedPair(xs, ys []float64, w uint64) pairMoments {
 }
 
 // FoldState is the dependency fold's state at a block boundary: the running
-// moments of every numeric column and numeric pair over the rows before it.
+// moments of every numeric column and numeric pair, and the correlation-ratio
+// accumulator of every categorical × numeric pair, over the rows before it.
 // It is immutable once returned, so one state may seed any number of
 // builds.
 type FoldState struct {
-	rows  int           // leading rows folded, a multiple of 64
-	num   []int         // frame indices of the numeric columns
-	cols  []moments     // parallel to num, over each column's non-NULL rows
-	pairs []pairMoments // numeric pairs (a < b in num order), row-major
+	rows  int                      // leading rows folded, a multiple of 64
+	num   []int                    // frame indices of the numeric columns
+	cat   []int                    // frame indices of the categorical columns
+	cols  []moments                // parallel to num, over each column's non-NULL rows
+	pairs []pairMoments            // numeric pairs (a < b in num order), row-major
+	etas  []stats.CorrelationRatio // categorical × numeric pairs, cat-major
 }
 
 // Size returns the state's approximate resident bytes, for cache charging.
 func (s *FoldState) Size() int64 {
-	return 80 + int64(len(s.num))*8 + int64(len(s.cols))*32 + int64(len(s.pairs))*72
+	size := 128 + int64(len(s.num)+len(s.cat))*8 + int64(len(s.cols))*32 + int64(len(s.pairs))*72
+	for i := range s.etas {
+		size += s.etas[i].Size()
+	}
+	return size
 }
 
 // pairIndex returns the slot of numeric pair (a, b), a < b, among k columns.
@@ -212,39 +232,44 @@ type colBlock struct {
 // FoldMatrix computes f's AbsPearson dependency matrix as a left fold over
 // 64-row blocks, resuming from the state from (nil folds from row 0), and
 // returns alongside the matrix the state at row keepAt — nil when keepAt is
-// not a block boundary between the rows from covers and f.NumRows(), or f
-// has fewer than two numeric columns. A state that does not fit f (other
-// numeric column positions, or more rows than f) is ignored and the build
+// not a block boundary between the rows from covers and f.NumRows(), or no
+// pair of f involves a numeric column. A state that does not fit f (other
+// column kinds or positions, or more rows than f) is ignored and the build
 // is cold; the caller is responsible for from describing f's own leading
 // rows, which a prefix commitment over frame.ChunkFingerprints establishes.
 //
-// Only numeric pairs fold: a pair with a categorical column is Pairwise's
-// full scan on every build. The matrix and the state are bit-for-bit
-// identical for every worker count, every chunk layout and every resume
-// point.
+// Numeric pairs fold Chan et al.'s moments. A categorical × numeric pair
+// resumes its correlation-ratio accumulator, the same scan as Pairwise's,
+// and feeds it only the rows past from. A categorical × categorical pair is
+// Cramér's V over every row on every build. The matrix and the state are
+// bit-for-bit identical for every worker count, every chunk layout and
+// every resume point.
 func FoldMatrix(f *frame.Frame, workers int, from *FoldState, keepAt int) (*Matrix, *FoldState) {
 	workers = par.Workers(workers)
 	n := f.NumRows()
-	var num []int
-	pos := make([]int, f.NumCols()) // position in num
+	var num, cat []int
+	pos := make([]int, f.NumCols()) // position in num or cat
 	for i, c := range f.Columns() {
 		if c.Kind() == frame.Numeric {
 			pos[i] = len(num)
 			num = append(num, i)
+		} else {
+			pos[i] = len(cat)
+			cat = append(cat, i)
 		}
 	}
-	folds := len(num) > 1
+	folds := len(num) > 0 && f.NumCols() > 1
 	if !folds {
-		num = nil
+		num, cat = nil, nil
 	}
-	if from != nil && !from.fits(num, n) {
+	if from != nil && !from.fits(num, cat, n) {
 		from = nil
 	}
 	start := 0
 	if from != nil {
 		start = from.rows
 	}
-	if folds {
+	if len(num) > 1 {
 		rowsFolded.Add(int64(n - start))
 	}
 	// A state kept where the build resumes is the seed itself.
@@ -294,27 +319,50 @@ func FoldMatrix(f *frame.Frame, workers int, from *FoldState, keepAt int) (*Matr
 	// Phase 2, one task per pair.
 	var kept *FoldState
 	if keepAt >= 0 {
-		kept = &FoldState{rows: keepAt, num: num,
+		kept = &FoldState{rows: keepAt, num: num, cat: cat,
 			cols:  make([]moments, len(num)),
-			pairs: make([]pairMoments, len(num)*(len(num)-1)/2)}
+			pairs: make([]pairMoments, len(num)*(len(num)-1)/2),
+			etas:  make([]stats.CorrelationRatio, len(cat)*len(num))}
 		for a := range cols {
 			kept.cols[a] = cols[a].kept
 		}
 	}
-	mat := fillMatrix(f, workers, func(_, i, j int) float64 {
-		if f.Col(i).Kind() != frame.Numeric || f.Col(j).Kind() != frame.Numeric {
-			return Pairwise(f.Col(i), f.Col(j), AbsPearson)
-		}
-		p := pairIndex(pos[i], pos[j], len(num))
+	numeric := func(a, b int) float64 {
+		p := pairIndex(a, b, len(num))
 		var st pairMoments
 		if from != nil {
 			st = from.pairs[p]
 		}
-		end, at := foldPair(&cols[pos[i]], &cols[pos[j]], st, k0, nBlocks, n, keepAt)
+		end, at := foldPair(&cols[a], &cols[b], st, k0, nBlocks, n, keepAt)
 		if kept != nil {
 			kept.pairs[p] = at
 		}
 		return end.dependency()
+	}
+	mixed := func(c, a int) float64 {
+		p := c*len(num) + a
+		var st *stats.CorrelationRatio
+		lo := 0
+		if from != nil {
+			st, lo = &from.etas[p], start
+		}
+		cc := f.Col(cat[c])
+		dep, at := etaCell(cc.Codes(), cols[a].xs, cc.Cardinality(), st, lo, keepAt)
+		if kept != nil {
+			kept.etas[p] = at
+		}
+		return dep
+	}
+	mat := fillMatrix(f, workers, func(_, i, j int) float64 {
+		switch ki, kj := f.Col(i).Kind(), f.Col(j).Kind(); {
+		case ki == frame.Numeric && kj == frame.Numeric:
+			return numeric(pos[i], pos[j])
+		case ki == frame.Categorical && kj == frame.Numeric:
+			return mixed(pos[i], pos[j])
+		case ki == frame.Numeric && kj == frame.Categorical:
+			return mixed(pos[j], pos[i])
+		}
+		return cramersV(f.Col(i), f.Col(j))
 	})
 	if reuse {
 		return mat, from
@@ -323,9 +371,9 @@ func FoldMatrix(f *frame.Frame, workers int, from *FoldState, keepAt int) (*Matr
 }
 
 // fits reports whether the state can seed a fold of an n-row frame whose
-// numeric columns are num.
-func (s *FoldState) fits(num []int, n int) bool {
-	return s.rows <= n && s.rows%foldBlock == 0 && slices.Equal(s.num, num)
+// numeric columns are num and categorical columns cat.
+func (s *FoldState) fits(num, cat []int, n int) bool {
+	return s.rows <= n && s.rows%foldBlock == 0 && slices.Equal(s.num, num) && slices.Equal(s.cat, cat)
 }
 
 // foldPair folds numeric pair (a, b) from state st over blocks [k0, nBlocks)

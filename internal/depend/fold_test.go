@@ -22,8 +22,12 @@ type foldTable struct {
 // newFoldTable generates rows rows from a shape seed. The columns cover what
 // the fold must get right: a trend, a 1e9 offset, sparse and heavy NULLs, a
 // column whose first NULL lands after split (so it turns NULL-bearing in an
-// append), a constant, a rare ±Inf, and a categorical column whose
-// dictionary grows past split.
+// append), a constant, a rare ±Inf, a categorical column whose dictionary
+// grows past split, a categorical column tracking "noise" whose first NULL
+// lands after split, and a one-category column that is NULL before split
+// (its dictionary is empty in a base cut there). The three categorical
+// columns also give categorical × categorical pairs and, through the
+// one-category column, degenerate η cells.
 func newFoldTable(seed uint64, rows, split int) *foldTable {
 	r := randx.New(seed)
 	t := &foldTable{names: []string{"trend", "offset", "noise", "sparse", "heavy", "late", "const", "inf"}}
@@ -67,7 +71,25 @@ func newFoldTable(seed uint64, rows, split int) *foldTable {
 			cat[i] = fmt.Sprint("g", k)
 		}
 	}
-	t.cats = [][]string{cat}
+	t.names = append(t.names, "latecat", "one")
+	late, one := make([]string, rows), make([]string, rows)
+	for i := range late {
+		switch v := t.nums[2][i]; {
+		case v > 0.5:
+			late[i] = "hi"
+		case v > -0.5:
+			late[i] = "mid"
+		default:
+			late[i] = "lo"
+		}
+		if i >= split && r.Bernoulli(0.3) {
+			late[i] = ""
+		}
+		if i >= split && !r.Bernoulli(0.1) {
+			one[i] = "only"
+		}
+	}
+	t.cats = [][]string{cat, late, one}
 	return t
 }
 
@@ -142,7 +164,9 @@ func checkResume(tb testing.TB, seed uint64, rows, split1, split2, cr int) {
 		tb.Fatal(err)
 	}
 	what := fmt.Sprintf("seed %d rows %d splits %d/%d chunk %d", seed, rows, split1, split2, cr)
-	// Pairs with a categorical column do not fold: they are Pairwise's scan.
+	// A categorical × numeric cell resumes the very η scan Pairwise runs,
+	// and a categorical pair is Pairwise's Cramér's V: the whole load's
+	// cells with a categorical column are Pairwise's bit for bit.
 	for i := 0; i < grown.NumCols(); i++ {
 		for j := i + 1; j < grown.NumCols(); j++ {
 			a, b := grown.Col(i), grown.Col(j)
@@ -185,6 +209,12 @@ func stateBits(s *FoldState) []uint64 {
 	for _, p := range s.pairs {
 		add(p.x.n, p.x.hi, p.x.lo, p.x.m2, p.y.n, p.y.hi, p.y.lo, p.y.m2, p.c)
 	}
+	for i := range s.etas {
+		n, mean, m2, sum, count := s.etas[i].State()
+		add(float64(n), mean, m2)
+		add(sum...)
+		add(count...)
+	}
 	return out
 }
 
@@ -214,6 +244,10 @@ func TestFoldResumeMatchesCold(t *testing.T) {
 // under testdata/fuzz replays on every `go test`.
 func FuzzMatrixFold(f *testing.F) {
 	f.Add(uint64(1), uint16(3000), uint16(1100), uint16(2100), uint8(0))
+	// A 150-row base under 64-row chunks keeps its state at row 128: one's
+	// dictionary is still empty there, and latecat turns NULL-bearing only
+	// in the first append.
+	f.Add(uint64(9), uint16(2000), uint16(150), uint16(900), uint8(0))
 	f.Fuzz(func(t *testing.T, seed uint64, rows, split1, split2 uint16, crSel uint8) {
 		n := int(rows)%6000 + 1
 		s1 := int(split1) % (n + 1)
@@ -271,7 +305,8 @@ func TestFoldAccuracy(t *testing.T) {
 
 // TestFoldRowsFolded pins the fold's work as a count: a 256-row append onto
 // a sealed 16,384-row base with 1,024-row chunks folds at most a chunk plus
-// the tail per pair, against every row for a cold build.
+// the tail per numeric pair, and feeds at most as many rows to each
+// categorical × numeric cell, against every row for a cold build.
 func TestFoldRowsFolded(t *testing.T) {
 	whole := synth.Micro("m", 5, 16384+256, 8)
 	cols := func(lo, hi int) []*frame.Column {
@@ -298,34 +333,53 @@ func TestFoldRowsFolded(t *testing.T) {
 		t.Fatal(err)
 	}
 	base.Fingerprint()
-	before := RowsFolded()
-	_, st := FoldMatrix(base, 1, nil, keepAt(base))
-	if got := RowsFolded() - before; got != 16384 {
-		t.Errorf("cold base folded %d rows per pair, want 16384", got)
+	mixed := int64(whole.NumCols() - 1) // tier × each numeric column
+	// build runs fn and returns the rows it folded per numeric pair and fed
+	// per categorical × numeric cell.
+	build := func(fn func()) (folded, fed int64) {
+		f0, e0 := RowsFolded(), EtaRowsFed()
+		fn()
+		return RowsFolded() - f0, (EtaRowsFed() - e0) / mixed
+	}
+	var st *FoldState
+	folded, fed := build(func() { _, st = FoldMatrix(base, 1, nil, keepAt(base)) })
+	if folded != 16384 || fed != 16384 {
+		t.Errorf("cold base folded %d rows per pair and fed %d per η cell, want 16384", folded, fed)
 	}
 	grown, err := base.Append(tail)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before = RowsFolded()
-	FoldMatrix(grown, 1, st, keepAt(grown))
-	if got := RowsFolded() - before; got > 1280 {
-		t.Errorf("append folded %d rows per pair, want ≤ 1280", got)
+	folded, fed = build(func() { FoldMatrix(grown, 1, st, keepAt(grown)) })
+	if folded > 1280 || fed > 1280 {
+		t.Errorf("append folded %d rows per pair and fed %d per η cell, want ≤ 1280", folded, fed)
 	}
-	before = RowsFolded()
-	NewMatrixParallel(grown, AbsPearson, 1)
-	if got := RowsFolded() - before; got != 16640 {
-		t.Errorf("cold grown table folded %d rows per pair, want 16640", got)
+	folded, fed = build(func() { NewMatrixParallel(grown, AbsPearson, 1) })
+	if folded != 16640 || fed != 16640 {
+		t.Errorf("cold grown table folded %d rows per pair and fed %d per η cell, want 16640", folded, fed)
 	}
 }
 
 // TestFoldStateMismatchIsCold checks that a state describing other columns
-// is ignored rather than trusted.
+// is ignored rather than trusted: one over other numeric columns, and one
+// whose numeric columns match but whose categorical columns sit elsewhere.
 func TestFoldStateMismatchIsCold(t *testing.T) {
-	tbl := newFoldTable(3, 500, 500)
+	tbl := newFoldTable(3, 500, 250)
 	f := tbl.frame(t, 0, 500, 64)
 	_, st := FoldMatrix(f, 1, nil, 448)
 	other := synth.Micro("m", 1, 500, 4)
 	got, _ := FoldMatrix(other, 1, st, -1)
 	sameMatrix(t, "mismatched state", got, NewMatrix(other, AbsPearson))
+
+	// The same numeric columns, then "one" and "cat": trusted, the state
+	// would feed cat's cells from latecat's accumulators.
+	cols := f.Columns()
+	nums := len(tbl.nums)
+	moved := frame.MustNew("moved", append(cols[:nums:nums], f.Col(nums+2), f.Col(nums)))
+	before := EtaRowsFed()
+	got, _ = FoldMatrix(moved, 1, st, -1)
+	if fed := EtaRowsFed() - before; fed != int64(2*nums*500) {
+		t.Errorf("state with moved categorical columns fed %d rows, want a cold build's %d", fed, 2*nums*500)
+	}
+	sameMatrix(t, "state with moved categorical columns", got, NewMatrix(moved, AbsPearson))
 }

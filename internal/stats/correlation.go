@@ -75,8 +75,46 @@ type CorrelationRatio struct {
 
 // NewCorrelationRatio returns an empty accumulator over k categories.
 func NewCorrelationRatio(k int) CorrelationRatio {
-	return CorrelationRatio{sum: make([]float64, k), count: make([]float64, k)}
+	var c CorrelationRatio
+	c.makeCategories(k)
+	return c
 }
+
+// Copy returns an independent copy of the accumulator over k categories,
+// or through its last non-empty category when that is further: categories
+// past its own start empty, and empty ones past k are dropped. Eta skips
+// empty categories, so the copy finishes to the same bits, and a copy
+// widened to a grown dictionary and fed the rows after its own holds the
+// bits of one accumulator fed every row. Copy(0) is the canonical form: it
+// depends only on the cases fed, not on the dictionary size.
+func (c *CorrelationRatio) Copy(k int) CorrelationRatio {
+	used := len(c.count)
+	for used > 0 && c.count[used-1] == 0 {
+		used--
+	}
+	out := CorrelationRatio{n: c.n, mean: c.mean, m2: c.m2}
+	out.makeCategories(max(k, used))
+	copy(out.sum, c.sum[:used])
+	copy(out.count, c.count[:used])
+	return out
+}
+
+// makeCategories gives c zeroed per-category slices over k categories, in
+// one allocation.
+func (c *CorrelationRatio) makeCategories(k int) {
+	buf := make([]float64, 2*k)
+	c.sum, c.count = buf[:k:k], buf[k:]
+}
+
+// State returns the accumulator's raw state: the case count, Welford's
+// running mean and M2, and the per-category sums and counts. The slices are
+// the accumulator's own; callers must not modify them.
+func (c *CorrelationRatio) State() (n int, mean, m2 float64, sum, count []float64) {
+	return c.n, c.mean, c.m2, c.sum, c.count
+}
+
+// Size returns the accumulator's approximate resident bytes.
+func (c *CorrelationRatio) Size() int64 { return 72 + 16*int64(len(c.sum)) }
 
 // Add folds in one complete case: category g, in [0, k), with value v.
 func (c *CorrelationRatio) Add(g int32, v float64) {

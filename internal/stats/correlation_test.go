@@ -275,3 +275,51 @@ func TestCorrelationRatioDegenerate(t *testing.T) {
 		t.Errorf("perfect separation: η = %+v, want 1 over 2 groups", got)
 	}
 }
+
+// TestCorrelationRatioCopyResumes pins what a resumed dependency fold
+// relies on: a copy kept after a prefix, widened to a grown dictionary and
+// fed the rest, holds the bits of one accumulator fed every row, and
+// feeding the copy leaves the original untouched.
+func TestCorrelationRatioCopyResumes(t *testing.T) {
+	r := randx.New(12)
+	const n, split = 500, 180
+	codes := make([]int32, n)
+	xs := make([]float64, n)
+	for i := range xs {
+		k := 2
+		if i >= split {
+			k = 5 // codes 2..4 first appear after split
+		}
+		codes[i] = int32(r.Intn(k))
+		xs[i] = 1e6 + float64(codes[i]) + r.NormFloat64()
+	}
+	whole := NewCorrelationRatio(5)
+	prefix := NewCorrelationRatio(2)
+	for i := range xs {
+		whole.Add(codes[i], xs[i])
+		if i < split {
+			prefix.Add(codes[i], xs[i])
+		}
+	}
+	wide := NewCorrelationRatio(4) // categories 2 and 3 stay empty
+	for i := 0; i < split; i++ {
+		wide.Add(codes[i], xs[i])
+	}
+	kept := wide.Copy(0)
+	if len(kept.sum) != 2 || kept.Eta() != prefix.Eta() {
+		t.Errorf("canonical copy spans %d categories, η %+v; want 2 and %+v", len(kept.sum), kept.Eta(), prefix.Eta())
+	}
+	resumed := kept.Copy(5)
+	for i := split; i < n; i++ {
+		resumed.Add(codes[i], xs[i])
+	}
+	if got, want := resumed.Eta(), whole.Eta(); got != want {
+		t.Errorf("resumed η = %+v, one pass %+v", got, want)
+	}
+	if kept.n != split || len(kept.sum) != 2 {
+		t.Errorf("feeding a copy moved its source: %+v", kept)
+	}
+	if narrow := resumed.Copy(1); len(narrow.sum) != 5 || narrow.Eta() != resumed.Eta() {
+		t.Errorf("a copy over fewer categories dropped non-empty ones: %d", len(narrow.sum))
+	}
+}
