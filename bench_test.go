@@ -475,12 +475,18 @@ func BenchmarkShardedThroughput(b *testing.B) {
 // + Mann-Whitney per numeric column) through the full pipeline, warm and
 // cold, and reports the ranking-pass budget as rankops/op: cold runs sort
 // each numeric column once while preparing the table, warm runs sort
-// nothing — each query walks the prepared column orders.
-// TestRobustRankBudget pins the same invariant as a hard assertion.
+// nothing — each query ranks from the prepared column rank indexes.
+// TestRobustRankBudget pins the same invariant as a hard assertion. The
+// engine runs at parallelism 1, as serving workers do, so its work does
+// not depend on the machine's CPU count. Its allocs/op still moves by a
+// few between identical runs (pool refills and the runtime's own
+// allocations follow GC timing), so BENCH_baseline.json records no
+// allocation ceiling for it.
 func BenchmarkRobustCharacterize(b *testing.B) {
 	sc := mustCrime(b)
 	cfg := core.DefaultConfig()
 	cfg.Robust = true
+	cfg.Parallelism = 1
 	opts := core.Options{ExcludeColumns: sc.Exclude, SkipReportCache: true}
 	run := func(b *testing.B, warm bool) {
 		engine := mustEngine(b, cfg)
@@ -508,9 +514,9 @@ func BenchmarkRobustCharacterize(b *testing.B) {
 // BenchmarkExtendedCharacterize measures a warm extended-mode
 // characterization of the crime scenario in both modes at parallelism 1,
 // with the report memo bypassed so the pipeline is paid every iteration.
-// Both arms walk the column orders the warm-up prepared — the quantile and
-// tail components read their order statistics off that walk — so they
-// report 0 rankops/op. No serving workload enables extended mode, so this
+// Both arms rank from the column rank indexes the warm-up prepared — the
+// quantile and tail components read their order statistics off that
+// Rank — so they report 0 rankops/op. No serving workload enables extended mode, so this
 // is the gate that covers its path.
 func BenchmarkExtendedCharacterize(b *testing.B) {
 	sc := mustCrime(b)
@@ -545,13 +551,16 @@ func BenchmarkExtendedCharacterize(b *testing.B) {
 var splitSink stats.Ranking
 
 // BenchmarkRobustColumn times one numeric column's per-query work, with
-// the column sorted once outside the loop as the prepared tier sorts it
-// once per table. "walk" is the robust walk of the column's order and
+// the column indexed once outside the loop as the prepared tier indexes it
+// once per table. "walk" is the robust Rank of the column's index and
 // Cliff's delta from it. "split" is the whole split a fresh query runs per
 // numeric column on a robust engine (core.SplitColumn): the side counts,
-// both sides' summaries and the walk. It runs on uscrime's population
-// column and on an 8,192-row column with ties and NULLs, 30% selected;
-// the CI bench job gates it to 0 allocs/op via benchdiff -zero-allocs.
+// both sides' summaries and the Rank, on a warmed scratch. It runs on
+// uscrime's population column under the crime selection, under the rows
+// at or above its 90th and 50th percentiles (sel=10% and sel=50%, so the
+// Rank's cost shows it follows the smaller side), and on an 8,192-row
+// column with ties and NULLs, 30% selected; the CI bench job gates every
+// split to 0 allocs/op via benchdiff -zero-allocs.
 func BenchmarkRobustColumn(b *testing.B) {
 	sc := mustCrime(b)
 	in, out, err := sc.Frame.SplitNumeric("population", sc.Mask)
@@ -560,27 +569,48 @@ func BenchmarkRobustColumn(b *testing.B) {
 	}
 	pop := sc.Frame.ColIndex("population")
 	xs := sc.Frame.Col(pop).Floats()
-	order := stats.Order(nil, nil, xs)
+	var ranks stats.RankIndex
+	ranks.Build(nil, xs)
 	sel, rest := sc.Mask.Words(), sc.Mask.Clone().Not().Words()
 	b.Run("walk", func(b *testing.B) {
+		var s stats.RankingScratch
 		for i := 0; i < b.N; i++ {
-			r := stats.OrderRanking(xs, order, sel, rest, len(in), len(out))
+			r := ranks.Rank(&s, xs, sel, rest, len(in), len(out), false)
 			_ = effect.CliffDeltaRanked("population", r)
 		}
 	})
 	split := func(f *frame.Frame, col int, mask *frame.Bitmap) func(b *testing.B) {
 		return func(b *testing.B) {
 			xs, valid := f.Col(col).Floats(), f.ColumnValidWords(col)
-			order := stats.Order(nil, nil, xs)
+			var ranks stats.RankIndex
+			ranks.Build(nil, xs)
 			in, out := mask.Words(), mask.Clone().Not().Words()
+			var s stats.RankingScratch
+			core.SplitColumn(xs, &ranks, in, out, valid, &s) // warm the scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, _, splitSink = core.SplitColumn(xs, order, in, out, valid)
+				_, _, splitSink = core.SplitColumn(xs, &ranks, in, out, valid, &s)
 			}
 		}
 	}
 	b.Run("split/column=population", split(sc.Frame, pop, sc.Mask))
+	for _, q := range []struct {
+		name  string
+		level float64
+	}{{"sel=10%", 0.9}, {"sel=50%", 0.5}} {
+		threshold, err := synth.QuantileOf(sc.Frame, "population", q.level)
+		if err != nil {
+			b.Fatal(err)
+		}
+		mask := frame.NewBitmap(len(xs))
+		for i, v := range xs {
+			if v >= threshold {
+				mask.Set(i)
+			}
+		}
+		b.Run("split/"+q.name, split(sc.Frame, pop, mask))
+	}
 	const n = 8192
 	synthetic, mask := make([]float64, n), frame.NewBitmap(n)
 	u := uint64(0x9e3779b97f4a7c15)
@@ -604,12 +634,13 @@ func BenchmarkRobustColumn(b *testing.B) {
 }
 
 // BenchmarkRankingKernels measures one column's ranking per input shape
-// on a warmed scratch: the radix sort of its order (stats.Order) and one
-// walk of that order for a half/half split (rank sum, tie correction,
-// group medians). The shapes are a 4,096-value fractional column, a
-// 4,096-value narrow integral column and a 48-value column. The CI bench
-// job runs it with -benchmem and gates every shape to exactly 0 allocs/op
-// via benchdiff -zero-allocs.
+// on warmed scratches: the column's rank index (stats.RankIndex.Build: the
+// radix sort of its order and the order's inversion) and one Rank of that
+// index for a half/half split (rank sum, tie correction, group medians).
+// The shapes are a 4,096-value fractional column, a 4,096-value narrow
+// integral column and a 48-value column. The CI bench job runs it with
+// -benchmem and gates every shape to exactly 0 allocs/op via benchdiff
+// -zero-allocs.
 func BenchmarkRankingKernels(b *testing.B) {
 	mk := func(n int, f func(u uint64) float64) []float64 {
 		xs := make([]float64, n)
@@ -633,19 +664,21 @@ func BenchmarkRankingKernels(b *testing.B) {
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			var scratch stats.RankScratch
-			dst := make([]int32, len(c.xs))
+			var rs stats.RankingScratch
+			var ranks stats.RankIndex
 			na := len(c.xs) / 2
 			sel := frame.NewBitmap(len(c.xs))
 			for i := 0; i < na; i++ {
 				sel.Set(i)
 			}
 			words, rest := sel.Words(), sel.Clone().Not().Words()
-			stats.Order(&scratch, dst, c.xs) // warm the scratch
+			ranks.Build(&scratch, c.xs) // warm the scratches
+			ranks.Rank(&rs, c.xs, words, rest, na, len(c.xs)-na, false)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				order := stats.Order(&scratch, dst, c.xs)
-				_ = stats.OrderRanking(c.xs, order, words, rest, na, len(c.xs)-na)
+				ranks.Build(&scratch, c.xs)
+				_ = ranks.Rank(&rs, c.xs, words, rest, na, len(c.xs)-na, false)
 			}
 		})
 	}
@@ -862,8 +895,13 @@ func thresholdMask(b *testing.B, f *frame.Frame, col string, threshold float64) 
 // same grown content built from scratch on purged caches, paying the
 // whole-table seal and the full matrix. Both arms copy the column storage
 // once per iteration. The robust_ and extended_ arms run the same two
-// lifecycles on a Robust and an Extended engine, which also sort every
-// numeric column of each grown table again (core.Engine.columnOrders).
+// lifecycles on a Robust and an Extended engine, which also index every
+// numeric column of each grown table again (core.Engine.columnRanks).
+// Every arm's engine runs at parallelism 1, as serving workers do, so its
+// work does not depend on the machine's CPU count. allocs/op still moves
+// by one or two between identical runs with GC timing, so each arm's
+// allocation ceiling in BENCH_baseline.json is the highest per-run
+// minimum seen over several -count 3 runs.
 //
 // Each arm reports its preparation work per op: rowsfolded/op, the rows
 // each numeric pair folded (depend.RowsFolded); etarowsfed/op, the rows
@@ -959,6 +997,7 @@ func BenchmarkAppendCharacterize(b *testing.B) {
 	}{{"", false, false}, {"robust_", true, false}, {"extended_", false, true}} {
 		cfg := core.DefaultConfig()
 		cfg.Robust, cfg.Extended = mode.robust, mode.extended
+		cfg.Parallelism = 1
 		engine := mustEngine(b, cfg)
 		b.Run(mode.prefix+"incremental", func(b *testing.B) {
 			engine.InvalidateCache()

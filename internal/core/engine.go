@@ -45,11 +45,13 @@ type Engine struct {
 type prepared struct {
 	dep    *depend.Matrix
 	dendro *cluster.Dendrogram
-	// orders holds each numeric column's sort order (stats.Order), built
-	// only when the engine ranks (Robust or Extended); nil otherwise and
-	// for categorical columns. The orders share one int32 slab, so a
-	// table's orders cost 4 bytes per non-NULL numeric cell.
-	orders [][]int32
+	// ranks holds each numeric column's stats.RankIndex — every row's
+	// position in the column's sort order, and its tie groups — built only
+	// when the engine ranks (Robust or Extended); nil otherwise, and the
+	// zero index for categorical columns. The positions share one int32
+	// slab, so a table's indexes cost 4 bytes per numeric cell, NULL rows
+	// included, plus 8 per tie group.
+	ranks []stats.RankIndex
 }
 
 // New validates cfg and builds an engine with a private report cache.
@@ -332,11 +334,11 @@ func (e *Engine) workers() int { return par.Workers(e.cfg.Parallelism) }
 
 // ranked reports whether the engine's per-column components read a
 // stats.Ranking (robust or extended mode), and so whether its preparation
-// orders the numeric columns.
+// indexes the numeric columns' ranks.
 func (e *Engine) ranked() bool { return e.cfg.Robust || e.cfg.Extended }
 
 // prepare returns the cached dependency matrix, dendrogram and (when the
-// engine ranks) column orders for f, computing them on first use.
+// engine ranks) column rank indexes for f, computing them on first use.
 // Concurrent first queries on the same table deduplicate: one computes,
 // the rest wait and share the result. The error is the clustering's
 // rejection of the matrix, or memo.ErrComputePanicked when a deduplicated
@@ -351,36 +353,30 @@ func (e *Engine) prepare(f *frame.Frame) (*prepared, bool, error) {
 		}
 		p := &prepared{dep: dep, dendro: dendro}
 		if e.ranked() {
-			p.orders = e.columnOrders(f)
+			p.ranks = e.columnRanks(f)
 		}
 		return p, nil
 	})
 	return p, outcome != memo.Miss, err
 }
 
-// columnOrders sorts every numeric column of f once — the table's only
-// ranking passes — into one int32 slab, one column per task with a
-// per-worker radix scratch. Each query's two-group Ranking is then a walk
-// of these orders (stats.OrderRanking) instead of a sort of the query's
-// in+out concatenation.
-func (e *Engine) columnOrders(f *frame.Frame) [][]int32 {
-	orders := make([][]int32, f.NumCols())
-	offs := make([]int, f.NumCols()+1)
-	for i, c := range f.Columns() {
-		offs[i+1] = offs[i]
-		if c.Kind() == frame.Numeric {
-			offs[i+1] += c.Len() - c.NullCount()
-		}
-	}
-	slab := make([]int32, offs[len(offs)-1])
+// columnRanks indexes every numeric column of f once — the table's only
+// ranking passes — one column per task with a per-worker radix scratch,
+// each inverting its sort order into its share of one int32 slab. Each
+// query's two-group Ranking then reads these indexes (stats.RankIndex.Rank)
+// instead of sorting its in+out concatenation.
+func (e *Engine) columnRanks(f *frame.Frame) []stats.RankIndex {
+	ranks := make([]stats.RankIndex, f.NumCols())
+	numeric, n := f.NumericColumns(), f.NumRows()
+	slab := make([]int32, len(numeric)*n)
 	workers := e.workers()
 	scratch := make([]stats.RankScratch, workers)
-	par.For(workers, f.NumCols(), func(w, i int) {
-		if c := f.Col(i); c.Kind() == frame.Numeric {
-			orders[i] = stats.Order(&scratch[w], slab[offs[i]:offs[i]:offs[i+1]], c.Floats())
-		}
+	par.For(workers, len(numeric), func(w, k int) {
+		i := numeric[k]
+		ranks[i].Pos = slab[k*n : (k+1)*n : (k+1)*n]
+		ranks[i].Build(&scratch[w], f.Col(i).Floats())
 	})
-	return orders
+	return ranks
 }
 
 // dependencies builds f's dependency matrix. Under AbsPearson the matrix is
@@ -428,17 +424,24 @@ func approxSampleSeed(frameFP, selFP, userSeed uint64, cap int) uint64 {
 }
 
 // summarizeColumns computes each column's 1D components from the
-// partition, fanning the columns out across the engine's workers. Each
-// task writes only cols[i], so the result is identical for every worker
-// count; skip warnings are collected in column order afterwards.
+// partition, fanning the columns out across the engine's workers, each
+// with its own ranking scratch. Each task writes only cols[i], so the
+// result is identical for every worker count; skip warnings are collected
+// in column order afterwards.
 func (e *Engine) summarizeColumns(f *frame.Frame, prep *prepared, p *partition, rep *Report) []colData {
 	cols := make([]colData, f.NumCols())
-	par.For(e.workers(), f.NumCols(), func(_, i int) {
-		var order []int32
-		if prep.orders != nil {
-			order = prep.orders[i]
+	workers := e.workers()
+	var scratch []stats.RankingScratch
+	if prep.ranks != nil {
+		scratch = make([]stats.RankingScratch, workers)
+	}
+	par.For(workers, f.NumCols(), func(w, i int) {
+		var ranks *stats.RankIndex
+		var s *stats.RankingScratch
+		if prep.ranks != nil {
+			ranks, s = &prep.ranks[i], &scratch[w]
 		}
-		cols[i] = e.summarizeColumn(f, i, p, order)
+		cols[i] = e.summarizeColumn(f, i, p, ranks, s)
 	})
 	for i := range cols {
 		if cols[i].warning != "" {
@@ -449,9 +452,10 @@ func (e *Engine) summarizeColumns(f *frame.Frame, prep *prepared, p *partition, 
 }
 
 // summarizeColumn computes column i's 1D components by walking the
-// partition's sides over the column's non-NULL rows. order is the column's
-// prepared sort order when the engine ranks.
-func (e *Engine) summarizeColumn(f *frame.Frame, i int, p *partition, order []int32) colData {
+// partition's sides over the column's non-NULL rows. ranks is the column's
+// prepared rank index when the engine ranks, and s the worker's ranking
+// scratch.
+func (e *Engine) summarizeColumn(f *frame.Frame, i int, p *partition, ranks *stats.RankIndex, s *stats.RankingScratch) colData {
 	c := f.Col(i)
 	cd := colData{idx: i, name: c.Name(), kind: c.Kind(), valid: f.ColumnValidWords(i)}
 	nIn, nOut := countRows(p.in, cd.valid), countRows(p.out, cd.valid)
@@ -464,13 +468,14 @@ func (e *Engine) summarizeColumn(f *frame.Frame, i int, p *partition, order []in
 	case frame.Numeric:
 		xs := c.Floats()
 		in, out := summarizePair(xs, p.in, p.out, cd.valid, nIn, nOut)
-		// Sort once per table, walk per query: in robust or extended mode
-		// one walk of the column's prepared order serves Cliff's delta, its
-		// Mann-Whitney bound and both medians (robust), and the quantile
-		// and tail order statistics (extended). Nothing is sorted here.
+		// Sort once per table, rank per query: in robust or extended mode
+		// one Rank of the column's prepared index, which visits the
+		// smaller side's rows, serves Cliff's delta, its Mann-Whitney bound
+		// and both medians (robust), and the quantile and tail order
+		// statistics (extended). Nothing is sorted here.
 		var r stats.Ranking
 		if e.ranked() {
-			r = stats.OrderRanking(xs, order, p.in, p.out, nIn, nOut)
+			r = ranks.Rank(s, xs, p.in, p.out, nIn, nOut, e.cfg.Extended)
 		}
 		if e.cfg.Robust {
 			cd.comps = append(cd.comps, effect.CliffDeltaRanked(c.Name(), r))

@@ -14,8 +14,8 @@ import (
 // (internal/memo). Two tiers serve the hot path:
 //
 //   - the prepared-cache keys the query-independent preparation products
-//     (dependency matrix + dendrogram, plus the numeric columns' sort
-//     orders on robust or extended engines) by (frame fingerprint, measure,
+//     (dependency matrix + dendrogram, plus the numeric columns' rank
+//     indexes on robust or extended engines) by (frame fingerprint, measure,
 //     linkage, ranked), replacing the old unbounded pointer-keyed map;
 //   - the report-cache memoizes entire characterization reports by (frame
 //     fingerprint, selection fingerprint, config hash, options hash), so a
@@ -32,8 +32,8 @@ import (
 // prepKey addresses one table's preparation products. The measure and
 // linkage are part of the key rather than assumed constant so a future
 // shared (cross-engine) cache cannot mix configurations, and ranked
-// separates a preparation that ordered the numeric columns (robust or
-// extended engines) from one that did not.
+// separates a preparation that indexed the numeric columns' ranks (robust
+// or extended engines) from one that did not.
 type prepKey struct {
 	frame   uint64
 	measure depend.Measure
@@ -143,15 +143,16 @@ func hashOptions(o Options) uint64 {
 
 // preparedSize estimates the resident bytes of one prepared entry: the n×n
 // dependency matrix, the distance copy and dendrogram nodes (O(n) each),
-// and the column orders' slab at 4 bytes per non-NULL numeric cell.
+// and the rank indexes: their positions' slab at 4 bytes per numeric cell,
+// NULL rows included, and 8 bytes per tie-group slot.
 func preparedSize(p *prepared) int64 {
 	if p == nil || p.dep == nil {
 		return 128
 	}
 	n := int64(p.dep.Len())
 	size := 128 + n*n*8 + n*96
-	for _, o := range p.orders {
-		size += 4 * int64(len(o))
+	for _, x := range p.ranks {
+		size += 4*int64(len(x.Pos)) + 8*int64(cap(x.Ties))
 	}
 	return size
 }

@@ -223,16 +223,17 @@ func correlationRatio(codes []int32, xs []float64, k int, mask, validCat, validN
 
 // SplitColumn runs the per-query kernels that a fresh query runs for one
 // numeric column: the non-NULL row counts of both sides, their Summaries
-// (summarizePair) and, when order (the column's prepared stats.Order) is
-// non-nil, the Ranking walk. in and out are the sides' word masks, in the
-// layout of partition, and valid the column's non-NULL words
-// (frame.ColumnValidWords). It allocates nothing; it is exported so that
-// benchmarks outside the package can time the engine's split of a column.
-func SplitColumn(xs []float64, order []int32, in, out, valid []uint64) (sIn, sOut stats.Summary, r stats.Ranking) {
+// (summarizePair) and, when ranks (the column's prepared stats.RankIndex)
+// is non-nil, its Rank without quantiles on the caller's scratch s. in and
+// out are the sides' word masks, in the layout of partition, and valid the
+// column's non-NULL words (frame.ColumnValidWords). On a warmed scratch it
+// allocates nothing; it is exported so that benchmarks outside the package
+// can time the engine's split of a column.
+func SplitColumn(xs []float64, ranks *stats.RankIndex, in, out, valid []uint64, s *stats.RankingScratch) (sIn, sOut stats.Summary, r stats.Ranking) {
 	nIn, nOut := countRows(in, valid), countRows(out, valid)
 	sIn, sOut = summarizePair(xs, in, out, valid, nIn, nOut)
-	if order != nil {
-		r = stats.OrderRanking(xs, order, in, out, nIn, nOut)
+	if ranks != nil {
+		r = ranks.Rank(s, xs, in, out, nIn, nOut, false)
 	}
 	return sIn, sOut, r
 }

@@ -4,20 +4,22 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/depend"
 	"repro/internal/frame"
 	"repro/internal/stats"
+	"repro/internal/synth"
 )
 
 // rankBudget runs the ranking-pass budget for cfg on the planted fixture
 // at every worker count and returns the report fingerprint, which must not
 // depend on the worker count. A ranking engine (Robust or Extended) makes
 // exactly one ranking pass per numeric column on a cold characterization,
-// all of them in preparation (the column orders), and none for a second,
-// fresh selection on the warm table: each query walks the orders instead of
-// sorting its in+out concatenations. A default-mode engine makes none at
+// all of them in preparation (the column rank indexes), and none for a
+// second, fresh selection on the warm table: each query ranks from the
+// indexes instead of sorting its in+out concatenations. A default-mode engine makes none at
 // all.
 func rankBudget(t *testing.T, cfg Config, seed uint64) {
 	t.Helper()
@@ -103,9 +105,9 @@ func TestRobustRankBudget(t *testing.T) {
 }
 
 // TestRobustExtendedRankBudget asserts the same budget in extended mode,
-// for both Robust values: the quantile-shift and tail components walk the
-// same prepared orders, so extended mode ranks each numeric column once
-// per table whether or not it is robust.
+// for both Robust values: the quantile-shift and tail components read the
+// same prepared rank indexes, so extended mode ranks each numeric column
+// once per table whether or not it is robust.
 func TestRobustExtendedRankBudget(t *testing.T) {
 	for _, robust := range []bool{false, true} {
 		t.Run(fmt.Sprintf("robust=%v", robust), func(t *testing.T) {
@@ -119,8 +121,9 @@ func TestRobustExtendedRankBudget(t *testing.T) {
 
 // TestPreparedSizeCountsOrders pins the prepared tier's accounting: a
 // ranking engine's prepared entry is larger than a default-mode entry of
-// the same table by exactly 4 bytes per non-NULL numeric cell — the column
-// orders' slab — so the cache budget sees what the orders cost.
+// the same table by exactly its rank indexes — 4 bytes per numeric cell,
+// NULL rows and all-NULL columns included, plus 8 per tie group (column b
+// ties its two 2s) — so the cache budget sees what the indexes cost.
 func TestPreparedSizeCountsOrders(t *testing.T) {
 	nan := math.NaN()
 	f, err := frame.New("t", []*frame.Column{
@@ -132,31 +135,63 @@ func TestPreparedSizeCountsOrders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nonNull := 0
-	for _, i := range f.NumericColumns() {
-		nonNull += f.Col(i).Len() - f.Col(i).NullCount()
-	}
-	if nonNull != 11 {
-		t.Fatalf("fixture has %d non-NULL numeric cells, want 11", nonNull)
-	}
-	size := func(cfg Config) int64 {
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, _, err := e.prepare(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return preparedSize(p)
-	}
-	plain := size(DefaultConfig())
+	const want = 4*3*8 + 8*1
+	plain := preparedBytes(t, DefaultConfig(), f)
 	for _, mode := range []struct{ robust, extended bool }{{true, false}, {false, true}, {true, true}} {
 		cfg := DefaultConfig()
 		cfg.Robust, cfg.Extended = mode.robust, mode.extended
-		if got := size(cfg) - plain; got != int64(4*nonNull) {
-			t.Errorf("robust=%v extended=%v: prepared entry grows by %d bytes, want %d", mode.robust, mode.extended, got, 4*nonNull)
+		if got := preparedBytes(t, cfg, f) - plain; got != want {
+			t.Errorf("robust=%v extended=%v: prepared entry grows by %d bytes, want %d", mode.robust, mode.extended, got, want)
 		}
+	}
+}
+
+// preparedBytes prepares f on a new engine under cfg and returns the
+// entry's preparedSize.
+func preparedBytes(t *testing.T, cfg Config, f *frame.Frame) int64 {
+	t.Helper()
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _, err := e.prepare(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return preparedSize(p)
+}
+
+// TestPreparedSizeChargesRankIndexes pins the same charge on a robust
+// engine over the NULL-injected uscrime table, with its tie groups counted
+// from sorted copies of the columns: NULL rows cost 4 bytes like any
+// other, so the indexes cost 4 bytes per row of every numeric column.
+func TestPreparedSizeChargesRankIndexes(t *testing.T) {
+	f := nullInjected(t, synth.USCrime(1))
+	want, nulls := int64(0), 0
+	for _, i := range f.NumericColumns() {
+		c := f.Col(i)
+		nulls += c.NullCount()
+		want += 4 * int64(c.Len())
+		var vals []float64
+		for _, v := range c.Floats() {
+			if !math.IsNaN(v) {
+				vals = append(vals, v)
+			}
+		}
+		sort.Float64s(vals)
+		for k := 1; k < len(vals); k++ {
+			if vals[k] == vals[k-1] && (k == 1 || vals[k-1] != vals[k-2]) {
+				want += 8
+			}
+		}
+	}
+	if nulls == 0 {
+		t.Fatal("fixture has no NULL numeric cells")
+	}
+	cfg := DefaultConfig()
+	cfg.Robust = true
+	if got := preparedBytes(t, cfg, f) - preparedBytes(t, DefaultConfig(), f); got != want {
+		t.Errorf("robust prepared entry grows by %d bytes, want %d", got, want)
 	}
 }
 

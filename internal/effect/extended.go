@@ -46,31 +46,35 @@ func extendedName(k Kind) (string, bool) {
 	}
 }
 
+// The positions of the extended components' levels in
+// stats.QuantileLevels.
+const (
+	p05, p25, p50, p75, p95 = 0, 1, 2, 3, 4
+)
+
 // Quantiles computes the DiffQuantiles component: the median shift scaled
 // by the pooled interquartile range, tested with Mann-Whitney U. The
 // quartiles of both groups and the Mann-Whitney bound are read off the
-// column's two-group Ranking r, so the component sorts nothing; a
-// NaN-bearing ranking yields the invalid component.
+// column's two-group Ranking r, which must have been asked for its
+// quantiles, so the component sorts nothing; a NaN-bearing ranking yields
+// the invalid component.
 func Quantiles(col string, r stats.Ranking) Component {
 	if r.NA < 4 || r.NB < 4 || r.HasNaN {
 		return invalid(DiffQuantiles, col)
 	}
-	qs := [3]float64{0.25, 0.5, 0.75}
-	var qi, qo [3]float64
-	r.QuantilesA(qs[:], qi[:])
-	r.QuantilesB(qs[:], qo[:])
-	pooled := ((qi[2] - qi[0]) + (qo[2] - qo[0])) / 2
+	qi, qo := &r.QuantilesA, &r.QuantilesB
+	pooled := ((qi[p75] - qi[p25]) + (qo[p75] - qo[p25])) / 2
 	if pooled <= 0 {
 		return invalid(DiffQuantiles, col)
 	}
-	raw := (qi[1] - qo[1]) / pooled
+	raw := (qi[p50] - qo[p50]) / pooled
 	return Component{
 		Kind:    DiffQuantiles,
 		Columns: []string{col},
 		Raw:     raw,
 		Norm:    normalize(raw),
-		Inside:  qi[1],
-		Outside: qo[1],
+		Inside:  qi[p50],
+		Outside: qo[p50],
 		Test:    hypo.MannWhitneyURanked(r),
 	}
 }
@@ -86,18 +90,14 @@ func Tails(col string, r stats.Ranking, in, out stats.Summary) Component {
 	if r.NA < 10 || r.NB < 10 || r.HasNaN {
 		return invalid(DiffTails, col)
 	}
-	qs := [4]float64{0.05, 0.25, 0.75, 0.95}
-	var a, b [4]float64
-	r.QuantilesA(qs[:], a[:])
-	r.QuantilesB(qs[:], b[:])
-	tw := func(v [4]float64) float64 {
-		iqr := v[2] - v[1]
+	tw := func(v *[len(stats.QuantileLevels)]float64) float64 {
+		iqr := v[p75] - v[p25]
 		if iqr <= 0 {
 			return math.NaN()
 		}
-		return (v[3] - v[0]) / iqr
+		return (v[p95] - v[p05]) / iqr
 	}
-	ti, to := tw(a), tw(b)
+	ti, to := tw(&r.QuantilesA), tw(&r.QuantilesB)
 	if math.IsNaN(ti) || math.IsNaN(to) || ti <= 0 || to <= 0 {
 		return invalid(DiffTails, col)
 	}

@@ -343,8 +343,8 @@ func adversarialPairs() [][2][]float64 {
 
 // columnRanking ranks the in/out pair the way the engine does: in and
 // out are interleaved into one column with a NULL row between every two
-// values, the column is ordered once, and the walk over that order splits
-// it by a selection bitmap.
+// values, the column is indexed once (stats.RankIndex), and a Rank of that
+// index with quantiles splits it by a selection bitmap.
 func columnRanking(in, out []float64) stats.Ranking {
 	var xs []float64
 	var sel, rest []uint64
@@ -370,14 +370,15 @@ func columnRanking(in, out []float64) stats.Ranking {
 	for len(sel) < (len(xs)+63)/64 {
 		sel, rest = append(sel, 0), append(rest, 0)
 	}
-	order := stats.Order(nil, make([]int32, 0, len(xs)), xs)
-	return stats.OrderRanking(xs, order, sel, rest, len(in), len(out))
+	var x stats.RankIndex
+	x.Build(nil, xs)
+	return x.Rank(&stats.RankingScratch{}, xs, sel, rest, len(in), len(out), true)
 }
 
 // TestQuantilesRankedMatchesSortingPath asserts the Ranking-backed
 // quantile component is bit-identical to the sorted-copy reference,
 // including its Mann-Whitney bound, whether the ranking comes from
-// NewRanking or from a walk of a column order as the engine builds it.
+// NewRanking or from a column's rank index as the engine builds it.
 func TestQuantilesRankedMatchesSortingPath(t *testing.T) {
 	for i, p := range adversarialPairs() {
 		in, out := p[0], p[1]
@@ -406,9 +407,9 @@ func TestTailsRankedMatchesSortingPath(t *testing.T) {
 	}
 }
 
-// TestRankedComponentsInvalidOnDegenerateRanking asserts that a ranking
-// without an order (NaN-bearing input) gives the invalid component instead
-// of misreading the order, even when the groups are large enough.
+// TestRankedComponentsInvalidOnDegenerateRanking asserts that a
+// NaN-bearing ranking gives the invalid component instead of reading its
+// NaN quantiles, even when the groups are large enough.
 func TestRankedComponentsInvalidOnDegenerateRanking(t *testing.T) {
 	in := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, math.NaN()}
 	out := []float64{2, 3, 4, 5, 6, 7, 8, 9, 10, 11}

@@ -47,7 +47,7 @@ func TestCliffDeltaDegenerate(t *testing.T) {
 
 // TestCliffDeltaRankOnce asserts the budget at the component level: one
 // robust component — delta, medians, Mann-Whitney bound — costs exactly
-// one ranking pass, and matches the walk of a column order bit for bit.
+// one ranking pass, and matches a Rank of a column's index bit for bit.
 func TestCliffDeltaRankOnce(t *testing.T) {
 	in := normals(21, 300, 0, 1)
 	out := normals(22, 400, 0.5, 1)
@@ -59,7 +59,7 @@ func TestCliffDeltaRankOnce(t *testing.T) {
 	}
 	walked := CliffDeltaRanked("x", columnRanking(in, out))
 	if componentBits(fresh) != componentBits(walked) {
-		t.Errorf("NewRanking component %+v differs from the column walk %+v", fresh, walked)
+		t.Errorf("NewRanking component %+v differs from the column's Rank %+v", fresh, walked)
 	}
 }
 

@@ -10,8 +10,10 @@
 // The second half of the contract is the worker index: fn receives a
 // stable worker id below min(workers, n) that it may use to address
 // per-worker scratch state without locking. The stats.RankScratch slice of
-// core.Engine.columnOrders (radix-sort buffers while a table's column
-// orders are built) is built on this guarantee; scratch-backed
+// core.Engine.columnRanks (radix-sort buffers while a table's rank indexes
+// are built) and the stats.RankingScratch slice of
+// core.Engine.summarizeColumns (a query's order-space bitmaps) are built
+// on this guarantee; scratch-backed
 // computations return exactly the same bytes as allocation-backed ones
 // because the buffers only ever carry values written by the current task.
 //

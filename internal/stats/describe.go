@@ -5,9 +5,12 @@
 //
 // Functions operate on plain []float64 slices and in general assume no
 // NaNs; callers (package frame) strip NULLs before the values reach this
-// layer. The exception is the two-group Ranking constructors, which detect
-// NaN-bearing input and mark it untestable (HasNaN) so the robust pipeline
-// degrades gracefully instead of ranking garbage. Sample (not population)
+// layer. The exceptions are the ranking subsystem's: Order and RankIndex
+// read a whole column and skip its NaN rows as the frame's NULLs, and
+// NewRanking detects NaN-bearing input and marks it untestable (HasNaN) so
+// the robust pipeline degrades gracefully instead of ranking garbage. A
+// column is sorted once (RankIndex.Build), and each two-group Ranking is
+// then read from that index, visiting only the smaller group's rows. Sample (not population)
 // estimators are used throughout, matching the effect-size literature the
 // paper builds on (Hedges & Olkin 1985).
 package stats

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"testing"
 
@@ -248,10 +249,12 @@ func TestRadixSortPermTiny(t *testing.T) {
 	}
 }
 
-// TestRankingKernelsZeroAlloc asserts a warmed scratch orders and ranks
-// without allocating for every fixture shape BenchmarkRankingKernels
-// times, and that the per-query walk of an order never allocates — the
-// properties the CI zero-allocs benchmark gate enforces end to end.
+// TestRankingKernelsZeroAlloc asserts a warmed scratch orders, ranks and
+// indexes without allocating for every fixture shape
+// BenchmarkRankingKernels times, and that a query's Rank on a warmed
+// ranking scratch never allocates, exact or sampled, with or without
+// quantiles — the properties the CI zero-allocs benchmark gate enforces end
+// to end.
 func TestRankingKernelsZeroAlloc(t *testing.T) {
 	r := randx.New(99)
 	floats := make([]float64, 2048)
@@ -273,21 +276,53 @@ func TestRankingKernelsZeroAlloc(t *testing.T) {
 		}); allocs != 0 {
 			t.Errorf("shape=%s: ranks cost %v allocs/op with warmed scratch, want 0", c.shape, allocs)
 		}
-		order := Order(s, idx, c.xs)
 		if allocs := testing.AllocsPerRun(10, func() {
-			order = Order(s, idx, c.xs)
+			Order(s, idx, c.xs)
 		}); allocs != 0 {
 			t.Errorf("shape=%s: Order cost %v allocs/op with warmed scratch, want 0", c.shape, allocs)
 		}
-		sel, rest := make([]uint64, (len(c.xs)+63)/64), make([]uint64, (len(c.xs)+63)/64)
+		var x RankIndex
+		x.Build(s, c.xs)
+		if allocs := testing.AllocsPerRun(10, func() {
+			x.Build(s, c.xs)
+		}); allocs != 0 {
+			t.Errorf("shape=%s: RankIndex.Build cost %v allocs/op with warmed scratch, want 0", c.shape, allocs)
+		}
+		nw := (len(c.xs) + 63) / 64
+		sel, rest := make([]uint64, nw), make([]uint64, nw)
+		sampledSel, sampledRest := make([]uint64, nw), make([]uint64, nw)
 		for i := range sel {
 			sel[i], rest[i] = 0x5555555555555555, 0xaaaaaaaaaaaaaaaa
+			sampledSel[i], sampledRest[i] = 0x1111111111111111, 0x2222222222222222
 		}
-		na := (len(c.xs) + 1) / 2
-		if allocs := testing.AllocsPerRun(10, func() {
-			OrderRanking(c.xs, order, sel, rest, na, len(c.xs)-na)
-		}); allocs != 0 {
-			t.Errorf("shape=%s: OrderRanking cost %v allocs/op, want 0", c.shape, allocs)
+		if rem := len(c.xs) % 64; rem != 0 {
+			keep := uint64(1)<<uint(rem) - 1
+			sel[nw-1] &= keep
+			rest[nw-1] &= keep
+			sampledSel[nw-1] &= keep
+			sampledRest[nw-1] &= keep
+		}
+		count := func(mask []uint64) int {
+			n := 0
+			for _, w := range mask {
+				n += bits.OnesCount64(w)
+			}
+			return n
+		}
+		rs := &RankingScratch{}
+		for _, sp := range []struct {
+			name string
+			a, b []uint64
+		}{{"exact", sel, rest}, {"sampled", sampledSel, sampledRest}} {
+			na, nb := count(sp.a), count(sp.b)
+			for _, quantiles := range []bool{false, true} {
+				x.Rank(rs, c.xs, sp.a, sp.b, na, nb, quantiles) // warm the ranking scratch
+				if allocs := testing.AllocsPerRun(10, func() {
+					x.Rank(rs, c.xs, sp.a, sp.b, na, nb, quantiles)
+				}); allocs != 0 {
+					t.Errorf("shape=%s %s quantiles=%v: Rank cost %v allocs/op, want 0", c.shape, sp.name, quantiles, allocs)
+				}
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -153,83 +154,107 @@ var adversarialGroups = []struct{ a, b []float64 }{
 	},
 }
 
-// TestGroupQuantilesMatchSortedCopy asserts the permutation-backed group
-// quantiles are bit-identical to sorting each group separately (sortedRef
-// plus Quantile), over the adversarial corpus and the full quantile range
-// the extended components use.
+// rankGroups ranks the concatenation of a and b as NewRanking does, with
+// or without quantiles.
+func rankGroups(a, b []float64, quantiles bool) Ranking {
+	xs := append(append([]float64(nil), a...), b...)
+	maskA, maskB := make([]uint64, (len(xs)+63)/64), make([]uint64, (len(xs)+63)/64)
+	for row := range xs {
+		if row < len(a) {
+			maskA[row>>6] |= 1 << (uint(row) & 63)
+		} else {
+			maskB[row>>6] |= 1 << (uint(row) & 63)
+		}
+	}
+	var x RankIndex
+	x.Build(nil, xs)
+	return x.Rank(&RankingScratch{}, xs, maskA, maskB, len(a), len(b), quantiles)
+}
+
+// checkGroupQuantiles asserts that a Ranking of a and b asked for
+// quantiles holds each group's quantiles at QuantileLevels bit-identical
+// to sorting the group on its own (sortedRef plus Quantile), and that
+// its medians are those of a Ranking that was not asked for quantiles.
+func checkGroupQuantiles(t *testing.T, name string, a, b []float64) {
+	t.Helper()
+	r, plain := rankGroups(a, b, true), rankGroups(a, b, false)
+	sa, sb := sortedRef(a), sortedRef(b)
+	for i, q := range QuantileLevels {
+		if want := Quantile(sa, q); !sameFloat(r.QuantilesA[i], want) {
+			t.Errorf("%s group A q=%v: got %v, want %v", name, q, r.QuantilesA[i], want)
+		}
+		if want := Quantile(sb, q); !sameFloat(r.QuantilesB[i], want) {
+			t.Errorf("%s group B q=%v: got %v, want %v", name, q, r.QuantilesB[i], want)
+		}
+	}
+	if !sameFloat(r.MedianA, plain.MedianA) || !sameFloat(r.MedianB, plain.MedianB) ||
+		!sameFloat(r.MedianA, r.QuantilesA[medianLevel]) || !sameFloat(r.MedianB, r.QuantilesB[medianLevel]) {
+		t.Errorf("%s medians: with quantiles %v/%v, without %v/%v", name, r.MedianA, r.MedianB, plain.MedianA, plain.MedianB)
+	}
+}
+
+// TestGroupQuantilesMatchSortedCopy asserts the index-backed group
+// quantiles are bit-identical to sorting each group separately over the
+// adversarial corpus, and that NewRanking fills the same quantiles.
 func TestGroupQuantilesMatchSortedCopy(t *testing.T) {
-	// Nine quantiles also exercises the >8 heap-fallback path of the
-	// stack-buffered bookkeeping.
-	qs := []float64{0, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 1}
 	for ci, c := range adversarialGroups {
-		r := NewRanking(c.a, c.b)
-		gotA := make([]float64, len(qs))
-		gotB := make([]float64, len(qs))
-		r.QuantilesA(qs, gotA)
-		r.QuantilesB(qs, gotB)
-		sa, sb := sortedRef(c.a), sortedRef(c.b)
-		for i, q := range qs {
-			if want := Quantile(sa, q); !sameFloat(gotA[i], want) {
-				t.Errorf("case %d group A q=%v: got %v, want %v", ci, q, gotA[i], want)
-			}
-			if want := Quantile(sb, q); !sameFloat(gotB[i], want) {
-				t.Errorf("case %d group B q=%v: got %v, want %v", ci, q, gotB[i], want)
-			}
+		name := fmt.Sprintf("case %d", ci)
+		checkGroupQuantiles(t, name, c.a, c.b)
+		r, want := NewRanking(c.a, c.b), rankGroups(c.a, c.b, true)
+		if !sameQuantiles(r.QuantilesA, want.QuantilesA) || !sameQuantiles(r.QuantilesB, want.QuantilesB) {
+			t.Errorf("%s: NewRanking quantiles %v/%v, Rank %v/%v", name, r.QuantilesA, r.QuantilesB, want.QuantilesA, want.QuantilesB)
 		}
 	}
 }
 
-// TestGroupQuantilesSpill pins the heap-spill path of groupQuantiles: more
-// than 8 requested quantiles overflows the stack-buffered bookkeeping onto
-// heap slices, and every spill-path position must be written before it is
-// read. The quantile vector is deliberately unsorted, contains duplicate
-// entries, and includes the q=0 / q=1 extremes, across singleton,
-// tie-heavy, and ordinary groups.
-func TestGroupQuantilesSpill(t *testing.T) {
-	qs := []float64{1, 0.5, 0, 0.85, 0.25, 0.5, 0.99, 0.01, 0.75, 0.6, 0.4, 1, 0.1}
-	if len(qs) <= 8 {
-		t.Fatal("spill test needs more than 8 quantiles")
+// sameQuantiles compares two quantile arrays bit for bit.
+func sameQuantiles(a, b [len(QuantileLevels)]float64) bool {
+	for i := range a {
+		if !sameFloat(a[i], b[i]) {
+			return false
+		}
 	}
+	return true
+}
+
+// TestGroupQuantilesSpill pins groups so small that the levels' planned
+// order statistics spill onto one another: at QuantileLevels a group of
+// two to six values plans the same rank for several levels, so the plan
+// must keep each rank once and in ascending order for the one selection
+// pass, and the one scan must fill every level that shares a position —
+// across singleton, tie-heavy and ordinary groups, and a small group whose
+// positions lie in different words of the order.
+func TestGroupQuantilesSpill(t *testing.T) {
 	cases := []struct{ a, b []float64 }{
 		{[]float64{5}, []float64{1, 2, 3}},                         // singleton group A
+		{[]float64{2, 1}, []float64{3, 3}},                         // two values a side
+		{[]float64{4, -1, 2}, []float64{0.5, 9, 9, 1, 7}},          // three and five
 		{[]float64{2, 2, 2, 1, 1, 3, 3, 3, 3}, []float64{3, 3, 1}}, // heavy ties
+		{[]float64{6, 5, 4, 3}, []float64{-2, 8, 1, 1, 0, 3}},      // four and six
 		{[]float64{3.5, -1, 4.25, 1, 5, -9.5, 2, 6, 0.125}, []float64{2, 7.75, 1, 8, -2, 8}},
+		{[]float64{-5, 100.5, 250}, make([]float64, 200)}, // three spread over four words
+	}
+	for i := range cases[len(cases)-1].b {
+		cases[len(cases)-1].b[i] = float64(i)
 	}
 	for ci, c := range cases {
-		r := NewRanking(c.a, c.b)
-		gotA := make([]float64, len(qs))
-		gotB := make([]float64, len(qs))
-		r.QuantilesA(qs, gotA)
-		r.QuantilesB(qs, gotB)
-		sa, sb := sortedRef(c.a), sortedRef(c.b)
-		for i, q := range qs {
-			if want := Quantile(sa, q); math.Float64bits(gotA[i]) != math.Float64bits(want) {
-				t.Errorf("case %d group A qs[%d]=%v: got %v, want %v", ci, i, q, gotA[i], want)
-			}
-			if want := Quantile(sb, q); math.Float64bits(gotB[i]) != math.Float64bits(want) {
-				t.Errorf("case %d group B qs[%d]=%v: got %v, want %v", ci, i, q, gotB[i], want)
-			}
-		}
+		checkGroupQuantiles(t, fmt.Sprintf("case %d", ci), c.a, c.b)
 	}
 }
 
-// TestGroupQuantilesDegenerate asserts NaN-bearing rankings (no order) and
-// empty groups yield NaN quantiles rather than garbage.
+// TestGroupQuantilesDegenerate asserts NaN-bearing rankings and empty
+// groups yield NaN quantiles rather than garbage.
 func TestGroupQuantilesDegenerate(t *testing.T) {
-	qs := []float64{0.5}
-	dst := make([]float64, 1)
+	const median = 2 // QuantileLevels[median] is 0.5
 	r := NewRanking([]float64{1, math.NaN()}, []float64{2})
-	r.QuantilesA(qs, dst)
-	if !math.IsNaN(dst[0]) {
+	if !math.IsNaN(r.QuantilesA[median]) {
 		t.Error("NaN-bearing ranking produced a quantile")
 	}
 	r = NewRanking([]float64{1, 2, 3}, nil)
-	r.QuantilesB(qs, dst)
-	if !math.IsNaN(dst[0]) {
+	if !math.IsNaN(r.QuantilesB[median]) {
 		t.Error("empty group produced a quantile")
 	}
-	r.QuantilesA(qs, dst)
-	if dst[0] != 2 {
-		t.Errorf("median of {1,2,3} = %v, want 2", dst[0])
+	if r.QuantilesA[median] != 2 {
+		t.Errorf("median of {1,2,3} = %v, want 2", r.QuantilesA[median])
 	}
 }

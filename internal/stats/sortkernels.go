@@ -19,13 +19,16 @@ import "math"
 // Buffers live in RankScratch so a warmed-up worker ranks with zero
 // allocations; a nil scratch falls back to fresh allocations everywhere.
 
-// RankScratch holds the reusable radix buffers: the keys, their ping-pong
-// partner, and the permutation ping-pong buffer. The zero value is ready to
-// use; the engine keeps one per worker while it orders a table's columns,
-// so those ranking passes stop allocating after the first column.
+// RankScratch holds the reusable radix buffers — the keys, their ping-pong
+// partner, and the permutation ping-pong buffer — and RankIndex.Build's
+// order and tie-group buffers. The zero value is ready to use; the engine keeps one per
+// worker while it indexes a table's columns, so those ranking passes stop
+// allocating after the first column.
 type RankScratch struct {
 	keys, tmpKeys []uint64
 	tmpIdx        []int32
+	order         []int32
+	ties          [][2]int32
 }
 
 // sizedUints returns a length-n slice backed by *buf without zeroing.

@@ -77,6 +77,113 @@ func referenceWalk(xs []float64, maskA, maskB []uint64) refWalk {
 	return ref
 }
 
+// walkRanking is the reference Rank replaced, kept here to pin it: the
+// two-group Ranking of column xs by one linear walk of its sort order
+// (Order), with each group's quantiles at QuantileLevels read by one more
+// walk per group. Row r of the order is in group A when mask a has bit r
+// set, in group B when mask b has, and takes no part when neither has. The
+// open tie group starts at position pos and holds ga rows of group A; gv is
+// its value (NaN before the first row, so the first row opens a group).
+// Closed, a group of gn = seen−pos rows holds ranks pos+1 … pos+gn, so each
+// member's doubled rank is 2·pos+gn+1.
+func walkRanking(xs []float64, order []int32, a, b []uint64, na, nb int) Ranking {
+	r := Ranking{NA: na, NB: nb}
+	in := func(mask []uint64, row int32) int64 {
+		if mask[row>>6]&(1<<(uint32(row)&63)) != 0 {
+			return 1
+		}
+		return 0
+	}
+	gv := math.NaN()
+	var seen, pos, ga, sum2, nA, nB int64
+	closeGroup := func() {
+		gn := seen - pos
+		sum2 += ga * (2*pos + gn + 1)
+		if gn > 1 {
+			t := float64(gn)
+			r.TieSum += t*t*t - t
+		}
+	}
+	for _, row := range order {
+		inA, inB := in(a, row), in(b, row)
+		if inA|inB == 0 {
+			continue
+		}
+		if v := xs[row]; v != gv {
+			closeGroup()
+			gv, pos, ga = v, seen, 0
+		}
+		ga += inA
+		nA += inA
+		nB += inB
+		seen++
+	}
+	closeGroup()
+	if int(nA) != na || int(nB) != nb {
+		panic("walkRanking: group sizes disagree with the split")
+	}
+	r.RankSumA = float64(sum2) / 2
+	half := []float64{0.5}
+	var med [1]float64
+	walkQuantilesOf(xs, order, a, na, half, med[:])
+	r.MedianA = med[0]
+	walkQuantilesOf(xs, order, b, nb, half, med[:])
+	r.MedianB = med[0]
+	walkQuantilesOf(xs, order, a, na, QuantileLevels[:], r.QuantilesA[:])
+	walkQuantilesOf(xs, order, b, nb, QuantileLevels[:], r.QuantilesB[:])
+	return r
+}
+
+// walkQuantilesOf fills dst[i] with the qs[i]-th type-7 quantile of the n
+// rows of mask, walking the order and reading the planned order
+// statistics as their members pass.
+func walkQuantilesOf(xs []float64, order []int32, mask []uint64, n int, qs, dst []float64) {
+	if n == 0 {
+		for i := range dst {
+			dst[i] = math.NaN()
+		}
+		return
+	}
+	los, his := make([]int, len(qs)), make([]int, len(qs))
+	fracs, vlo, vhi := make([]float64, len(qs)), make([]float64, len(qs)), make([]float64, len(qs))
+	for i, q := range qs {
+		if n == 1 {
+			los[i], his[i] = 0, -1
+			continue
+		}
+		h := q * float64(n-1)
+		lo := int(math.Floor(h))
+		if hi := lo + 1; hi >= n {
+			los[i], his[i] = n-1, -1
+		} else {
+			los[i], his[i], fracs[i] = lo, hi, h-float64(lo)
+		}
+	}
+	seen := -1
+	for _, row := range order {
+		if mask[row>>6]&(1<<(uint32(row)&63)) == 0 {
+			continue
+		}
+		seen++
+		for i := range qs {
+			if los[i] == seen {
+				vlo[i] = xs[row]
+			}
+			if his[i] == seen {
+				vhi[i] = xs[row]
+			}
+		}
+	}
+	for i := range qs {
+		switch {
+		case his[i] < 0:
+			dst[i] = vlo[i]
+		default:
+			dst[i] = vlo[i]*(1-fracs[i]) + vhi[i]*fracs[i]
+		}
+	}
+}
+
 // walkColumns is the adversarial corpus, keyed by shape: heavy ties, ±Inf,
 // −0 beside +0 and NULL rows at non-NULL counts from 1 to either side of
 // 64 (one selection word), narrow and wide integral columns, the IEEE-754
@@ -214,24 +321,26 @@ func walkSplits(r *randx.Source, xs []float64) []walkSplit {
 	return splits
 }
 
-// TestOrderRankingMatchesReference pins the walk of a column order to the
-// sort-the-concatenation reference bit for bit — group sizes, rank sum,
-// tie correction, medians and the extended quantiles — over the
-// adversarial corpus and every split shape, with the order built on a nil,
-// a fresh and a shared scratch. NewRanking over the same groups must agree
-// too: it runs the same walk.
+// TestOrderRankingMatchesReference pins Rank on a column's RankIndex to
+// the sort-the-concatenation reference bit for bit — group sizes, rank
+// sum, tie correction, medians and the extended quantiles — over the
+// adversarial corpus and every split shape, with the index built on a nil,
+// a fresh and a shared scratch and ranked on a fresh and a shared ranking
+// scratch. NewRanking over the same groups and the order walk Rank
+// replaced (walkRanking) must agree too.
 func TestOrderRankingMatchesReference(t *testing.T) {
 	r := randx.New(99)
 	eq := func(a, b float64) bool {
 		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 	}
-	shared := &RankScratch{}
+	shared, sharedRank := &RankScratch{}, &RankingScratch{}
 	for _, c := range walkColumns() {
-		orders := map[string][]int32{
-			"scratch=nil":    Order(nil, nil, c.xs),
-			"scratch=fresh":  Order(&RankScratch{}, nil, c.xs),
-			"scratch=shared": Order(shared, nil, c.xs),
-		}
+		var fromNil, fromFresh, fromShared RankIndex
+		fromNil.Build(nil, c.xs)
+		fromFresh.Build(&RankScratch{}, c.xs)
+		fromShared.Build(shared, c.xs)
+		indexes := map[string]*RankIndex{"scratch=nil": &fromNil, "scratch=fresh": &fromFresh, "scratch=shared": &fromShared}
+		order := Order(nil, nil, c.xs)
 		for si, sp := range walkSplits(r, c.xs) {
 			want := referenceWalk(c.xs, sp.a, sp.b)
 			check := func(how string, got Ranking) {
@@ -253,38 +362,44 @@ func TestOrderRankingMatchesReference(t *testing.T) {
 						t.Errorf("%s: %s = %v, want %v", where, f.name, f.got, f.want)
 					}
 				}
-				qa, qb := make([]float64, len(walkQuantiles)), make([]float64, len(walkQuantiles))
-				got.QuantilesA(walkQuantiles, qa)
-				got.QuantilesB(walkQuantiles, qb)
 				for i, q := range walkQuantiles {
-					if !eq(qa[i], want.qa[i]) {
-						t.Errorf("%s: QuantilesA(%v) = %v, want %v", where, q, qa[i], want.qa[i])
+					if !eq(got.QuantilesA[i], want.qa[i]) {
+						t.Errorf("%s: QuantilesA(%v) = %v, want %v", where, q, got.QuantilesA[i], want.qa[i])
 					}
-					if !eq(qb[i], want.qb[i]) {
-						t.Errorf("%s: QuantilesB(%v) = %v, want %v", where, q, qb[i], want.qb[i])
+					if !eq(got.QuantilesB[i], want.qb[i]) {
+						t.Errorf("%s: QuantilesB(%v) = %v, want %v", where, q, got.QuantilesB[i], want.qb[i])
 					}
 				}
 			}
-			for name, o := range orders {
-				check(name, OrderRanking(c.xs, o, sp.a, sp.b, want.na, want.nb))
+			for name, x := range indexes {
+				check(name+" rank=fresh", x.Rank(&RankingScratch{}, c.xs, sp.a, sp.b, want.na, want.nb, true))
+				check(name+" rank=shared", x.Rank(sharedRank, c.xs, sp.a, sp.b, want.na, want.nb, true))
 			}
+			check("walk", walkRanking(c.xs, order, sp.a, sp.b, want.na, want.nb))
 			check("NewRanking", NewRanking(groups(c.xs, sp.a, sp.b)))
 		}
 	}
 }
 
-// TestOrderRankingRejectsWrongSizes asserts the walk refuses group sizes
-// its own membership counts contradict instead of misplacing the medians.
+// TestOrderRankingRejectsWrongSizes asserts Rank refuses group sizes its
+// own membership counts contradict instead of misplacing the medians, both
+// when the sizes claim an exact split (one group is visited) and when they
+// claim a sample (both are).
 func TestOrderRankingRejectsWrongSizes(t *testing.T) {
 	xs := []float64{3, 1, 2, math.NaN(), 5}
-	order := Order(nil, nil, xs)
+	var x RankIndex
+	x.Build(nil, xs)
 	sel, rest := []uint64{0b00011}, []uint64{0b11100}
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched sizes did not panic")
-		}
-	}()
-	OrderRanking(xs, order, sel, rest, 2, 3)
+	for _, sizes := range [][2]int{{2, 3}, {1, 3}, {3, 1}, {1, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("sizes %v did not panic", sizes)
+				}
+			}()
+			x.Rank(&RankingScratch{}, xs, sel, rest, sizes[0], sizes[1], true)
+		}()
+	}
 }
 
 // TestOrderSkipsNulls pins the order's shape: the non-NaN rows only, in
@@ -302,8 +417,7 @@ func TestOrderSkipsNulls(t *testing.T) {
 	}
 }
 
-// floatRankSums is the float accumulation OrderRanking's integer rank sum
-// replaces: each tie group, closed in walk order, adds ga·(pos + (gn+1)/2)
+// floatRankSums is the float accumulation the integer rank sum replaces: each tie group, closed in walk order, adds ga·(pos + (gn+1)/2)
 // to the rank sum and t³−t to the tie correction, both in float64.
 func floatRankSums(xs []float64, order []int32, a, b []uint64) (rankSumA, tieSum float64) {
 	var gv float64
@@ -340,8 +454,8 @@ func floatRankSums(xs []float64, order []int32, a, b []uint64) (rankSumA, tieSum
 	return rankSumA, tieSum
 }
 
-// TestOrderRankingRankSumExact is the exactness rail of the integer rank
-// sum: on a column of 2¹⁷+37 rows that mixes one tie group of a quarter of
+// TestOrderRankingRankSumExact is the exactness rail of Rank's integer
+// rank sum: on a column of 2¹⁷+37 rows that mixes one tie group of a quarter of
 // the rows, runs of −0 and +0 (one tie group), NULLs and distinct values,
 // RankSumA and TieSum must equal floatRankSums bit for bit under half
 // splits (a random half and the first half of the rows) and under the
@@ -366,6 +480,8 @@ func TestOrderRankingRankSumExact(t *testing.T) {
 		}
 	}
 	order := Order(nil, nil, xs)
+	var x RankIndex
+	x.Build(nil, xs)
 	words := func(pick func(row int) bool) []uint64 {
 		w := make([]uint64, (n+63)/64)
 		for row := 0; row < n; row++ {
@@ -400,7 +516,7 @@ func TestOrderRankingRankSumExact(t *testing.T) {
 				}
 				a[w], b[w] = sel[w]&keep, ^sel[w]&keep
 			}
-			got := OrderRanking(xs, order, a, b, count(a), count(b))
+			got := x.Rank(&RankingScratch{}, xs, a, b, count(a), count(b), false)
 			wantW, wantT := floatRankSums(xs, order, a, b)
 			if math.Float64bits(got.RankSumA) != math.Float64bits(wantW) || math.Float64bits(got.TieSum) != math.Float64bits(wantT) {
 				t.Errorf("%s sampled=%v: (RankSumA, TieSum) = (%v, %v), float accumulation (%v, %v)",
@@ -408,4 +524,99 @@ func TestOrderRankingRankSumExact(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzRanking holds Rank against the order walk it replaced (walkRanking)
+// bit for bit — rank sum, tie correction, medians and the quantiles at
+// QuantileLevels — on fuzzed columns. Each byte is one row: its low three
+// bits pick a value from a tie-heavy alphabet with −0 beside +0, ±Inf and
+// NULL (NaN), bit 3 puts the row in the selection, and bit 4 leaves it out
+// of the sample when mode's bit 0 asks for a sampled split. Mode's next
+// two bits replace the selection by none of the rows, by one row, or by
+// all rows but one. One scratch ranks the split and then its swap, so a
+// reused scratch is checked too.
+func FuzzRanking(f *testing.F) {
+	f.Add([]byte{0x00, 0x09, 0x01, 0x1b, 0x22, 0x0c, 0x07, 0xff, 0x13, 0x45, 0x2d, 0x0e}, uint8(0))
+	f.Add([]byte{0x00, 0x09, 0x01, 0x1b, 0x22, 0x0c, 0x07, 0xff, 0x13, 0x45, 0x2d, 0x0e}, uint8(1))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice: the quick brown fox"), uint8(3))
+	f.Add([]byte{0x80, 0x81, 0x80, 0x81, 0x88, 0x89, 0x00, 0x01}, uint8(4))
+	f.Add([]byte{0x03, 0x0b, 0x13, 0x1b}, uint8(7))
+	f.Add([]byte{}, uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, mode uint8) {
+		if len(data) > 1<<12 {
+			data = data[:1<<12]
+		}
+		n := len(data)
+		xs := make([]float64, n)
+		sel, keep := make([]uint64, (n+63)/64), make([]uint64, (n+63)/64)
+		for row, c := range data {
+			xs[row] = [8]float64{math.Copysign(0, -1), 0, math.NaN(), 1, -2.5, math.Inf(1), math.Inf(-1), float64(c >> 5)}[c&7]
+			bit := uint64(1) << (uint(row) & 63)
+			if c&8 != 0 {
+				sel[row>>6] |= bit
+			}
+			if mode&1 == 0 || c&16 == 0 {
+				keep[row>>6] |= bit
+			}
+		}
+		// The row a one-row selection (or complement) singles out: the
+		// last ranked row of the sample.
+		single := -1
+		for row := n - 1; row >= 0 && single < 0; row-- {
+			if !math.IsNaN(xs[row]) && keep[row>>6]&(1<<(uint(row)&63)) != 0 {
+				single = row
+			}
+		}
+		for row := 0; row < n; row++ {
+			bit := uint64(1) << (uint(row) & 63)
+			switch (mode >> 1) & 3 {
+			case 1:
+				sel[row>>6] &^= bit
+			case 2, 3:
+				if (row == single) == ((mode>>1)&3 == 2) {
+					sel[row>>6] |= bit
+				} else {
+					sel[row>>6] &^= bit
+				}
+			}
+		}
+		a, b := make([]uint64, len(sel)), make([]uint64, len(sel))
+		for w := range sel {
+			a[w], b[w] = sel[w]&keep[w], ^sel[w]&keep[w]
+		}
+		if rem := n % 64; rem != 0 {
+			b[len(b)-1] &= 1<<uint(rem) - 1
+		}
+		order := Order(nil, nil, xs)
+		count := func(mask []uint64) int {
+			c := 0
+			for _, row := range order {
+				if mask[row>>6]&(1<<(uint32(row)&63)) != 0 {
+					c++
+				}
+			}
+			return c
+		}
+		na, nb := count(a), count(b)
+		var x RankIndex
+		x.Build(nil, xs)
+		s := &RankingScratch{}
+		same := func(p, q float64) bool { return math.Float64bits(p) == math.Float64bits(q) }
+		for _, sp := range []struct {
+			a, b   []uint64
+			ga, gb int
+		}{{b, a, nb, na}, {a, b, na, nb}} {
+			ga, gb := sp.ga, sp.gb
+			got := x.Rank(s, xs, sp.a, sp.b, ga, gb, true)
+			want := walkRanking(xs, order, sp.a, sp.b, ga, gb)
+			ok := same(got.RankSumA, want.RankSumA) && same(got.TieSum, want.TieSum) &&
+				same(got.MedianA, want.MedianA) && same(got.MedianB, want.MedianB)
+			for i := range QuantileLevels {
+				ok = ok && same(got.QuantilesA[i], want.QuantilesA[i]) && same(got.QuantilesB[i], want.QuantilesB[i])
+			}
+			if !ok || got.NA != ga || got.NB != gb {
+				t.Fatalf("xs=%v mode=%d (na,nb)=(%d,%d):\nRank %+v\nwalk %+v", xs, mode, ga, gb, got, want)
+			}
+		}
+	})
 }
