@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -26,7 +27,9 @@ import (
 // answered by the worker's report cache, the second by the front's own),
 // and asserts the responses match the checked-in golden bytes — i.e. a
 // two-process deployment is byte-identical to the single-process one the
-// golden suite pins. CI runs it as the dedicated smoke job.
+// golden suite pins. A fourth request, another text for the same rows, is
+// answered from the front's stored bytes under its own sql, again without
+// reaching the worker. CI runs it as the dedicated smoke job.
 func TestTwoProcessSmoke(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skipf("go toolchain not in PATH: %v", err)
@@ -63,6 +66,15 @@ func TestTwoProcessSmoke(t *testing.T) {
 	// filled from the second request's worker-cache hit: same bytes, no RPC.
 	third := postSmoke(t, frontAddr, query)
 	checkGolden(t, "characterize_cached.json", third)
+
+	// A different text selecting the same rows is another front-tier hit on
+	// the same report: the front writes that report's stored bytes under
+	// the new sql, so the response is the cached golden with only the sql
+	// value replaced.
+	const sameRowsSQL = "SELECT * FROM boxoffice WHERE gross_musd >= 100.0"
+	fourth := postSmoke(t, frontAddr, `{"sql": "`+sameRowsSQL+`", "excludePredicate": true}`)
+	checkSameRows(t, "characterize_cached.json", third, fourth,
+		"SELECT * FROM boxoffice WHERE gross_musd >= 100", sameRowsSQL)
 
 	// The front's stats must show one remote worker, healthy, with exactly
 	// one table shipment — the repeat was answered from the worker's cache
@@ -104,10 +116,38 @@ func TestTwoProcessSmoke(t *testing.T) {
 	if sh.Reports.Hits != 1 || sh.Reports.Misses != 1 {
 		t.Errorf("worker reports tier = %+v, want 1 hit / 1 miss", sh.Reports)
 	}
-	// The front tier is the total less the worker's tier: the third request
-	// was its one hit, and no third RPC reached the worker.
-	if hits, misses := stats.Reports.Hits-sh.Reports.Hits, stats.Reports.Misses-sh.Reports.Misses; hits != 1 || misses != 0 {
-		t.Errorf("front reports tier = %d hits / %d misses (total %+v), want 1 / 0", hits, misses, stats.Reports)
+	// The front tier is the total less the worker's tier: the third and
+	// fourth requests were its two hits, and no third RPC reached the
+	// worker.
+	if hits, misses := stats.Reports.Hits-sh.Reports.Hits, stats.Reports.Misses-sh.Reports.Misses; hits != 2 || misses != 0 {
+		t.Errorf("front reports tier = %d hits / %d misses (total %+v), want 2 / 0", hits, misses, stats.Reports)
+	}
+	if sh.Requests != 2 {
+		t.Errorf("worker served %d requests, want 2: a front-tier hit reached the worker", sh.Requests)
+	}
+}
+
+// checkSameRows checks that got, the response to query text sqlB, is want,
+// the response to sqlA over the same rows, with only the sql value
+// replaced: byte for byte, and against the golden file.
+func checkSameRows(t *testing.T, golden string, want, got []byte, sqlA, sqlB string) {
+	t.Helper()
+	a, _ := json.Marshal(sqlA)
+	b, _ := json.Marshal(sqlB)
+	headA, headB := append([]byte(`{"sql":`), a...), append([]byte(`{"sql":`), b...)
+	if !bytes.HasPrefix(want, headA) || !bytes.Equal(got, append(headB, want[len(headA):]...)) {
+		t.Errorf("response to %q is not the response to %q with its sql replaced:\n%s\n%s", sqlB, sqlA, want, got)
+	}
+	file, err := os.ReadFile(filepath.Join("testdata", "golden", golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	from, to := []byte(`"sql": `+string(a)), []byte(`"sql": `+string(b))
+	if bytes.Count(file, from) != 1 {
+		t.Fatalf("%s holds no single sql value %s", golden, a)
+	}
+	if canon := canonicalize(t, golden, got); !bytes.Equal(canon, bytes.Replace(file, from, to, 1)) {
+		t.Errorf("response to %q is not %s with its sql replaced:\n%s", sqlB, golden, canon)
 	}
 }
 

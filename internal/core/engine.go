@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -213,7 +215,11 @@ func (e *Engine) CharacterizeOpts(f *frame.Frame, sel *frame.Bitmap, opts Option
 	}
 	key := newReportKey(f.Fingerprint(), sel, e.cfgHash, opts)
 	rep, outcome, err := e.reports.c.Do(key, reportSize, func() (*Report, error) {
-		return e.characterize(f, sel, opts, nIn)
+		rep, err := e.characterize(f, sel, opts, nIn)
+		if err == nil {
+			e.reports.hold(key, rep)
+		}
+		return rep, err
 	})
 	if err != nil {
 		return nil, err
@@ -225,8 +231,9 @@ func (e *Engine) CharacterizeOpts(f *frame.Frame, sel *frame.Bitmap, opts Option
 }
 
 // cloneCached hands out a cache-served report: a shallow copy so the flags
-// and timings of the cached value stay pristine. Views, components and
-// warnings are shared — reports are immutable by convention, like frames.
+// and timings of the cached value stay pristine. Views, components,
+// warnings and the stored JSON bytes are shared — reports are immutable by
+// convention, like frames.
 func cloneCached(rep *Report) *Report {
 	clone := *rep
 	clone.CacheHit = true
@@ -520,13 +527,19 @@ func (e *Engine) generateCandidates(prep *prepared, cols []colData) [][]int {
 		groups = prep.dendro.CutAt(1 - e.cfg.MinTight)
 	}
 
-	seen := make(map[string]bool)
+	// A candidate's key is its sorted column indexes as uvarints, a
+	// prefix-free code, so equal keys mean equal candidates.
+	seen := make(map[string]struct{})
 	var out [][]int
+	var key []byte
 	for _, g := range groups {
 		for _, cand := range e.packGroup(g, prep.dep, cols) {
-			key := fmt.Sprint(cand)
-			if !seen[key] {
-				seen[key] = true
+			key = key[:0]
+			for _, idx := range cand {
+				key = binary.AppendUvarint(key, uint64(idx))
+			}
+			if _, dup := seen[string(key)]; !dup {
+				seen[string(key)] = struct{}{}
 				out = append(out, cand)
 			}
 		}
@@ -656,6 +669,27 @@ func mixedSeparation(f *frame.Frame, p *partition, cat, num colData) effect.Comp
 		correlationRatio(codes, xs, k, p.out, cat.valid, num.valid))
 }
 
+// columnsTextLess reports whether fmt.Sprint(a) < fmt.Sprint(b), comparing
+// the texts "[a0 a1 …]" of two column lists in buffers on the stack. Byte
+// order of the texts is not element-wise order: "[a b]" sorts before "[a]"
+// because ' ' < ']'.
+func columnsTextLess(a, b []string) bool {
+	var x, y [128]byte
+	return bytes.Compare(appendColumnsText(x[:0], a), appendColumnsText(y[:0], b)) < 0
+}
+
+// appendColumnsText appends fmt.Sprint's text of a column list.
+func appendColumnsText(buf []byte, cols []string) []byte {
+	buf = append(buf, '[')
+	for i, c := range cols {
+		if i > 0 {
+			buf = append(buf, ' ')
+		}
+		buf = append(buf, c...)
+	}
+	return append(buf, ']')
+}
+
 // rankDisjoint orders candidates by decreasing score and greedily keeps
 // those sharing no column with an already-kept view (Equation 4), stopping
 // at MaxViews.
@@ -665,7 +699,7 @@ func (e *Engine) rankDisjoint(views []View) []View {
 			return views[i].Score > views[j].Score
 		}
 		// Deterministic tie-break on column names.
-		return fmt.Sprint(views[i].Columns) < fmt.Sprint(views[j].Columns)
+		return columnsTextLess(views[i].Columns, views[j].Columns)
 	})
 	used := make(map[string]bool)
 	var out []View

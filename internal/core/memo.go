@@ -158,7 +158,8 @@ func preparedSize(p *prepared) int64 {
 }
 
 // reportSize estimates the resident bytes of one cached report by walking
-// its views, components and strings.
+// its views, components and strings. The JSON bytes a hit stores are
+// charged to the entry when they are encoded (storedJSON).
 func reportSize(r *Report) int64 {
 	size := int64(256)
 	for i := range r.Views {
@@ -239,16 +240,27 @@ func (rc *ReportCache) CachedFingerprint(frameFP uint64, sel *frame.Bitmap, cfgH
 	return cloneCached(rep), true
 }
 
-// StoreFingerprint caches rep under the same key CachedFingerprint reads,
-// counting neither a hit nor a miss: rep was served, and counted, by the
-// tier it came from. The shard router fills its front tier this way from
-// the hits of backends whose caches live in another process. A nil
-// selection or SkipReportCache stores nothing.
+// StoreFingerprint caches a shallow copy of rep under the same key
+// CachedFingerprint reads, counting neither a hit nor a miss: rep was
+// served, and counted, by the tier it came from. The shard router fills
+// its front tier this way from the hits of backends whose caches live in
+// another process. A nil selection or SkipReportCache stores nothing.
 func (rc *ReportCache) StoreFingerprint(frameFP uint64, sel *frame.Bitmap, cfgHash uint64, opts Options, rep *Report) {
 	if sel == nil || opts.SkipReportCache {
 		return
 	}
-	rc.c.Put(newReportKey(frameFP, sel, cfgHash, opts), rep, reportSize(rep))
+	key := newReportKey(frameFP, sel, cfgHash, opts)
+	held := *rep
+	rc.hold(key, &held)
+	rc.c.Put(key, &held, reportSize(&held))
+}
+
+// hold attaches to rep, about to enter the cache under key, the holder of
+// its stored JSON bytes (WriteReportJSON). The holder stays empty until a
+// hit is written, and then charges its bytes to the entry, so evicting the
+// report frees them.
+func (rc *ReportCache) hold(key reportKey, rep *Report) {
+	rep.stored = &storedJSON{cache: rc, key: key}
 }
 
 // CacheStats is a point-in-time view of the engine's two memo tiers; the

@@ -79,7 +79,10 @@ type Approximate struct {
 	SEInflation float64 `json:"seInflation"`
 }
 
-// Report is the full outcome of Engine.Characterize.
+// Report is the full outcome of Engine.Characterize. Reports are immutable
+// once returned: a cached report's views, warnings and approximate block
+// are shared by every hit, and so are the JSON bytes its first hit stores
+// (WriteReportJSON).
 type Report struct {
 	// Views lists the characteristic views, best first, mutually disjoint
 	// (Equation 4).
@@ -105,4 +108,9 @@ type Report struct {
 	// reports are byte-identical to a fresh run except for the cache
 	// flags and zeroed Timings.
 	ReportCacheHit bool
+
+	// stored holds the encoded tail of the report's JSON document once a
+	// hit has written it (WriteReportJSON). The report cache attaches it
+	// when the report enters, and the copies the cache serves share it.
+	stored *storedJSON
 }

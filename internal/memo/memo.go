@@ -232,6 +232,34 @@ func (c *Cache[K, V]) insertLocked(key K, v V, size int64) {
 		c.items[key] = c.ll.PushFront(&entry[K, V]{key: key, val: v, size: size})
 		c.bytes += size
 	}
+	c.evictLocked()
+}
+
+// Recharge adds delta to the bytes charged for key's entry when it is
+// resident and same accepts its value, then evicts from the cold end while
+// either bound is exceeded. A value that grows after it was cached charges
+// its growth this way, so evicting it frees the growth too. It counts no
+// request and leaves recency untouched; a missing or replaced entry is left
+// alone.
+func (c *Cache[K, V]) Recharge(key K, delta int64, same func(V) bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return
+	}
+	e := el.Value.(*entry[K, V])
+	if !same(e.val) {
+		return
+	}
+	e.size += delta
+	c.bytes += delta
+	c.evictLocked()
+}
+
+// evictLocked drops entries from the cold end while either bound is
+// exceeded, always keeping the most recent one.
+func (c *Cache[K, V]) evictLocked() {
 	for c.ll.Len() > 1 &&
 		((c.maxEntries > 0 && c.ll.Len() > c.maxEntries) ||
 			(c.maxBytes > 0 && c.bytes > c.maxBytes)) {

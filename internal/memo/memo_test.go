@@ -356,3 +356,29 @@ func TestPutCountsNothing(t *testing.T) {
 		t.Error("Put did not evict the coldest entry")
 	}
 }
+
+// TestRecharge pins the charge of a value that grows after it was cached:
+// the entry's bytes rise, a bound it now exceeds evicts from the cold end,
+// and a missing or replaced entry is left alone.
+func TestRecharge(t *testing.T) {
+	c := New[int, string](0, 100)
+	same := func(want string) func(string) bool { return func(v string) bool { return v == want } }
+	c.Put(1, "a", 40)
+	c.Put(2, "b", 40)
+	c.Recharge(2, 10, same("b"))
+	if s := c.Snapshot(); s.Bytes != 90 || s.Entries != 2 || s.Hits != 0 || s.Misses != 0 {
+		t.Fatalf("after recharge: %+v, want 90 bytes over 2 entries and no counted request", s)
+	}
+	c.Recharge(2, 10, same("other"))
+	c.Recharge(3, 10, same("b"))
+	if s := c.Snapshot(); s.Bytes != 90 {
+		t.Fatalf("a replaced or missing entry was charged: %+v", s)
+	}
+	c.Recharge(2, 20, same("b"))
+	if _, ok := c.Get(1); ok {
+		t.Fatal("recharging past the byte bound kept the cold entry")
+	}
+	if s := c.Snapshot(); s.Bytes != 70 || s.Entries != 1 || s.Evictions != 1 {
+		t.Fatalf("after evicting recharge: %+v, want 70 bytes, 1 entry, 1 eviction", s)
+	}
+}

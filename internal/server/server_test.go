@@ -24,13 +24,15 @@ func testServer(t *testing.T) *Server { return localServer(t, 2) }
 
 // localServer serves boxoffice from k in-process backends sharing one
 // report cache with the router.
-func localServer(t *testing.T, k int) *Server {
+func localServer(t *testing.T, k int) *Server { return configServer(t, k, core.DefaultConfig()) }
+
+// configServer is localServer with an engine configuration.
+func configServer(t *testing.T, k int, cfg core.Config) *Server {
 	t.Helper()
 	cat := db.NewCatalog()
 	if err := cat.Register(synth.BoxOffice(1)); err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.DefaultConfig()
 	reports := core.NewReportCache(cfg.CacheEntries, cfg.CacheBytes)
 	backends := make([]shard.Backend, k)
 	for i := range backends {
@@ -364,4 +366,118 @@ func checkStats(t *testing.T, s *Server, k int) {
 		}
 	}
 
+}
+
+// post answers one /api/characterize body on s and returns the response
+// bytes.
+func post(t *testing.T, s *Server, body string) []byte {
+	t.Helper()
+	rec, _ := characterize(t, s, body)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	return rec.Body.Bytes()
+}
+
+// reportBytes returns the report tier's charged bytes from /api/stats.
+func reportBytes(t *testing.T, s *Server) int64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/stats", nil))
+	var stats statsResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	return stats.Reports.Bytes
+}
+
+// withSQL swaps the sql value at the head of a report document.
+func withSQL(t *testing.T, doc []byte, from, to string) []byte {
+	t.Helper()
+	old, _ := json.Marshal(from)
+	repl, _ := json.Marshal(to)
+	prefix := append([]byte(`{"sql":`), old...)
+	if !bytes.HasPrefix(doc, prefix) {
+		t.Fatalf("document does not open with sql %s: %.80s", old, doc)
+	}
+	return append(append([]byte(`{"sql":`), repl...), doc[len(prefix):]...)
+}
+
+// TestStoredDocumentSharedAcrossSQL pins the stored-bytes path from the
+// HTTP side: two SQL texts selecting the same rows hit one cached report
+// and share its stored bytes, yet each response carries its own sql, and
+// the response equals the one encoding/json would write.
+func TestStoredDocumentSharedAcrossSQL(t *testing.T) {
+	s := testServer(t)
+	const sqlA = "SELECT * FROM boxoffice WHERE gross_musd >= 100"
+	const sqlB = "SELECT * FROM boxoffice WHERE gross_musd >= 100.0 AND genre <> '<&>'"
+	bodyA := `{"sql": "` + sqlA + `"}`
+	bodyB := `{"sql": "` + sqlB + `"}`
+	post(t, s, bodyA)
+	empty := reportBytes(t, s)
+	hitA := post(t, s, bodyA)
+	filled := reportBytes(t, s)
+	if filled <= empty {
+		t.Fatalf("the first hit stored nothing: %d bytes before, %d after", empty, filled)
+	}
+	hitB := post(t, s, bodyB)
+	if got := reportBytes(t, s); got != filled {
+		t.Fatalf("the second SQL text stored a second document: %d bytes, want %d", got, filled)
+	}
+	if !bytes.Equal(hitB, withSQL(t, hitA, sqlA, sqlB)) {
+		t.Fatalf("responses differ beyond sql:\n%s\n%s", hitA, hitB)
+	}
+	if !bytes.Contains(hitB, []byte(`\u003c\u0026\u003e`)) {
+		t.Fatalf("sql not HTML-escaped as encoding/json escapes it: %.200s", hitB)
+	}
+}
+
+// TestStoredDocumentBypassedByPlots pins that a repeat with includePlots
+// is written by the full encoder with its charts, and stores nothing.
+func TestStoredDocumentBypassedByPlots(t *testing.T) {
+	s := testServer(t)
+	const sql = "SELECT * FROM boxoffice WHERE gross_musd >= 100"
+	post(t, s, `{"sql": "`+sql+`"}`)
+	before := reportBytes(t, s)
+	plotted := post(t, s, `{"sql": "`+sql+`", "includePlots": true}`)
+	if !bytes.Contains(plotted, []byte(`"plot":`)) || !bytes.Contains(plotted, []byte(`"reportCacheHit":true`)) {
+		t.Fatalf("plotted repeat is not a hit with charts: %.300s", plotted)
+	}
+	if got := reportBytes(t, s); got != before {
+		t.Fatalf("a repeat with plots stored bytes: %d, want %d", got, before)
+	}
+	plain := post(t, s, `{"sql": "`+sql+`"}`)
+	if bytes.Contains(plain, []byte(`"plot":`)) {
+		t.Fatal("a repeat without plots carries charts")
+	}
+	if got := reportBytes(t, s); got <= before {
+		t.Fatal("a repeat without plots stored nothing")
+	}
+}
+
+// TestStoredDocumentRebuiltAfterEviction pins that an evicted report's
+// stored bytes go with it: cached again, it rebuilds them, and the
+// responses are unchanged.
+func TestStoredDocumentRebuiltAfterEviction(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.CacheEntries = 1
+	s := configServer(t, 1, cfg)
+	bodyA := `{"sql": "SELECT * FROM boxoffice WHERE gross_musd >= 100"}`
+	bodyB := `{"sql": "SELECT * FROM boxoffice WHERE gross_musd >= 50"}`
+	post(t, s, bodyA)
+	first := post(t, s, bodyA)
+	filled := reportBytes(t, s)
+	post(t, s, bodyB) // evicts A
+	if got := reportBytes(t, s); got >= filled {
+		t.Fatalf("eviction kept the stored bytes: %d charged, %d before", got, filled)
+	}
+	post(t, s, bodyA) // computes A again, evicting B
+	unfilled := reportBytes(t, s)
+	again := post(t, s, bodyA)
+	if got := reportBytes(t, s); got != filled || unfilled >= filled {
+		t.Fatalf("re-cached report charged %d then %d bytes, want fewer then %d", unfilled, got, filled)
+	}
+	if !bytes.Equal(again, first) {
+		t.Fatalf("rebuilt document differs:\n%s\n%s", first, again)
+	}
 }
