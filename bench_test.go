@@ -253,10 +253,49 @@ func BenchmarkReportWire(b *testing.B) {
 	b.ReportMetric(float64(len(core.EncodeReport(rep))), "B/report")
 }
 
+// responseSink is a ResponseWriter reused across requests: Reset keeps the
+// header map and the body buffer's capacity, so a benchmark that serves
+// into it counts the server's allocations and not a recorder regrowing
+// its body for every request.
+type responseSink struct {
+	header http.Header
+	code   int
+	body   bytes.Buffer
+}
+
+func (s *responseSink) Header() http.Header { return s.header }
+
+func (s *responseSink) WriteHeader(code int) {
+	if s.code == 0 {
+		s.code = code
+	}
+}
+
+func (s *responseSink) Write(p []byte) (int, error) {
+	s.WriteHeader(http.StatusOK)
+	return s.body.Write(p)
+}
+
+// Reset readies the sink for the next response.
+func (s *responseSink) Reset() {
+	for k := range s.header {
+		delete(s.header, k)
+	}
+	s.code = 0
+	s.body.Reset()
+}
+
+// rewindBody is a request body that a benchmark rewinds between requests.
+type rewindBody struct{ bytes.Reader }
+
+func (*rewindBody) Close() error { return nil }
+
 // BenchmarkFrontCachedHit measures a repeat POST /api/characterize of
 // crimeQuery on a front whose only backend is a remote worker: after the
 // worker's cache answered one repeat, the front's own report tier answers
-// every later one, with no RPC. CI gates its allocs/op.
+// every later one, with no RPC. One request and one response sink serve
+// every iteration, so the allocations counted are the server's. CI gates
+// its allocs/op.
 func BenchmarkFrontCachedHit(b *testing.B) {
 	cfg := core.DefaultConfig()
 	cfg.Parallelism = 1
@@ -278,11 +317,16 @@ func BenchmarkFrontCachedHit(b *testing.B) {
 	}
 	srv := server.New(cat, front, nil)
 	body := []byte(`{"sql": "` + crimeQuery + `"}`)
+	reqBody := &rewindBody{}
+	req := httptest.NewRequest(http.MethodPost, "/api/characterize", nil)
+	req.Body = reqBody
+	sink := &responseSink{header: http.Header{}}
 	post := func() {
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/characterize", bytes.NewReader(body)))
-		if rec.Code != http.StatusOK {
-			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		reqBody.Reset(body)
+		sink.Reset()
+		srv.ServeHTTP(sink, req)
+		if sink.code != http.StatusOK {
+			b.Fatalf("status %d: %s", sink.code, &sink.body)
 		}
 	}
 	post() // cold: computed on the worker
@@ -885,16 +929,15 @@ func thresholdMask(b *testing.B, f *frame.Frame, col string, threshold float64) 
 // grown table is characterized with the report tier bypassed
 // (SkipReportCache), so the pipeline itself is paid both times.
 // "incremental" is the steady state of a live table: the base was
-// characterized once and dropped the way Session.Append drops it
-// (InvalidateFrame), each iteration appends a fresh tail onto the sealed
-// base, and afterwards drops only the grown table's entries. Its full
-// chunks carry over, so only the rows past the base's last chunk boundary
-// rescan for fingerprints and validity words, and the dependency matrix
-// resumes from the base's prefix state: its numeric pairs fold and its
-// tier × numeric η cells feed only those rows. "cold" characterizes the
-// same grown content built from scratch on purged caches, paying the
-// whole-table seal and the full matrix. Both arms copy the column storage
-// once per iteration. The robust_ and extended_ arms run the same two
+// characterized once, and each iteration appends a fresh tail onto the
+// sealed base, leaving the superseded versions' entries to the LRU tiers as
+// Session.Append does. Its full chunks carry over, so only the rows past
+// the base's last chunk boundary rescan for fingerprints and validity
+// words, and the dependency matrix resumes from the base's prefix state:
+// its numeric pairs fold and its tier × numeric η cells feed only those
+// rows. "cold" characterizes the same grown content built from scratch on
+// purged caches, paying the whole-table seal and the full matrix. Both arms
+// copy the column storage once per iteration. The robust_ and extended_ arms run the same two
 // lifecycles on a Robust and an Extended engine, which also index every
 // numeric column of each grown table again (core.Engine.columnRanks).
 // Every arm's engine runs at parallelism 1, as serving workers do, so its
@@ -1008,7 +1051,6 @@ func BenchmarkAppendCharacterize(b *testing.B) {
 			if _, err := engine.CharacterizeOpts(base, baseSel, opts); err != nil {
 				b.Fatal(err)
 			}
-			engine.InvalidateFrame(base.Fingerprint())
 			start := read()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -1019,7 +1061,6 @@ func BenchmarkAppendCharacterize(b *testing.B) {
 				if _, err := engine.CharacterizeOpts(g, sel, opts); err != nil {
 					b.Fatal(err)
 				}
-				engine.InvalidateFrame(g.Fingerprint())
 			}
 			report(b, start)
 		})

@@ -86,6 +86,31 @@ func catNullInjected(t *testing.T, f *frame.Frame) *frame.Frame {
 	return g
 }
 
+// factorial is a full factorial design: three numeric factors of four
+// levels each, every combination repeated eight times. A selection on one
+// factor leaves the other two exactly balanced across it, so their views
+// score exactly alike, and only rankDisjoint's tie-break orders them. The
+// names make that order differ from both the column order and a comparison
+// of first names: "[level2]" sorts before "[level]" because '2' < ']'.
+func factorial(t *testing.T) *frame.Frame {
+	t.Helper()
+	const levels, reps = 4, 8
+	n := levels * levels * levels * reps
+	factor := func(name string, stride int) *frame.Column {
+		vals := make([]float64, n)
+		for r := range vals {
+			vals[r] = float64(r / stride % levels)
+		}
+		return frame.NewNumericColumn(name, vals)
+	}
+	f, err := frame.New("factorial", []*frame.Column{
+		factor("level", 1), factor("level2", levels), factor("block", levels*levels)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // namedSelection is one query of the digest corpus.
 type namedSelection struct {
 	name string
@@ -125,8 +150,9 @@ func digestSelections(t *testing.T, f *frame.Frame) []namedSelection {
 // TestReportDigests pins the report bytes of every engine mode — default,
 // robust, extended, robust+extended, Spearman dependencies with
 // three-column views, and clique generation — on exact and approximate
-// runs, over two synthetic tables, a copy of a third with numeric NULLs and
-// a copy of the second with categorical NULLs, to
+// runs, over two synthetic tables, a copy of a third with numeric NULLs, a
+// copy of the second with categorical NULLs and a factorial table whose
+// tied views only rankDisjoint's tie-break orders, to
 // SHA-256 digests of the wire encoding. Every other determinism rail
 // compares the engine with itself; this one compares it with the bytes it
 // produced when the golden was written. Run with -update to rewrite the
@@ -151,7 +177,7 @@ func TestReportDigests(t *testing.T) {
 		{"approx300", Options{SkipReportCache: true, ApproxRows: 300, ApproxSeed: 3}},
 	}
 	tables := []*frame.Frame{synth.USCrime(1), synth.BoxOffice(1), nullInjected(t, synth.USCrime(3)),
-		catNullInjected(t, synth.BoxOffice(1))}
+		catNullInjected(t, synth.BoxOffice(1)), factorial(t)}
 	var lines []string
 	for _, f := range tables {
 		sels := digestSelections(t, f)

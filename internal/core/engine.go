@@ -119,22 +119,6 @@ func (e *Engine) InvalidateCache() {
 	e.reports.Purge()
 }
 
-// InvalidateFrame drops the cache entries of the single frame with the
-// given content fingerprint from both tiers: its prepared structures
-// (every measure/linkage) and its memoized reports (every selection,
-// config, and options). Other frames' entries survive — this is the
-// scoped companion to InvalidateCache that the table lifecycle
-// (Session.Unregister, Session.Append) uses so dropping or growing one
-// table never evicts another table's warm entries.
-//
-// The dependency fold's prefix states stay: they are keyed by row content,
-// not by table, and an append drops the base's fingerprint right before the
-// grown table prepares — exactly when the base's prefix state is needed.
-func (e *Engine) InvalidateFrame(fp uint64) {
-	e.prep.RemoveIf(func(k prepKey) bool { return k.frame == fp })
-	e.reports.InvalidateFrame(fp)
-}
-
 // colData carries the per-column, per-query preparation products.
 type colData struct {
 	idx    int

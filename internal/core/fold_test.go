@@ -51,12 +51,12 @@ func encodeStable(rep *Report) []byte {
 }
 
 // TestAppendResumesDependencyFold pins the prefix tier's lifecycle. A table
-// is characterized, its fingerprint is dropped the way Session.Append drops
-// it, and its grown successor then folds only the rows past the base's last
-// full chunk, in its numeric pairs and its categorical × numeric η cells
-// alike, answering byte-identically to the same rows loaded whole on a cold
-// engine. InvalidateCache drops the prefix states: the next build folds and
-// feeds every row.
+// is characterized, its prepared structures leave the prepared tier the way
+// a superseded version's age out of the LRU, and its grown successor then
+// folds only the rows past the base's last full chunk, in its numeric pairs
+// and its categorical × numeric η cells alike, answering byte-identically
+// to the same rows loaded whole on a cold engine. InvalidateCache drops the
+// prefix states: the next build folds and feeds every row.
 func TestAppendResumesDependencyFold(t *testing.T) {
 	const rows, tail, chunkRows = 16384, 256, 1024
 	whole := synth.Micro("m", 5, rows+tail, 8)
@@ -70,7 +70,7 @@ func TestAppendResumesDependencyFold(t *testing.T) {
 	if _, err := e.Characterize(base, firstThird(base)); err != nil {
 		t.Fatal(err)
 	}
-	e.InvalidateFrame(base.Fingerprint())
+	e.prep.Purge()
 
 	grown, err := base.Append(sliceFrame(t, whole, rows, rows+tail, chunkRows))
 	if err != nil {
@@ -84,10 +84,10 @@ func TestAppendResumesDependencyFold(t *testing.T) {
 		t.Fatal(err)
 	}
 	if folded := depend.RowsFolded() - before; folded > chunkRows+tail {
-		t.Errorf("append after InvalidateFrame folded %d rows per pair, want ≤ %d", folded, chunkRows+tail)
+		t.Errorf("append after the base left the prepared tier folded %d rows per pair, want ≤ %d", folded, chunkRows+tail)
 	}
 	if fed := (depend.EtaRowsFed() - fedBefore) / mixed; fed > chunkRows+tail {
-		t.Errorf("append after InvalidateFrame fed %d rows per η cell, want ≤ %d", fed, chunkRows+tail)
+		t.Errorf("append after the base left the prepared tier fed %d rows per η cell, want ≤ %d", fed, chunkRows+tail)
 	}
 
 	cold, err := New(cfg)
@@ -113,6 +113,37 @@ func TestAppendResumesDependencyFold(t *testing.T) {
 	}
 	if fed := (depend.EtaRowsFed() - fedBefore) / mixed; fed != rows+tail {
 		t.Errorf("after InvalidateCache the build fed %d rows per η cell, want all %d", fed, rows+tail)
+	}
+}
+
+// TestAppendLoopBoundsEngineTiers is the engine's part of the append memory
+// rail, the one that sees the prefix tier (TestAppendLoopStaysBounded
+// covers the session's and the worker's tiers): 50 appends on one engine at
+// CacheEntries 8, and no tier ever holds more than 8 entries although no
+// superseded version is dropped early.
+func TestAppendLoopBoundsEngineTiers(t *testing.T) {
+	const rows, step, appends, bound, chunkRows = 512, 32, 50, 8, 64
+	whole := synth.Micro("m", 9, rows+appends*step, 5)
+	cfg := DefaultConfig()
+	cfg.Parallelism = 1
+	cfg.CacheEntries = bound
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := sliceFrame(t, whole, 0, rows, chunkRows)
+	for i := 0; i < appends; i++ {
+		if f, err = f.Append(sliceFrame(t, whole, rows+i*step, rows+(i+1)*step, chunkRows)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Characterize(f, firstThird(f)); err != nil {
+			t.Fatal(err)
+		}
+		for tier, n := range map[string]int{"prepared": e.prep.Len(), "prefix": e.prefixes.Len(), "report": e.reports.Len()} {
+			if n > bound {
+				t.Fatalf("append %d: %s tier holds %d entries, want ≤ %d", i, tier, n, bound)
+			}
+		}
 	}
 }
 

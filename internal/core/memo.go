@@ -209,16 +209,6 @@ func (rc *ReportCache) Snapshot() memo.Snapshot { return rc.c.Snapshot() }
 // Purge drops every cached report; in-flight computations are unaffected.
 func (rc *ReportCache) Purge() { rc.c.Purge() }
 
-// InvalidateFrame drops every cached report computed over the frame with
-// the given content fingerprint — all selections, configs, and options —
-// and returns how many entries it dropped. Entries for other frames are
-// untouched, so unregistering or appending to one table never costs another
-// table its cached repeats, even on a cache shared across engines and
-// sessions.
-func (rc *ReportCache) InvalidateFrame(fp uint64) int {
-	return rc.c.RemoveIf(func(k reportKey) bool { return k.frame == fp })
-}
-
 // Len returns the number of cached reports.
 func (rc *ReportCache) Len() int { return rc.c.Len() }
 

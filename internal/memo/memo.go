@@ -272,30 +272,6 @@ func (c *Cache[K, V]) evictLocked() {
 	}
 }
 
-// RemoveIf drops every cached entry whose key satisfies pred and returns
-// how many it dropped. In-flight computations are unaffected and insert
-// their results when they finish; removed entries do not count as
-// evictions. The table-lifecycle layer uses this for fingerprint-scoped
-// invalidation: dropping one table's reports without disturbing the rest of
-// a shared cache.
-func (c *Cache[K, V]) RemoveIf(pred func(K) bool) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	removed := 0
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		e := el.Value.(*entry[K, V])
-		if pred(e.key) {
-			c.ll.Remove(el)
-			delete(c.items, e.key)
-			c.bytes -= e.size
-			removed++
-		}
-		el = next
-	}
-	return removed
-}
-
 // Each calls fn for every resident entry in recency order (most recent
 // first) until fn returns false, without touching recency or the counters.
 // fn runs under the cache lock: it must be cheap and must not call back

@@ -17,7 +17,7 @@ import (
 	"repro/internal/shard"
 )
 
-// probeTimeout bounds the cheap control-plane calls (stats, invalidate).
+// probeTimeout bounds the cheap control-plane call, stats.
 // Characterize itself runs without a deadline — a cold characterization of
 // a big table is legitimately slow.
 const probeTimeout = 3 * time.Second
@@ -29,9 +29,11 @@ const probeTimeout = 3 * time.Second
 // Only then does the client ship the table, at chunk granularity
 // (content-addressed down to per-chunk chain fingerprints: an append ships
 // only the new chunks, and a worker that lost a table re-receives only what
-// it lost), and retry once. Transport failures surface as
-// shard.ErrBackendUnavailable so the router fails over along the rendezvous
-// ranking. Safe for concurrent use.
+// it lost), and retry once. An append costs no RPC of its own: the next
+// request on the grown table ships it this way, and the superseded
+// version's entries age out of the worker's LRU tiers. Transport failures
+// surface as shard.ErrBackendUnavailable so the router fails over along the
+// rendezvous ranking. Safe for concurrent use.
 type Client struct {
 	addr string
 	hc   *http.Client
@@ -315,25 +317,12 @@ func (c *Client) Snapshot() shard.ShardSnapshot {
 	return snap
 }
 
-// InvalidateFrame tells the worker to drop the derived cache entries
-// (reports, prepared structures) of a fingerprint this front's table
-// lifecycle just superseded — Unregister and Append call it through the
-// router, so an appended table's old reports don't squat the worker's
-// caches until table-store eviction. The worker keeps the stored table
-// itself (it is the delta base for the successor's registration) and other
-// fronts recompute identical bytes on demand, so this is scoped precisely
-// to what the re-registration supersedes. Best-effort: an unreachable
-// worker has nothing worth invalidating.
-func (c *Client) InvalidateFrame(fp uint64) {
-	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
-	defer cancel()
-	resp, err := c.post(ctx, PathInvalidate, EncodeInvalidate(fp))
-	if err != nil {
-		c.healthy.Store(false)
-		return
-	}
-	resp.Body.Close()
-}
+// InvalidateFrame is a no-op: the worker's caches key on content
+// fingerprints, so a superseded version's entries age out of its LRU tiers
+// with no RPC.
+//
+// Deprecated: see shard.Backend.InvalidateFrame.
+func (c *Client) InvalidateFrame(uint64) {}
 
 // Engine is nil: the worker's engine lives in another process, so the
 // router answers this backend's repeats from its front tier.

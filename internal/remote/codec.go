@@ -4,12 +4,11 @@
 //
 // A worker process (`ziggyd -worker`) wraps its own shard.Router in a
 // Worker handler exposing endpoints under /api/worker/: health, stats, the
-// two-request table registration (manifest + chunks), characterize, and
-// invalidate. A front process (`ziggyd -peers
-// host1,host2`) builds one Client per worker and hands them to
-// shard.NewWithBackends; the front routes by the same rendezvous hash over
-// frame.Fingerprint the in-process router uses, so a front and its workers
-// agree on table ownership with zero coordination.
+// two-request table registration (manifest + chunks) and characterize. A
+// front process (`ziggyd -peers host1,host2`) builds one Client per worker
+// and hands them to shard.NewWithBackends; the front routes by the same
+// rendezvous hash over frame.Fingerprint the in-process router uses, so a
+// front and its workers agree on table ownership with zero coordination.
 //
 // Everything on the wire is content-addressed and versioned. A table
 // registers in two requests, and the worker keeps nothing between them:
@@ -65,17 +64,15 @@ import (
 const codecVersion = 6
 
 var (
-	manifestMagic   = [4]byte{'Z', 'G', 'M', codecVersion}
-	chunksMagic     = [4]byte{'Z', 'G', 'C', codecVersion}
-	requestMagic    = [4]byte{'Z', 'G', 'Q', codecVersion}
-	invalidateMagic = [4]byte{'Z', 'G', 'I', codecVersion}
+	manifestMagic = [4]byte{'Z', 'G', 'M', codecVersion}
+	chunksMagic   = [4]byte{'Z', 'G', 'C', codecVersion}
+	requestMagic  = [4]byte{'Z', 'G', 'Q', codecVersion}
 )
 
 const (
-	decodingManifest   = "remote: decoding manifest"
-	decodingChunks     = "remote: decoding chunk stream"
-	decodingRequest    = "remote: decoding request"
-	decodingInvalidate = "remote: decoding invalidate"
+	decodingManifest = "remote: decoding manifest"
+	decodingChunks   = "remote: decoding chunk stream"
+	decodingRequest  = "remote: decoding request"
 )
 
 // Column kind bytes on the wire.
@@ -338,27 +335,6 @@ func DecodeStream(data []byte) (Stream, error) {
 		return Stream{}, err
 	}
 	return s, nil
-}
-
-// EncodeInvalidate serializes an invalidate-by-fingerprint request.
-func EncodeInvalidate(fp uint64) []byte {
-	var w wire.Buf
-	w.B = append(w.B, invalidateMagic[:]...)
-	w.U64(fp)
-	return w.B
-}
-
-// DecodeInvalidate parses an invalidate-by-fingerprint request.
-func DecodeInvalidate(data []byte) (uint64, error) {
-	if err := wire.CheckMagic(data, invalidateMagic, decodingInvalidate); err != nil {
-		return 0, err
-	}
-	r := &wire.Reader{What: decodingInvalidate, B: data, Off: 4}
-	fp := r.U64()
-	if err := r.Finish(); err != nil {
-		return 0, err
-	}
-	return fp, nil
 }
 
 // Request is the body of a characterize call: the table by fingerprint

@@ -482,25 +482,6 @@ func TestUnusedDictionaryValueShips(t *testing.T) {
 	}
 }
 
-// TestInvalidateCodecRoundTrip pins the invalidate request format.
-func TestInvalidateCodecRoundTrip(t *testing.T) {
-	enc := EncodeInvalidate(0xabcdef)
-	fp, err := DecodeInvalidate(enc)
-	if err != nil || fp != 0xabcdef {
-		t.Fatalf("round trip: %v %#x", err, fp)
-	}
-	for name, data := range map[string][]byte{
-		"empty":     {},
-		"truncated": enc[:10],
-		"trailing":  append(append([]byte(nil), enc...), 0),
-		"skewed":    append([]byte("ZGI\x03"), enc[4:]...),
-	} {
-		if _, err := DecodeInvalidate(data); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
 // TestRequestCodecRoundTrip pins the characterize request format.
 func TestRequestCodecRoundTrip(t *testing.T) {
 	sel := frame.NewBitmap(100)

@@ -545,9 +545,6 @@ func TestWorkerEndpointValidation(t *testing.T) {
 	if resp := post(PathChunks, []byte("garbage")); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("garbage chunks status %d", resp.StatusCode)
 	}
-	if resp := post(PathInvalidate, []byte("garbage")); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("garbage invalidate status %d", resp.StatusCode)
-	}
 	// A well-formed chunk stream needs no negotiation before it: the stream
 	// carries its own manifest, so an orphan registers its table.
 	orphan, _ := testTable(t, 41)

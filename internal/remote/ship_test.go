@@ -269,45 +269,6 @@ func TestPartialStoreHeal(t *testing.T) {
 	}
 }
 
-// TestInvalidateFrameEndToEnd pins the invalidate RPC: the worker drops the
-// fingerprint's derived report cache but keeps the stored table — it is the
-// delta base the successor version wants.
-func TestInvalidateFrameEndToEnd(t *testing.T) {
-	w, ts := newWorker(t, 1)
-	c := NewClient(ts.URL)
-	f, sel := chunkedTable(t, 9, 320)
-	cached := func() bool {
-		_, ok := w.Router().CachedReportFingerprint(f.Fingerprint(), sel, core.Options{})
-		return ok
-	}
-
-	if _, err := c.Characterize(f, sel, core.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if !cached() {
-		t.Fatal("report cache cold after characterize")
-	}
-
-	c.InvalidateFrame(f.Fingerprint())
-	if cached() {
-		t.Error("worker report cache survived the invalidate")
-	}
-	if _, ok := w.table(f.Fingerprint()); !ok {
-		t.Error("invalidate dropped the stored table; it must stay as the delta base")
-	}
-
-	// The superseding version delta-ships against the retained base.
-	before := c.Snapshot()
-	grown := appendRows(t, f, 9, 64)
-	if _, err := c.Characterize(grown, selectThird(grown), core.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	after := c.Snapshot()
-	if d := after.ChunksShipped - before.ChunksShipped; d != 1 {
-		t.Errorf("post-invalidate characterize shipped %d chunks, want 1 (retained base prefix)", d)
-	}
-}
-
 // postStream posts a raw chunk stream to the worker and returns the status.
 func postStream(t testing.TB, ts *httptest.Server, body []byte) int {
 	t.Helper()
@@ -577,7 +538,7 @@ func TestEvictedBaseRenegotiates(t *testing.T) {
 	var armed, evicted atomic.Bool
 	ts := newTestServer(t, http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == PathChunks && armed.Load() && !evicted.Swap(true) {
-			w.tables.RemoveIf(func(fp uint64) bool { return fp == base.Fingerprint() })
+			w.tables.Purge() // the base is the only stored table
 		}
 		w.ServeHTTP(rw, r)
 	}))
@@ -604,8 +565,8 @@ func TestEvictedBaseRenegotiates(t *testing.T) {
 }
 
 // TestRPCsReuseOneConnection pins that no worker RPC drops its keep-alive
-// connection: registrations (cold and appended) and invalidations run
-// back to back through one client open a single connection.
+// connection: registrations (cold and appended) and stats calls run back
+// to back through one client open a single connection.
 func TestRPCsReuseOneConnection(t *testing.T) {
 	const n = 20
 	w, _ := newWorker(t, 1)
@@ -626,11 +587,13 @@ func TestRPCsReuseOneConnection(t *testing.T) {
 		if err := c.RegisterTable(f); err != nil {
 			t.Fatal(err)
 		}
-		c.InvalidateFrame(f.Fingerprint())
+		if !c.Snapshot().Healthy {
+			t.Fatal("stats call failed")
+		}
 		f = appendRows(t, f, 17, 64)
 	}
 	if got := conns.Load(); got > 1 {
-		t.Errorf("%d registrations and %d invalidations opened %d connections, want 1", n, n, got)
+		t.Errorf("%d registrations and %d stats calls opened %d connections, want 1", n, n, got)
 	}
 }
 

@@ -23,7 +23,6 @@ const (
 	PathManifest     = "/api/worker/manifest"
 	PathChunks       = "/api/worker/chunks"
 	PathCharacterize = "/api/worker/characterize"
-	PathInvalidate   = "/api/worker/invalidate"
 )
 
 // PathCached named the report-cache probe endpoint, which characterize
@@ -81,7 +80,6 @@ func NewWorker(router *shard.Router) *Worker {
 	mux.HandleFunc(PathManifest, w.handleManifest)
 	mux.HandleFunc(PathChunks, w.handleChunks)
 	mux.HandleFunc(PathCharacterize, w.handleCharacterize)
-	mux.HandleFunc(PathInvalidate, w.handleInvalidate)
 	w.mux = mux
 	return w
 }
@@ -245,26 +243,6 @@ func (w *Worker) handleChunks(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.tables.Do(fp, frameSize, func() (*frame.Frame, error) { return f, nil })
-	rw.WriteHeader(http.StatusOK)
-}
-
-// handleInvalidate drops the derived cache entries (reports, prepared
-// structures) of one fingerprint — what a front's Unregister/Append
-// supersedes. The stored table itself stays resident: it is exactly the
-// prefix base the successor registration's delta ship wants, and other
-// fronts still serving the old content re-derive identical bytes on demand,
-// so cross-front coherence is unaffected.
-func (w *Worker) handleInvalidate(rw http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(rw, r)
-	if !ok {
-		return
-	}
-	fp, err := DecodeInvalidate(body)
-	if err != nil {
-		writeError(rw, http.StatusBadRequest, err)
-		return
-	}
-	w.router.InvalidateFrame(fp)
 	rw.WriteHeader(http.StatusOK)
 }
 

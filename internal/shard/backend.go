@@ -51,11 +51,15 @@ type Backend interface {
 	// answers, and to count that engine's report cache in Stats; a wrapper
 	// that embeds a Backend forwards it.
 	Engine() *core.Engine
-	// InvalidateFrame drops the cache entries of the single frame with the
-	// given content fingerprint — the scoped invalidation behind the table
-	// lifecycle (unregister, append). A remote backend forwards this to its
-	// worker, which drops the fingerprint's derived cache entries
-	// (best-effort; an unreachable worker is skipped).
+	// InvalidateFrame once dropped the cache entries of one content
+	// fingerprint when its table was appended to or unregistered.
+	//
+	// Deprecated: the router never calls it; every cache keys on content
+	// fingerprints, so a superseded version's entries are unreachable and
+	// age out of their LRU tiers. It stays only because the serving
+	// benchmark (benchmark/trace.go) overrides it; the benchmark-only
+	// change of ROADMAP.md item 7 drops that override, and then this
+	// method.
 	InvalidateFrame(fp uint64)
 	// Close releases transport resources; in-process backends no-op.
 	Close() error
@@ -305,10 +309,10 @@ func (b *EngineBackend) Snapshot() ShardSnapshot {
 	}
 }
 
-// InvalidateFrame drops the fingerprint's entries from the engine's
-// prepared tier and the shared report cache (idempotent across backends
-// sharing the cache).
-func (b *EngineBackend) InvalidateFrame(fp uint64) { b.engine.InvalidateFrame(fp) }
+// InvalidateFrame is a no-op.
+//
+// Deprecated: see Backend.InvalidateFrame.
+func (b *EngineBackend) InvalidateFrame(uint64) {}
 
 // Close is a no-op for in-process backends.
 func (b *EngineBackend) Close() error { return nil }

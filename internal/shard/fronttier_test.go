@@ -198,22 +198,17 @@ func TestFrontTierSkipsDegradedReports(t *testing.T) {
 	}
 }
 
-// TestFrontTierInvalidateFrame pins the append and unregister path:
-// Router.InvalidateFrame drops the old fingerprint's front entries, and
-// requests on the grown table call the worker until its cache-hit reply
-// fills the front tier.
-func TestFrontTierInvalidateFrame(t *testing.T) {
+// TestFrontTierGrownTable pins the append path: the base's front entry
+// stays, since no request on the grown table can reach it, and requests on
+// the grown table call the worker until its cache-hit reply fills the front
+// tier.
+func TestFrontTierGrownTable(t *testing.T) {
 	rig := newFrontRig(t, core.DefaultConfig(), shard.Params{})
 	f, sel := shard.TestTable(t, 3)
 	rig.characterize(t, f, sel, core.Options{})
 	rig.characterize(t, f, sel, core.Options{})
 	if rig.tier.Len() != 1 {
 		t.Fatalf("front tier holds %d entries after a worker hit, want 1", rig.tier.Len())
-	}
-
-	rig.front.InvalidateFrame(f.Fingerprint())
-	if n := rig.tier.Len(); n != 0 {
-		t.Fatalf("front tier holds %d entries of the invalidated fingerprint, want 0", n)
 	}
 
 	tail, tailSel := shard.TestTable(t, 4)
@@ -234,10 +229,16 @@ func TestFrontTierInvalidateFrame(t *testing.T) {
 	}
 	for i, wantCall := range []bool{true, true, false} {
 		before := rig.backend.calls.Load()
-		rig.characterize(t, grown, grownSel, core.Options{})
+		rep := rig.characterize(t, grown, grownSel, core.Options{})
 		if called := rig.backend.calls.Load() > before; called != wantCall {
 			t.Errorf("grown-table request %d: called the worker = %v, want %v", i, called, wantCall)
 		}
+		if rep.TotalRows != grown.NumRows() {
+			t.Errorf("grown-table request %d answered over %d rows, want %d", i, rep.TotalRows, grown.NumRows())
+		}
+	}
+	if n := rig.tier.Len(); n != 2 {
+		t.Errorf("front tier holds %d entries, want 2 (the base's and the grown table's)", n)
 	}
 }
 

@@ -42,6 +42,11 @@
 // every later repeat is answered there with no RPC at all. In front mode
 // the router's Stats.Reports snapshot therefore counts front-tier hits, and
 // the workers' tiers count the rest.
+//
+// Every cache key carries a table version's content fingerprint, so an
+// appended or re-registered table never meets a stale entry, and the router
+// has no invalidation call: a superseded version's entries leave each tier
+// through its LRU bound like any other cold entry.
 package shard
 
 import (
@@ -306,21 +311,6 @@ func (r *Router) cached(b Backend, fp uint64, sel *frame.Bitmap, opts core.Optio
 // does not hold, so a repeat is answered before the table was ever shipped.
 func (r *Router) CachedReportFingerprint(fp uint64, sel *frame.Bitmap, opts core.Options) (*core.Report, bool) {
 	return r.cached(r.backends[Assign(fp, len(r.backends))], fp, sel, opts)
-}
-
-// InvalidateFrame drops the cache entries of the single frame with the
-// given content fingerprint: its reports in the shared cache and its
-// prepared structures on every local backend. The table lifecycle calls
-// this on unregister and append so one table's turnover never costs other
-// tables their warm entries. Remote backends forward the call to their
-// worker (remote.Client posts it to /api/worker/invalidate), which drops
-// the fingerprint's derived reports and prepared structures but keeps the
-// stored table as the delta base for the successor version.
-func (r *Router) InvalidateFrame(fp uint64) {
-	for _, b := range r.backends {
-		b.InvalidateFrame(fp)
-	}
-	r.reports.InvalidateFrame(fp)
 }
 
 // Close releases the backends' transport resources (idle RPC connections);

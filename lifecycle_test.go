@@ -2,6 +2,7 @@ package ziggy_test
 
 import (
 	"fmt"
+	"net/http/httptest"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -10,6 +11,8 @@ import (
 
 	ziggy "repro"
 	"repro/internal/frame"
+	"repro/internal/remote"
+	"repro/internal/shard"
 	"repro/internal/synth"
 )
 
@@ -187,12 +190,12 @@ func TestAppendRescansOnlyNewChunks(t *testing.T) {
 	}
 }
 
-// TestAppendInvalidatesScopedReports pins the fingerprint-keyed cache
-// invalidation: appending to one table drops its cached reports and
-// prepared structures while an unrelated table's entries keep serving hits.
-func TestAppendInvalidatesScopedReports(t *testing.T) {
+// TestAppendNeverServesSupersededReports pins content addressing as the
+// whole cache lifecycle of an append: the grown table is never served its
+// base's report, an unrelated table's report still hits, and the base's
+// report stays cached, so re-registering the base's exact content hits it.
+func TestAppendNeverServesSupersededReports(t *testing.T) {
 	a := synth.Micro("a", 1, 256, 5)
-	grown := synth.Micro("a", 1, 288, 5)
 	b := synth.Micro("b", 2, 256, 5)
 	qa, qb := "SELECT * FROM a WHERE m00 >= 10", "SELECT * FROM b WHERE m00 >= 10"
 
@@ -202,40 +205,133 @@ func TestAppendInvalidatesScopedReports(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	var base string
 	for _, q := range []string{qa, qb} {
-		if _, err := s.Characterize(q); err != nil {
+		rep, err := s.Characterize(q)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	stats := s.CacheStats()
-	if stats.Reports.Entries != 2 || stats.Prepared.Entries != 2 {
-		t.Fatalf("expected both tables cached, got %+v", stats)
+		if q == qa {
+			base = reportFingerprint(rep.Report)
+		}
 	}
 
-	if err := s.Append("a", sliceRows(t, grown, 256, 288)); err != nil {
+	if err := s.Append("a", synth.Micro("a", 3, 32, 5)); err != nil {
 		t.Fatal(err)
 	}
-	stats = s.CacheStats()
-	if stats.Reports.Entries != 1 || stats.Prepared.Entries != 1 {
-		t.Errorf("append to %q should drop only its own entries, got %+v", "a", stats)
-	}
-
 	repB, err := s.Characterize(qb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !repB.ReportCacheHit {
-		t.Error("append to \"a\" evicted \"b\"'s cached report")
+		t.Error("append to \"a\" cost \"b\" its cached report")
 	}
 	repA, err := s.Characterize(qa)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if repA.ReportCacheHit {
-		t.Error("characterization of the grown table served the stale report")
+	if repA.ReportCacheHit || repA.TotalRows != 288 {
+		t.Errorf("grown table: reportCacheHit=%v over %d rows, want a miss over 288", repA.ReportCacheHit, repA.TotalRows)
 	}
-	if repA.TotalRows != 288 {
-		t.Errorf("grown table reports %d rows, want 288", repA.TotalRows)
+	grown, _ := s.Table("a")
+	fresh := newSession(t)
+	if err := fresh.Register(grown); err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Characterize(qa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reportFingerprint(repA.Report) != reportFingerprint(want.Report) {
+		t.Error("grown table's report differs from a fresh session's")
+	}
+
+	if err := s.Register(a); err != nil {
+		t.Fatal(err)
+	}
+	again, err := s.Characterize(qa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.ReportCacheHit || reportFingerprint(again.Report) != base {
+		t.Errorf("re-registered base: reportCacheHit=%v, want its still-cached report", again.ReportCacheHit)
+	}
+}
+
+// TestAppendLoopStaysBounded is the memory rail of content addressing: 50
+// appends, each followed by a read, through an in-process session and
+// through a worker, at CacheEntries 8. No superseded version is dropped
+// early, yet no tier, the worker's table store included, ever holds more
+// than 8 entries, and every report equals a fresh session's.
+func TestAppendLoopStaysBounded(t *testing.T) {
+	const appends, bound = 50, 8
+	const q = "SELECT * FROM m WHERE m00 >= 10"
+	cfg := ziggy.DefaultConfig()
+	cfg.CacheEntries = bound
+	workerRouter, err := shard.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker := remote.NewWorker(workerRouter)
+	ts := httptest.NewServer(worker)
+	t.Cleanup(ts.Close)
+	local, err := ziggy.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	front, err := ziggy.New(cfg, ziggy.WithPeers(ts.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { front.Close() })
+	sessions := map[string]*ziggy.Session{"in-process": local, "worker": front}
+	for _, s := range sessions {
+		if err := s.Register(synth.Micro("m", 1, 256, 5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for i := 0; i < appends; i++ {
+		batch := synth.Micro("m", uint64(i+2), 16, 5)
+		var want string
+		for name, s := range sessions {
+			if err := s.Append("m", batch); err != nil {
+				t.Fatal(err)
+			}
+			if want == "" {
+				grown, _ := s.Table("m")
+				fresh := newSession(t)
+				if err := fresh.Register(grown); err != nil {
+					t.Fatal(err)
+				}
+				rep, err := fresh.Characterize(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = reportFingerprint(rep.Report)
+			}
+			rep, err := s.Characterize(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reportFingerprint(rep.Report) != want {
+				t.Fatalf("%s, append %d: report differs from a fresh session's", name, i)
+			}
+			st := s.ShardStats()
+			tiers := map[string]int{"router reports": st.Reports.Entries}
+			for _, sh := range st.Shards {
+				tiers[sh.Kind+" prepared"] = sh.Prepared.Entries
+				tiers[sh.Kind+" reports"] = sh.Reports.Entries
+			}
+			if name == "worker" {
+				tiers["worker tables"] = worker.NumTables()
+			}
+			for tier, n := range tiers {
+				if n > bound {
+					t.Fatalf("%s, append %d: %s holds %d entries, want ≤ %d", name, i, tier, n, bound)
+				}
+			}
+		}
 	}
 }
 
@@ -364,10 +460,11 @@ func TestChunkBoundarySelections(t *testing.T) {
 	}
 }
 
-// TestUnregisterDropsTableAndReports pins the other half of the lifecycle:
-// unregistering removes the table and purges its cached reports, scoped by
-// fingerprint.
-func TestUnregisterDropsTableAndReports(t *testing.T) {
+// TestUnregisterDropsOnlyTheTable pins the other half of the lifecycle:
+// unregistering removes the table from the catalog, and its cached reports
+// stay until the LRU evicts them, so registering the same content again
+// hits them while the other table keeps hitting its own.
+func TestUnregisterDropsOnlyTheTable(t *testing.T) {
 	a, b := synth.Micro("a", 1, 256, 5), synth.Micro("b", 2, 256, 5)
 	qa, qb := "SELECT * FROM a WHERE m00 >= 10", "SELECT * FROM b WHERE m00 >= 10"
 	s := newSession(t)
@@ -394,15 +491,21 @@ func TestUnregisterDropsTableAndReports(t *testing.T) {
 	if _, err := s.Characterize(qa); err == nil {
 		t.Error("characterizing a dropped table succeeded")
 	}
-	if stats := s.CacheStats(); stats.Reports.Entries != 1 {
-		t.Errorf("dropped table's reports were not purged: %+v", stats)
-	}
 	rep, err := s.Characterize(qb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.ReportCacheHit {
 		t.Error("unregistering \"a\" evicted \"b\"'s cached report")
+	}
+	if err := s.Register(a); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err = s.Characterize(qa); err != nil {
+		t.Fatal(err)
+	}
+	if !rep.ReportCacheHit {
+		t.Error("re-registering \"a\" missed its still-cached report")
 	}
 }
 

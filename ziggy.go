@@ -363,10 +363,11 @@ func (s *Session) RegisterCSV(path string) (*Frame, error) {
 // Append grows the named table with rows' rows. The schemas must match
 // exactly (column count, names, kinds, and order) or the append is rejected
 // loudly; an empty rows frame is a no-op. The grown table replaces the old
-// one under the same name, cached reports keyed to the old content are
-// dropped (other tables' entries are untouched), and — because the chunked
-// representation reuses the old table's sealed chunks — the next
-// characterization rescans only the rows past the last full chunk boundary.
+// one under the same name and — because the chunked representation reuses
+// the old table's sealed chunks — the next characterization rescans only
+// the rows past the last full chunk boundary. Every cache keys on content
+// fingerprints, so the grown table can never hit an entry of the old one;
+// the old version's entries are left to age out of their LRU tiers.
 func (s *Session) Append(table string, rows *Frame) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -378,29 +379,16 @@ func (s *Session) Append(table string, rows *Frame) error {
 	if err != nil {
 		return fmt.Errorf("ziggy: %w", err)
 	}
-	if grown == base {
-		return nil // empty append: content unchanged, caches stay valid
-	}
-	if err := s.catalog.Register(grown); err != nil {
-		return err
-	}
-	s.router.InvalidateFrame(base.Fingerprint())
-	return nil
+	return s.catalog.Register(grown)
 }
 
-// Unregister drops the named table and purges the serving layer's cached
-// reports for its content (entries for other tables are untouched). It
-// reports whether the table was registered.
+// Unregister drops the named table from the catalog and reports whether it
+// was registered. Cached entries for its content stay until their LRU
+// tiers evict them: re-registering the same content hits them again.
 func (s *Session) Unregister(name string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f, ok := s.catalog.Table(name)
-	if !ok {
-		return false
-	}
-	s.catalog.Unregister(name)
-	s.router.InvalidateFrame(f.Fingerprint())
-	return true
+	return s.catalog.Unregister(name)
 }
 
 // Close releases the serving layer's transport resources (idle RPC
