@@ -14,8 +14,8 @@ import (
 // (the table prepared, the report memo bypassed), per mode. A change that
 // allocates more or less per query moves them, and must say so here.
 var warmQueryAllocs = map[string]float64{
-	"default": 1745,
-	"robust":  1752,
+	"default": 1401,
+	"robust":  1404,
 }
 
 // TestWarmQueryAllocs counts a warm query's allocations exactly. The

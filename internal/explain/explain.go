@@ -1,10 +1,9 @@
 package explain
 
 import (
-	"fmt"
 	"math"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 
 	"repro/internal/effect"
 )
@@ -12,65 +11,88 @@ import (
 // View renders the explanation for a view over the given columns, from its
 // computed components. Components with the strongest evidence come first;
 // at most three clauses are emitted. alpha is the significance level used
-// to prefer statistically confirmed components.
+// to prefer statistically confirmed components. The sentence is appended
+// into one buffer, on the stack unless it outgrows it, and copied out once.
 func View(columns []string, comps []effect.Component, alpha float64) string {
 	if len(columns) == 0 {
 		return ""
 	}
-	ranked := rankComponents(comps, alpha)
-	if len(ranked) == 0 {
-		return fmt.Sprintf("On %s, no reliable difference could be confirmed.", columnPhrase(columns))
-	}
-	limit := 3
-	if len(ranked) < limit {
-		limit = len(ranked)
-	}
-	clauses := make([]string, 0, limit)
-	for _, c := range ranked[:limit] {
-		if cl := clause(c); cl != "" {
-			clauses = append(clauses, cl)
+	var order [16]int
+	ranked := rankComponents(order[:0], comps, alpha)
+	ranked = ranked[:min(len(ranked), 3)]
+	clauses := ranked[:0]
+	for _, i := range ranked {
+		if hasClause(comps[i]) {
+			clauses = append(clauses, i)
 		}
 	}
+	var text [320]byte
+	buf := appendColumnPhrase(append(text[:0], "On "...), columns)
 	if len(clauses) == 0 {
-		return fmt.Sprintf("On %s, no reliable difference could be confirmed.", columnPhrase(columns))
+		return string(append(buf, ", no reliable difference could be confirmed."...))
 	}
-	return fmt.Sprintf("On %s, your selection %s.", columnPhrase(columns), joinClauses(clauses))
+	buf = append(buf, ", your selection "...)
+	for k, i := range clauses {
+		switch {
+		case k == 0:
+		case k < len(clauses)-1:
+			buf = append(buf, ", "...)
+		case k == 1:
+			buf = append(buf, " and "...)
+		default:
+			buf = append(buf, ", and "...)
+		}
+		buf = appendClause(buf, &comps[i])
+	}
+	return string(append(buf, '.'))
 }
 
-// rankComponents orders valid components: significant ones first (most
-// confident first), then the rest by normalized magnitude.
-func rankComponents(comps []effect.Component, alpha float64) []effect.Component {
-	var ranked []effect.Component
-	for _, c := range comps {
+// rankComponents appends to dst the indexes of comps' valid components,
+// ordered by evidence: significant ones first (most confident first), then
+// the rest by normalized magnitude. The sort is stable.
+func rankComponents(dst []int, comps []effect.Component, alpha float64) []int {
+	for i, c := range comps {
 		if c.Valid() && c.Norm > 0.05 {
-			ranked = append(ranked, c)
+			dst = append(dst, i)
 		}
 	}
-	sort.SliceStable(ranked, func(i, j int) bool {
-		si := ranked[i].Test.Significant(alpha)
-		sj := ranked[j].Test.Significant(alpha)
-		if si != sj {
-			return si
+	less := func(a, b *effect.Component) bool {
+		sa, sb := a.Test.Significant(alpha), b.Test.Significant(alpha)
+		if sa != sb {
+			return sa
 		}
-		if si && sj && ranked[i].Test.P != ranked[j].Test.P {
-			return ranked[i].Test.P < ranked[j].Test.P
+		if sa && sb && a.Test.P != b.Test.P {
+			return a.Test.P < b.Test.P
 		}
-		return ranked[i].Norm > ranked[j].Norm
+		return a.Norm > b.Norm
+	}
+	slices.SortStableFunc(dst, func(i, j int) int {
+		switch {
+		case less(&comps[i], &comps[j]):
+			return -1
+		case less(&comps[j], &comps[i]):
+			return 1
+		}
+		return 0
 	})
-	return ranked
+	return dst
 }
 
-// columnPhrase renders "column x" or "the columns x and y".
-func columnPhrase(columns []string) string {
-	switch len(columns) {
-	case 1:
-		return fmt.Sprintf("column %s", columns[0])
-	case 2:
-		return fmt.Sprintf("the columns %s and %s", columns[0], columns[1])
-	default:
-		return fmt.Sprintf("the columns %s and %s",
-			strings.Join(columns[:len(columns)-1], ", "), columns[len(columns)-1])
+// appendColumnPhrase appends "column x", "the columns x and y" or "the
+// columns x, y and z".
+func appendColumnPhrase(buf []byte, columns []string) []byte {
+	if len(columns) == 1 {
+		return cat(buf, "column ", columns[0])
 	}
+	buf = append(buf, "the columns "...)
+	last := len(columns) - 1
+	for i, c := range columns[:last] {
+		if i > 0 {
+			buf = append(buf, ", "...)
+		}
+		buf = append(buf, c...)
+	}
+	return cat(buf, " and ", columns[last])
 }
 
 // magnitude picks an adverb from the normalized effect size.
@@ -85,122 +107,104 @@ func magnitude(norm float64) string {
 	}
 }
 
-// clause renders one component as a verb phrase.
-func clause(c effect.Component) string {
+// either returns no when cond holds and yes otherwise.
+func either(cond bool, no, yes string) string {
+	if cond {
+		return no
+	}
+	return yes
+}
+
+// hasClause reports whether appendClause renders c.
+func hasClause(c effect.Component) bool {
+	switch c.Kind {
+	case effect.DiffCorrelations, effect.DiffSeparation:
+		return len(c.Columns) >= 2
+	case effect.DiffMeans, effect.DiffLocationsRobust, effect.DiffStdDevs, effect.DiffFrequencies,
+		effect.DiffQuantiles, effect.DiffTails, effect.DiffEntropy:
+		return true
+	}
+	return false
+}
+
+// appendClause appends component c, which hasClause accepts, as a verb
+// phrase.
+func appendClause(buf []byte, c *effect.Component) []byte {
 	switch c.Kind {
 	case effect.DiffMeans:
-		dir := "higher"
-		if c.Raw < 0 {
-			dir = "lower"
-		}
-		return fmt.Sprintf("has %s %s values on %s (avg %s vs %s)",
-			magnitude(c.Norm), dir, c.Columns[0], num(c.Inside), num(c.Outside))
-
+		buf = cat(buf, "has ", magnitude(c.Norm), " ", either(c.Raw < 0, "lower", "higher"), " values on ", c.Columns[0], " (avg ")
+		return versus(buf, c.Inside, " vs ", c.Outside, ")", appendNum)
 	case effect.DiffLocationsRobust:
-		dir := "higher"
-		if c.Raw < 0 {
-			dir = "lower"
-		}
-		return fmt.Sprintf("ranks %s %s on %s (median %s vs %s)",
-			magnitude(c.Norm), dir, c.Columns[0], num(c.Inside), num(c.Outside))
-
+		buf = cat(buf, "ranks ", magnitude(c.Norm), " ", either(c.Raw < 0, "lower", "higher"), " on ", c.Columns[0], " (median ")
+		return versus(buf, c.Inside, " vs ", c.Outside, ")", appendNum)
 	case effect.DiffStdDevs:
-		if c.Raw < 0 {
-			return fmt.Sprintf("has a %s lower variance on %s (σ %s vs %s)",
-				magnitude(c.Norm), c.Columns[0], num(c.Inside), num(c.Outside))
-		}
-		return fmt.Sprintf("has a %s higher variance on %s (σ %s vs %s)",
-			magnitude(c.Norm), c.Columns[0], num(c.Inside), num(c.Outside))
-
+		buf = cat(buf, "has a ", magnitude(c.Norm), " ", either(c.Raw < 0, "lower", "higher"), " variance on ", c.Columns[0], " (σ ")
+		return versus(buf, c.Inside, " vs ", c.Outside, ")", appendNum)
 	case effect.DiffCorrelations:
-		if len(c.Columns) < 2 {
-			return ""
-		}
+		a, b := c.Columns[0], c.Columns[1]
 		switch {
 		case math.Abs(c.Inside) >= 0.35 && math.Abs(c.Outside) < 0.2:
-			return fmt.Sprintf("couples %s with %s (r=%.2f inside vs %.2f outside)",
-				c.Columns[0], c.Columns[1], c.Inside, c.Outside)
+			buf = cat(buf, "couples ", a, " with ", b)
 		case math.Abs(c.Inside) < 0.2 && math.Abs(c.Outside) >= 0.35:
-			return fmt.Sprintf("loses the usual link between %s and %s (r=%.2f inside vs %.2f outside)",
-				c.Columns[0], c.Columns[1], c.Inside, c.Outside)
+			buf = cat(buf, "loses the usual link between ", a, " and ", b)
 		default:
-			return fmt.Sprintf("shifts the correlation of %s and %s (r=%.2f inside vs %.2f outside)",
-				c.Columns[0], c.Columns[1], c.Inside, c.Outside)
+			buf = cat(buf, "shifts the correlation of ", a, " and ", b)
 		}
-
+		return versus(append(buf, " (r="...), c.Inside, " inside vs ", c.Outside, " outside)", appendFixed2)
 	case effect.DiffFrequencies:
-		dir := "over-represents"
-		if c.Inside < c.Outside {
-			dir = "under-represents"
-		}
-		return fmt.Sprintf("%s the category %q of %s (%.0f%% vs %.0f%%)",
-			dir, c.Detail, c.Columns[0], 100*c.Inside, 100*c.Outside)
-
+		buf = cat(buf, either(c.Inside < c.Outside, "under-represents", "over-represents"), " the category ")
+		buf = cat(strconv.AppendQuote(buf, c.Detail), " of ", c.Columns[0], " (")
+		return versus(buf, 100*c.Inside, "% vs ", 100*c.Outside, "%)", appendFixed0)
 	case effect.DiffQuantiles:
-		dir := "above"
-		if c.Raw < 0 {
-			dir = "below"
-		}
-		return fmt.Sprintf("sits %s %s the typical %s (median %s vs %s)",
-			magnitude(c.Norm), dir, c.Columns[0], num(c.Inside), num(c.Outside))
-
+		buf = cat(buf, "sits ", magnitude(c.Norm), " ", either(c.Raw < 0, "below", "above"), " the typical ", c.Columns[0], " (median ")
+		return versus(buf, c.Inside, " vs ", c.Outside, ")", appendNum)
 	case effect.DiffTails:
-		if c.Raw > 0 {
-			return fmt.Sprintf("has %s heavier tails on %s (tail ratio %.2f vs %.2f)",
-				magnitude(c.Norm), c.Columns[0], c.Inside, c.Outside)
-		}
-		return fmt.Sprintf("has %s lighter tails on %s (tail ratio %.2f vs %.2f)",
-			magnitude(c.Norm), c.Columns[0], c.Inside, c.Outside)
-
+		buf = cat(buf, "has ", magnitude(c.Norm), " ", either(c.Raw > 0, "heavier", "lighter"), " tails on ", c.Columns[0], " (tail ratio ")
+		return versus(buf, c.Inside, " vs ", c.Outside, ")", appendFixed2)
 	case effect.DiffEntropy:
-		if c.Raw < 0 {
-			return fmt.Sprintf("concentrates on fewer categories of %s (entropy %.2f vs %.2f)",
-				c.Columns[0], c.Inside, c.Outside)
-		}
-		return fmt.Sprintf("spreads over more categories of %s (entropy %.2f vs %.2f)",
-			c.Columns[0], c.Inside, c.Outside)
-
+		buf = cat(buf, either(c.Raw < 0, "concentrates on fewer", "spreads over more"), " categories of ", c.Columns[0], " (entropy ")
+		return versus(buf, c.Inside, " vs ", c.Outside, ")", appendFixed2)
 	case effect.DiffSeparation:
-		if len(c.Columns) < 2 {
-			return ""
-		}
 		if c.Raw > 0 {
-			return fmt.Sprintf("lets %s separate %s more sharply (η=%.2f inside vs %.2f outside)",
-				c.Columns[0], c.Columns[1], c.Inside, c.Outside)
+			buf = cat(buf, "lets ", c.Columns[0], " separate ", c.Columns[1], " more sharply")
+		} else {
+			buf = cat(buf, "blurs the separation of ", c.Columns[1], " by ", c.Columns[0])
 		}
-		return fmt.Sprintf("blurs the separation of %s by %s (η=%.2f inside vs %.2f outside)",
-			c.Columns[1], c.Columns[0], c.Inside, c.Outside)
-
-	default:
-		return ""
+		return versus(append(buf, " (η="...), c.Inside, " inside vs ", c.Outside, " outside)", appendFixed2)
 	}
+	return buf
 }
 
-// joinClauses joins verb phrases with commas and a final "and".
-func joinClauses(clauses []string) string {
-	switch len(clauses) {
-	case 1:
-		return clauses[0]
-	case 2:
-		return clauses[0] + " and " + clauses[1]
-	default:
-		return strings.Join(clauses[:len(clauses)-1], ", ") + ", and " + clauses[len(clauses)-1]
+// cat appends the strings.
+func cat(buf []byte, parts ...string) []byte {
+	for _, p := range parts {
+		buf = append(buf, p...)
 	}
+	return buf
 }
 
-// num formats a statistic compactly, with thousands kept readable.
-func num(v float64) string {
+// versus appends a, sep, b and end, each statistic in format f.
+func versus(buf []byte, a float64, sep string, b float64, end string, f func([]byte, float64) []byte) []byte {
+	return append(f(append(f(buf, a), sep...), b), end...)
+}
+
+// appendFixed0 appends v as fmt's %.0f does.
+func appendFixed0(buf []byte, v float64) []byte { return strconv.AppendFloat(buf, v, 'f', 0, 64) }
+
+// appendFixed2 appends v as fmt's %.2f does.
+func appendFixed2(buf []byte, v float64) []byte { return strconv.AppendFloat(buf, v, 'f', 2, 64) }
+
+// appendNum appends a statistic compactly, with thousands kept readable.
+func appendNum(buf []byte, v float64) []byte {
 	a := math.Abs(v)
 	switch {
 	case a >= 1e6:
-		return fmt.Sprintf("%.3gM", v/1e6)
+		return append(strconv.AppendFloat(buf, v/1e6, 'g', 3, 64), 'M')
 	case a >= 1e4:
-		return fmt.Sprintf("%.3gk", v/1e3)
+		return append(strconv.AppendFloat(buf, v/1e3, 'g', 3, 64), 'k')
 	case a >= 100:
-		return fmt.Sprintf("%.0f", v)
-	case a >= 1:
-		return fmt.Sprintf("%.3g", v)
+		return appendFixed0(buf, v)
 	default:
-		return fmt.Sprintf("%.3g", v)
+		return strconv.AppendFloat(buf, v, 'g', 3, 64)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/effect"
 	"repro/internal/hypo"
+	"repro/internal/randx"
 )
 
 func comp(k effect.Kind, cols []string, raw, norm, inside, outside, p float64) effect.Component {
@@ -167,5 +168,68 @@ func TestNumberFormatting(t *testing.T) {
 	s := View([]string{"x"}, []effect.Component{big}, 0.05)
 	if !strings.Contains(s, "M") {
 		t.Errorf("millions should be abbreviated: %q", s)
+	}
+}
+
+// TestViewMatchesReference compares View with the fmt-built reference
+// byte for byte over random views: every component kind, with one or two
+// columns, and statistics that are tiny, huge, −0, ±Inf or NaN, so every
+// number format and every ordering branch is taken. Category names carry
+// quotes, backslashes and non-ASCII runes for %q.
+func TestViewMatchesReference(t *testing.T) {
+	r := randx.New(39)
+	kinds := []effect.Kind{effect.DiffMeans, effect.DiffLocationsRobust, effect.DiffStdDevs, effect.DiffCorrelations,
+		effect.DiffFrequencies, effect.DiffQuantiles, effect.DiffTails, effect.DiffEntropy, effect.DiffSeparation, effect.Kind(99)}
+	stat := func() float64 {
+		switch r.Intn(12) {
+		case 0:
+			return math.Inf(1 - 2*r.Intn(2))
+		case 1:
+			return math.NaN()
+		case 2:
+			return math.Copysign(0, -1)
+		case 3:
+			return r.Normal(0, 0.3)
+		default:
+			return r.Normal(0, 1) * math.Pow(10, float64(r.Intn(16)-6))
+		}
+	}
+	names := []string{"a", "pop_density", `q"uote`, "back\\slash", "émigré", "tab\there"}
+	for i := 0; i < 5000; i++ {
+		var columns []string
+		for k := r.Intn(5); k >= 0; k-- {
+			columns = append(columns, names[r.Intn(len(names))])
+		}
+		comps := make([]effect.Component, r.Intn(7))
+		for j := range comps {
+			cols := columns[:1+r.Intn(len(columns))]
+			comps[j] = comp(kinds[r.Intn(len(kinds))], cols[:min(len(cols), 2)], stat(), r.Float64(), stat(), stat(), r.Float64()*0.1)
+			switch r.Intn(8) {
+			case 0:
+				comps[j].Norm = math.NaN()
+			case 1:
+				comps[j].Test.P = math.NaN()
+			case 2:
+				comps[j].Norm = comps[(j+1)%len(comps)].Norm
+			}
+			comps[j].Detail = names[r.Intn(len(names))]
+		}
+		alpha := []float64{0.05, 0.01, 1}[r.Intn(3)]
+		if got, want := View(columns, comps, alpha), referenceView(columns, comps, alpha); got != want {
+			t.Fatalf("view %d:\n got %q\nwant %q", i, got, want)
+		}
+	}
+}
+
+// TestViewAllocatesOnce holds View to one allocation, its returned string.
+func TestViewAllocatesOnce(t *testing.T) {
+	comps := []effect.Component{
+		comp(effect.DiffMeans, []string{"a"}, 1, 0.9, 61234567, 1234, 0.001),
+		comp(effect.DiffCorrelations, []string{"a", "b"}, 0.6, 0.5, 0.75, 0.35, 0.002),
+		comp(effect.DiffStdDevs, []string{"b"}, -1, 0.6, 0.5, 2, 0.003),
+		comp(effect.DiffTails, []string{"b"}, 1, 0.3, 1.5, 1.1, 0.2),
+	}
+	if allocs := testing.AllocsPerRun(100, func() { View([]string{"a", "b"}, comps, 0.05) }); allocs != 1 {
+		t.Errorf("View allocates %v times, want 1", allocs)
 	}
 }
