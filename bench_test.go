@@ -591,20 +591,22 @@ func BenchmarkExtendedCharacterize(b *testing.B) {
 }
 
 // splitSink keeps the compiler from dropping BenchmarkRobustColumn's
-// measured call.
-var splitSink stats.Ranking
+// measured calls.
+var splitSink [4]core.ColumnSplit
 
 // BenchmarkRobustColumn times one numeric column's per-query work, with
 // the column indexed once outside the loop as the prepared tier indexes it
 // once per table. "walk" is the robust Rank of the column's index and
 // Cliff's delta from it. "split" is the whole split a fresh query runs per
-// numeric column on a robust engine (core.SplitColumn): the side counts,
+// numeric column on a robust engine (core.SplitColumns): the side counts,
 // both sides' summaries and the Rank, on a warmed scratch. It runs on
 // uscrime's population column under the crime selection, under the rows
 // at or above its 90th and 50th percentiles (sel=10% and sel=50%, so the
 // Rank's cost shows it follows the smaller side), and on an 8,192-row
-// column with ties and NULLs, 30% selected; the CI bench job gates every
-// split to 0 allocs/op via benchdiff -zero-allocs.
+// column with ties and NULLs, 30% selected. "split/block=4" splits four
+// NULL-free uscrime columns under the crime selection in one block walk,
+// as the engine walks a table's NULL-free columns. The CI bench job gates
+// every split to 0 allocs/op via benchdiff -zero-allocs.
 func BenchmarkRobustColumn(b *testing.B) {
 	sc := mustCrime(b)
 	in, out, err := sc.Frame.SplitNumeric("population", sc.Mask)
@@ -623,22 +625,28 @@ func BenchmarkRobustColumn(b *testing.B) {
 			_ = effect.CliffDeltaRanked("population", r)
 		}
 	})
-	split := func(f *frame.Frame, col int, mask *frame.Bitmap) func(b *testing.B) {
+	split := func(f *frame.Frame, mask *frame.Bitmap, cols ...int) func(b *testing.B) {
 		return func(b *testing.B) {
-			xs, valid := f.Col(col).Floats(), f.ColumnValidWords(col)
-			var ranks stats.RankIndex
-			ranks.Build(nil, xs)
+			xs := make([][]float64, len(cols))
+			ranks := make([]*stats.RankIndex, len(cols))
+			for k, col := range cols {
+				xs[k] = f.Col(col).Floats()
+				ranks[k] = new(stats.RankIndex)
+				ranks[k].Build(nil, xs[k])
+			}
+			valid := f.ColumnValidWords(cols[0])
 			in, out := mask.Words(), mask.Clone().Not().Words()
-			var s stats.RankingScratch
-			core.SplitColumn(xs, &ranks, in, out, valid, &s) // warm the scratch
+			var s core.SplitScratch
+			dst := splitSink[:len(cols)]
+			core.SplitColumns(dst, xs, ranks, in, out, valid, &s) // warm the scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, _, splitSink = core.SplitColumn(xs, &ranks, in, out, valid, &s)
+				core.SplitColumns(dst, xs, ranks, in, out, valid, &s)
 			}
 		}
 	}
-	b.Run("split/column=population", split(sc.Frame, pop, sc.Mask))
+	b.Run("split/column=population", split(sc.Frame, sc.Mask, pop))
 	for _, q := range []struct {
 		name  string
 		level float64
@@ -653,8 +661,17 @@ func BenchmarkRobustColumn(b *testing.B) {
 				mask.Set(i)
 			}
 		}
-		b.Run("split/"+q.name, split(sc.Frame, pop, mask))
+		b.Run("split/"+q.name, split(sc.Frame, mask, pop))
 	}
+	var four []int
+	for _, name := range []string{"population", "pop_density", "median_income", "pct_college_educ"} {
+		i := sc.Frame.ColIndex(name)
+		if i < 0 || sc.Frame.Col(i).NullCount() != 0 {
+			b.Fatalf("uscrime column %q is missing or has NULLs", name)
+		}
+		four = append(four, i)
+	}
+	b.Run("split/block=4", split(sc.Frame, sc.Mask, four...))
 	const n = 8192
 	synthetic, mask := make([]float64, n), frame.NewBitmap(n)
 	u := uint64(0x9e3779b97f4a7c15)
@@ -674,17 +691,9 @@ func BenchmarkRobustColumn(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("split/rows=8192", split(f, 0, mask))
+	b.Run("split/rows=8192", split(f, mask, 0))
 }
 
-// BenchmarkRankingKernels measures one column's ranking per input shape
-// on warmed scratches: the column's rank index (stats.RankIndex.Build: the
-// radix sort of its order and the order's inversion) and one Rank of that
-// index for a half/half split (rank sum, tie correction, group medians).
-// The shapes are a 4,096-value fractional column, a 4,096-value narrow
-// integral column and a 48-value column. The CI bench job runs it with
-// -benchmem and gates every shape to exactly 0 allocs/op via benchdiff
-// -zero-allocs.
 func BenchmarkRankingKernels(b *testing.B) {
 	mk := func(n int, f func(u uint64) float64) []float64 {
 		xs := make([]float64, n)

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -41,6 +43,9 @@ type Engine struct {
 	// engines (NewShared) — the shard router shares its report cache with
 	// its local backends.
 	reports *ReportCache
+	// splits holds the *SplitScratch of finished queries, so a worker of a
+	// ranking engine's next query splits its columns without allocating.
+	splits sync.Pool
 }
 
 // prepared holds the query-independent preparation products for one table.
@@ -54,6 +59,8 @@ type prepared struct {
 	// slab, so a table's indexes cost 4 bytes per numeric cell, NULL rows
 	// included, plus 8 per tie group.
 	ranks []stats.RankIndex
+	// blocks are the tasks of a query's column walk (columnBlocks).
+	blocks [][]int
 }
 
 // New validates cfg and builds an engine with a private report cache.
@@ -130,6 +137,11 @@ type colData struct {
 	// warning is the skip reason when the column is unusable; collected
 	// into Report.Warnings in column order after the parallel fan-out.
 	warning string
+
+	// in and out are a numeric column's moments on each side, kept so
+	// that a pair with the same validity mask correlates in one pass
+	// (correlateKept).
+	in, out moments
 
 	// One-dimensional Zig-Components of this column.
 	comps []effect.Component
@@ -342,7 +354,7 @@ func (e *Engine) prepare(f *frame.Frame) (*prepared, bool, error) {
 		if err != nil {
 			return nil, err
 		}
-		p := &prepared{dep: dep, dendro: dendro}
+		p := &prepared{dep: dep, dendro: dendro, blocks: columnBlocks(f)}
 		if e.ranked() {
 			p.ranks = e.columnRanks(f)
 		}
@@ -368,6 +380,34 @@ func (e *Engine) columnRanks(f *frame.Frame) []stats.RankIndex {
 		ranks[i].Build(&scratch[w], f.Col(i).Floats())
 	})
 	return ranks
+}
+
+// columnBlocks groups f's columns into the tasks of a query's column walk:
+// the NULL-free numeric columns, which share one validity mask, blockLanes
+// at a time in column order, then each other column alone — a numeric
+// column with NULLs as a block of its own.
+func columnBlocks(f *frame.Frame) [][]int {
+	order := make([]int, 0, f.NumCols())
+	var blocks [][]int
+	nullFree := func(i int) bool {
+		f.ColumnValidWords(i) // seals the column, so NullCount reads no cell
+		return f.Col(i).Kind() == frame.Numeric && f.Col(i).NullCount() == 0
+	}
+	for i := 0; i < f.NumCols(); i++ {
+		if nullFree(i) {
+			order = append(order, i)
+		}
+	}
+	for lo := 0; lo < len(order); lo += blockLanes {
+		blocks = append(blocks, order[lo:min(lo+blockLanes, len(order))])
+	}
+	for i := 0; i < f.NumCols(); i++ {
+		if !nullFree(i) {
+			order = append(order, i)
+			blocks = append(blocks, order[len(order)-1:])
+		}
+	}
+	return blocks
 }
 
 // dependencies builds f's dependency matrix. Under AbsPearson the matrix is
@@ -415,25 +455,42 @@ func approxSampleSeed(frameFP, selFP, userSeed uint64, cap int) uint64 {
 }
 
 // summarizeColumns computes each column's 1D components from the
-// partition, fanning the columns out across the engine's workers, each
-// with its own ranking scratch. Each task writes only cols[i], so the
-// result is identical for every worker count; skip warnings are collected
-// in column order afterwards.
+// partition, fanning the prepared column blocks out across the engine's
+// workers; a ranking engine's workers each take a split scratch from the
+// engine's pool. Each task writes only its columns' cols[i], and a
+// column's results do not depend on its block, so the result is identical
+// for every worker count; skip warnings are collected in column order
+// afterwards.
 func (e *Engine) summarizeColumns(f *frame.Frame, prep *prepared, p *partition, rep *Report) []colData {
 	cols := make([]colData, f.NumCols())
 	workers := e.workers()
-	var scratch []stats.RankingScratch
+	var scratch []*SplitScratch
 	if prep.ranks != nil {
-		scratch = make([]stats.RankingScratch, workers)
+		scratch = make([]*SplitScratch, workers)
 	}
-	par.For(workers, f.NumCols(), func(w, i int) {
-		var ranks *stats.RankIndex
-		var s *stats.RankingScratch
-		if prep.ranks != nil {
-			ranks, s = &prep.ranks[i], &scratch[w]
+	par.For(workers, len(prep.blocks), func(w, t int) {
+		idx := prep.blocks[t]
+		if f.Col(idx[0]).Kind() == frame.Categorical {
+			cols[idx[0]] = e.summarizeCategorical(f, idx[0], p)
+			return
 		}
-		cols[i] = e.summarizeColumn(f, i, p, ranks, s)
+		var s *SplitScratch
+		if scratch != nil {
+			if scratch[w] == nil {
+				scratch[w], _ = e.splits.Get().(*SplitScratch)
+				if scratch[w] == nil {
+					scratch[w] = new(SplitScratch)
+				}
+			}
+			s = scratch[w]
+		}
+		e.summarizeBlock(f, idx, p, prep.ranks, s, cols)
 	})
+	for _, s := range scratch {
+		if s != nil {
+			e.splits.Put(s)
+		}
+	}
 	for i := range cols {
 		if cols[i].warning != "" {
 			rep.Warnings = append(rep.Warnings, cols[i].warning)
@@ -442,49 +499,79 @@ func (e *Engine) summarizeColumns(f *frame.Frame, prep *prepared, p *partition, 
 	return cols
 }
 
-// summarizeColumn computes column i's 1D components by walking the
-// partition's sides over the column's non-NULL rows. ranks is the column's
-// prepared rank index when the engine ranks, and s the worker's ranking
-// scratch.
-func (e *Engine) summarizeColumn(f *frame.Frame, i int, p *partition, ranks *stats.RankIndex, s *stats.RankingScratch) colData {
+// newColData starts column i's colData and checks that both sides hold
+// MinRows of its nIn and nOut non-NULL rows, setting the skip warning when
+// not.
+func (e *Engine) newColData(f *frame.Frame, i, nIn, nOut int) colData {
 	c := f.Col(i)
 	cd := colData{idx: i, name: c.Name(), kind: c.Kind(), valid: f.ColumnValidWords(i)}
-	nIn, nOut := countRows(p.in, cd.valid), countRows(p.out, cd.valid)
 	if nIn < e.cfg.MinRows || nOut < e.cfg.MinRows {
 		cd.warning = fmt.Sprintf("column %q skipped: only %d/%d usable rows inside/outside", c.Name(), nIn, nOut)
+	} else {
+		cd.usable = true
+	}
+	return cd
+}
+
+// summarizeBlock computes the 1D components of the numeric columns idx,
+// which share one validity mask, with one block walk of the partition's
+// sides (block.split). ranks are the table's prepared rank indexes when the
+// engine ranks, and s the worker's split scratch.
+func (e *Engine) summarizeBlock(f *frame.Frame, idx []int, p *partition, ranks []stats.RankIndex, s *SplitScratch, cols []colData) {
+	valid := f.ColumnValidWords(idx[0])
+	nIn, nOut := countRows(p.in, valid), countRows(p.out, valid)
+	var xs [blockLanes][]float64
+	var kr [blockLanes]*stats.RankIndex
+	for l, i := range idx {
+		cols[i] = e.newColData(f, i, nIn, nOut)
+		xs[l] = f.Col(i).Floats()
+		if ranks != nil {
+			kr[l] = &ranks[i]
+		}
+	}
+	if !cols[idx[0]].usable {
+		return
+	}
+	var k block
+	k.fill(xs[:len(idx)]...)
+	// Sort once per table, rank per query: in robust or extended mode one
+	// Ranking of each column's prepared index, finished from the smaller
+	// side's positions marked in the moment walk, serves Cliff's delta,
+	// its Mann-Whitney bound and both medians (robust), and the quantile
+	// and tail order statistics (extended). Nothing is sorted here.
+	res := k.split(p.in, p.out, valid, nIn, nOut, &kr, e.cfg.Extended, s)
+	for l, i := range idx {
+		cd := &cols[i]
+		cd.in, cd.out = res[l].in, res[l].out
+		in, out, r := cd.in.summary(), cd.out.summary(), res[l].r
+		if e.cfg.Robust {
+			cd.comps = append(cd.comps, effect.CliffDeltaRanked(cd.name, r))
+		} else {
+			cd.comps = append(cd.comps, effect.Means(cd.name, in, out))
+		}
+		cd.comps = append(cd.comps, effect.StdDevs(cd.name, in, out))
+		if e.cfg.Extended {
+			cd.comps = append(cd.comps, effect.Quantiles(cd.name, r))
+			cd.comps = append(cd.comps, effect.Tails(cd.name, r, in, out))
+		}
+		cd.score = effect.Score(cd.comps, e.cfg.Weights)
+	}
+}
+
+// summarizeCategorical computes categorical column i's 1D components from
+// its per-code tallies on each side.
+func (e *Engine) summarizeCategorical(f *frame.Frame, i int, p *partition) colData {
+	c := f.Col(i)
+	valid := f.ColumnValidWords(i)
+	cd := e.newColData(f, i, countRows(p.in, valid), countRows(p.out, valid))
+	if !cd.usable {
 		return cd
 	}
-	cd.usable = true
-	switch c.Kind() {
-	case frame.Numeric:
-		xs := c.Floats()
-		in, out := summarizePair(xs, p.in, p.out, cd.valid, nIn, nOut)
-		// Sort once per table, rank per query: in robust or extended mode
-		// one Rank of the column's prepared index, which visits the
-		// smaller side's rows, serves Cliff's delta, its Mann-Whitney bound
-		// and both medians (robust), and the quantile and tail order
-		// statistics (extended). Nothing is sorted here.
-		var r stats.Ranking
-		if e.ranked() {
-			r = ranks.Rank(s, xs, p.in, p.out, nIn, nOut, e.cfg.Extended)
-		}
-		if e.cfg.Robust {
-			cd.comps = append(cd.comps, effect.CliffDeltaRanked(c.Name(), r))
-		} else {
-			cd.comps = append(cd.comps, effect.Means(c.Name(), in, out))
-		}
-		cd.comps = append(cd.comps, effect.StdDevs(c.Name(), in, out))
-		if e.cfg.Extended {
-			cd.comps = append(cd.comps, effect.Quantiles(c.Name(), r))
-			cd.comps = append(cd.comps, effect.Tails(c.Name(), r, in, out))
-		}
-	case frame.Categorical:
-		k := c.Cardinality()
-		in, out := tally(c.Codes(), p.in, cd.valid, k), tally(c.Codes(), p.out, cd.valid, k)
-		cd.comps = append(cd.comps, effect.Frequencies(c.Name(), in, out, c.Dict()))
-		if e.cfg.Extended {
-			cd.comps = append(cd.comps, effect.Entropy(c.Name(), in, out, c.Dict()))
-		}
+	k := c.Cardinality()
+	in, out := tally(c.Codes(), p.in, cd.valid, k), tally(c.Codes(), p.out, cd.valid, k)
+	cd.comps = append(cd.comps, effect.Frequencies(c.Name(), in, out, c.Dict()))
+	if e.cfg.Extended {
+		cd.comps = append(cd.comps, effect.Entropy(c.Name(), in, out, c.Dict()))
 	}
 	cd.score = effect.Score(cd.comps, e.cfg.Weights)
 	return cd
@@ -614,7 +701,13 @@ func (e *Engine) scoreCandidate(f *frame.Frame, p *partition, cols []colData, de
 			switch {
 			case ca.kind == frame.Numeric && cb.kind == frame.Numeric:
 				fa, fb := f.Col(ca.idx).Floats(), f.Col(cb.idx).Floats()
-				ri, ni, ro, no := correlatePair(fa, fb, p.in, p.out, ca.valid, cb.valid)
+				var ri, ro float64
+				var ni, no int
+				if slices.Equal(ca.valid, cb.valid) {
+					ri, ni, ro, no = correlateKept(fa, fb, p.in, p.out, ca.valid, ca.in, ca.out, cb.in, cb.out)
+				} else {
+					ri, ni, ro, no = correlatePair(fa, fb, p.in, p.out, ca.valid, cb.valid)
+				}
 				comps = append(comps, effect.Correlations(ca.name, cb.name, ri, ni, ro, no))
 			case e.cfg.Extended && ca.kind == frame.Categorical && cb.kind == frame.Numeric:
 				comps = append(comps, mixedSeparation(f, p, ca, cb))

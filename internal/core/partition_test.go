@@ -123,7 +123,11 @@ func TestPartitionWalksMatchCopiedSplit(t *testing.T) {
 					if nIn != len(wantIn) || nOut != len(wantOut) {
 						t.Fatalf("%s: countRows = %d/%d, want %d/%d", where, nIn, nOut, len(wantIn), len(wantOut))
 					}
-					gotIn, gotOut := summarizePair(xs, p.in, p.out, valid, nIn, nOut)
+					var k block
+					k.fill(xs)
+					var noRanks [blockLanes]*stats.RankIndex
+					res := k.split(p.in, p.out, valid, nIn, nOut, &noRanks, false, nil)
+					gotIn, gotOut := res[0].in.summary(), res[0].out.summary()
 					for side, pair := range map[string][2]stats.Summary{
 						"in":  {gotIn, stats.Summarize(wantIn)},
 						"out": {gotOut, stats.Summarize(wantOut)},

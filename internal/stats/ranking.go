@@ -307,7 +307,8 @@ func zeroed(buf *[]uint64, n int) []uint64 {
 //  1. It visits the rows of the smaller group in row order and sets their
 //     positions in that group's bitmap, adding the positions up as
 //     integers; a sampled split visits both groups. It panics when a
-//     visited group's count disagrees with na or nb.
+//     visited group's count disagrees with na or nb. An exact split may
+//     leave this step to its caller (RankMarked).
 //  2. The larger group's doubled rank sum is the smaller's subtracted
 //     from n(n+1), n = na+nb. In an exact split the larger group is the
 //     complement of the smaller, a position's rank is its own, and the tie
@@ -325,22 +326,44 @@ func zeroed(buf *[]uint64, n int) []uint64 {
 // holding both −0 and +0 the row at a position is the one Order put there.
 // s is reused across calls and must not be shared between goroutines.
 func (x *RankIndex) Rank(s *RankingScratch, xs []float64, a, b []uint64, na, nb int, quantiles bool) Ranking {
-	r := Ranking{NA: na, NB: nb}
-	r.clearQuantiles()
 	nw := (x.N + 63) >> 6
-	exact := na+nb == x.N
-	walkA := na <= nb // the smaller group; a sample visits both
 	small, nSmall, large, nLarge := a, na, b, nb
-	if !walkA {
+	if na > nb { // the smaller group; a sample visits both
 		small, nSmall, large, nLarge = b, nb, a, na
 	}
 	smallBits := zeroed(&s.a, nw)
-	var largeBits []uint64
 	sum := x.mark(smallBits, small, nSmall)
-	if !exact {
-		largeBits = zeroed(&s.b, nw)
-		x.mark(largeBits, large, nLarge)
+	if na+nb == x.N {
+		return x.rankMarks(s, xs, smallBits, nil, sum, na, nb, quantiles)
 	}
+	largeBits := zeroed(&s.b, nw)
+	x.mark(largeBits, large, nLarge)
+	return x.rankMarks(s, xs, smallBits, largeBits, sum, na, nb, quantiles)
+}
+
+// RankMarked is Rank of an exact split (na+nb = x.N) whose first step the
+// caller has taken: marks holds one bit per position of x's order (position
+// p at bit p&63 of word p>>6), set at the Pos of every row of the smaller
+// group — A when na ≤ nb, B otherwise — and clear elsewhere, and sum is
+// those positions' sum. A caller that walks the smaller group's rows for
+// other statistics marks them in the same walk. It returns Rank's Ranking
+// bit for bit, and panics on a sampled split.
+func (x *RankIndex) RankMarked(s *RankingScratch, xs []float64, marks []uint64, sum int64, na, nb int, quantiles bool) Ranking {
+	if na+nb != x.N {
+		panic("stats: RankMarked of a sampled split")
+	}
+	return x.rankMarks(s, xs, marks, nil, sum, na, nb, quantiles)
+}
+
+// rankMarks takes Rank's steps 2 to 4 from the smaller group's marked
+// bitmap, the larger group's (nil in an exact split) and the smaller
+// group's position sum.
+func (x *RankIndex) rankMarks(s *RankingScratch, xs []float64, smallBits, largeBits []uint64, sum int64, na, nb int, quantiles bool) Ranking {
+	r := Ranking{NA: na, NB: nb}
+	r.clearQuantiles()
+	exact := largeBits == nil
+	walkA := na <= nb
+	nSmall := min(na, nb)
 
 	// The doubled rank sum of the smaller group. Alone, position p has the
 	// doubled 1-based rank 2p+2.

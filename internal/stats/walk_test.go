@@ -534,7 +534,9 @@ func TestOrderRankingRankSumExact(t *testing.T) {
 // of the sample when mode's bit 0 asks for a sampled split. Mode's next
 // two bits replace the selection by none of the rows, by one row, or by
 // all rows but one. One scratch ranks the split and then its swap, so a
-// reused scratch is checked too.
+// reused scratch is checked too. On an exact split, RankMarked from the
+// smaller group's positions marked outside Rank must return Rank's
+// Ranking bit for bit.
 func FuzzRanking(f *testing.F) {
 	f.Add([]byte{0x00, 0x09, 0x01, 0x1b, 0x22, 0x0c, 0x07, 0xff, 0x13, 0x45, 0x2d, 0x0e}, uint8(0))
 	f.Add([]byte{0x00, 0x09, 0x01, 0x1b, 0x22, 0x0c, 0x07, 0xff, 0x13, 0x45, 0x2d, 0x0e}, uint8(1))
@@ -616,6 +618,32 @@ func FuzzRanking(f *testing.F) {
 			}
 			if !ok || got.NA != ga || got.NB != gb {
 				t.Fatalf("xs=%v mode=%d (na,nb)=(%d,%d):\nRank %+v\nwalk %+v", xs, mode, ga, gb, got, want)
+			}
+			if ga+gb != x.N {
+				continue
+			}
+			// An exact split ranks the same from the smaller group's
+			// positions marked outside Rank.
+			small := sp.a
+			if ga > gb {
+				small = sp.b
+			}
+			marks := make([]uint64, (x.N+63)/64)
+			var sum int64
+			for row, p := range x.Pos {
+				if p >= 0 && small[row>>6]&(1<<(uint(row)&63)) != 0 {
+					marks[p>>6] |= 1 << (uint32(p) & 63)
+					sum += int64(p)
+				}
+			}
+			marked := x.RankMarked(s, xs, marks, sum, ga, gb, true)
+			ok = same(marked.RankSumA, got.RankSumA) && same(marked.TieSum, got.TieSum) &&
+				same(marked.MedianA, got.MedianA) && same(marked.MedianB, got.MedianB)
+			for i := range QuantileLevels {
+				ok = ok && same(marked.QuantilesA[i], got.QuantilesA[i]) && same(marked.QuantilesB[i], got.QuantilesB[i])
+			}
+			if !ok || marked.NA != ga || marked.NB != gb {
+				t.Fatalf("xs=%v mode=%d (na,nb)=(%d,%d):\nRankMarked %+v\nRank       %+v", xs, mode, ga, gb, marked, got)
 			}
 		}
 	})
