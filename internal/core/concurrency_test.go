@@ -113,45 +113,52 @@ func TestConcurrentDistinctFrames(t *testing.T) {
 // TestConcurrentCharacterizeParallelEngine layers the two levels of
 // concurrency: many goroutines calling Characterize on ONE engine whose
 // internal stages themselves fan out across workers. Run under -race, this
-// is the main guard for the worker pool's shared-state discipline.
+// is the main guard for the worker pool's shared-state discipline. The
+// robust engine's runs skip the report cache, so every run walks the
+// columns on split scratch that concurrent runs take from and return to
+// the engine's pool.
 func TestConcurrentCharacterizeParallelEngine(t *testing.T) {
 	pd := plantedFixture(t, 55)
-	cfg := DefaultConfig()
-	cfg.Parallelism = 4
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := e.Characterize(pd.Frame, pd.Selection)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fingerprint(ref)
+	for _, robust := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.Parallelism = 4
+		cfg.Robust = robust
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{SkipReportCache: robust}
+		ref, err := e.CharacterizeOpts(pd.Frame, pd.Selection, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fingerprint(ref)
 
-	const workers = 6
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for i := 0; i < 3; i++ {
-				rep, err := e.Characterize(pd.Frame, pd.Selection)
-				if err != nil {
-					errs <- err
-					return
+		const workers = 6
+		var wg sync.WaitGroup
+		errs := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(worker int) {
+				defer wg.Done()
+				for i := 0; i < 3; i++ {
+					rep, err := e.CharacterizeOpts(pd.Frame, pd.Selection, opts)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if got := fingerprint(rep); got != want {
+						errs <- fmt.Errorf("robust=%v worker %d run %d: output drifted from reference", robust, worker, i)
+						return
+					}
 				}
-				if got := fingerprint(rep); got != want {
-					errs <- fmt.Errorf("worker %d run %d: output drifted from reference", worker, i)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
 	}
 }
 

@@ -88,6 +88,7 @@ func NewShared(cfg Config, reports *ReportCache) (*Engine, error) {
 		prep:     memo.New[prepKey, *prepared](entries, bytes),
 		prefixes: memo.New[uint64, *depend.FoldState](entries, bytes),
 		reports:  reports,
+		splits:   sync.Pool{New: func() any { return new(SplitScratch) }},
 	}, nil
 }
 
@@ -477,10 +478,7 @@ func (e *Engine) summarizeColumns(f *frame.Frame, prep *prepared, p *partition, 
 		var s *SplitScratch
 		if scratch != nil {
 			if scratch[w] == nil {
-				scratch[w], _ = e.splits.Get().(*SplitScratch)
-				if scratch[w] == nil {
-					scratch[w] = new(SplitScratch)
-				}
+				scratch[w] = e.splits.Get().(*SplitScratch)
 			}
 			s = scratch[w]
 		}

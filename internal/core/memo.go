@@ -143,14 +143,15 @@ func hashOptions(o Options) uint64 {
 
 // preparedSize estimates the resident bytes of one prepared entry: the n×n
 // dependency matrix, the distance copy and dendrogram nodes (O(n) each),
-// and the rank indexes: their positions' slab at 4 bytes per numeric cell,
+// the column blocks (a column index each, a slice header per block), and
+// the rank indexes: their positions' slab at 4 bytes per numeric cell,
 // NULL rows included, and 8 bytes per tie-group slot.
 func preparedSize(p *prepared) int64 {
 	if p == nil || p.dep == nil {
 		return 128
 	}
 	n := int64(p.dep.Len())
-	size := 128 + n*n*8 + n*96
+	size := 128 + n*n*8 + n*96 + n*8 + 24*int64(len(p.blocks))
 	for _, x := range p.ranks {
 		size += 4*int64(len(x.Pos)) + 8*int64(cap(x.Ties))
 	}

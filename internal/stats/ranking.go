@@ -356,12 +356,12 @@ func (x *RankIndex) RankMarked(s *RankingScratch, xs []float64, marks []uint64, 
 }
 
 // rankMarks takes Rank's steps 2 to 4 from the smaller group's marked
-// bitmap, the larger group's (nil in an exact split) and the smaller
-// group's position sum.
+// bitmap, the larger group's (read only in a sampled split) and the
+// smaller group's position sum.
 func (x *RankIndex) rankMarks(s *RankingScratch, xs []float64, smallBits, largeBits []uint64, sum int64, na, nb int, quantiles bool) Ranking {
 	r := Ranking{NA: na, NB: nb}
 	r.clearQuantiles()
-	exact := largeBits == nil
+	exact := na+nb == x.N
 	walkA := na <= nb
 	nSmall := min(na, nb)
 
